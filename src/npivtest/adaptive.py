@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, tensor_design, zeta
+from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
 from .linalg import frobenius_norm, orthonormal_range, sym_inv_sqrt
 from .npiv import NpivFit, RestrictedFit, fit_from_design, fit_restricted_cone, fit_restricted_parametric
@@ -139,21 +139,25 @@ class RunConfig:
     def psi_spec(self, j: int, knot_data=None) -> BasisSpec:
         return BasisSpec(self.family, j, max(self.order, 2), self.support, self.knot_rule, knot_data)
 
-    def instrument_specs(self, k_target: int, d_w: int, knot_data=None):
-        """Basis spec(s) of total dimension >= k_target for a d_w-dimensional instrument."""
-        base = max(k_target, self._family_min())
+    def instrument_design(self, k_target: int, w: np.ndarray):
+        """(specs, B): basis spec(s) of total dimension >= k_target for the instrument sample w, and B.
+
+        A d_w-dimensional instrument gets the tensor product of d_w equal factors.
+        """
+        knot_data = w if self.knot_rule == "quantile" else None
+        base = max(k_target, self.basis_min())
+        d_w = 1 if w.ndim == 1 else w.shape[1]
         if d_w == 1:
-            return self.psi_spec(base, knot_data)
-        per_dim = max(self._family_min(), math.ceil(base ** (1.0 / d_w)))
+            spec = self.psi_spec(base, knot_data)
+            return spec, eval_design(spec, w)
+        per_dim = max(self.basis_min(), math.ceil(base ** (1.0 / d_w)))
         while per_dim**d_w < base:
             per_dim += 1
-        return [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
-
-    def _family_min(self) -> int:
-        return max(self.order, 2) if self.family == "bspline" else 1
+        specs = [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
+        return specs, tensor_design(specs, w)
 
     def basis_min(self) -> int:
-        return self._family_min()
+        return min_dim(self)
 
     def to_dict(self) -> dict:
         return {
@@ -317,84 +321,100 @@ def _res_parameters(n: int) -> tuple[int, int, int]:
     return j_under, j_max_exp, j_under * 2**j_max_exp
 
 
-def _design_for(config: RunConfig, j: int, x, k_target: int, w, quantile_ok: bool = True):
-    """(psi_spec, Psi, b_specs, B) for candidate dimension j."""
+def _dyadic(j_under: int, j_max_exp: int, basis_min: int) -> list[int]:
+    """The exponential-scan set {J_ * 2^j}, lifted to the basis minimum."""
+    return sorted({max(j_under * 2**jj, basis_min) for jj in range(j_max_exp + 1)})
+
+
+def _noise_level(spec, dim: int, n: int) -> float:
+    """Stability-scan noise level 1.5 zeta^2 sqrt(log(dim) / n) of a design of `dim` columns."""
+    return 1.5 * zeta(spec, dim) ** 2 * math.sqrt(math.log(dim) / n)
+
+
+def _checked_data(y, x, w):
+    """(y, x, w, n) as float arrays sharing n finite observations."""
+    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    knot_x = x if (config.knot_rule == "quantile" and quantile_ok) else None
-    psi_spec = config.psi_spec(j, knot_x)
-    d_w = 1 if w.ndim == 1 else w.shape[1]
-    knot_w = w if (config.knot_rule == "quantile" and quantile_ok) else None
-    b_specs = config.instrument_specs(k_target, d_w, knot_w)
-    psi = eval_design(psi_spec, x)
-    b = eval_design(b_specs, w) if isinstance(b_specs, BasisSpec) else tensor_design(b_specs, w)
-    return psi_spec, psi, b_specs, b
+    n = y.shape[0]
+    if y.ndim != 1 or x.shape[0] != n or w.shape[0] != n:
+        raise InputError("y, x, w must share the number of observations")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise InputError("data contains non-finite values")
+    return y, x, w, n
 
 
-def build_grid(x, w, config: RunConfig, mu=None) -> CandidateGrid:
-    """Candidate dimensions via the exponential scan, the knot scan, or an explicit list."""
+def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
+    """Candidate dimensions via the exponential scan, the knot scan, or an explicit list.
+
+    One pass over J: each J's designs Psi_J and B_K are evaluated once and give
+    s_J; for a candidate J, visit(j, psi_spec, psi, b, s_j) then gets the same
+    designs (adaptive_scan computes the per-J statistics there). They are
+    dropped before the next J's designs are built.
+    """
     x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
     n = x.shape[0]
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     basis_min = config.basis_min()
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
+    j_list: list[int] = []
 
-    def shat_at(j: int) -> float:
-        if j not in shat:
-            _, psi, _, b = _design_for(config, j, x, config.k_factor * j, w)
-            shat[j] = compute_shat(psi, b, mu)
-        return shat[j]
+    def designs_at(j: int):
+        """(psi_spec, Psi_J, B_K) for candidate dimension j, with K = k_factor * j; records s_J."""
+        psi_spec = config.psi_spec(j, x if config.knot_rule == "quantile" else None)
+        psi = eval_design(psi_spec, x)
+        _, b = config.instrument_design(config.k_factor * j, w)
+        shat[j] = compute_shat(psi, b, mu)
+        return psi_spec, psi, b
 
-    if isinstance(config.grid, tuple):
-        j_list = [j for j in config.grid]
-        for j in j_list:
-            if j < basis_min:
-                raise InputError(f"explicit grid entry J={j} is below the basis minimum {basis_min}")
-            shat_at(j)
-        return CandidateGrid(
-            mode="explicit",
-            j_underbar=j_under,
-            j_max_exp=j_max_exp,
-            hard_cap=hard_cap,
-            j_max_hat=max(j_list),
-            j_list=tuple(j_list),
-            shat=shat,
-        )
+    def add_candidate(j: int, designs=None):
+        designs = designs_at(j) if designs is None else designs
+        if visit is not None:
+            visit(j, *designs, shat[j])
+        j_list.append(j)
 
-    # data-driven stability bound: first J where the noise level overtakes s_J
-    j_max_hat = hard_cap
-    scan_start = max(j_under + 1, basis_min)
-    for j in range(scan_start, hard_cap + 1):
-        try:
-            s_j = shat_at(j)
-        except NumericalError as exc:
-            warnings_list.append(f"stability scan stopped at J={j}: {exc}")
-            j_max_hat = max(scan_start, j - 1)
-            break
-        noise = 1.5 * zeta(config.psi_spec(j)) ** 2 * math.sqrt(math.log(j) / n)
-        if noise >= s_j:
-            j_max_hat = j
-            break
+    mode = "explicit" if isinstance(config.grid, tuple) else config.grid
+    if mode == "explicit":
+        if config.grid[0] < basis_min:
+            raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {basis_min}")
+        for j in config.grid:
+            add_candidate(j)
+        j_max_hat = config.grid[-1]
+    else:
+        # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
+        rule = _dyadic(j_under, j_max_exp, basis_min) if mode == "dyadic" else range(basis_min, hard_cap + 1)
+        scan_start = max(j_under + 1, basis_min)
+        for j in rule:
+            if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
+                add_candidate(j)
+        # data-driven stability bound: first J where the noise level overtakes s_J
+        j_max_hat = hard_cap
+        for j in range(scan_start, hard_cap + 1):
+            try:
+                psi_spec, psi, b = designs_at(j)
+            except NumericalError as exc:
+                warnings_list.append(f"stability scan stopped at J={j}: {exc}")
+                j_max_hat = max(scan_start, j - 1)
+                if j <= j_max_hat and j in rule:  # J_max_hat keeps this candidate, which has no s_J
+                    raise
+                break
+            if j in rule:
+                add_candidate(j, (psi_spec, psi, b))
+            del psi, b  # released before the next J's designs are built
+            if _noise_level(psi_spec, j, n) >= shat[j]:
+                j_max_hat = j
+                break
 
-    if config.grid == "dyadic":
-        raw = [j_under * 2**jj for jj in range(j_max_exp + 1)]
-        lifted = sorted({max(j, basis_min) for j in raw})
-        j_list = [j for j in lifted if j <= j_max_hat]
-    else:  # knots
-        j_list = list(range(basis_min, min(j_max_hat, hard_cap) + 1))
-
-    fallback = False
-    if not j_list:
-        j_list = [basis_min]
-        fallback = True
+    fallback = not j_list
+    if fallback:
         warnings_list.append(
             f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{basis_min}}}"
         )
-    for j in j_list:
-        shat_at(j)
+        add_candidate(basis_min)
     return CandidateGrid(
-        mode=config.grid,
+        mode=mode,
         j_underbar=j_under,
         j_max_exp=j_max_exp,
         hard_cap=hard_cap,
@@ -406,7 +426,7 @@ def build_grid(x, w, config: RunConfig, mu=None) -> CandidateGrid:
     )
 
 
-def compute_D(restricted_residuals, fit: NpivFit, omega=None) -> float:
+def compute_D(restricted_residuals, fit: NpivFit) -> float:
     """Centered leave-one-out quadratic form of the restricted residuals.
 
     Equals 2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'} with
@@ -423,7 +443,7 @@ def compute_D(restricted_residuals, fit: NpivFit, omega=None) -> float:
     return (quad - loo) / (n - 1)
 
 
-def compute_vhat(fit: NpivFit, unrestricted_residuals=None, omega=None) -> float:
+def compute_vhat(fit: NpivFit, unrestricted_residuals=None) -> float:
     """Frobenius norm of the standardized residual-sandwich normalizer."""
     u = fit.residuals if unrestricted_residuals is None else np.asarray(unrestricted_residuals, dtype=float)
     if u.shape != (fit.n,):
@@ -472,35 +492,30 @@ class _ScanEntry:
 
 
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
-    """Alpha-free part of the test: grid plus per-J statistics.
+    """Alpha-free part of the test: grid plus per-J statistics, in one pass.
 
-    candidate_values, when given, are fitted values of a hypothesized function
-    at the sample points; each entry then also carries the leave-one-out
-    statistic at that candidate (for confidence-set inversion).
+    build_grid hands each candidate's designs, still live from s_J, to the
+    fits, D_J and v_J here; a parametric null is fitted on the unrestricted
+    fit's instrument basis U_B. candidate_values, when given, are fitted
+    values of a hypothesized function at the sample points; each entry then
+    also carries the leave-one-out statistic at that candidate (for
+    confidence-set inversion).
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = y.shape[0]
-    if y.ndim != 1 or x.shape[0] != n or w.shape[0] != n:
-        raise InputError("y, x, w must share the number of observations")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise InputError("data contains non-finite values")
-    grid = build_grid(x, w, config, mu)
+    y, x, w, n = _checked_data(y, x, w)
     entries = []
-    warnings_list: list[str] = list(grid.warnings)
-    for j in grid.j_list:
+    fit_warnings: list[str] = []
+
+    def statistics(j: int, psi_spec: BasisSpec, psi: np.ndarray, b: np.ndarray, s_hat: float):
         try:
-            psi_spec, psi, b_specs, b = _design_for(config, j, x, config.k_factor * j, w)
             fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
-            warnings_list.extend(f"J={j}: {msg}" for msg in fit.warnings)
+            fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
             if null.kind == "shape":
                 m = null.constraints(psi_spec)
                 rfit = fit_restricted_cone(fit, m)
                 gamma = gamma_hat(m, rfit, "inequality", j)
             else:
                 model = null.model if null.custom_design is None else null.custom_design
-                rfit = fit_restricted_parametric(y, x, w, model, b_specs, mu=mu, rcond=config.rcond)
+                rfit = fit_restricted_parametric(y, x, model, fit.u_b, rcond=config.rcond)
                 gamma = gamma_hat(None, None, "equality", j)
             d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(rfit.residuals_r, fit)
             v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit)
@@ -513,7 +528,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                     k=fit.k_dim,
                     d_stat=d_stat,
                     v_stat=v_stat,
-                    s_hat=grid.shat[j],
+                    s_hat=s_hat,
                     gamma=gamma,
                     n_active=len(rfit.active_set),
                     d_candidate=d_cand,
@@ -521,7 +536,9 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             )
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
-    return grid, entries, warnings_list, n
+
+    grid = build_grid(x, w, config, mu, visit=statistics)
+    return grid, entries, [*grid.warnings, *fit_warnings], n
 
 
 def _w_statistic(n: int, d_stat: float, v_stat: float, eta: float) -> float:
@@ -676,74 +693,50 @@ def image_space_scan(y, x, w, model, config: RunConfig):
     empirical stability bound, and the chi-square calibration uses K degrees
     of freedom.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = y.shape[0]
-    if y.ndim != 1 or x.shape[0] != n or w.shape[0] != n:
-        raise InputError("y, x, w must share the number of observations")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise InputError("data contains non-finite values")
+    y, x, w, n = _checked_data(y, x, w)
     null = NullSpec(kind="parametric", model=model if isinstance(model, str) else None,
                     custom_design=None if isinstance(model, str) else model)
-    d_w = 1 if w.ndim == 1 else w.shape[1]
     k_under, k_max_exp, hard_cap = _res_parameters(n)
     basis_min = config.basis_min()
-
-    def b_design(k_target: int):
-        specs = config.instrument_specs(k_target, d_w, w if config.knot_rule == "quantile" else None)
-        if isinstance(specs, BasisSpec):
-            return specs, eval_design(specs, w)
-        return specs, tensor_design(specs, w)
-
-    smin_cache: dict[int, tuple[int, float, np.ndarray]] = {}
+    scanned: dict[int, tuple] = {}
 
     def scan_at(k_raw: int):
-        if k_raw not in smin_cache:
-            specs, b = b_design(k_raw)
+        """(specs, K, s_min((B'B/n)^{-1/2}), B) for instrument target dimension k_raw."""
+        if k_raw not in scanned:
+            specs, b = config.instrument_design(k_raw, w)
             gb = b.T @ b / n
             evals = np.linalg.eigvalsh(0.5 * (gb + gb.T))
             if evals[-1] <= 0:
                 raise NumericalError("instrument gram B'B is numerically singular")
-            smin = 1.0 / math.sqrt(float(evals[-1]))  # s_min((B'B/n)^{-1/2})
-            smin_cache[k_raw] = (b.shape[1], smin, b)
-        return smin_cache[k_raw]
+            scanned[k_raw] = (specs, b.shape[1], 1.0 / math.sqrt(float(evals[-1])), b)
+        return scanned[k_raw]
 
     k_max_hat = hard_cap
     for k in range(max(k_under + 1, basis_min), hard_cap + 1):
-        realized, smin, _ = scan_at(k)
-        noise = 1.5 * zeta(config.psi_spec(max(realized, basis_min)), dim=realized) ** 2 * math.sqrt(
-            math.log(realized) / n
-        )
-        if noise >= smin:
+        specs, realized, smin, _ = scan_at(k)
+        if _noise_level(specs, realized, n) >= smin:
             k_max_hat = k
             break
 
-    raw = [k_under * 2**kk for kk in range(k_max_exp + 1)]
-    lifted = sorted({max(k, basis_min) for k in raw})
-    k_list = [k for k in lifted if k <= k_max_hat]
-    fallback = False
-    if not k_list:
-        k_list, fallback = [basis_min], True
+    k_list = [k for k in _dyadic(k_under, k_max_exp, basis_min) if k <= k_max_hat]
+    fallback = not k_list
+    if fallback:
+        k_list = [basis_min]
 
     entries = []
     shat: dict[int, float] = {}
-    warnings_list: list[str] = []
-    seen_dims: set[int] = set()
     for k_raw in k_list:
-        realized, smin, b = scan_at(k_raw)
-        if realized in seen_dims:
+        _, realized, smin, b = scan_at(k_raw)
+        if realized in shat:
             continue
-        seen_dims.add(realized)
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        model_arg = null.model if null.custom_design is None else null.custom_design
-        rfit = fit_restricted_parametric(y, x, w, model_arg, b, rcond=config.rcond)
+        u_b = orthonormal_range(b, config.rcond)
+        rfit = fit_restricted_parametric(y, x, model, u_b, rcond=config.rcond)
         r = rfit.residuals_r
         if _numerically_zero(r, y):
             d_stat, v_stat = 0.0, 0.0
         else:
-            u_b = orthonormal_range(b, config.rcond)
             proj = u_b.T @ r
             row_norms2 = np.sum(u_b**2, axis=1)
             d_stat = (float(proj @ proj) - float(np.sum(r * r * row_norms2))) / (n - 1)
@@ -766,9 +759,8 @@ def image_space_scan(y, x, w, model, config: RunConfig):
         j_list=tuple(e.j for e in entries),
         shat=shat,
         fallback=fallback,
-        warnings=tuple(warnings_list),
     )
-    return grid, entries, warnings_list, n, null
+    return grid, entries, [], n, null
 
 
 def image_space_test(y, x, w, model, alpha: float = 0.05, config: RunConfig | None = None) -> TestReport:

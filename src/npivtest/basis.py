@@ -97,12 +97,10 @@ class BasisSpec:
             [np.full(self.order, lo), self.interior_knots(), np.full(self.order, hi)]
         )
 
-    def with_dim(self, dim: int) -> "BasisSpec":
-        return BasisSpec(self.family, dim, self.order, self.support, self.knot_rule, self.knot_data)
 
-
-def min_dim(spec: BasisSpec) -> int:
-    """Smallest admissible dimension for the spec's family."""
+def min_dim(spec) -> int:
+    """Smallest admissible dimension of a basis; spec is anything with family and order
+    (a BasisSpec, or a RunConfig before any spec exists)."""
     return spec.order if spec.family == "bspline" else 1
 
 
@@ -217,15 +215,8 @@ class ConstraintMatrix:
         object.__setattr__(self, "rows", rows)
 
     @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-    def negated(self, kind: str | None = None) -> "ConstraintMatrix":
-        return ConstraintMatrix(-self.rows, kind or self.kind)
 
 
 def _greville(t: np.ndarray, order: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,12 +63,11 @@ def dump_json(payload) -> str:
 class CsvDataset:
     """Validated columns from a user CSV file."""
 
-    def __init__(self, y, x, w, mu=None, columns=None):
+    def __init__(self, y, x, w, mu=None):
         self.y = y
         self.x = x
         self.w = w
         self.mu = mu
-        self.columns = columns or []
 
     @property
     def n(self) -> int:
@@ -143,7 +143,7 @@ def load_csv_dataset(path: str) -> CsvDataset:
     mu = data.get("mu")
     if mu is not None and np.any(mu < 0):
         raise InputError(f"{path}: weight column 'mu' must be nonnegative")
-    return CsvDataset(y=data["y"], x=x, w=w, mu=mu, columns=header)
+    return CsvDataset(y=data["y"], x=x, w=w, mu=mu)
 
 
 def _parse_grid(text: str):
@@ -157,7 +157,7 @@ def _parse_grid(text: str):
         ) from None
 
 
-def resolve_config(args, x=None) -> RunConfig:
+def resolve_config(args) -> RunConfig:
     """Config file -> flags -> environment, with flags overriding file values."""
     base: dict = {}
     if getattr(args, "config", None):
@@ -196,13 +196,7 @@ def resolve_config(args, x=None) -> RunConfig:
         updates["support"] = (lo, hi)
     if getattr(args, "quantile_knots", False):
         updates["knot_rule"] = "quantile"
-    if updates:
-        merged = cfg.to_dict()
-        merged.update({k: (list(v) if isinstance(v, tuple) and k == "grid" else v) for k, v in updates.items()})
-        if "support" in updates:
-            merged["support"] = list(updates["support"])
-        cfg = RunConfig.from_dict(merged)
-    return cfg
+    return replace(cfg, **updates)
 
 
 def render_report(report, fmt: str) -> str:
@@ -255,7 +249,7 @@ def _emit(text: str, out_path: str | None):
 
 def _cmd_test(args) -> int:
     data = load_csv_dataset(args.data)
-    config = resolve_config(args, data.x)
+    config = resolve_config(args)
     null = NullSpec.from_name(args.null)
     report = adaptive_test(data.y, data.x, data.w, null, alpha=config.alpha, config=config, mu=data.mu)
     _emit(render_report(report, args.format), args.out)
@@ -314,7 +308,7 @@ def _load_candidate(path: str, data: CsvDataset, config: RunConfig):
 
 def _cmd_cs(args) -> int:
     data = load_csv_dataset(args.data)
-    config = resolve_config(args, data.x)
+    config = resolve_config(args)
     null = NullSpec.from_name(args.null)
     candidate = _load_candidate(args.candidate, data, config)
     contained, binding, detail = cs_contains(

@@ -63,12 +63,12 @@ class NpivFit:
     residuals: np.ndarray
     gram_weighted: np.ndarray
     coeff_map: np.ndarray  # C (J x n); Q r = sqrt(n) Psi (C r)
+    u_b: np.ndarray  # orthonormal basis of the instrument design's column space
     psi: np.ndarray
     y: np.ndarray
     mu: np.ndarray
     k_dim: int
     warnings: list[str] = field(default_factory=list)
-    _gw_factor: np.ndarray | None = None
     _loo_scaled: np.ndarray | None = None
 
     @property
@@ -80,20 +80,10 @@ class NpivFit:
         return self.psi.shape[1]
 
     @property
-    def qpsi_factor(self) -> np.ndarray:
-        return self.coeff_map
-
-    @property
-    def gw_factor(self) -> np.ndarray:
-        if self._gw_factor is None:
-            self._gw_factor = _psd_factor(self.gram_weighted)
-        return self._gw_factor
-
-    @property
     def scaled_map(self) -> np.ndarray:
         """L' C with L L' = Psi' Omega Psi; rows of the standardized coefficient operator."""
         if self._loo_scaled is None:
-            self._loo_scaled = self.gw_factor.T @ self.coeff_map
+            self._loo_scaled = _psd_factor(self.gram_weighted).T @ self.coeff_map
         return self._loo_scaled
 
 
@@ -154,6 +144,7 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
         residuals=y - fitted,
         gram_weighted=gram_weighted,
         coeff_map=coeff_map,
+        u_b=u_b,
         psi=psi,
         y=y,
         mu=mu,
@@ -260,12 +251,10 @@ def cone_project(v, g, m, rcond: float | None = None, max_iter: int | None = Non
     )
 
 
-def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, mu=None) -> RestrictedFit:
+def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
     """Project the unrestricted coefficients onto the constraint cone in the weighted norm."""
     if m.dim != fit.j_dim:
         raise InputError(f"constraint matrix has dim {m.dim}, fit has J={fit.j_dim}")
-    if mu is not None and not np.array_equal(_weights(mu, fit.n), fit.mu):
-        raise InputError("weights passed to fit_restricted_cone differ from the fit's weights")
     beta_r, active = cone_project(fit.beta, fit.gram_weighted, m)
     fitted_r = fit.psi @ beta_r
     return RestrictedFit(
@@ -293,31 +282,29 @@ def parametric_design(x, model) -> tuple[np.ndarray, str]:
     raise InputError(f"unknown parametric model {model!r}; expected 'linear', 'quadratic', or a design array")
 
 
-def fit_restricted_parametric(y, x, w, model, b_spec, mu=None, rcond: float | None = None) -> RestrictedFit:
+def fit_restricted_parametric(y, x, model, u_b, rcond: float | None = None) -> RestrictedFit:
     """Null-restricted parametric 2SLS on the instrument sieve.
 
-    b_spec may be a BasisSpec, a list of specs (tensor product), or an
-    already evaluated instrument matrix.
+    u_b is an orthonormal basis of the instrument design B's column space,
+    orthonormal_range(B), which the caller has already computed: the
+    unrestricted fit keeps it as NpivFit.u_b, and the image-space scan factors
+    each B once. B itself is neither evaluated nor factored here.
     """
     y = np.asarray(y, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
     z, model_name = parametric_design(x, model)
     if z.shape[0] != y.shape[0]:
         raise InputError("parametric design and y must share the number of rows")
-    if isinstance(b_spec, BasisSpec):
-        b = eval_design(b_spec, w)
-    elif isinstance(b_spec, np.ndarray):
-        b = np.asarray(b_spec, dtype=float)
-    else:
-        b = tensor_design(b_spec, w)
+    if u_b.ndim != 2 or u_b.shape[0] != y.shape[0]:
+        raise InputError("instrument basis and y must share the number of rows")
     if rcond is None:
-        rcond = default_rcond(b.shape)
-    u_b = orthonormal_range(b, rcond)
+        rcond = default_rcond(u_b.shape)
     tz = u_b.T @ z
     svals = np.linalg.svd(tz, compute_uv=False)
     if svals.size < z.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise InputError(
             f"parametric design is rank deficient after instrument projection "
-            f"(model {model_name!r}, {z.shape[1]} columns, K={b.shape[1]})"
+            f"(model {model_name!r}, {z.shape[1]} columns, K={u_b.shape[1]})"
         )
     theta = pinv(tz, rcond) @ (u_b.T @ y)
     fitted_r = z @ theta

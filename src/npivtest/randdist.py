@@ -50,9 +50,6 @@ class RngStream:
         key = np.array([self.master_seed % 2**64, self.stream_id % 2**64], dtype=_U64)
         return Generator(Philox(key=key))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.master_seed, stream_id)
-
 
 @dataclass(frozen=True)
 class CovarianceSpec:

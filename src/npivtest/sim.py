@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,26 +241,33 @@ def _cell_grid(spec: ExperimentSpec) -> list[dict]:
     return cells
 
 
+def _cell_result(spec: ExperimentSpec, cell: dict, outcomes, crit: dict[float, float] | None = None) -> CellResult:
+    """Rejection rates, average selected dimension and SEs of one cell's outcomes.
+
+    With crit (size-adjusted power) a replication rejects when its max W_J
+    exceeds the calibrated critical value instead of by the test's decision.
+    """
+    failures = _check_failures(outcomes, cell, spec.replications)
+    ok = [res for _, res in outcomes if res is not None]
+    rates, avg_j, se = {}, {}, {}
+    for alpha in spec.alphas:
+        if crit is None:
+            hits = [res[alpha][0] for res in ok]
+        else:
+            hits = [res[alpha][2] > crit[alpha] for res in ok]
+        p = float(np.mean(hits)) if ok else float("nan")
+        rates[alpha] = p
+        avg_j[alpha] = float(np.mean([res[alpha][1] for res in ok])) if ok else float("nan")
+        se[alpha] = _binomial_se(p, len(ok))
+    return CellResult(params=dict(cell), reject_rate=rates, avg_j=avg_j, se=se,
+                      replications=spec.replications, failures=failures,
+                      adjusted_crit=dict(crit) if crit is not None else None)
+
+
 def run_size(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Empirical rejection rates; the DGP parameters are expected to satisfy the null."""
     start = time.perf_counter()
-    cells = []
-    for cell in _cell_grid(spec):
-        outcomes = _collect(spec, cell, jobs)
-        failures = _check_failures(outcomes, cell, spec.replications)
-        ok = [res for _, res in outcomes if res is not None]
-        rates, avg_j, se = {}, {}, {}
-        for alpha in spec.alphas:
-            rejects = [res[alpha][0] for res in ok]
-            js = [res[alpha][1] for res in ok]
-            p = float(np.mean(rejects)) if ok else float("nan")
-            rates[alpha] = p
-            avg_j[alpha] = float(np.mean(js)) if ok else float("nan")
-            se[alpha] = _binomial_se(p, len(ok))
-        cells.append(
-            CellResult(params=dict(cell), reject_rate=rates, avg_j=avg_j, se=se,
-                       replications=spec.replications, failures=failures)
-        )
+    cells = [_cell_result(spec, cell, _collect(spec, cell, jobs)) for cell in _cell_grid(spec)]
     meta = {"mode": spec.mode, "statistic": spec.statistic, "master_seed": spec.master_seed,
             "timings": {"total_seconds": time.perf_counter() - start}}
     return McSummary(spec=spec, cells=cells, metadata=meta)
@@ -294,24 +302,7 @@ def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
                         crit[alpha] = float(np.quantile(np.asarray(w_null), 1.0 - alpha))
                 for c_a in spec.c_a_values:
                     cell = {"n": n, "xi": xi, "c_a": c_a, "c_b": c_b}
-                    outcomes = _collect(spec, cell, jobs)
-                    failures = _check_failures(outcomes, cell, spec.replications)
-                    ok = [res for _, res in outcomes if res is not None]
-                    rates, avg_j, se = {}, {}, {}
-                    for alpha in spec.alphas:
-                        if crit is None:
-                            hits = [res[alpha][0] for res in ok]
-                        else:
-                            hits = [res[alpha][2] > crit[alpha] for res in ok]
-                        p = float(np.mean(hits)) if ok else float("nan")
-                        rates[alpha] = p
-                        avg_j[alpha] = float(np.mean([res[alpha][1] for res in ok])) if ok else float("nan")
-                        se[alpha] = _binomial_se(p, len(ok))
-                    cells.append(
-                        CellResult(params=dict(cell), reject_rate=rates, avg_j=avg_j, se=se,
-                                   replications=spec.replications, failures=failures,
-                                   adjusted_crit=dict(crit) if crit is not None else None)
-                    )
+                    cells.append(_cell_result(spec, cell, _collect(spec, cell, jobs), crit))
     meta = {
         "mode": spec.mode,
         "statistic": spec.statistic,
@@ -337,6 +328,58 @@ def _filtered(values, chosen):
     return chosen
 
 
+class _Run(NamedTuple):
+    """One experiment behind a published table, and how its cells become rows."""
+
+    key: str  # the run's key in reproduce's "summaries"
+    spec: dict  # ExperimentSpec fields besides replications and master_seed
+    extra: dict  # fields added to each of the run's rows
+    published: dict | None  # published values, keyed by the row fields named in `lookup`; None if not tabulated
+    lookup: tuple[str, ...]
+    rates: tuple[tuple[float, str | None], ...]  # (alpha, published key) per rejection-rate row
+    avg: tuple[str, str] | None  # (metric, published key) of the average-dimension row
+
+
+_R05 = ((0.05, "r05"),)
+# table id -> (spec fields, published table, row fields keying it, rate rows) of the tables run once per K factor
+_PER_K_TABLES = {
+    "T1": (dict(null="decreasing", h_family="mono", alphas=(0.10, 0.05, 0.01)), published.TABLE1,
+           ("n", "c0", "xi", "k_factor"), ((0.10, "r10"), (0.05, "r05"), (0.01, "r01"))),
+    "T2": (dict(null="linear", h_family="sin"), published.TABLE2, ("n", "xi", "k_factor"), _R05),
+    "supp-C": (dict(design="II", null="increasing", h_family="design2", c_a_values=(0.0, 0.1)), published.SUPP_C,
+               ("n", "c_a", "xi", "k_factor"), _R05),
+}
+
+
+def _table_runs(table_id: str, n_values, xi_values, c0_values, k_factors) -> list[_Run]:
+    """The runs of one table, its cell axes narrowed to the requested values."""
+    if table_id in ("F1", "F2"):
+        spec = dict(
+            mode="size_adjusted_power", null="decreasing" if table_id == "F1" else "linear", h_family="sin",
+            n_values=_filtered((500, 1000) if table_id == "F1" else (500,), n_values),
+            xi_values=_filtered((0.5, 0.7), xi_values),
+            c_a_values=(0.1, 0.3, 0.6, 1.0, 1.5, 2.0), c_b_values=(0.0, 0.5, 1.0), k_factor=4,
+        )
+        return [_Run("power", spec, {}, None, (), ((0.05, None),), None)]
+    axes = dict(n_values=_filtered((500, 1000, 5000), n_values), xi_values=_filtered((0.3, 0.5, 0.7), xi_values))
+    if table_id == "supp-D":  # structural (K=4J) vs image-space test of linearity
+        return [
+            _Run(f"{design}:{statistic}",
+                 dict(design=design, statistic=statistic, null="linear", h_family=family, k_factor=4, **axes),
+                 {"design": design, "statistic": statistic}, published.SUPP_D, ("n", "design", "xi"),
+                 ((0.05, key),), ("avg_dim", "jhat" if statistic == "structural" else "khat"))
+            for design, family in (("I", "sin"), ("multivariate", "quad"))
+            for statistic, key in (("structural", "struct"), ("image-space", "it"))
+        ]
+    fields, table, lookup, rates = _PER_K_TABLES[table_id]
+    if table_id == "T1":
+        axes["c0_values"] = _filtered((0.01, 0.1, 1.0), c0_values)
+    return [
+        _Run(f"k{k}", dict(k_factor=k, **fields, **axes), {"k_factor": k}, table, lookup, rates, ("avg_J", "jhat"))
+        for k in _filtered((2, 4), k_factors)
+    ]
+
+
 def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int = 1,
               n_values=None, xi_values=None, c0_values=None, k_factors=None) -> dict:
     """Re-run one published table/figure at desk scale and lay our numbers beside the originals.
@@ -352,106 +395,17 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
 
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
-
-    if table_id == "T1":
-        ns = _filtered((500, 1000, 5000), n_values)
-        xis = _filtered((0.3, 0.5, 0.7), xi_values)
-        c0s = _filtered((0.01, 0.1, 1.0), c0_values)
-        ks = _filtered((2, 4), k_factors)
-        for k in ks:
-            spec = ExperimentSpec(
-                design="I", mode="size", null="decreasing", h_family="mono",
-                n_values=ns, xi_values=xis, c0_values=c0s,
-                alphas=(0.10, 0.05, 0.01), replications=replications,
-                k_factor=k, master_seed=seed,
-            )
-            summary = run_size(spec, jobs)
-            summaries[f"k{k}"] = summary
-            for cell in summary.cells:
-                ref = published.TABLE1[(cell.params["n"], cell.params["c0"], cell.params["xi"], k)]
-                for alpha, key in ((0.10, "r10"), (0.05, "r05"), (0.01, "r01")):
-                    rows.append({
-                        **cell.params, "k_factor": k, "alpha": alpha,
-                        "ours": cell.reject_rate[alpha], "se": cell.se[alpha], "published": ref[key],
-                    })
-                rows.append({**cell.params, "k_factor": k, "alpha": 0.05, "metric": "avg_J",
-                             "ours": cell.avg_j[0.05], "se": float("nan"), "published": ref["jhat"]})
-        return {"table_id": table_id, "rows": rows, "summaries": summaries}
-
-    if table_id == "T2":
-        ns = _filtered((500, 1000, 5000), n_values)
-        xis = _filtered((0.3, 0.5, 0.7), xi_values)
-        ks = _filtered((2, 4), k_factors)
-        for k in ks:
-            spec = ExperimentSpec(
-                design="I", mode="size", null="linear", h_family="sin",
-                n_values=ns, xi_values=xis, c_a_values=(0.0,), c_b_values=(0.0,),
-                alphas=(0.05,), replications=replications, k_factor=k, master_seed=seed,
-            )
-            summary = run_size(spec, jobs)
-            summaries[f"k{k}"] = summary
-            for cell in summary.cells:
-                ref = published.TABLE2[(cell.params["n"], cell.params["xi"], k)]
-                rows.append({**cell.params, "k_factor": k, "alpha": 0.05,
-                             "ours": cell.reject_rate[0.05], "se": cell.se[0.05], "published": ref["r05"]})
-                rows.append({**cell.params, "k_factor": k, "alpha": 0.05, "metric": "avg_J",
-                             "ours": cell.avg_j[0.05], "se": float("nan"), "published": ref["jhat"]})
-        return {"table_id": table_id, "rows": rows, "summaries": summaries}
-
-    if table_id in ("F1", "F2"):
-        ns = _filtered((500, 1000) if table_id == "F1" else (500,), n_values)
-        xis = _filtered((0.5, 0.7), xi_values)
-        spec = ExperimentSpec(
-            design="I", mode="size_adjusted_power",
-            null="decreasing" if table_id == "F1" else "linear",
-            h_family="sin", n_values=ns, xi_values=xis,
-            c_a_values=(0.1, 0.3, 0.6, 1.0, 1.5, 2.0), c_b_values=(0.0, 0.5, 1.0),
-            alphas=(0.05,), replications=replications, k_factor=4, master_seed=seed,
-        )
-        summary = run_power(spec, jobs)
-        summaries["power"] = summary
+    for run in _table_runs(table_id, n_values, xi_values, c0_values, k_factors):
+        summary = run_experiment(ExperimentSpec(**run.spec, replications=replications, master_seed=seed), jobs)
+        summaries[run.key] = summary
         for cell in summary.cells:
-            rows.append({**cell.params, "alpha": 0.05, "ours": cell.reject_rate[0.05],
-                         "se": cell.se[0.05], "published": float("nan")})
-        return {"table_id": table_id, "rows": rows, "summaries": summaries}
-
-    if table_id == "supp-C":
-        ns = _filtered((500, 1000, 5000), n_values)
-        xis = _filtered((0.3, 0.5, 0.7), xi_values)
-        ks = _filtered((2, 4), k_factors)
-        for k in ks:
-            spec = ExperimentSpec(
-                design="II", mode="size", null="increasing", h_family="design2",
-                n_values=ns, xi_values=xis, c_a_values=(0.0, 0.1), c_b_values=(0.0,),
-                alphas=(0.05,), replications=replications, k_factor=k, master_seed=seed,
-            )
-            summary = run_size(spec, jobs)
-            summaries[f"k{k}"] = summary
-            for cell in summary.cells:
-                ref = published.SUPP_C[(cell.params["n"], cell.params["c_a"], cell.params["xi"], k)]
-                rows.append({**cell.params, "k_factor": k, "alpha": 0.05,
-                             "ours": cell.reject_rate[0.05], "se": cell.se[0.05], "published": ref["r05"]})
-                rows.append({**cell.params, "k_factor": k, "alpha": 0.05, "metric": "avg_J",
-                             "ours": cell.avg_j[0.05], "se": float("nan"), "published": ref["jhat"]})
-        return {"table_id": table_id, "rows": rows, "summaries": summaries}
-
-    # supp-D: structural (K=4J) vs image-space test of linearity
-    ns = _filtered((500, 1000, 5000), n_values)
-    xis = _filtered((0.3, 0.5, 0.7), xi_values)
-    for design, family in (("I", "sin"), ("multivariate", "quad")):
-        for statistic, key in (("structural", "struct"), ("image-space", "it")):
-            spec = ExperimentSpec(
-                design=design, mode="size", statistic=statistic, null="linear", h_family=family,
-                n_values=ns, xi_values=xis, c_a_values=(0.0,), c_b_values=(0.0,),
-                alphas=(0.05,), replications=replications, k_factor=4, master_seed=seed,
-            )
-            summary = run_size(spec, jobs)
-            summaries[f"{design}:{statistic}"] = summary
-            for cell in summary.cells:
-                ref = published.SUPP_D[(cell.params["n"], design, cell.params["xi"])]
-                rows.append({**cell.params, "design": design, "statistic": statistic, "alpha": 0.05,
-                             "ours": cell.reject_rate[0.05], "se": cell.se[0.05], "published": ref[key]})
-                rows.append({**cell.params, "design": design, "statistic": statistic, "alpha": 0.05,
-                             "metric": "avg_dim", "ours": cell.avg_j[0.05], "se": float("nan"),
-                             "published": ref["jhat" if statistic == "structural" else "khat"]})
+            base = {**cell.params, **run.extra}
+            ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]
+            for alpha, key in run.rates:
+                rows.append({**base, "alpha": alpha, "ours": cell.reject_rate[alpha], "se": cell.se[alpha],
+                             "published": float("nan") if ref is None else ref[key]})
+            if run.avg is not None:
+                metric, key = run.avg
+                rows.append({**base, "alpha": 0.05, "metric": metric, "ours": cell.avg_j[0.05],
+                             "se": float("nan"), "published": ref[key]})
     return {"table_id": table_id, "rows": rows, "summaries": summaries}

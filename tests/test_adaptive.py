@@ -5,6 +5,9 @@ import pathlib
 import numpy as np
 import pytest
 
+import npivtest.adaptive as adaptive_module
+import npivtest.basis as basis_module
+import npivtest.npiv as npiv_module
 from npivtest.adaptive import (
     NullSpec,
     RunConfig,
@@ -347,6 +350,45 @@ def test_martingale_limit_sanity():
     j_dim = 3
     assert abs(arr.mean()) <= 0.2  # chi2_J - J has mean 0
     assert abs(arr.var() - 2.0 * j_dim) <= 0.5  # ... and variance 2J
+
+
+# ------------------------------------------------------- one pass per candidate
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of the function bound as `name` in each of `modules`."""
+    original = getattr(modules[0], name)
+    counter = {"calls": 0}
+
+    def counting(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return counter
+
+
+def test_shape_null_evaluates_each_design_once_per_candidate(monkeypatch):
+    # Psi_J, B_K and the constraint rows: the stability scan and the
+    # statistics share one evaluation of each
+    evals = _count_calls(monkeypatch, "eval_design", (adaptive_module, npiv_module, basis_module))
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 1)))
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"),
+                        config=RunConfig(grid="knots", k_factor=2))
+    assert rep.grid.size >= 2
+    assert evals["calls"] <= 3 * rep.grid.size
+
+
+def test_parametric_null_factors_each_instrument_design_once(monkeypatch):
+    factorizations = _count_calls(monkeypatch, "orthonormal_range", (adaptive_module, npiv_module))
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5, c_b=0.5), RngStream(4, 2)))
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("linear"),
+                        config=RunConfig(grid="knots", k_factor=2))
+    assert factorizations["calls"] == rep.grid.size
+    factorizations["calls"] = 0
+    rep = image_space_test(data.y, data.x, data.w, "linear")
+    assert factorizations["calls"] == len(rep.per_j)
 
 
 # ------------------------------------------------------------ confidence set

@@ -95,6 +95,17 @@ def test_cmd_test_engel_style_report_shape(tmp_path):
     assert payload["p_threshold"] == pytest.approx(0.05 / 3.0)
 
 
+@pytest.mark.parametrize("grid", ["dyadic", "knots"])
+def test_cmd_test_quantile_knots_with_scanned_grid(tmp_path, grid):
+    out_path = tmp_path / "rep.json"
+    code = run_cli("test", ENGEL, "--quantile-knots", "--grid", grid, "--format", "json", "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    validate(payload, "report.schema.json")
+    assert payload["config"]["knot_rule"] == "quantile"
+    assert payload["grid"]["mode"] == grid
+
+
 def test_cmd_test_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["test", ENGEL, "--null", "decreasing", "--seed", "42", "--format", "json"]

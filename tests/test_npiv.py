@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError
+from npivtest.linalg import orthonormal_range
 from npivtest.npiv import (
     cone_project,
     fit_from_design,
@@ -248,7 +249,7 @@ def test_parametric_exact_linear(rng):
     n = 90
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = 0.7 - 1.3 * x
-    rfit = fit_restricted_parametric(y, x, w, "linear", bspline(6))
+    rfit = fit_restricted_parametric(y, x, "linear", orthonormal_range(eval_design(bspline(6), w)))
     np.testing.assert_allclose(rfit.residuals_r, 0.0, atol=1e-9)
     assert rfit.kind == "parametric"
     assert rfit.active_set.size == 0
@@ -260,7 +261,7 @@ def test_parametric_iv_ratio_single_instrument(rng):
     w = rng.normal(size=n)
     x = 0.8 * w + rng.normal(size=n)
     y = 2.0 * x + rng.normal(size=n)
-    rfit = fit_restricted_parametric(y, x[:, None], w, x[:, None], np.column_stack([w]))
+    rfit = fit_restricted_parametric(y, x[:, None], x[:, None], orthonormal_range(np.column_stack([w])))
     slope = rfit.beta_r[0]
     assert slope == pytest.approx((w @ y) / (w @ x), abs=1e-10)
 
@@ -269,10 +270,10 @@ def test_parametric_quadratic_equals_custom_design(rng):
     n = 150
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n)
-    b = bspline(8)
-    fit_a = fit_restricted_parametric(y, x, w, "quadratic", b)
+    u_b = orthonormal_range(eval_design(bspline(8), w))
+    fit_a = fit_restricted_parametric(y, x, "quadratic", u_b)
     custom = np.column_stack([np.ones(n), x, x**2])
-    fit_b = fit_restricted_parametric(y, x, w, custom, b)
+    fit_b = fit_restricted_parametric(y, x, custom, u_b)
     np.testing.assert_allclose(fit_a.fitted_r, fit_b.fitted_r, atol=1e-10)
 
 
@@ -282,7 +283,7 @@ def test_parametric_rank_guard(rng):
     y = rng.normal(size=n)
     degenerate = np.column_stack([np.ones(n), np.ones(n)])
     with pytest.raises(InputError):
-        fit_restricted_parametric(y, x, w, degenerate, bspline(6))
+        fit_restricted_parametric(y, x, degenerate, orthonormal_range(eval_design(bspline(6), w)))
 
 
 def test_restricted_positive_homogeneity(rng):
