@@ -17,7 +17,8 @@ Candidate sets come in three modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,17 +114,30 @@ class RunConfig:
     schema_version: int = 1
 
     def __post_init__(self):
+        kinds = {"alpha": (Real,), "k_factor": (Integral,), "seed": (Integral, type(None)), "rcond": (Real, type(None))}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InputError(f"{name} must be {'an integer' if Integral in kind else 'a number'}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.basis not in _BASIS_NAMES:
+        if not isinstance(self.basis, str) or self.basis not in _BASIS_NAMES:
             raise InputError(f"unknown basis {self.basis!r}; expected one of {sorted(_BASIS_NAMES)}")
         if self.k_factor < 2:
             raise InputError(f"k_factor must be >= 2, got {self.k_factor}")
+        support = tuple(self.support) if isinstance(self.support, (tuple, list)) else ()
+        if len(support) != 2 or not all(isinstance(v, Real) and math.isfinite(v) for v in support) \
+                or support[0] >= support[1]:
+            raise InputError(f"support must be a finite interval [lo, hi] with lo < hi, got {self.support!r}")
+        object.__setattr__(self, "support", support)
         if isinstance(self.grid, str):
             if self.grid not in ("dyadic", "knots"):
                 raise InputError(f"grid mode must be 'dyadic', 'knots', or an explicit list, got {self.grid!r}")
         else:
-            lst = tuple(int(j) for j in self.grid)
+            try:
+                lst = tuple(int(j) for j in self.grid)
+            except (TypeError, ValueError):
+                raise InputError(f"explicit grid must be a list of dims, got {self.grid!r}") from None
             if len(lst) == 0 or any(j < 1 for j in lst):
                 raise InputError(f"explicit grid must be a non-empty list of positive dims, got {self.grid}")
             object.__setattr__(self, "grid", tuple(sorted(set(lst))))
@@ -178,11 +192,8 @@ class RunConfig:
         version = d.pop("schema_version", 1)
         if version != 1:
             raise InputError(f"unsupported config schema version {version}")
-        grid = d.get("grid", "dyadic")
-        if isinstance(grid, list):
-            d["grid"] = tuple(grid)
-        if "support" in d and d["support"] is not None:
-            d["support"] = tuple(d["support"])
+        if isinstance(d.get("grid"), list):
+            d["grid"] = tuple(d["grid"])
         known = {k: v for k, v in d.items() if k in RunConfig.__dataclass_fields__}
         unknown = set(d) - set(known)
         if unknown:
@@ -344,43 +355,35 @@ def _checked_data(y, x, w):
     return y, x, w, n
 
 
-def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
+def _candidate_pass(n: int, config: RunConfig, step, visit) -> CandidateGrid:
     """Candidate dimensions via the exponential scan, the knot scan, or an explicit list.
 
-    One pass over J: each J's designs Psi_J and B_K are evaluated once and give
-    s_J; for a candidate J, visit(j, psi_spec, psi, b, s_j) then gets the same
-    designs (adaptive_scan computes the per-J statistics there). They are
-    dropped before the next J's designs are built.
+    The grid builder of the structural and the image-space scans. step(j)
+    returns (dim, noise, s, designs) of scan index j: the designs' realized
+    dimension, noise level and stability measure, and the designs. Candidates
+    are keyed by dim; visit(dim, s, designs) gets each one once, and the
+    designs are dropped before the next index's are built.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = x.shape[0]
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     basis_min = config.basis_min()
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
     j_list: list[int] = []
 
-    def designs_at(j: int):
-        """(psi_spec, Psi_J, B_K) for candidate dimension j, with K = k_factor * j; records s_J."""
-        psi_spec = config.psi_spec(j, x if config.knot_rule == "quantile" else None)
-        psi = eval_design(psi_spec, x)
-        _, b = config.instrument_design(config.k_factor * j, w)
-        shat[j] = compute_shat(psi, b, mu)
-        return psi_spec, psi, b
-
-    def add_candidate(j: int, designs=None):
-        designs = designs_at(j) if designs is None else designs
-        if visit is not None:
-            visit(j, *designs, shat[j])
-        j_list.append(j)
+    def record(dim: int, noise: float, s: float, designs, candidate: bool = True) -> bool:
+        """Keep s of a stepped index, visit a new candidate; True when the noise level overtakes s."""
+        shat[dim] = s
+        if candidate and dim not in j_list:
+            visit(dim, s, designs)
+            j_list.append(dim)
+        return noise >= s
 
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
     if mode == "explicit":
         if config.grid[0] < basis_min:
             raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {basis_min}")
         for j in config.grid:
-            add_candidate(j)
+            record(*step(j))
         j_max_hat = config.grid[-1]
     else:
         # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
@@ -388,22 +391,21 @@ def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
         scan_start = max(j_under + 1, basis_min)
         for j in rule:
             if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
-                add_candidate(j)
+                record(*step(j))
         # data-driven stability bound: first J where the noise level overtakes s_J
         j_max_hat = hard_cap
         for j in range(scan_start, hard_cap + 1):
             try:
-                psi_spec, psi, b = designs_at(j)
+                stepped = step(j)
             except NumericalError as exc:
                 warnings_list.append(f"stability scan stopped at J={j}: {exc}")
                 j_max_hat = max(scan_start, j - 1)
                 if j <= j_max_hat and j in rule:  # J_max_hat keeps this candidate, which has no s_J
                     raise
                 break
-            if j in rule:
-                add_candidate(j, (psi_spec, psi, b))
-            del psi, b  # released before the next J's designs are built
-            if _noise_level(psi_spec, j, n) >= shat[j]:
+            stop = record(*stepped, candidate=j in rule)
+            del stepped  # released before the next J's designs are built
+            if stop:
                 j_max_hat = j
                 break
 
@@ -412,7 +414,7 @@ def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
         warnings_list.append(
             f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{basis_min}}}"
         )
-        add_candidate(basis_min)
+        record(*step(basis_min))
     return CandidateGrid(
         mode=mode,
         j_underbar=j_under,
@@ -424,6 +426,30 @@ def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
         fallback=fallback,
         warnings=tuple(warnings_list),
     )
+
+
+def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
+    """Candidate dimensions J of the structural scan, with s_J of Psi_J and B_K, K = k_factor * J.
+
+    Each J's designs are evaluated once; for a candidate J, visit(j, psi_spec,
+    psi, b, s_j) gets them (adaptive_scan computes the per-J statistics there).
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = x.shape[0]
+    knot_data = x if config.knot_rule == "quantile" else None
+
+    def step(j: int):
+        psi_spec = config.psi_spec(j, knot_data)
+        psi = eval_design(psi_spec, x)
+        _, b = config.instrument_design(config.k_factor * j, w)
+        return j, _noise_level(psi_spec, j, n), compute_shat(psi, b, mu), (psi_spec, psi, b)
+
+    def candidate(j: int, s_j: float, designs):
+        if visit is not None:
+            visit(j, *designs, s_j)
+
+    return _candidate_pass(n, config, step, candidate)
 
 
 def compute_D(restricted_residuals, fit: NpivFit) -> float:
@@ -485,10 +511,6 @@ class _ScanEntry:
     n_active: int
     center: int | None = None  # centering constant of the standardized statistic; defaults to gamma
     d_candidate: float | None = None
-
-    @property
-    def centering(self) -> int:
-        return self.gamma if self.center is None else self.center
 
 
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
@@ -562,7 +584,7 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, c
     size = grid.size
     records = []
     for e in entries:
-        center = e.centering
+        center = e.gamma if e.center is None else e.center
         q = chisq_quantile(alpha / size, e.gamma)
         eta = (q - center) / math.sqrt(center)
         if eta <= 0.0:
@@ -595,7 +617,7 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, c
         selected = (best.j,)
     return TestReport(
         statistic=statistic,
-        null=null.describe() if isinstance(null, NullSpec) else str(null),
+        null=null.describe(),
         alpha=alpha,
         grid=grid,
         per_j=tuple(records),
@@ -685,50 +707,30 @@ def cs_contains(candidate, y, x, w, alpha: float = 0.05, config: RunConfig | Non
     return contained, binding, {"alpha": alpha, "J_list": list(grid.j_list), "per_J": per_j}
 
 
-def image_space_scan(y, x, w, model, config: RunConfig):
+def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     """Alpha-free part of the instrument-space test: grid over K plus statistics.
 
     The statistic projects null-restricted residuals on the instrument sieve
-    itself; the candidate set scans the instrument dimension K with its own
-    empirical stability bound, and the chi-square calibration uses K degrees
-    of freedom.
+    itself; the candidate set scans the instrument dimension K with the dyadic
+    rule (whatever config.grid says) and the stability measure
+    s_min((B'B/n)^{-1/2}), and the chi-square calibration uses K degrees of
+    freedom. Returns (grid, entries, warnings, n), as adaptive_scan does.
     """
+    if null.kind != "parametric":
+        raise InputError(f"the image-space statistic needs a parametric null, got {null.describe()!r}")
     y, x, w, n = _checked_data(y, x, w)
-    null = NullSpec(kind="parametric", model=model if isinstance(model, str) else None,
-                    custom_design=None if isinstance(model, str) else model)
-    k_under, k_max_exp, hard_cap = _res_parameters(n)
-    basis_min = config.basis_min()
-    scanned: dict[int, tuple] = {}
-
-    def scan_at(k_raw: int):
-        """(specs, K, s_min((B'B/n)^{-1/2}), B) for instrument target dimension k_raw."""
-        if k_raw not in scanned:
-            specs, b = config.instrument_design(k_raw, w)
-            gb = b.T @ b / n
-            evals = np.linalg.eigvalsh(0.5 * (gb + gb.T))
-            if evals[-1] <= 0:
-                raise NumericalError("instrument gram B'B is numerically singular")
-            scanned[k_raw] = (specs, b.shape[1], 1.0 / math.sqrt(float(evals[-1])), b)
-        return scanned[k_raw]
-
-    k_max_hat = hard_cap
-    for k in range(max(k_under + 1, basis_min), hard_cap + 1):
-        specs, realized, smin, _ = scan_at(k)
-        if _noise_level(specs, realized, n) >= smin:
-            k_max_hat = k
-            break
-
-    k_list = [k for k in _dyadic(k_under, k_max_exp, basis_min) if k <= k_max_hat]
-    fallback = not k_list
-    if fallback:
-        k_list = [basis_min]
-
+    model = null.model if null.custom_design is None else null.custom_design
     entries = []
-    shat: dict[int, float] = {}
-    for k_raw in k_list:
-        _, realized, smin, b = scan_at(k_raw)
-        if realized in shat:
-            continue
+
+    def step(k: int):
+        specs, b = config.instrument_design(k, w)
+        gb = b.T @ b / n
+        evals = np.linalg.eigvalsh(0.5 * (gb + gb.T))
+        if evals[-1] <= 0:
+            raise NumericalError("instrument gram B'B is numerically singular")
+        return b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b
+
+    def statistics(realized: int, smin: float, b: np.ndarray):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         u_b = orthonormal_range(b, config.rcond)
@@ -743,29 +745,22 @@ def image_space_scan(y, x, w, model, config: RunConfig):
             hb = sym_inv_sqrt(b.T @ b)
             e_mat = (hb @ b.T) * r[None, :]
             v_stat = frobenius_norm(e_mat @ e_mat.T)
-        shat[realized] = smin
         # chi-square df nets out the parameters the restricted fit consumed
         # inside the instrument projection; centering stays at K
         entries.append(
             _ScanEntry(j=realized, k=realized, d_stat=d_stat, v_stat=v_stat, s_hat=smin,
                        gamma=max(1, realized - rfit.df_consumed), n_active=0, center=realized)
         )
-    grid = CandidateGrid(
-        mode="dyadic",
-        j_underbar=k_under,
-        j_max_exp=k_max_exp,
-        hard_cap=hard_cap,
-        j_max_hat=k_max_hat,
-        j_list=tuple(e.j for e in entries),
-        shat=shat,
-        fallback=fallback,
-    )
-    return grid, entries, [], n, null
+
+    grid = _candidate_pass(n, replace(config, grid="dyadic"), step, statistics)
+    return grid, entries, list(grid.warnings), n
 
 
 def image_space_test(y, x, w, model, alpha: float = 0.05, config: RunConfig | None = None) -> TestReport:
     """Run the adaptive instrument-space test of a parametric null at level alpha."""
     if config is None:
         config = RunConfig(alpha=alpha)
-    grid, entries, warn, n, null = image_space_scan(y, x, w, model, config)
+    null = NullSpec(kind="parametric", model=model if isinstance(model, str) else None,
+                    custom_design=None if isinstance(model, str) else model)
+    grid, entries, warn, n = image_space_scan(y, x, w, null, config)
     return decide(grid, entries, n, null, alpha, config, statistic="image-space", warnings=warn)

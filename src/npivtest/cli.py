@@ -192,7 +192,10 @@ def resolve_config(args) -> RunConfig:
     if seed is not None:
         updates["seed"] = seed
     if getattr(args, "support", None) is not None:
-        lo, hi = (float(tok) for tok in args.support.split(","))
+        try:
+            lo, hi = (float(tok) for tok in args.support.split(","))
+        except ValueError:
+            raise InputError(f"--support must be 'lo,hi', got {args.support!r}") from None
         updates["support"] = (lo, hi)
     if getattr(args, "quantile_knots", False):
         updates["knot_rule"] = "quantile"
@@ -310,7 +313,10 @@ def _cmd_cs(args) -> int:
     data = load_csv_dataset(args.data)
     config = resolve_config(args)
     null = NullSpec.from_name(args.null)
-    candidate = _load_candidate(args.candidate, data, config)
+    try:
+        candidate = _load_candidate(args.candidate, data, config)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"candidate {args.candidate} is malformed: {exc}") from None
     contained, binding, detail = cs_contains(
         candidate, data.y, data.x, data.w, alpha=config.alpha, config=config, null=null, mu=data.mu
     )
@@ -380,7 +386,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     result = reproduce(args.table, replications=args.reps, seed=args.seed if args.seed is not None else 0,
-                       jobs=args.jobs)
+                       jobs=args.jobs, n_values=args.n, xi_values=args.xi, c0_values=args.c0,
+                       k_factors=args.kfactor)
     rows = result["rows"]
     if args.format == "json":
         payload = {"table_id": result["table_id"], "rows": rows, "version": __version__}
@@ -454,6 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--reps", type=int, default=1000)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--jobs", type=int, default=1)
+    p_rep.add_argument("--n", type=int, nargs="+", default=None, help="only these sample sizes")
+    p_rep.add_argument("--xi", type=float, nargs="+", default=None, help="only these instrument strengths")
+    p_rep.add_argument("--c0", type=float, nargs="+", default=None, help="only these c0 values (T1)")
+    p_rep.add_argument("--kfactor", type=int, nargs="+", default=None, help="only these K = c*J factors")
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_rep.set_defaults(func=_cmd_reproduce)

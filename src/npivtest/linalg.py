@@ -1,7 +1,7 @@
 """Dense matrix kernels used throughout the test machinery.
 
 Thin, contract-checked wrappers around LAPACK (via numpy): SVD, truncated
-Moore-Penrose pseudo-inverses, orthogonal projectors, and symmetric inverse
+Moore-Penrose pseudo-inverses, orthonormal range bases, and symmetric inverse
 square roots. Generalized inverses use a relative singular-value cutoff so
 near-singular designs stay well defined.
 """
@@ -18,7 +18,6 @@ __all__ = [
     "SvdResult",
     "svd",
     "pinv",
-    "projection_matrix",
     "orthonormal_range",
     "sym_inv_sqrt",
     "frobenius_norm",
@@ -89,12 +88,6 @@ def orthonormal_range(b, rcond: float | None = None) -> np.ndarray:
     if rank == 0:
         raise NumericalError("matrix has numerical rank zero; no range to project on")
     return res.u[:, :rank]
-
-
-def projection_matrix(b) -> np.ndarray:
-    """Orthogonal projector onto the column space of b: P = B (B'B)^- B'."""
-    q = orthonormal_range(b)
-    return q @ q.T
 
 
 def sym_inv_sqrt(g, rcond: float | None = None) -> np.ndarray:

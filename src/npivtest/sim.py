@@ -172,22 +172,17 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
     spec = ExperimentSpec.from_dict(spec_dict)
     null = spec.null_spec()
     config = spec.run_config()
+    scan = adaptive_scan if spec.statistic == "structural" else image_space_scan
     h = spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0))
     out = []
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
         data = generate(DesignConfig(spec.design, cell["n"], cell["xi"], h, stream))
         try:
-            if spec.statistic == "structural":
-                grid, entries, warn, n_obs = adaptive_scan(data.y, data.x, data.w, null, config)
-                scan_null = null
-            else:
-                grid, entries, warn, n_obs, scan_null = image_space_scan(
-                    data.y, data.x, data.w, null.model, config
-                )
+            grid, entries, _, n_obs = scan(data.y, data.x, data.w, null, config)
             per_alpha = {}
             for alpha in spec.alphas:
-                report = decide(grid, entries, n_obs, scan_null, alpha, config)
+                report = decide(grid, entries, n_obs, null, alpha, config)
                 w_max = max(rec.w_stat for rec in report.per_j)
                 per_alpha[alpha] = (report.reject, report.j_reported, w_max)
             out.append((r, per_alpha))
@@ -353,6 +348,10 @@ _PER_K_TABLES = {
 
 def _table_runs(table_id: str, n_values, xi_values, c0_values, k_factors) -> list[_Run]:
     """The runs of one table, its cell axes narrowed to the requested values."""
+    if c0_values is not None and table_id != "T1":
+        raise InputError(f"table {table_id} has no c0 axis to filter")
+    if k_factors is not None and table_id in ("F1", "F2", "supp-D"):
+        raise InputError(f"table {table_id} has no k_factor axis to filter")
     if table_id in ("F1", "F2"):
         spec = dict(
             mode="size_adjusted_power", null="decreasing" if table_id == "F1" else "linear", h_family="sin",

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from npivtest.adaptive import (
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
-from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_unrestricted
+from npivtest.linalg import orthonormal_range
+from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric, fit_unrestricted
 from npivtest.randdist import RngStream, chisq_quantile, std_normal_quantile
 
 from oracles import brute_D, brute_image_D, brute_shat, brute_vhat, chisq_quantile_bisect
@@ -448,17 +450,38 @@ def test_image_space_zero_residuals_never_rejects(rng):
 
 
 def test_image_space_matches_brute_double_sum(rng):
-    # tiny-n identity: centered projection quadratic form equals the O(n^2) kernel sum
-    n = 6
+    # the package's centered projection quadratic form equals the O(n^2) kernel sum
+    n = 40
+    x = rng.uniform(size=n)
     w = rng.uniform(size=n)
-    b = eval_design(BasisSpec("power", 2), w)
-    r = rng.normal(size=n)
-    from npivtest.linalg import orthonormal_range
+    y = 0.3 + 0.5 * x + rng.normal(size=n)
+    cfg = RunConfig()
+    rep = image_space_test(y, x, w, "linear", config=cfg)
+    assert rep.per_j
+    for rec in rep.per_j:
+        _, b = cfg.instrument_design(rec.k, w)
+        assert b.shape[1] == rec.k
+        r = fit_restricted_parametric(y, x, "linear", orthonormal_range(b)).residuals_r
+        assert rec.d_stat == pytest.approx(brute_image_D(r, b), rel=1e-10)
 
-    u_b = orthonormal_range(b)
-    proj = u_b.T @ r
-    fast = (float(proj @ proj) - float(np.sum(r * r * np.sum(u_b**2, axis=1)))) / (n - 1)
-    assert fast == pytest.approx(brute_image_D(r, b), rel=1e-10)
+
+def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):
+    built = []
+    most_alive = 0
+    instrument_design = RunConfig.instrument_design
+
+    def recording(self, k_target, w):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(ref() is not None for ref in built))
+        specs, b = instrument_design(self, k_target, w)
+        built.append(weakref.ref(b))
+        return specs, b
+
+    monkeypatch.setattr(RunConfig, "instrument_design", recording)
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    image_space_test(data.y, data.x, data.w, "linear")
+    assert len(built) >= 3
+    assert most_alive <= 1
 
 
 def test_image_space_detects_quadratic_alternative():

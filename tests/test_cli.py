@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from npivtest.cli import load_csv_dataset, main
+from npivtest.cli import dump_json, load_csv_dataset, main
+from npivtest.sim import reproduce
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 ENGEL = str(DATA_DIR / "engel_style.csv")
@@ -163,6 +164,32 @@ def test_cmd_test_flag_overrides_config(tmp_path):
     assert payload["config"]["k_factor"] == 2  # file value survives
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--support", "1"], None),
+    (["--support", "a,b"], None),
+    (["--support", "1,0"], None),
+    ([], {"alpha": "x"}),
+    ([], {"k_factor": "4"}),
+    ([], {"grid": 5}),
+    ([], {"grid": ["a"]}),
+    ([], {"support": [0]}),
+    ([], {"support": None}),
+    ([], {"basis": []}),
+    ([], {"seed": "x"}),
+    ([], {"rcond": "x"}),
+], ids=["support-one-value", "support-text", "support-reversed", "alpha-text", "k_factor-text", "grid-number",
+        "grid-text-entry", "support-one-entry", "support-null", "basis-list", "seed-text", "rcond-text"])
+def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(cfg)]
+    assert run_cli("test", ENGEL, *flags, "--format", "json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("NPIV_SEED", "777")
     out_path = tmp_path / "r.json"
@@ -214,6 +241,19 @@ def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "values", "values": [1.0, 2.0]}))
     assert run_cli("cs", ENGEL, str(bad)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "coeffs", "basis": {"name": "bspline2", "dim": "x"}, "coefficients": [1.0, 2.0]},
+    {"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
+    {"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
+    {"kind": "values", "values": "abc"},
+], ids=["dim", "support", "theta", "values"])
+def test_cmd_cs_malformed_candidate_fields_exit_2(tmp_path, capsys, doc):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(doc))
+    assert run_cli("cs", ENGEL, str(cand)) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 # -------------------------------------------------------------- cmd: simulate
@@ -290,6 +330,29 @@ def test_cmd_reproduce_small(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert "published" in lines[0]
     assert len(lines) > 1
+
+
+def test_cmd_reproduce_filters_match_library(tmp_path, capsys):
+    out = tmp_path / "t1.json"
+    code = run_cli("reproduce", "T1", "--reps", "2", "--n", "500", "--xi", "0.5", "--c0", "1.0",
+                   "--kfactor", "2", "--format", "json", "--out", str(out))
+    capsys.readouterr()
+    assert code == 0
+    expected = reproduce("T1", 2, n_values=(500,), xi_values=(0.5,), c0_values=(1.0,), k_factors=(2,))
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 4
+    assert rows == json.loads(dump_json(expected["rows"]))
+
+
+@pytest.mark.parametrize("table, flags", [
+    ("supp-D", ["--kfactor", "4"]),
+    ("F1", ["--c0", "1.0"]),
+    ("T2", ["--c0", "1.0"]),
+    ("T1", ["--n", "123"]),
+])
+def test_cmd_reproduce_bad_filter_exit_2(capsys, table, flags):
+    assert run_cli("reproduce", table, "--reps", "1", *flags) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_cmd_reproduce_unknown_table(capsys):

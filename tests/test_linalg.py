@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from npivtest.errors import InputError
-from npivtest.linalg import frobenius_norm, pinv, projection_matrix, svd, sym_inv_sqrt
+from npivtest.linalg import frobenius_norm, orthonormal_range, pinv, svd, sym_inv_sqrt
 
 
 def test_svd_identity():
@@ -74,21 +74,22 @@ def test_pinv_rcond_domain():
 
 def test_projection_orthonormal_columns(rng):
     q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-    np.testing.assert_allclose(projection_matrix(q), q @ q.T, atol=1e-12)
+    u = orthonormal_range(q)
+    np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(u @ u.T, q @ q.T, atol=1e-12)
 
 
 def test_projection_mean():
-    ones = np.ones((4, 1))
-    np.testing.assert_allclose(projection_matrix(ones), np.full((4, 4), 0.25), atol=1e-12)
+    u = orthonormal_range(np.ones((4, 1)))
+    np.testing.assert_allclose(u @ u.T, np.full((4, 4), 0.25), atol=1e-12)
 
 
 def test_projection_reproduces_range(rng):
     b = rng.normal(size=(8, 3))
-    p = projection_matrix(b)
-    np.testing.assert_allclose(p @ b, b, atol=1e-10)
-    np.testing.assert_allclose(p, p.T, atol=1e-8)
-    np.testing.assert_allclose(p @ p, p, atol=1e-8)
-    assert abs(np.trace(p) - np.linalg.matrix_rank(b)) <= 1e-8
+    q = orthonormal_range(b)
+    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
+    np.testing.assert_allclose(q @ (q.T @ b), b, atol=1e-10)
+    assert q.shape[1] == np.linalg.matrix_rank(b)
 
 
 def test_sym_inv_sqrt_identity():
