@@ -21,7 +21,7 @@ from .adaptive import (
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, tensor_design, zeta
 from .dgp import Dataset, DesignConfig, HSpec, generate, h_mono, h_sin
 from .errors import InputError, NumericalError
-from .npiv import NpivFit, RestrictedFit, cone_project, fit_restricted_cone, fit_restricted_parametric, fit_unrestricted
+from .npiv import NpivFit, RestrictedFit, cone_project, fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from .randdist import CovarianceSpec, RngStream, chisq_quantile, mvn_sample, std_normal_cdf, std_normal_quantile
 from .sim import ExperimentSpec, McSummary, reproduce, run_power, run_size
 
@@ -45,7 +45,7 @@ __all__ = [
     "mvn_sample",
     "NpivFit",
     "RestrictedFit",
-    "fit_unrestricted",
+    "fit_from_design",
     "fit_restricted_cone",
     "fit_restricted_parametric",
     "cone_project",

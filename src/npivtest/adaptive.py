@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
 from .linalg import frobenius_norm, orthonormal_range, sym_inv_sqrt
-from .npiv import NpivFit, RestrictedFit, fit_from_design, fit_restricted_cone, fit_restricted_parametric
+from .npiv import NpivFit, RestrictedFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -111,7 +111,7 @@ class RunConfig:
     knot_rule: str = "equispaced"
     rcond: float | None = None
 
-    schema_version: int = 1
+    schema_version: ClassVar[int] = 1
 
     def __post_init__(self):
         kinds = {"alpha": (Real,), "k_factor": (Integral,), "seed": (Integral, type(None)), "rcond": (Real, type(None))}
@@ -312,14 +312,10 @@ def compute_shat(psi, b, omega=None) -> float:
     if psi.shape[0] != b.shape[0]:
         raise InputError("Psi and B must share the number of rows")
     n = psi.shape[0]
-    om = np.ones(n) if omega is None else np.asarray(omega, dtype=float)
-    gb = b.T @ b / n
-    gw = psi.T @ (psi * om[:, None]) / n
-    for name, g in (("instrument gram B'B", gb), ("weighted regressor gram Psi'Omega Psi", gw)):
-        evals = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if evals[-1] <= 0 or evals[0] <= 1e-12 * g.shape[0] * evals[-1]:
-            raise NumericalError(f"{name} is numerically singular (dim {g.shape[0]})")
-    a = sym_inv_sqrt(gb) @ (b.T @ psi / n) @ sym_inv_sqrt(gw)
+    om = _weights(omega, n)
+    hb = sym_inv_sqrt(b.T @ b / n, "instrument gram B'B")
+    hw = sym_inv_sqrt(psi.T @ (psi * om[:, None]) / n, "weighted regressor gram Psi'Omega Psi")
+    a = hb @ (b.T @ psi / n) @ hw
     svals = np.linalg.svd(a, compute_uv=False)
     return float(svals[-1])
 
@@ -469,12 +465,18 @@ def compute_D(restricted_residuals, fit: NpivFit) -> float:
     return (quad - loo) / (n - 1)
 
 
-def compute_vhat(fit: NpivFit, unrestricted_residuals=None) -> float:
-    """Frobenius norm of the standardized residual-sandwich normalizer."""
-    u = fit.residuals if unrestricted_residuals is None else np.asarray(unrestricted_residuals, dtype=float)
-    if u.shape != (fit.n,):
-        raise InputError(f"residual vector must have shape ({fit.n},), got {u.shape}")
-    e = fit.scaled_map * u[None, :]
+def compute_vhat(scaled_map, u) -> float:
+    """Frobenius norm of the standardized residual sandwich S diag(u^2) S'.
+
+    S is the standardized coefficient operator (rows of length n): the
+    structural statistic passes NpivFit.scaled_map, the image-space statistic
+    the transposed orthonormal instrument basis U_B'.
+    """
+    scaled_map = np.asarray(scaled_map, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if scaled_map.ndim != 2 or u.shape != (scaled_map.shape[1],):
+        raise InputError(f"need a 2-d map and one residual per column, got {scaled_map.shape} and {u.shape}")
+    e = scaled_map * u[None, :]
     return frobenius_norm(e @ e.T)
 
 
@@ -524,6 +526,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
     confidence-set inversion).
     """
     y, x, w, n = _checked_data(y, x, w)
+    mu = _weights(mu, n)
     entries = []
     fit_warnings: list[str] = []
 
@@ -540,7 +543,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                 rfit = fit_restricted_parametric(y, x, model, fit.u_b, rcond=config.rcond)
                 gamma = gamma_hat(None, None, "equality", j)
             d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(rfit.residuals_r, fit)
-            v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit)
+            v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit.scaled_map, fit.residuals)
             d_cand = None
             if candidate_values is not None:
                 d_cand = compute_D(y - candidate_values, fit)
@@ -742,9 +745,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
             proj = u_b.T @ r
             row_norms2 = np.sum(u_b**2, axis=1)
             d_stat = (float(proj @ proj) - float(np.sum(r * r * row_norms2))) / (n - 1)
-            hb = sym_inv_sqrt(b.T @ b)
-            e_mat = (hb @ b.T) * r[None, :]
-            v_stat = frobenius_norm(e_mat @ e_mat.T)
+            v_stat = compute_vhat(u_b.T, r)
         # chi-square df nets out the parameters the restricted fit consumed
         # inside the instrument projection; centering stays at K
         entries.append(

@@ -155,7 +155,7 @@ def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.
 
 
 def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
-    """(n x J) design matrix of the basis (or its deriv-th derivative) at sample points x.
+    """(n x J) design matrix of the basis (or, for B-splines, its deriv-th derivative) at sample points x.
 
     Points outside the support are clamped to it with a warning.
     """
@@ -166,37 +166,19 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
         raise InputError("evaluation points contain non-finite values")
     if deriv < 0:
         raise InputError(f"derivative order must be >= 0, got {deriv}")
+    if deriv > 0 and spec.family != "bspline":
+        raise InputError(f"derivatives are only available for the B-spline basis, got {spec.family!r}")
     x = _clamp(spec, x)
-    lo, hi = spec.support
-    width = hi - lo
     if spec.family == "bspline":
         if deriv >= spec.order:
             return np.zeros((len(x), spec.dim))
         return _bspline_design(x, spec.knot_vector(), spec.order, deriv)
-    u = (x - lo) / width
-    j = np.arange(spec.dim)
+    lo, hi = spec.support
+    u = (x - lo) / (hi - lo)
     if spec.family == "power":
-        cols = []
-        for jj in j:
-            if deriv == 0:
-                cols.append(u**jj)
-            elif jj < deriv:
-                cols.append(np.zeros_like(u))
-            else:
-                coef = np.prod(np.arange(jj, jj - deriv, -1)).astype(float)
-                cols.append(coef * u ** (jj - deriv) / width**deriv)
-        return np.column_stack(cols)
+        return np.column_stack([u**jj for jj in np.arange(spec.dim)])
     # cosine: {1, sqrt(2) cos(pi j u)}, orthonormal w.r.t. Lebesgue on [lo, hi] scaled to unit mass
-    cols = []
-    for jj in j:
-        if jj == 0:
-            cols.append(np.ones_like(u) if deriv == 0 else np.zeros_like(u))
-            continue
-        w = np.pi * jj
-        phase = deriv % 4
-        fn = [np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z), np.sin][phase]
-        cols.append(np.sqrt(2.0) * (w / width) ** deriv * fn(w * u))
-    return np.column_stack(cols)
+    return np.column_stack([np.ones_like(u)] + [np.sqrt(2.0) * np.cos(np.pi * jj * u) for jj in range(1, spec.dim)])
 
 
 @dataclass(frozen=True)

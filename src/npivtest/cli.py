@@ -397,12 +397,12 @@ def _cmd_reproduce(args) -> int:
     front = [f for f in ("n", "design", "statistic", "c0", "c_a", "c_b", "xi", "k_factor",
                          "alpha", "metric", "ours", "se", "published") if f in fields]
     front += [f for f in fields if f not in front]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=front, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _json_safe(row.get(k, "")) for k in front})
-    if args.format == "csv" or args.out:
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=front, restval="")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _json_safe(row.get(k, "")) for k in front})
         _emit(buf.getvalue(), args.out)
         return 0
     # text: fixed-width dump of the same rows
@@ -413,7 +413,7 @@ def _cmd_reproduce(args) -> int:
             v = row.get(f, "")
             cells.append(f"{v:>10.4f}" if isinstance(v, float) and math.isfinite(v) else f"{str(v):>10}")
         lines.append("  ".join(cells))
-    _emit("\n".join(lines) + "\n", None)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

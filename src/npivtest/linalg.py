@@ -1,22 +1,18 @@
 """Dense matrix kernels used throughout the test machinery.
 
-Thin, contract-checked wrappers around LAPACK (via numpy): SVD, truncated
-Moore-Penrose pseudo-inverses, orthonormal range bases, and symmetric inverse
-square roots. Generalized inverses use a relative singular-value cutoff so
-near-singular designs stay well defined.
+Thin, contract-checked wrappers around LAPACK (via numpy): truncated
+Moore-Penrose pseudo-inverses, orthonormal range bases, and inverse square
+roots of positive definite grams. Generalized inverses use a relative
+singular-value cutoff so near-singular designs stay well defined.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 
 __all__ = [
-    "SvdResult",
-    "svd",
     "pinv",
     "orthonormal_range",
     "sym_inv_sqrt",
@@ -39,42 +35,30 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(s) Vt with s non-increasing and nonnegative."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
-
-
-def svd(a) -> SvdResult:
-    """Thin SVD of a dense matrix.
-
-    Raises NumericalError if the underlying iteration fails to converge.
-    """
-    a = _as_matrix(a)
+def _lapack(fn, a: np.ndarray, **kwargs):
+    """fn(a) for a numpy.linalg factorization, with a LAPACK failure mapped to NumericalError."""
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return fn(a, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for {a.shape} matrix") from exc
-    return SvdResult(u=u, s=s, vt=vt)
+        raise NumericalError(f"{fn.__name__} did not converge for {a.shape} matrix") from exc
 
 
-def pinv(a, rcond: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative singular-value truncation."""
+def pinv(a, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Moore-Penrose pseudo-inverse, singular values) of a, from one SVD.
+
+    Singular values at or below rcond * s_max are truncated; the returned
+    singular values are all of them, non-increasing, so callers can judge
+    the rank without factoring a again.
+    """
     a = _as_matrix(a)
     if rcond is None:
         rcond = default_rcond(a.shape)
     if not 0.0 < rcond < 1.0:
         raise InputError(f"rcond must be in (0, 1), got {rcond}")
-    res = svd(a)
-    cutoff = rcond * (res.s[0] if res.s.size else 0.0)
-    inv_s = np.where(res.s > cutoff, 1.0 / np.where(res.s > cutoff, res.s, 1.0), 0.0)
-    return (res.vt.T * inv_s) @ res.u.T
+    u, s, vt = _lapack(np.linalg.svd, a, full_matrices=False)
+    cutoff = rcond * s[0]
+    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return (vt.T * inv_s) @ u.T, s
 
 
 def orthonormal_range(b, rcond: float | None = None) -> np.ndarray:
@@ -82,41 +66,31 @@ def orthonormal_range(b, rcond: float | None = None) -> np.ndarray:
     b = _as_matrix(b)
     if rcond is None:
         rcond = default_rcond(b.shape)
-    res = svd(b)
-    cutoff = rcond * (res.s[0] if res.s.size else 0.0)
-    rank = int(np.sum(res.s > cutoff))
+    u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
+    rank = int(np.sum(s > rcond * s[0]))
     if rank == 0:
         raise NumericalError("matrix has numerical rank zero; no range to project on")
-    return res.u[:, :rank]
+    return u[:, :rank]
 
 
-def sym_inv_sqrt(g, rcond: float | None = None) -> np.ndarray:
-    """Inverse square root H of a symmetric PSD matrix, H G H = I on the retained eigenspace.
+def sym_inv_sqrt(g, name: str = "gram") -> np.ndarray:
+    """Inverse square root H of a symmetric positive definite gram G, H G H = I.
 
-    Eigenvalues below rcond * lambda_max are truncated. Inputs with relative
-    asymmetry above 1e-8 are rejected; below that, G is symmetrized first.
+    Raises NumericalError, naming the gram, when lambda_min <= rcond * lambda_max
+    with rcond = default_rcond(G.shape). Inputs with relative asymmetry above
+    1e-8 are rejected; below that, G is symmetrized first.
     """
-    g = _as_matrix(g, "gram")
+    g = _as_matrix(g, name)
     if g.shape[0] != g.shape[1]:
-        raise InputError(f"gram must be square, got {g.shape}")
+        raise InputError(f"{name} must be square, got {g.shape}")
     asym = np.max(np.abs(g - g.T))
     scale = frobenius_norm(g)
     if asym > 1e-8 * max(scale, 1e-300):
-        raise InputError(f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
-    g = 0.5 * (g + g.T)
-    if rcond is None:
-        rcond = default_rcond(g.shape)
-    try:
-        evals, evecs = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed for {g.shape} gram") from exc
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    if lam_max <= 0.0:
-        raise NumericalError("gram has no positive eigenvalues")
-    cutoff = rcond * lam_max
-    keep = evals > cutoff
-    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, evals, 1.0)), 0.0)
-    return (evecs * inv_sqrt) @ evecs.T
+        raise InputError(f"{name} is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
+    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
+    if evals[-1] <= 0 or evals[0] <= default_rcond(g.shape) * evals[-1]:
+        raise NumericalError(f"{name} is numerically singular (dim {g.shape[0]})")
+    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
 
 
 def frobenius_norm(a) -> float:

@@ -1,7 +1,7 @@
 """Sieve IV estimators.
 
-fit_unrestricted computes the series two-stage least-squares coefficients
-beta = [Psi' P_B Psi]^- Psi' P_B y and caches the coefficient operator
+fit_from_design computes the series two-stage least-squares coefficients
+beta = [Psi' P_B Psi]^- Psi' P_B y and keeps the coefficient operator
 C = [Psi' P_B Psi]^- Psi' P_B, which is the building block of every
 downstream statistic (the centered quadratic form uses Q = sqrt(n) Psi C).
 
@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
+from .basis import ConstraintMatrix
 from .errors import InputError, NumericalError
 from .linalg import default_rcond, orthonormal_range, pinv
 
 __all__ = [
     "NpivFit",
     "RestrictedFit",
-    "fit_unrestricted",
     "fit_from_design",
     "fit_restricted_cone",
     "fit_restricted_parametric",
@@ -56,20 +55,20 @@ def _psd_factor(g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NpivFit:
-    """Unrestricted sieve IV fit with cached operator pieces."""
+    """Unrestricted sieve IV fit with its operator pieces."""
 
     beta: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
     gram_weighted: np.ndarray
     coeff_map: np.ndarray  # C (J x n); Q r = sqrt(n) Psi (C r)
+    scaled_map: np.ndarray  # L' C with L L' = Psi' Omega Psi; rows of the standardized coefficient operator
     u_b: np.ndarray  # orthonormal basis of the instrument design's column space
     psi: np.ndarray
     y: np.ndarray
     mu: np.ndarray
     k_dim: int
     warnings: list[str] = field(default_factory=list)
-    _loo_scaled: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -78,13 +77,6 @@ class NpivFit:
     @property
     def j_dim(self) -> int:
         return self.psi.shape[1]
-
-    @property
-    def scaled_map(self) -> np.ndarray:
-        """L' C with L L' = Psi' Omega Psi; rows of the standardized coefficient operator."""
-        if self._loo_scaled is None:
-            self._loo_scaled = _psd_factor(self.gram_weighted).T @ self.coeff_map
-        return self._loo_scaled
 
 
 @dataclass
@@ -96,9 +88,7 @@ class RestrictedFit:
     residuals_r: np.ndarray
     active_set: np.ndarray
     kind: str  # 'cone' | 'parametric'
-    model: str | None = None
-    constraint: ConstraintMatrix | None = None
-    df_consumed: int = 0  # rank of the instrument-projected parametric design
+    df_consumed: int = 0  # columns of the parametric design, full rank after instrument projection
 
 
 def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
@@ -126,14 +116,13 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     u_b = orthonormal_range(b, rcond)
     if u_b.shape[1] < k_dim:
         warnings_list.append(f"instrument design is rank deficient: rank {u_b.shape[1]} < K={k_dim}")
-    t = u_b.T @ psi
-    t_svals = np.linalg.svd(t, compute_uv=False)
-    if t_svals.size == 0 or t_svals[-1] <= rcond * t_svals[0]:
+    t_pinv, t_svals = pinv(u_b.T @ psi, rcond)
+    if t_svals[-1] <= rcond * t_svals[0]:
         warnings_list.append(
             f"projected regressor design is rank deficient (min/max singular value "
             f"{t_svals[-1]:.3e}/{t_svals[0]:.3e}); pseudo-inverse truncation applied"
         )
-    coeff_map = pinv(t, rcond) @ u_b.T
+    coeff_map = t_pinv @ u_b.T
     beta = coeff_map @ y
     fitted = psi @ beta
     gram_weighted = psi.T @ (psi * mu[:, None])
@@ -144,6 +133,7 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
         residuals=y - fitted,
         gram_weighted=gram_weighted,
         coeff_map=coeff_map,
+        scaled_map=_psd_factor(gram_weighted).T @ coeff_map,
         u_b=u_b,
         psi=psi,
         y=y,
@@ -151,17 +141,6 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
         k_dim=k_dim,
         warnings=warnings_list,
     )
-
-
-def fit_unrestricted(y, x, w, psi_spec, b_spec, mu=None, rcond: float | None = None) -> NpivFit:
-    """Unrestricted sieve IV fit from raw data and basis specs.
-
-    psi_spec / b_spec may be a BasisSpec (scalar regressor/instrument) or a
-    list of specs (tensor product for multivariate coordinates).
-    """
-    psi = tensor_design(psi_spec, x) if not isinstance(psi_spec, BasisSpec) else eval_design(psi_spec, x)
-    b = tensor_design(b_spec, w) if not isinstance(b_spec, BasisSpec) else eval_design(b_spec, w)
-    return fit_from_design(y, psi, b, mu=mu, rcond=rcond)
 
 
 def _active_rows(m_rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -263,7 +242,6 @@ def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
         residuals_r=fit.y - fitted_r,
         active_set=active,
         kind="cone",
-        constraint=m,
     )
 
 
@@ -299,14 +277,13 @@ def fit_restricted_parametric(y, x, model, u_b, rcond: float | None = None) -> R
         raise InputError("instrument basis and y must share the number of rows")
     if rcond is None:
         rcond = default_rcond(u_b.shape)
-    tz = u_b.T @ z
-    svals = np.linalg.svd(tz, compute_uv=False)
+    tz_pinv, svals = pinv(u_b.T @ z, rcond)
     if svals.size < z.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise InputError(
             f"parametric design is rank deficient after instrument projection "
             f"(model {model_name!r}, {z.shape[1]} columns, K={u_b.shape[1]})"
         )
-    theta = pinv(tz, rcond) @ (u_b.T @ y)
+    theta = tz_pinv @ (u_b.T @ y)
     fitted_r = z @ theta
     return RestrictedFit(
         beta_r=theta,
@@ -314,6 +291,5 @@ def fit_restricted_parametric(y, x, model, u_b, rcond: float | None = None) -> R
         residuals_r=y - fitted_r,
         active_set=np.empty(0, dtype=int),
         kind="parametric",
-        model=model_name,
-        df_consumed=int(np.sum(svals > 1e-10 * svals[0])),
+        df_consumed=z.shape[1],
     )

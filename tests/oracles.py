@@ -171,6 +171,12 @@ def brute_image_D(r: np.ndarray, b: np.ndarray) -> float:
     return total / (n * (n - 1))
 
 
+def image_vhat_gram(r: np.ndarray, b: np.ndarray) -> float:
+    """Image-space v_K as first implemented: ||H B' diag(r^2) B H||_F with H = (B'B)^{-1/2} from eigh."""
+    e = (sym_inv_sqrt_dense(b.T @ b) @ b.T) * r[None, :]
+    return math.sqrt(float(np.sum((e @ e.T) ** 2)))
+
+
 def cone_project_enumerate(v: np.ndarray, g: np.ndarray, m: np.ndarray):
     """Exhaustive active-set search: best feasible equality-constrained optimum."""
     n_rows, dim = m.shape

@@ -237,7 +237,7 @@ def test_criterion_6_oracle_equivalence_suite():
         y = gen.normal(size=n)
         fit = fit_from_design(y, psi, b)
         u = gen.normal(size=n)
-        assert compute_vhat(fit, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
+        assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
         assert compute_shat(psi, b) == pytest.approx(brute_shat(psi, b), abs=1e-8)
         done += 1
 

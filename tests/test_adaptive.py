@@ -26,10 +26,10 @@ from npivtest.basis import BasisSpec, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
-from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric, fit_unrestricted
+from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from npivtest.randdist import RngStream, chisq_quantile, std_normal_quantile
 
-from oracles import brute_D, brute_image_D, brute_shat, brute_vhat, chisq_quantile_bisect
+from oracles import brute_D, brute_image_D, brute_shat, brute_vhat, chisq_quantile_bisect, image_vhat_gram
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -196,10 +196,10 @@ def test_compute_D_weighted_matches_brute(rng):
 
 def test_vhat_zero_and_constant_residuals(rng):
     fit, psi, b, y = small_fit(rng)
-    assert compute_vhat(fit, np.zeros(fit.n)) == 0.0
+    assert compute_vhat(fit.scaled_map, np.zeros(fit.n)) == 0.0
     c = 2.7
-    base = compute_vhat(fit, np.ones(fit.n))
-    assert compute_vhat(fit, c * np.ones(fit.n)) == pytest.approx(c**2 * base, rel=1e-10)
+    base = compute_vhat(fit.scaled_map, np.ones(fit.n))
+    assert compute_vhat(fit.scaled_map, c * np.ones(fit.n)) == pytest.approx(c**2 * base, rel=1e-10)
 
 
 def test_vhat_matches_brute_force(rng):
@@ -211,8 +211,8 @@ def test_vhat_matches_brute_force(rng):
         y = rng.normal(size=n)
         fit = fit_from_design(y, psi, b)
         u = rng.normal(size=n)
-        assert compute_vhat(fit, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
-    assert compute_vhat(fit) >= 0.0
+        assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
+    assert compute_vhat(fit.scaled_map, fit.residuals) >= 0.0
 
 
 # --------------------------------------------------------------- gamma / eta
@@ -314,6 +314,33 @@ def test_alpha_validation():
         adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), alpha=1.2)
 
 
+@pytest.mark.parametrize("bad_mu", [
+    lambda n: np.ones(n - 1),  # short
+    lambda n: np.ones((n, 1)),  # 2-d
+    lambda n: np.where(np.arange(n) == 3, np.nan, 1.0),  # NaN entry
+    lambda n: -np.ones(n),  # negative
+], ids=["short", "2d", "nan", "negative"])
+def test_malformed_weights_are_input_errors(bad_mu):
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.5), RngStream(20, 1)))
+    mu = bad_mu(200)
+    null = NullSpec.from_name("decreasing")
+    with pytest.raises(InputError, match="weight"):
+        adaptive_test(data.y, data.x, data.w, null, mu=mu)
+    with pytest.raises(InputError, match="weight"):
+        cs_contains(lambda x: -x, data.y, data.x, data.w, null=null, mu=mu)
+    with pytest.raises(InputError, match="weight"):
+        compute_shat(eval_design(bspline(4), data.x), eval_design(bspline(8), data.w), mu)
+
+
+def test_config_schema_version_is_not_settable():
+    with pytest.raises(TypeError):
+        RunConfig(schema_version=2)
+    assert RunConfig().to_dict()["schema_version"] == 1
+    assert RunConfig.from_dict({"schema_version": 1, "alpha": 0.1}).alpha == 0.1
+    with pytest.raises(InputError, match="schema version"):
+        RunConfig.from_dict({"schema_version": 2})
+
+
 def test_golden_report_snapshot():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.1), RngStream(123, 7)))
     cfg = RunConfig(grid="knots", k_factor=2, seed=123)
@@ -374,7 +401,7 @@ def _count_calls(monkeypatch, name, modules):
 def test_shape_null_evaluates_each_design_once_per_candidate(monkeypatch):
     # Psi_J, B_K and the constraint rows: the stability scan and the
     # statistics share one evaluation of each
-    evals = _count_calls(monkeypatch, "eval_design", (adaptive_module, npiv_module, basis_module))
+    evals = _count_calls(monkeypatch, "eval_design", (adaptive_module, basis_module))
     data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 1)))
     rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"),
                         config=RunConfig(grid="knots", k_factor=2))
@@ -393,6 +420,30 @@ def test_parametric_null_factors_each_instrument_design_once(monkeypatch):
     assert factorizations["calls"] == len(rep.per_j)
 
 
+@pytest.mark.parametrize("null, svds", [("decreasing", 3), ("linear", 4)])
+def test_structural_candidate_decomposes_each_matrix_once(monkeypatch, null, svds):
+    # SVDs of B (U_B), U_B'Psi (pseudo-inverse) and the s_J cross-gram, plus Z's
+    # projection U_B'Z for a parametric null; eigh of the two grams in s_J and of
+    # Psi'Omega Psi for the scaled map
+    calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh", "eigvalsh")}
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 3)))
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name(null), config=RunConfig(grid=(3, 4, 5)))
+    assert rep.grid.size == 3
+    assert calls["svd"]["calls"] <= svds * rep.grid.size
+    assert calls["eigh"]["calls"] <= 3 * rep.grid.size
+    assert calls["eigvalsh"]["calls"] == 0
+
+
+def test_image_space_candidate_decomposes_each_instrument_design_once(monkeypatch):
+    # one SVD of B_K gives U_B for D_K, v_K and the fit; one more for U_B'Z
+    calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh")}
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 4)))
+    rep = image_space_test(data.y, data.x, data.w, "linear")
+    assert len(rep.per_j) >= 2
+    assert calls["svd"]["calls"] <= 2 * len(rep.per_j)
+    assert calls["eigh"]["calls"] == 0
+
+
 # ------------------------------------------------------------ confidence set
 
 
@@ -405,7 +456,7 @@ def test_cs_contains_restricted_fit_when_not_rejecting():
     # rebuild the restricted fit at some grid J and test its membership
     j = rep.grid.j_list[0]
     psi_spec = cfg.psi_spec(j)
-    fit = fit_unrestricted(data.y, data.x, data.w, psi_spec, cfg.psi_spec(2 * j))
+    fit = fit_from_design(data.y, eval_design(psi_spec, data.x), eval_design(cfg.psi_spec(2 * j), data.w))
     rfit = fit_restricted_cone(fit, deriv_constraints(psi_spec, "decreasing"))
     contained, binding, _ = cs_contains(
         (rfit.beta_r, psi_spec), data.y, data.x, data.w, alpha=0.05, config=cfg, null=null
@@ -463,6 +514,7 @@ def test_image_space_matches_brute_double_sum(rng):
         assert b.shape[1] == rec.k
         r = fit_restricted_parametric(y, x, "linear", orthonormal_range(b)).residuals_r
         assert rec.d_stat == pytest.approx(brute_image_D(r, b), rel=1e-10)
+        assert rec.v_stat == pytest.approx(image_vhat_gram(r, b), rel=1e-10)
 
 
 def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):

@@ -107,6 +107,13 @@ def test_derivative_matches_finite_differences(rng):
     np.testing.assert_allclose(d1, approx, atol=1e-5)
 
 
+@pytest.mark.parametrize("family", ["power", "cosine"])
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_derivatives_need_a_bspline_basis(family, deriv):
+    with pytest.raises(InputError, match="B-spline"):
+        eval_design(BasisSpec(family, 4), np.linspace(0.0, 1.0, 5), deriv=deriv)
+
+
 def test_deriv_constraints_shapes_and_signs():
     spec = bspline(3)
     m_dec = deriv_constraints(spec, "decreasing")

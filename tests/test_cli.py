@@ -332,6 +332,16 @@ def test_cmd_reproduce_small(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_cmd_reproduce_text_out_matches_stdout(tmp_path, capsys):
+    argv = ("reproduce", "T2", "--reps", "2", "--seed", "1", "--n", "500", "--format", "text")
+    assert run_cli(*argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "t2.txt"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == shown
+
+
 def test_cmd_reproduce_filters_match_library(tmp_path, capsys):
     out = tmp_path / "t1.json"
     code = run_cli("reproduce", "T1", "--reps", "2", "--n", "500", "--xi", "0.5", "--c0", "1.0",

@@ -12,7 +12,6 @@ from npivtest.npiv import (
     fit_from_design,
     fit_restricted_cone,
     fit_restricted_parametric,
-    fit_unrestricted,
 )
 from npivtest.randdist import RngStream
 
@@ -36,7 +35,7 @@ def test_exact_linear_fit(rng):
     x = rng.uniform(size=n)
     w = x  # exogenous case
     y = 1.5 + 2.0 * x
-    fit = fit_unrestricted(y, x, w, BasisSpec("power", 2), BasisSpec("power", 3))
+    fit = fit_from_design(y, eval_design(BasisSpec("power", 2), x), eval_design(BasisSpec("power", 3), w))
     np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-8)
     np.testing.assert_allclose(fit.fitted, y, atol=1e-8)
 
@@ -72,8 +71,8 @@ def test_fit_scale_equivariance(rng):
     n = 70
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n)
-    f1 = fit_unrestricted(y, x, w, bspline(4), bspline(8))
-    f2 = fit_unrestricted(3.0 * y, x, w, bspline(4), bspline(8))
+    f1 = fit_from_design(y, eval_design(bspline(4), x), eval_design(bspline(8), w))
+    f2 = fit_from_design(3.0 * y, eval_design(bspline(4), x), eval_design(bspline(8), w))
     np.testing.assert_allclose(f2.beta, 3.0 * f1.beta, atol=1e-12)
 
 
@@ -81,9 +80,9 @@ def test_fit_dimension_guards(rng):
     n = 30
     x, w, y = rng.uniform(size=n), rng.uniform(size=n), rng.normal(size=n)
     with pytest.raises(InputError):
-        fit_unrestricted(y, x, w, bspline(6), bspline(4))  # K < J
+        fit_from_design(y, eval_design(bspline(6), x), eval_design(bspline(4), w))  # K < J
     with pytest.raises(InputError):
-        fit_unrestricted(y[:25], x[:25], w[:25], bspline(4), bspline(26))  # n <= K
+        fit_from_design(y[:25], eval_design(bspline(4), x[:25]), eval_design(bspline(26), w[:25]))  # n <= K
 
 
 def test_rank_deficiency_warning(rng):
@@ -200,7 +199,7 @@ def test_cone_project_shape_guards():
 def _design_fit(rng, n=120, j=4, k=8):
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n) + 0.5 * x
-    fit = fit_unrestricted(y, x, w, bspline(j), bspline(k))
+    fit = fit_from_design(y, eval_design(bspline(j), x), eval_design(bspline(k), w))
     return fit, x, w, y
 
 
@@ -238,7 +237,7 @@ def test_restricted_kkt_orthogonality(rng):
 def test_restricted_monotone_derivative_on_grid():
     data = generate(DesignConfig("I", 400, 0.5, HSpec("sin", c_a=2.0), RngStream(33, 4)))
     spec = bspline(5)
-    fit = fit_unrestricted(data.y, data.x, data.w, spec, bspline(10))
+    fit = fit_from_design(data.y, eval_design(spec, data.x), eval_design(bspline(10), data.w))
     rfit = fit_restricted_cone(fit, deriv_constraints(spec, "decreasing"))
     grid = np.linspace(0.0, 1.0, 1000)
     deriv = eval_design(spec, grid, deriv=1) @ rfit.beta_r
