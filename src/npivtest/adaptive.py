@@ -26,7 +26,7 @@ import numpy as np
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
 from .linalg import frobenius_norm, orthonormal_range, sym_inv_sqrt
-from .npiv import NpivFit, RestrictedFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric
+from .npiv import NpivFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -121,6 +121,8 @@ class RunConfig:
                 raise InputError(f"{name} must be {'an integer' if Integral in kind else 'a number'}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.rcond is not None and not 0.0 < self.rcond < 1.0:
+            raise InputError(f"rcond must be in (0, 1), got {self.rcond}")
         if not isinstance(self.basis, str) or self.basis not in _BASIS_NAMES:
             raise InputError(f"unknown basis {self.basis!r}; expected one of {sorted(_BASIS_NAMES)}")
         if self.k_factor < 2:
@@ -302,7 +304,7 @@ class TestReport:
 
 def _numerically_zero(residuals: np.ndarray, y: np.ndarray) -> bool:
     """Residuals at rounding level relative to the outcome scale count as exact zeros."""
-    return float(np.max(np.abs(residuals), initial=0.0)) <= 1e-12 * (1.0 + float(np.max(np.abs(y))))
+    return float(np.max(np.abs(residuals), initial=0.0)) <= 1e-12 * float(np.max(np.abs(y)))
 
 
 def compute_shat(psi, b, omega=None) -> float:
@@ -480,18 +482,11 @@ def compute_vhat(scaled_map, u) -> float:
     return frobenius_norm(e @ e.T)
 
 
-def gamma_hat(m: ConstraintMatrix | None, restricted: RestrictedFit | None, null_kind: str, j_dim: int) -> int:
-    """Chi-square degrees of freedom: active-constraint rank for cones, J for equality nulls."""
-    if null_kind == "equality":
-        return int(j_dim)
-    if null_kind != "inequality":
-        raise InputError(f"null_kind must be 'inequality' or 'equality', got {null_kind!r}")
-    if restricted is None or restricted.kind != "cone":
-        raise InputError("inequality nulls need a cone-restricted fit")
-    if m is None or len(restricted.active_set) == 0:
+def gamma_hat(m: ConstraintMatrix, active_set) -> int:
+    """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows, at least 1."""
+    if len(active_set) == 0:
         return 1
-    rank = int(np.linalg.matrix_rank(m.rows[restricted.active_set]))
-    return max(1, rank)
+    return max(1, int(np.linalg.matrix_rank(m.rows[active_set])))
 
 
 def eta_hat(alpha: float, grid_size: int, gamma: int) -> float:
@@ -537,11 +532,11 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             if null.kind == "shape":
                 m = null.constraints(psi_spec)
                 rfit = fit_restricted_cone(fit, m)
-                gamma = gamma_hat(m, rfit, "inequality", j)
+                gamma = gamma_hat(m, rfit.active_set)
             else:
                 model = null.model if null.custom_design is None else null.custom_design
                 rfit = fit_restricted_parametric(y, x, model, fit.u_b, rcond=config.rcond)
-                gamma = gamma_hat(None, None, "equality", j)
+                gamma = j
             d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(rfit.residuals_r, fit)
             v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit.scaled_map, fit.residuals)
             d_cand = None

@@ -24,16 +24,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .adaptive import NullSpec, RunConfig, adaptive_test, cs_contains
-from .basis import BasisSpec
+from .adaptive import _BASIS_NAMES, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test, cs_contains
 from .errors import InputError, NumericalError
 from .npiv import parametric_design
-from .sim import ExperimentSpec, McSummary, reproduce, run_experiment
+from .sim import TABLE_IDS, ExperimentSpec, McSummary, reproduce, run_experiment
 
 __all__ = ["main", "load_csv_dataset", "resolve_config", "render_report"]
-
-_BASIS_CHOICES = ("bspline2", "bspline3", "cosine", "power")
-_NULL_CHOICES = ("decreasing", "increasing", "convex", "concave", "linear", "quadratic")
 
 
 def _json_safe(obj):
@@ -276,21 +272,15 @@ def _load_candidate(path: str, data: CsvDataset, config: RunConfig):
         if not isinstance(basis, dict) or coeffs is None:
             raise InputError("coeffs candidate needs 'basis' and 'coefficients'")
         name = basis.get("name", config.basis)
-        if name not in _BASIS_CHOICES:
+        if name not in _BASIS_NAMES:
             raise InputError(f"unknown candidate basis {name!r}")
-        family = "bspline" if name.startswith("bspline") else name
-        order = 3 if name == "bspline2" else 4
-        spec = BasisSpec(
-            family=family,
-            dim=int(basis.get("dim", len(coeffs))),
-            order=order if family == "bspline" else 3,
-            support=tuple(basis.get("support", list(config.support))),
-        )
+        own = replace(config, basis=name, support=basis.get("support", config.support), knot_rule="equispaced")
+        spec = own.psi_spec(int(basis.get("dim", len(coeffs))))
         return (np.asarray(coeffs, dtype=float), spec)
     if kind == "parametric":
         model = doc.get("model")
         theta = doc.get("theta")
-        if model not in ("linear", "quadratic") or theta is None:
+        if model not in _MODEL_KINDS or theta is None:
             raise InputError("parametric candidate needs model in {linear, quadratic} and 'theta'")
         theta = np.asarray(theta, dtype=float)
 
@@ -420,8 +410,8 @@ def _cmd_reproduce(args) -> int:
 def _add_common_test_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--alpha", type=float, default=None, help="nominal level (default 0.05)")
-    p.add_argument("--null", choices=_NULL_CHOICES, default="decreasing", help="null hypothesis")
-    p.add_argument("--basis", choices=_BASIS_CHOICES, default=None, help="sieve family (default bspline2)")
+    p.add_argument("--null", choices=_SHAPE_KINDS + _MODEL_KINDS, default="decreasing", help="null hypothesis")
+    p.add_argument("--basis", choices=tuple(_BASIS_NAMES), default=None, help="sieve family (default bspline2)")
     p.add_argument("--grid", default=None, help="candidate rule: dyadic, knots, or e.g. 3,4,5")
     p.add_argument("--kfactor", type=int, choices=(2, 4), default=None, help="instrument dimension K = c*J")
     p.add_argument("--seed", type=int, default=None, help="seed (env NPIV_SEED is the fallback)")
@@ -457,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rep = sub.add_parser("reproduce", help="re-run a published table/figure at desk scale")
-    p_rep.add_argument("table", choices=("T1", "T2", "F1", "F2", "supp-C", "supp-D"))
+    p_rep.add_argument("table", choices=TABLE_IDS)
     p_rep.add_argument("--reps", type=int, default=1000)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--jobs", type=int, default=1)

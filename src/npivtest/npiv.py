@@ -7,7 +7,7 @@ downstream statistic (the centered quadratic form uses Q = sqrt(n) Psi C).
 
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
-    via a primal active-set QP with finite termination at desk scale;
+    exactly, by non-negative least squares on the dual (polar) cone;
   * parametric: plain 2SLS of a finite-dimensional design on the instrument
     sieve.
 """
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-8
+NNLS_TOL = 1e-12
 
 
 def _weights(mu, n: int) -> np.ndarray:
@@ -87,7 +88,6 @@ class RestrictedFit:
     fitted_r: np.ndarray
     residuals_r: np.ndarray
     active_set: np.ndarray
-    kind: str  # 'cone' | 'parametric'
     df_consumed: int = 0  # columns of the parametric design, full rank after instrument projection
 
 
@@ -143,20 +143,61 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     )
 
 
-def _active_rows(m_rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    row_norms = np.linalg.norm(m_rows, axis=1)
-    slack = m_rows @ beta
-    tol = ACTIVE_TOL * (1.0 + np.linalg.norm(beta) * row_norms)
-    return np.flatnonzero(np.abs(slack) <= tol)
+def _active_rows(m_rows: np.ndarray, beta: np.ndarray, scale: float) -> np.ndarray:
+    """Rows with |m_i beta| <= ACTIVE_TOL * scale * |m_i|, where scale is the norm of the point being projected."""
+    tol = ACTIVE_TOL * scale * np.linalg.norm(m_rows, axis=1)
+    return np.flatnonzero(np.abs(m_rows @ beta) <= tol)
 
 
-def cone_project(v, g, m, rcond: float | None = None, max_iter: int | None = None):
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Lawson-Hanson: the x >= 0 minimising |a x - b|, or None past the iteration cap.
+
+    The passive columns stay linearly independent, so each inner least-squares
+    solve is unique (Lawson & Hanson, Solving Least Squares Problems, 1974,
+    ch. 23). A free column enters while its gradient a_j'(b - a x) exceeds
+    NNLS_TOL * |a_j| |b|.
+    """
+    p = a.shape[1]
+    x = np.zeros(p)
+    passive = np.zeros(p, dtype=bool)
+    tol = NNLS_TOL * np.linalg.norm(b) * np.linalg.norm(a, axis=0)
+
+    def solve():
+        z = np.zeros(p)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(3 * p):
+        gain = np.where(passive, -np.inf, a.T @ (b - a @ x) - tol)
+        t = int(np.argmax(gain))
+        if gain[t] <= 0.0:
+            return x
+        passive[t] = True
+        z = solve()
+        if z[t] <= 0.0:  # rounding: the best free column cannot enter, so x is optimal
+            return x
+        while np.any(z[passive] <= 0.0):
+            idx = np.flatnonzero(passive & (z <= 0.0))
+            ratio = x[idx] / (x[idx] - z[idx])
+            k = int(np.argmin(ratio))
+            x += ratio[k] * (z - x)
+            x[idx[k]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = solve()
+        x = z
+    return None
+
+
+def cone_project(v, g, m):
     """Projection of v onto {beta : M beta <= 0} in the metric induced by SPD g.
 
     Returns (beta, active_set) where active_set indexes the constraint rows
-    holding with equality at the solution. Primal active-set iteration with
-    exact KKT solves; raises NumericalError with iteration diagnostics if the
-    cap is hit.
+    holding with equality at the solution. With g = L L', Moreau's
+    decomposition gives beta = v - g^{-1} M' lam, where lam >= 0 is the
+    non-negative least-squares solution of |L^{-1} M' lam - L' v| (the
+    projection onto the polar cone). Every tolerance is relative to |v|, so
+    cone_project(c v) = c cone_project(v) for c > 0.
     """
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -166,68 +207,20 @@ def cone_project(v, g, m, rcond: float | None = None, max_iter: int | None = Non
         raise InputError(f"metric must be {j}x{j}, got {g.shape}")
     if rows.shape[1] != j:
         raise InputError(f"constraint rows have {rows.shape[1]} columns, expected {j}")
-    g = 0.5 * (g + g.T)
     try:
-        chol = np.linalg.cholesky(g)
+        chol = np.linalg.cholesky(0.5 * (g + g.T))
     except np.linalg.LinAlgError as exc:
         raise InputError("metric matrix must be symmetric positive definite") from exc
 
-    def g_solve(rhs):
-        z = np.linalg.solve(chol, rhs)
-        return np.linalg.solve(chol.T, z)
-
-    n_rows = rows.shape[0]
-    if n_rows == 0:
-        return v.copy(), np.empty(0, dtype=int)
-    row_norms = np.linalg.norm(rows, axis=1)
-    feas_tol = ACTIVE_TOL * (1.0 + np.linalg.norm(v) * np.maximum(row_norms, 1.0))
-    if np.all(rows @ v <= feas_tol):
-        return v.copy(), _active_rows(rows, v)
-
-    def independent_of(working_rows: np.ndarray, row: np.ndarray) -> bool:
-        if working_rows.shape[0] == 0:
-            return True
-        coef, *_ = np.linalg.lstsq(working_rows.T, row, rcond=None)
-        return np.linalg.norm(row - working_rows.T @ coef) > 1e-10 * max(np.linalg.norm(row), 1e-300)
-
-    beta = np.zeros(j)
-    working: list[int] = []  # kept linearly independent, so the KKT system stays SPD
-    if max_iter is None:
-        max_iter = 50 * (j + n_rows + 2)
-    for _ in range(max_iter):
-        if working:
-            m_w = rows[working]
-            kkt = m_w @ g_solve(m_w.T)
-            lam = np.linalg.solve(kkt, m_w @ v)
-            target = v - g_solve(m_w.T @ lam)
-        else:
-            lam = np.empty(0)
-            target = v.copy()
-        step = target - beta
-        step_norm = np.linalg.norm(step)
-        if step_norm <= 1e-12 * (1.0 + np.linalg.norm(target)):
-            if lam.size == 0 or np.min(lam) >= -1e-10 * (1.0 + np.max(np.abs(lam), initial=0.0)):
-                return target, _active_rows(rows, target)
-            working.pop(int(np.argmin(lam)))
-            continue
-        outside = [i for i in range(n_rows) if i not in working]
-        t_step, blocking = 1.0, None
-        if outside:
-            slack = rows[outside] @ beta
-            gain = rows[outside] @ step
-            for pos, i in enumerate(outside):
-                # rows dependent on the working set cannot genuinely block
-                if gain[pos] > 1e-12 * row_norms[i] * step_norm:
-                    ti = max(0.0, -slack[pos]) / gain[pos]
-                    if ti < t_step - 1e-15 and independent_of(rows[working], rows[i]):
-                        t_step, blocking = ti, i
-        beta = beta + t_step * step
-        if blocking is not None:
-            working.append(blocking)
-    raise NumericalError(
-        f"cone projection did not converge in {max_iter} iterations "
-        f"(J={j}, rows={n_rows}, working set {sorted(working)})"
-    )
+    scale = float(np.linalg.norm(v))
+    if np.all(rows @ v <= ACTIVE_TOL * scale * np.linalg.norm(rows, axis=1)):
+        return v.copy(), _active_rows(rows, v, scale)
+    a = np.linalg.solve(chol, rows.T)
+    lam = _nnls(a, chol.T @ v)
+    if lam is None:
+        raise NumericalError(f"cone projection did not converge (J={j}, rows={rows.shape[0]})")
+    beta = v - np.linalg.solve(chol.T, a @ lam)
+    return beta, _active_rows(rows, beta, scale)
 
 
 def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
@@ -241,7 +234,6 @@ def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
         fitted_r=fitted_r,
         residuals_r=fit.y - fitted_r,
         active_set=active,
-        kind="cone",
     )
 
 
@@ -290,6 +282,5 @@ def fit_restricted_parametric(y, x, model, u_b, rcond: float | None = None) -> R
         fitted_r=fitted_r,
         residuals_r=y - fitted_r,
         active_set=np.empty(0, dtype=int),
-        kind="parametric",
         df_consumed=z.shape[1],
     )

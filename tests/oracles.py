@@ -13,8 +13,12 @@ import math
 
 import numpy as np
 
+from npivtest.basis import ConstraintMatrix
+from npivtest.errors import InputError, NumericalError
+
 _MAX_GAMMA_ITER = 500
 _GAMMA_EPS = 1e-15
+_QP_ACTIVE_TOL = 1e-8
 
 
 def gamma_cdf(x: float, a: float) -> float:
@@ -231,3 +235,94 @@ def dykstra_project(v: np.ndarray, g: np.ndarray, m: np.ndarray, iters: int = 50
         if max_move < 1e-13:
             break
     return beta
+
+
+def _active_rows_floored(m_rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    row_norms = np.linalg.norm(m_rows, axis=1)
+    slack = m_rows @ beta
+    tol = _QP_ACTIVE_TOL * (1.0 + np.linalg.norm(beta) * row_norms)
+    return np.flatnonzero(np.abs(slack) <= tol)
+
+
+def cone_project_active_set(v, g, m, rcond: float | None = None, max_iter: int | None = None):
+    """Primal active-set QP projection of v onto {beta : M beta <= 0} in the g-metric.
+
+    The production solver up to the switch to NNLS on the dual, kept
+    verbatim: absolute tolerance floors, an lstsq independence test per
+    blocking row, and a working-set loop.
+
+    Returns (beta, active_set) where active_set indexes the constraint rows
+    holding with equality at the solution. Primal active-set iteration with
+    exact KKT solves; raises NumericalError with iteration diagnostics if the
+    cap is hit.
+    """
+    v = np.asarray(v, dtype=float)
+    g = np.asarray(g, dtype=float)
+    rows = m.rows if isinstance(m, ConstraintMatrix) else np.atleast_2d(np.asarray(m, dtype=float))
+    j = v.shape[0]
+    if g.shape != (j, j):
+        raise InputError(f"metric must be {j}x{j}, got {g.shape}")
+    if rows.shape[1] != j:
+        raise InputError(f"constraint rows have {rows.shape[1]} columns, expected {j}")
+    g = 0.5 * (g + g.T)
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise InputError("metric matrix must be symmetric positive definite") from exc
+
+    def g_solve(rhs):
+        z = np.linalg.solve(chol, rhs)
+        return np.linalg.solve(chol.T, z)
+
+    n_rows = rows.shape[0]
+    if n_rows == 0:
+        return v.copy(), np.empty(0, dtype=int)
+    row_norms = np.linalg.norm(rows, axis=1)
+    feas_tol = _QP_ACTIVE_TOL * (1.0 + np.linalg.norm(v) * np.maximum(row_norms, 1.0))
+    if np.all(rows @ v <= feas_tol):
+        return v.copy(), _active_rows_floored(rows, v)
+
+    def independent_of(working_rows: np.ndarray, row: np.ndarray) -> bool:
+        if working_rows.shape[0] == 0:
+            return True
+        coef, *_ = np.linalg.lstsq(working_rows.T, row, rcond=None)
+        return np.linalg.norm(row - working_rows.T @ coef) > 1e-10 * max(np.linalg.norm(row), 1e-300)
+
+    beta = np.zeros(j)
+    working: list[int] = []  # kept linearly independent, so the KKT system stays SPD
+    if max_iter is None:
+        max_iter = 50 * (j + n_rows + 2)
+    for _ in range(max_iter):
+        if working:
+            m_w = rows[working]
+            kkt = m_w @ g_solve(m_w.T)
+            lam = np.linalg.solve(kkt, m_w @ v)
+            target = v - g_solve(m_w.T @ lam)
+        else:
+            lam = np.empty(0)
+            target = v.copy()
+        step = target - beta
+        step_norm = np.linalg.norm(step)
+        if step_norm <= 1e-12 * (1.0 + np.linalg.norm(target)):
+            if lam.size == 0 or np.min(lam) >= -1e-10 * (1.0 + np.max(np.abs(lam), initial=0.0)):
+                return target, _active_rows_floored(rows, target)
+            working.pop(int(np.argmin(lam)))
+            continue
+        outside = [i for i in range(n_rows) if i not in working]
+        t_step, blocking = 1.0, None
+        if outside:
+            slack = rows[outside] @ beta
+            gain = rows[outside] @ step
+            for pos, i in enumerate(outside):
+                # rows dependent on the working set cannot genuinely block
+                if gain[pos] > 1e-12 * row_norms[i] * step_norm:
+                    ti = max(0.0, -slack[pos]) / gain[pos]
+                    if ti < t_step - 1e-15 and independent_of(rows[working], rows[i]):
+                        t_step, blocking = ti, i
+        beta = beta + t_step * step
+        if blocking is not None:
+            working.append(blocking)
+    raise NumericalError(
+        f"cone projection did not converge in {max_iter} iterations "
+        f"(J={j}, rows={n_rows}, working set {sorted(working)})"
+    )

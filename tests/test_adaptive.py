@@ -12,6 +12,7 @@ import npivtest.npiv as npiv_module
 from npivtest.adaptive import (
     NullSpec,
     RunConfig,
+    adaptive_scan,
     adaptive_test,
     build_grid,
     compute_D,
@@ -222,9 +223,12 @@ def test_gamma_floor_and_equality(rng):
     fit, *_ = small_fit(rng, n=60, j=4, k=8)
     m = deriv_constraints(bspline(4), "decreasing")
     rfit = fit_restricted_cone(fit, m)
-    g = gamma_hat(m, rfit, "inequality", 4)
-    assert g >= 1
-    assert gamma_hat(None, None, "equality", 5) == 5
+    assert gamma_hat(m, rfit.active_set) >= 1
+    assert gamma_hat(m, np.empty(0, dtype=int)) == 1
+    # a parametric (equality) null has J degrees of freedom
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("mono", c0=0.5), RngStream(5, 0)))
+    _, entries, _, _ = adaptive_scan(data.y, data.x, data.w, NullSpec.from_name("linear"), RunConfig(grid=(3, 5)))
+    assert [e.gamma for e in entries] == [3, 5]
 
 
 def test_gamma_counts_active_rank():
@@ -241,7 +245,7 @@ def test_gamma_counts_active_rank():
     y = psi @ coef  # noiseless increasing signal
     fit = fit_from_design(y, psi, b)
     rfit = fit_restricted_cone(fit, m)
-    assert gamma_hat(m, rfit, "inequality", 4) == np.linalg.matrix_rank(m.rows)
+    assert gamma_hat(m, rfit.active_set) == np.linalg.matrix_rank(m.rows)
 
 
 def test_eta_closed_form_and_limit():
@@ -306,6 +310,29 @@ def test_w_scale_invariance():
             assert scaled.grid.j_list == base.grid.j_list
             for r1, r2 in zip(base.per_j, scaled.per_j):
                 assert r2.w_stat == pytest.approx(r1.w_stat, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["structural-decreasing", "structural-linear", "image-space-linear"])
+def test_decision_invariant_under_y_scaling(case):
+    data = generate(DesignConfig("I", 1000, 0.9, HSpec("mono", c0=0.5), RngStream(19, 0)))
+    cfg = RunConfig(grid="knots", k_factor=2)
+    null = case.rsplit("-", 1)[1]
+    y = data.y + 2.0 * (data.x if null == "decreasing" else np.sin(2.0 * np.pi * data.x))
+
+    def run(yy):
+        if case.startswith("image-space"):
+            return image_space_test(yy, data.x, data.w, null, config=cfg)
+        return adaptive_test(yy, data.x, data.w, NullSpec.from_name(null), config=cfg)
+
+    base = run(y)
+    assert base.reject
+    for k in (-13, -12, -9, -6, 6, 9, 12):
+        scaled = run(10.0**k * y)
+        assert scaled.reject == base.reject
+        assert scaled.grid.j_list == base.grid.j_list
+        assert [(r.n_active, r.gamma) for r in scaled.per_j] == [(r.n_active, r.gamma) for r in base.per_j]
+        for r1, r2 in zip(base.per_j, scaled.per_j):
+            assert r2.w_stat == pytest.approx(r1.w_stat, rel=1e-9)
 
 
 def test_alpha_validation():

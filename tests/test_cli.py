@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from npivtest.adaptive import NullSpec, RunConfig, cs_contains
+from npivtest.basis import BasisSpec
 from npivtest.cli import dump_json, load_csv_dataset, main
 from npivtest.sim import reproduce
 
@@ -177,8 +179,11 @@ def test_cmd_test_flag_overrides_config(tmp_path):
     ([], {"basis": []}),
     ([], {"seed": "x"}),
     ([], {"rcond": "x"}),
+    ([], {"rcond": 2}),
+    ([], {"rcond": 0}),
 ], ids=["support-one-value", "support-text", "support-reversed", "alpha-text", "k_factor-text", "grid-number",
-        "grid-text-entry", "support-one-entry", "support-null", "basis-list", "seed-text", "rcond-text"])
+        "grid-text-entry", "support-one-entry", "support-null", "basis-list", "seed-text", "rcond-text",
+        "rcond-above-one", "rcond-zero"])
 def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -230,6 +235,22 @@ def test_cmd_cs_shifted_candidate_excluded(tmp_path):
     payload_far = json.loads(out_far.read_text())
     assert payload_far["contained"] is False
     assert payload_far["binding_J"] is not None
+
+
+@pytest.mark.parametrize("name, order", [("bspline2", 3), ("bspline3", 4)])
+def test_cmd_cs_coeffs_candidate_uses_its_own_equispaced_basis(tmp_path, name, order):
+    coeffs = [0.5, 0.3, 0.1, -0.1, -0.3, -0.5]  # decreasing, so inside the decreasing cone
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "coeffs", "basis": {"name": name}, "coefficients": coeffs}))
+    out_path = tmp_path / "cs.json"
+    assert run_cli("cs", ENGEL, str(cand), "--null", "decreasing", "--quantile-knots",
+                   "--format", "json", "--out", str(out_path)) == 0
+    payload = json.loads(out_path.read_text())
+    data = load_csv_dataset(ENGEL)
+    _, _, detail = cs_contains((np.array(coeffs), BasisSpec("bspline", 6, order)), data.y, data.x, data.w,
+                               config=RunConfig.from_dict(payload["config"]), null=NullSpec.from_name("decreasing"),
+                               mu=data.mu)
+    assert payload["per_J"] == detail["per_J"]
 
 
 def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):

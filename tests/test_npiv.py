@@ -1,11 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import npivtest.npiv as npiv_module
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
-from npivtest.errors import InputError
+from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import (
     cone_project,
@@ -15,7 +19,7 @@ from npivtest.npiv import (
 )
 from npivtest.randdist import RngStream
 
-from oracles import brute_coeffs, cone_project_enumerate, dykstra_project
+from oracles import brute_coeffs, cone_project_active_set, cone_project_enumerate, dykstra_project
 
 
 def bspline(dim, order=3, **kw):
@@ -186,11 +190,79 @@ def test_cone_project_nonexpansive_and_pythagoras(seed):
     assert abs(cross) <= 1e-6 * (1.0 + gnorm2(v1))
 
 
+def _random_deriv_cone(gen):
+    """A derivative cone of a random B-spline basis, with metric and v at scales 10^[-3, 5]."""
+    order = int(gen.choice([3, 4]))
+    kind = str(gen.choice(["decreasing", "increasing", "convex", "concave"]))
+    dim = int(gen.integers(4, 20))
+    m = deriv_constraints(bspline(dim, order), kind).rows
+    g = random_spd(gen, dim) * 10.0 ** gen.uniform(-3, 5)
+    v = gen.normal(size=dim) * 10.0 ** gen.uniform(-3, 5)
+    return v, g, m
+
+
+def test_cone_project_matches_active_set_oracle():
+    gen = np.random.default_rng(2024)
+    for _ in range(1000):
+        v, g, m = _random_deriv_cone(gen)
+        beta, active = cone_project(v, g, m)
+        beta_qp, active_qp = cone_project_active_set(v, g, m)
+        assert np.linalg.norm(beta - beta_qp) <= 1e-10 * np.linalg.norm(beta_qp)
+        np.testing.assert_array_equal(active, active_qp)
+
+
+def test_cone_project_is_scale_equivariant():
+    gen = np.random.default_rng(77)
+    for _ in range(40):
+        v, g, m = _random_deriv_cone(gen)
+        beta, active = cone_project(v, g, m)
+        for k in (-12, -9, -6, -3, 3, 6, 9, 12):
+            beta_k, active_k = cone_project(10.0**k * v, g, m)
+            assert np.linalg.norm(beta_k - 10.0**k * beta) <= 1e-10 * 10.0**k * np.linalg.norm(beta)
+            np.testing.assert_array_equal(active_k, active)
+
+
+def test_cone_project_small_norm_matches_enumeration():
+    # |v| = 1e-5 in a metric of scale 1e-2: the primal active-set QP's
+    # absolute tolerance floors stopped it at rel 2e-2 from this optimum
+    gen = np.random.default_rng(0)
+    m = deriv_constraints(bspline(8, 4), "concave").rows
+    a = gen.normal(size=(8, 8))
+    g = 1e-2 * (a.T @ a + 0.3 * np.eye(8))
+    v = gen.normal(size=8)
+    v *= 1e-5 / np.linalg.norm(v)
+    beta, _ = cone_project(v, g, m)
+    oracle = cone_project_enumerate(v, g, m)
+    assert np.linalg.norm(beta - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_shape_null_test_does_not_import_scipy_optimize():
+    # the cone solver is plain numpy; scipy.optimize would add its import time and memory to every run
+    code = (
+        "import sys\n"
+        "import npivtest\n"
+        "from npivtest.dgp import DesignConfig, HSpec, generate\n"
+        "from npivtest.randdist import RngStream\n"
+        "d = generate(DesignConfig('I', 400, 0.9, HSpec('sin', c_a=3.0, c_b=1.0), RngStream(3, 0)))\n"
+        "rep = npivtest.adaptive_test(d.y, d.x, d.w, npivtest.NullSpec.from_name('decreasing'))\n"
+        "assert any(rec.n_active for rec in rep.per_j)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cone_project_shape_guards():
     with pytest.raises(InputError):
         cone_project(np.ones(3), np.eye(2), np.ones((1, 3)))
     with pytest.raises(InputError):
         cone_project(np.ones(2), -np.eye(2), np.ones((1, 2)))
+
+
+def test_cone_project_nonconvergence_names_the_problem(monkeypatch):
+    monkeypatch.setattr(npiv_module, "_nnls", lambda a, b: None)
+    with pytest.raises(NumericalError, match=r"J=2, rows=1"):
+        cone_project(np.array([1.0, 2.0]), np.eye(2), np.array([[1.0, 0.0]]))
 
 
 # --------------------------------------------------------------- restricted fits
@@ -250,7 +322,6 @@ def test_parametric_exact_linear(rng):
     y = 0.7 - 1.3 * x
     rfit = fit_restricted_parametric(y, x, "linear", orthonormal_range(eval_design(bspline(6), w)))
     np.testing.assert_allclose(rfit.residuals_r, 0.0, atol=1e-9)
-    assert rfit.kind == "parametric"
     assert rfit.active_set.size == 0
     assert rfit.df_consumed == 2
 
