@@ -26,7 +26,7 @@ import numpy as np
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
 from .linalg import frobenius_norm, orthonormal_range, sym_inv_sqrt
-from .npiv import NpivFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric
+from .npiv import NpivFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -340,6 +340,17 @@ def _noise_level(spec, dim: int, n: int) -> float:
     return 1.5 * zeta(spec, dim) ** 2 * math.sqrt(math.log(dim) / n)
 
 
+def _clamp_warnings(config: RunConfig, **samples) -> list[str]:
+    """A report line per sample with observations outside the support, which basis evaluation clamps."""
+    lo, hi = config.support
+    lines = []
+    for name, values in samples.items():
+        outside = ((values < lo) | (values > hi)).reshape(len(values), -1).any(axis=1)  # per observation
+        if outside.any():
+            lines.append(f"{int(outside.sum())} points of {name} outside [{lo}, {hi}] were clamped")
+    return lines
+
+
 def _checked_data(y, x, w):
     """(y, x, w, n) as float arrays sharing n finite observations."""
     y = np.asarray(y, dtype=float)
@@ -353,17 +364,17 @@ def _checked_data(y, x, w):
     return y, x, w, n
 
 
-def _candidate_pass(n: int, config: RunConfig, step, visit) -> CandidateGrid:
+def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> CandidateGrid:
     """Candidate dimensions via the exponential scan, the knot scan, or an explicit list.
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
     dimension, noise level and stability measure, and the designs. Candidates
     are keyed by dim; visit(dim, s, designs) gets each one once, and the
-    designs are dropped before the next index's are built.
+    designs are dropped before the next index's are built. j_min is the
+    scan's lowest admissible index, the one minimum every rule starts from.
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
-    basis_min = config.basis_min()
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
     j_list: list[int] = []
@@ -378,15 +389,15 @@ def _candidate_pass(n: int, config: RunConfig, step, visit) -> CandidateGrid:
 
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
     if mode == "explicit":
-        if config.grid[0] < basis_min:
-            raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {basis_min}")
+        if config.grid[0] < j_min:
+            raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {j_min}")
         for j in config.grid:
             record(*step(j))
         j_max_hat = config.grid[-1]
     else:
         # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
-        rule = _dyadic(j_under, j_max_exp, basis_min) if mode == "dyadic" else range(basis_min, hard_cap + 1)
-        scan_start = max(j_under + 1, basis_min)
+        rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
+        scan_start = max(j_under + 1, j_min)
         for j in rule:
             if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
                 record(*step(j))
@@ -410,9 +421,9 @@ def _candidate_pass(n: int, config: RunConfig, step, visit) -> CandidateGrid:
     fallback = not j_list
     if fallback:
         warnings_list.append(
-            f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{basis_min}}}"
+            f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
         )
-        record(*step(basis_min))
+        record(*step(j_min))
     return CandidateGrid(
         mode=mode,
         j_underbar=j_under,
@@ -447,7 +458,7 @@ def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
         if visit is not None:
             visit(j, *designs, s_j)
 
-    return _candidate_pass(n, config, step, candidate)
+    return _candidate_pass(n, config, step, candidate, config.basis_min())
 
 
 def compute_D(restricted_residuals, fit: NpivFit) -> float:
@@ -558,7 +569,11 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             raise type(exc)(f"candidate J={j}: {exc}") from exc
 
     grid = build_grid(x, w, config, mu, visit=statistics)
-    return grid, entries, [*grid.warnings, *fit_warnings], n
+    return grid, entries, [*_clamp_warnings(config, x=x, w=w), *grid.warnings, *fit_warnings], n
+
+
+def _finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def _w_statistic(n: int, d_stat: float, v_stat: float, eta: float) -> float:
@@ -590,6 +605,13 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, c
                 f"critical value eta <= 0 at J={e.j} (alpha/{size} too large for gamma={e.gamma}); "
                 "use a smaller alpha"
             )
+        w_stat = _w_statistic(n, e.d_stat, e.v_stat, eta)
+        p_value = _p_value(n, e.d_stat, e.v_stat, e.gamma, center)
+        # W = inf is the defined limit of D > 0 over v = 0; any other non-finite number decides nothing
+        if not (_finite(e.d_stat, e.v_stat, p_value) and (math.isfinite(w_stat) or e.v_stat == 0.0)):
+            raise NumericalError(
+                f"non-finite statistic at J={e.j}: D={e.d_stat}, v={e.v_stat}, W={w_stat}, p={p_value}"
+            )
         records.append(
             CandidateRecord(
                 j=e.j,
@@ -599,8 +621,8 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, c
                 s_hat=e.s_hat,
                 gamma=e.gamma,
                 eta=eta,
-                w_stat=_w_statistic(n, e.d_stat, e.v_stat, eta),
-                p_value=_p_value(n, e.d_stat, e.v_stat, e.gamma, center),
+                w_stat=w_stat,
+                p_value=p_value,
                 n_active=e.n_active,
             )
         )
@@ -646,7 +668,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
             lo, hi = config.support
             grid_x = np.linspace(lo, hi, 1001)
             f = np.asarray(candidate(grid_x), dtype=float)
-            scale = 1e-8 * (1.0 + float(np.max(np.abs(f))))
+            scale = 1e-8 * float(np.max(np.abs(f)))
             diffs = np.diff(f) if null.shape in ("decreasing", "increasing") else np.diff(f, 2)
             sign = 1.0 if null.shape in ("decreasing", "concave") else -1.0
             if np.any(sign * diffs > scale):
@@ -659,7 +681,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
         if null.kind == "shape":
             m = null.constraints(spec)
             slack = m.rows @ coeffs
-            tol = 1e-8 * (1.0 + np.linalg.norm(coeffs) * np.linalg.norm(m.rows, axis=1))
+            tol = 1e-8 * np.linalg.norm(coeffs) * np.linalg.norm(m.rows, axis=1)
             if np.any(slack > tol):
                 raise InputError(f"candidate coefficients violate the {m.kind} cone restriction")
         values = eval_design(spec, x) @ coeffs
@@ -697,6 +719,8 @@ def cs_contains(candidate, y, x, w, alpha: float = 0.05, config: RunConfig | Non
         eta = eta_hat(alpha, size, e.gamma)
         if eta <= 0.0:
             raise InputError(f"critical value eta <= 0 at J={e.j}; use a smaller alpha")
+        if not _finite(e.d_candidate, e.v_stat):
+            raise NumericalError(f"non-finite statistic at J={e.j}: D_candidate={e.d_candidate}, v={e.v_stat}")
         ok = n * e.d_candidate <= eta * e.v_stat
         per_j.append({"J": e.j, "D_candidate": e.d_candidate, "v": e.v_stat, "eta": eta, "contained": ok})
         if not ok and binding is None:
@@ -748,8 +772,13 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
                        gamma=max(1, realized - rfit.df_consumed), n_active=0, center=realized)
         )
 
-    grid = _candidate_pass(n, replace(config, grid="dyadic"), step, statistics)
-    return grid, entries, list(grid.warnings), n
+    z, _ = parametric_design(x, model)
+    if z.shape[0] != n:
+        raise InputError("parametric design and y must share the number of rows")
+    # K below the null's parameter count leaves the restricted fit unidentified
+    k_min = max(config.basis_min(), z.shape[1])
+    grid = _candidate_pass(n, replace(config, grid="dyadic"), step, statistics, k_min)
+    return grid, entries, [*_clamp_warnings(config, w=w), *grid.warnings], n
 
 
 def image_space_test(y, x, w, model, alpha: float = 0.05, config: RunConfig | None = None) -> TestReport:

@@ -116,42 +116,39 @@ def _clamp(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.ndarray:
-    """All order-`order` B-splines on knot vector t, evaluated (or differentiated) at x."""
+    """All order-`order` B-splines on the clamped knot vector t, or their deriv-th derivative
+    (deriv < order), at x in [t[0], t[-1]], by the de Boor recursion on the nonzero ones only.
+
+    x lies in the knot span [t[s], t[s+1]) (the last span is right-closed), where only
+    N_{s-order+1..s} are nonzero. Stage m maps the m - 1 values of order m - 1 at j = s-m+2..s
+    to the m of order m at j = s-m+1..s: Cox-de Boor up to order - deriv, the derivative
+    difference formula above it. A window end drops the term whose function lies outside the
+    window, the only term that can meet a zero-width knot gap.
+    """
     nb = len(t) - order
-    if deriv > 0:
-        if order == 1:
-            return np.zeros((len(x), nb))
-        lower = _bspline_design(x, t, order - 1, deriv - 1)  # nb + 1 functions
-        out = np.zeros((len(x), nb))
-        for j in range(nb):
-            d1 = t[j + order - 1] - t[j]
-            d2 = t[j + order] - t[j + 1]
-            if d1 > 0:
-                out[:, j] += (order - 1) / d1 * lower[:, j]
-            if d2 > 0:
-                out[:, j] -= (order - 1) / d2 * lower[:, j + 1]
-        return out
-    hi = t[-1]
-    n1 = len(t) - 1
-    b0 = np.zeros((len(x), n1), dtype=bool)
-    for j in range(n1):
-        if t[j] < t[j + 1]:
-            cond = (t[j] <= x) & (x < t[j + 1])
-            if t[j + 1] == hi:
-                cond = cond | (x == hi)  # right-closed last interval
-            b0[:, j] = cond
-    b = b0.astype(float)
+    span = np.clip(np.searchsorted(t[order:nb], x, side="right") + order - 1, order - 1, nb - 1)
+    knot = {offset: t[span + offset] for offset in range(2 - order, order)}  # knot[o] = t[s + o]
+    vals = [np.ones(len(x))]
     for m in range(2, order + 1):
-        nxt = np.zeros((len(x), len(t) - m))
-        for j in range(len(t) - m):
-            d1 = t[j + m - 1] - t[j]
-            d2 = t[j + m] - t[j + 1]
-            if d1 > 0:
-                nxt[:, j] += (x - t[j]) / d1 * b[:, j]
-            if d2 > 0:
-                nxt[:, j] += (t[j + m] - x) / d2 * b[:, j + 1]
-        b = nxt
-    return b
+        # B-spline j = s - m + 1 + r has knots t_j .. t_{j+m} = knot[r - m + 1 .. r + 1]; gaps[r] is
+        # t_{j+m} - t_{j+1}, the denominator of its N_{j+1, m-1} term and of B-spline j+1's N_{j+1, m-1} term
+        gaps = [knot[r + 1] - knot[r - m + 2] for r in range(m - 1)]
+        value = m <= order - deriv
+        nxt = []
+        for r in range(m):
+            a = b = None
+            if r > 0:
+                a = (x - knot[r - m + 1] if value else m - 1) / gaps[r - 1] * vals[r - 1]
+            if r < m - 1:
+                b = (knot[r + 1] - x if value else 1 - m) / gaps[r] * vals[r]
+            nxt.append(b if a is None else a if b is None else a + b)
+        vals = nxt
+    out = np.zeros((len(x), nb))
+    flat = out.reshape(-1)
+    first = span + (np.arange(len(x)) * nb - order + 1)  # flat index of each row's first nonzero
+    for r, v in enumerate(vals):
+        flat[first + r] = v
+    return out
 
 
 def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:

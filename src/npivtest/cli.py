@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -70,45 +71,84 @@ class CsvDataset:
         return self.y.shape[0]
 
 
+_CSV_BLOCK = 2048  # rows per bulk-parsed block: bounds the transient token list
+
+
+def _bulk_table(text: str):
+    """(header, n x d table) of a CSV text the row loop would parse without error, else None.
+
+    Only the regular case is handled: no quote, CR only in CRLF, and rows of d - 1 commas
+    each, whose cells all parse as finite floats. Blocks of rows are joined into one
+    token list each, which keeps the transient memory to a block.
+    """
+    text = text.replace("\r\n", "\n")
+    lines = text.split("\n")[:-1] if text.endswith("\n") else text.split("\n")
+    if '"' in text or "\r" in text or len(lines) < 2 or not lines[0] \
+            or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
+    d = len(header)
+    if set(map(str.count, body, itertools.repeat(","))) != {d - 1}:
+        return None
+    table = np.empty((len(body), d))
+    for start in range(0, len(body), _CSV_BLOCK):
+        try:
+            cells = list(map(float, ",".join(body[start:start + _CSV_BLOCK]).split(",")))
+        except ValueError:
+            return None
+        table.reshape(-1)[start * d:start * d + len(cells)] = cells
+    return (header, table) if np.all(np.isfinite(table)) else None
+
+
+def _row_table(path: str, text: str):
+    """(header, n x d table) by the row loop, which raises InputError naming the line and column."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        header = [h.strip() for h in next(reader)]
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}, line {lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            parsed = []
+            for col, cell in zip(header, row):
+                cell = cell.strip()
+                if cell == "":
+                    raise InputError(f"{path}, line {lineno}: missing value in column {col!r}")
+                try:
+                    val = float(cell)
+                except ValueError:
+                    raise InputError(
+                        f"{path}, line {lineno}: non-numeric value {cell!r} in column {col!r}"
+                    ) from None
+                if not math.isfinite(val):
+                    raise InputError(f"{path}, line {lineno}: non-finite value in column {col!r}")
+                parsed.append(val)
+            rows.append(parsed)
+    except StopIteration:
+        raise InputError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def load_csv_dataset(path: str) -> CsvDataset:
-    """Read and validate a dataset; malformed files raise InputError with a line number."""
+    """Read and validate a dataset; malformed files raise InputError with a line number.
+
+    The file is read once; a regular file is parsed in bulk, anything else by the row loop.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(cell.strip() == "" for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}, line {lineno}: expected {len(header)} cells, got {len(row)}"
-                    )
-                parsed = []
-                for col, cell in zip(header, row):
-                    cell = cell.strip()
-                    if cell == "":
-                        raise InputError(f"{path}, line {lineno}: missing value in column {col!r}")
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        raise InputError(
-                            f"{path}, line {lineno}: non-numeric value {cell!r} in column {col!r}"
-                        ) from None
-                    if not math.isfinite(val):
-                        raise InputError(f"{path}, line {lineno}: non-finite value in column {col!r}")
-                    parsed.append(val)
-                rows.append(parsed)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
+    header, table = _bulk_table(text) or _row_table(path, text)
     if len(set(header)) != len(header):
         raise InputError(f"{path}: duplicate column names in header")
-    data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
+    data = {name: table[:, i].copy() for i, name in enumerate(header)}
 
     def gather(prefix: str) -> np.ndarray | None:
         if prefix in data:

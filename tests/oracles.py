@@ -326,3 +326,42 @@ def cone_project_active_set(v, g, m, rcond: float | None = None, max_iter: int |
         f"cone projection did not converge in {max_iter} iterations "
         f"(J={j}, rows={n_rows}, working set {sorted(working)})"
     )
+
+
+def bspline_design_dense(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.ndarray:
+    """All order-`order` B-splines on knot vector t, evaluated (or differentiated) at x."""
+    nb = len(t) - order
+    if deriv > 0:
+        if order == 1:
+            return np.zeros((len(x), nb))
+        lower = bspline_design_dense(x, t, order - 1, deriv - 1)  # nb + 1 functions
+        out = np.zeros((len(x), nb))
+        for j in range(nb):
+            d1 = t[j + order - 1] - t[j]
+            d2 = t[j + order] - t[j + 1]
+            if d1 > 0:
+                out[:, j] += (order - 1) / d1 * lower[:, j]
+            if d2 > 0:
+                out[:, j] -= (order - 1) / d2 * lower[:, j + 1]
+        return out
+    hi = t[-1]
+    n1 = len(t) - 1
+    b0 = np.zeros((len(x), n1), dtype=bool)
+    for j in range(n1):
+        if t[j] < t[j + 1]:
+            cond = (t[j] <= x) & (x < t[j + 1])
+            if t[j + 1] == hi:
+                cond = cond | (x == hi)  # right-closed last interval
+            b0[:, j] = cond
+    b = b0.astype(float)
+    for m in range(2, order + 1):
+        nxt = np.zeros((len(x), len(t) - m))
+        for j in range(len(t) - m):
+            d1 = t[j + m - 1] - t[j]
+            d2 = t[j + m] - t[j + 1]
+            if d1 > 0:
+                nxt[:, j] += (x - t[j]) / d1 * b[:, j]
+            if d2 > 0:
+                nxt[:, j] += (t[j + m] - x) / d2 * b[:, j + 1]
+        b = nxt
+    return b

@@ -512,6 +512,50 @@ def test_cs_rejects_infeasible_cone_candidate():
                     null=NullSpec.from_name("decreasing"))  # increasing candidate
 
 
+def test_cs_infeasibility_does_not_depend_on_scale():
+    data = generate(DesignConfig("I", 400, 0.5, HSpec("mono", c0=0.5), RngStream(23, 2)))
+    cfg = RunConfig(grid="knots", k_factor=2)
+    null = NullSpec.from_name("decreasing")
+    for s in (1.0, 1e-6, 1e-12):
+        with pytest.raises(InputError, match="violates the decreasing restriction"):
+            cs_contains(lambda x, s=s: s * x, data.y, data.x, data.w, config=cfg, null=null)
+        cs_contains(lambda x, s=s: -s * x, data.y, data.x, data.w, config=cfg, null=null)
+    spec = BasisSpec("bspline", 5, 3)
+    for s in (1.0, 1e-6, 1e-10):
+        with pytest.raises(InputError, match="violate the decreasing cone restriction"):
+            cs_contains((s * np.arange(5.0), spec), data.y, data.x, data.w, config=cfg, null=null)
+        cs_contains((-s * np.arange(5.0), spec), data.y, data.x, data.w, config=cfg, null=null)
+
+
+def test_nonfinite_statistics_are_numerical_errors():
+    # at y x 1e160 the D and v quadratic forms overflow to inf/nan; no decision may come from them
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=2.0), RngStream(18, 0)))
+    cfg = RunConfig(grid="knots", k_factor=2)
+    null = NullSpec.from_name("decreasing")
+    y = data.y * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
+            adaptive_test(y, data.x, data.w, null, config=cfg)
+        with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
+            cs_contains(lambda x: 0.0 * x, y, data.x, data.w, config=cfg, null=null)
+
+
+def test_clamped_points_are_reported():
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("mono", c0=0.5), RngStream(23, 2)))
+    x, w = data.x * 10.0, data.w - 0.02
+    n_x, n_w = int(np.sum(x > 1.0)), int(np.sum(w < 0.0))
+    assert n_x > 0 and n_w > 0
+    with pytest.warns(UserWarning):
+        rep = adaptive_test(data.y, x, w, NullSpec.from_name("decreasing"))
+    assert rep.warnings[:2] == (f"{n_x} points of x outside [0.0, 1.0] were clamped",
+                                f"{n_w} points of w outside [0.0, 1.0] were clamped")
+    with pytest.warns(UserWarning):
+        rep = image_space_test(data.y, x, w, "linear")
+    assert rep.warnings[0] == f"{n_w} points of w outside [0.0, 1.0] were clamped"
+    assert not any("clamped" in msg for msg in adaptive_test(data.y, data.x, data.w,
+                                                             NullSpec.from_name("decreasing")).warnings)
+
+
 # ------------------------------------------------------------- image space
 
 
@@ -574,3 +618,19 @@ def test_image_space_requires_parametric_null():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.0), RngStream(25, 0)))
     with pytest.raises(InputError):
         image_space_test(data.y, data.x, data.w, "monotone", config=RunConfig())
+
+
+@pytest.mark.parametrize("basis", ["cosine", "power", "bspline2", "bspline3"])
+@pytest.mark.parametrize("model, n_params", [("linear", 2), ("quadratic", 3)])
+def test_image_space_scan_starts_at_the_null_parameter_count(basis, model, n_params):
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    cfg = RunConfig(basis=basis)
+    rep = image_space_test(data.y, data.x, data.w, model, config=cfg)
+    assert rep.grid.j_list[0] == max(cfg.basis_min(), n_params)
+    assert all(rec.k >= n_params for rec in rep.per_j)
+
+
+def test_image_space_custom_design_needs_one_row_per_observation():
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    with pytest.raises(InputError, match="parametric design and y must share the number of rows"):
+        image_space_test(data.y, data.x, data.w, data.x)  # a 1-d design reads as one row of n columns

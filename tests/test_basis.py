@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from npivtest.errors import InputError
 
-from oracles import simpson
+from oracles import bspline_design_dense, simpson
 
 
 def bspline(dim, order=3, **kw):
@@ -59,6 +59,25 @@ def test_bspline_partition_of_unity(extra, order, xseed):
     xs = np.concatenate([xs, [0.0, 1.0]])
     sums = eval_design(spec, xs).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("knot_rule", ["equispaced", "quantile"])
+def test_bspline_kernel_matches_dense_recursion(order, knot_rule):
+    rng = np.random.default_rng(order)
+    data = rng.beta(2.0, 3.0, size=400)
+    for dim in range(order, 33):
+        spec = bspline(dim, order, support=(-1.0, 2.0), knot_rule=knot_rule, knot_data=3.0 * data - 1.0)
+        t = spec.knot_vector()
+        inside = np.concatenate([rng.uniform(-1.0, 2.0, size=50), spec.interior_knots(), [-1.0, 2.0]])
+        outside = np.array([-3.0, -1.0 - 1e-12, 2.0 + 1e-12, 7.5])
+        for deriv in range(order + 1):
+            np.testing.assert_allclose(eval_design(spec, inside, deriv=deriv),
+                                       bspline_design_dense(inside, t, order, deriv), rtol=0, atol=1e-14)
+            with pytest.warns(UserWarning, match="4 evaluation points"):
+                clamped = eval_design(spec, outside, deriv=deriv)
+            np.testing.assert_allclose(clamped, bspline_design_dense(np.clip(outside, -1.0, 2.0), t, order, deriv),
+                                       rtol=0, atol=1e-14)
 
 
 def test_bspline_local_support():

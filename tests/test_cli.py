@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+import npivtest.cli as cli_module
 from npivtest.adaptive import NullSpec, RunConfig, cs_contains
 from npivtest.basis import BasisSpec
 from npivtest.cli import dump_json, load_csv_dataset, main
+from npivtest.dgp import DesignConfig, HSpec, generate
+from npivtest.errors import InputError
+from npivtest.randdist import RngStream
 from npivtest.sim import reproduce
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -70,6 +74,105 @@ def test_csv_multivariate_instruments(tmp_path):
     path = write_csv(tmp_path, "mv.csv", "y,x,w1,w2\n" + rows)
     ds = load_csv_dataset(path)
     assert ds.w.shape == (30, 2)
+
+
+def _rows(n=25, cols=3):
+    rng = np.random.default_rng(n + cols)
+    return [",".join(f"{v:.17g}" for v in row) for row in rng.uniform(0.0, 1.0, size=(n, cols))]
+
+
+# _BULK texts take the bulk parser (some still fail validation after it); _ROW_LOOP texts fall back to the row loop
+_BULK = {
+    "plain": "y,x,w\n" + "\n".join(_rows()) + "\n",
+    "no-final-newline": "y,x,w\n" + "\n".join(_rows()),
+    "crlf": "y,x,w\r\n" + "\r\n".join(_rows()) + "\r\n",
+    "padded": " y , x,w \n" + "\n".join(" " + r.replace(",", " ,\t") + "  " for r in _rows()),
+    "underscore": "y,x,w\n" + "\n".join(_rows()) + "\n1_0,0.5,0.5\n",
+    "multivariate": "y,x1,x2,w1,w2\n" + "\n".join(_rows(cols=5)),
+    "mu": "y,x,w,mu\n" + "\n".join(_rows(cols=4)),
+    "few-rows": "y,x,w\n" + "\n".join(_rows(n=5)),
+    "blocks": "y,x,w\n" + "\n".join(_rows(n=5000)) + "\n",
+    "gap-in-numbered-columns": "y,x1,x3,w\n" + "\n".join(_rows(cols=4)),
+    "duplicate-header": "y,y,x,w\n" + "\n".join(_rows(cols=4)),
+    "negative-mu": "y,x,w,mu\n" + "\n".join(_rows(cols=4)) + "\n0.1,0.2,0.3,-1\n",
+}
+_ROW_LOOP = {
+    "empty": "",
+    "header-only": "y,x,w\n",
+    "quoted-cells": "y,x,w\n" + "\n".join(f'"{r}"'.replace(",", '","') for r in _rows()),
+    "quoted-header": '"y","x","w"\n' + "\n".join(_rows()),
+    "blank-lines": "y,x,w\n" + "\n\n".join(_rows()) + "\n\n",
+    "whitespace-lines": "y,x,w\n" + "\n  \t\n".join(_rows()),
+    "comma-only-lines": "y,x,w\n" + "\n , ,\n".join(_rows()),
+    "lone-cr": "y,x,w\r" + "\r".join(_rows()),
+    "nan": "y,x,w\n" + "\n".join(_rows()) + "\nnan,0.5,0.5\n",
+    "inf": "y,x,w\n" + "\n".join(_rows()) + "\n0.5,-inf,0.5\n",
+    "huge": "y,x,w\n" + "\n".join(_rows()) + "\n0.5,1e999,0.5\n",
+    "trailing-commas": "y,x,w\n" + "\n".join(r + "," for r in _rows()),
+    "trailing-comma-header": "y,x,w,\n" + "\n".join(r + "," for r in _rows()),
+    "short-row": "y,x,w\n" + "\n".join(_rows()) + "\n1,2\n",
+    "ragged-pair": "y,x,w\n" + "\n".join(_rows()) + "\n1,2\n1,2,3,4\n",
+    "blank-cell": "y,x,w\n" + "\n".join(_rows()) + "\n0.1,,0.5\n",
+    "text-cell": "y,x,w\n" + "\n".join(_rows()) + "\n0.1,oops,0.5\n",
+    "bad-cell-in-second-block": "y,x,w\n" + "\n".join(_rows(n=3000)[:2500] + ["0.1,0.2,x"] + _rows(n=3000)[2500:]),
+    "over-long-field": "y,x,w\n" + "\n".join(_rows()) + "\n0." + "1" * 131_100 + ",0.5,0.5\n",
+}
+
+
+def _load_outcome(path):
+    try:
+        ds = load_csv_dataset(path)
+    except InputError as exc:
+        return str(exc)
+    return [ds.y, ds.x, ds.w, ds.mu]
+
+
+@pytest.mark.parametrize("name", [*_BULK, *_ROW_LOOP])
+def test_csv_bulk_parse_matches_row_loop(tmp_path, monkeypatch, name):
+    text = _BULK.get(name, _ROW_LOOP.get(name))
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (cli_module._bulk_table(text) is not None) == (name in _BULK)
+    bulk = _load_outcome(str(path))
+    monkeypatch.setattr(cli_module, "_bulk_table", lambda text: None)
+    rows = _load_outcome(str(path))
+    if isinstance(rows, str):
+        assert bulk == rows
+        return
+    assert not isinstance(bulk, str), bulk
+    for got, want in zip(bulk, rows):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+
+
+def test_csv_malformed_files_keep_their_messages(tmp_path):
+    cases = {
+        "": "file is empty",
+        "y,x,w\n": "need at least 20 rows, got 0",
+        "y,x,w\n1,2\n": "line 2: expected 3 cells, got 2",
+        "y,x,w\n0.1,0.2,0.3\nnan,0.5,0.5\n": "line 3: non-finite value in column 'y'",
+        "y,x,w\n0.1, ,0.5\n": "line 2: missing value in column 'x'",
+        "y,x,w\n0.1,0.2,0.3\n\n0.1,b,0.5\n": "line 4: non-numeric value 'b' in column 'x'",
+        "y,x,w\n0.1,0.2,0.3\n": "need at least 20 rows, got 1",
+        "y,y,x,w\n1,1,2,3\n": "duplicate column names in header",
+        "y,x1,x3,w\n1,1,2,3\n": "x-columns must be consecutive",
+        "y,w\n1,2\n": "regressor column 'x' (or x1..xd) is missing",
+        "y,x,w,mu\n" + "\n".join(["0.1,0.2,0.3,-1"] * 20): "weight column 'mu' must be nonnegative",
+    }
+    for i, (text, message) in enumerate(cases.items()):
+        path = write_csv(tmp_path, f"bad{i}.csv", text)
+        with pytest.raises(InputError) as info:
+            load_csv_dataset(path)
+        assert str(info.value).startswith(path) and message in str(info.value), text
+
+
+def test_csv_undecodable_file_is_an_input_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,x,w\n0.1,0.2,\xff\n")
+    with pytest.raises(InputError, match="cannot read"):
+        load_csv_dataset(str(path))
 
 
 # ------------------------------------------------------------------ cmd: test
@@ -145,6 +248,18 @@ def test_cmd_test_malformed_inputs_exit_2(tmp_path, capsys):
         code = run_cli("test", path, "--null", "decreasing")
         capsys.readouterr()
         assert code == 2, name
+
+
+def test_cmd_test_nonfinite_statistics_exit_3(tmp_path, capsys):
+    # y x 1e160 overflows D and v; the report used to carry W = NaN and reject: false
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=2.0), RngStream(18, 0)))
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, np.column_stack([data.y * 1e160, data.x, data.w]), fmt="%.17g", delimiter=",",
+               header="y,x,w", comments="")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("test", str(path), "--grid", "knots", "--kfactor", "2", "--format", "json")
+    assert code == 3
+    assert "non-finite statistic" in capsys.readouterr().err
 
 
 def test_cmd_test_missing_file_exit_2(capsys):
