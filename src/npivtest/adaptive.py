@@ -25,8 +25,8 @@ import numpy as np
 
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
-from .linalg import frobenius_norm, orthonormal_range, sym_inv_sqrt
-from .npiv import NpivFit, _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
+from .linalg import _lapack, frobenius_norm, orthonormal_range, sym_inv_sqrt
+from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -318,7 +318,7 @@ def compute_shat(psi, b, omega=None) -> float:
     hb = sym_inv_sqrt(b.T @ b / n, "instrument gram B'B")
     hw = sym_inv_sqrt(psi.T @ (psi * om[:, None]) / n, "weighted regressor gram Psi'Omega Psi")
     a = hb @ (b.T @ psi / n) @ hw
-    svals = np.linalg.svd(a, compute_uv=False)
+    svals = _lapack(np.linalg.svd, a, compute_uv=False)
     return float(svals[-1])
 
 
@@ -461,21 +461,24 @@ def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
     return _candidate_pass(n, config, step, candidate, config.basis_min())
 
 
-def compute_D(restricted_residuals, fit: NpivFit) -> float:
-    """Centered leave-one-out quadratic form of the restricted residuals.
+def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
+    scaled_map = np.asarray(scaled_map, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if scaled_map.ndim != 2 or r.shape != (scaled_map.shape[1],):
+        raise InputError(f"need a 2-d map and one residual per column, got {scaled_map.shape} and {r.shape}")
+    return scaled_map, r
 
-    Equals 2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'} with
-    Q = sqrt(n) Psi C; may be negative.
+
+def compute_D(scaled_map, r) -> float:
+    """Centered leave-one-out quadratic form (|S r|^2 - sum_i r_i^2 |S_i|^2) / (n - 1); may be negative.
+
+    S is the map compute_vhat takes. With S = NpivFit.scaled_map = L'C this is
+    2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'}, Q = sqrt(n) Psi C.
     """
-    r = np.asarray(restricted_residuals, dtype=float)
-    n = fit.n
-    if r.shape != (n,):
-        raise InputError(f"residual vector must have shape ({n},), got {r.shape}")
-    t = fit.coeff_map @ r
-    quad = float(t @ fit.gram_weighted @ t)
-    col_norms2 = np.sum(fit.scaled_map**2, axis=0)
-    loo = float(np.sum(r * r * col_norms2))
-    return (quad - loo) / (n - 1)
+    scaled_map, r = _map_and_residuals(scaled_map, r)
+    t = scaled_map @ r
+    loo = float(np.sum(r * r * np.sum(scaled_map**2, axis=0)))
+    return (float(t @ t) - loo) / (r.shape[0] - 1)
 
 
 def compute_vhat(scaled_map, u) -> float:
@@ -485,10 +488,7 @@ def compute_vhat(scaled_map, u) -> float:
     structural statistic passes NpivFit.scaled_map, the image-space statistic
     the transposed orthonormal instrument basis U_B'.
     """
-    scaled_map = np.asarray(scaled_map, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if scaled_map.ndim != 2 or u.shape != (scaled_map.shape[1],):
-        raise InputError(f"need a 2-d map and one residual per column, got {scaled_map.shape} and {u.shape}")
+    scaled_map, u = _map_and_residuals(scaled_map, u)
     e = scaled_map * u[None, :]
     return frobenius_norm(e @ e.T)
 
@@ -497,7 +497,7 @@ def gamma_hat(m: ConstraintMatrix, active_set) -> int:
     """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows, at least 1."""
     if len(active_set) == 0:
         return 1
-    return max(1, int(np.linalg.matrix_rank(m.rows[active_set])))
+    return max(1, int(_lapack(np.linalg.matrix_rank, m.rows[active_set])))
 
 
 def eta_hat(alpha: float, grid_size: int, gamma: int) -> float:
@@ -548,23 +548,11 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                 model = null.model if null.custom_design is None else null.custom_design
                 rfit = fit_restricted_parametric(y, x, model, fit.u_b, rcond=config.rcond)
                 gamma = j
-            d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(rfit.residuals_r, fit)
+            d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(fit.scaled_map, rfit.residuals_r)
             v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit.scaled_map, fit.residuals)
-            d_cand = None
-            if candidate_values is not None:
-                d_cand = compute_D(y - candidate_values, fit)
-            entries.append(
-                _ScanEntry(
-                    j=j,
-                    k=fit.k_dim,
-                    d_stat=d_stat,
-                    v_stat=v_stat,
-                    s_hat=s_hat,
-                    gamma=gamma,
-                    n_active=len(rfit.active_set),
-                    d_candidate=d_cand,
-                )
-            )
+            d_cand = None if candidate_values is None else compute_D(fit.scaled_map, y - candidate_values)
+            entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
+                                      n_active=len(rfit.active_set), d_candidate=d_cand))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
 
@@ -747,7 +735,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     def step(k: int):
         specs, b = config.instrument_design(k, w)
         gb = b.T @ b / n
-        evals = np.linalg.eigvalsh(0.5 * (gb + gb.T))
+        evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
             raise NumericalError("instrument gram B'B is numerically singular")
         return b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b
@@ -761,10 +749,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
         if _numerically_zero(r, y):
             d_stat, v_stat = 0.0, 0.0
         else:
-            proj = u_b.T @ r
-            row_norms2 = np.sum(u_b**2, axis=1)
-            d_stat = (float(proj @ proj) - float(np.sum(r * r * row_norms2))) / (n - 1)
-            v_stat = compute_vhat(u_b.T, r)
+            d_stat, v_stat = compute_D(u_b.T, r), compute_vhat(u_b.T, r)
         # chi-square df nets out the parameters the restricted fit consumed
         # inside the instrument projection; centering stays at K
         entries.append(

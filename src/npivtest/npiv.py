@@ -1,9 +1,9 @@
 """Sieve IV estimators.
 
 fit_from_design computes the series two-stage least-squares coefficients
-beta = [Psi' P_B Psi]^- Psi' P_B y and keeps the coefficient operator
-C = [Psi' P_B Psi]^- Psi' P_B, which is the building block of every
-downstream statistic (the centered quadratic form uses Q = sqrt(n) Psi C).
+beta = [Psi' P_B Psi]^- Psi' P_B y and keeps the standardized coefficient
+operator L'C, with C = [Psi' P_B Psi]^- Psi' P_B and L L' = Psi' Omega Psi,
+which is the building block of every downstream statistic.
 
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import ConstraintMatrix
 from .errors import InputError, NumericalError
-from .linalg import default_rcond, orthonormal_range, pinv
+from .linalg import _lapack, default_rcond, orthonormal_range, pinv
 
 __all__ = [
     "NpivFit",
@@ -49,7 +49,7 @@ def _weights(mu, n: int) -> np.ndarray:
 
 def _psd_factor(g: np.ndarray) -> np.ndarray:
     """Square factor L with L L' = g for symmetric PSD g (eigh-based, rank-safe)."""
-    evals, evecs = np.linalg.eigh(0.5 * (g + g.T))
+    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
     evals = np.clip(evals, 0.0, None)
     return evecs * np.sqrt(evals)
 
@@ -62,7 +62,6 @@ class NpivFit:
     fitted: np.ndarray
     residuals: np.ndarray
     gram_weighted: np.ndarray
-    coeff_map: np.ndarray  # C (J x n); Q r = sqrt(n) Psi (C r)
     scaled_map: np.ndarray  # L' C with L L' = Psi' Omega Psi; rows of the standardized coefficient operator
     u_b: np.ndarray  # orthonormal basis of the instrument design's column space
     psi: np.ndarray
@@ -122,8 +121,7 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
             f"projected regressor design is rank deficient (min/max singular value "
             f"{t_svals[-1]:.3e}/{t_svals[0]:.3e}); pseudo-inverse truncation applied"
         )
-    coeff_map = t_pinv @ u_b.T
-    beta = coeff_map @ y
+    beta = t_pinv @ (u_b.T @ y)
     fitted = psi @ beta
     gram_weighted = psi.T @ (psi * mu[:, None])
     gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
@@ -132,8 +130,7 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
         fitted=fitted,
         residuals=y - fitted,
         gram_weighted=gram_weighted,
-        coeff_map=coeff_map,
-        scaled_map=_psd_factor(gram_weighted).T @ coeff_map,
+        scaled_map=(_psd_factor(gram_weighted).T @ t_pinv) @ u_b.T,
         u_b=u_b,
         psi=psi,
         y=y,
@@ -164,7 +161,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
     def solve():
         z = np.zeros(p)
-        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        z[passive] = _lapack(np.linalg.lstsq, a[:, passive], b, rcond=None)[0]
         return z
 
     for _ in range(3 * p):
@@ -215,11 +212,11 @@ def cone_project(v, g, m):
     scale = float(np.linalg.norm(v))
     if np.all(rows @ v <= ACTIVE_TOL * scale * np.linalg.norm(rows, axis=1)):
         return v.copy(), _active_rows(rows, v, scale)
-    a = np.linalg.solve(chol, rows.T)
+    a = _lapack(np.linalg.solve, chol, rows.T)
     lam = _nnls(a, chol.T @ v)
     if lam is None:
         raise NumericalError(f"cone projection did not converge (J={j}, rows={rows.shape[0]})")
-    beta = v - np.linalg.solve(chol.T, a @ lam)
+    beta = v - _lapack(np.linalg.solve, chol.T, a @ lam)
     return beta, _active_rows(rows, beta, scale)
 
 
@@ -240,8 +237,8 @@ def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
 def parametric_design(x, model) -> tuple[np.ndarray, str]:
     """Design matrix for a named parametric null, or a user-supplied one."""
     if isinstance(model, np.ndarray):
-        z = np.atleast_2d(np.asarray(model, dtype=float))
-        return z, "custom"
+        z = np.asarray(model, dtype=float)
+        return (z.reshape(-1, 1) if z.ndim < 2 else z), "custom"  # an (n,) design is one column
     x = np.asarray(x, dtype=float)
     if model in ("linear", "quadratic") and x.ndim != 1:
         raise InputError(f"named model {model!r} expects a scalar regressor; pass a custom design instead")

@@ -15,6 +15,7 @@ import numpy as np
 
 from npivtest.basis import ConstraintMatrix
 from npivtest.errors import InputError, NumericalError
+from npivtest.linalg import _as_matrix, _lapack, default_rcond
 
 _MAX_GAMMA_ITER = 500
 _GAMMA_EPS = 1e-15
@@ -104,6 +105,18 @@ def simpson(f, lo: float, hi: float, n: int = 2001):
 
 def dense_projector(b: np.ndarray) -> np.ndarray:
     return b @ np.linalg.pinv(b.T @ b) @ b.T
+
+
+def orthonormal_range_svd(b, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis (n x r) of the column space of b, rank-truncated."""
+    b = _as_matrix(b)
+    if rcond is None:
+        rcond = default_rcond(b.shape)
+    u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
+    rank = int(np.sum(s > rcond * s[0]))
+    if rank == 0:
+        raise NumericalError("matrix has numerical rank zero; no range to project on")
+    return u[:, :rank]
 
 
 def sym_sqrt(g: np.ndarray) -> np.ndarray:

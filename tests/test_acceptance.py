@@ -210,7 +210,7 @@ def test_criterion_6_oracle_equivalence_suite():
         y = gen.normal(size=n)
         fit = fit_from_design(y, psi, b)
         r = gen.normal(size=n)
-        fast, slow = compute_D(r, fit), brute_D(r, psi, b)
+        fast, slow = compute_D(fit.scaled_map, r), brute_D(r, psi, b)
         assert fast == pytest.approx(slow, rel=1e-10, abs=1e-13)
 
     # cone projection vs exhaustive active-set oracle: 500 instances, J <= 6, 1e-8

@@ -162,7 +162,7 @@ def test_grid_needs_20_obs():
 
 def test_compute_D_zero_residuals(rng):
     fit, *_ = small_fit(rng)
-    assert compute_D(np.zeros(fit.n), fit) == 0.0
+    assert compute_D(fit.scaled_map, np.zeros(fit.n)) == 0.0
 
 
 def test_compute_D_matches_brute_force_small(rng):
@@ -173,14 +173,14 @@ def test_compute_D_matches_brute_force_small(rng):
         y = rng.normal(size=n)
         fit = fit_from_design(y, psi, b)
         r = rng.normal(size=n)
-        assert compute_D(r, fit) == pytest.approx(brute_D(r, psi, b), rel=1e-10, abs=1e-12)
+        assert compute_D(fit.scaled_map, r) == pytest.approx(brute_D(r, psi, b), rel=1e-10, abs=1e-12)
 
 
 def test_compute_D_quadratic_scaling(rng):
     fit, *_ = small_fit(rng)
     r = rng.normal(size=fit.n)
-    base = compute_D(r, fit)
-    assert compute_D(3.0 * r, fit) == pytest.approx(9.0 * base, rel=1e-10)
+    base = compute_D(fit.scaled_map, r)
+    assert compute_D(fit.scaled_map, 3.0 * r) == pytest.approx(9.0 * base, rel=1e-10)
 
 
 def test_compute_D_weighted_matches_brute(rng):
@@ -192,7 +192,7 @@ def test_compute_D_weighted_matches_brute(rng):
     y = rng.normal(size=n)
     fit = fit_from_design(y, psi, b, mu=mu)
     r = rng.normal(size=n)
-    assert compute_D(r, fit) == pytest.approx(brute_D(r, psi, b, mu), rel=1e-9, abs=1e-12)
+    assert compute_D(fit.scaled_map, r) == pytest.approx(brute_D(r, psi, b, mu), rel=1e-9, abs=1e-12)
 
 
 def test_vhat_zero_and_constant_residuals(rng):
@@ -447,28 +447,56 @@ def test_parametric_null_factors_each_instrument_design_once(monkeypatch):
     assert factorizations["calls"] == len(rep.per_j)
 
 
-@pytest.mark.parametrize("null, svds", [("decreasing", 3), ("linear", 4)])
+@pytest.mark.parametrize("null, svds", [("decreasing", 2), ("linear", 3)])
 def test_structural_candidate_decomposes_each_matrix_once(monkeypatch, null, svds):
-    # SVDs of B (U_B), U_B'Psi (pseudo-inverse) and the s_J cross-gram, plus Z's
-    # projection U_B'Z for a parametric null; eigh of the two grams in s_J and of
-    # Psi'Omega Psi for the scaled map
+    # SVDs of U_B'Psi (pseudo-inverse) and the s_J cross-gram, plus Z's
+    # projection U_B'Z for a parametric null; eigh of B'B (U_B), of the two
+    # grams in s_J and of Psi'Omega Psi for the scaled map
     calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh", "eigvalsh")}
     data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 3)))
     rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name(null), config=RunConfig(grid=(3, 4, 5)))
     assert rep.grid.size == 3
     assert calls["svd"]["calls"] <= svds * rep.grid.size
-    assert calls["eigh"]["calls"] <= 3 * rep.grid.size
+    assert calls["eigh"]["calls"] <= 4 * rep.grid.size
     assert calls["eigvalsh"]["calls"] == 0
 
 
 def test_image_space_candidate_decomposes_each_instrument_design_once(monkeypatch):
-    # one SVD of B_K gives U_B for D_K, v_K and the fit; one more for U_B'Z
+    # one eigh of B_K'B_K gives U_B for D_K, v_K and the fit; one SVD for U_B'Z
     calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh")}
     data = generate(DesignConfig("I", 1000, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 4)))
     rep = image_space_test(data.y, data.x, data.w, "linear")
     assert len(rep.per_j) >= 2
-    assert calls["svd"]["calls"] <= 2 * len(rep.per_j)
-    assert calls["eigh"]["calls"] == 0
+    assert calls["svd"]["calls"] <= len(rep.per_j)
+    assert calls["eigh"]["calls"] <= len(rep.per_j)
+
+
+@pytest.mark.parametrize("basis, grid, tensor", [
+    ("bspline2", (4, 8), True), ("bspline3", (4, 8), False), ("cosine", (4, 8), True), ("power", (2,), False),
+], ids=["bspline2", "bspline3", "cosine", "power"])
+def test_well_conditioned_instrument_designs_take_no_tall_svd(monkeypatch, basis, grid, tensor):
+    # B-spline and cosine instrument designs (K = 16, 32, and 2-d tensor
+    # products) are factored through their K x K gram; the power series at
+    # K = 8 is too ill-conditioned for it and falls back to the n x K SVD.
+    # A 2-d tensor of cubic B-splines has cond(B'B) near 35^2 and takes the SVD.
+    n = 1000
+    tall = {"calls": 0}
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        tall["calls"] += np.shape(a)[0] == n
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cfg = RunConfig(basis=basis, grid=grid)
+    data = generate(DesignConfig("I", n, 0.5, HSpec("mono", c0=0.1), RngStream(4, 5)))
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("linear"), config=cfg)
+    assert [rec.k for rec in rep.per_j] == [4 * j for j in grid]
+    if tensor:
+        data = generate(DesignConfig("multivariate", n, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 5)))
+        rep = image_space_test(data.y, data.x, data.w, np.column_stack([np.ones(n), data.x]), config=cfg)
+        assert max(rec.k for rec in rep.per_j) >= 9
+    assert (tall["calls"] > 0) == (basis == "power")
 
 
 # ------------------------------------------------------------ confidence set
@@ -633,4 +661,37 @@ def test_image_space_scan_starts_at_the_null_parameter_count(basis, model, n_par
 def test_image_space_custom_design_needs_one_row_per_observation():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
     with pytest.raises(InputError, match="parametric design and y must share the number of rows"):
-        image_space_test(data.y, data.x, data.w, data.x)  # a 1-d design reads as one row of n columns
+        image_space_test(data.y, data.x, data.w, data.x[:150])
+
+
+def test_one_dimensional_custom_design_is_one_column():
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    cfg = RunConfig(grid="knots", k_factor=2)
+    column, flat = (NullSpec(kind="parametric", custom_design=z) for z in (data.x[:, None], data.x))
+    expected = adaptive_test(data.y, data.x, data.w, column, config=cfg).to_dict()
+    assert json.dumps(adaptive_test(data.y, data.x, data.w, flat, config=cfg).to_dict()) == json.dumps(expected)
+    expected = image_space_test(data.y, data.x, data.w, data.x[:, None], config=cfg).to_dict()
+    assert json.dumps(image_space_test(data.y, data.x, data.w, data.x, config=cfg).to_dict()) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("name, statistic", [
+    ("svd", "structural"), ("eigh", "structural"), ("lstsq", "structural"), ("solve", "structural"),
+    ("matrix_rank", "structural"), ("eigvalsh", "image-space"),
+])
+def test_lapack_failures_are_numerical_errors(monkeypatch, name, statistic):
+    # a decreasing null on an increasing truth binds the cone, so the NNLS and
+    # the active-rank calls run too
+    calls = {"calls": 0}
+
+    def failing(*args, **kwargs):
+        calls["calls"] += 1
+        raise np.linalg.LinAlgError(f"{name} failed")
+
+    data = generate(DesignConfig("I", 400, 0.5, HSpec("sin", c_a=2.0), RngStream(18, 0)))
+    monkeypatch.setattr(np.linalg, name, failing)
+    with pytest.raises(NumericalError):
+        if statistic == "structural":
+            adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), config=RunConfig(grid=(4,)))
+        else:
+            image_space_test(data.y, data.x, data.w, "linear")
+    assert calls["calls"] > 0

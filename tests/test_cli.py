@@ -262,6 +262,15 @@ def test_cmd_test_nonfinite_statistics_exit_3(tmp_path, capsys):
     assert "non-finite statistic" in capsys.readouterr().err
 
 
+def test_cmd_test_lapack_failure_exit_3(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", failing)
+    assert run_cli("test", ENGEL, "--null", "decreasing", "--grid", "knots", "--kfactor", "2") == 3
+    assert "Singular matrix" in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exit_2(capsys):
     assert run_cli("test", "/nonexistent/data.csv") == 2
     assert "input error" in capsys.readouterr().err

@@ -1,0 +1,63 @@
+"""Every numpy.linalg routine the package calls maps a LAPACK failure to NumericalError."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "npivtest"
+# routines that cannot raise LinAlgError, and the exception class itself
+UNGUARDED = {"norm", "LinAlgError"}
+
+
+def _is_np_linalg(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def _catches_linalg_error(handler: ast.ExceptHandler) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(k, ast.Attribute) and k.attr == "LinAlgError" and _is_np_linalg(k.value) for k in kinds)
+
+
+def unguarded_linalg_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each np.linalg.<name> that is neither _lapack's first argument nor inside a
+    try body that catches np.linalg.LinAlgError."""
+    guarded: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack" and node.args:
+            guarded.add(id(node.args[0]))
+        if isinstance(node, ast.Try) and any(_catches_linalg_error(h) for h in node.handlers):
+            guarded.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and _is_np_linalg(node.value)
+        and node.attr not in UNGUARDED and id(node) not in guarded
+    ]
+
+
+def test_linalg_calls_are_mapped_to_numerical_errors():
+    # a LinAlgError that escapes aborts a whole Monte Carlo experiment instead
+    # of counting one failed replication
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg")), path
+            assert not (isinstance(node, ast.alias) and node.name.startswith("numpy.linalg")), path
+        unguarded = unguarded_linalg_uses(tree)
+        if unguarded:
+            found[path.name] = unguarded
+    assert found == {}
+
+
+def test_the_lint_sees_unguarded_calls():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = np.linalg.svd(m)\n"
+        "b = _lapack(np.linalg.svd, m)\n"
+        "c = _lapack(f, np.linalg.eigh(m))\n"
+        "try:\n    d = np.linalg.cholesky(m)\nexcept np.linalg.LinAlgError:\n    pass\n"
+        "try:\n    e = np.linalg.solve(m, v)\nexcept ValueError:\n    pass\n"
+        "f = np.linalg.norm(v)\n"
+    )
+    assert unguarded_linalg_uses(tree) == [(2, "svd"), (4, "eigh"), (10, "solve")]

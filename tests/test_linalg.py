@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import npivtest.linalg as linalg_module
+from npivtest.basis import BasisSpec, eval_design, tensor_design
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import frobenius_norm, orthonormal_range, pinv, sym_inv_sqrt
+
+from oracles import orthonormal_range_svd
 
 # pinv returns the singular values of its one SVD; the svd tests read them there
 
@@ -89,6 +93,88 @@ def test_projection_reproduces_range(rng):
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
     np.testing.assert_allclose(q @ (q.T @ b), b, atol=1e-10)
     assert q.shape[1] == np.linalg.matrix_rank(b)
+
+
+SWEEP_BASES = {"bspline2": ("bspline", 3), "bspline3": ("bspline", 4), "cosine": ("cosine", 2), "power": ("power", 2)}
+
+
+def sweep_designs(basis: str, n: int):
+    """Instrument designs of one basis at n points: K up to 32, both knot rules, 2-d tensor products."""
+    family, order = SWEEP_BASES[basis]
+    gen = np.random.default_rng(n)
+    w, w2 = gen.uniform(size=n), gen.uniform(size=(n, 2))
+    for rule in ("equispaced", "quantile"):
+        for k in sorted({order, 4, 5, 6, 8, 12, 16, 24, 32}):
+            if k < n:
+                yield eval_design(BasisSpec(family, k, order, knot_rule=rule, knot_data=w), w)
+        for per_dim in (order, 5):
+            specs = [BasisSpec(family, per_dim, order, knot_rule=rule, knot_data=w2[:, i]) for i in range(2)]
+            yield tensor_design(specs, w2)
+
+
+@pytest.mark.parametrize("n", [60, 500, 5000])
+@pytest.mark.parametrize("basis", sorted(SWEEP_BASES))
+def test_orthonormal_range_matches_svd_oracle(basis, n):
+    # the gram path and the SVD span the same space up to a rotation: same rank,
+    # orthonormal columns, same projection; a zero or duplicated column and a
+    # large user rcond send the design to the truncating SVD
+    gen = np.random.default_rng(7)
+    truncated = 0
+    for b in sweep_designs(basis, n):
+        cases = [(b, None), (np.column_stack([b, np.zeros(n)]), None), (np.column_stack([b, b[:, :1]]), None),
+                 (b, 1e-3), (b, 0.5)]
+        for design, rcond in cases:
+            u, oracle = orthonormal_range(design, rcond), orthonormal_range_svd(design, rcond)
+            assert u.shape == oracle.shape
+            truncated += u.shape[1] < design.shape[1]
+            np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+            x = gen.normal(size=(n, 3))
+            expected = oracle @ (oracle.T @ x)
+            assert np.linalg.norm(u @ (u.T @ x) - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert truncated > 0
+
+
+def _count_tall_svds(monkeypatch, n: int) -> dict:
+    counter = {"calls": 0}
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        counter["calls"] += np.shape(a)[0] == n
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counter
+
+
+def test_nonfinite_gram_falls_back_to_the_svd(monkeypatch):
+    # entries near the overflow threshold make b'b infinite; the SVD still factors b
+    b = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
+    tall = _count_tall_svds(monkeypatch, 3)
+    with np.errstate(over="ignore"):
+        u = orthonormal_range(b)
+    assert tall["calls"] == 1
+    np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
+
+
+def test_failed_gram_eigh_falls_back_to_the_svd(monkeypatch, rng):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    b = rng.normal(size=(40, 4))
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    tall = _count_tall_svds(monkeypatch, 40)
+    u = orthonormal_range(b)
+    assert tall["calls"] == 1
+    oracle = orthonormal_range_svd(b)
+    np.testing.assert_allclose(u @ u.T, oracle @ oracle.T, atol=1e-12)
+
+
+def test_lapack_failure_is_a_numerical_error():
+    def failing(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with pytest.raises(NumericalError, match=r"failing failed for \(2, 2\) matrix: Singular matrix"):
+        linalg_module._lapack(failing, np.eye(2), np.ones(2))
 
 
 def test_sym_inv_sqrt_identity():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import npivtest.sim as sim_module
 from npivtest.errors import InputError
 from npivtest.sim import ExperimentSpec, reproduce, run_power, run_size
 
@@ -155,3 +156,26 @@ def test_reproduce_supp_d_has_both_statistics():
     assert stats == {"structural", "image-space"}
     designs = {row["design"] for row in out["rows"]}
     assert designs == {"I", "multivariate"}
+
+
+def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
+    # the s_J singular values of the second replication's data fail to converge
+    datasets = {"made": 0}
+    generate, svd = sim_module.generate, np.linalg.svd
+
+    def counting_generate(cfg):
+        datasets["made"] += 1
+        return generate(cfg)
+
+    def failing_svd(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv and datasets["made"] == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(sim_module, "generate", counting_generate)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    out = reproduce("T1", replications=100, seed=3, n_values=(500,), xi_values=(0.5,),
+                    c0_values=(1.0,), k_factors=(2,))
+    (summary,) = out["summaries"].values()
+    assert [cell.failures for cell in summary.cells] == [1]
+    assert datasets["made"] == 100
