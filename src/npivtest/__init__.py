@@ -9,9 +9,7 @@ from .adaptive import (
     RunConfig,
     TestReport,
     adaptive_test,
-    build_grid,
     compute_D,
-    compute_shat,
     compute_vhat,
     cs_contains,
     eta_hat,
@@ -22,7 +20,7 @@ from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, 
 from .dgp import Dataset, DesignConfig, HSpec, generate, h_mono, h_sin
 from .errors import InputError, NumericalError
 from .npiv import NpivFit, RestrictedFit, cone_project, fit_from_design, fit_restricted_cone, fit_restricted_parametric
-from .randdist import CovarianceSpec, RngStream, chisq_quantile, mvn_sample, std_normal_cdf, std_normal_quantile
+from .randdist import CovarianceSpec, RngStream, chisq_quantile, mvn_sample, std_normal_cdf
 from .sim import ExperimentSpec, McSummary, reproduce, run_power, run_size
 
 __version__ = "0.1.0"
@@ -40,7 +38,6 @@ __all__ = [
     "RngStream",
     "CovarianceSpec",
     "std_normal_cdf",
-    "std_normal_quantile",
     "chisq_quantile",
     "mvn_sample",
     "NpivFit",
@@ -55,10 +52,8 @@ __all__ = [
     "CandidateRecord",
     "TestReport",
     "adaptive_test",
-    "build_grid",
     "compute_D",
     "compute_vhat",
-    "compute_shat",
     "gamma_hat",
     "eta_hat",
     "cs_contains",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from .errors import InputError, NumericalError
-from .linalg import _lapack, frobenius_norm, orthonormal_range, sym_inv_sqrt
+from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
@@ -35,8 +35,6 @@ __all__ = [
     "CandidateGrid",
     "CandidateRecord",
     "TestReport",
-    "compute_shat",
-    "build_grid",
     "compute_D",
     "compute_vhat",
     "gamma_hat",
@@ -307,21 +305,6 @@ def _numerically_zero(residuals: np.ndarray, y: np.ndarray) -> bool:
     return float(np.max(np.abs(residuals), initial=0.0)) <= 1e-12 * float(np.max(np.abs(y)))
 
 
-def compute_shat(psi, b, omega=None) -> float:
-    """Minimal singular value of the orthonormalized cross-gram (B'B)^{-1/2} B'Psi (Psi'O Psi)^{-1/2}."""
-    psi = np.asarray(psi, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if psi.shape[0] != b.shape[0]:
-        raise InputError("Psi and B must share the number of rows")
-    n = psi.shape[0]
-    om = _weights(omega, n)
-    hb = sym_inv_sqrt(b.T @ b / n, "instrument gram B'B")
-    hw = sym_inv_sqrt(psi.T @ (psi * om[:, None]) / n, "weighted regressor gram Psi'Omega Psi")
-    a = hb @ (b.T @ psi / n) @ hw
-    svals = _lapack(np.linalg.svd, a, compute_uv=False)
-    return float(svals[-1])
-
-
 def _res_parameters(n: int) -> tuple[int, int, int]:
     if n < 20:
         raise InputError(f"need at least 20 observations, got {n}")
@@ -437,30 +420,6 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> Candi
     )
 
 
-def build_grid(x, w, config: RunConfig, mu=None, visit=None) -> CandidateGrid:
-    """Candidate dimensions J of the structural scan, with s_J of Psi_J and B_K, K = k_factor * J.
-
-    Each J's designs are evaluated once; for a candidate J, visit(j, psi_spec,
-    psi, b, s_j) gets them (adaptive_scan computes the per-J statistics there).
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = x.shape[0]
-    knot_data = x if config.knot_rule == "quantile" else None
-
-    def step(j: int):
-        psi_spec = config.psi_spec(j, knot_data)
-        psi = eval_design(psi_spec, x)
-        _, b = config.instrument_design(config.k_factor * j, w)
-        return j, _noise_level(psi_spec, j, n), compute_shat(psi, b, mu), (psi_spec, psi, b)
-
-    def candidate(j: int, s_j: float, designs):
-        if visit is not None:
-            visit(j, *designs, s_j)
-
-    return _candidate_pass(n, config, step, candidate, config.basis_min())
-
-
 def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
     scaled_map = np.asarray(scaled_map, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -524,39 +483,54 @@ class _ScanEntry:
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
     """Alpha-free part of the test: grid plus per-J statistics, in one pass.
 
-    build_grid hands each candidate's designs, still live from s_J, to the
-    fits, D_J and v_J here; a parametric null is fitted on the unrestricted
-    fit's instrument basis U_B. candidate_values, when given, are fitted
-    values of a hypothesized function at the sample points; each entry then
-    also carries the leave-one-out statistic at that candidate (for
-    confidence-set inversion).
+    Each stepped J evaluates Psi_J and B_K, K = k_factor * J, and fits them
+    once: the fit's s_hat is the stability measure s_J, and for a candidate
+    the same fit feeds the restricted fit, D_J and v_J; a parametric null is
+    fitted on the unrestricted fit's instrument basis U_B. candidate_values,
+    when given, are fitted values of a hypothesized function at the sample
+    points; each entry then also carries the leave-one-out statistic at that
+    candidate (for confidence-set inversion).
     """
     y, x, w, n = _checked_data(y, x, w)
+    if x.ndim != 1:
+        raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
     mu = _weights(mu, n)
+    knot_data = x if config.knot_rule == "quantile" else None
     entries = []
     fit_warnings: list[str] = []
 
-    def statistics(j: int, psi_spec: BasisSpec, psi: np.ndarray, b: np.ndarray, s_hat: float):
+    def step(j: int):
+        psi_spec = config.psi_spec(j, knot_data)
+        psi = eval_design(psi_spec, x)
+        _, b = config.instrument_design(config.k_factor * j, w)
+        if b.shape[1] >= n and not isinstance(config.grid, tuple):
+            # B'B has rank at most n < K, which ends a scanned grid's stability scan
+            raise NumericalError(f"instrument gram B'B is numerically singular (dim {b.shape[1]})")
+        fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
+        return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, fit)
+
+    def statistics(j: int, s_hat: float, designs):
+        psi_spec, fit = designs
+        fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
         try:
-            fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
-            fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
             if null.kind == "shape":
                 m = null.constraints(psi_spec)
                 rfit = fit_restricted_cone(fit, m)
                 gamma = gamma_hat(m, rfit.active_set)
             else:
                 model = null.model if null.custom_design is None else null.custom_design
-                rfit = fit_restricted_parametric(y, x, model, fit.u_b, rcond=config.rcond)
+                rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r, rcond=config.rcond)
                 gamma = j
-            d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(fit.scaled_map, rfit.residuals_r)
-            v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(fit.scaled_map, fit.residuals)
-            d_cand = None if candidate_values is None else compute_D(fit.scaled_map, y - candidate_values)
+            s = fit.scaled_map
+            d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(s, rfit.residuals_r)
+            v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(s, fit.residuals)
+            d_cand = None if candidate_values is None else compute_D(s, y - candidate_values)
             entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
                                       n_active=len(rfit.active_set), d_candidate=d_cand))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
 
-    grid = build_grid(x, w, config, mu, visit=statistics)
+    grid = _candidate_pass(n, config, step, statistics, config.basis_min())
     return grid, entries, [*_clamp_warnings(config, x=x, w=w), *grid.warnings, *fit_warnings], n
 
 
@@ -732,6 +706,10 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     model = null.model if null.custom_design is None else null.custom_design
     entries = []
 
+    # the step forms B'B for lambda_max only and factors no design: the scan steps far more
+    # dimensions than it visits (240 against 32 in one 4-replication supp-D call at n = 5000,
+    # xi = 0.5), and orthonormal_range costs 15-170 us more per step than the gram and
+    # eigvalsh (n = 5000, K = 3-36, one Xeon core)
     def step(k: int):
         specs, b = config.instrument_design(k, w)
         gb = b.T @ b / n
@@ -743,13 +721,14 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     def statistics(realized: int, smin: float, b: np.ndarray):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        u_b = orthonormal_range(b, config.rcond)
-        rfit = fit_restricted_parametric(y, x, model, u_b, rcond=config.rcond)
+        q, r_b, _ = orthonormal_range(b, config.rcond)
+        rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=config.rcond)
         r = rfit.residuals_r
         if _numerically_zero(r, y):
             d_stat, v_stat = 0.0, 0.0
         else:
-            d_stat, v_stat = compute_D(u_b.T, r), compute_vhat(u_b.T, r)
+            s = (q @ r_b).T
+            d_stat, v_stat = compute_D(s, r), compute_vhat(s, r)
         # chi-square df nets out the parameters the restricted fit consumed
         # inside the instrument projection; centering stays at K
         entries.append(

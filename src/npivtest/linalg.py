@@ -1,10 +1,10 @@
 """Dense matrix kernels used throughout the test machinery.
 
 Thin, contract-checked wrappers around LAPACK (via numpy): truncated
-Moore-Penrose pseudo-inverses, orthonormal range bases, and inverse square
-roots of positive definite grams. Generalized inverses use a relative
-singular-value cutoff; a range basis comes from the K x K gram b'b where that
-is well conditioned, and from the thin SVD of b elsewhere.
+Moore-Penrose pseudo-inverses and orthonormal range bases. Generalized
+inverses use a relative singular-value cutoff; a range basis comes from the
+K x K gram b'b where that is well conditioned, and from the thin SVD of b
+elsewhere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "pinv",
     "orthonormal_range",
-    "sym_inv_sqrt",
     "frobenius_norm",
     "default_rcond",
 ]
@@ -34,11 +33,11 @@ def default_rcond(shape: tuple[int, int]) -> float:
     return 1e-12 * max(shape)
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InputError(f"{name} must be 2-d with at least one row and column, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -69,46 +68,29 @@ def pinv(a, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     return (vt.T * inv_s) @ u.T, s
 
 
-def orthonormal_range(b, rcond: float | None = None) -> np.ndarray:
-    """Orthonormal basis (n x r) of the column space of b, rank-truncated at s <= rcond * s_max.
+def orthonormal_range(b, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, s): q @ r is an orthonormal basis (n x rank) of b's range, s b's singular values, descending.
 
-    Where b'b = V diag(lam) V' has lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and the
-    basis is b V diag(lam)^{-1/2}; otherwise (or for a non-finite b'b or a failed eigh) the thin SVD's U.
+    Where b'b = V diag(lam) V' has lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and
+    (q, r, s) = (b, V diag(lam)^{-1/2}, sqrt(lam) descending), so no n x K basis is formed; otherwise (or
+    for a non-finite b'b or a failed eigh) q is the thin SVD's U truncated at s <= rcond * s_max, r = I.
     """
-    b = _as_matrix(b)
+    b = _as_matrix(b, finite=False)
     if rcond is None:
         rcond = default_rcond(b.shape)
     g = b.T @ b
-    if np.all(np.isfinite(g)):
+    if np.all(np.isfinite(g)):  # so b is finite: g's diagonal sums the squares of b's columns
         with contextlib.suppress(NumericalError):  # a failed eigh falls through to the SVD
             lam, v = _lapack(np.linalg.eigh, g)
             if lam[0] > max(GRAM_FLOOR, rcond * rcond) * lam[-1]:
-                return b @ (v / np.sqrt(lam))
+                root = np.sqrt(lam)
+                return b, v / root, root[::-1]
+    b = _as_matrix(b)  # a non-finite entry is an input error; a finite b whose gram overflows takes the SVD
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
     rank = int(np.sum(s > rcond * s[0]))
     if rank == 0:
         raise NumericalError("matrix has numerical rank zero; no range to project on")
-    return u[:, :rank]
-
-
-def sym_inv_sqrt(g, name: str = "gram") -> np.ndarray:
-    """Inverse square root H of a symmetric positive definite gram G, H G H = I.
-
-    Raises NumericalError, naming the gram, when lambda_min <= rcond * lambda_max
-    with rcond = default_rcond(G.shape). Inputs with relative asymmetry above
-    1e-8 are rejected; below that, G is symmetrized first.
-    """
-    g = _as_matrix(g, name)
-    if g.shape[0] != g.shape[1]:
-        raise InputError(f"{name} must be square, got {g.shape}")
-    asym = np.max(np.abs(g - g.T))
-    scale = frobenius_norm(g)
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise InputError(f"{name} is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
-    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
-    if evals[-1] <= 0 or evals[0] <= default_rcond(g.shape) * evals[-1]:
-        raise NumericalError(f"{name} is numerically singular (dim {g.shape[0]})")
-    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
+    return u[:, :rank], np.eye(rank), s
 
 
 def frobenius_norm(a) -> float:

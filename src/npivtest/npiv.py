@@ -3,7 +3,8 @@
 fit_from_design computes the series two-stage least-squares coefficients
 beta = [Psi' P_B Psi]^- Psi' P_B y and keeps the standardized coefficient
 operator L'C, with C = [Psi' P_B Psi]^- Psi' P_B and L L' = Psi' Omega Psi,
-which is the building block of every downstream statistic.
+which is the building block of every downstream statistic, and the
+stability measure s_hat; it is the only place a candidate is factored.
 
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
@@ -47,13 +48,6 @@ def _weights(mu, n: int) -> np.ndarray:
     return mu
 
 
-def _psd_factor(g: np.ndarray) -> np.ndarray:
-    """Square factor L with L L' = g for symmetric PSD g (eigh-based, rank-safe)."""
-    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
-    evals = np.clip(evals, 0.0, None)
-    return evecs * np.sqrt(evals)
-
-
 @dataclass
 class NpivFit:
     """Unrestricted sieve IV fit with its operator pieces."""
@@ -62,17 +56,24 @@ class NpivFit:
     fitted: np.ndarray
     residuals: np.ndarray
     gram_weighted: np.ndarray
-    scaled_map: np.ndarray  # L' C with L L' = Psi' Omega Psi; rows of the standardized coefficient operator
-    u_b: np.ndarray  # orthonormal basis of the instrument design's column space
+    scaled_map_k: np.ndarray  # M^+ r' (J x K), the scaled map in instrument coordinates: scaled_map = scaled_map_k q'
+    q: np.ndarray  # q @ r is an orthonormal basis of the instrument design's column space
+    r: np.ndarray
     psi: np.ndarray
     y: np.ndarray
     mu: np.ndarray
     k_dim: int
+    s_hat: float  # smallest singular value of the orthonormalized cross-gram U_B' Psi L^{-T}
     warnings: list[str] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return self.psi.shape[0]
+
+    @property
+    def scaled_map(self) -> np.ndarray:
+        """L'C (J x n), L L' = Psi' Omega Psi; formed on each access, so a step reading only s_hat never forms it."""
+        return self.scaled_map_k @ self.q.T
 
     @property
     def j_dim(self) -> int:
@@ -91,7 +92,12 @@ class RestrictedFit:
 
 
 def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
-    """Unrestricted fit from pre-evaluated design matrices."""
+    """Unrestricted fit from pre-evaluated design matrices, with its stability measure s_hat.
+
+    With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
+    one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M), beta = L^{-T} M^+ U_B' y
+    and scaled_map = M^+ U_B' = L'C. A singular B'B, then a singular Psi' Omega Psi, is a NumericalError.
+    """
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -105,37 +111,45 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
         raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
     if n <= k_dim:
         raise InputError(f"need n > K, got n={n}, K={k_dim}")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi)) and np.all(np.isfinite(b))):
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi))):  # orthonormal_range checks b
         raise InputError("data or design matrices contain non-finite values")
     mu = _weights(mu, n)
     if rcond is None:
         rcond = default_rcond((n, max(j_dim, k_dim)))
 
     warnings_list: list[str] = []
-    u_b = orthonormal_range(b, rcond)
-    if u_b.shape[1] < k_dim:
-        warnings_list.append(f"instrument design is rank deficient: rank {u_b.shape[1]} < K={k_dim}")
-    t_pinv, t_svals = pinv(u_b.T @ psi, rcond)
-    if t_svals[-1] <= rcond * t_svals[0]:
-        warnings_list.append(
-            f"projected regressor design is rank deficient (min/max singular value "
-            f"{t_svals[-1]:.3e}/{t_svals[0]:.3e}); pseudo-inverse truncation applied"
-        )
-    beta = t_pinv @ (u_b.T @ y)
-    fitted = psi @ beta
+    q, r, s_b = orthonormal_range(b, rcond)
+    if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
+        raise NumericalError(f"instrument gram B'B is numerically singular (dim {k_dim})")
+    if r.shape[1] < k_dim:
+        warnings_list.append(f"instrument design is rank deficient: rank {r.shape[1]} < K={k_dim}")
     gram_weighted = psi.T @ (psi * mu[:, None])
     gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
+    lam, v = _lapack(np.linalg.eigh, gram_weighted)
+    if lam[0] <= default_rcond((j_dim, j_dim)) * lam[-1]:
+        raise NumericalError(f"weighted regressor gram Psi'Omega Psi is numerically singular (dim {j_dim})")
+    l_inv_t = v / np.sqrt(lam)
+    m_pinv, m_svals = pinv(r.T @ (q.T @ psi) @ l_inv_t, rcond)
+    if m_svals[-1] <= rcond * m_svals[0]:
+        warnings_list.append(
+            f"projected regressor design is rank deficient (min/max singular value "
+            f"{m_svals[-1]:.3e}/{m_svals[0]:.3e}); pseudo-inverse truncation applied"
+        )
+    beta = l_inv_t @ (m_pinv @ (r.T @ (q.T @ y)))
+    fitted = psi @ beta
     return NpivFit(
         beta=beta,
         fitted=fitted,
         residuals=y - fitted,
         gram_weighted=gram_weighted,
-        scaled_map=(_psd_factor(gram_weighted).T @ t_pinv) @ u_b.T,
-        u_b=u_b,
+        scaled_map_k=m_pinv @ r.T,
+        q=q,
+        r=r,
         psi=psi,
         y=y,
         mu=mu,
         k_dim=k_dim,
+        s_hat=float(m_svals[-1]),
         warnings=warnings_list,
     )
 
@@ -249,30 +263,30 @@ def parametric_design(x, model) -> tuple[np.ndarray, str]:
     raise InputError(f"unknown parametric model {model!r}; expected 'linear', 'quadratic', or a design array")
 
 
-def fit_restricted_parametric(y, x, model, u_b, rcond: float | None = None) -> RestrictedFit:
+def fit_restricted_parametric(y, x, model, q, r, rcond: float | None = None) -> RestrictedFit:
     """Null-restricted parametric 2SLS on the instrument sieve.
 
-    u_b is an orthonormal basis of the instrument design B's column space,
-    orthonormal_range(B), which the caller has already computed: the
-    unrestricted fit keeps it as NpivFit.u_b, and the image-space scan factors
-    each B once. B itself is neither evaluated nor factored here.
+    q @ r is an orthonormal basis U_B of the instrument design B's column space, as orthonormal_range(B)
+    returns it and the caller has already computed: the unrestricted fit keeps it as NpivFit.q and .r, and
+    the image-space scan factors each B once. Z and y are projected as r'(q'.); B is not factored here.
     """
     y = np.asarray(y, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
     z, model_name = parametric_design(x, model)
     if z.shape[0] != y.shape[0]:
         raise InputError("parametric design and y must share the number of rows")
-    if u_b.ndim != 2 or u_b.shape[0] != y.shape[0]:
+    if q.ndim != 2 or q.shape[0] != y.shape[0]:
         raise InputError("instrument basis and y must share the number of rows")
     if rcond is None:
-        rcond = default_rcond(u_b.shape)
-    tz_pinv, svals = pinv(u_b.T @ z, rcond)
+        rcond = default_rcond((q.shape[0], r.shape[1]))
+    tz_pinv, svals = pinv(r.T @ (q.T @ z), rcond)
     if svals.size < z.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise InputError(
             f"parametric design is rank deficient after instrument projection "
-            f"(model {model_name!r}, {z.shape[1]} columns, K={u_b.shape[1]})"
+            f"(model {model_name!r}, {z.shape[1]} columns, K={r.shape[1]})"
         )
-    theta = tz_pinv @ (u_b.T @ y)
+    theta = tz_pinv @ (r.T @ (q.T @ y))
     fitted_r = z @ theta
     return RestrictedFit(
         beta_r=theta,

@@ -1,4 +1,4 @@
-"""Probability kernels: normal CDF/quantile, chi-square quantiles, MVN sampling,
+"""Probability kernels: normal CDF, chi-square quantiles, MVN sampling,
 and splittable deterministic RNG streams for reproducible parallel Monte Carlo.
 
 Streams are counter-based (Philox) and keyed on (master_seed, stream_id), so
@@ -21,7 +21,6 @@ __all__ = [
     "RngStream",
     "CovarianceSpec",
     "std_normal_cdf",
-    "std_normal_quantile",
     "chisq_quantile",
     "chisq_sf",
     "mvn_sample",
@@ -79,15 +78,6 @@ class CovarianceSpec:
 def std_normal_cdf(x):
     """Standard normal distribution function Phi."""
     return special.ndtr(x)
-
-
-def std_normal_quantile(p):
-    """Inverse of Phi on (0, 1)."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise InputError(f"quantile level must lie strictly inside (0, 1), got {p}")
-    out = special.ndtri(p_arr)
-    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
 
 def chisq_quantile(a: float, k: int) -> float:

@@ -9,13 +9,16 @@ production code paths.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from npivtest.basis import ConstraintMatrix
 from npivtest.errors import InputError, NumericalError
-from npivtest.linalg import _as_matrix, _lapack, default_rcond
+from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, pinv
+from npivtest.npiv import _weights
 
 _MAX_GAMMA_ITER = 500
 _GAMMA_EPS = 1e-15
@@ -378,3 +381,123 @@ def bspline_design_dense(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -
                 nxt[:, j] += (t[j + m] - x) / d2 * b[:, j + 1]
         b = nxt
     return b
+
+
+# The structural candidate pipeline as it was before the fit computed s_hat: compute_shat formed
+# B'B, B'Psi and Psi'Omega Psi, two inverse square roots and one SVD, and the fit factored B and
+# Psi'Omega Psi again. Kept verbatim (fit_from_design_ub returns the old NpivFit fields, u_b in
+# place of (q, r), as a namespace) as the parity oracle of npiv.fit_from_design.
+
+
+def orthonormal_range_ub(b, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis (n x r) of the column space of b, rank-truncated at s <= rcond * s_max.
+
+    Where b'b = V diag(lam) V' has lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and the
+    basis is b V diag(lam)^{-1/2}; otherwise (or for a non-finite b'b or a failed eigh) the thin SVD's U.
+    """
+    b = _as_matrix(b)
+    if rcond is None:
+        rcond = default_rcond(b.shape)
+    g = b.T @ b
+    if np.all(np.isfinite(g)):
+        with contextlib.suppress(NumericalError):  # a failed eigh falls through to the SVD
+            lam, v = _lapack(np.linalg.eigh, g)
+            if lam[0] > max(GRAM_FLOOR, rcond * rcond) * lam[-1]:
+                return b @ (v / np.sqrt(lam))
+    u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
+    rank = int(np.sum(s > rcond * s[0]))
+    if rank == 0:
+        raise NumericalError("matrix has numerical rank zero; no range to project on")
+    return u[:, :rank]
+
+
+def sym_inv_sqrt(g, name: str = "gram") -> np.ndarray:
+    """Inverse square root H of a symmetric positive definite gram G, H G H = I.
+
+    Raises NumericalError, naming the gram, when lambda_min <= rcond * lambda_max
+    with rcond = default_rcond(G.shape). Inputs with relative asymmetry above
+    1e-8 are rejected; below that, G is symmetrized first.
+    """
+    g = _as_matrix(g, name)
+    if g.shape[0] != g.shape[1]:
+        raise InputError(f"{name} must be square, got {g.shape}")
+    asym = np.max(np.abs(g - g.T))
+    scale = frobenius_norm(g)
+    if asym > 1e-8 * max(scale, 1e-300):
+        raise InputError(f"{name} is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
+    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
+    if evals[-1] <= 0 or evals[0] <= default_rcond(g.shape) * evals[-1]:
+        raise NumericalError(f"{name} is numerically singular (dim {g.shape[0]})")
+    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
+
+
+def _psd_factor(g: np.ndarray) -> np.ndarray:
+    """Square factor L with L L' = g for symmetric PSD g (eigh-based, rank-safe)."""
+    evals, evecs = _lapack(np.linalg.eigh, 0.5 * (g + g.T))
+    evals = np.clip(evals, 0.0, None)
+    return evecs * np.sqrt(evals)
+
+
+def fit_from_design_ub(y, psi, b, mu=None, rcond: float | None = None) -> SimpleNamespace:
+    """Unrestricted fit from pre-evaluated design matrices."""
+    y = np.asarray(y, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = y.shape[0]
+    if y.ndim != 1:
+        raise InputError(f"y must be 1-d, got shape {y.shape}")
+    if psi.shape[0] != n or b.shape[0] != n:
+        raise InputError("y, Psi, B must share the number of rows")
+    j_dim, k_dim = psi.shape[1], b.shape[1]
+    if k_dim < j_dim:
+        raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
+    if n <= k_dim:
+        raise InputError(f"need n > K, got n={n}, K={k_dim}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi)) and np.all(np.isfinite(b))):
+        raise InputError("data or design matrices contain non-finite values")
+    mu = _weights(mu, n)
+    if rcond is None:
+        rcond = default_rcond((n, max(j_dim, k_dim)))
+
+    warnings_list: list[str] = []
+    u_b = orthonormal_range_ub(b, rcond)
+    if u_b.shape[1] < k_dim:
+        warnings_list.append(f"instrument design is rank deficient: rank {u_b.shape[1]} < K={k_dim}")
+    t_pinv, t_svals = pinv(u_b.T @ psi, rcond)
+    if t_svals[-1] <= rcond * t_svals[0]:
+        warnings_list.append(
+            f"projected regressor design is rank deficient (min/max singular value "
+            f"{t_svals[-1]:.3e}/{t_svals[0]:.3e}); pseudo-inverse truncation applied"
+        )
+    beta = t_pinv @ (u_b.T @ y)
+    fitted = psi @ beta
+    gram_weighted = psi.T @ (psi * mu[:, None])
+    gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
+    return SimpleNamespace(
+        beta=beta,
+        fitted=fitted,
+        residuals=y - fitted,
+        gram_weighted=gram_weighted,
+        scaled_map=(_psd_factor(gram_weighted).T @ t_pinv) @ u_b.T,
+        u_b=u_b,
+        psi=psi,
+        y=y,
+        mu=mu,
+        k_dim=k_dim,
+        warnings=warnings_list,
+    )
+
+
+def compute_shat(psi, b, omega=None) -> float:
+    """Minimal singular value of the orthonormalized cross-gram (B'B)^{-1/2} B'Psi (Psi'O Psi)^{-1/2}."""
+    psi = np.asarray(psi, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if psi.shape[0] != b.shape[0]:
+        raise InputError("Psi and B must share the number of rows")
+    n = psi.shape[0]
+    om = _weights(omega, n)
+    hb = sym_inv_sqrt(b.T @ b / n, "instrument gram B'B")
+    hw = sym_inv_sqrt(psi.T @ (psi * om[:, None]) / n, "weighted regressor gram Psi'Omega Psi")
+    a = hb @ (b.T @ psi / n) @ hw
+    svals = _lapack(np.linalg.svd, a, compute_uv=False)
+    return float(svals[-1])

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import npivtest.adaptive as adaptive_module
 import npivtest.basis as basis_module
@@ -14,9 +15,7 @@ from npivtest.adaptive import (
     RunConfig,
     adaptive_scan,
     adaptive_test,
-    build_grid,
     compute_D,
-    compute_shat,
     compute_vhat,
     cs_contains,
     eta_hat,
@@ -28,7 +27,7 @@ from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
-from npivtest.randdist import RngStream, chisq_quantile, std_normal_quantile
+from npivtest.randdist import RngStream, chisq_quantile
 
 from oracles import brute_D, brute_image_D, brute_shat, brute_vhat, chisq_quantile_bisect, image_vhat_gram
 
@@ -47,6 +46,16 @@ def small_fit(rng, n=40, j=3, k=6):
     return fit_from_design(y, psi, b), psi, b, y
 
 
+def shat(psi, b, omega=None):
+    """s_J of the fit of Psi on B; y does not enter it."""
+    return fit_from_design(np.zeros(psi.shape[0]), psi, b, mu=omega).s_hat
+
+
+def scan_grid(x, w, config, y=None):
+    """The candidate grid of a structural scan (a linear null, which every basis admits)."""
+    return adaptive_scan(x if y is None else y, x, w, NullSpec.from_name("linear"), config)[0]
+
+
 # ------------------------------------------------------------------- s_hat
 
 
@@ -54,14 +63,14 @@ def test_shat_orthonormal_identity(rng):
     n = 200
     q, _ = np.linalg.qr(rng.normal(size=(n, 4)))
     q *= math.sqrt(n)  # unit empirical gram
-    assert compute_shat(q, q) == pytest.approx(1.0, abs=1e-10)
+    assert shat(q, q) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_shat_nested_orthonormal_column(rng):
     n = 300
     q, _ = np.linalg.qr(rng.normal(size=(n, 6)))
     q *= math.sqrt(n)
-    assert compute_shat(q[:, :2], q) == pytest.approx(1.0, abs=1e-10)
+    assert shat(q[:, :2], q) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_shat_matches_dense_assembly(rng):
@@ -70,7 +79,7 @@ def test_shat_matches_dense_assembly(rng):
         psi = eval_design(bspline(4), rng.uniform(size=n))
         b = eval_design(bspline(8), rng.uniform(size=n))
         omega = rng.uniform(0.5, 2.0, size=n)
-        assert compute_shat(psi, b, omega) == pytest.approx(brute_shat(psi, b, omega), abs=1e-8)
+        assert shat(psi, b, omega) == pytest.approx(brute_shat(psi, b, omega), abs=1e-8)
 
 
 def test_shat_nonincreasing_in_nested_dimensions(rng):
@@ -82,7 +91,7 @@ def test_shat_nonincreasing_in_nested_dimensions(rng):
     vals = []
     for j in range(1, 6):
         psi = eval_design(BasisSpec("power", j), x)
-        vals.append(compute_shat(psi, b))
+        vals.append(shat(psi, b))
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -92,7 +101,7 @@ def test_shat_singular_gram_names_offender(rng):
     psi = np.column_stack([np.ones(n), x, x])  # exactly collinear
     b = eval_design(bspline(6), rng.uniform(size=n))
     with pytest.raises(NumericalError, match="regressor gram"):
-        compute_shat(psi, b)
+        shat(psi, b)
 
 
 # -------------------------------------------------------------------- grid
@@ -102,7 +111,7 @@ def test_res_parameters_match_formulas():
     cfg = RunConfig(basis="cosine", grid="dyadic")  # cosine has basis minimum 1
     gen = np.random.default_rng(0)
     x, w = gen.uniform(size=1000), gen.uniform(size=1000)
-    grid = build_grid(x, w, cfg)
+    grid = scan_grid(x, w, cfg)
     assert grid.j_underbar == 1  # floor sqrt(log log 1000)
     assert grid.j_max_exp == 4  # ceil(log2(1000^(1/3)))
     assert grid.hard_cap == 16
@@ -116,7 +125,7 @@ def test_grid_explicit_literal():
     cfg = RunConfig(grid=(3, 4, 5))
     gen = np.random.default_rng(1)
     x, w = gen.uniform(size=400), gen.uniform(size=400)
-    grid = build_grid(x, w, cfg)
+    grid = scan_grid(x, w, cfg)
     assert grid.j_list == (3, 4, 5)
     assert set(grid.shat) == {3, 4, 5}
 
@@ -125,7 +134,7 @@ def test_grid_explicit_below_minimum_rejected():
     cfg = RunConfig(grid=(2, 3))
     gen = np.random.default_rng(2)
     with pytest.raises(InputError):
-        build_grid(gen.uniform(size=100), gen.uniform(size=100), cfg)
+        scan_grid(gen.uniform(size=100), gen.uniform(size=100), cfg)
 
 
 def test_grid_singleton_degenerates_to_fixed_j():
@@ -139,7 +148,7 @@ def test_grid_singleton_degenerates_to_fixed_j():
 def test_grid_dyadic_lifts_and_dedupes():
     data = generate(DesignConfig("I", 500, 0.7, HSpec("mono", c0=0.1), RngStream(3, 2)))
     cfg = RunConfig(grid="dyadic", k_factor=2)
-    grid = build_grid(data.x, data.w, cfg)
+    grid = scan_grid(data.x, data.w, cfg, data.y)
     assert grid.j_list[0] == 3  # raw {1, 2} lifted to the quadratic-spline minimum
     assert len(set(grid.j_list)) == len(grid.j_list)
 
@@ -147,14 +156,14 @@ def test_grid_dyadic_lifts_and_dedupes():
 def test_grid_knots_mode_consecutive():
     data = generate(DesignConfig("I", 500, 0.7, HSpec("mono", c0=0.1), RngStream(3, 3)))
     cfg = RunConfig(grid="knots", k_factor=2)
-    grid = build_grid(data.x, data.w, cfg)
+    grid = scan_grid(data.x, data.w, cfg, data.y)
     assert grid.j_list == tuple(range(3, grid.j_max_hat + 1))
 
 
 def test_grid_needs_20_obs():
     gen = np.random.default_rng(5)
     with pytest.raises(InputError):
-        build_grid(gen.uniform(size=10), gen.uniform(size=10), RunConfig())
+        scan_grid(gen.uniform(size=10), gen.uniform(size=10), RunConfig())
 
 
 # ------------------------------------------------------------- D and v_hat
@@ -251,7 +260,7 @@ def test_gamma_counts_active_rank():
 def test_eta_closed_form_and_limit():
     assert eta_hat(math.exp(-1.0), 1, 2) == pytest.approx(0.0, abs=1e-10)
     a = 0.05
-    limit = math.sqrt(2.0) * std_normal_quantile(1.0 - a)
+    limit = math.sqrt(2.0) * ndtri(1.0 - a)
     # gap to the normal limit is O(1/sqrt(gamma)); ~0.011 at 1e4, so check at 1e6
     gaps = [abs(eta_hat(a, 1, g) - limit) for g in (10_000, 1_000_000)]
     assert gaps[1] < gaps[0]
@@ -356,7 +365,7 @@ def test_malformed_weights_are_input_errors(bad_mu):
     with pytest.raises(InputError, match="weight"):
         cs_contains(lambda x: -x, data.y, data.x, data.w, null=null, mu=mu)
     with pytest.raises(InputError, match="weight"):
-        compute_shat(eval_design(bspline(4), data.x), eval_design(bspline(8), data.w), mu)
+        fit_from_design(data.y, eval_design(bspline(4), data.x), eval_design(bspline(8), data.w), mu)
 
 
 def test_config_schema_version_is_not_settable():
@@ -447,17 +456,17 @@ def test_parametric_null_factors_each_instrument_design_once(monkeypatch):
     assert factorizations["calls"] == len(rep.per_j)
 
 
-@pytest.mark.parametrize("null, svds", [("decreasing", 2), ("linear", 3)])
+@pytest.mark.parametrize("null, svds", [("decreasing", 1), ("linear", 2)])
 def test_structural_candidate_decomposes_each_matrix_once(monkeypatch, null, svds):
-    # SVDs of U_B'Psi (pseudo-inverse) and the s_J cross-gram, plus Z's
-    # projection U_B'Z for a parametric null; eigh of B'B (U_B), of the two
-    # grams in s_J and of Psi'Omega Psi for the scaled map
+    # one SVD of the orthonormalized cross-gram U_B'Psi L^{-T} gives the fit,
+    # the scaled map and s_J, plus Z's projection U_B'Z for a parametric null;
+    # eigh of B'B (U_B) and of Psi'Omega Psi (L)
     calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh", "eigvalsh")}
     data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 3)))
     rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name(null), config=RunConfig(grid=(3, 4, 5)))
     assert rep.grid.size == 3
     assert calls["svd"]["calls"] <= svds * rep.grid.size
-    assert calls["eigh"]["calls"] <= 4 * rep.grid.size
+    assert calls["eigh"]["calls"] <= 2 * rep.grid.size
     assert calls["eigvalsh"]["calls"] == 0
 
 
@@ -611,7 +620,7 @@ def test_image_space_matches_brute_double_sum(rng):
     for rec in rep.per_j:
         _, b = cfg.instrument_design(rec.k, w)
         assert b.shape[1] == rec.k
-        r = fit_restricted_parametric(y, x, "linear", orthonormal_range(b)).residuals_r
+        r = fit_restricted_parametric(y, x, "linear", *orthonormal_range(b)[:2]).residuals_r
         assert rec.d_stat == pytest.approx(brute_image_D(r, b), rel=1e-10)
         assert rec.v_stat == pytest.approx(image_vhat_gram(r, b), rel=1e-10)
 
@@ -695,3 +704,34 @@ def test_lapack_failures_are_numerical_errors(monkeypatch, name, statistic):
         else:
             image_space_test(data.y, data.x, data.w, "linear")
     assert calls["calls"] > 0
+
+
+@pytest.mark.parametrize("null", [
+    NullSpec.from_name("decreasing"),
+    NullSpec.from_name("linear"),
+    NullSpec(kind="parametric", custom_design=np.ones((300, 1))),
+], ids=["shape", "linear", "custom"])
+def test_structural_statistic_needs_one_regressor_column(null):
+    # a 2-d x is refused before the grid starts; the image-space scan takes it with a custom design
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 6)))
+    x2 = np.column_stack([data.x, data.w])
+    with pytest.raises(InputError, match=r"needs one regressor column, got x of shape \(300, 2\)"):
+        adaptive_test(data.y, x2, data.w, null)
+    with pytest.raises(InputError, match="needs one regressor column"):
+        cs_contains(np.zeros(300), data.y, x2, data.w, null=null)
+    design = np.column_stack([np.ones(300), x2])
+    assert image_space_test(data.y, x2, data.w, design).per_j
+
+
+def test_scanned_grid_stops_where_k_reaches_n():
+    # K = 10 J reaches n = 40 at J = 4: B'B is singular there, so the stability scan stops;
+    # an explicit grid asking for that K is an input error
+    gen = np.random.default_rng(1)
+    x, w = gen.uniform(size=40), gen.uniform(size=40)
+    y = x + gen.normal(size=40)
+    cfg = RunConfig(grid="knots", k_factor=10, basis="cosine")
+    rep = adaptive_test(y, x, w, NullSpec.from_name("linear"), config=cfg)
+    assert rep.grid.j_list == (1, 2, 3)
+    assert rep.warnings == ("stability scan stopped at J=4: instrument gram B'B is numerically singular (dim 40)",)
+    with pytest.raises(InputError, match="need n > K, got n=40, K=40"):
+        adaptive_test(y, x, w, NullSpec.from_name("linear"), config=RunConfig(grid=(3, 4), k_factor=10, basis="cosine"))

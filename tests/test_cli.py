@@ -271,6 +271,22 @@ def test_cmd_test_lapack_failure_exit_3(monkeypatch, capsys):
     assert "Singular matrix" in capsys.readouterr().err
 
 
+def test_cmd_test_multivariate_x_exit_2(tmp_path, capsys):
+    gen = np.random.default_rng(6)
+    table = np.column_stack([gen.normal(size=300), gen.uniform(size=(300, 4))])
+    path = tmp_path / "x2.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="y,x1,x2,w1,w2", comments="")
+    for null in ("decreasing", "linear"):
+        assert run_cli("test", str(path), "--null", null) == 2
+        assert "needs one regressor column, got x of shape (300, 2)" in capsys.readouterr().err
+
+
+def test_cmd_test_explicit_grid_with_k_at_least_n_exit_2(capsys):
+    # engel_style.csv has 400 rows; K = 4 J = 400 at J = 100
+    assert run_cli("test", ENGEL, "--null", "decreasing", "--grid", "3,100") == 2
+    assert "need n > K, got n=400, K=400" in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exit_2(capsys):
     assert run_cli("test", "/nonexistent/data.csv") == 2
     assert "input error" in capsys.readouterr().err

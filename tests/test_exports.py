@@ -31,6 +31,11 @@ def test_all_names_resolve(name):
     assert not missing
 
 
+# Deleted with their call layer (the fit computes s_hat); the tracer lists them as missing
+# until the benchmark's LAYERS drops them.
+DELETED = {"adaptive.build_grid", "adaptive.compute_shat", "linalg.sym_inv_sqrt"}
+
+
 def test_traced_functions_are_exported():
     # the benchmark's tracer reports a function it cannot find as zero calls, so a
     # rename would silently empty its per-layer numbers
@@ -39,5 +44,8 @@ def test_traced_functions_are_exported():
     for mod, fns in layers.items():
         module = importlib.import_module(f"npivtest.{mod}")
         for fn in fns:
+            if f"{mod}.{fn}" in DELETED:
+                assert not hasattr(module, fn), f"{mod}.{fn} is back; take it out of DELETED"
+                continue
             assert fn in module.__all__, f"{mod}.{fn} is not exported"
             assert callable(getattr(module, fn)), f"{mod}.{fn} does not resolve"

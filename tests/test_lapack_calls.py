@@ -50,6 +50,17 @@ def test_linalg_calls_are_mapped_to_numerical_errors():
     assert found == {}
 
 
+def linalg_names(tree: ast.AST) -> set[str]:
+    """Every np.linalg.<name> a module names."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and _is_np_linalg(node.value)}
+
+
+def test_candidates_are_factored_outside_adaptive():
+    # npiv.fit_from_design and linalg factor every candidate; besides norms, the adaptive scans only
+    # take the rank of active constraint rows (gamma_hat) and the image-space step's lambda_max
+    assert linalg_names(ast.parse((SRC / "adaptive.py").read_text())) <= {"matrix_rank", "eigvalsh", *UNGUARDED}
+
+
 def test_the_lint_sees_unguarded_calls():
     tree = ast.parse(
         "import numpy as np\n"

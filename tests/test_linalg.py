@@ -6,11 +6,17 @@ from hypothesis import strategies as st
 import npivtest.linalg as linalg_module
 from npivtest.basis import BasisSpec, eval_design, tensor_design
 from npivtest.errors import InputError, NumericalError
-from npivtest.linalg import frobenius_norm, orthonormal_range, pinv, sym_inv_sqrt
+from npivtest.linalg import GRAM_FLOOR, frobenius_norm, orthonormal_range, pinv
 
-from oracles import orthonormal_range_svd
+from oracles import orthonormal_range_svd, sym_inv_sqrt
 
 # pinv returns the singular values of its one SVD; the svd tests read them there
+
+
+def range_basis(b, rcond=None):
+    """The orthonormal basis q @ r of orthonormal_range's triple."""
+    q, r, _ = orthonormal_range(b, rcond)
+    return q @ r
 
 
 def test_svd_identity():
@@ -77,19 +83,19 @@ def test_pinv_rcond_domain():
 
 def test_projection_orthonormal_columns(rng):
     q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-    u = orthonormal_range(q)
+    u = range_basis(q)
     np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(u @ u.T, q @ q.T, atol=1e-12)
 
 
 def test_projection_mean():
-    u = orthonormal_range(np.ones((4, 1)))
+    u = range_basis(np.ones((4, 1)))
     np.testing.assert_allclose(u @ u.T, np.full((4, 4), 0.25), atol=1e-12)
 
 
 def test_projection_reproduces_range(rng):
     b = rng.normal(size=(8, 3))
-    q = orthonormal_range(b)
+    q = range_basis(b)
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
     np.testing.assert_allclose(q @ (q.T @ b), b, atol=1e-10)
     assert q.shape[1] == np.linalg.matrix_rank(b)
@@ -124,7 +130,7 @@ def test_orthonormal_range_matches_svd_oracle(basis, n):
         cases = [(b, None), (np.column_stack([b, np.zeros(n)]), None), (np.column_stack([b, b[:, :1]]), None),
                  (b, 1e-3), (b, 0.5)]
         for design, rcond in cases:
-            u, oracle = orthonormal_range(design, rcond), orthonormal_range_svd(design, rcond)
+            u, oracle = range_basis(design, rcond), orthonormal_range_svd(design, rcond)
             assert u.shape == oracle.shape
             truncated += u.shape[1] < design.shape[1]
             np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
@@ -151,7 +157,7 @@ def test_nonfinite_gram_falls_back_to_the_svd(monkeypatch):
     b = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
     tall = _count_tall_svds(monkeypatch, 3)
     with np.errstate(over="ignore"):
-        u = orthonormal_range(b)
+        u = range_basis(b)
     assert tall["calls"] == 1
     np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
 
@@ -163,7 +169,7 @@ def test_failed_gram_eigh_falls_back_to_the_svd(monkeypatch, rng):
     b = rng.normal(size=(40, 4))
     monkeypatch.setattr(np.linalg, "eigh", failing)
     tall = _count_tall_svds(monkeypatch, 40)
-    u = orthonormal_range(b)
+    u = range_basis(b)
     assert tall["calls"] == 1
     oracle = orthonormal_range_svd(b)
     np.testing.assert_allclose(u @ u.T, oracle @ oracle.T, atol=1e-12)
@@ -175,6 +181,22 @@ def test_lapack_failure_is_a_numerical_error():
 
     with pytest.raises(NumericalError, match=r"failing failed for \(2, 2\) matrix: Singular matrix"):
         linalg_module._lapack(failing, np.eye(2), np.ones(2))
+
+
+def test_orthonormal_range_triple(rng):
+    # the gram path returns b itself with a K x K factor; the SVD path U_B with r = I;
+    # s is b's singular values, descending, either way
+    well = eval_design(BasisSpec("bspline", 8, 3), rng.uniform(size=500))
+    power = eval_design(BasisSpec("power", 8), rng.uniform(size=500))
+    for b, gram in ((well, True), (power, False)):
+        q, r, s = orthonormal_range(b)
+        assert (q is b) == gram
+        assert r.shape == (8, 8) and (gram or np.array_equal(r, np.eye(8)))
+        np.testing.assert_allclose(s, np.linalg.svd(b, compute_uv=False), rtol=1e-10)
+        assert (s[-1] / s[0]) ** 2 > GRAM_FLOOR if gram else True
+
+
+# sym_inv_sqrt is the inverse square root of the compute_shat oracle
 
 
 def test_sym_inv_sqrt_identity():

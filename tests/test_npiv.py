@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,14 @@ from npivtest.npiv import (
 )
 from npivtest.randdist import RngStream
 
-from oracles import brute_coeffs, cone_project_active_set, cone_project_enumerate, dykstra_project
+from oracles import (
+    brute_coeffs,
+    compute_shat,
+    cone_project_active_set,
+    cone_project_enumerate,
+    dykstra_project,
+    fit_from_design_ub,
+)
 
 
 def bspline(dim, order=3, **kw):
@@ -90,12 +98,42 @@ def test_fit_dimension_guards(rng):
 
 
 def test_rank_deficiency_warning(rng):
+    # a regressor column orthogonal to the instruments leaves U_B'Psi rank deficient;
+    # a duplicated column makes Psi'Omega Psi itself singular, which is an error
     n = 50
     x = rng.uniform(size=n)
-    psi = np.column_stack([np.ones(n), x, x, x**2])  # duplicated column
     b = eval_design(bspline(8), rng.uniform(size=n))
+    q, r, _ = orthonormal_range(b)
+    e = rng.normal(size=n)
+    psi = np.column_stack([np.ones(n), x, e - q @ (r @ (r.T @ (q.T @ e)))])
     fit = fit_from_design(rng.normal(size=n), psi, b)
     assert any("rank deficient" in msg for msg in fit.warnings)
+    with pytest.raises(NumericalError, match="weighted regressor gram"):
+        fit_from_design(rng.normal(size=n), np.column_stack([np.ones(n), x, x, x**2]), b)
+
+
+@pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 2), ("power", 2)])
+def test_fit_matches_the_two_factorization_oracle(family, order):
+    # one factorization per candidate gives the old fit's beta and scaled map and compute_shat's
+    # s_hat; on power designs the old gram-based s_hat itself is off by up to about 1e-7
+    gen = np.random.default_rng(11)
+    n = 500
+    x, w = gen.uniform(size=n), gen.uniform(size=n)
+    y = np.sin(3.0 * x) + gen.normal(size=n)
+    for mu in (None, gen.uniform(0.5, 2.0, size=n)):
+        for j in range(order, 7):
+            psi = eval_design(BasisSpec(family, j, order), x)
+            b = eval_design(BasisSpec(family, 2 * j, order), w)
+            try:
+                old, old_s = fit_from_design_ub(y, psi, b, mu), compute_shat(psi, b, mu)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                    fit_from_design(y, psi, b, mu)
+                continue
+            fit = fit_from_design(y, psi, b, mu)
+            assert np.linalg.norm(fit.beta - old.beta) <= 1e-10 * np.linalg.norm(old.beta)
+            assert np.linalg.norm(fit.scaled_map - old.scaled_map) <= 1e-10 * np.linalg.norm(old.scaled_map)
+            assert fit.s_hat == pytest.approx(old_s, rel=1e-6 if family == "power" else 1e-12)
 
 
 # ------------------------------------------------------------- cone projection
@@ -320,7 +358,7 @@ def test_parametric_exact_linear(rng):
     n = 90
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = 0.7 - 1.3 * x
-    rfit = fit_restricted_parametric(y, x, "linear", orthonormal_range(eval_design(bspline(6), w)))
+    rfit = fit_restricted_parametric(y, x, "linear", *orthonormal_range(eval_design(bspline(6), w))[:2])
     np.testing.assert_allclose(rfit.residuals_r, 0.0, atol=1e-9)
     assert rfit.active_set.size == 0
     assert rfit.df_consumed == 2
@@ -331,7 +369,7 @@ def test_parametric_iv_ratio_single_instrument(rng):
     w = rng.normal(size=n)
     x = 0.8 * w + rng.normal(size=n)
     y = 2.0 * x + rng.normal(size=n)
-    rfit = fit_restricted_parametric(y, x[:, None], x[:, None], orthonormal_range(np.column_stack([w])))
+    rfit = fit_restricted_parametric(y, x[:, None], x[:, None], *orthonormal_range(np.column_stack([w]))[:2])
     slope = rfit.beta_r[0]
     assert slope == pytest.approx((w @ y) / (w @ x), abs=1e-10)
 
@@ -340,10 +378,10 @@ def test_parametric_quadratic_equals_custom_design(rng):
     n = 150
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n)
-    u_b = orthonormal_range(eval_design(bspline(8), w))
-    fit_a = fit_restricted_parametric(y, x, "quadratic", u_b)
+    q, r, _ = orthonormal_range(eval_design(bspline(8), w))
+    fit_a = fit_restricted_parametric(y, x, "quadratic", q, r)
     custom = np.column_stack([np.ones(n), x, x**2])
-    fit_b = fit_restricted_parametric(y, x, custom, u_b)
+    fit_b = fit_restricted_parametric(y, x, custom, q, r)
     np.testing.assert_allclose(fit_a.fitted_r, fit_b.fitted_r, atol=1e-10)
 
 
@@ -353,7 +391,7 @@ def test_parametric_rank_guard(rng):
     y = rng.normal(size=n)
     degenerate = np.column_stack([np.ones(n), np.ones(n)])
     with pytest.raises(InputError):
-        fit_restricted_parametric(y, x, degenerate, orthonormal_range(eval_design(bspline(6), w)))
+        fit_restricted_parametric(y, x, degenerate, *orthonormal_range(eval_design(bspline(6), w))[:2])
 
 
 def test_restricted_positive_homogeneity(rng):

@@ -13,7 +13,6 @@ from npivtest.randdist import (
     chisq_sf,
     mvn_sample,
     std_normal_cdf,
-    std_normal_quantile,
 )
 
 from oracles import chisq_cdf, chisq_quantile_bisect, normal_cdf
@@ -32,24 +31,6 @@ def test_normal_cdf_against_erf_reference():
 
 def test_normal_cdf_975_point():
     assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-
-def test_normal_quantile_basics():
-    assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-14)
-    for p in (0.01, 0.12, 0.3, 0.45):
-        assert std_normal_quantile(p) == pytest.approx(-std_normal_quantile(1.0 - p), abs=1e-10)
-    assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-
-
-def test_normal_quantile_roundtrip():
-    for p in (1e-8, 0.025, 0.5, 0.999):
-        assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
-
-
-def test_normal_quantile_domain():
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(InputError):
-            std_normal_quantile(bad)
 
 
 def test_chisq_quantile_exponential_closed_form():

@@ -159,7 +159,7 @@ def test_reproduce_supp_d_has_both_statistics():
 
 
 def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
-    # the s_J singular values of the second replication's data fail to converge
+    # the SVDs of the second replication's fits fail to converge
     datasets = {"made": 0}
     generate, svd = sim_module.generate, np.linalg.svd
 
@@ -167,10 +167,10 @@ def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
         datasets["made"] += 1
         return generate(cfg)
 
-    def failing_svd(a, *args, compute_uv=True, **kwargs):
-        if not compute_uv and datasets["made"] == 2:
+    def failing_svd(a, *args, **kwargs):
+        if datasets["made"] == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(sim_module, "generate", counting_generate)
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
