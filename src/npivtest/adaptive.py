@@ -459,12 +459,12 @@ def gamma_hat(m: ConstraintMatrix, active_set) -> int:
     return max(1, int(_lapack(np.linalg.matrix_rank, m.rows[active_set])))
 
 
-def eta_hat(alpha: float, grid_size: int, gamma: int) -> float:
-    """Bonferroni-adjusted centered chi-square critical value."""
+def eta_hat(alpha: float, grid_size: int, gamma: int, center: int | None = None) -> float:
+    """Bonferroni-adjusted chi-square critical value with gamma degrees of freedom, centered at center (gamma)."""
     if grid_size < 1:
         raise InputError(f"grid_size must be >= 1, got {grid_size}")
-    q = chisq_quantile(alpha / grid_size, gamma)
-    return (q - gamma) / math.sqrt(gamma)
+    center = gamma if center is None else center
+    return (chisq_quantile(alpha / grid_size, gamma) - center) / math.sqrt(center)
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,6 @@ class _ScanEntry:
     gamma: int  # chi-square degrees of freedom
     n_active: int
     center: int | None = None  # centering constant of the standardized statistic; defaults to gamma
-    d_candidate: float | None = None
 
 
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
@@ -487,9 +486,10 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
     once: the fit's s_hat is the stability measure s_J, and for a candidate
     the same fit feeds the restricted fit, D_J and v_J; a parametric null is
     fitted on the unrestricted fit's instrument basis U_B. candidate_values,
-    when given, are fitted values of a hypothesized function at the sample
-    points; each entry then also carries the leave-one-out statistic at that
-    candidate (for confidence-set inversion).
+    when given, are values of a hypothesized function at the sample points,
+    and D_J is taken on y - candidate_values instead of on the restricted
+    residuals (confidence-set inversion); the restricted fit still gives
+    gamma and the active set.
     """
     y, x, w, n = _checked_data(y, x, w)
     if x.ndim != 1:
@@ -522,11 +522,11 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                 rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r, rcond=config.rcond)
                 gamma = j
             s = fit.scaled_map
-            d_stat = 0.0 if _numerically_zero(rfit.residuals_r, y) else compute_D(s, rfit.residuals_r)
+            r = rfit.residuals_r if candidate_values is None else y - candidate_values
+            d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
             v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(s, fit.residuals)
-            d_cand = None if candidate_values is None else compute_D(s, y - candidate_values)
             entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
-                                      n_active=len(rfit.active_set), d_candidate=d_cand))
+                                      n_active=len(rfit.active_set)))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
 
@@ -538,37 +538,28 @@ def _finite(*values: float) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _w_statistic(n: int, d_stat: float, v_stat: float, eta: float) -> float:
-    if v_stat > 0.0:
-        return n * d_stat / (eta * v_stat)
-    return math.inf if d_stat > 0.0 else 0.0
-
-
-def _p_value(n: int, d_stat: float, v_stat: float, gamma: int, center: int) -> float:
-    if v_stat > 0.0:
-        ratio = n * d_stat / v_stat
-        return chisq_sf(math.sqrt(center) * ratio + center, gamma)
-    return 0.0 if d_stat > 0.0 else 1.0
-
-
-def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, config: RunConfig,
+def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConfig,
            statistic: str = "structural", warnings: Sequence[str] = ()) -> TestReport:
-    """Apply the level-alpha decision rule to scanned statistics."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    size = grid.size
+    """Apply the level-alpha decision rule to scanned statistics, with alpha = config.alpha.
+
+    This is the one verdict rule: the structural and image-space tests, the
+    confidence set and the Monte Carlo runs in `sim` all call it.
+    """
+    alpha, size = config.alpha, grid.size
     records = []
     for e in entries:
         center = e.gamma if e.center is None else e.center
-        q = chisq_quantile(alpha / size, e.gamma)
-        eta = (q - center) / math.sqrt(center)
+        eta = eta_hat(alpha, size, e.gamma, center)
         if eta <= 0.0:
             raise InputError(
                 f"critical value eta <= 0 at J={e.j} (alpha/{size} too large for gamma={e.gamma}); "
                 "use a smaller alpha"
             )
-        w_stat = _w_statistic(n, e.d_stat, e.v_stat, eta)
-        p_value = _p_value(n, e.d_stat, e.v_stat, e.gamma, center)
+        if e.v_stat > 0.0:
+            w_stat = n * e.d_stat / (eta * e.v_stat)
+            p_value = chisq_sf(math.sqrt(center) * (n * e.d_stat / e.v_stat) + center, e.gamma)
+        else:
+            w_stat, p_value = (math.inf, 0.0) if e.d_stat > 0.0 else (0.0, 1.0)
         # W = inf is the defined limit of D > 0 over v = 0; any other non-finite number decides nothing
         if not (_finite(e.d_stat, e.v_stat, p_value) and (math.isfinite(w_stat) or e.v_stat == 0.0)):
             raise NumericalError(
@@ -613,12 +604,11 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, alpha: float, c
     )
 
 
-def adaptive_test(y, x, w, null: NullSpec, alpha: float = 0.05, config: RunConfig | None = None, mu=None) -> TestReport:
-    """Run the adaptive restriction test at level alpha."""
-    if config is None:
-        config = RunConfig(alpha=alpha)
+def adaptive_test(y, x, w, null: NullSpec, config: RunConfig | None = None, mu=None) -> TestReport:
+    """Run the adaptive restriction test at level config.alpha."""
+    config = RunConfig() if config is None else config
     grid, entries, warn, n = adaptive_scan(y, x, w, null, config, mu)
-    return decide(grid, entries, n, null, alpha, config, warnings=warn)
+    return decide(grid, entries, n, null, config, warnings=warn)
 
 
 def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
@@ -658,37 +648,24 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
     return values
 
 
-def cs_contains(candidate, y, x, w, alpha: float = 0.05, config: RunConfig | None = None,
-                null: NullSpec | None = None, mu=None):
-    """Membership of a hypothesized function in the L2 confidence set.
+def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullSpec | None = None, mu=None):
+    """Membership of a hypothesized function in the level-config.alpha L2 confidence set.
 
-    Returns (contained, binding_j, report-like dict). The per-J machinery
-    (grid, normalizer, active-rank calibration) is the test's own; only the
-    residuals inside the leave-one-out statistic are swapped for the
-    candidate's. A candidate violating a cone null is an input error.
+    Returns (contained, binding_j, report-like dict). The verdict is the
+    test's own (decide) on a scan whose leave-one-out statistic is taken on
+    the candidate's residuals y - h0 in place of the restricted ones; the
+    binding J is the smallest violated candidate. A candidate violating a
+    cone null is an input error.
     """
-    if config is None:
-        config = RunConfig(alpha=alpha)
-    if null is None:
-        null = NullSpec(kind="parametric", model="linear")
+    config = RunConfig() if config is None else config
+    null = NullSpec(kind="parametric", model="linear") if null is None else null
     values = _candidate_on_sample(candidate, x, config, null)
     grid, entries, _, n = adaptive_scan(y, x, w, null, config, mu, candidate_values=values)
-    size = grid.size
-    binding = None
-    per_j = []
-    contained = True
-    for e in entries:
-        eta = eta_hat(alpha, size, e.gamma)
-        if eta <= 0.0:
-            raise InputError(f"critical value eta <= 0 at J={e.j}; use a smaller alpha")
-        if not _finite(e.d_candidate, e.v_stat):
-            raise NumericalError(f"non-finite statistic at J={e.j}: D_candidate={e.d_candidate}, v={e.v_stat}")
-        ok = n * e.d_candidate <= eta * e.v_stat
-        per_j.append({"J": e.j, "D_candidate": e.d_candidate, "v": e.v_stat, "eta": eta, "contained": ok})
-        if not ok and binding is None:
-            binding = e.j
-            contained = False
-    return contained, binding, {"alpha": alpha, "J_list": list(grid.j_list), "per_J": per_j}
+    report = decide(grid, entries, n, null, config)
+    per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
+             for rec in report.per_j]
+    binding = report.j_reported if report.reject else None
+    return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j}
 
 
 def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
@@ -745,11 +722,10 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     return grid, entries, [*_clamp_warnings(config, w=w), *grid.warnings], n
 
 
-def image_space_test(y, x, w, model, alpha: float = 0.05, config: RunConfig | None = None) -> TestReport:
-    """Run the adaptive instrument-space test of a parametric null at level alpha."""
-    if config is None:
-        config = RunConfig(alpha=alpha)
+def image_space_test(y, x, w, model, config: RunConfig | None = None) -> TestReport:
+    """Run the adaptive instrument-space test of a parametric null at level config.alpha."""
+    config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model=model if isinstance(model, str) else None,
                     custom_design=None if isinstance(model, str) else model)
     grid, entries, warn, n = image_space_scan(y, x, w, null, config)
-    return decide(grid, entries, n, null, alpha, config, statistic="image-space", warnings=warn)
+    return decide(grid, entries, n, null, config, statistic="image-space", warnings=warn)

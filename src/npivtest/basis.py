@@ -55,15 +55,10 @@ class BasisSpec:
         lo, hi = self.support
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InputError(f"support must be a finite interval [lo, hi) with lo < hi, got {self.support}")
-        if self.family == "bspline":
-            if self.order < 2:
-                raise InputError(f"B-spline order must be >= 2, got {self.order}")
-            if self.dim < self.order:
-                raise InputError(
-                    f"B-spline basis needs dim >= order, got dim={self.dim}, order={self.order}"
-                )
-        elif self.dim < 1:
-            raise InputError(f"basis dim must be >= 1, got {self.dim}")
+        if self.family == "bspline" and self.order < 2:
+            raise InputError(f"B-spline order must be >= 2, got {self.order}")
+        if self.dim < min_dim(self):
+            raise InputError(f"{self.family} basis needs dim >= {min_dim(self)}, got dim={self.dim}")
         if self.knot_rule not in ("equispaced", "quantile"):
             raise InputError(f"unknown knot rule {self.knot_rule!r}")
         if self.knot_rule == "quantile" and self.knot_data is None:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import __version__
 from .adaptive import _BASIS_NAMES, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test, cs_contains
 from .errors import InputError, NumericalError
 from .npiv import parametric_design
-from .sim import TABLE_IDS, ExperimentSpec, McSummary, reproduce, run_experiment
+from .sim import TABLE_IDS, ExperimentSpec, reproduce, run_experiment
 
 __all__ = ["main", "load_csv_dataset", "resolve_config", "render_report"]
 
@@ -71,33 +71,26 @@ class CsvDataset:
         return self.y.shape[0]
 
 
-_CSV_BLOCK = 2048  # rows per bulk-parsed block: bounds the transient token list
-
-
 def _bulk_table(text: str):
     """(header, n x d table) of a CSV text the row loop would parse without error, else None.
 
-    Only the regular case is handled: no quote, CR only in CRLF, and rows of d - 1 commas
-    each, whose cells all parse as finite floats. Blocks of rows are joined into one
-    token list each, which keeps the transient memory to a block.
+    Only the regular case is handled: no quote, CR only in CRLF, no line longer than the
+    csv module's field limit, and rows of d cells that numpy's C reader parses as finite
+    floats (it skips blank lines, as the row loop does).
     """
     text = text.replace("\r\n", "\n")
     lines = text.split("\n")[:-1] if text.endswith("\n") else text.split("\n")
     if '"' in text or "\r" in text or len(lines) < 2 or not lines[0] \
             or max(map(len, lines)) > csv.field_size_limit():
         return None
-    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
-    d = len(header)
-    if set(map(str.count, body, itertools.repeat(","))) != {d - 1}:
-        return None
-    table = np.empty((len(body), d))
-    for start in range(0, len(body), _CSV_BLOCK):
+    header = [h.strip() for h in lines[0].split(",")]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            cells = list(map(float, ",".join(body[start:start + _CSV_BLOCK]).split(",")))
+            table = np.loadtxt(io.StringIO(text[len(lines[0]) + 1:]), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
-        table.reshape(-1)[start * d:start * d + len(cells)] = cells
-    return (header, table) if np.all(np.isfinite(table)) else None
+    return (header, table) if table.shape[1] == len(header) and np.all(np.isfinite(table)) else None
 
 
 def _row_table(path: str, text: str):
@@ -193,19 +186,25 @@ def _parse_grid(text: str):
         ) from None
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object a file holds; an unreadable file, invalid JSON or a non-object is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def resolve_config(args) -> RunConfig:
     """Config file -> flags -> environment, with flags overriding file values."""
     base: dict = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(base, dict):
-            raise InputError(f"config {args.config} must hold a JSON object")
+        base = _read_json(args.config, "config")
         base.setdefault("schema_version", 1)
     cfg = RunConfig.from_dict(base) if base else RunConfig()
     updates: dict = {}
@@ -290,20 +289,14 @@ def _cmd_test(args) -> int:
     data = load_csv_dataset(args.data)
     config = resolve_config(args)
     null = NullSpec.from_name(args.null)
-    report = adaptive_test(data.y, data.x, data.w, null, alpha=config.alpha, config=config, mu=data.mu)
+    report = adaptive_test(data.y, data.x, data.w, null, config=config, mu=data.mu)
     _emit(render_report(report, args.format), args.out)
     return 0
 
 
 def _load_candidate(path: str, data: CsvDataset, config: RunConfig):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read candidate {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"candidate {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
+    doc = _read_json(path, "candidate")
+    if "kind" not in doc:
         raise InputError(f"candidate {path} must be a JSON object with a 'kind' field")
     kind = doc["kind"]
     if kind == "coeffs":
@@ -347,9 +340,7 @@ def _cmd_cs(args) -> int:
         candidate = _load_candidate(args.candidate, data, config)
     except (TypeError, ValueError) as exc:
         raise InputError(f"candidate {args.candidate} is malformed: {exc}") from None
-    contained, binding, detail = cs_contains(
-        candidate, data.y, data.x, data.w, alpha=config.alpha, config=config, null=null, mu=data.mu
-    )
+    contained, binding, detail = cs_contains(candidate, data.y, data.x, data.w, config=config, null=null, mu=data.mu)
     payload = {
         "contained": contained,
         "binding_J": binding,
@@ -368,30 +359,25 @@ def _cmd_cs(args) -> int:
     return 0
 
 
-def _summary_csv(summary: McSummary) -> str:
-    rows = summary.rows()
+def _columns(rows: list[dict], front: tuple[str, ...]) -> list[str]:
+    """The keys of rows: those in front first, in its order, then the rest sorted."""
     fields = sorted({key for row in rows for key in row})
-    ordered = [f for f in ("n", "xi", "c0", "c_a", "c_b", "alpha", "reject_rate", "se", "avg_J",
-                           "replications", "failures", "adjusted_crit") if f in fields]
-    ordered += [f for f in fields if f not in ordered]
+    return [f for f in front if f in fields] + [f for f in fields if f not in front]
+
+
+def _rows_csv(rows: list[dict], front: tuple[str, ...]) -> str:
+    """Rows as CSV under the columns _columns gives; a missing cell is empty."""
+    columns = _columns(rows, front)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ordered, restval="")
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: row.get(k, "") for k in ordered})
+        writer.writerow({k: _json_safe(row.get(k, "")) for k in columns})
     return buf.getvalue()
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"spec {args.spec} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("experiment spec must be a JSON object")
+    doc = _read_json(args.spec, "spec")
     version = doc.pop("schema_version", 1)
     if version != 1:
         raise InputError(f"unsupported experiment schema version {version}")
@@ -409,7 +395,8 @@ def _cmd_simulate(args) -> int:
     with open(base + ".json", "w", encoding="utf-8") as fh:
         fh.write(dump_json(summary.to_dict()))
     with open(base + ".csv", "w", encoding="utf-8") as fh:
-        fh.write(_summary_csv(summary))
+        fh.write(_rows_csv(summary.rows(), ("n", "xi", "c0", "c_a", "c_b", "alpha", "reject_rate", "se", "avg_J",
+                                            "replications", "failures", "adjusted_crit")))
     sys.stdout.write(f"wrote {base}.json and {base}.csv ({len(summary.rows())} rows)\n")
     return 0
 
@@ -423,23 +410,17 @@ def _cmd_reproduce(args) -> int:
         payload = {"table_id": result["table_id"], "rows": rows, "version": __version__}
         _emit(dump_json(payload), args.out)
         return 0
-    fields = sorted({key for row in rows for key in row})
-    front = [f for f in ("n", "design", "statistic", "c0", "c_a", "c_b", "xi", "k_factor",
-                         "alpha", "metric", "ours", "se", "published") if f in fields]
-    front += [f for f in fields if f not in front]
+    front = ("n", "design", "statistic", "c0", "c_a", "c_b", "xi", "k_factor",
+             "alpha", "metric", "ours", "se", "published")
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=front, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _json_safe(row.get(k, "")) for k in front})
-        _emit(buf.getvalue(), args.out)
+        _emit(_rows_csv(rows, front), args.out)
         return 0
     # text: fixed-width dump of the same rows
-    lines = ["  ".join(f"{f:>10}" for f in front)]
+    columns = _columns(rows, front)
+    lines = ["  ".join(f"{f:>10}" for f in columns)]
     for row in rows:
         cells = []
-        for f in front:
+        for f in columns:
             v = row.get(f, "")
             cells.append(f"{v:>10.4f}" if isinstance(v, float) and math.isfinite(v) else f"{str(v):>10}")
         lines.append("  ".join(cells))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +172,7 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
     spec = ExperimentSpec.from_dict(spec_dict)
     null = spec.null_spec()
     config = spec.run_config()
+    configs = {alpha: replace(config, alpha=alpha) for alpha in spec.alphas}
     scan = adaptive_scan if spec.statistic == "structural" else image_space_scan
     h = spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0))
     out = []
@@ -182,7 +183,7 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
             grid, entries, _, n_obs = scan(data.y, data.x, data.w, null, config)
             per_alpha = {}
             for alpha in spec.alphas:
-                report = decide(grid, entries, n_obs, null, alpha, config)
+                report = decide(grid, entries, n_obs, null, configs[alpha])
                 w_max = max(rec.w_stat for rec in report.per_j)
                 per_alpha[alpha] = (report.reject, report.j_reported, w_max)
             out.append((r, per_alpha))

@@ -9,6 +9,7 @@ import json
 import math
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,8 +326,8 @@ def test_criterion_7_property_suite(tmp_path):
     reps = 500
     for r in range(reps):
         d = generate(DesignConfig("I", 500, 0.5, truth, RngStream(ACCEPT_SEED + 3, r)))
-        contained, *_ = cs_contains(lambda x: truth(x), d.y, d.x, d.w, alpha=alpha,
-                                    config=cfg, null=null)
+        contained, *_ = cs_contains(lambda x: truth(x), d.y, d.x, d.w,
+                                    config=replace(cfg, alpha=alpha), null=null)
         hits += contained
     coverage = hits / reps
     cov_ok = coverage >= 1.0 - alpha - 0.03

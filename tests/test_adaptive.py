@@ -347,7 +347,7 @@ def test_decision_invariant_under_y_scaling(case):
 def test_alpha_validation():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.5), RngStream(20, 0)))
     with pytest.raises(InputError):
-        adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), alpha=1.2)
+        adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), config=RunConfig(alpha=1.2))
 
 
 @pytest.mark.parametrize("bad_mu", [
@@ -410,7 +410,7 @@ def test_martingale_limit_sanity():
             data.y, data.x, data.w, null, cfg, candidate_values=truth(data.x)
         )
         e = entries[0]
-        stats.append(math.sqrt(e.j) * n_obs * e.d_candidate / e.v_stat)
+        stats.append(math.sqrt(e.j) * n_obs * e.d_stat / e.v_stat)
     arr = np.asarray(stats)
     j_dim = 3
     assert abs(arr.mean()) <= 0.2  # chi2_J - J has mean 0
@@ -523,7 +523,7 @@ def test_cs_contains_restricted_fit_when_not_rejecting():
     fit = fit_from_design(data.y, eval_design(psi_spec, data.x), eval_design(cfg.psi_spec(2 * j), data.w))
     rfit = fit_restricted_cone(fit, deriv_constraints(psi_spec, "decreasing"))
     contained, binding, _ = cs_contains(
-        (rfit.beta_r, psi_spec), data.y, data.x, data.w, alpha=0.05, config=cfg, null=null
+        (rfit.beta_r, psi_spec), data.y, data.x, data.w, config=cfg, null=null
     )
     assert contained and binding is None
 
@@ -539,6 +539,41 @@ def test_cs_excludes_shifted_candidate():
         lambda x: truth(x) + 10.0, data.y, data.x, data.w, config=cfg, null=null
     )
     assert not shifted and binding is not None
+
+
+@pytest.mark.parametrize("c_a", [0.0, 10.0], ids=["null", "alternative"])
+def test_cs_contains_is_the_test_on_the_candidate_residuals(c_a):
+    # with the restricted fit as candidate, y - h0 are the restricted residuals, so the
+    # confidence set's verdict must be the test's own
+    data = generate(DesignConfig("I", 500, 0.7, HSpec("sin", c_a=c_a), RngStream(24, 0)))
+    cfg = RunConfig(grid=(4,), k_factor=2)
+    null = NullSpec.from_name("linear")
+    rep = adaptive_test(data.y, data.x, data.w, null, config=cfg)
+    _, b = cfg.instrument_design(8, data.w)
+    fit = fit_from_design(data.y, eval_design(cfg.psi_spec(4), data.x), b)
+    rfit = fit_restricted_parametric(data.y, data.x, "linear", fit.q, fit.r)
+    contained, binding, detail = cs_contains(rfit.fitted_r, data.y, data.x, data.w, config=cfg, null=null)
+    (rec,) = rep.per_j
+    assert rep.reject == (c_a > 0.0)
+    assert detail["per_J"] == [{"J": 4, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta,
+                                "contained": not rep.reject}]
+    assert contained == (not rep.reject)
+    assert binding == (4 if rep.reject else None)
+
+
+def test_alpha_comes_from_the_config():
+    data = generate(DesignConfig("I", 400, 0.5, HSpec("mono", c0=0.5), RngStream(20, 2)))
+    cfg = RunConfig(alpha=0.01, grid="knots", k_factor=2)
+    null = NullSpec.from_name("decreasing")
+    structural = adaptive_test(data.y, data.x, data.w, null, config=cfg)
+    for rep in (structural, image_space_test(data.y, data.x, data.w, "linear", config=cfg)):
+        assert rep.alpha == rep.config["alpha"] == 0.01
+        assert rep.p_threshold == 0.01 / len(rep.grid.j_list)
+    _, _, detail = cs_contains(lambda x: 0.0 * x, data.y, data.x, data.w, config=cfg, null=null)
+    assert detail["alpha"] == 0.01
+    assert [row["eta"] for row in detail["per_J"]] == [
+        eta_hat(0.01, len(detail["J_list"]), rec.gamma) for rec in structural.per_j
+    ]
 
 
 def test_cs_rejects_infeasible_cone_candidate():

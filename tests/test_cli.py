@@ -86,8 +86,8 @@ _BULK = {
     "plain": "y,x,w\n" + "\n".join(_rows()) + "\n",
     "no-final-newline": "y,x,w\n" + "\n".join(_rows()),
     "crlf": "y,x,w\r\n" + "\r\n".join(_rows()) + "\r\n",
+    "blank-lines": "y,x,w\n" + "\n\n".join(_rows()) + "\n\n",
     "padded": " y , x,w \n" + "\n".join(" " + r.replace(",", " ,\t") + "  " for r in _rows()),
-    "underscore": "y,x,w\n" + "\n".join(_rows()) + "\n1_0,0.5,0.5\n",
     "multivariate": "y,x1,x2,w1,w2\n" + "\n".join(_rows(cols=5)),
     "mu": "y,x,w,mu\n" + "\n".join(_rows(cols=4)),
     "few-rows": "y,x,w\n" + "\n".join(_rows(n=5)),
@@ -99,9 +99,9 @@ _BULK = {
 _ROW_LOOP = {
     "empty": "",
     "header-only": "y,x,w\n",
+    "underscore": "y,x,w\n" + "\n".join(_rows()) + "\n1_0,0.5,0.5\n",
     "quoted-cells": "y,x,w\n" + "\n".join(f'"{r}"'.replace(",", '","') for r in _rows()),
     "quoted-header": '"y","x","w"\n' + "\n".join(_rows()),
-    "blank-lines": "y,x,w\n" + "\n\n".join(_rows()) + "\n\n",
     "whitespace-lines": "y,x,w\n" + "\n  \t\n".join(_rows()),
     "comma-only-lines": "y,x,w\n" + "\n , ,\n".join(_rows()),
     "lone-cr": "y,x,w\r" + "\r".join(_rows()),
@@ -330,6 +330,21 @@ def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
         cfg.write_text(json.dumps(config))
         flags = [*flags, "--config", str(cfg)]
     assert run_cli("test", ENGEL, *flags, "--format", "json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b'{"alpha": "\xff"}'],
+                         ids=["missing", "bad-json", "json-list", "non-utf8"])
+@pytest.mark.parametrize("command", ["test-config", "cs", "simulate"])
+def test_unreadable_json_inputs_exit_2(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = {"test-config": ("test", ENGEL, "--config", str(path)), "cs": ("cs", ENGEL, str(path)),
+            "simulate": ("simulate", str(path))}[command]
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:")
     assert "Traceback" not in err

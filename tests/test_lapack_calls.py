@@ -61,6 +61,18 @@ def test_candidates_are_factored_outside_adaptive():
     assert linalg_names(ast.parse((SRC / "adaptive.py").read_text())) <= {"matrix_rank", "eigvalsh", *UNGUARDED}
 
 
+def test_only_decide_turns_statistics_into_a_verdict():
+    # the two tests, cs_contains and the Monte Carlo runs in sim take their critical values and
+    # p-values from decide; eta_hat is the one critical-value formula, and decide its one caller
+    callers: dict[str, set[str]] = {}
+    for top in ast.parse((SRC / "adaptive.py").read_text()).body:
+        for node in ast.walk(top):
+            name = getattr(getattr(node, "func", None), "id", None)
+            if isinstance(node, ast.Call) and name in ("eta_hat", "chisq_quantile", "chisq_sf"):
+                callers.setdefault(name, set()).add(top.name)
+    assert callers == {"eta_hat": {"decide"}, "chisq_quantile": {"eta_hat"}, "chisq_sf": {"decide"}}
+
+
 def test_the_lint_sees_unguarded_calls():
     tree = ast.parse(
         "import numpy as np\n"
