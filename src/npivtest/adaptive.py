@@ -153,20 +153,29 @@ class RunConfig:
     def psi_spec(self, j: int, knot_data=None) -> BasisSpec:
         return BasisSpec(self.family, j, max(self.order, 2), self.support, self.knot_rule, knot_data)
 
+    def instrument_dim(self, k_target: int, d_w: int) -> int:
+        """Realized dimension of the instrument design for k_target: the smallest per_dim^d_w >= k_target.
+
+        per_dim is at least the basis minimum; with d_w = 1 this is max(k_target, basis minimum).
+        """
+        base = max(k_target, self.basis_min())
+        per_dim = max(self.basis_min(), math.ceil(base ** (1.0 / d_w)))
+        while per_dim**d_w < base:
+            per_dim += 1
+        return per_dim**d_w
+
     def instrument_design(self, k_target: int, w: np.ndarray):
-        """(specs, B): basis spec(s) of total dimension >= k_target for the instrument sample w, and B.
+        """(specs, B): basis spec(s) of dimension instrument_dim(k_target, d_w) for the instrument sample w, and B.
 
         A d_w-dimensional instrument gets the tensor product of d_w equal factors.
         """
         knot_data = w if self.knot_rule == "quantile" else None
-        base = max(k_target, self.basis_min())
         d_w = 1 if w.ndim == 1 else w.shape[1]
+        dim = self.instrument_dim(k_target, d_w)
         if d_w == 1:
-            spec = self.psi_spec(base, knot_data)
+            spec = self.psi_spec(dim, knot_data)
             return spec, eval_design(spec, w)
-        per_dim = max(self.basis_min(), math.ceil(base ** (1.0 / d_w)))
-        while per_dim**d_w < base:
-            per_dim += 1
+        per_dim = round(dim ** (1.0 / d_w))
         specs = [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
         return specs, tensor_design(specs, w)
 
@@ -494,6 +503,9 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
     y, x, w, n = _checked_data(y, x, w)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
+    if null.kind == "shape" and null.custom_rows is None and config.family != "bspline":
+        raise InputError(f"the {null.shape} null's derivative constraints require a B-spline basis, "
+                         f"got {config.basis!r}")
     mu = _weights(mu, n)
     knot_data = x if config.knot_rule == "quantile" else None
     entries = []
@@ -683,17 +695,27 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     model = null.model if null.custom_design is None else null.custom_design
     entries = []
 
+    d_w = 1 if w.ndim == 1 else w.shape[1]
+    last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last design built
+
     # the step forms B'B for lambda_max only and factors no design: the scan steps far more
     # dimensions than it visits (240 against 32 in one 4-replication supp-D call at n = 5000,
     # xi = 0.5), and orthonormal_range costs 15-170 us more per step than the gram and
-    # eigvalsh (n = 5000, K = 3-36, one Xeon core)
+    # eigvalsh (n = 5000, K = 3-36, one Xeon core). A 2-d w rounds k up to the next per_dim^2, so
+    # a step whose realized dim repeats the last one returns that step unchanged: the call's 120
+    # steps over a 2-d w build 16 designs, not 120
     def step(k: int):
+        dim = config.instrument_dim(k, d_w)
+        if dim in last:
+            return last[dim]
+        last.clear()  # released before the next design is built
         specs, b = config.instrument_design(k, w)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
             raise NumericalError("instrument gram B'B is numerically singular")
-        return b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b
+        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        return last[dim]
 
     def statistics(realized: int, smin: float, b: np.ndarray):
         if n <= realized:

@@ -350,7 +350,7 @@ def _cmd_cs(args) -> int:
         "config": config.to_dict(),
     }
     if args.format == "text":
-        lines = [f"contained in the {1 - config.alpha:.0%} confidence set: {'yes' if contained else 'no'}"]
+        lines = [f"contained in the {100 * (1 - config.alpha):g}% confidence set: {'yes' if contained else 'no'}"]
         if binding is not None:
             lines.append(f"first violated candidate dimension: J = {binding}")
         _emit("\n".join(lines) + "\n", args.out)

@@ -192,22 +192,43 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
     return out
 
 
-def _collect(spec: ExperimentSpec, cell: dict, jobs: int, stream_offset: int = 0) -> list[tuple[int, dict | None]]:
-    reps = list(range(spec.replications))
-    if jobs <= 1 or spec.replications < 4:
-        return _rep_outcomes(spec.to_dict(), cell, reps, stream_offset)
-    chunks = np.array_split(np.asarray(reps), min(jobs * 4, len(reps)))
-    results: list[tuple[int, dict | None]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+class _Workers:
+    """The worker processes of one Monte Carlo call, shared by all its cells.
+
+    The pool is forked the first time a cell takes the parallel path (jobs > 1
+    and at least 4 replications) and shut down when the call's `with` block ends.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+    def collect(self, spec: ExperimentSpec, cell: dict, stream_offset: int = 0) -> list[tuple[int, dict | None]]:
+        """Outcomes of every replication of one cell, sorted by replication index whatever the chunking."""
+        reps = list(range(spec.replications))
+        if self.jobs <= 1 or spec.replications < 4:
+            return _rep_outcomes(spec.to_dict(), cell, reps, stream_offset)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        chunks = np.array_split(np.asarray(reps), min(self.jobs * 4, len(reps)))
         futures = [
-            pool.submit(_rep_outcomes, spec.to_dict(), cell, [int(r) for r in chunk], stream_offset)
+            self._pool.submit(_rep_outcomes, spec.to_dict(), cell, [int(r) for r in chunk], stream_offset)
             for chunk in chunks
             if len(chunk)
         ]
+        results: list[tuple[int, dict | None]] = []
         for fut in futures:
             results.extend(fut.result())
-    results.sort(key=lambda item: item[0])
-    return results
+        results.sort(key=lambda item: item[0])
+        return results
 
 
 def _check_failures(outcomes, cell: dict, replications: int) -> int:
@@ -262,8 +283,13 @@ def _cell_result(spec: ExperimentSpec, cell: dict, outcomes, crit: dict[float, f
 
 def run_size(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Empirical rejection rates; the DGP parameters are expected to satisfy the null."""
+    with _Workers(jobs) as workers:
+        return _size(spec, workers)
+
+
+def _size(spec: ExperimentSpec, workers: _Workers) -> McSummary:
     start = time.perf_counter()
-    cells = [_cell_result(spec, cell, _collect(spec, cell, jobs)) for cell in _cell_grid(spec)]
+    cells = [_cell_result(spec, cell, workers.collect(spec, cell)) for cell in _cell_grid(spec)]
     meta = {"mode": spec.mode, "statistic": spec.statistic, "master_seed": spec.master_seed,
             "timings": {"total_seconds": time.perf_counter() - start}}
     return McSummary(spec=spec, cells=cells, metadata=meta)
@@ -278,6 +304,11 @@ def _boundary_c_a(spec: ExperimentSpec, c_b: float) -> float:
 
 def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Power curves along the c_a axis; size-adjusted mode calibrates on a boundary-null run."""
+    with _Workers(jobs) as workers:
+        return _power(spec, workers)
+
+
+def _power(spec: ExperimentSpec, workers: _Workers) -> McSummary:
     if spec.mode not in ("power", "size_adjusted_power"):
         raise InputError(f"run_power needs mode 'power' or 'size_adjusted_power', got {spec.mode!r}")
     if spec.h_family == "mono":
@@ -290,7 +321,7 @@ def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
                 crit: dict[float, float] | None = None
                 if spec.mode == "size_adjusted_power":
                     boundary = {"n": n, "xi": xi, "c_a": _boundary_c_a(spec, c_b), "c_b": c_b}
-                    null_out = _collect(spec, boundary, jobs, stream_offset=CALIBRATION_STREAM_OFFSET)
+                    null_out = workers.collect(spec, boundary, stream_offset=CALIBRATION_STREAM_OFFSET)
                     _check_failures(null_out, boundary, spec.replications)
                     crit = {}
                     for alpha in spec.alphas:
@@ -298,7 +329,7 @@ def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
                         crit[alpha] = float(np.quantile(np.asarray(w_null), 1.0 - alpha))
                 for c_a in spec.c_a_values:
                     cell = {"n": n, "xi": xi, "c_a": c_a, "c_b": c_b}
-                    cells.append(_cell_result(spec, cell, _collect(spec, cell, jobs), crit))
+                    cells.append(_cell_result(spec, cell, workers.collect(spec, cell), crit))
     meta = {
         "mode": spec.mode,
         "statistic": spec.statistic,
@@ -311,7 +342,12 @@ def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
-    return run_size(spec, jobs) if spec.mode == "size" else run_power(spec, jobs)
+    with _Workers(jobs) as workers:
+        return _experiment(spec, workers)
+
+
+def _experiment(spec: ExperimentSpec, workers: _Workers) -> McSummary:
+    return _size(spec, workers) if spec.mode == "size" else _power(spec, workers)
 
 
 def _filtered(values, chosen):
@@ -395,17 +431,18 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
 
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
-    for run in _table_runs(table_id, n_values, xi_values, c0_values, k_factors):
-        summary = run_experiment(ExperimentSpec(**run.spec, replications=replications, master_seed=seed), jobs)
-        summaries[run.key] = summary
-        for cell in summary.cells:
-            base = {**cell.params, **run.extra}
-            ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]
-            for alpha, key in run.rates:
-                rows.append({**base, "alpha": alpha, "ours": cell.reject_rate[alpha], "se": cell.se[alpha],
-                             "published": float("nan") if ref is None else ref[key]})
-            if run.avg is not None:
-                metric, key = run.avg
-                rows.append({**base, "alpha": 0.05, "metric": metric, "ours": cell.avg_j[0.05],
-                             "se": float("nan"), "published": ref[key]})
+    with _Workers(jobs) as workers:  # one pool serves every run and cell of the table
+        for run in _table_runs(table_id, n_values, xi_values, c0_values, k_factors):
+            spec = ExperimentSpec(**run.spec, replications=replications, master_seed=seed)
+            summary = summaries[run.key] = _experiment(spec, workers)
+            for cell in summary.cells:
+                base = {**cell.params, **run.extra}
+                ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]
+                for alpha, key in run.rates:
+                    rows.append({**base, "alpha": alpha, "ours": cell.reject_rate[alpha], "se": cell.se[alpha],
+                                 "published": float("nan") if ref is None else ref[key]})
+                if run.avg is not None:
+                    metric, key = run.avg
+                    rows.append({**base, "alpha": 0.05, "metric": metric, "ours": cell.avg_j[0.05],
+                                 "se": float("nan"), "published": ref[key]})
     return {"table_id": table_id, "rows": rows, "summaries": summaries}

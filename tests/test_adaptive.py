@@ -22,7 +22,7 @@ from npivtest.adaptive import (
     gamma_hat,
     image_space_test,
 )
-from npivtest.basis import BasisSpec, deriv_constraints, eval_design
+from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
@@ -417,6 +417,27 @@ def test_martingale_limit_sanity():
     assert abs(arr.var() - 2.0 * j_dim) <= 0.5  # ... and variance 2J
 
 
+@pytest.mark.parametrize("basis", ["cosine", "power"])
+def test_builtin_shape_null_needs_a_bspline_basis_before_the_grid(monkeypatch, basis):
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("mono", c0=0.1), RngStream(21, 3)))
+    cfg = RunConfig(basis=basis)
+    null = NullSpec.from_name("decreasing")
+    evaluated = []
+    design = adaptive_module.eval_design
+    monkeypatch.setattr(adaptive_module, "eval_design", lambda *a: evaluated.append(a) or design(*a))
+    message = f"the decreasing null's derivative constraints require a B-spline basis, got '{basis}'"
+    with pytest.raises(InputError, match=message):
+        adaptive_test(data.y, data.x, data.w, null, config=cfg)
+    with pytest.raises(InputError, match=message):
+        cs_contains(lambda x: -x, data.y, data.x, data.w, config=cfg, null=null)
+    assert evaluated == []
+    # custom rows need no derivative, so any basis takes them
+    custom = NullSpec(kind="shape", shape="first-coefficient",
+                      custom_rows=lambda spec: ConstraintMatrix(np.eye(1, spec.dim), "custom"))
+    rep = adaptive_test(data.y, data.x, data.w, custom, config=cfg)
+    assert rep.per_j and evaluated
+
+
 # ------------------------------------------------------- one pass per candidate
 
 
@@ -677,6 +698,34 @@ def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):
     image_space_test(data.y, data.x, data.w, "linear")
     assert len(built) >= 3
     assert most_alive <= 1
+
+
+def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
+    # a 2-d w rounds every scanned K up to the next per_dim^2, so the scan steps more indices than designs
+    data = generate(DesignConfig("multivariate", 5000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
+    built = []
+    instrument_design = RunConfig.instrument_design
+
+    def recording(self, k_target, w):
+        built.append(k_target)
+        return instrument_design(self, k_target, w)
+
+    monkeypatch.setattr(RunConfig, "instrument_design", recording)
+    rep = image_space_test(data.y, data.x, data.w, "linear")
+    assert len(built) == len(rep.grid.shat)  # one build per distinct realized K stepped
+
+    class Fresh(int):
+        """An int equal only to itself, so no step finds its realized K among the built designs."""
+
+        __eq__ = object.__eq__
+        __hash__ = object.__hash__
+
+    instrument_dim = RunConfig.instrument_dim
+    monkeypatch.setattr(RunConfig, "instrument_dim", lambda self, k, d_w: Fresh(instrument_dim(self, k, d_w)))
+    built.clear()
+    bypassed = image_space_test(data.y, data.x, data.w, "linear")
+    assert len(built) > len(rep.grid.shat)
+    assert bypassed.to_dict() == rep.to_dict()
 
 
 def test_image_space_detects_quadratic_alternative():

@@ -392,6 +392,25 @@ def test_cmd_cs_shifted_candidate_excluded(tmp_path):
     assert payload_far["binding_J"] is not None
 
 
+@pytest.mark.parametrize("alpha, level", [("0.05", "95%"), ("0.025", "97.5%"), ("0.001", "99.9%")])
+def test_cmd_cs_text_names_the_confidence_level(tmp_path, capsys, alpha, level):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
+    assert run_cli("cs", ENGEL, str(cand), "--null", "linear", "--alpha", alpha) == 0
+    assert capsys.readouterr().out.startswith(f"contained in the {level} confidence set: ")
+
+
+@pytest.mark.parametrize("basis", ["cosine", "power"])
+def test_builtin_shape_null_on_a_non_bspline_basis_exit_2(tmp_path, capsys, basis):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
+    message = f"the decreasing null's derivative constraints require a B-spline basis, got '{basis}'"
+    assert run_cli("test", ENGEL, "--null", "decreasing", "--basis", basis) == 2
+    assert message in capsys.readouterr().err
+    assert run_cli("cs", ENGEL, str(cand), "--null", "decreasing", "--basis", basis) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, order", [("bspline2", 3), ("bspline3", 4)])
 def test_cmd_cs_coeffs_candidate_uses_its_own_equispaced_basis(tmp_path, name, order):
     coeffs = [0.5, 0.3, 0.1, -0.1, -0.3, -0.5]  # decreasing, so inside the decreasing cone

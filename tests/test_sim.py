@@ -179,3 +179,44 @@ def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
     (summary,) = out["summaries"].values()
     assert [cell.failures for cell in summary.cells] == [1]
     assert datasets["made"] == 100
+
+
+def _counting_pools(monkeypatch):
+    """Replace sim's ProcessPoolExecutor by a subclass that counts constructions and shutdowns."""
+    counts = {"built": 0, "shut": 0}
+
+    class CountingPool(sim_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            counts["built"] += 1
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            counts["shut"] += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", CountingPool)
+    return counts
+
+
+def test_one_worker_pool_serves_a_reproduce_call(monkeypatch):
+    counts = _counting_pools(monkeypatch)
+    cells = dict(n_values=(500,), xi_values=(0.5,))
+    parallel = reproduce("supp-D", replications=4, seed=3, jobs=2, **cells)
+    assert counts == {"built": 1, "shut": 1}  # four cells, one pool
+    serial = reproduce("supp-D", replications=4, seed=3, jobs=1, **cells)
+    assert counts["built"] == 1
+    np.testing.assert_equal(parallel["rows"], serial["rows"])
+    reproduce("supp-D", replications=3, seed=3, jobs=2, **cells)  # too few replications to fork
+    assert counts["built"] == 1
+
+
+def test_worker_pool_is_shut_down_when_a_cell_fails(monkeypatch):
+    counts = _counting_pools(monkeypatch)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(sim_module, "_cell_result", failing)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_size(small_size_spec(replications=4), jobs=2)
+    assert counts == {"built": 1, "shut": 1}
