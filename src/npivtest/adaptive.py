@@ -23,8 +23,9 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
-from .errors import InputError, NumericalError
+from .basis import (BasisSpec, ConstraintMatrix, _max_support_count, deriv_constraints, eval_design, min_dim,
+                    tensor_design, zeta)
+from .errors import InputError, NumericalError, SingularGramError
 from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
@@ -212,7 +213,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CandidateGrid:
-    """Candidate sieve dimensions with their stability diagnostics."""
+    """Candidate sieve dimensions with their stability diagnostics.
+
+    shat maps each stepped dimension to its stability measure s: every visited candidate's, and every
+    non-candidate's the scan computed. A 1-d B-spline image-space step that certifies noise < s from
+    knot-interval counts computes no s, so such a non-candidate has no entry.
+    """
 
     mode: str
     j_underbar: int
@@ -361,23 +367,27 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> Candi
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
-    dimension, noise level and stability measure, and the designs. Candidates
-    are keyed by dim; visit(dim, s, designs) gets each one once, and the
-    designs are dropped before the next index's are built. j_min is the
-    scan's lowest admissible index, the one minimum every rule starts from.
+    dimension, noise level and stability measure, and the designs. A step
+    that has certified noise < s without computing s returns s = None and
+    may return no designs; it cannot stop the scan. Candidates are keyed by
+    dim; visit(dim, s, designs) gets each one once and returns its exact s,
+    and the designs are dropped before the next index's are built. j_min is
+    the scan's lowest admissible index, the one minimum every rule starts from.
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
     j_list: list[int] = []
 
-    def record(dim: int, noise: float, s: float, designs, candidate: bool = True) -> bool:
-        """Keep s of a stepped index, visit a new candidate; True when the noise level overtakes s."""
-        shat[dim] = s
+    def record(dim: int, noise: float, s: float | None, designs, candidate: bool = True) -> bool:
+        """Visit a new candidate, keep the exact s of a stepped index; True when the noise level overtakes s."""
+        stop = s is not None and noise >= s
         if candidate and dim not in j_list:
-            visit(dim, s, designs)
+            s = visit(dim, s, designs)
             j_list.append(dim)
-        return noise >= s
+        if s is not None:
+            shat[dim] = s
+        return stop
 
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
     if mode == "explicit":
@@ -508,6 +518,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                          f"got {config.basis!r}")
     mu = _weights(mu, n)
     knot_data = x if config.knot_rule == "quantile" else None
+    scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
     entries = []
     fit_warnings: list[str] = []
 
@@ -515,10 +526,17 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
         psi_spec = config.psi_spec(j, knot_data)
         psi = eval_design(psi_spec, x)
         _, b = config.instrument_design(config.k_factor * j, w)
-        if b.shape[1] >= n and not isinstance(config.grid, tuple):
-            # B'B has rank at most n < K, which ends a scanned grid's stability scan
-            raise NumericalError(f"instrument gram B'B is numerically singular (dim {b.shape[1]})")
-        fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
+        k = b.shape[1]
+        try:
+            if k >= n and scanned:
+                # B'B has rank at most n < K, which ends a scanned grid's stability scan
+                raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
+            fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
+        except SingularGramError as exc:
+            if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
+                raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
+                                 f"needs K={k} instrument columns, whose gram B'B is singular at n={n}") from exc
+            raise
         return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, fit)
 
     def statistics(j: int, s_hat: float, designs):
@@ -541,8 +559,9 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
                                       n_active=len(rfit.active_set)))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
+        return s_hat
 
-    grid = _candidate_pass(n, config, step, statistics, config.basis_min())
+    grid = _candidate_pass(n, config, step, statistics, j_min)
     return grid, entries, [*_clamp_warnings(config, x=x, w=w), *grid.warnings, *fit_warnings], n
 
 
@@ -680,6 +699,46 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j}
 
 
+def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
+    """step(k) of the image-space stability scan: (dim, noise, s_K, B) of the instrument design for k.
+
+    The scan steps far more dimensions than it visits, and a step only asks whether the noise level
+    reaches s_K = lambda_max(B'B/n)^{-1/2}. For a 1-d B-spline instrument s_K >= sqrt(n / max_j N_j),
+    N_j the knot-interval counts of the sorted sample (basis._max_support_count), so a step whose noise
+    stays below that bound returns (dim, noise, None, None): it builds no design and computes no s_K,
+    and a candidate's visit builds B and reads s_K = sqrt(n) / s_max(B). In one 4-replication supp-D
+    call at n = 5000, xi = 0.5, all 120 design-I steps are certified, so only the 20 candidate visits
+    build a design. Any other step forms B'B for lambda_max only and factors no design. A 2-d w rounds
+    k up to the next per_dim^2, so a step whose realized dim repeats the last one returns that step
+    unchanged: the call's 120 steps over a 2-d w build 16 designs, not 120.
+    """
+    d_w = 1 if w.ndim == 1 else w.shape[1]
+    last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last design built
+    knot_data = w if config.knot_rule == "quantile" else None
+    w_sorted = np.sort(np.clip(w, *config.support)) if d_w == 1 and config.family == "bspline" else None
+
+    def step(k: int):
+        dim = config.instrument_dim(k, d_w)
+        if dim in last:
+            return last[dim]
+        last.clear()  # released before the next design is built
+        if w_sorted is not None:
+            spec = config.psi_spec(dim, knot_data)
+            noise = _noise_level(spec, dim, n)
+            # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
+            if noise < math.sqrt(n / _max_support_count(spec, w_sorted)) * (1.0 - 1e-9):
+                return dim, noise, None, None
+        specs, b = config.instrument_design(k, w)
+        gb = b.T @ b / n
+        evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
+        if evals[-1] <= 0:
+            raise NumericalError("instrument gram B'B is numerically singular")
+        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        return last[dim]
+
+    return step
+
+
 def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     """Alpha-free part of the instrument-space test: grid over K plus statistics.
 
@@ -695,32 +754,14 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     model = null.model if null.custom_design is None else null.custom_design
     entries = []
 
-    d_w = 1 if w.ndim == 1 else w.shape[1]
-    last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last design built
-
-    # the step forms B'B for lambda_max only and factors no design: the scan steps far more
-    # dimensions than it visits (240 against 32 in one 4-replication supp-D call at n = 5000,
-    # xi = 0.5), and orthonormal_range costs 15-170 us more per step than the gram and
-    # eigvalsh (n = 5000, K = 3-36, one Xeon core). A 2-d w rounds k up to the next per_dim^2, so
-    # a step whose realized dim repeats the last one returns that step unchanged: the call's 120
-    # steps over a 2-d w build 16 designs, not 120
-    def step(k: int):
-        dim = config.instrument_dim(k, d_w)
-        if dim in last:
-            return last[dim]
-        last.clear()  # released before the next design is built
-        specs, b = config.instrument_design(k, w)
-        gb = b.T @ b / n
-        evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
-        if evals[-1] <= 0:
-            raise NumericalError("instrument gram B'B is numerically singular")
-        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
-        return last[dim]
-
-    def statistics(realized: int, smin: float, b: np.ndarray):
+    def statistics(realized: int, smin: float | None, b: np.ndarray | None) -> float:
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        q, r_b, _ = orthonormal_range(b, config.rcond)
+        if b is None:  # a certified step built no design
+            _, b = config.instrument_design(realized, w)
+        q, r_b, s_b = orthonormal_range(b, config.rcond)
+        if smin is None:
+            smin = math.sqrt(n) / float(s_b[0])
         rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=config.rcond)
         r = rfit.residuals_r
         if _numerically_zero(r, y):
@@ -734,13 +775,14 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
             _ScanEntry(j=realized, k=realized, d_stat=d_stat, v_stat=v_stat, s_hat=smin,
                        gamma=max(1, realized - rfit.df_consumed), n_active=0, center=realized)
         )
+        return smin
 
     z, _ = parametric_design(x, model)
     if z.shape[0] != n:
         raise InputError("parametric design and y must share the number of rows")
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
-    grid = _candidate_pass(n, replace(config, grid="dyadic"), step, statistics, k_min)
+    grid = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, w, n), statistics, k_min)
     return grid, entries, [*_clamp_warnings(config, w=w), *grid.warnings], n
 
 

@@ -146,6 +146,18 @@ def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.
     return out
 
 
+def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
+    """max_j N_j, N_j the number of the sorted points x_sorted in the support [t_j, t_{j+order}] of B-spline j.
+
+    A B-spline design B at points inside the support has B >= 0 and rows summing to one, so by Gershgorin
+    lambda_max(B'B/n) <= max_j (1/n) sum_i B_j(x_i) <= max_j N_j / n; it is counted from the knot vector
+    without building B. Clamp the points to the support before sorting them.
+    """
+    t = spec.knot_vector()
+    first, last = np.searchsorted(x_sorted, t, "left"), np.searchsorted(x_sorted, t, "right")
+    return int(np.max(last[spec.order :] - first[: -spec.order]))
+
+
 def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     """(n x J) design matrix of the basis (or, for B-splines, its deriv-th derivative) at sample points x.
 

@@ -10,3 +10,7 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Raised when a numerical routine fails (non-convergence, singular gram, ...)."""
+
+
+class SingularGramError(NumericalError):
+    """Raised when the instrument gram B'B of a candidate is numerically singular."""

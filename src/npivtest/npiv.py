@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, SingularGramError
 from .linalg import _lapack, default_rcond, orthonormal_range, pinv
 
 __all__ = [
@@ -96,7 +96,8 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
 
     With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
     one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M), beta = L^{-T} M^+ U_B' y
-    and scaled_map = M^+ U_B' = L'C. A singular B'B, then a singular Psi' Omega Psi, is a NumericalError.
+    and scaled_map = M^+ U_B' = L'C. A singular B'B is a SingularGramError, then a singular Psi' Omega Psi a
+    NumericalError.
     """
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -120,7 +121,7 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     warnings_list: list[str] = []
     q, r, s_b = orthonormal_range(b, rcond)
     if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
-        raise NumericalError(f"instrument gram B'B is numerically singular (dim {k_dim})")
+        raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k_dim})")
     if r.shape[1] < k_dim:
         warnings_list.append(f"instrument design is rank deficient: rank {r.shape[1]} < K={k_dim}")
     gram_weighted = psi.T @ (psi * mu[:, None])

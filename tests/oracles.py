@@ -501,3 +501,31 @@ def compute_shat(psi, b, omega=None) -> float:
     a = hb @ (b.T @ psi / n) @ hw
     svals = _lapack(np.linalg.svd, a, compute_uv=False)
     return float(svals[-1])
+
+
+def image_space_step_dense(config, w: np.ndarray, n: int):
+    """The image-space stability step that builds every design, a drop-in for adaptive._image_space_step.
+
+    step(k) builds the instrument design B for k, forms B'B/n and returns (dim, noise, s_K, B) with
+    s_K = lambda_max(B'B/n)^{-1/2} from one eigvalsh; a step whose realized dim repeats the last one
+    returns that step unchanged.
+    """
+    from npivtest.adaptive import _noise_level
+
+    d_w = 1 if w.ndim == 1 else w.shape[1]
+    last: dict[int, tuple] = {}
+
+    def step(k: int):
+        dim = config.instrument_dim(k, d_w)
+        if dim in last:
+            return last[dim]
+        last.clear()
+        specs, b = config.instrument_design(k, w)
+        gb = b.T @ b / n
+        evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
+        if evals[-1] <= 0:
+            raise NumericalError("instrument gram B'B is numerically singular")
+        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        return last[dim]
+
+    return step

@@ -29,7 +29,15 @@ from npivtest.linalg import orthonormal_range
 from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from npivtest.randdist import RngStream, chisq_quantile
 
-from oracles import brute_D, brute_image_D, brute_shat, brute_vhat, chisq_quantile_bisect, image_vhat_gram
+from oracles import (
+    brute_D,
+    brute_image_D,
+    brute_shat,
+    brute_vhat,
+    chisq_quantile_bisect,
+    image_space_step_dense,
+    image_vhat_gram,
+)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -728,6 +736,99 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     assert bypassed.to_dict() == rep.to_dict()
 
 
+def _concentrated_sample(n=1000, share=0.9, width=0.01, seed=5):
+    """A share of w inside [0.5, 0.5 + width]: the knot-interval counts there certify too little for the top
+    of the scan, and at n = 80 with 95 % inside [0.5, 0.501] the stability scan stops below its hard cap."""
+    gen = np.random.default_rng(seed)
+    w = np.where(gen.uniform(size=n) < share, 0.5 + width * gen.uniform(size=n), gen.uniform(size=n))
+    x = w + 0.1 * gen.normal(size=n)
+    return x + gen.normal(size=n), x, w
+
+
+def _recorded_image_space_test(monkeypatch, y, x, w, config=None):
+    """image_space_test, with each stepped (dim, exact) and each instrument design build recorded."""
+    steps, built = [], []
+    factory, instrument_design = adaptive_module._image_space_step, RunConfig.instrument_design
+
+    def recording_factory(config, w, n):
+        step = factory(config, w, n)
+
+        def recording_step(k):
+            stepped = step(k)
+            steps.append((stepped[0], stepped[2] is not None))
+            return stepped
+
+        return recording_step
+
+    def recording_design(self, k_target, w):
+        built.append(k_target)
+        return instrument_design(self, k_target, w)
+
+    monkeypatch.setattr(adaptive_module, "_image_space_step", recording_factory)
+    monkeypatch.setattr(RunConfig, "instrument_design", recording_design)
+    return image_space_test(y, x, w, "linear", config=config), steps, built
+
+
+def test_certified_image_space_scan_builds_only_candidates(monkeypatch):
+    # at n = 5000 the knot-interval bound certifies every design-I step: no step builds a design,
+    # forms B'B or calls eigvalsh, and each candidate's visit builds its design once
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh", (np.linalg,))
+    data = generate(DesignConfig("I", 5000, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    rep, steps, built = _recorded_image_space_test(monkeypatch, data.y, data.x, data.w)
+    assert len(steps) == rep.grid.hard_cap - rep.grid.j_list[0] + 1
+    assert not any(exact for _, exact in steps)
+    assert eigvalsh["calls"] == 0
+    assert sorted(built) == sorted(rep.grid.j_list) == sorted(rep.grid.shat)
+
+
+@pytest.mark.parametrize("basis", ["bspline2", "bspline3"])
+def test_image_space_design_builds_are_candidates_plus_uncertified_steps(monkeypatch, basis):
+    y, x, w = _concentrated_sample()
+    rep, steps, built = _recorded_image_space_test(monkeypatch, y, x, w, RunConfig(basis=basis))
+    uncertified = {dim for dim, exact in steps if exact}
+    assert uncertified - set(rep.grid.j_list)  # the sample forces exact non-candidate steps
+    assert len(built) == len(set(rep.grid.j_list) | uncertified)  # an uncertified candidate is built once
+    assert set(rep.grid.shat) == set(rep.grid.j_list) | uncertified
+
+
+def _image_space_outcome(y, x, w, model, config):
+    try:
+        return image_space_test(y, x, w, model, config=config).to_dict()
+    except (InputError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_image_space_scan_matches_the_dense_step_oracle(monkeypatch):
+    # grids, decisions and errors are identical to the scan whose every step builds B; D, v, W and p
+    # too, since a visit builds the same design; s_hat comes from another factorization of B'B
+    samples = [
+        generate(DesignConfig(design, n, 0.5, HSpec("sin", c_a=1.0), RngStream(seed, 3)))
+        for design, n, seed in [("I", 60, 2), ("I", 200, 3), ("I", 1000, 4), ("II", 200, 5), ("II", 1000, 6)]
+    ]
+    samples = [(d.y, d.x, d.w) for d in samples] + [_concentrated_sample(), _concentrated_sample(80, 0.95, 0.001)]
+    compared = 0
+    for y, x, w in samples:
+        for basis in ("bspline2", "bspline3", "cosine", "power"):
+            for knot_rule in ("equispaced", "quantile"):
+                for model in ("linear", "quadratic"):
+                    config = RunConfig(basis=basis, knot_rule=knot_rule)
+                    fast = _image_space_outcome(y, x, w, model, config)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(adaptive_module, "_image_space_step", image_space_step_dense)
+                        dense = _image_space_outcome(y, x, w, model, config)
+                    if isinstance(dense, tuple):
+                        assert fast == dense
+                        continue
+                    fast_rows, dense_rows = fast.pop("per_J"), dense.pop("per_J")
+                    assert fast == dense
+                    assert len(fast_rows) == len(dense_rows)
+                    for row, expected in zip(fast_rows, dense_rows):
+                        assert row.pop("s_hat") == pytest.approx(expected.pop("s_hat"), rel=1e-10)
+                        assert row == expected
+                    compared += 1
+    assert compared >= 100
+
+
 def test_image_space_detects_quadratic_alternative():
     data = generate(DesignConfig("I", 500, 0.7, HSpec("sin", c_a=2.0), RngStream(24, 5)))
     rep = image_space_test(data.y, data.x, data.w, "linear", config=RunConfig(k_factor=4))
@@ -786,7 +887,8 @@ def test_lapack_failures_are_numerical_errors(monkeypatch, name, statistic):
         if statistic == "structural":
             adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), config=RunConfig(grid=(4,)))
         else:
-            image_space_test(data.y, data.x, data.w, "linear")
+            # a cosine instrument takes the exact stability step, whose lambda_max is an eigvalsh
+            image_space_test(data.y, data.x, data.w, "linear", config=RunConfig(basis="cosine"))
     assert calls["calls"] > 0
 
 
@@ -805,6 +907,28 @@ def test_structural_statistic_needs_one_regressor_column(null):
         cs_contains(np.zeros(300), data.y, x2, data.w, null=null)
     design = np.column_stack([np.ones(300), x2])
     assert image_space_test(data.y, x2, data.w, design).per_j
+
+
+@pytest.mark.parametrize("grid", ["dyadic", "knots"])
+@pytest.mark.parametrize("null", ["linear", "decreasing"])
+def test_sample_too_small_for_the_basis_minimum_is_an_input_error(grid, null):
+    # bspline3's minimum J = 4 needs K = 16 instrument columns, and some of them have no data at n = 60
+    data = generate(DesignConfig("I", 60, 0.5, HSpec("sin", c_a=0.5), RngStream(2, 11)))
+    with pytest.raises(InputError, match=r"too small for the bspline3 basis: its minimum candidate J=4 needs "
+                                         r"K=16 instrument columns, whose gram B'B is singular at n=60"):
+        adaptive_test(data.y, data.x, data.w, NullSpec.from_name(null), config=RunConfig(basis="bspline3", grid=grid))
+
+
+def test_lapack_failure_at_the_basis_minimum_stays_a_numerical_error(monkeypatch):
+    # only a singular B'B there says the sample is too small; a failed factorization is still exit 3
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("svd failed")
+
+    data = generate(DesignConfig("I", 400, 0.5, HSpec("sin", c_a=0.5), RngStream(18, 0)))
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(NumericalError, match="svd failed"):
+        adaptive_test(data.y, data.x, data.w, NullSpec.from_name("linear"), config=RunConfig(grid="knots"))
 
 
 def test_scanned_grid_stops_where_k_reaches_n():

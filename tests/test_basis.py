@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npivtest.basis import BasisSpec, deriv_constraints, eval_design, min_dim, tensor_design, zeta
+from npivtest.basis import BasisSpec, _max_support_count, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from npivtest.errors import InputError
 
 from oracles import bspline_design_dense, simpson
@@ -78,6 +80,29 @@ def test_bspline_kernel_matches_dense_recursion(order, knot_rule):
                 clamped = eval_design(spec, outside, deriv=deriv)
             np.testing.assert_allclose(clamped, bspline_design_dense(np.clip(outside, -1.0, 2.0), t, order, deriv),
                                        rtol=0, atol=1e-14)
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(["equispaced", "quantile"]),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=20, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bspline_gram_is_bounded_by_support_counts(order, knot_rule, n_interior, n, seed):
+    # Gershgorin: row j of B'B/n sums to (1/n) sum_i B_j(x_i) <= N_j / n, as B >= 0 has unit row sums
+    gen = np.random.default_rng(seed)
+    spec = bspline(order + n_interior, order, knot_rule=knot_rule, knot_data=gen.uniform(size=100))
+    t = spec.knot_vector()
+    # a random mix of spread points (some outside the support), points on knots and one tied value
+    kinds = gen.multinomial(n, gen.dirichlet(np.ones(3)))
+    x = np.concatenate([gen.uniform(-0.2, 1.2, size=kinds[0]), gen.choice(t, size=kinds[1]),
+                        np.full(kinds[2], gen.uniform())])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamping
+        b = eval_design(spec, x)
+    bound = _max_support_count(spec, np.sort(np.clip(x, *spec.support))) / n
+    assert np.linalg.eigvalsh(b.T @ b / n)[-1] <= bound * (1.0 + 1e-12)
 
 
 def test_bspline_local_support():

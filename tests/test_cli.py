@@ -287,6 +287,17 @@ def test_cmd_test_explicit_grid_with_k_at_least_n_exit_2(capsys):
     assert "need n > K, got n=400, K=400" in capsys.readouterr().err
 
 
+def test_cmd_test_sample_too_small_for_the_basis_exit_2(tmp_path, capsys):
+    # bspline3's minimum J = 4 needs K = 16 instrument columns; B'B is singular on this 60-row sample
+    data = generate(DesignConfig("I", 60, 0.5, HSpec("sin", c_a=0.5), RngStream(2, 11)))
+    path = tmp_path / "small.csv"
+    np.savetxt(path, np.column_stack([data.y, data.x, data.w]), fmt="%.17g", delimiter=",",
+               header="y,x,w", comments="")
+    assert run_cli("test", str(path), "--basis", "bspline3") == 2
+    assert "minimum candidate J=4 needs K=16 instrument columns, whose gram B'B is singular at n=60" \
+        in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exit_2(capsys):
     assert run_cli("test", "/nonexistent/data.csv") == 2
     assert "input error" in capsys.readouterr().err
