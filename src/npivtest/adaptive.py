@@ -50,6 +50,7 @@ __all__ = [
 
 _SHAPE_KINDS = ("decreasing", "increasing", "convex", "concave")
 _MODEL_KINDS = ("linear", "quadratic")
+_TINY = np.finfo(float).tiny  # smallest normal float
 _BASIS_NAMES = {
     "bspline2": ("bspline", 3),
     "bspline3": ("bspline", 4),
@@ -165,20 +166,20 @@ class RunConfig:
             per_dim += 1
         return per_dim**d_w
 
-    def instrument_design(self, k_target: int, w: np.ndarray):
-        """(specs, B): basis spec(s) of dimension instrument_dim(k_target, d_w) for the instrument sample w, and B.
-
-        A d_w-dimensional instrument gets the tensor product of d_w equal factors.
-        """
+    def instrument_specs(self, k_target: int, w: np.ndarray) -> list[BasisSpec]:
+        """One basis spec per coordinate of the instrument sample w, of dimension instrument_dim(k_target, d_w)
+        together: a d_w-dimensional instrument gets the tensor product of d_w equal factors."""
         knot_data = w if self.knot_rule == "quantile" else None
-        d_w = 1 if w.ndim == 1 else w.shape[1]
-        dim = self.instrument_dim(k_target, d_w)
-        if d_w == 1:
-            spec = self.psi_spec(dim, knot_data)
-            return spec, eval_design(spec, w)
-        per_dim = round(dim ** (1.0 / d_w))
-        specs = [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
-        return specs, tensor_design(specs, w)
+        if w.ndim == 1:
+            return [self.psi_spec(self.instrument_dim(k_target, 1), knot_data)]
+        d_w = w.shape[1]
+        per_dim = round(self.instrument_dim(k_target, d_w) ** (1.0 / d_w))
+        return [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
+
+    def instrument_design(self, k_target: int, w: np.ndarray):
+        """(specs, B): instrument_specs(k_target, w) and the instrument design B they span at w."""
+        specs = self.instrument_specs(k_target, w)
+        return specs, eval_design(specs[0], w) if w.ndim == 1 else tensor_design(specs, w)
 
     def basis_min(self) -> int:
         return min_dim(self)
@@ -216,7 +217,7 @@ class CandidateGrid:
     """Candidate sieve dimensions with their stability diagnostics.
 
     shat maps each stepped dimension to its stability measure s: every visited candidate's, and every
-    non-candidate's the scan computed. A 1-d B-spline image-space step that certifies noise < s from
+    non-candidate's the scan computed. A B-spline image-space step that certifies noise < s from
     knot-interval counts computes no s, so such a non-candidate has no entry.
     """
 
@@ -318,6 +319,15 @@ class TestReport:
 def _numerically_zero(residuals: np.ndarray, y: np.ndarray) -> bool:
     """Residuals at rounding level relative to the outcome scale count as exact zeros."""
     return float(np.max(np.abs(residuals), initial=0.0)) <= 1e-12 * float(np.max(np.abs(y)))
+
+
+def _check_underflow(j: int, y: np.ndarray, **stats: tuple[float, np.ndarray]) -> None:
+    """Raise for a statistic (name=(value, its residuals)) that is zero or subnormal although its residuals
+    are not numerically zero: a square underflowed on the way, and a decision from it would be silent."""
+    for name, (value, residuals) in stats.items():
+        if abs(value) < _TINY and not _numerically_zero(residuals, y):
+            raise NumericalError(f"candidate J={j}: {name}={value} underflowed from residuals that are not "
+                                 "numerically zero; rescale y")
 
 
 def _res_parameters(n: int) -> tuple[int, int, int]:
@@ -462,9 +472,10 @@ def compute_D(scaled_map, r) -> float:
 def compute_vhat(scaled_map, u) -> float:
     """Frobenius norm of the standardized residual sandwich S diag(u^2) S'.
 
-    S is the standardized coefficient operator (rows of length n): the
-    structural statistic passes NpivFit.scaled_map, the image-space statistic
-    the transposed orthonormal instrument basis U_B'.
+    S is the standardized coefficient operator (rows of length n), which the
+    structural statistic takes as NpivFit.scaled_map. The image-space
+    statistic is this with S = U_B', computed in instrument coordinates by
+    _image_space_statistics.
     """
     scaled_map, u = _map_and_residuals(scaled_map, u)
     e = scaled_map * u[None, :]
@@ -555,10 +566,11 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             r = rfit.residuals_r if candidate_values is None else y - candidate_values
             d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
             v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(s, fit.residuals)
-            entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
-                                      n_active=len(rfit.active_set)))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
+        _check_underflow(j, y, D=(d_stat, r), v=(v_stat, fit.residuals))
+        entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
+                                  n_active=len(rfit.active_set)))
         return s_hat
 
     grid = _candidate_pass(n, config, step, statistics, j_min)
@@ -703,31 +715,35 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
     """step(k) of the image-space stability scan: (dim, noise, s_K, B) of the instrument design for k.
 
     The scan steps far more dimensions than it visits, and a step only asks whether the noise level
-    reaches s_K = lambda_max(B'B/n)^{-1/2}. For a 1-d B-spline instrument s_K >= sqrt(n / max_j N_j),
-    N_j the knot-interval counts of the sorted sample (basis._max_support_count), so a step whose noise
-    stays below that bound returns (dim, noise, None, None): it builds no design and computes no s_K,
-    and a candidate's visit builds B and reads s_K = sqrt(n) / s_max(B). In one 4-replication supp-D
-    call at n = 5000, xi = 0.5, all 120 design-I steps are certified, so only the 20 candidate visits
-    build a design. Any other step forms B'B for lambda_max only and factors no design. A 2-d w rounds
-    k up to the next per_dim^2, so a step whose realized dim repeats the last one returns that step
-    unchanged: the call's 120 steps over a 2-d w build 16 designs, not 120.
+    reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
+    B >= 0 and unit row sums, and a tensor column is supported inside each of its factors' supports, so
+    s_K >= sqrt(n / min_d max_j N_{d,j}), N_{d,j} the knot-interval counts of coordinate d's sorted
+    sample (basis._max_support_count). A step whose noise stays below that bound returns
+    (dim, noise, None, None): it builds no design and computes no s_K, and a candidate's visit builds
+    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms B'B for
+    lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
+    realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D call at
+    n = 5000, xi = 0.5, all 120 design-I steps are certified, so only the 20 candidate visits build a
+    design; of the 120 multivariate steps the 92 below K = 36 are, so the scan builds 12 tensor designs
+    (9, 16 and 36 per replication), not 16, and takes 4 eigvalsh, not 16.
     """
-    d_w = 1 if w.ndim == 1 else w.shape[1]
-    last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last design built
-    knot_data = w if config.knot_rule == "quantile" else None
-    w_sorted = np.sort(np.clip(w, *config.support)) if d_w == 1 and config.family == "bspline" else None
+    columns = [w] if w.ndim == 1 else list(w.T)
+    w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
+    last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
     def step(k: int):
-        dim = config.instrument_dim(k, d_w)
+        dim = config.instrument_dim(k, len(columns))
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
         if w_sorted is not None:
-            spec = config.psi_spec(dim, knot_data)
-            noise = _noise_level(spec, dim, n)
+            specs = config.instrument_specs(k, w)
+            noise = _noise_level(specs, dim, n)
+            count = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
             # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
-            if noise < math.sqrt(n / _max_support_count(spec, w_sorted)) * (1.0 - 1e-9):
-                return dim, noise, None, None
+            if noise < math.sqrt(n / count) * (1.0 - 1e-9):
+                last[dim] = (dim, noise, None, None)
+                return last[dim]
         specs, b = config.instrument_design(k, w)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
@@ -737,6 +753,18 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
         return last[dim]
 
     return step
+
+
+def _image_space_statistics(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """(D_K, v_K) of residuals r on the orthonormal instrument basis U_B = q r_b, from one K x K gram.
+
+    With C = U_B' diag(r^2) U_B = r_b' (q o r)'(q o r) r_b and t = U_B' r = r_b'(q'r), compute_D and
+    compute_vhat on S = U_B' are D = (|t|^2 - tr C) / (n - 1) and v = ||C||_F; no n x K basis is formed.
+    """
+    e = q * r[:, None]
+    c = r_b.T @ (e.T @ e) @ r_b
+    t = r_b.T @ (q.T @ r)
+    return (float(t @ t) - float(np.trace(c))) / (r.shape[0] - 1), frobenius_norm(c)
 
 
 def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
@@ -764,11 +792,8 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
             smin = math.sqrt(n) / float(s_b[0])
         rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=config.rcond)
         r = rfit.residuals_r
-        if _numerically_zero(r, y):
-            d_stat, v_stat = 0.0, 0.0
-        else:
-            s = (q @ r_b).T
-            d_stat, v_stat = compute_D(s, r), compute_vhat(s, r)
+        d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
+        _check_underflow(realized, y, D=(d_stat, r), v=(v_stat, r))
         # chi-square df nets out the parameters the restricted fit consumed
         # inside the instrument projection; centering stays at K
         entries.append(

@@ -10,6 +10,7 @@ elsewhere.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -94,6 +95,14 @@ def orthonormal_range(b, rcond: float | None = None) -> tuple[np.ndarray, np.nda
 
 
 def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared entries."""
+    """sqrt of the sum of squared entries.
+
+    a is scaled by the exact power of two that brings max|a| into [0.5, 1) before squaring, so entries
+    whose squares leave the float range (a residual sandwich's entries are squares already) neither
+    underflow to 0 nor overflow; where no square under- or overflows the result is bit-identical to
+    sqrt(sum(a * a)).
+    """
     a = np.asarray(a, dtype=float)
-    return float(np.sqrt(np.sum(a * a)))
+    _, exp = math.frexp(float(np.max(np.abs(a), initial=0.0)))
+    scaled = np.ldexp(a, -exp)
+    return float(np.ldexp(np.sqrt(np.sum(scaled * scaled)), exp))

@@ -6,15 +6,22 @@ h-parameter axis (common random numbers), so power curves are monotone up to
 estimator noise. Size-adjusted power calibrates the empirical (1-alpha)
 quantile of max_J W_J from an independent boundary-null run of equal length
 (stream ids offset by 2^31).
+
+A call submits every cell it runs (and every run of a reproduced table)
+before it gathers any, so its worker processes never wait for a cell to be
+summarized; outcomes are sorted by replication index, so the rows do not
+depend on jobs. A failed replication is counted with its reason.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,6 +128,7 @@ class CellResult:
     replications: int
     failures: int
     adjusted_crit: dict[float, float] | None = None
+    failures_by_reason: dict[str, int] = field(default_factory=dict)  # "ExcClass: message" -> count; not a row field
 
     def rows(self) -> list[dict]:
         out = []
@@ -163,11 +171,15 @@ class McSummary:
         raise KeyError(f"no cell with {params}")
 
 
-def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: int) -> list[tuple[int, dict | None]]:
+# per replication: (index, {alpha: (reject, j_reported, max_J W_J)}), or (index, "ExcClass: message") if it failed
+_Outcomes = list[tuple[int, dict | str]]
+
+
+def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: int) -> _Outcomes:
     """Worker: run the test on `reps` fresh datasets of one cell.
 
-    Returns per-rep {alpha: (reject, j_reported)} plus the max standardized
-    statistic, or None on numerical failure.
+    Returns per rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
+    "ExcClass: message" of a numerical failure.
     """
     spec = ExperimentSpec.from_dict(spec_dict)
     null = spec.null_spec()
@@ -187,16 +199,20 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
                 w_max = max(rec.w_stat for rec in report.per_j)
                 per_alpha[alpha] = (report.reject, report.j_reported, w_max)
             out.append((r, per_alpha))
-        except NumericalError:
-            out.append((r, None))
+        except NumericalError as exc:
+            out.append((r, f"{type(exc).__name__}: {exc}"))
     return out
 
 
 class _Workers:
     """The worker processes of one Monte Carlo call, shared by all its cells.
 
-    The pool is forked the first time a cell takes the parallel path (jobs > 1
-    and at least 4 replications) and shut down when the call's `with` block ends.
+    submit starts every chunk of a cell at once and returns a handle that
+    gathers the cell's outcomes, so a call submits all its cells before it
+    waits on any. The pool is forked the first time a cell takes the parallel
+    path (jobs > 1 and at least 4 replications) and shut down, its queued
+    chunks cancelled, when the call's `with` block ends. On the serial path
+    the handle runs the cell when it is gathered.
     """
 
     def __init__(self, jobs: int):
@@ -211,11 +227,12 @@ class _Workers:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def collect(self, spec: ExperimentSpec, cell: dict, stream_offset: int = 0) -> list[tuple[int, dict | None]]:
-        """Outcomes of every replication of one cell, sorted by replication index whatever the chunking."""
+    def submit(self, spec: ExperimentSpec, cell: dict, stream_offset: int = 0) -> Callable[[], _Outcomes]:
+        """A handle returning the outcomes of every replication of one cell, sorted by replication index
+        whatever the chunking."""
         reps = list(range(spec.replications))
         if self.jobs <= 1 or spec.replications < 4:
-            return _rep_outcomes(spec.to_dict(), cell, reps, stream_offset)
+            return partial(_rep_outcomes, spec.to_dict(), cell, reps, stream_offset)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         chunks = np.array_split(np.asarray(reps), min(self.jobs * 4, len(reps)))
@@ -224,20 +241,25 @@ class _Workers:
             for chunk in chunks
             if len(chunk)
         ]
-        results: list[tuple[int, dict | None]] = []
-        for fut in futures:
-            results.extend(fut.result())
-        results.sort(key=lambda item: item[0])
-        return results
+
+        def gather() -> _Outcomes:
+            results = [item for fut in futures for item in fut.result()]
+            results.sort(key=lambda item: item[0])
+            return results
+
+        return gather
 
 
-def _check_failures(outcomes, cell: dict, replications: int) -> int:
-    failures = sum(1 for _, res in outcomes if res is None)
+def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> dict[str, int]:
+    """Failed replications counted by reason; more than MAX_FAILURE_SHARE of them fail the cell."""
+    reasons = Counter(res for _, res in outcomes if isinstance(res, str))
+    failures = sum(reasons.values())
     if failures > MAX_FAILURE_SHARE * replications:
         raise NumericalError(
-            f"cell {cell} had {failures}/{replications} failed replications (> {MAX_FAILURE_SHARE:.0%})"
+            f"cell {cell} had {failures}/{replications} failed replications (> {MAX_FAILURE_SHARE:.0%}): "
+            f"{dict(reasons.most_common(3))}"
         )
-    return failures
+    return dict(sorted(reasons.items()))
 
 
 def _binomial_se(p: float, n_ok: int) -> float:
@@ -258,14 +280,15 @@ def _cell_grid(spec: ExperimentSpec) -> list[dict]:
     return cells
 
 
-def _cell_result(spec: ExperimentSpec, cell: dict, outcomes, crit: dict[float, float] | None = None) -> CellResult:
+def _cell_result(spec: ExperimentSpec, cell: dict, outcomes: _Outcomes,
+                 crit: dict[float, float] | None = None) -> CellResult:
     """Rejection rates, average selected dimension and SEs of one cell's outcomes.
 
     With crit (size-adjusted power) a replication rejects when its max W_J
     exceeds the calibrated critical value instead of by the test's decision.
     """
-    failures = _check_failures(outcomes, cell, spec.replications)
-    ok = [res for _, res in outcomes if res is not None]
+    reasons = _failures_by_reason(outcomes, cell, spec.replications)
+    ok = [res for _, res in outcomes if not isinstance(res, str)]
     rates, avg_j, se = {}, {}, {}
     for alpha in spec.alphas:
         if crit is None:
@@ -277,22 +300,32 @@ def _cell_result(spec: ExperimentSpec, cell: dict, outcomes, crit: dict[float, f
         avg_j[alpha] = float(np.mean([res[alpha][1] for res in ok])) if ok else float("nan")
         se[alpha] = _binomial_se(p, len(ok))
     return CellResult(params=dict(cell), reject_rate=rates, avg_j=avg_j, se=se,
-                      replications=spec.replications, failures=failures,
-                      adjusted_crit=dict(crit) if crit is not None else None)
+                      replications=spec.replications, failures=sum(reasons.values()),
+                      adjusted_crit=dict(crit) if crit is not None else None, failures_by_reason=reasons)
+
+
+def _summary(spec: ExperimentSpec, cells: list[CellResult], start: float, calibration_failures=(),
+             **extra) -> McSummary:
+    """The summary of gathered cells; metadata lists the failure reasons of every failing cell and
+    calibration run."""
+    failed = [*calibration_failures,
+              *({"cell": cell.params, "reasons": cell.failures_by_reason} for cell in cells if cell.failures)]
+    meta = {"mode": spec.mode, "statistic": spec.statistic, "master_seed": spec.master_seed, **extra,
+            "failures_by_reason": failed, "timings": {"total_seconds": time.perf_counter() - start}}
+    return McSummary(spec=spec, cells=cells, metadata=meta)
 
 
 def run_size(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Empirical rejection rates; the DGP parameters are expected to satisfy the null."""
     with _Workers(jobs) as workers:
-        return _size(spec, workers)
+        return _size(spec, workers)()
 
 
-def _size(spec: ExperimentSpec, workers: _Workers) -> McSummary:
+def _size(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
+    """Submit every cell of a size experiment; the returned handle gathers them into its summary."""
     start = time.perf_counter()
-    cells = [_cell_result(spec, cell, workers.collect(spec, cell)) for cell in _cell_grid(spec)]
-    meta = {"mode": spec.mode, "statistic": spec.statistic, "master_seed": spec.master_seed,
-            "timings": {"total_seconds": time.perf_counter() - start}}
-    return McSummary(spec=spec, cells=cells, metadata=meta)
+    pending = [(cell, workers.submit(spec, cell)) for cell in _cell_grid(spec)]
+    return lambda: _summary(spec, [_cell_result(spec, cell, gather()) for cell, gather in pending], start)
 
 
 def _boundary_c_a(spec: ExperimentSpec, c_b: float) -> float:
@@ -305,48 +338,57 @@ def _boundary_c_a(spec: ExperimentSpec, c_b: float) -> float:
 def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Power curves along the c_a axis; size-adjusted mode calibrates on a boundary-null run."""
     with _Workers(jobs) as workers:
-        return _power(spec, workers)
+        return _power(spec, workers)()
 
 
-def _power(spec: ExperimentSpec, workers: _Workers) -> McSummary:
+def _power(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
+    """Submit every cell of a power experiment, and each boundary-null run that calibrates a size-adjusted
+    curve; the returned handle gathers them into its summary."""
     if spec.mode not in ("power", "size_adjusted_power"):
         raise InputError(f"run_power needs mode 'power' or 'size_adjusted_power', got {spec.mode!r}")
     if spec.h_family == "mono":
         raise InputError("power experiments use the sin/design2/quad families, not mono")
     start = time.perf_counter()
-    cells = []
+    curves = []  # (boundary cell and its handle, or None; [(cell, handle)] along c_a)
     for n in spec.n_values:
         for xi in spec.xi_values:
             for c_b in spec.c_b_values:
-                crit: dict[float, float] | None = None
+                boundary = None
                 if spec.mode == "size_adjusted_power":
-                    boundary = {"n": n, "xi": xi, "c_a": _boundary_c_a(spec, c_b), "c_b": c_b}
-                    null_out = workers.collect(spec, boundary, stream_offset=CALIBRATION_STREAM_OFFSET)
-                    _check_failures(null_out, boundary, spec.replications)
-                    crit = {}
-                    for alpha in spec.alphas:
-                        w_null = [res[alpha][2] for _, res in null_out if res is not None]
-                        crit[alpha] = float(np.quantile(np.asarray(w_null), 1.0 - alpha))
-                for c_a in spec.c_a_values:
-                    cell = {"n": n, "xi": xi, "c_a": c_a, "c_b": c_b}
-                    cells.append(_cell_result(spec, cell, workers.collect(spec, cell), crit))
-    meta = {
-        "mode": spec.mode,
-        "statistic": spec.statistic,
-        "master_seed": spec.master_seed,
-        "size_adjustment": "empirical (1-alpha) quantile of max_J W_J from an independent "
-        "boundary-null run of equal size, common random numbers along c_a",
-        "timings": {"total_seconds": time.perf_counter() - start},
-    }
-    return McSummary(spec=spec, cells=cells, metadata=meta)
+                    cell = {"n": n, "xi": xi, "c_a": _boundary_c_a(spec, c_b), "c_b": c_b}
+                    boundary = cell, workers.submit(spec, cell, stream_offset=CALIBRATION_STREAM_OFFSET)
+                curve = [(cell, workers.submit(spec, cell))
+                         for cell in ({"n": n, "xi": xi, "c_a": c_a, "c_b": c_b} for c_a in spec.c_a_values)]
+                curves.append((boundary, curve))
+
+    def summary() -> McSummary:
+        cells, calibration_failures = [], []
+        for boundary, curve in curves:
+            crit: dict[float, float] | None = None
+            if boundary is not None:
+                cell, gather = boundary
+                null_out = gather()
+                reasons = _failures_by_reason(null_out, cell, spec.replications)
+                if reasons:
+                    calibration_failures.append({"cell": cell, "calibration": True, "reasons": reasons})
+                ok = [res for _, res in null_out if not isinstance(res, str)]
+                crit = {alpha: float(np.quantile(np.asarray([res[alpha][2] for res in ok]), 1.0 - alpha))
+                        for alpha in spec.alphas}
+            cells.extend(_cell_result(spec, cell, gather(), crit) for cell, gather in curve)
+        return _summary(spec, cells, start, calibration_failures,
+                        size_adjustment="empirical (1-alpha) quantile of max_J W_J from an independent "
+                        "boundary-null run of equal size, common random numbers along c_a")
+
+    return summary
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     with _Workers(jobs) as workers:
-        return _experiment(spec, workers)
+        return _experiment(spec, workers)()
 
 
-def _experiment(spec: ExperimentSpec, workers: _Workers) -> McSummary:
+def _experiment(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
+    """Submit every cell of an experiment; the returned handle gathers them into its summary."""
     return _size(spec, workers) if spec.mode == "size" else _power(spec, workers)
 
 
@@ -431,10 +473,12 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
 
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
+    runs = _table_runs(table_id, n_values, xi_values, c0_values, k_factors)
     with _Workers(jobs) as workers:  # one pool serves every run and cell of the table
-        for run in _table_runs(table_id, n_values, xi_values, c0_values, k_factors):
-            spec = ExperimentSpec(**run.spec, replications=replications, master_seed=seed)
-            summary = summaries[run.key] = _experiment(spec, workers)
+        pending = [(run, _experiment(ExperimentSpec(**run.spec, replications=replications, master_seed=seed),
+                                     workers)) for run in runs]
+        for run, gather in pending:
+            summary = summaries[run.key] = gather()
             for cell in summary.cells:
                 base = {**cell.params, **run.extra}
                 ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]

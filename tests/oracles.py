@@ -529,3 +529,13 @@ def image_space_step_dense(config, w: np.ndarray, n: int):
         return last[dim]
 
     return step
+
+
+def image_space_statistics_basis(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """The image-space (D_K, v_K) as computed before the K x K gram, a drop-in for
+    adaptive._image_space_statistics: the n x K orthonormal basis U_B = q r_b is formed and S = U_B'
+    is passed to compute_D and compute_vhat."""
+    from npivtest.adaptive import compute_D, compute_vhat
+
+    s = (q @ r_b).T
+    return compute_D(s, r), compute_vhat(s, r)

@@ -35,6 +35,7 @@ from oracles import (
     brute_shat,
     brute_vhat,
     chisq_quantile_bisect,
+    image_space_statistics_basis,
     image_space_step_dense,
     image_vhat_gram,
 )
@@ -343,13 +344,18 @@ def test_decision_invariant_under_y_scaling(case):
 
     base = run(y)
     assert base.reject
-    for k in (-13, -12, -9, -6, 6, 9, 12):
+    for k in (-140, -100, -60, -13, -12, -9, -6, 6, 9, 12, 60, 100, 140):
         scaled = run(10.0**k * y)
         assert scaled.reject == base.reject
         assert scaled.grid.j_list == base.grid.j_list
         assert [(r.n_active, r.gamma) for r in scaled.per_j] == [(r.n_active, r.gamma) for r in base.per_j]
         for r1, r2 in zip(base.per_j, scaled.per_j):
             assert r2.w_stat == pytest.approx(r1.w_stat, rel=1e-9)
+            assert r2.p_value == pytest.approx(r1.p_value, rel=1e-9)
+    # beyond the float range the squares in D and v underflow to 0 or overflow: no verdict, exit 3
+    for k, message in ((-200, "D=0.0 underflowed"), (200, "non-finite statistic")):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=message):
+            run(10.0**k * y)
 
 
 def test_alpha_validation():
@@ -709,17 +715,25 @@ def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):
 
 
 def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
-    # a 2-d w rounds every scanned K up to the next per_dim^2, so the scan steps more indices than designs
+    # at n = 5000 the knot-interval counts certify every step of a 2-d B-spline scan below K = 36, and the
+    # exact step at K = 36 hands its design to the candidate there, so each candidate's design is built once
+    # and nothing else is. A cosine tensor takes the exact step, and a 2-d w rounds every scanned K up to
+    # the next per_dim^2, so the scan steps more indices than designs
     data = generate(DesignConfig("multivariate", 5000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
     built = []
     instrument_design = RunConfig.instrument_design
 
     def recording(self, k_target, w):
-        built.append(k_target)
-        return instrument_design(self, k_target, w)
+        specs, b = instrument_design(self, k_target, w)
+        built.append(b.shape[1])
+        return specs, b
 
     monkeypatch.setattr(RunConfig, "instrument_design", recording)
     rep = image_space_test(data.y, data.x, data.w, "linear")
+    assert sorted(built) == sorted(rep.grid.j_list) == sorted(rep.grid.shat)  # builds == candidates
+    built.clear()
+    cosine = RunConfig(basis="cosine")
+    rep = image_space_test(data.y, data.x, data.w, "linear", config=cosine)
     assert len(built) == len(rep.grid.shat)  # one build per distinct realized K stepped
 
     class Fresh(int):
@@ -731,7 +745,7 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     instrument_dim = RunConfig.instrument_dim
     monkeypatch.setattr(RunConfig, "instrument_dim", lambda self, k, d_w: Fresh(instrument_dim(self, k, d_w)))
     built.clear()
-    bypassed = image_space_test(data.y, data.x, data.w, "linear")
+    bypassed = image_space_test(data.y, data.x, data.w, "linear", config=cosine)
     assert len(built) > len(rep.grid.shat)
     assert bypassed.to_dict() == rep.to_dict()
 
@@ -799,11 +813,13 @@ def _image_space_outcome(y, x, w, model, config):
 
 
 def test_image_space_scan_matches_the_dense_step_oracle(monkeypatch):
-    # grids, decisions and errors are identical to the scan whose every step builds B; D, v, W and p
-    # too, since a visit builds the same design; s_hat comes from another factorization of B'B
+    # grids, decisions and errors are identical to the scan whose every step builds B, for a 1-d and a
+    # 2-d w; D, v, W and p too, since a visit builds the same design; s_hat comes from another
+    # factorization of B'B
     samples = [
         generate(DesignConfig(design, n, 0.5, HSpec("sin", c_a=1.0), RngStream(seed, 3)))
-        for design, n, seed in [("I", 60, 2), ("I", 200, 3), ("I", 1000, 4), ("II", 200, 5), ("II", 1000, 6)]
+        for design, n, seed in [("I", 60, 2), ("I", 200, 3), ("I", 1000, 4), ("II", 200, 5), ("II", 1000, 6),
+                                ("multivariate", 200, 7), ("multivariate", 1000, 8), ("multivariate", 5000, 9)]
     ]
     samples = [(d.y, d.x, d.w) for d in samples] + [_concentrated_sample(), _concentrated_sample(80, 0.95, 0.001)]
     compared = 0
@@ -826,7 +842,36 @@ def test_image_space_scan_matches_the_dense_step_oracle(monkeypatch):
                         assert row.pop("s_hat") == pytest.approx(expected.pop("s_hat"), rel=1e-10)
                         assert row == expected
                     compared += 1
-    assert compared >= 100
+    assert compared >= 130
+
+
+def test_image_space_statistics_match_the_basis_oracle(monkeypatch):
+    # D and v from the K x K gram C = U_B' diag(r^2) U_B against compute_D / compute_vhat on the formed
+    # n x K basis U_B: identical grids, decisions and errors, and statistics within rel 1e-10
+    compared = 0
+    for design in ("I", "multivariate"):
+        for n, seed in ((200, 7), (1000, 8), (5000, 9)):
+            data = generate(DesignConfig(design, n, 0.5, HSpec("sin" if design == "I" else "quad", c_a=1.0),
+                                         RngStream(seed, 4)))
+            for basis in ("bspline2", "bspline3", "cosine", "power"):
+                for knot_rule in ("equispaced", "quantile"):
+                    for model in ("linear", "quadratic"):
+                        config = RunConfig(basis=basis, knot_rule=knot_rule)
+                        fast = _image_space_outcome(data.y, data.x, data.w, model, config)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(adaptive_module, "_image_space_statistics", image_space_statistics_basis)
+                            basis_path = _image_space_outcome(data.y, data.x, data.w, model, config)
+                        if isinstance(basis_path, tuple):
+                            assert fast == basis_path
+                            continue
+                        pairs = [(fast, basis_path), *zip(fast.pop("per_J"), basis_path.pop("per_J"), strict=True)]
+                        for got, expected in pairs:
+                            for key in ("D", "v", "W", "W_reported", "p_value"):
+                                if key in expected:
+                                    assert got.pop(key) == pytest.approx(expected.pop(key), rel=1e-10, abs=0)
+                            assert got == expected
+                        compared += 1
+    assert compared >= 80
 
 
 def test_image_space_detects_quadratic_alternative():

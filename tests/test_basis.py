@@ -223,6 +223,35 @@ def test_tensor_partition_of_unity(rng):
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(["equispaced", "quantile"]),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=20, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tensor_bspline_gram_is_bounded_by_support_counts(order, knot_rule, n_interior, n, seed):
+    # a tensor of B-splines has B >= 0 and unit row sums, and column (j1, j2) is supported inside both
+    # factors' supports, so lambda_max(B'B/n) <= min_d max_j N_{d,j} / n
+    gen = np.random.default_rng(seed)
+    # the same rows of both coordinates hold a random mix of spread points (some outside the support),
+    # points on knots and one tied value, so the tied rows can make the bound tight
+    kinds = gen.multinomial(n, gen.dirichlet(np.ones(3)))
+    columns, specs = [], []
+    for d in range(2):
+        spec = bspline(order + n_interior + d, order, knot_rule=knot_rule, knot_data=gen.uniform(size=100))
+        t = spec.knot_vector()
+        columns.append(np.concatenate([gen.uniform(-0.2, 1.2, size=kinds[0]), gen.choice(t, size=kinds[1]),
+                                       np.full(kinds[2], gen.choice([gen.uniform(), *t]))]))
+        specs.append(spec)
+    w = np.column_stack(columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamping
+        b = tensor_design(specs, w)
+    bound = min(_max_support_count(spec, np.sort(np.clip(c, *spec.support))) for spec, c in zip(specs, columns)) / n
+    assert np.linalg.eigvalsh(b.T @ b / n)[-1] <= bound * (1.0 + 1e-12)
+
+
 def test_tensor_dimension_mismatch():
     with pytest.raises(InputError):
         tensor_design([bspline(4), bspline(4)], np.zeros((5, 3)))

@@ -262,6 +262,19 @@ def test_cmd_test_nonfinite_statistics_exit_3(tmp_path, capsys):
     assert "non-finite statistic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, message", [(1e-200, "underflowed"), (1e200, "non-finite statistic")])
+def test_cmd_test_y_beyond_the_float_range_exit_3(tmp_path, capsys, scale, message):
+    # at y x 1e-200 the squares in D and v underflow to 0, which used to report reject: false with p = 1
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("sin", c_a=2.0, c_b=1.0), RngStream(18, 0)))
+    path = tmp_path / "scaled.csv"
+    np.savetxt(path, np.column_stack([data.y * scale, data.x, data.w]), fmt="%.17g", delimiter=",",
+               header="y,x,w", comments="")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("test", str(path), "--format", "json")
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_cmd_test_lapack_failure_exit_3(monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,11 @@ def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
     (summary,) = out["summaries"].values()
     assert [cell.failures for cell in summary.cells] == [1]
     assert datasets["made"] == 100
+    (cell,) = summary.cells
+    (reason,) = cell.failures_by_reason
+    assert reason.startswith("NumericalError: ") and reason.endswith("SVD did not converge")
+    assert summary.metadata["failures_by_reason"] == [{"cell": cell.params, "reasons": {reason: 1}}]
+    assert all("failures_by_reason" not in row for row in [*out["rows"], *summary.rows()])
 
 
 def _counting_pools(monkeypatch):
@@ -208,6 +215,37 @@ def test_one_worker_pool_serves_a_reproduce_call(monkeypatch):
     np.testing.assert_equal(parallel["rows"], serial["rows"])
     reproduce("supp-D", replications=3, seed=3, jobs=2, **cells)  # too few replications to fork
     assert counts["built"] == 1
+
+
+def test_every_chunk_of_a_reproduce_call_is_submitted_before_the_first_result(monkeypatch):
+    events = []
+
+    class RecordingPool(sim_module.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            events.append("submit")
+            result = future.result
+
+            def recorded_result(*a, **kw):
+                events.append("result")
+                return result(*a, **kw)
+
+            future.result = recorded_result
+            return future
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+    reproduce("supp-D", replications=4, seed=3, jobs=2, n_values=(500,), xi_values=(0.5,))
+    assert events == ["submit"] * 16 + ["result"] * 16  # 4 cells of 4 one-replication chunks
+
+
+@pytest.mark.parametrize("table, cells", [
+    ("supp-D", dict(n_values=(500, 1000), xi_values=(0.5,))),
+    ("F1", dict(n_values=(500,), xi_values=(0.5,))),  # size-adjusted power: boundary runs calibrate each curve
+])
+def test_reproduce_rows_do_not_depend_on_jobs(table, cells):
+    serial = reproduce(table, replications=5, seed=3, jobs=1, **cells)
+    parallel = reproduce(table, replications=5, seed=3, jobs=2, **cells)
+    assert json.dumps(parallel["rows"]) == json.dumps(serial["rows"])
 
 
 def test_worker_pool_is_shut_down_when_a_cell_fails(monkeypatch):
