@@ -460,8 +460,9 @@ def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
 def compute_D(scaled_map, r) -> float:
     """Centered leave-one-out quadratic form (|S r|^2 - sum_i r_i^2 |S_i|^2) / (n - 1); may be negative.
 
-    S is the map compute_vhat takes. With S = NpivFit.scaled_map = L'C this is
-    2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'}, Q = sqrt(n) Psi C.
+    S is the map compute_vhat takes. With S = NpivFit.scaled_map = L'C, which fit_from_design builds from
+    (Psi, B, mu) alone, this is 2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'}, Q = sqrt(n) Psi C; the
+    structural statistic passes the restricted residuals as r.
     """
     scaled_map, r = _map_and_residuals(scaled_map, r)
     t = scaled_map @ r
@@ -473,7 +474,8 @@ def compute_vhat(scaled_map, u) -> float:
     """Frobenius norm of the standardized residual sandwich S diag(u^2) S'.
 
     S is the standardized coefficient operator (rows of length n), which the
-    structural statistic takes as NpivFit.scaled_map. The image-space
+    structural statistic takes as NpivFit.scaled_map, with the unrestricted
+    residuals u = y - Psi NpivFit.coefficients(y). The image-space
     statistic is this with S = U_B', computed in instrument coordinates by
     _image_space_statistics.
     """
@@ -512,10 +514,11 @@ class _ScanEntry:
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
     """Alpha-free part of the test: grid plus per-J statistics, in one pass.
 
-    Each stepped J evaluates Psi_J and B_K, K = k_factor * J, and fits them
-    once: the fit's s_hat is the stability measure s_J, and for a candidate
-    the same fit feeds the restricted fit, D_J and v_J; a parametric null is
-    fitted on the unrestricted fit's instrument basis U_B. candidate_values,
+    Each stepped J evaluates Psi_J and B_K, K = k_factor * J, and factors
+    them once, without reading y: the factor's s_hat is the stability measure
+    s_J. Only a candidate's visit reads y, computing beta and u = y - Psi beta
+    once for the restricted fit, D_J and v_J; a parametric null is fitted on
+    the factor's instrument basis U_B. candidate_values,
     when given, are values of a hypothesized function at the sample points,
     and D_J is taken on y - candidate_values instead of on the restricted
     residuals (confidence-set inversion); the restricted fit still gives
@@ -542,21 +545,23 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             if k >= n and scanned:
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            fit = fit_from_design(y, psi, b, mu=mu, rcond=config.rcond)
+            fit = fit_from_design(psi, b, mu=mu, rcond=config.rcond)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
                                  f"needs K={k} instrument columns, whose gram B'B is singular at n={n}") from exc
             raise
-        return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, fit)
+        return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, psi, fit)
 
     def statistics(j: int, s_hat: float, designs):
-        psi_spec, fit = designs
+        psi_spec, psi, fit = designs
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
+        beta = fit.coefficients(y)
+        u = y - psi @ beta
         try:
             if null.kind == "shape":
                 m = null.constraints(psi_spec)
-                rfit = fit_restricted_cone(fit, m)
+                rfit = fit_restricted_cone(fit, m, beta, psi, y)
                 gamma = gamma_hat(m, rfit.active_set)
             else:
                 model = null.model if null.custom_design is None else null.custom_design
@@ -565,10 +570,10 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             s = fit.scaled_map
             r = rfit.residuals_r if candidate_values is None else y - candidate_values
             d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
-            v_stat = 0.0 if _numerically_zero(fit.residuals, y) else compute_vhat(s, fit.residuals)
+            v_stat = 0.0 if _numerically_zero(u, y) else compute_vhat(s, u)
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
-        _check_underflow(j, y, D=(d_stat, r), v=(v_stat, fit.residuals))
+        _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
         entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
                                   n_active=len(rfit.active_set)))
         return s_hat
@@ -594,10 +599,9 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConf
         center = e.gamma if e.center is None else e.center
         eta = eta_hat(alpha, size, e.gamma, center)
         if eta <= 0.0:
-            raise InputError(
-                f"critical value eta <= 0 at J={e.j} (alpha/{size} too large for gamma={e.gamma}); "
-                "use a smaller alpha"
-            )
+            at = (f"K={e.j} (alpha/{size} too large for chi-square df={e.gamma} centered at K={center})"
+                  if statistic == "image-space" else f"J={e.j} (alpha/{size} too large for gamma={e.gamma})")
+            raise InputError(f"critical value eta <= 0 at {at}; use a smaller alpha")
         if e.v_stat > 0.0:
             w_stat = n * e.d_stat / (eta * e.v_stat)
             p_value = chisq_sf(math.sqrt(center) * (n * e.d_stat / e.v_stat) + center, e.gamma)

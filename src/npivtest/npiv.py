@@ -1,10 +1,13 @@
 """Sieve IV estimators.
 
-fit_from_design computes the series two-stage least-squares coefficients
-beta = [Psi' P_B Psi]^- Psi' P_B y and keeps the standardized coefficient
-operator L'C, with C = [Psi' P_B Psi]^- Psi' P_B and L L' = Psi' Omega Psi,
-which is the building block of every downstream statistic, and the
-stability measure s_hat; it is the only place a candidate is factored.
+fit_from_design factors a candidate from its designs (Psi, B) and weights mu
+alone: the instrument factor U_B = q r, L^{-T} with L L' = Psi' Omega Psi, the
+pseudo-inverse M^+ of the orthonormalized cross-gram M = U_B' Psi L^{-T}, the
+stability measure s_hat = s_min(M) and the standardized coefficient operator
+L'C, C = [Psi' P_B Psi]^- Psi' P_B, which is the building block of every
+downstream statistic. None of it reads the outcome, so a stability-scan step
+never touches y; NpivFit.coefficients(y) gives the series two-stage
+least-squares coefficients beta = C y of one outcome vector.
 
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
@@ -45,39 +48,37 @@ def _weights(mu, n: int) -> np.ndarray:
         raise InputError(f"weight vector must have shape ({n},), got {mu.shape}")
     if not np.all(np.isfinite(mu)) or np.any(mu < 0):
         raise InputError("weights must be finite and nonnegative")
+    if not np.any(mu > 0):
+        raise InputError("weights must have at least one positive entry")
     return mu
 
 
 @dataclass
 class NpivFit:
-    """Unrestricted sieve IV fit with its operator pieces."""
+    """Outcome-free factor of a sieve IV candidate: every field is a function of (Psi, B, mu) alone."""
 
-    beta: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    gram_weighted: np.ndarray
-    scaled_map_k: np.ndarray  # M^+ r' (J x K), the scaled map in instrument coordinates: scaled_map = scaled_map_k q'
-    q: np.ndarray  # q @ r is an orthonormal basis of the instrument design's column space
+    gram_weighted: np.ndarray  # Psi' Omega Psi = L L'
+    l_inv_t: np.ndarray  # L^{-T} (J x J)
+    m_pinv: np.ndarray  # M^+ (J x rank), M = U_B' Psi L^{-T}
+    q: np.ndarray  # q @ r is an orthonormal basis U_B of the instrument design's column space
     r: np.ndarray
-    psi: np.ndarray
-    y: np.ndarray
-    mu: np.ndarray
     k_dim: int
-    s_hat: float  # smallest singular value of the orthonormalized cross-gram U_B' Psi L^{-T}
+    s_hat: float  # smallest singular value of M
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def n(self) -> int:
-        return self.psi.shape[0]
+    def coefficients(self, y) -> np.ndarray:
+        """beta = L^{-T} M^+ U_B' y, the sieve 2SLS coefficients of outcome y."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.q.shape[0],):
+            raise InputError(f"y must have shape ({self.q.shape[0]},), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise InputError("y contains non-finite values")
+        return self.l_inv_t @ (self.m_pinv @ (self.r.T @ (self.q.T @ y)))
 
     @property
     def scaled_map(self) -> np.ndarray:
-        """L'C (J x n), L L' = Psi' Omega Psi; formed on each access, so a step reading only s_hat never forms it."""
-        return self.scaled_map_k @ self.q.T
-
-    @property
-    def j_dim(self) -> int:
-        return self.psi.shape[1]
+        """L'C = M^+ U_B' (J x n); formed on each access, so a step reading only s_hat never forms it."""
+        return (self.m_pinv @ self.r.T) @ self.q.T
 
 
 @dataclass
@@ -91,29 +92,25 @@ class RestrictedFit:
     df_consumed: int = 0  # columns of the parametric design, full rank after instrument projection
 
 
-def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
-    """Unrestricted fit from pre-evaluated design matrices, with its stability measure s_hat.
+def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
+    """Factor of a candidate from pre-evaluated design matrices, with its stability measure s_hat.
 
     With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
-    one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M), beta = L^{-T} M^+ U_B' y
-    and scaled_map = M^+ U_B' = L'C. A singular B'B is a SingularGramError, then a singular Psi' Omega Psi a
-    NumericalError.
+    one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M) and M^+, from
+    which coefficients(y) = L^{-T} M^+ U_B' y and scaled_map = M^+ U_B' = L'C. A singular B'B is a
+    SingularGramError, then a singular Psi' Omega Psi a NumericalError.
     """
-    y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = y.shape[0]
-    if y.ndim != 1:
-        raise InputError(f"y must be 1-d, got shape {y.shape}")
-    if psi.shape[0] != n or b.shape[0] != n:
-        raise InputError("y, Psi, B must share the number of rows")
-    j_dim, k_dim = psi.shape[1], b.shape[1]
+    if psi.ndim != 2 or b.ndim != 2 or b.shape[0] != psi.shape[0]:
+        raise InputError(f"Psi and B must be 2-d and share the number of rows, got {psi.shape} and {b.shape}")
+    n, j_dim, k_dim = psi.shape[0], psi.shape[1], b.shape[1]
     if k_dim < j_dim:
         raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
     if n <= k_dim:
         raise InputError(f"need n > K, got n={n}, K={k_dim}")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi))):  # orthonormal_range checks b
-        raise InputError("data or design matrices contain non-finite values")
+    if not np.all(np.isfinite(psi)):  # orthonormal_range checks b
+        raise InputError("regressor design Psi contains non-finite values")
     mu = _weights(mu, n)
     if rcond is None:
         rcond = default_rcond((n, max(j_dim, k_dim)))
@@ -136,23 +133,8 @@ def fit_from_design(y, psi, b, mu=None, rcond: float | None = None) -> NpivFit:
             f"projected regressor design is rank deficient (min/max singular value "
             f"{m_svals[-1]:.3e}/{m_svals[0]:.3e}); pseudo-inverse truncation applied"
         )
-    beta = l_inv_t @ (m_pinv @ (r.T @ (q.T @ y)))
-    fitted = psi @ beta
-    return NpivFit(
-        beta=beta,
-        fitted=fitted,
-        residuals=y - fitted,
-        gram_weighted=gram_weighted,
-        scaled_map_k=m_pinv @ r.T,
-        q=q,
-        r=r,
-        psi=psi,
-        y=y,
-        mu=mu,
-        k_dim=k_dim,
-        s_hat=float(m_svals[-1]),
-        warnings=warnings_list,
-    )
+    return NpivFit(gram_weighted=gram_weighted, l_inv_t=l_inv_t, m_pinv=m_pinv, q=q, r=r, k_dim=k_dim,
+                   s_hat=float(m_svals[-1]), warnings=warnings_list)
 
 
 def _active_rows(m_rows: np.ndarray, beta: np.ndarray, scale: float) -> np.ndarray:
@@ -235,18 +217,14 @@ def cone_project(v, g, m):
     return beta, _active_rows(rows, beta, scale)
 
 
-def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix) -> RestrictedFit:
-    """Project the unrestricted coefficients onto the constraint cone in the weighted norm."""
-    if m.dim != fit.j_dim:
-        raise InputError(f"constraint matrix has dim {m.dim}, fit has J={fit.j_dim}")
-    beta_r, active = cone_project(fit.beta, fit.gram_weighted, m)
-    fitted_r = fit.psi @ beta_r
-    return RestrictedFit(
-        beta_r=beta_r,
-        fitted_r=fitted_r,
-        residuals_r=fit.y - fitted_r,
-        active_set=active,
-    )
+def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> RestrictedFit:
+    """Project coefficients beta of outcome y onto the constraint cone in fit's weighted-gram norm."""
+    j_dim = fit.gram_weighted.shape[0]
+    if m.dim != j_dim:
+        raise InputError(f"constraint matrix has dim {m.dim}, fit has J={j_dim}")
+    beta_r, active = cone_project(beta, fit.gram_weighted, m)
+    fitted_r = psi @ beta_r
+    return RestrictedFit(beta_r=beta_r, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=active)
 
 
 def parametric_design(x, model) -> tuple[np.ndarray, str]:
@@ -268,7 +246,7 @@ def fit_restricted_parametric(y, x, model, q, r, rcond: float | None = None) -> 
     """Null-restricted parametric 2SLS on the instrument sieve.
 
     q @ r is an orthonormal basis U_B of the instrument design B's column space, as orthonormal_range(B)
-    returns it and the caller has already computed: the unrestricted fit keeps it as NpivFit.q and .r, and
+    returns it and the caller has already computed: the candidate's factor keeps it as NpivFit.q and .r, and
     the image-space scan factors each B once. Z and y are projected as r'(q'.); B is not factored here.
     """
     y = np.asarray(y, dtype=float)

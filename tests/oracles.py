@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from npivtest.basis import ConstraintMatrix
-from npivtest.errors import InputError, NumericalError
-from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, pinv
+from npivtest.errors import InputError, NumericalError, SingularGramError
+from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, orthonormal_range, pinv
 from npivtest.npiv import _weights
 
 _MAX_GAMMA_ITER = 500
@@ -484,6 +484,72 @@ def fit_from_design_ub(y, psi, b, mu=None, rcond: float | None = None) -> Simple
         y=y,
         mu=mu,
         k_dim=k_dim,
+        warnings=warnings_list,
+    )
+
+
+# The structural fit as it was before it was split at y: fit_from_design(y, psi, b, mu, rcond) factored
+# the candidate and computed beta, the fitted values and the residuals of y in one call. Kept verbatim
+# (returning the old NpivFit fields as a namespace) as the parity oracle of npiv.fit_from_design and
+# NpivFit.coefficients, whose arithmetic must match it bit for bit.
+
+
+def fit_from_design_joint(y, psi, b, mu=None, rcond: float | None = None) -> SimpleNamespace:
+    """Unrestricted fit from pre-evaluated design matrices, with its stability measure s_hat."""
+    y = np.asarray(y, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = y.shape[0]
+    if y.ndim != 1:
+        raise InputError(f"y must be 1-d, got shape {y.shape}")
+    if psi.shape[0] != n or b.shape[0] != n:
+        raise InputError("y, Psi, B must share the number of rows")
+    j_dim, k_dim = psi.shape[1], b.shape[1]
+    if k_dim < j_dim:
+        raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
+    if n <= k_dim:
+        raise InputError(f"need n > K, got n={n}, K={k_dim}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi))):  # orthonormal_range checks b
+        raise InputError("data or design matrices contain non-finite values")
+    mu = _weights(mu, n)
+    if rcond is None:
+        rcond = default_rcond((n, max(j_dim, k_dim)))
+
+    warnings_list: list[str] = []
+    q, r, s_b = orthonormal_range(b, rcond)
+    if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
+        raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k_dim})")
+    if r.shape[1] < k_dim:
+        warnings_list.append(f"instrument design is rank deficient: rank {r.shape[1]} < K={k_dim}")
+    gram_weighted = psi.T @ (psi * mu[:, None])
+    gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
+    lam, v = _lapack(np.linalg.eigh, gram_weighted)
+    if lam[0] <= default_rcond((j_dim, j_dim)) * lam[-1]:
+        raise NumericalError(f"weighted regressor gram Psi'Omega Psi is numerically singular (dim {j_dim})")
+    l_inv_t = v / np.sqrt(lam)
+    m_pinv, m_svals = pinv(r.T @ (q.T @ psi) @ l_inv_t, rcond)
+    if m_svals[-1] <= rcond * m_svals[0]:
+        warnings_list.append(
+            f"projected regressor design is rank deficient (min/max singular value "
+            f"{m_svals[-1]:.3e}/{m_svals[0]:.3e}); pseudo-inverse truncation applied"
+        )
+    beta = l_inv_t @ (m_pinv @ (r.T @ (q.T @ y)))
+    fitted = psi @ beta
+    scaled_map_k = m_pinv @ r.T
+    return SimpleNamespace(
+        beta=beta,
+        fitted=fitted,
+        residuals=y - fitted,
+        gram_weighted=gram_weighted,
+        scaled_map_k=scaled_map_k,
+        scaled_map=scaled_map_k @ q.T,
+        q=q,
+        r=r,
+        psi=psi,
+        y=y,
+        mu=mu,
+        k_dim=k_dim,
+        s_hat=float(m_svals[-1]),
         warnings=warnings_list,
     )
 

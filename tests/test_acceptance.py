@@ -210,10 +210,9 @@ def test_criterion_6_oracle_equivalence_suite():
         x, w = gen.uniform(size=n), gen.uniform(size=n)
         psi = eval_design(BasisSpec("bspline", 3, 3), x)
         b = eval_design(BasisSpec("bspline", 6, 3), w)
-        y = gen.normal(size=n)
         r = gen.normal(size=n)
         try:
-            fit = fit_from_design(y, psi, b)
+            fit = fit_from_design(psi, b)
         except NumericalError as exc:
             ev = np.linalg.eigvalsh(b.T @ b)
             assert "instrument gram B'B" in str(exc) and ev[0] <= 1e-8 * ev[-1]
@@ -242,8 +241,7 @@ def test_criterion_6_oracle_equivalence_suite():
         conds = [np.linalg.eigvalsh(d.T @ d) for d in (psi, b)]
         if any(ev[0] <= 1e-8 * ev[-1] for ev in conds):
             continue  # empty-support draw; singular grams have their own test
-        y = gen.normal(size=n)
-        fit = fit_from_design(y, psi, b)
+        fit = fit_from_design(psi, b)
         u = gen.normal(size=n)
         assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
         assert fit.s_hat == pytest.approx(brute_shat(psi, b), abs=1e-8)

@@ -52,12 +52,12 @@ def small_fit(rng, n=40, j=3, k=6):
     y = rng.normal(size=n)
     psi = eval_design(bspline(j), x)
     b = eval_design(bspline(k), w)
-    return fit_from_design(y, psi, b), psi, b, y
+    return fit_from_design(psi, b), psi, b, y
 
 
 def shat(psi, b, omega=None):
-    """s_J of the fit of Psi on B; y does not enter it."""
-    return fit_from_design(np.zeros(psi.shape[0]), psi, b, mu=omega).s_hat
+    """s_J of the factor of Psi on B."""
+    return fit_from_design(psi, b, mu=omega).s_hat
 
 
 def scan_grid(x, w, config, y=None):
@@ -179,8 +179,8 @@ def test_grid_needs_20_obs():
 
 
 def test_compute_D_zero_residuals(rng):
-    fit, *_ = small_fit(rng)
-    assert compute_D(fit.scaled_map, np.zeros(fit.n)) == 0.0
+    fit, _, _, y = small_fit(rng)
+    assert compute_D(fit.scaled_map, np.zeros(y.size)) == 0.0
 
 
 def test_compute_D_matches_brute_force_small(rng):
@@ -188,15 +188,14 @@ def test_compute_D_matches_brute_force_small(rng):
         x, w = rng.uniform(size=n), rng.uniform(size=n)
         psi = eval_design(BasisSpec("power", 2), x)
         b = eval_design(BasisSpec("power", 3), w)
-        y = rng.normal(size=n)
-        fit = fit_from_design(y, psi, b)
+        fit = fit_from_design(psi, b)
         r = rng.normal(size=n)
         assert compute_D(fit.scaled_map, r) == pytest.approx(brute_D(r, psi, b), rel=1e-10, abs=1e-12)
 
 
 def test_compute_D_quadratic_scaling(rng):
-    fit, *_ = small_fit(rng)
-    r = rng.normal(size=fit.n)
+    fit, _, _, y = small_fit(rng)
+    r = rng.normal(size=y.size)
     base = compute_D(fit.scaled_map, r)
     assert compute_D(fit.scaled_map, 3.0 * r) == pytest.approx(9.0 * base, rel=1e-10)
 
@@ -207,18 +206,17 @@ def test_compute_D_weighted_matches_brute(rng):
     psi = eval_design(bspline(3), x)
     b = eval_design(bspline(6), w)
     mu = rng.uniform(0.5, 1.5, size=n)
-    y = rng.normal(size=n)
-    fit = fit_from_design(y, psi, b, mu=mu)
+    fit = fit_from_design(psi, b, mu=mu)
     r = rng.normal(size=n)
     assert compute_D(fit.scaled_map, r) == pytest.approx(brute_D(r, psi, b, mu), rel=1e-9, abs=1e-12)
 
 
 def test_vhat_zero_and_constant_residuals(rng):
     fit, psi, b, y = small_fit(rng)
-    assert compute_vhat(fit.scaled_map, np.zeros(fit.n)) == 0.0
+    assert compute_vhat(fit.scaled_map, np.zeros(y.size)) == 0.0
     c = 2.7
-    base = compute_vhat(fit.scaled_map, np.ones(fit.n))
-    assert compute_vhat(fit.scaled_map, c * np.ones(fit.n)) == pytest.approx(c**2 * base, rel=1e-10)
+    base = compute_vhat(fit.scaled_map, np.ones(y.size))
+    assert compute_vhat(fit.scaled_map, c * np.ones(y.size)) == pytest.approx(c**2 * base, rel=1e-10)
 
 
 def test_vhat_matches_brute_force(rng):
@@ -228,19 +226,19 @@ def test_vhat_matches_brute_force(rng):
         psi = eval_design(bspline(4), x)
         b = eval_design(bspline(8), w)
         y = rng.normal(size=n)
-        fit = fit_from_design(y, psi, b)
+        fit = fit_from_design(psi, b)
         u = rng.normal(size=n)
         assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
-    assert compute_vhat(fit.scaled_map, fit.residuals) >= 0.0
+    assert compute_vhat(fit.scaled_map, y - psi @ fit.coefficients(y)) >= 0.0
 
 
 # --------------------------------------------------------------- gamma / eta
 
 
 def test_gamma_floor_and_equality(rng):
-    fit, *_ = small_fit(rng, n=60, j=4, k=8)
+    fit, psi, _, y = small_fit(rng, n=60, j=4, k=8)
     m = deriv_constraints(bspline(4), "decreasing")
-    rfit = fit_restricted_cone(fit, m)
+    rfit = fit_restricted_cone(fit, m, fit.coefficients(y), psi, y)
     assert gamma_hat(m, rfit.active_set) >= 1
     assert gamma_hat(m, np.empty(0, dtype=int)) == 1
     # a parametric (equality) null has J degrees of freedom
@@ -261,8 +259,8 @@ def test_gamma_counts_active_rank():
     psi = eval_design(spec, x)
     b = eval_design(bspline(8), w)
     y = psi @ coef  # noiseless increasing signal
-    fit = fit_from_design(y, psi, b)
-    rfit = fit_restricted_cone(fit, m)
+    fit = fit_from_design(psi, b)
+    rfit = fit_restricted_cone(fit, m, fit.coefficients(y), psi, y)
     assert gamma_hat(m, rfit.active_set) == np.linalg.matrix_rank(m.rows)
 
 
@@ -369,7 +367,8 @@ def test_alpha_validation():
     lambda n: np.ones((n, 1)),  # 2-d
     lambda n: np.where(np.arange(n) == 3, np.nan, 1.0),  # NaN entry
     lambda n: -np.ones(n),  # negative
-], ids=["short", "2d", "nan", "negative"])
+    lambda n: np.zeros(n),  # no positive entry
+], ids=["short", "2d", "nan", "negative", "zero"])
 def test_malformed_weights_are_input_errors(bad_mu):
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.5), RngStream(20, 1)))
     mu = bad_mu(200)
@@ -379,7 +378,7 @@ def test_malformed_weights_are_input_errors(bad_mu):
     with pytest.raises(InputError, match="weight"):
         cs_contains(lambda x: -x, data.y, data.x, data.w, null=null, mu=mu)
     with pytest.raises(InputError, match="weight"):
-        fit_from_design(data.y, eval_design(bspline(4), data.x), eval_design(bspline(8), data.w), mu)
+        fit_from_design(eval_design(bspline(4), data.x), eval_design(bspline(8), data.w), mu)
 
 
 def test_config_schema_version_is_not_settable():
@@ -505,6 +504,30 @@ def test_structural_candidate_decomposes_each_matrix_once(monkeypatch, null, svd
     assert calls["eigvalsh"]["calls"] == 0
 
 
+@pytest.mark.parametrize("null", ["decreasing", "linear"])
+def test_stability_scan_reads_y_only_in_candidate_visits(monkeypatch, null):
+    # this dyadic scan steps J = 3, 4, 5 and stops at J_max_hat = 5, which is no dyadic candidate:
+    # the factor reads no y, and the y-part runs once per candidate, at the candidates only
+    stepped, visited = [], []
+    factor, coefficients = npiv_module.fit_from_design, npiv_module.NpivFit.coefficients
+
+    def recording_factor(psi, b, *args, **kwargs):
+        stepped.append(psi.shape[1])
+        return factor(psi, b, *args, **kwargs)
+
+    def recording_coefficients(fit, y):
+        visited.append(fit.l_inv_t.shape[0])
+        return coefficients(fit, y)
+
+    monkeypatch.setattr(adaptive_module, "fit_from_design", recording_factor)
+    monkeypatch.setattr(npiv_module.NpivFit, "coefficients", recording_coefficients)
+    data = generate(DesignConfig("I", 5000, 0.5, HSpec("mono", c0=0.5), RngStream(1, 0)))
+    grid = adaptive_scan(data.y, data.x, data.w, NullSpec.from_name(null), RunConfig())[0]
+    assert grid.j_list == (3, 4) and grid.j_max_hat == 5
+    assert stepped == [3, 4, 5]
+    assert visited == list(grid.j_list)
+
+
 def test_image_space_candidate_decomposes_each_instrument_design_once(monkeypatch):
     # one eigh of B_K'B_K gives U_B for D_K, v_K and the fit; one SVD for U_B'Z
     calls = {name: _count_calls(monkeypatch, name, (np.linalg,)) for name in ("svd", "eigh")}
@@ -555,8 +578,9 @@ def test_cs_contains_restricted_fit_when_not_rejecting():
     # rebuild the restricted fit at some grid J and test its membership
     j = rep.grid.j_list[0]
     psi_spec = cfg.psi_spec(j)
-    fit = fit_from_design(data.y, eval_design(psi_spec, data.x), eval_design(cfg.psi_spec(2 * j), data.w))
-    rfit = fit_restricted_cone(fit, deriv_constraints(psi_spec, "decreasing"))
+    psi = eval_design(psi_spec, data.x)
+    fit = fit_from_design(psi, eval_design(cfg.psi_spec(2 * j), data.w))
+    rfit = fit_restricted_cone(fit, deriv_constraints(psi_spec, "decreasing"), fit.coefficients(data.y), psi, data.y)
     contained, binding, _ = cs_contains(
         (rfit.beta_r, psi_spec), data.y, data.x, data.w, config=cfg, null=null
     )
@@ -585,7 +609,7 @@ def test_cs_contains_is_the_test_on_the_candidate_residuals(c_a):
     null = NullSpec.from_name("linear")
     rep = adaptive_test(data.y, data.x, data.w, null, config=cfg)
     _, b = cfg.instrument_design(8, data.w)
-    fit = fit_from_design(data.y, eval_design(cfg.psi_spec(4), data.x), b)
+    fit = fit_from_design(eval_design(cfg.psi_spec(4), data.x), b)
     rfit = fit_restricted_parametric(data.y, data.x, "linear", fit.q, fit.r)
     contained, binding, detail = cs_contains(rfit.fitted_r, data.y, data.x, data.w, config=cfg, null=null)
     (rec,) = rep.per_j
@@ -895,6 +919,15 @@ def test_image_space_scan_starts_at_the_null_parameter_count(basis, model, n_par
     rep = image_space_test(data.y, data.x, data.w, model, config=cfg)
     assert rep.grid.j_list[0] == max(cfg.basis_min(), n_params)
     assert all(rec.k >= n_params for rec in rep.per_j)
+
+
+def test_image_space_eta_error_names_k_df_and_centering():
+    # bspline3 at n = 60 leaves the quadratic null the singleton grid {4}: df K - 3 = 1, centering K = 4
+    data = generate(DesignConfig("I", 60, 0.5, HSpec("sin", c_a=0.5), RngStream(0, 0)))
+    with pytest.raises(InputError) as info:
+        image_space_test(data.y, data.x, data.w, "quadratic", config=RunConfig(basis="bspline3"))
+    assert str(info.value) == ("critical value eta <= 0 at K=4 (alpha/1 too large for chi-square df=1 "
+                               "centered at K=4); use a smaller alpha")
 
 
 def test_image_space_custom_design_needs_one_row_per_observation():

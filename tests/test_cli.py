@@ -311,6 +311,16 @@ def test_cmd_test_sample_too_small_for_the_basis_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_cmd_test_all_zero_weights_exit_2(tmp_path, capsys):
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.5), RngStream(20, 1)))
+    path = tmp_path / "zero_mu.csv"
+    np.savetxt(path, np.column_stack([data.y, data.x, data.w, np.zeros(200)]), fmt="%.17g", delimiter=",",
+               header="y,x,w,mu", comments="")
+    for null in ("decreasing", "linear"):
+        assert run_cli("test", str(path), "--null", null) == 2
+        assert "weights must have at least one positive entry" in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exit_2(capsys):
     assert run_cli("test", "/nonexistent/data.csv") == 2
     assert "input error" in capsys.readouterr().err

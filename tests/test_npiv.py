@@ -26,6 +26,7 @@ from oracles import (
     cone_project_active_set,
     cone_project_enumerate,
     dykstra_project,
+    fit_from_design_joint,
     fit_from_design_ub,
 )
 
@@ -47,9 +48,10 @@ def test_exact_linear_fit(rng):
     x = rng.uniform(size=n)
     w = x  # exogenous case
     y = 1.5 + 2.0 * x
-    fit = fit_from_design(y, eval_design(BasisSpec("power", 2), x), eval_design(BasisSpec("power", 3), w))
-    np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-8)
-    np.testing.assert_allclose(fit.fitted, y, atol=1e-8)
+    psi = eval_design(BasisSpec("power", 2), x)
+    fitted = psi @ fit_from_design(psi, eval_design(BasisSpec("power", 3), w)).coefficients(y)
+    np.testing.assert_allclose(y - fitted, 0.0, atol=1e-8)
+    np.testing.assert_allclose(fitted, y, atol=1e-8)
 
 
 def test_orthogonal_target_gives_zero_coefficients(rng):
@@ -63,18 +65,17 @@ def test_orthogonal_target_gives_zero_coefficients(rng):
     q, _ = np.linalg.qr(projected)
     raw = rng.normal(size=n)
     y = raw - q @ (q.T @ raw)
-    fit = fit_from_design(y, psi, b)
-    np.testing.assert_allclose(fit.beta, 0.0, atol=1e-8)
+    np.testing.assert_allclose(fit_from_design(psi, b).coefficients(y), 0.0, atol=1e-8)
 
 
 def test_matches_brute_force_2sls_design1():
     data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=1.0), RngStream(21, 0)))
     psi = eval_design(bspline(3), data.x)
     b = eval_design(bspline(6), data.w)
-    fit = fit_from_design(data.y, psi, b)
-    np.testing.assert_allclose(fit.beta, brute_coeffs(data.y, psi, b), atol=1e-8)
+    beta = fit_from_design(psi, b).coefficients(data.y)
+    np.testing.assert_allclose(beta, brute_coeffs(data.y, psi, b), atol=1e-8)
     # normal equations hold on the projected system
-    lhs = psi.T @ (b @ np.linalg.pinv(b.T @ b) @ (b.T @ psi)) @ fit.beta
+    lhs = psi.T @ (b @ np.linalg.pinv(b.T @ b) @ (b.T @ psi)) @ beta
     rhs = psi.T @ (b @ np.linalg.pinv(b.T @ b) @ (b.T @ data.y))
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
@@ -83,18 +84,24 @@ def test_fit_scale_equivariance(rng):
     n = 70
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n)
-    f1 = fit_from_design(y, eval_design(bspline(4), x), eval_design(bspline(8), w))
-    f2 = fit_from_design(3.0 * y, eval_design(bspline(4), x), eval_design(bspline(8), w))
-    np.testing.assert_allclose(f2.beta, 3.0 * f1.beta, atol=1e-12)
+    fit = fit_from_design(eval_design(bspline(4), x), eval_design(bspline(8), w))
+    np.testing.assert_allclose(fit.coefficients(3.0 * y), 3.0 * fit.coefficients(y), atol=1e-12)
 
 
 def test_fit_dimension_guards(rng):
     n = 30
-    x, w, y = rng.uniform(size=n), rng.uniform(size=n), rng.normal(size=n)
+    x, w = rng.uniform(size=n), rng.uniform(size=n)
     with pytest.raises(InputError):
-        fit_from_design(y, eval_design(bspline(6), x), eval_design(bspline(4), w))  # K < J
+        fit_from_design(eval_design(bspline(6), x), eval_design(bspline(4), w))  # K < J
     with pytest.raises(InputError):
-        fit_from_design(y[:25], eval_design(bspline(4), x[:25]), eval_design(bspline(26), w[:25]))  # n <= K
+        fit_from_design(eval_design(bspline(4), x[:25]), eval_design(bspline(26), w[:25]))  # n <= K
+    with pytest.raises(InputError):
+        fit_from_design(eval_design(bspline(4), x), eval_design(bspline(8), w[:25]))  # rows differ
+    fit = fit_from_design(eval_design(bspline(4), x), eval_design(bspline(8), w))
+    with pytest.raises(InputError, match="shape"):
+        fit.coefficients(np.ones(n - 1))
+    with pytest.raises(InputError, match="non-finite"):
+        fit.coefficients(np.full(n, np.nan))
 
 
 def test_rank_deficiency_warning(rng):
@@ -106,10 +113,10 @@ def test_rank_deficiency_warning(rng):
     q, r, _ = orthonormal_range(b)
     e = rng.normal(size=n)
     psi = np.column_stack([np.ones(n), x, e - q @ (r @ (r.T @ (q.T @ e)))])
-    fit = fit_from_design(rng.normal(size=n), psi, b)
+    fit = fit_from_design(psi, b)
     assert any("rank deficient" in msg for msg in fit.warnings)
     with pytest.raises(NumericalError, match="weighted regressor gram"):
-        fit_from_design(rng.normal(size=n), np.column_stack([np.ones(n), x, x, x**2]), b)
+        fit_from_design(np.column_stack([np.ones(n), x, x, x**2]), b)
 
 
 @pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 2), ("power", 2)])
@@ -128,12 +135,62 @@ def test_fit_matches_the_two_factorization_oracle(family, order):
                 old, old_s = fit_from_design_ub(y, psi, b, mu), compute_shat(psi, b, mu)
             except NumericalError as exc:
                 with pytest.raises(NumericalError, match=re.escape(str(exc))):
-                    fit_from_design(y, psi, b, mu)
+                    fit_from_design(psi, b, mu)
                 continue
-            fit = fit_from_design(y, psi, b, mu)
-            assert np.linalg.norm(fit.beta - old.beta) <= 1e-10 * np.linalg.norm(old.beta)
+            fit = fit_from_design(psi, b, mu)
+            beta = fit.coefficients(y)
+            assert np.linalg.norm(beta - old.beta) <= 1e-10 * np.linalg.norm(old.beta)
             assert np.linalg.norm(fit.scaled_map - old.scaled_map) <= 1e-10 * np.linalg.norm(old.scaled_map)
             assert fit.s_hat == pytest.approx(old_s, rel=1e-6 if family == "power" else 1e-12)
+
+
+def _assert_matches_the_joint_fit(y, psi, b, mu=None, rcond=None):
+    try:
+        old = fit_from_design_joint(y, psi, b, mu, rcond)
+    except (InputError, NumericalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fit_from_design(psi, b, mu, rcond)
+        return None
+    fit = fit_from_design(psi, b, mu, rcond)
+    beta = fit.coefficients(y)
+    assert np.array_equal(beta, old.beta)
+    assert np.array_equal(y - psi @ beta, old.residuals)
+    assert np.array_equal(fit.scaled_map, old.scaled_map)
+    assert fit.s_hat == old.s_hat
+    assert fit.warnings == old.warnings
+    return fit
+
+
+@pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 2), ("power", 2)])
+def test_split_fit_matches_the_joint_fit_bit_for_bit(family, order):
+    # the factor and coefficients(y) keep the joint fit's arithmetic: beta = L^{-T}(M^+(r'(q'y))),
+    # u = y - Psi beta and S = (M^+ r')q'
+    gen = np.random.default_rng(12)
+    n = 400
+    x, w = gen.uniform(size=n), gen.uniform(size=n)
+    y = np.cos(2.0 * x) + gen.normal(size=n)
+    for mu in (None, gen.uniform(0.5, 2.0, size=n)):
+        for j in range(order, 8):
+            psi = eval_design(BasisSpec(family, j, order), x)
+            _assert_matches_the_joint_fit(y, psi, eval_design(BasisSpec(family, 3 * j, order), w), mu)
+
+
+def test_split_fit_matches_the_joint_fit_when_rank_deficient(rng):
+    n = 200
+    x, w, y = rng.uniform(size=n), rng.uniform(size=n), rng.normal(size=n)
+    b = eval_design(bspline(8), w)
+    q, r, _ = orthonormal_range(b)
+    e = rng.normal(size=n)
+    # a regressor column orthogonal to the instruments truncates M^+
+    psi = np.column_stack([np.ones(n), x, e - q @ (r @ (r.T @ (q.T @ e)))])
+    fit = _assert_matches_the_joint_fit(y, psi, b)
+    assert any("projected regressor design is rank deficient" in msg for msg in fit.warnings)
+    # a near-duplicate instrument column below rcond truncates U_B
+    b_cut = np.column_stack([b, b[:, 0] + 1e-5 * rng.normal(size=n)])
+    fit = _assert_matches_the_joint_fit(y, eval_design(bspline(4), x), b_cut, rcond=1e-3)
+    assert any("instrument design is rank deficient" in msg for msg in fit.warnings)
+    # a singular weighted gram is the same error
+    assert _assert_matches_the_joint_fit(y, np.column_stack([np.ones(n), x, x]), b) is None
 
 
 # ------------------------------------------------------------- cone projection
@@ -307,48 +364,54 @@ def test_cone_project_nonconvergence_names_the_problem(monkeypatch):
 
 
 def _design_fit(rng, n=120, j=4, k=8):
+    """(fit, psi, y, beta, m): a decreasing-cone problem on one factored candidate."""
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n) + 0.5 * x
-    fit = fit_from_design(y, eval_design(bspline(j), x), eval_design(bspline(k), w))
-    return fit, x, w, y
+    psi = eval_design(bspline(j), x)
+    fit = fit_from_design(psi, eval_design(bspline(k), w))
+    return fit, psi, y, fit.coefficients(y), deriv_constraints(bspline(j), "decreasing")
 
 
 def test_restricted_cone_feasible_unchanged(rng):
-    fit, *_ = _design_fit(rng)
-    m = deriv_constraints(bspline(fit.j_dim), "decreasing")
-    feasible = np.all(m.rows @ fit.beta <= 0)
-    rfit = fit_restricted_cone(fit, m)
+    fit, psi, y, beta, m = _design_fit(rng)
+    feasible = np.all(m.rows @ beta <= 0)
+    rfit = fit_restricted_cone(fit, m, beta, psi, y)
     assert np.all(m.rows @ rfit.beta_r <= 1e-8 * (1.0 + np.linalg.norm(rfit.beta_r)))
     if feasible:
-        np.testing.assert_allclose(rfit.beta_r, fit.beta, atol=1e-10)
+        np.testing.assert_allclose(rfit.beta_r, beta, atol=1e-10)
 
 
 def test_restricted_weighted_ssr_never_improves(rng):
-    fit, x, w, y = _design_fit(rng)
-    m = deriv_constraints(bspline(fit.j_dim), "decreasing")
-    rfit = fit_restricted_cone(fit, m)
-    gap = fit.fitted - rfit.fitted_r
-    ssr = float(np.sum(fit.mu * gap**2))
-    d = rfit.beta_r - fit.beta
+    fit, psi, y, beta, m = _design_fit(rng)
+    rfit = fit_restricted_cone(fit, m, beta, psi, y)
+    gap = psi @ beta - rfit.fitted_r
+    ssr = float(np.sum(gap**2))  # unit weights
+    d = rfit.beta_r - beta
     np.testing.assert_allclose(ssr, float(d @ fit.gram_weighted @ d), atol=1e-8)
     assert ssr >= -1e-12
 
 
 def test_restricted_kkt_orthogonality(rng):
-    fit, *_ = _design_fit(rng, n=200, j=5, k=10)
-    m = deriv_constraints(bspline(5), "decreasing")
-    rfit = fit_restricted_cone(fit, m)
-    gap = fit.beta - rfit.beta_r
+    fit, psi, y, beta, m = _design_fit(rng, n=200, j=5, k=10)
+    rfit = fit_restricted_cone(fit, m, beta, psi, y)
+    gap = beta - rfit.beta_r
     cross = float(gap @ fit.gram_weighted @ rfit.beta_r)
-    scale = float(fit.beta @ fit.gram_weighted @ fit.beta)
+    scale = float(beta @ fit.gram_weighted @ beta)
     assert abs(cross) <= 1e-6 * (1.0 + scale)
+
+
+def test_restricted_cone_checks_the_constraint_dimension(rng):
+    fit, psi, y, beta, _ = _design_fit(rng)
+    with pytest.raises(InputError, match="constraint matrix has dim 5, fit has J=4"):
+        fit_restricted_cone(fit, deriv_constraints(bspline(5), "decreasing"), beta, psi, y)
 
 
 def test_restricted_monotone_derivative_on_grid():
     data = generate(DesignConfig("I", 400, 0.5, HSpec("sin", c_a=2.0), RngStream(33, 4)))
     spec = bspline(5)
-    fit = fit_from_design(data.y, eval_design(spec, data.x), eval_design(bspline(10), data.w))
-    rfit = fit_restricted_cone(fit, deriv_constraints(spec, "decreasing"))
+    psi = eval_design(spec, data.x)
+    fit = fit_from_design(psi, eval_design(bspline(10), data.w))
+    rfit = fit_restricted_cone(fit, deriv_constraints(spec, "decreasing"), fit.coefficients(data.y), psi, data.y)
     grid = np.linspace(0.0, 1.0, 1000)
     deriv = eval_design(spec, grid, deriv=1) @ rfit.beta_r
     assert np.all(deriv <= 1e-10)
@@ -395,10 +458,8 @@ def test_parametric_rank_guard(rng):
 
 
 def test_restricted_positive_homogeneity(rng):
-    # cone projections commute with positive scaling of the target
-    fit, x, w, y = _design_fit(rng)
-    m = deriv_constraints(bspline(fit.j_dim), "decreasing")
-    r1 = fit_restricted_cone(fit, m)
-    fit2 = fit_from_design(2.5 * y, fit.psi, eval_design(bspline(8), w))
-    r2 = fit_restricted_cone(fit2, m)
+    # cone projections commute with positive scaling of the target: one factor, outcomes y and 2.5 y
+    fit, psi, y, beta, m = _design_fit(rng)
+    r1 = fit_restricted_cone(fit, m, beta, psi, y)
+    r2 = fit_restricted_cone(fit, m, fit.coefficients(2.5 * y), psi, 2.5 * y)
     np.testing.assert_allclose(r2.beta_r, 2.5 * r1.beta_r, atol=1e-8)
