@@ -21,7 +21,7 @@ from .dgp import Dataset, DesignConfig, HSpec, generate, h_mono, h_sin
 from .errors import InputError, NumericalError
 from .npiv import NpivFit, RestrictedFit, cone_project, fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from .randdist import CovarianceSpec, RngStream, chisq_quantile, mvn_sample, std_normal_cdf
-from .sim import ExperimentSpec, McSummary, reproduce, run_power, run_size
+from .sim import ExperimentSpec, McSummary, reproduce, run_experiment
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "h_sin",
     "ExperimentSpec",
     "McSummary",
-    "run_size",
-    "run_power",
+    "run_experiment",
     "reproduce",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import (BasisSpec, ConstraintMatrix, _max_support_count, deriv_constraints, eval_design, min_dim,
                     tensor_design, zeta)
-from .errors import InputError, NumericalError, SingularGramError
+from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
@@ -550,6 +550,12 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
                                  f"needs K={k} instrument columns, whose gram B'B is singular at n={n}") from exc
+            raise
+        except SingularRegressorGramError as exc:
+            if scanned and j == j_min:  # no candidate is left: x has too few distinct values for the basis
+                raise InputError(f"regressor sample too degenerate for the {config.basis} basis: the weighted gram "
+                                 f"Psi'Omega Psi of its minimum candidate J={j} is singular at n={n} with "
+                                 f"{np.unique(x[mu > 0]).size} distinct x value(s)") from exc
             raise
         return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, psi, fit)
 

@@ -14,3 +14,7 @@ class NumericalError(RuntimeError):
 
 class SingularGramError(NumericalError):
     """Raised when the instrument gram B'B of a candidate is numerically singular."""
+
+
+class SingularRegressorGramError(NumericalError):
+    """Raised when the weighted regressor gram Psi'Omega Psi of a candidate is numerically singular."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError, SingularGramError
+from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from .linalg import _lapack, default_rcond, orthonormal_range, pinv
 
 __all__ = [
@@ -98,7 +98,7 @@ def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
     one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M) and M^+, from
     which coefficients(y) = L^{-T} M^+ U_B' y and scaled_map = M^+ U_B' = L'C. A singular B'B is a
-    SingularGramError, then a singular Psi' Omega Psi a NumericalError.
+    SingularGramError, then a singular Psi' Omega Psi a SingularRegressorGramError.
     """
     psi = np.asarray(psi, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -125,7 +125,7 @@ def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
     lam, v = _lapack(np.linalg.eigh, gram_weighted)
     if lam[0] <= default_rcond((j_dim, j_dim)) * lam[-1]:
-        raise NumericalError(f"weighted regressor gram Psi'Omega Psi is numerically singular (dim {j_dim})")
+        raise SingularRegressorGramError(f"weighted regressor gram Psi'Omega Psi is numerically singular (dim {j_dim})")
     l_inv_t = v / np.sqrt(lam)
     m_pinv, m_svals = pinv(r.T @ (q.T @ psi) @ l_inv_t, rcond)
     if m_svals[-1] <= rcond * m_svals[0]:

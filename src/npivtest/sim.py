@@ -7,10 +7,13 @@ estimator noise. Size-adjusted power calibrates the empirical (1-alpha)
 quantile of max_J W_J from an independent boundary-null run of equal length
 (stream ids offset by 2^31).
 
-A call submits every cell it runs (and every run of a reproduced table)
-before it gathers any, so its worker processes never wait for a cell to be
-summarized; outcomes are sorted by replication index, so the rows do not
-depend on jobs. A failed replication is counted with its reason.
+An experiment runs in three steps: `_plan` lists its cell tasks in row
+order, `_run` runs them, and `_summary` turns their outcomes into cells.
+`run_experiment` runs one experiment and `reproduce` all the experiments of
+a published table as one plan, so with jobs > 1 a call forks one worker
+pool and submits every chunk of every task before it gathers any. Outcomes
+are sorted by replication index, so the rows do not depend on jobs. A
+failed replication is counted with its reason.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import Callable, NamedTuple
+from itertools import islice
+from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +39,6 @@ __all__ = [
     "ExperimentSpec",
     "CellResult",
     "McSummary",
-    "run_size",
-    "run_power",
     "run_experiment",
     "reproduce",
     "TABLE_IDS",
@@ -46,6 +48,7 @@ CALIBRATION_STREAM_OFFSET = 2**31
 MAX_FAILURE_SHARE = 0.01
 
 TABLE_IDS = ("T1", "T2", "F1", "F2", "supp-C", "supp-D")
+_AXES = ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas")  # the cell axes of a spec
 
 
 @dataclass(frozen=True)
@@ -70,15 +73,22 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("replications", "k_factor", "master_seed", *_AXES):
+            value = getattr(self, name)
+            kind = Integral if name in ("replications", "k_factor", "master_seed", "n_values") else Real
+            if name in _AXES:
+                if not isinstance(value, (tuple, list)) or len(value) == 0:
+                    raise InputError(f"{name} must be a non-empty list, got {value!r}")
+                object.__setattr__(self, name, tuple(value))
+            if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if name in _AXES else (value,))):
+                what = f"a list of {'integers' if kind is Integral else 'numbers'}" if name in _AXES else "an integer"
+                raise InputError(f"{name} must be {what}, got {value!r}")
         if self.replications < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
         if self.mode not in ("size", "power", "size_adjusted_power"):
             raise InputError(f"unknown mode {self.mode!r}")
         if self.statistic not in ("structural", "image-space"):
             raise InputError(f"unknown statistic {self.statistic!r}")
-        for name in ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas"):
-            if len(getattr(self, name)) == 0:
-                raise InputError(f"{name} must be non-empty")
 
     def null_spec(self) -> NullSpec:
         return NullSpec.from_name(self.null)
@@ -98,7 +108,7 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["grid_mode"] = self.grid_mode if isinstance(self.grid_mode, str) else list(self.grid_mode)
-        for key in ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas"):
+        for key in _AXES:
             d[key] = list(d[key])
         return d
 
@@ -109,9 +119,6 @@ class ExperimentSpec:
         unknown = set(d) - known
         if unknown:
             raise InputError(f"unknown experiment keys: {sorted(unknown)}")
-        for key in ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas"):
-            if key in d:
-                d[key] = tuple(d[key])
         if isinstance(d.get("grid_mode"), list):
             d["grid_mode"] = tuple(d["grid_mode"])
         return ExperimentSpec(**d)
@@ -175,13 +182,41 @@ class McSummary:
 _Outcomes = list[tuple[int, dict | str]]
 
 
-def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: int) -> _Outcomes:
-    """Worker: run the test on `reps` fresh datasets of one cell.
+class _Task(NamedTuple):
+    """One cell of an experiment, run on the replication streams offset + r."""
+
+    spec: ExperimentSpec
+    cell: dict
+    stream_offset: int  # CALIBRATION_STREAM_OFFSET marks the boundary-null run that calibrates a curve
+
+
+def _plan(spec: ExperimentSpec) -> list[_Task]:
+    """Every cell task of an experiment in row order; in size-adjusted mode each curve's boundary-null run
+    comes just before the curve it calibrates."""
+    if spec.mode != "size" and spec.h_family == "mono":
+        raise InputError("power experiments use the sin/design2/quad families, not mono")
+    tasks = []
+    for n in spec.n_values:
+        for xi in spec.xi_values:
+            if spec.h_family == "mono":
+                tasks += [_Task(spec, {"n": n, "xi": xi, "c0": c0}, 0) for c0 in spec.c0_values]
+                continue
+            for c_b in spec.c_b_values:
+                if spec.mode == "size_adjusted_power":
+                    boundary = 0.0 if spec.null_spec().kind == "parametric" else null_boundary(spec.h_family, c_b)
+                    tasks.append(_Task(spec, {"n": n, "xi": xi, "c_a": boundary, "c_b": c_b},
+                                       CALIBRATION_STREAM_OFFSET))
+                tasks += [_Task(spec, {"n": n, "xi": xi, "c_a": c_a, "c_b": c_b}, 0) for c_a in spec.c_a_values]
+    return tasks
+
+
+def _rep_outcomes(task: _Task, reps) -> _Outcomes:
+    """Worker: run the test on fresh datasets of one cell, one per replication index in `reps`.
 
     Returns per rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
     "ExcClass: message" of a numerical failure.
     """
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec, cell, stream_offset = task
     null = spec.null_spec()
     config = spec.run_config()
     configs = {alpha: replace(config, alpha=alpha) for alpha in spec.alphas}
@@ -204,50 +239,27 @@ def _rep_outcomes(spec_dict: dict, cell: dict, reps: list[int], stream_offset: i
     return out
 
 
-class _Workers:
-    """The worker processes of one Monte Carlo call, shared by all its cells.
+def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
+    """Each task's outcomes in plan order, sorted by replication index whatever the chunking.
 
-    submit starts every chunk of a cell at once and returns a handle that
-    gathers the cell's outcomes, so a call submits all its cells before it
-    waits on any. The pool is forked the first time a cell takes the parallel
-    path (jobs > 1 and at least 4 replications) and shut down, its queued
-    chunks cancelled, when the call's `with` block ends. On the serial path
-    the handle runs the cell when it is gathered.
+    With jobs > 1 and at least 4 replications per task, one pool of `jobs`
+    workers runs every task in at most 4 * jobs chunks; every chunk is
+    submitted before the first result is gathered, and the pool is shut
+    down, its queued chunks cancelled, as soon as a chunk fails. Otherwise
+    the tasks run in this process.
     """
-
-    def __init__(self, jobs: int):
-        self.jobs = jobs
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "_Workers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-
-    def submit(self, spec: ExperimentSpec, cell: dict, stream_offset: int = 0) -> Callable[[], _Outcomes]:
-        """A handle returning the outcomes of every replication of one cell, sorted by replication index
-        whatever the chunking."""
-        reps = list(range(spec.replications))
-        if self.jobs <= 1 or spec.replications < 4:
-            return partial(_rep_outcomes, spec.to_dict(), cell, reps, stream_offset)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        chunks = np.array_split(np.asarray(reps), min(self.jobs * 4, len(reps)))
-        futures = [
-            self._pool.submit(_rep_outcomes, spec.to_dict(), cell, [int(r) for r in chunk], stream_offset)
-            for chunk in chunks
-            if len(chunk)
-        ]
-
-        def gather() -> _Outcomes:
-            results = [item for fut in futures for item in fut.result()]
-            results.sort(key=lambda item: item[0])
-            return results
-
-        return gather
+    if jobs <= 1 or any(task.spec.replications < 4 for task in tasks):
+        return [_rep_outcomes(task, range(task.spec.replications)) for task in tasks]
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        futures = [[pool.submit(_rep_outcomes, task, chunk.tolist())
+                    for chunk in np.array_split(np.arange(task.spec.replications),
+                                                min(4 * jobs, task.spec.replications))]
+                   for task in tasks]
+        return [sorted((item for fut in chunks for item in fut.result()), key=lambda item: item[0])
+                for chunks in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> dict[str, int]:
@@ -264,20 +276,6 @@ def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> d
 
 def _binomial_se(p: float, n_ok: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n_ok) if n_ok > 0 else float("nan")
-
-
-def _cell_grid(spec: ExperimentSpec) -> list[dict]:
-    cells = []
-    for n in spec.n_values:
-        for xi in spec.xi_values:
-            if spec.h_family == "mono":
-                for c0 in spec.c0_values:
-                    cells.append({"n": n, "xi": xi, "c0": c0})
-            else:
-                for c_b in spec.c_b_values:
-                    for c_a in spec.c_a_values:
-                        cells.append({"n": n, "xi": xi, "c_a": c_a, "c_b": c_b})
-    return cells
 
 
 def _cell_result(spec: ExperimentSpec, cell: dict, outcomes: _Outcomes,
@@ -304,92 +302,42 @@ def _cell_result(spec: ExperimentSpec, cell: dict, outcomes: _Outcomes,
                       adjusted_crit=dict(crit) if crit is not None else None, failures_by_reason=reasons)
 
 
-def _summary(spec: ExperimentSpec, cells: list[CellResult], start: float, calibration_failures=(),
-             **extra) -> McSummary:
-    """The summary of gathered cells; metadata lists the failure reasons of every failing cell and
-    calibration run."""
+def _summary(spec: ExperimentSpec, tasks: list[_Task], outcomes: list[_Outcomes], start: float) -> McSummary:
+    """The summary of one experiment's tasks, in plan order.
+
+    A boundary-null task sets the critical values of the cells that follow
+    it, the empirical (1-alpha) quantiles of its max_J W_J; every other task
+    becomes a cell. Metadata lists the failure reasons of every failing
+    calibration run and cell.
+    """
+    cells, calibration_failures = [], []
+    crit: dict[float, float] | None = None
+    for (_, cell, stream_offset), out in zip(tasks, outcomes):
+        if stream_offset != CALIBRATION_STREAM_OFFSET:
+            cells.append(_cell_result(spec, cell, out, crit))
+            continue
+        reasons = _failures_by_reason(out, cell, spec.replications)
+        if reasons:
+            calibration_failures.append({"cell": cell, "calibration": True, "reasons": reasons})
+        ok = [res for _, res in out if not isinstance(res, str)]
+        crit = {alpha: float(np.quantile(np.asarray([res[alpha][2] for res in ok]), 1.0 - alpha))
+                for alpha in spec.alphas}
     failed = [*calibration_failures,
               *({"cell": cell.params, "reasons": cell.failures_by_reason} for cell in cells if cell.failures)]
+    extra = {} if spec.mode == "size" else {
+        "size_adjustment": "empirical (1-alpha) quantile of max_J W_J from an independent boundary-null run "
+                           "of equal size, common random numbers along c_a"}
     meta = {"mode": spec.mode, "statistic": spec.statistic, "master_seed": spec.master_seed, **extra,
             "failures_by_reason": failed, "timings": {"total_seconds": time.perf_counter() - start}}
     return McSummary(spec=spec, cells=cells, metadata=meta)
 
 
-def run_size(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
-    """Empirical rejection rates; the DGP parameters are expected to satisfy the null."""
-    with _Workers(jobs) as workers:
-        return _size(spec, workers)()
-
-
-def _size(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
-    """Submit every cell of a size experiment; the returned handle gathers them into its summary."""
-    start = time.perf_counter()
-    pending = [(cell, workers.submit(spec, cell)) for cell in _cell_grid(spec)]
-    return lambda: _summary(spec, [_cell_result(spec, cell, gather()) for cell, gather in pending], start)
-
-
-def _boundary_c_a(spec: ExperimentSpec, c_b: float) -> float:
-    null = spec.null_spec()
-    if null.kind == "parametric":
-        return 0.0
-    return null_boundary(spec.h_family, c_b)
-
-
-def run_power(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
-    """Power curves along the c_a axis; size-adjusted mode calibrates on a boundary-null run."""
-    with _Workers(jobs) as workers:
-        return _power(spec, workers)()
-
-
-def _power(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
-    """Submit every cell of a power experiment, and each boundary-null run that calibrates a size-adjusted
-    curve; the returned handle gathers them into its summary."""
-    if spec.mode not in ("power", "size_adjusted_power"):
-        raise InputError(f"run_power needs mode 'power' or 'size_adjusted_power', got {spec.mode!r}")
-    if spec.h_family == "mono":
-        raise InputError("power experiments use the sin/design2/quad families, not mono")
-    start = time.perf_counter()
-    curves = []  # (boundary cell and its handle, or None; [(cell, handle)] along c_a)
-    for n in spec.n_values:
-        for xi in spec.xi_values:
-            for c_b in spec.c_b_values:
-                boundary = None
-                if spec.mode == "size_adjusted_power":
-                    cell = {"n": n, "xi": xi, "c_a": _boundary_c_a(spec, c_b), "c_b": c_b}
-                    boundary = cell, workers.submit(spec, cell, stream_offset=CALIBRATION_STREAM_OFFSET)
-                curve = [(cell, workers.submit(spec, cell))
-                         for cell in ({"n": n, "xi": xi, "c_a": c_a, "c_b": c_b} for c_a in spec.c_a_values)]
-                curves.append((boundary, curve))
-
-    def summary() -> McSummary:
-        cells, calibration_failures = [], []
-        for boundary, curve in curves:
-            crit: dict[float, float] | None = None
-            if boundary is not None:
-                cell, gather = boundary
-                null_out = gather()
-                reasons = _failures_by_reason(null_out, cell, spec.replications)
-                if reasons:
-                    calibration_failures.append({"cell": cell, "calibration": True, "reasons": reasons})
-                ok = [res for _, res in null_out if not isinstance(res, str)]
-                crit = {alpha: float(np.quantile(np.asarray([res[alpha][2] for res in ok]), 1.0 - alpha))
-                        for alpha in spec.alphas}
-            cells.extend(_cell_result(spec, cell, gather(), crit) for cell, gather in curve)
-        return _summary(spec, cells, start, calibration_failures,
-                        size_adjustment="empirical (1-alpha) quantile of max_J W_J from an independent "
-                        "boundary-null run of equal size, common random numbers along c_a")
-
-    return summary
-
-
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
-    with _Workers(jobs) as workers:
-        return _experiment(spec, workers)()
-
-
-def _experiment(spec: ExperimentSpec, workers: _Workers) -> Callable[[], McSummary]:
-    """Submit every cell of an experiment; the returned handle gathers them into its summary."""
-    return _size(spec, workers) if spec.mode == "size" else _power(spec, workers)
+    """Every cell of an experiment on `jobs` worker processes: empirical rejection rates in size and power
+    mode, and power curves calibrated on boundary-null runs in size-adjusted mode."""
+    start = time.perf_counter()
+    tasks = _plan(spec)
+    return _summary(spec, tasks, _run(tasks, jobs), start)
 
 
 def _filtered(values, chosen):
@@ -474,19 +422,20 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
     runs = _table_runs(table_id, n_values, xi_values, c0_values, k_factors)
-    with _Workers(jobs) as workers:  # one pool serves every run and cell of the table
-        pending = [(run, _experiment(ExperimentSpec(**run.spec, replications=replications, master_seed=seed),
-                                     workers)) for run in runs]
-        for run, gather in pending:
-            summary = summaries[run.key] = gather()
-            for cell in summary.cells:
-                base = {**cell.params, **run.extra}
-                ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]
-                for alpha, key in run.rates:
-                    rows.append({**base, "alpha": alpha, "ours": cell.reject_rate[alpha], "se": cell.se[alpha],
-                                 "published": float("nan") if ref is None else ref[key]})
-                if run.avg is not None:
-                    metric, key = run.avg
-                    rows.append({**base, "alpha": 0.05, "metric": metric, "ours": cell.avg_j[0.05],
-                                 "se": float("nan"), "published": ref[key]})
+    start = time.perf_counter()
+    specs = [ExperimentSpec(**run.spec, replications=replications, master_seed=seed) for run in runs]
+    plans = [_plan(spec) for spec in specs]
+    outcomes = iter(_run([task for tasks in plans for task in tasks], jobs))  # one pool serves the whole table
+    for run, spec, tasks in zip(runs, specs, plans):
+        summary = summaries[run.key] = _summary(spec, tasks, list(islice(outcomes, len(tasks))), start)
+        for cell in summary.cells:
+            base = {**cell.params, **run.extra}
+            ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]
+            for alpha, key in run.rates:
+                rows.append({**base, "alpha": alpha, "ours": cell.reject_rate[alpha], "se": cell.se[alpha],
+                             "published": float("nan") if ref is None else ref[key]})
+            if run.avg is not None:
+                metric, key = run.avg
+                rows.append({**base, "alpha": 0.05, "metric": metric, "ours": cell.avg_j[0.05],
+                             "se": float("nan"), "published": ref[key]})
     return {"table_id": table_id, "rows": rows, "summaries": summaries}

@@ -21,7 +21,7 @@ from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import NumericalError
 from npivtest.npiv import cone_project, fit_from_design
 from npivtest.randdist import RngStream, chisq_quantile
-from npivtest.sim import ExperimentSpec, run_power, run_size
+from npivtest.sim import ExperimentSpec, run_experiment
 
 from oracles import (
     brute_D,
@@ -60,7 +60,7 @@ def table1_run():
         master_seed=ACCEPT_SEED,
     )
     start = time.perf_counter()
-    summary = run_size(spec)
+    summary = run_experiment(spec)
     elapsed = time.perf_counter() - start
     return summary, elapsed / 6.0
 
@@ -109,7 +109,7 @@ def test_criterion_2_table2_parametric_size():
         grid_mode="knots",
         master_seed=ACCEPT_SEED,
     )
-    summary = run_size(spec)
+    summary = run_experiment(spec)
     ours = summary.cells[0].reject_rate[0.05]
     published = TABLE2[(500, 0.5, 2)]["r05"]
     ok = abs(ours - published) <= 0.015
@@ -150,7 +150,7 @@ def test_criterion_4_power_curve():
         grid_mode="knots",
         master_seed=ACCEPT_SEED,
     )
-    summary = run_power(spec)
+    summary = run_experiment(spec)
     powers = [summary.cell(c_a=c_a).reject_rate[0.05] for c_a in c_a_grid]
     ses = [summary.cell(c_a=c_a).se[0.05] for c_a in c_a_grid]
     tail_ok = powers[-1] >= 0.8
@@ -186,7 +186,7 @@ def test_criterion_5_image_space_size():
         k_factor=4,
         master_seed=ACCEPT_SEED,
     )
-    summary = run_size(spec)
+    summary = run_experiment(spec)
     ours = summary.cells[0].reject_rate[0.05]
     published = SUPP_D[(500, "I", 0.5)]["it"]
     ok = abs(ours - published) <= 0.02
@@ -311,8 +311,8 @@ def test_criterion_7_property_suite(tmp_path):
         n_values=(200,), xi_values=(0.5,), c0_values=(0.1,), alphas=(0.05,),
         replications=25, k_factor=2, master_seed=ACCEPT_SEED,
     )
-    rows_a = json.dumps(run_size(spec).rows(), sort_keys=True)
-    rows_b = json.dumps(run_size(spec).rows(), sort_keys=True)
+    rows_a = json.dumps(run_experiment(spec).rows(), sort_keys=True)
+    rows_b = json.dumps(run_experiment(spec).rows(), sort_keys=True)
     assert rows_a.encode() == rows_b.encode()
     checks.append("byte determinism")
 

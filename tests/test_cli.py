@@ -311,6 +311,24 @@ def test_cmd_test_sample_too_small_for_the_basis_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x_kind, distinct", [("constant", 1), ("two-point", 2)])
+def test_cmd_test_degenerate_regressor_exit_2(tmp_path, capsys, x_kind, distinct):
+    # the basis-minimum candidate's gram Psi'Omega Psi is singular when x has fewer distinct values than J
+    gen = np.random.default_rng(21)
+    x = np.full(200, 0.5) if x_kind == "constant" else gen.integers(0, 2, 200).astype(float)
+    path = tmp_path / "degenerate.csv"
+    np.savetxt(path, np.column_stack([gen.normal(size=200), x, gen.uniform(size=200)]), fmt="%.17g",
+               delimiter=",", header="y,x,w", comments="")
+    for flags, j in ((("--null", "decreasing"), 3), (("--null", "linear"), 3),
+                     (("--basis", "bspline3", "--grid", "knots"), 4)):
+        assert run_cli("test", str(path), *flags) == 2
+        assert f"minimum candidate J={j} is singular at n=200 with {distinct} distinct x value(s)" \
+            in capsys.readouterr().err
+    # an explicit grid keeps the numerical failure
+    assert run_cli("test", str(path), "--grid", "3,4") == 3
+    assert "weighted regressor gram Psi'Omega Psi is numerically singular (dim 3)" in capsys.readouterr().err
+
+
 def test_cmd_test_all_zero_weights_exit_2(tmp_path, capsys):
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.5), RngStream(20, 1)))
     path = tmp_path / "zero_mu.csv"
@@ -545,6 +563,27 @@ def test_cmd_simulate_schema_violation_exit_2(tmp_path, capsys):
     spec.write_text("[]")
     assert run_cli("simulate", str(spec)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_values": 5}, "n_values must be a non-empty list, got 5"),
+    ({"replications": "10"}, "replications must be an integer, got '10'"),
+    ({"n_values": ["a"], "replications": 2}, "n_values must be a list of integers, got ['a']"),
+    ({"replications": 2, "n_values": [30.5]}, "n_values must be a list of integers, got [30.5]"),
+    ({"replications": True}, "replications must be an integer, got True"),
+    ({"xi_values": [0.5, "0.7"]}, "xi_values must be a list of numbers, got [0.5, '0.7']"),
+    ({"alphas": [False]}, "alphas must be a list of numbers, got [False]"),
+    ({"k_factor": 2.0}, "k_factor must be an integer, got 2.0"),
+    ({"master_seed": None}, "master_seed must be an integer, got None"),
+    ({"mode": "power"}, "power experiments use the sin/design2/quad families, not mono"),
+], ids=["n_values-scalar", "replications-str", "n_values-str", "n_values-float", "replications-bool",
+        "xi_values-str", "alphas-bool", "k_factor-float", "master_seed-null", "power-mono"])
+def test_cmd_simulate_malformed_spec_exit_2(tmp_path, capsys, fields, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec_doc(**fields)))
+    assert run_cli("simulate", str(spec), "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 # ------------------------------------------------------------- cmd: reproduce

@@ -1,11 +1,12 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import npivtest.sim as sim_module
-from npivtest.errors import InputError
-from npivtest.sim import ExperimentSpec, reproduce, run_power, run_size
+from npivtest.errors import InputError, NumericalError
+from npivtest.sim import ExperimentSpec, reproduce, run_experiment
 
 
 def small_size_spec(**kw):
@@ -44,13 +45,13 @@ def test_spec_json_roundtrip():
 
 
 def test_single_replication_rate_is_binary():
-    summary = run_size(small_size_spec(replications=1))
+    summary = run_experiment(small_size_spec(replications=1))
     rate = summary.cells[0].reject_rate[0.05]
     assert rate in (0.0, 1.0)
 
 
 def test_run_size_outputs_and_se():
-    summary = run_size(small_size_spec(replications=25, alphas=(0.10, 0.05)))
+    summary = run_experiment(small_size_spec(replications=25, alphas=(0.10, 0.05)))
     cell = summary.cells[0]
     assert cell.replications == 25
     assert cell.failures == 0
@@ -65,8 +66,8 @@ def test_run_size_outputs_and_se():
 
 
 def test_run_size_deterministic_rerun():
-    a = run_size(small_size_spec(replications=15))
-    b = run_size(small_size_spec(replications=15))
+    a = run_experiment(small_size_spec(replications=15))
+    b = run_experiment(small_size_spec(replications=15))
     ra = [dict(row) for row in a.rows()]
     rb = [dict(row) for row in b.rows()]
     assert ra == rb
@@ -74,14 +75,64 @@ def test_run_size_deterministic_rerun():
 
 def test_run_size_parallel_matches_serial():
     spec = small_size_spec(replications=12)
-    serial = run_size(spec, jobs=1)
-    parallel = run_size(spec, jobs=2)
+    serial = run_experiment(spec, jobs=1)
+    parallel = run_experiment(spec, jobs=2)
     assert serial.rows() == parallel.rows()
 
 
-def test_run_power_requires_power_mode():
-    with pytest.raises(InputError):
-        run_power(small_size_spec())
+def test_power_mode_on_the_mono_family_is_an_input_error():
+    for mode in ("power", "size_adjusted_power"):
+        with pytest.raises(InputError, match="power experiments use the sin/design2/quad families, not mono"):
+            run_experiment(small_size_spec(mode=mode))
+
+
+def _without_timings(summary) -> dict:
+    d = summary.to_dict()
+    d["metadata"] = {k: v for k, v in d["metadata"].items() if k != "timings"}
+    return d
+
+
+@pytest.mark.parametrize("spec", [
+    small_size_spec(replications=6, n_values=(200, 300), c0_values=(0.1, 1.0), alphas=(0.10, 0.05)),
+    ExperimentSpec(mode="power", h_family="sin", n_values=(300,), xi_values=(0.7,), c_a_values=(0.1, 2.0),
+                   c_b_values=(0.0, 1.0), replications=6, master_seed=19),
+    ExperimentSpec(design="II", mode="size_adjusted_power", null="increasing", h_family="design2", n_values=(300,),
+                   c_a_values=(0.1, 0.5), c_b_values=(0.0, 1.0), alphas=(0.10, 0.05), replications=6,
+                   master_seed=17),
+], ids=["size", "power", "size_adjusted_power"])
+def test_run_experiment_does_not_depend_on_jobs(spec):
+    serial = _without_timings(run_experiment(spec, jobs=1))
+    assert json.dumps(_without_timings(run_experiment(spec, jobs=2))) == json.dumps(serial)
+    if spec.mode == "size_adjusted_power":
+        assert all("adjusted_crit" in row for row in serial["cells"])
+
+
+def test_calibration_and_cell_failures_do_not_depend_on_jobs(monkeypatch):
+    # the scan fails once in the boundary-null run (stream offset + 5) and once in the cell (stream 7)
+    failing = {sim_module.CALIBRATION_STREAM_OFFSET + 5, 7}
+    current = {}
+    stream, scan = sim_module.RngStream, sim_module.adaptive_scan
+
+    def recording_stream(seed, stream_id):
+        current["id"] = stream_id
+        return stream(seed, stream_id)
+
+    def failing_scan(*args, **kwargs):
+        if current["id"] in failing:
+            raise NumericalError("injected")
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "RngStream", recording_stream)  # the forked workers inherit both
+    monkeypatch.setattr(sim_module, "adaptive_scan", failing_scan)
+    spec = ExperimentSpec(mode="size_adjusted_power", h_family="sin", n_values=(200,), c_a_values=(1.0,),
+                          replications=101, master_seed=17)  # one failure in 101 is within MAX_FAILURE_SHARE
+    serial = _without_timings(run_experiment(spec, jobs=1))
+    reasons = {"NumericalError: injected": 1}
+    assert serial["metadata"]["failures_by_reason"] == [
+        {"cell": {"n": 200, "xi": 0.5, "c_a": 0.1, "c_b": 0.0}, "calibration": True, "reasons": reasons},
+        {"cell": {"n": 200, "xi": 0.5, "c_a": 1.0, "c_b": 0.0}, "reasons": reasons},
+    ]
+    assert json.dumps(_without_timings(run_experiment(spec, jobs=2))) == json.dumps(serial)
 
 
 def test_size_adjusted_power_boundary_calibration():
@@ -100,7 +151,7 @@ def test_size_adjusted_power_boundary_calibration():
         k_factor=2,
         master_seed=17,
     )
-    summary = run_power(spec)
+    summary = run_experiment(spec)
     cell = summary.cells[0]
     assert cell.adjusted_crit is not None
     # calibration uses an independent equal-size null run, so the boundary
@@ -123,7 +174,7 @@ def test_power_increases_with_common_random_numbers():
         k_factor=2,
         master_seed=19,
     )
-    summary = run_power(spec)
+    summary = run_experiment(spec)
     low = summary.cell(c_a=0.1).reject_rate[0.05]
     high = summary.cell(c_a=2.0).reject_rate[0.05]
     assert high >= low
@@ -256,5 +307,31 @@ def test_worker_pool_is_shut_down_when_a_cell_fails(monkeypatch):
 
     monkeypatch.setattr(sim_module, "_cell_result", failing)
     with pytest.raises(RuntimeError, match="cell failed"):
-        run_size(small_size_spec(replications=4), jobs=2)
+        run_experiment(small_size_spec(replications=4), jobs=2)
     assert counts == {"built": 1, "shut": 1}
+
+
+def test_worker_pool_is_shut_down_when_a_worker_fails(monkeypatch):
+    counts = _counting_pools(monkeypatch)
+
+    def failing(cfg):
+        raise RuntimeError("replication failed")
+
+    monkeypatch.setattr(sim_module, "generate", failing)  # the forked workers inherit it
+    with pytest.raises(RuntimeError, match="replication failed"):
+        run_experiment(small_size_spec(replications=4), jobs=2)
+    assert counts == {"built": 1, "shut": 1}
+
+
+GOLDEN_MC = pathlib.Path(__file__).parent / "data" / "golden_mc_reproduce.json"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reproduce_matches_golden_fixture(jobs):
+    # reproduce rows and summaries (without timings) of F1 (n = 500, xi = 0.5) and T1 (n = 500) at 6
+    # replications and seed 3; compared as JSON text, so NaN published values compare equal
+    golden = json.loads(GOLDEN_MC.read_text())
+    for table, cells in (("F1", dict(n_values=(500,), xi_values=(0.5,))), ("T1", dict(n_values=(500,)))):
+        out = reproduce(table, replications=6, seed=3, jobs=jobs, **cells)
+        ours = {"rows": out["rows"], "summaries": {k: _without_timings(s) for k, s in out["summaries"].items()}}
+        assert json.dumps(ours, sort_keys=True) == json.dumps(golden[table], sort_keys=True)
