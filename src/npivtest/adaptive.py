@@ -106,7 +106,6 @@ class RunConfig:
     basis: str = "bspline2"
     grid: str | tuple[int, ...] = "dyadic"  # 'dyadic' | 'knots' | explicit tuple
     k_factor: int = 4
-    seed: int | None = None
     support: tuple[float, float] = (0.0, 1.0)
     knot_rule: str = "equispaced"
     rcond: float | None = None
@@ -114,7 +113,7 @@ class RunConfig:
     schema_version: ClassVar[int] = 1
 
     def __post_init__(self):
-        kinds = {"alpha": (Real,), "k_factor": (Integral,), "seed": (Integral, type(None)), "rcond": (Real, type(None))}
+        kinds = {"alpha": (Real,), "k_factor": (Integral,), "rcond": (Real, type(None))}
         for name, kind in kinds.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -191,7 +190,6 @@ class RunConfig:
             "basis": self.basis,
             "grid": self.grid if isinstance(self.grid, str) else list(self.grid),
             "k_factor": self.k_factor,
-            "seed": self.seed,
             "support": list(self.support),
             "knot_rule": self.knot_rule,
             "rcond": self.rcond,

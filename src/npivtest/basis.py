@@ -253,8 +253,6 @@ def deriv_constraints(spec: BasisSpec, kind: str) -> ConstraintMatrix:
 
 def tensor_design(specs, x) -> np.ndarray:
     """Row-wise tensor product design; columns are all cross-products, one factor per coordinate."""
-    if isinstance(specs, BasisSpec):
-        specs = [specs]
     if len(specs) < 1:
         raise InputError("tensor_design needs at least one basis spec")
     x = np.asarray(x, dtype=float)

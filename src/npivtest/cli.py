@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -201,12 +200,11 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def resolve_config(args) -> RunConfig:
-    """Config file -> flags -> environment, with flags overriding file values."""
+    """The config file's values, each overridden by its flag when the flag is given."""
     base: dict = {}
     if getattr(args, "config", None):
         base = _read_json(args.config, "config")
-        base.setdefault("schema_version", 1)
-    cfg = RunConfig.from_dict(base) if base else RunConfig()
+    cfg = RunConfig.from_dict(base)
     updates: dict = {}
     if getattr(args, "alpha", None) is not None:
         updates["alpha"] = args.alpha
@@ -216,16 +214,6 @@ def resolve_config(args) -> RunConfig:
         updates["grid"] = _parse_grid(args.grid)
     if getattr(args, "kfactor", None) is not None:
         updates["k_factor"] = args.kfactor
-    seed = getattr(args, "seed", None)
-    if seed is None and cfg.seed is None:
-        env_seed = os.environ.get("NPIV_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise InputError(f"NPIV_SEED must be an integer, got {env_seed!r}") from None
-    if seed is not None:
-        updates["seed"] = seed
     if getattr(args, "support", None) is not None:
         try:
             lo, hi = (float(tok) for tok in args.support.split(","))
@@ -389,8 +377,7 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     summary = run_experiment(spec, jobs=args.jobs)
     summary.metadata["version"] = __version__
-    summary.metadata["master_seed"] = spec.master_seed
-    summary.metadata.setdefault("timings", {})["wall_seconds"] = time.perf_counter() - started
+    summary.metadata["timings"]["wall_seconds"] = time.perf_counter() - started
     base = args.out or "mc_results"
     with open(base + ".json", "w", encoding="utf-8") as fh:
         fh.write(dump_json(summary.to_dict()))
@@ -435,7 +422,6 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
     p.add_argument("--basis", choices=tuple(_BASIS_NAMES), default=None, help="sieve family (default bspline2)")
     p.add_argument("--grid", default=None, help="candidate rule: dyadic, knots, or e.g. 3,4,5")
     p.add_argument("--kfactor", type=int, choices=(2, 4), default=None, help="instrument dimension K = c*J")
-    p.add_argument("--seed", type=int, default=None, help="seed (env NPIV_SEED is the fallback)")
     p.add_argument("--support", default=None, help="basis support as 'lo,hi' (default 0,1)")
     p.add_argument("--quantile-knots", action="store_true", help="place interior knots at data quantiles")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")

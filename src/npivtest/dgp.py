@@ -1,7 +1,8 @@
 """Simulation designs.
 
 All designs draw jointly normal latents, map regressor and instrument to
-(0, 1) through the standard normal CDF, and add correlated noise:
+(0, 1) through the standard normal CDF, and add correlated noise. `draw`
+gives a replication's (x, w, u) from its stream, and `generate` adds h:
 
   * design I: (X*, W*, U) with corr(X*, W*) = xi (instrument strength) and
     corr(X*, U) = 0.3; Y = h(X) + U with unit-variance noise.
@@ -32,16 +33,14 @@ __all__ = [
     "h_sin",
     "h_design2",
     "h_quad",
-    "eval_h",
-    "gen_design1",
-    "gen_design2",
-    "gen_multivariate",
+    "draw",
     "generate",
     "null_boundary",
 ]
 
 _DESIGNS = ("I", "II", "multivariate")
 _H_FAMILIES = ("mono", "sin", "design2", "quad")
+_BOUNDARY_GRID_POINTS = 20001  # x grid on which null_boundary scans the derivative
 
 
 def h_mono(c0: float, x):
@@ -83,17 +82,13 @@ class HSpec:
             raise InputError(f"mono family needs c0 in (0, 1], got {self.c0}")
 
     def __call__(self, x):
-        return eval_h(self, x)
-
-
-def eval_h(h: HSpec, x):
-    if h.family == "mono":
-        return h_mono(h.c0, x)
-    if h.family == "sin":
-        return h_sin(h.c_a, h.c_b, x)
-    if h.family == "design2":
-        return h_design2(h.c_a, x)
-    return h_quad(h.c_a, x)
+        if self.family == "mono":
+            return h_mono(self.c0, x)
+        if self.family == "sin":
+            return h_sin(self.c_a, self.c_b, x)
+        if self.family == "design2":
+            return h_design2(self.c_a, x)
+        return h_quad(self.c_a, x)
 
 
 @dataclass(frozen=True)
@@ -128,76 +123,43 @@ class Dataset:
     def n(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def d_w(self) -> int:
-        return 1 if self.w.ndim == 1 else self.w.shape[1]
+
+def _latent_corr(design: str, xi: float) -> np.ndarray:
+    """Correlation of the latents (X*, W*..., U) of design I (one instrument) and the multivariate design (two)."""
+    strengths = (xi,) if design == "I" else (xi, 0.4)
+    corr = np.eye(len(strengths) + 2)
+    corr[0, 1:-1] = corr[1:-1, 0] = strengths
+    corr[0, -1] = corr[-1, 0] = 0.3
+    return corr
 
 
-def design1_cov(xi: float) -> np.ndarray:
-    return np.array([[1.0, xi, 0.3], [xi, 1.0, 0.0], [0.3, 0.0, 1.0]])
-
-
-def multivariate_cov(xi: float) -> np.ndarray:
-    return np.array(
-        [
-            [1.0, xi, 0.4, 0.3],
-            [xi, 1.0, 0.0, 0.0],
-            [0.4, 0.0, 1.0, 0.0],
-            [0.3, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def gen_design1(cfg: DesignConfig) -> Dataset:
-    if cfg.design != "I":
-        raise InputError(f"gen_design1 needs design 'I', got {cfg.design!r}")
-    draws = mvn_sample(CovarianceSpec(design1_cov(cfg.xi)), cfg.rng, cfg.n)
-    x_star, w_star, u = draws[:, 0], draws[:, 1], draws[:, 2]
-    x = std_normal_cdf(x_star)
-    w = std_normal_cdf(w_star)
-    y = eval_h(cfg.h_spec, x) + u
-    return Dataset(y=y, x=x, w=w, config=cfg)
-
-
-def gen_design2(cfg: DesignConfig) -> Dataset:
-    if cfg.design != "II":
-        raise InputError(f"gen_design2 needs design 'II', got {cfg.design!r}")
-    gen = cfg.rng.generator()
-    z = gen.standard_normal((cfg.n, 3))
-    w_star, eps, nu = z[:, 0], z[:, 1], z[:, 2]
-    w = std_normal_cdf(w_star)
-    x = std_normal_cdf(cfg.xi * w_star + math.sqrt(1.0 - cfg.xi**2) * eps)
-    u = (0.3 * eps + math.sqrt(1.0 - 0.09) * nu) / 2.0
-    y = eval_h(cfg.h_spec, x) + u
-    return Dataset(y=y, x=x, w=w, config=cfg)
-
-
-def gen_multivariate(cfg: DesignConfig) -> Dataset:
-    if cfg.design != "multivariate":
-        raise InputError(f"gen_multivariate needs design 'multivariate', got {cfg.design!r}")
-    draws = mvn_sample(CovarianceSpec(multivariate_cov(cfg.xi)), cfg.rng, cfg.n)
-    x = std_normal_cdf(draws[:, 0])
-    w = std_normal_cdf(draws[:, 1:3])
-    y = eval_h(cfg.h_spec, x) + draws[:, 3]
-    return Dataset(y=y, x=x, w=w, config=cfg)
+def draw(cfg: DesignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, w, u) of one replication, all that the design reads from cfg's stream, so configs that differ only
+    in h_spec give the same draw. w is 1-d for one instrument, n x 2 for the multivariate design."""
+    if cfg.design == "II":
+        z = cfg.rng.generator().standard_normal((cfg.n, 3))
+        w_star, eps, nu = z[:, 0], z[:, 1], z[:, 2]
+        x = std_normal_cdf(cfg.xi * w_star + math.sqrt(1.0 - cfg.xi**2) * eps)
+        return x, std_normal_cdf(w_star), (0.3 * eps + math.sqrt(1.0 - 0.09) * nu) / 2.0
+    latents = mvn_sample(CovarianceSpec(_latent_corr(cfg.design, cfg.xi)), cfg.rng, cfg.n)
+    w = std_normal_cdf(latents[:, 1:-1])
+    return std_normal_cdf(latents[:, 0]), w[:, 0] if w.shape[1] == 1 else w, latents[:, -1]
 
 
 def generate(cfg: DesignConfig) -> Dataset:
-    if cfg.design == "I":
-        return gen_design1(cfg)
-    if cfg.design == "II":
-        return gen_design2(cfg)
-    return gen_multivariate(cfg)
+    """The replication's draw with y = h(x) + u."""
+    x, w, u = draw(cfg)
+    return Dataset(y=cfg.h_spec(x) + u, x=x, w=w, config=cfg)
 
 
-def null_boundary(h_family: str, c_b: float = 0.0, grid_points: int = 20001) -> float:
+def null_boundary(h_family: str, c_b: float = 0.0) -> float:
     """Largest c_A (c_0-free families) keeping the family inside its shape null.
 
     'sin' with the weakly-decreasing null: c_A* = 0.2 / max_x d/dx (x^2 + c_b sin(2 pi x));
     'design2' with the weakly-increasing null: smallest c_A whose derivative dips below 0;
     'quad' with the linearity null: 0.
     """
-    xs = np.linspace(0.0, 1.0, grid_points)
+    xs = np.linspace(0.0, 1.0, _BOUNDARY_GRID_POINTS)
     if h_family == "sin":
         slope = 2.0 * xs + 2.0 * np.pi * c_b * np.cos(2.0 * np.pi * xs)
         peak = float(np.max(slope))

@@ -102,11 +102,10 @@ def chisq_sf(x: float, k: int) -> float:
     return float(special.gammaincc(0.5 * k, 0.5 * x))
 
 
-def mvn_sample(cov: CovarianceSpec, rng: RngStream | Generator, n: int) -> np.ndarray:
-    """n mean-zero draws (n x dim) with the requested covariance."""
+def mvn_sample(cov: CovarianceSpec, rng: RngStream, n: int) -> np.ndarray:
+    """n mean-zero draws (n x dim) with the requested covariance, from the start of rng's stream."""
     if n < 1:
         raise InputError(f"sample size must be positive, got {n}")
     chol = cov.cholesky()
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    z = gen.standard_normal((n, cov.dim))
+    z = rng.generator().standard_normal((n, cov.dim))
     return z @ chol.T

@@ -23,14 +23,14 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from itertools import islice, product
 from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import published
-from .adaptive import NullSpec, RunConfig, adaptive_scan, decide, image_space_scan
+from .adaptive import NullSpec, RunConfig, _res_parameters, adaptive_scan, decide, image_space_scan
 from .dgp import DesignConfig, HSpec, generate, null_boundary
 from .errors import InputError, NumericalError
 from .randdist import RngStream
@@ -89,6 +89,16 @@ class ExperimentSpec:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.statistic not in ("structural", "image-space"):
             raise InputError(f"unknown statistic {self.statistic!r}")
+        if self.mode != "size" and self.h_family == "mono":
+            raise InputError("power experiments use the sin/design2/quad families, not mono")
+        # every value is checked here, by the object that owns its rule, before a worker pool forks
+        self.null_spec()
+        config = self.run_config()
+        for alpha in self.alphas:
+            replace(config, alpha=alpha)
+        for n, xi, c0, c_a, c_b in product(*(getattr(self, axis) for axis in _AXES[:-1])):
+            _res_parameters(n)
+            DesignConfig(self.design, n, xi, self.h_spec(c0, c_a, c_b), RngStream(self.master_seed, 0))
 
     def null_spec(self) -> NullSpec:
         return NullSpec.from_name(self.null)
@@ -99,7 +109,6 @@ class ExperimentSpec:
             basis=self.basis,
             grid=self.grid_mode,
             k_factor=self.k_factor,
-            seed=self.master_seed,
         )
 
     def h_spec(self, c0: float, c_a: float, c_b: float) -> HSpec:
@@ -193,8 +202,6 @@ class _Task(NamedTuple):
 def _plan(spec: ExperimentSpec) -> list[_Task]:
     """Every cell task of an experiment in row order; in size-adjusted mode each curve's boundary-null run
     comes just before the curve it calibrates."""
-    if spec.mode != "size" and spec.h_family == "mono":
-        raise InputError("power experiments use the sin/design2/quad families, not mono")
     tasks = []
     for n in spec.n_values:
         for xi in spec.xi_values:
@@ -414,8 +421,6 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
     carries the cell parameters, this build's estimate, its binomial SE, and
     the published value where tabulated.
     """
-    if replications < 1:
-        raise InputError(f"replications must be >= 1, got {replications}")
     if table_id not in TABLE_IDS:
         raise InputError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
 

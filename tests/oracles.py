@@ -16,9 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from npivtest.basis import ConstraintMatrix
+from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
 from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, orthonormal_range, pinv
 from npivtest.npiv import _weights
+from npivtest.randdist import CovarianceSpec, mvn_sample, std_normal_cdf
 
 _MAX_GAMMA_ITER = 500
 _GAMMA_EPS = 1e-15
@@ -605,3 +607,65 @@ def image_space_statistics_basis(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) 
 
     s = (q @ r_b).T
     return compute_D(s, r), compute_vhat(s, r)
+
+
+# The three simulation generators as they were before dgp.draw/generate; generate must match them bit for bit.
+
+
+def eval_h(h, x):
+    if h.family == "mono":
+        return h_mono(h.c0, x)
+    if h.family == "sin":
+        return h_sin(h.c_a, h.c_b, x)
+    if h.family == "design2":
+        return h_design2(h.c_a, x)
+    return h_quad(h.c_a, x)
+
+
+def design1_cov(xi: float) -> np.ndarray:
+    return np.array([[1.0, xi, 0.3], [xi, 1.0, 0.0], [0.3, 0.0, 1.0]])
+
+
+def multivariate_cov(xi: float) -> np.ndarray:
+    return np.array(
+        [
+            [1.0, xi, 0.4, 0.3],
+            [xi, 1.0, 0.0, 0.0],
+            [0.4, 0.0, 1.0, 0.0],
+            [0.3, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def gen_design1(cfg):
+    if cfg.design != "I":
+        raise InputError(f"gen_design1 needs design 'I', got {cfg.design!r}")
+    draws = mvn_sample(CovarianceSpec(design1_cov(cfg.xi)), cfg.rng, cfg.n)
+    x_star, w_star, u = draws[:, 0], draws[:, 1], draws[:, 2]
+    x = std_normal_cdf(x_star)
+    w = std_normal_cdf(w_star)
+    y = eval_h(cfg.h_spec, x) + u
+    return Dataset(y=y, x=x, w=w, config=cfg)
+
+
+def gen_design2(cfg):
+    if cfg.design != "II":
+        raise InputError(f"gen_design2 needs design 'II', got {cfg.design!r}")
+    gen = cfg.rng.generator()
+    z = gen.standard_normal((cfg.n, 3))
+    w_star, eps, nu = z[:, 0], z[:, 1], z[:, 2]
+    w = std_normal_cdf(w_star)
+    x = std_normal_cdf(cfg.xi * w_star + math.sqrt(1.0 - cfg.xi**2) * eps)
+    u = (0.3 * eps + math.sqrt(1.0 - 0.09) * nu) / 2.0
+    y = eval_h(cfg.h_spec, x) + u
+    return Dataset(y=y, x=x, w=w, config=cfg)
+
+
+def gen_multivariate(cfg):
+    if cfg.design != "multivariate":
+        raise InputError(f"gen_multivariate needs design 'multivariate', got {cfg.design!r}")
+    draws = mvn_sample(CovarianceSpec(multivariate_cov(cfg.xi)), cfg.rng, cfg.n)
+    x = std_normal_cdf(draws[:, 0])
+    w = std_normal_cdf(draws[:, 1:3])
+    y = eval_h(cfg.h_spec, x) + draws[:, 3]
+    return Dataset(y=y, x=x, w=w, config=cfg)

@@ -392,7 +392,7 @@ def test_config_schema_version_is_not_settable():
 
 def test_golden_report_snapshot():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.1), RngStream(123, 7)))
-    cfg = RunConfig(grid="knots", k_factor=2, seed=123)
+    cfg = RunConfig(grid="knots", k_factor=2)
     rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), config=cfg)
     got = rep.to_dict()
     path = DATA_DIR / "golden_report_n200.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import npivtest.cli as cli_module
+import npivtest.sim as sim_module
 from npivtest.adaptive import NullSpec, RunConfig, cs_contains
 from npivtest.basis import BasisSpec
 from npivtest.cli import dump_json, load_csv_dataset, main
@@ -214,7 +215,7 @@ def test_cmd_test_quantile_knots_with_scanned_grid(tmp_path, grid):
 
 def test_cmd_test_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["test", ENGEL, "--null", "decreasing", "--seed", "42", "--format", "json"]
+    args = ["test", ENGEL, "--null", "decreasing", "--format", "json"]
     assert run_cli(*args, "--out", str(a)) == 0
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -369,12 +370,11 @@ def test_cmd_test_flag_overrides_config(tmp_path):
     ([], {"support": [0]}),
     ([], {"support": None}),
     ([], {"basis": []}),
-    ([], {"seed": "x"}),
     ([], {"rcond": "x"}),
     ([], {"rcond": 2}),
     ([], {"rcond": 0}),
 ], ids=["support-one-value", "support-text", "support-reversed", "alpha-text", "k_factor-text", "grid-number",
-        "grid-text-entry", "support-one-entry", "support-null", "basis-list", "seed-text", "rcond-text",
+        "grid-text-entry", "support-one-entry", "support-null", "basis-list", "rcond-text",
         "rcond-above-one", "rcond-zero"])
 def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
     if config is not None:
@@ -402,13 +402,19 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, command, content):
     assert "Traceback" not in err
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("NPIV_SEED", "777")
-    out_path = tmp_path / "r.json"
-    assert run_cli("test", ENGEL, "--format", "json", "--out", str(out_path)) == 0
-    assert json.loads(out_path.read_text())["config"]["seed"] == 777
-    monkeypatch.setenv("NPIV_SEED", "notanint")
-    assert run_cli("test", ENGEL) == 2
+@pytest.mark.parametrize("command", ["test", "cs"])
+def test_test_and_cs_take_no_seed(tmp_path, capsys, command):
+    # test and cs draw no random numbers, so neither has a seed to set
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    argv = (command, ENGEL, *((str(cand),) if command == "cs" else ()))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "1")
+    assert exc.value.code == 2
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- cmd: cs
@@ -576,12 +582,24 @@ def test_cmd_simulate_schema_violation_exit_2(tmp_path, capsys):
     ({"k_factor": 2.0}, "k_factor must be an integer, got 2.0"),
     ({"master_seed": None}, "master_seed must be an integer, got None"),
     ({"mode": "power"}, "power experiments use the sin/design2/quad families, not mono"),
+    ({"basis": "foo"}, "unknown basis 'foo'"),
+    ({"design": "IV"}, "unknown design 'IV'"),
+    ({"k_factor": 1}, "k_factor must be >= 2, got 1"),
+    ({"xi_values": [1.5]}, "xi must lie in (0, 1), got 1.5"),
+    ({"n_values": [5]}, "need at least 20 observations, got 5"),
+    ({"alphas": [0.05, 1.5]}, "alpha must be in (0, 1), got 1.5"),
+    ({"null": "wiggly"}, "unknown null 'wiggly'"),
+    ({"h_family": "zigzag"}, "unknown h family 'zigzag'"),
+    ({"grid_mode": "weird"}, "grid mode must be 'dyadic', 'knots', or an explicit list, got 'weird'"),
 ], ids=["n_values-scalar", "replications-str", "n_values-str", "n_values-float", "replications-bool",
-        "xi_values-str", "alphas-bool", "k_factor-float", "master_seed-null", "power-mono"])
-def test_cmd_simulate_malformed_spec_exit_2(tmp_path, capsys, fields, message):
+        "xi_values-str", "alphas-bool", "k_factor-float", "master_seed-null", "power-mono", "basis", "design",
+        "k_factor-1", "xi-above-1", "n-below-20", "alpha-above-1", "null", "h_family", "grid_mode"])
+def test_cmd_simulate_malformed_spec_exit_2(tmp_path, capsys, monkeypatch, fields, message):
+    # the spec is rejected before a worker pool is built
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", None)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(sim_spec_doc(**fields)))
-    assert run_cli("simulate", str(spec), "--out", str(tmp_path / "out")) == 2
+    assert run_cli("simulate", str(spec), "--jobs", "2", "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -11,9 +12,7 @@ from npivtest.basis import BasisSpec, eval_design
 from npivtest.dgp import (
     DesignConfig,
     HSpec,
-    gen_design1,
-    gen_design2,
-    gen_multivariate,
+    draw,
     generate,
     h_design2,
     h_mono,
@@ -23,6 +22,7 @@ from npivtest.dgp import (
 )
 from npivtest.errors import InputError
 from npivtest.randdist import RngStream, std_normal_cdf
+from oracles import gen_design1, gen_design2, gen_multivariate
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -105,7 +105,7 @@ def test_h_design2_increasing_region():
 def test_design1_instrument_strength():
     n = 20_000
     for xi in (0.3, 0.7):
-        data = gen_design1(cfg(n=n, xi=xi))
+        data = generate(cfg(n=n, xi=xi))
         x_star = ndtri(data.x)
         w_star = ndtri(data.w)
         corr = np.corrcoef(x_star, w_star)[0, 1]
@@ -113,7 +113,7 @@ def test_design1_instrument_strength():
 
 
 def test_design1_uniform_marginal():
-    data = gen_design1(cfg(n=10_000))
+    data = generate(cfg(n=10_000))
     ks = sps.kstest(data.x, "uniform")
     assert ks.pvalue > 0.01
     assert np.all((data.x > 0) & (data.x < 1))
@@ -123,13 +123,13 @@ def test_design1_uniform_marginal():
 def test_design1_noise_variance_with_null_h():
     # c0 -> 0 makes h ~ 0, so y is dominated by the unit-variance error
     n = 20_000
-    data = gen_design1(cfg(n=n, h=HSpec("mono", c0=0.01)))
+    data = generate(cfg(n=n, h=HSpec("mono", c0=0.01)))
     assert data.y.var() == pytest.approx(1.0, abs=0.05)
 
 
 def test_design1_instrument_validity():
     n = 20_000
-    data = gen_design1(cfg(n=n, h=HSpec("mono", c0=0.5)))
+    data = generate(cfg(n=n, h=HSpec("mono", c0=0.5)))
     u = data.y - h_mono(0.5, data.x)
     b = eval_design(BasisSpec("bspline", 8, 3), data.w)
     coef, *_ = np.linalg.lstsq(b, u, rcond=None)
@@ -139,14 +139,14 @@ def test_design1_instrument_validity():
 
 def test_design2_noise_variance():
     n = 20_000
-    data = gen_design2(cfg(design="II", n=n, h=HSpec("design2", c_a=0.0)))
+    data = generate(cfg(design="II", n=n, h=HSpec("design2", c_a=0.0)))
     u = data.y - h_design2(0.0, data.x)
     assert u.var() == pytest.approx(0.25, abs=3.0 / math.sqrt(n))
     assert np.all((data.x > 0) & (data.x < 1))
 
 
 def test_design2_golden_snapshot():
-    data = gen_design2(DesignConfig("II", 8, 0.5, HSpec("design2", c_a=0.1), RngStream(2024, 5)))
+    data = generate(DesignConfig("II", 8, 0.5, HSpec("design2", c_a=0.1), RngStream(2024, 5)))
     got = {
         "y": data.y.tolist(),
         "x": data.x.tolist(),
@@ -159,9 +159,8 @@ def test_design2_golden_snapshot():
 
 def test_multivariate_correlations():
     n = 30_000
-    data = gen_multivariate(cfg(design="multivariate", n=n, xi=0.5, h=HSpec("quad", c_a=0.3)))
+    data = generate(cfg(design="multivariate", n=n, xi=0.5, h=HSpec("quad", c_a=0.3)))
     assert data.w.shape == (n, 2)
-    assert data.d_w == 2
     x_star = ndtri(data.x)
     w1_star = ndtri(data.w[:, 0])
     w2_star = ndtri(data.w[:, 1])
@@ -192,12 +191,41 @@ def test_design_config_validation():
         DesignConfig("III", 100, 0.5, HSpec("mono"), RngStream(0, 0))
     with pytest.raises(InputError):
         DesignConfig("I", 100, 1.5, HSpec("mono"), RngStream(0, 0))
-    with pytest.raises(InputError):
-        gen_design2(cfg(design="I"))
 
 
 def test_dataset_carries_provenance():
     c = cfg(n=40)
-    data = gen_design1(c)
+    data = generate(c)
     assert data.config is c
     assert data.n == 40
+
+
+# ------------------------------------------------------ the pre-draw generators
+
+ORACLE = {"I": gen_design1, "II": gen_design2, "multivariate": gen_multivariate}
+H_FAMILIES = {  # two h families per design
+    "I": (HSpec("mono", c0=0.1), HSpec("sin", c_a=0.6, c_b=0.5)),
+    "II": (HSpec("design2", c_a=0.1), HSpec("mono", c0=1.0)),
+    "multivariate": (HSpec("quad", c_a=0.3), HSpec("sin", c_a=1.0, c_b=1.0)),
+}
+
+
+@pytest.mark.parametrize("design", sorted(ORACLE))
+@pytest.mark.parametrize("n", (20, 500, 5000))
+def test_generate_matches_the_pre_draw_generators(design, n):
+    streams = (RngStream(0, 0), RngStream(3, 7), RngStream(2024, 2**31 + 5))
+    for xi, stream, h in itertools.product((0.3, 0.5, 0.7), streams, H_FAMILIES[design]):
+        c = DesignConfig(design, n, xi, h, stream)
+        want, got = ORACLE[design](c), generate(c)
+        for key in ("y", "x", "w"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+        x, w, _ = draw(c)
+        assert np.array_equal(x, want.x) and np.array_equal(w, want.w)
+
+
+@pytest.mark.parametrize("design", sorted(ORACLE))
+def test_draw_does_not_depend_on_h(design):
+    # the tasks of a Monte Carlo row that differ only in h may share one draw per replication
+    first, second = (draw(cfg(design=design, n=200, h=h, rep=4)) for h in H_FAMILIES[design])
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)

@@ -86,6 +86,16 @@ def test_power_mode_on_the_mono_family_is_an_input_error():
             run_experiment(small_size_spec(mode=mode))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(basis="foo"), dict(design="IV"), dict(k_factor=1), dict(xi_values=(1.5,)), dict(n_values=(5,)),
+    dict(alphas=(1.5,)), dict(null="wiggly"), dict(h_family="zigzag"), dict(grid_mode="weird"),
+    dict(mode="power", h_family="mono"),
+], ids=lambda kw: "-".join(map(str, kw.values())))
+def test_spec_values_are_checked_at_construction(kw):
+    with pytest.raises(InputError):
+        small_size_spec(**kw)
+
+
 def _without_timings(summary) -> dict:
     d = summary.to_dict()
     d["metadata"] = {k: v for k, v in d["metadata"].items() if k != "timings"}
