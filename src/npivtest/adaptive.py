@@ -90,6 +90,11 @@ class NullSpec:
     def describe(self) -> str:
         return self.shape if self.kind == "shape" else f"parametric:{self.model}"
 
+    def check_image_space(self) -> None:
+        """The image-space statistic fits a parametric null on the instrument basis."""
+        if self.kind != "parametric":
+            raise InputError(f"the image-space statistic needs a parametric null, got {self.describe()!r}")
+
     def constraints(self, spec: BasisSpec) -> ConstraintMatrix:
         if self.kind != "shape":
             raise InputError("constraints are only defined for shape nulls")
@@ -182,6 +187,17 @@ class RunConfig:
 
     def basis_min(self) -> int:
         return min_dim(self)
+
+    def check_explicit_grid(self) -> None:
+        """An explicit grid starts at the basis minimum or above it."""
+        if isinstance(self.grid, tuple) and self.grid[0] < self.basis_min():
+            raise InputError(f"explicit grid entry J={self.grid[0]} is below the basis minimum {self.basis_min()}")
+
+    def check_null_basis(self, null: NullSpec) -> None:
+        """A shape null's derivative constraints need a B-spline basis."""
+        if null.kind == "shape" and null.custom_rows is None and self.family != "bspline":
+            raise InputError(f"the {null.shape} null's derivative constraints require a B-spline basis, "
+                             f"got {self.basis!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -397,10 +413,9 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> Candi
             shat[dim] = s
         return stop
 
+    config.check_explicit_grid()
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
     if mode == "explicit":
-        if config.grid[0] < j_min:
-            raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {j_min}")
         for j in config.grid:
             record(*step(j))
         j_max_hat = config.grid[-1]
@@ -525,9 +540,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
     y, x, w, n = _checked_data(y, x, w)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
-    if null.kind == "shape" and null.custom_rows is None and config.family != "bspline":
-        raise InputError(f"the {null.shape} null's derivative constraints require a B-spline basis, "
-                         f"got {config.basis!r}")
+    config.check_null_basis(null)
     mu = _weights(mu, n)
     knot_data = x if config.knot_rule == "quantile" else None
     scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
@@ -784,8 +797,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     s_min((B'B/n)^{-1/2}), and the chi-square calibration uses K degrees of
     freedom. Returns (grid, entries, warnings, n), as adaptive_scan does.
     """
-    if null.kind != "parametric":
-        raise InputError(f"the image-space statistic needs a parametric null, got {null.describe()!r}")
+    null.check_image_space()
     y, x, w, n = _checked_data(y, x, w)
     model = null.model if null.custom_design is None else null.custom_design
     entries = []

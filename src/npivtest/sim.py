@@ -10,15 +10,21 @@ quantile of max_J W_J from an independent boundary-null run of equal length
 An experiment runs in three steps: `_plan` lists its cell tasks in row
 order, `_run` runs them, and `_summary` turns their outcomes into cells.
 `run_experiment` runs one experiment and `reproduce` all the experiments of
-a published table as one plan, so with jobs > 1 a call forks one worker
-pool and submits every chunk of every task before it gathers any. Outcomes
+a published table as one plan, so with jobs > 1 a call submits every chunk
+of every task before it gathers any. The process keeps one worker pool: the
+first call with jobs > 1 forks it, later calls with the same jobs reuse its
+warm workers, a call with another jobs replaces it, and it is shut down when
+a call fails and at exit; calls from several threads take turns. Outcomes
 are sorted by replication index, so the rows do not depend on jobs. A
 failed replication is counted with its reason.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -92,8 +98,12 @@ class ExperimentSpec:
         if self.mode != "size" and self.h_family == "mono":
             raise InputError("power experiments use the sin/design2/quad families, not mono")
         # every value is checked here, by the object that owns its rule, before a worker pool forks
-        self.null_spec()
-        config = self.run_config()
+        null, config = self.null_spec(), self.run_config()
+        if self.statistic == "structural":
+            config.check_explicit_grid()
+            config.check_null_basis(null)
+        else:  # the image-space scan runs its own dyadic grid
+            null.check_image_space()
         for alpha in self.alphas:
             replace(config, alpha=alpha)
         for n, xi, c0, c_a, c_b in product(*(getattr(self, axis) for axis in _AXES[:-1])):
@@ -246,27 +256,49 @@ def _rep_outcomes(task: _Task, reps) -> _Outcomes:
     return out
 
 
+# the process's worker pool as (owner pid, jobs, pool); a forked child inherits the tuple but not the workers
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+_calls = threading.Lock()  # held through each call, so calls from several threads take turns on the pool
+
+
+def _workers(jobs: int) -> ProcessPoolExecutor:
+    """The process's pool of `jobs` workers, built on first use and replaced when jobs changes or a worker
+    died while the pool was idle."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), jobs) or _pool[2]._broken:
+        _discard_pool()
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[2]
+
+
+@atexit.register
+def _discard_pool() -> None:
+    """Forget the process's pool and shut it down, cancelling its queued chunks; a pool inherited
+    through fork belongs to the parent and is only forgotten."""
+    global _pool
+    owned, _pool = _pool, None
+    if owned is not None and owned[0] == os.getpid():
+        owned[2].shutdown(cancel_futures=True)
+
+
 def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
     """Each task's outcomes in plan order, sorted by replication index whatever the chunking.
 
-    With jobs > 1 and at least 4 replications per task, one pool of `jobs`
-    workers runs every task in at most 4 * jobs chunks; every chunk is
-    submitted before the first result is gathered, and the pool is shut
-    down, its queued chunks cancelled, as soon as a chunk fails. Otherwise
-    the tasks run in this process.
+    With jobs > 1 and at least 4 replications per task, the process's one
+    pool of `jobs` workers runs every task in at most 4 * jobs chunks; every
+    chunk is submitted before the first result is gathered. The pool stays
+    warm for the next call with the same jobs, and is discarded when a call
+    fails (`_summaries`) and at exit. Otherwise the tasks run in this process.
     """
     if jobs <= 1 or any(task.spec.replications < 4 for task in tasks):
         return [_rep_outcomes(task, range(task.spec.replications)) for task in tasks]
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        futures = [[pool.submit(_rep_outcomes, task, chunk.tolist())
-                    for chunk in np.array_split(np.arange(task.spec.replications),
-                                                min(4 * jobs, task.spec.replications))]
-                   for task in tasks]
-        return [sorted((item for fut in chunks for item in fut.result()), key=lambda item: item[0])
-                for chunks in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    pool = _workers(jobs)
+    futures = [[pool.submit(_rep_outcomes, task, chunk.tolist())
+                for chunk in np.array_split(np.arange(task.spec.replications),
+                                            min(4 * jobs, task.spec.replications))]
+               for task in tasks]
+    return [sorted((item for fut in chunks for item in fut.result()), key=lambda item: item[0])
+            for chunks in futures]
 
 
 def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> dict[str, int]:
@@ -339,12 +371,26 @@ def _summary(spec: ExperimentSpec, tasks: list[_Task], outcomes: list[_Outcomes]
     return McSummary(spec=spec, cells=cells, metadata=meta)
 
 
+def _summaries(specs: list[ExperimentSpec], jobs: int) -> list[McSummary]:
+    """The summary of each experiment, all of them run as one plan; the process's pool is discarded when
+    anything fails, so no failed call leaves workers behind for the next. Calls from several threads take
+    turns, so none replaces or discards the pool under another."""
+    start = time.perf_counter()
+    plans = [_plan(spec) for spec in specs]
+    with _calls:
+        try:
+            outcomes = iter(_run([task for tasks in plans for task in tasks], jobs))
+            return [_summary(spec, tasks, list(islice(outcomes, len(tasks))), start)
+                    for spec, tasks in zip(specs, plans)]
+        except BaseException:
+            _discard_pool()
+            raise
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Every cell of an experiment on `jobs` worker processes: empirical rejection rates in size and power
     mode, and power curves calibrated on boundary-null runs in size-adjusted mode."""
-    start = time.perf_counter()
-    tasks = _plan(spec)
-    return _summary(spec, tasks, _run(tasks, jobs), start)
+    return _summaries([spec], jobs)[0]
 
 
 def _filtered(values, chosen):
@@ -427,12 +473,9 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
     runs = _table_runs(table_id, n_values, xi_values, c0_values, k_factors)
-    start = time.perf_counter()
     specs = [ExperimentSpec(**run.spec, replications=replications, master_seed=seed) for run in runs]
-    plans = [_plan(spec) for spec in specs]
-    outcomes = iter(_run([task for tasks in plans for task in tasks], jobs))  # one pool serves the whole table
-    for run, spec, tasks in zip(runs, specs, plans):
-        summary = summaries[run.key] = _summary(spec, tasks, list(islice(outcomes, len(tasks))), start)
+    for run, summary in zip(runs, _summaries(specs, jobs)):  # one plan, so one pool serves the whole table
+        summaries[run.key] = summary
         for cell in summary.cells:
             base = {**cell.params, **run.extra}
             ref = None if run.published is None else run.published[tuple(base[f] for f in run.lookup)]

@@ -591,9 +591,13 @@ def test_cmd_simulate_schema_violation_exit_2(tmp_path, capsys):
     ({"null": "wiggly"}, "unknown null 'wiggly'"),
     ({"h_family": "zigzag"}, "unknown h family 'zigzag'"),
     ({"grid_mode": "weird"}, "grid mode must be 'dyadic', 'knots', or an explicit list, got 'weird'"),
+    ({"grid_mode": [1, 2]}, "explicit grid entry J=1 is below the basis minimum 3"),
+    ({"basis": "cosine"}, "the decreasing null's derivative constraints require a B-spline basis, got 'cosine'"),
+    ({"statistic": "image-space"}, "the image-space statistic needs a parametric null, got 'decreasing'"),
 ], ids=["n_values-scalar", "replications-str", "n_values-str", "n_values-float", "replications-bool",
         "xi_values-str", "alphas-bool", "k_factor-float", "master_seed-null", "power-mono", "basis", "design",
-        "k_factor-1", "xi-above-1", "n-below-20", "alpha-above-1", "null", "h_family", "grid_mode"])
+        "k_factor-1", "xi-above-1", "n-below-20", "alpha-above-1", "null", "h_family", "grid_mode",
+        "grid_mode-below-basis-minimum", "shape-null-on-cosine", "image-space-shape-null"])
 def test_cmd_simulate_malformed_spec_exit_2(tmp_path, capsys, monkeypatch, fields, message):
     # the spec is rejected before a worker pool is built
     monkeypatch.setattr(sim_module, "ProcessPoolExecutor", None)

@@ -1,5 +1,13 @@
 import json
+import multiprocessing
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,7 +97,8 @@ def test_power_mode_on_the_mono_family_is_an_input_error():
 @pytest.mark.parametrize("kw", [
     dict(basis="foo"), dict(design="IV"), dict(k_factor=1), dict(xi_values=(1.5,)), dict(n_values=(5,)),
     dict(alphas=(1.5,)), dict(null="wiggly"), dict(h_family="zigzag"), dict(grid_mode="weird"),
-    dict(mode="power", h_family="mono"),
+    dict(mode="power", h_family="mono"), dict(grid_mode=(1, 2)), dict(basis="cosine"),
+    dict(statistic="image-space"),
 ], ids=lambda kw: "-".join(map(str, kw.values())))
 def test_spec_values_are_checked_at_construction(kw):
     with pytest.raises(InputError):
@@ -270,12 +279,16 @@ def test_one_worker_pool_serves_a_reproduce_call(monkeypatch):
     counts = _counting_pools(monkeypatch)
     cells = dict(n_values=(500,), xi_values=(0.5,))
     parallel = reproduce("supp-D", replications=4, seed=3, jobs=2, **cells)
-    assert counts == {"built": 1, "shut": 1}  # four cells, one pool
+    again = reproduce("supp-D", replications=4, seed=3, jobs=2, **cells)
+    assert counts == {"built": 1, "shut": 0}  # four cells twice, one pool kept warm
+    three = reproduce("supp-D", replications=4, seed=3, jobs=3, **cells)
+    assert counts == {"built": 2, "shut": 1}  # another jobs replaces the pool
     serial = reproduce("supp-D", replications=4, seed=3, jobs=1, **cells)
-    assert counts["built"] == 1
-    np.testing.assert_equal(parallel["rows"], serial["rows"])
+    assert counts["built"] == 2
+    for rows in (parallel["rows"], again["rows"], three["rows"]):
+        np.testing.assert_equal(rows, serial["rows"])
     reproduce("supp-D", replications=3, seed=3, jobs=2, **cells)  # too few replications to fork
-    assert counts["built"] == 1
+    assert counts["built"] == 2
 
 
 def test_every_chunk_of_a_reproduce_call_is_submitted_before_the_first_result(monkeypatch):
@@ -309,16 +322,25 @@ def test_reproduce_rows_do_not_depend_on_jobs(table, cells):
     assert json.dumps(parallel["rows"]) == json.dumps(serial["rows"])
 
 
+def _fresh_pool_matches_serial(counts):
+    """The call after a failed one builds a new pool, and its rows are the serial rows."""
+    spec = small_size_spec(replications=4)
+    assert run_experiment(spec, jobs=2).rows() == run_experiment(spec, jobs=1).rows()
+    assert counts == {"built": 2, "shut": 1}
+
+
 def test_worker_pool_is_shut_down_when_a_cell_fails(monkeypatch):
     counts = _counting_pools(monkeypatch)
 
     def failing(*args, **kwargs):
         raise RuntimeError("cell failed")
 
-    monkeypatch.setattr(sim_module, "_cell_result", failing)
-    with pytest.raises(RuntimeError, match="cell failed"):
-        run_experiment(small_size_spec(replications=4), jobs=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "_cell_result", failing)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_experiment(small_size_spec(replications=4), jobs=2)
     assert counts == {"built": 1, "shut": 1}
+    _fresh_pool_matches_serial(counts)
 
 
 def test_worker_pool_is_shut_down_when_a_worker_fails(monkeypatch):
@@ -327,10 +349,89 @@ def test_worker_pool_is_shut_down_when_a_worker_fails(monkeypatch):
     def failing(cfg):
         raise RuntimeError("replication failed")
 
-    monkeypatch.setattr(sim_module, "generate", failing)  # the forked workers inherit it
-    with pytest.raises(RuntimeError, match="replication failed"):
-        run_experiment(small_size_spec(replications=4), jobs=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "generate", failing)  # the forked workers inherit it
+        with pytest.raises(RuntimeError, match="replication failed"):
+            run_experiment(small_size_spec(replications=4), jobs=2)
     assert counts == {"built": 1, "shut": 1}
+    _fresh_pool_matches_serial(counts)  # forked after the patch was undone
+
+
+def test_a_pool_broken_while_idle_is_replaced(monkeypatch):
+    counts = _counting_pools(monkeypatch)
+    spec = small_size_spec(replications=4)
+    serial = run_experiment(spec, jobs=1).rows()
+    run_experiment(spec, jobs=2)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 60
+    while not sim_module._pool[2]._broken and time.monotonic() < deadline:  # the pool notices the death
+        time.sleep(0.01)
+    assert run_experiment(spec, jobs=2).rows() == serial
+    assert counts == {"built": 2, "shut": 1}
+
+
+def test_calls_from_threads_share_the_pool_in_turn():
+    # a call with another jobs would replace the pool under a call still gathering from it
+    spec = small_size_spec(replications=8)
+    serial = run_experiment(spec, jobs=1).rows()
+    with ThreadPoolExecutor(max_workers=4) as threads:
+        calls = [threads.submit(run_experiment, spec, jobs) for jobs in (2, 3) * 3]
+        assert [call.result(timeout=300).rows() for call in calls] == [serial] * 6
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's npivtest."""
+    src = str(pathlib.Path(sim_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_no_worker_outlives_its_parent():
+    # a fresh interpreter returns with its pool alive; its exit must take the workers with it
+    done = _python("""
+        import multiprocessing
+        from npivtest.sim import reproduce
+        reproduce("supp-D", replications=4, jobs=2, n_values=(500,), xi_values=(0.5,))
+        print(*(p.pid for p in multiprocessing.active_children()))
+    """)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    assert not [pid for pid in pids if _alive(pid)]
+
+
+def test_a_forked_child_builds_its_own_pool():
+    # the child inherits the parent's pool object but not its workers: reusing it would hang the child,
+    # which its alarm then ends before the parent's
+    done = _python("""
+        import os, signal
+        from npivtest import sim
+        signal.alarm(240)
+        kw = dict(replications=4, jobs=2, n_values=(500,), xi_values=(0.5,))
+        sim.reproduce("supp-D", **kw)
+        parent_pool = sim._pool
+        child = os.fork()
+        if child == 0:
+            signal.alarm(60)
+            sim.reproduce("supp-D", **kw)
+            print(sim._pool[0] == os.getpid(), sim._pool[2] is not parent_pool[2], flush=True)
+            sim._discard_pool()
+            os._exit(0)
+        os.waitpid(child, 0)
+        print(sim._pool is parent_pool)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True", "True"]
+
+
+def _alive(pid: int) -> bool:
+    """A process that has not exited; a zombie waiting to be reaped counts as exited."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 GOLDEN_MC = pathlib.Path(__file__).parent / "data" / "golden_mc_reproduce.json"
