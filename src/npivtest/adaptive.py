@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
 
@@ -386,28 +387,32 @@ def _checked_data(y, x, w):
     return y, x, w, n
 
 
-def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> CandidateGrid:
-    """Candidate dimensions via the exponential scan, the knot scan, or an explicit list.
+def _candidate_pass(n: int, config: RunConfig, step, visit, outcome, j_min: int):
+    """(grid, entries): candidate dimensions via the exponential scan, the knot scan, or an explicit list.
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
     dimension, noise level and stability measure, and the designs. A step
     that has certified noise < s without computing s returns s = None and
     may return no designs; it cannot stop the scan. Candidates are keyed by
-    dim; visit(dim, s, designs) gets each one once and returns its exact s,
-    and the designs are dropped before the next index's are built. j_min is
-    the scan's lowest admissible index, the one minimum every rule starts from.
+    dim; visit(dim, s, designs) turns each one's designs, once, into its
+    y-free factor, and outcome(factor) at once gives its _ScanEntry, with
+    the exact s. Designs and factor are dropped before the next index's
+    designs are built. j_min is the scan's lowest admissible index, the one
+    minimum every rule starts from.
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
     j_list: list[int] = []
+    entries: list[_ScanEntry] = []
 
     def record(dim: int, noise: float, s: float | None, designs, candidate: bool = True) -> bool:
         """Visit a new candidate, keep the exact s of a stepped index; True when the noise level overtakes s."""
         stop = s is not None and noise >= s
         if candidate and dim not in j_list:
-            s = visit(dim, s, designs)
+            entries.append(outcome(visit(dim, s, designs)))
+            s = entries[-1].s_hat
             j_list.append(dim)
         if s is not None:
             shat[dim] = s
@@ -449,17 +454,8 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, j_min: int) -> Candi
             f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
         )
         record(*step(j_min))
-    return CandidateGrid(
-        mode=mode,
-        j_underbar=j_under,
-        j_max_exp=j_max_exp,
-        hard_cap=hard_cap,
-        j_max_hat=j_max_hat,
-        j_list=tuple(j_list),
-        shat=shat,
-        fallback=fallback,
-        warnings=tuple(warnings_list),
-    )
+    return CandidateGrid(mode=mode, j_underbar=j_under, j_max_exp=j_max_exp, hard_cap=hard_cap, j_max_hat=j_max_hat,
+                         j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), entries
 
 
 def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
@@ -521,22 +517,23 @@ class _ScanEntry:
     s_hat: float
     gamma: int  # chi-square degrees of freedom
     n_active: int
-    center: int | None = None  # centering constant of the standardized statistic; defaults to gamma
+    center: int  # centering constant of the standardized statistic: gamma, or K for the image-space one
 
 
-def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate_values=None):
+def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
     """Alpha-free part of the test: grid plus per-J statistics, in one pass.
 
     Each stepped J evaluates Psi_J and B_K, K = k_factor * J, and factors
     them once, without reading y: the factor's s_hat is the stability measure
-    s_J. Only a candidate's visit reads y, computing beta and u = y - Psi beta
-    once for the restricted fit, D_J and v_J; a parametric null is fitted on
-    the factor's instrument basis U_B. candidate_values,
-    when given, are values of a hypothesized function at the sample points,
-    and D_J is taken on y - candidate_values instead of on the restricted
-    residuals (confidence-set inversion); the restricted fit still gives
-    gamma and the active set.
+    s_J. A candidate's visit adds the shape null's constraint rows to that
+    y-free factor, and _structural_outcome, the only part that reads y,
+    computes its statistics at once. Returns (grid, entries, warnings, n).
     """
+    return _structural_scan(y, x, w, null, config, mu, h0=None)
+
+
+def _structural_scan(y, x, w, null: NullSpec, config: RunConfig, mu, h0):
+    """adaptive_scan, with D_J taken on y - h0 instead of the restricted residuals when h0 is given."""
     y, x, w, n = _checked_data(y, x, w)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
@@ -544,7 +541,6 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
     mu = _weights(mu, n)
     knot_data = x if config.knot_rule == "quantile" else None
     scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
-    entries = []
     fit_warnings: list[str] = []
 
     def step(j: int):
@@ -570,37 +566,45 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None, candidate
             raise
         return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, psi, fit)
 
-    def statistics(j: int, s_hat: float, designs):
+    def visit(j: int, s_hat: float, designs):
         psi_spec, psi, fit = designs
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
-        beta = fit.coefficients(y)
-        u = y - psi @ beta
         try:
-            if null.kind == "shape":
-                m = null.constraints(psi_spec)
-                rfit = fit_restricted_cone(fit, m, beta, psi, y)
-                gamma = gamma_hat(m, rfit.active_set)
-            else:
-                model = null.model if null.custom_design is None else null.custom_design
-                rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r, rcond=config.rcond)
-                gamma = j
-            s = fit.scaled_map
-            r = rfit.residuals_r if candidate_values is None else y - candidate_values
-            d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
-            v_stat = 0.0 if _numerically_zero(u, y) else compute_vhat(s, u)
+            rows = null.constraints(psi_spec) if null.kind == "shape" else None
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
-        _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
-        entries.append(_ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
-                                  n_active=len(rfit.active_set)))
-        return s_hat
+        return j, s_hat, psi, fit, rows
 
-    grid = _candidate_pass(n, config, step, statistics, j_min)
+    model = null.model if null.custom_design is None else null.custom_design
+    outcome = partial(_structural_outcome, y=y, h0=h0, x=x, model=model, rcond=config.rcond)
+    grid, entries = _candidate_pass(n, config, step, visit, outcome, j_min)
     return grid, entries, [*_clamp_warnings(config, x=x, w=w), *grid.warnings, *fit_warnings], n
 
 
-def _finite(*values: float) -> bool:
-    return all(map(math.isfinite, values))
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
+def _structural_outcome(factor, y, h0, x, model, rcond) -> _ScanEntry:
+    """The part of a structural candidate that reads y: beta, u = y - Psi beta, the restricted fit (the cone of a
+    shape null's rows, else the 2SLS of model on U_B), v_J on u and D_J on the restricted residuals, or on y - h0
+    when h0 is given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows); a parametric null's rows are None."""
+    j, s_hat, psi, fit, rows = factor
+    beta = fit.coefficients(y)
+    u = y - psi @ beta
+    try:
+        if rows is not None:
+            rfit = fit_restricted_cone(fit, rows, beta, psi, y)
+            gamma = gamma_hat(rows, rfit.active_set)
+        else:
+            rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r, rcond=rcond)
+            gamma = j
+        s = fit.scaled_map
+        r = rfit.residuals_r if h0 is None else y - h0
+        d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
+        v_stat = 0.0 if _numerically_zero(u, y) else compute_vhat(s, u)
+    except (InputError, NumericalError) as exc:
+        raise type(exc)(f"candidate J={j}: {exc}") from exc
+    _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
+    return _ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
+                      n_active=len(rfit.active_set), center=gamma)
 
 
 def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConfig,
@@ -613,36 +617,23 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConf
     alpha, size = config.alpha, grid.size
     records = []
     for e in entries:
-        center = e.gamma if e.center is None else e.center
-        eta = eta_hat(alpha, size, e.gamma, center)
+        eta = eta_hat(alpha, size, e.gamma, e.center)
         if eta <= 0.0:
-            at = (f"K={e.j} (alpha/{size} too large for chi-square df={e.gamma} centered at K={center})"
+            at = (f"K={e.j} (alpha/{size} too large for chi-square df={e.gamma} centered at K={e.center})"
                   if statistic == "image-space" else f"J={e.j} (alpha/{size} too large for gamma={e.gamma})")
             raise InputError(f"critical value eta <= 0 at {at}; use a smaller alpha")
         if e.v_stat > 0.0:
             w_stat = n * e.d_stat / (eta * e.v_stat)
-            p_value = chisq_sf(math.sqrt(center) * (n * e.d_stat / e.v_stat) + center, e.gamma)
+            p_value = chisq_sf(math.sqrt(e.center) * (n * e.d_stat / e.v_stat) + e.center, e.gamma)
         else:
             w_stat, p_value = (math.inf, 0.0) if e.d_stat > 0.0 else (0.0, 1.0)
         # W = inf is the defined limit of D > 0 over v = 0; any other non-finite number decides nothing
-        if not (_finite(e.d_stat, e.v_stat, p_value) and (math.isfinite(w_stat) or e.v_stat == 0.0)):
+        if not (all(map(math.isfinite, (e.d_stat, e.v_stat, p_value))) and (math.isfinite(w_stat) or e.v_stat == 0.0)):
             raise NumericalError(
                 f"non-finite statistic at J={e.j}: D={e.d_stat}, v={e.v_stat}, W={w_stat}, p={p_value}"
             )
-        records.append(
-            CandidateRecord(
-                j=e.j,
-                k=e.k,
-                d_stat=e.d_stat,
-                v_stat=e.v_stat,
-                s_hat=e.s_hat,
-                gamma=e.gamma,
-                eta=eta,
-                w_stat=w_stat,
-                p_value=p_value,
-                n_active=e.n_active,
-            )
-        )
+        records.append(CandidateRecord(j=e.j, k=e.k, d_stat=e.d_stat, v_stat=e.v_stat, s_hat=e.s_hat, gamma=e.gamma,
+                                       eta=eta, w_stat=w_stat, p_value=p_value, n_active=e.n_active))
     rejecting = [rec.j for rec in records if rec.w_stat > 1.0]
     reject = len(rejecting) > 0
     if reject:
@@ -724,7 +715,7 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model="linear") if null is None else null
     values = _candidate_on_sample(candidate, x, config, null)
-    grid, entries, _, n = adaptive_scan(y, x, w, null, config, mu, candidate_values=values)
+    grid, entries, _, n = _structural_scan(y, x, w, null, config, mu, h0=values)
     report = decide(grid, entries, n, null, config)
     per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
              for rec in report.per_j]
@@ -795,40 +786,45 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     itself; the candidate set scans the instrument dimension K with the dyadic
     rule (whatever config.grid says) and the stability measure
     s_min((B'B/n)^{-1/2}), and the chi-square calibration uses K degrees of
-    freedom. Returns (grid, entries, warnings, n), as adaptive_scan does.
+    freedom. Returns (grid, entries, warnings, n), as adaptive_scan does: a
+    candidate's y-free factor is U_B = q r_b, and _image_space_outcome reads y.
     """
     null.check_image_space()
     y, x, w, n = _checked_data(y, x, w)
     model = null.model if null.custom_design is None else null.custom_design
-    entries = []
 
-    def statistics(realized: int, smin: float | None, b: np.ndarray | None) -> float:
+    def visit(realized: int, smin: float | None, b: np.ndarray | None):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         if b is None:  # a certified step built no design
             _, b = config.instrument_design(realized, w)
         q, r_b, s_b = orthonormal_range(b, config.rcond)
-        if smin is None:
-            smin = math.sqrt(n) / float(s_b[0])
-        rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=config.rcond)
-        r = rfit.residuals_r
-        d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
-        _check_underflow(realized, y, D=(d_stat, r), v=(v_stat, r))
-        # chi-square df nets out the parameters the restricted fit consumed
-        # inside the instrument projection; centering stays at K
-        entries.append(
-            _ScanEntry(j=realized, k=realized, d_stat=d_stat, v_stat=v_stat, s_hat=smin,
-                       gamma=max(1, realized - rfit.df_consumed), n_active=0, center=realized)
-        )
-        return smin
+        return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)
     if z.shape[0] != n:
         raise InputError("parametric design and y must share the number of rows")
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
-    grid = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, w, n), statistics, k_min)
+    outcome = partial(_image_space_outcome, y=y, x=x, model=model, rcond=config.rcond)
+    grid, entries = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, w, n), visit,
+                                    outcome, k_min)
     return grid, entries, [*_clamp_warnings(config, w=w), *grid.warnings], n
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
+def _image_space_outcome(factor, y, x, model, rcond) -> _ScanEntry:
+    """The part of an image-space candidate that reads y: the 2SLS of model on U_B = q r_b, and D_K and v_K of
+    its residuals. factor is the visit's (K, s_K, q, r_b)."""
+    k, s_hat, q, r_b = factor
+    rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=rcond)
+    r = rfit.residuals_r
+    d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
+    _check_underflow(k, y, D=(d_stat, r), v=(v_stat, r))
+    # chi-square df nets out the parameters the restricted fit consumed
+    # inside the instrument projection; centering stays at K
+    return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.df_consumed),
+                      n_active=0, center=k)
 
 
 def image_space_test(y, x, w, model, config: RunConfig | None = None) -> TestReport:

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 import weakref
 
 import numpy as np
@@ -352,8 +353,25 @@ def test_decision_invariant_under_y_scaling(case):
             assert r2.p_value == pytest.approx(r1.p_value, rel=1e-9)
     # beyond the float range the squares in D and v underflow to 0 or overflow: no verdict, exit 3
     for k, message in ((-200, "D=0.0 underflowed"), (200, "non-finite statistic")):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=message):
             run(10.0**k * y)
+
+
+@pytest.mark.parametrize("run", [
+    lambda y, d: adaptive_test(y, d.x, d.w, NullSpec.from_name("decreasing")),
+    lambda y, d: adaptive_test(y, d.x, d.w, NullSpec.from_name("linear")),
+    lambda y, d: image_space_test(y, d.x, d.w, "linear"),
+    lambda y, d: cs_contains(np.zeros_like(y), y, d.x, d.w),
+], ids=["decreasing", "linear", "image-space", "cs"])
+def test_overflowing_outcome_fails_without_numpy_warnings(run):
+    # y x 1e200 overflows D and v: the decision rule refuses the non-finite statistic, and the
+    # outcome computations that overflowed on the way print nothing
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("sin", c_a=2.0, c_b=1.0), RngStream(19, 0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="non-finite statistic"):
+            run(1e200 * data.y, data)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_alpha_validation():
@@ -409,23 +427,21 @@ def test_golden_report_snapshot():
 
 def test_martingale_limit_sanity():
     # simple equality null (known h0), fixed J: sqrt(J) n D(h0) / v should look
-    # like a centered chi-square with J degrees of freedom
-    from npivtest.adaptive import adaptive_scan
-
+    # like a centered chi-square with J degrees of freedom; the confidence set's
+    # per-J row holds D on the candidate's residuals y - h0 and v
     reps = 2000
     stats = []
-    cfg = RunConfig(grid=(3,), k_factor=2)
+    j_dim, n = 3, 500
+    cfg = RunConfig(grid=(j_dim,), k_factor=2)
     null = NullSpec.from_name("linear")
     truth = HSpec("sin", c_a=0.0)
     for r in range(reps):
-        data = generate(DesignConfig("I", 500, 0.7, truth, RngStream(77, r)))
-        _, entries, _, n_obs = adaptive_scan(
-            data.y, data.x, data.w, null, cfg, candidate_values=truth(data.x)
-        )
-        e = entries[0]
-        stats.append(math.sqrt(e.j) * n_obs * e.d_stat / e.v_stat)
+        data = generate(DesignConfig("I", n, 0.7, truth, RngStream(77, r)))
+        _, _, detail = cs_contains(truth(data.x), data.y, data.x, data.w, config=cfg, null=null)
+        (row,) = detail["per_J"]
+        assert row["J"] == j_dim
+        stats.append(math.sqrt(j_dim) * n * row["D_candidate"] / row["v"])
     arr = np.asarray(stats)
-    j_dim = 3
     assert abs(arr.mean()) <= 0.2  # chi2_J - J has mean 0
     assert abs(arr.var() - 2.0 * j_dim) <= 0.5  # ... and variance 2J
 
@@ -664,11 +680,10 @@ def test_nonfinite_statistics_are_numerical_errors():
     cfg = RunConfig(grid="knots", k_factor=2)
     null = NullSpec.from_name("decreasing")
     y = data.y * 1e160
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
-            adaptive_test(y, data.x, data.w, null, config=cfg)
-        with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
-            cs_contains(lambda x: 0.0 * x, y, data.x, data.w, config=cfg, null=null)
+    with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
+        adaptive_test(y, data.x, data.w, null, config=cfg)
+    with pytest.raises(NumericalError, match="non-finite statistic at J=3"):
+        cs_contains(lambda x: 0.0 * x, y, data.x, data.w, config=cfg, null=null)
 
 
 def test_clamped_points_are_reported():
@@ -736,6 +751,36 @@ def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):
     image_space_test(data.y, data.x, data.w, "linear")
     assert len(built) >= 3
     assert most_alive <= 1
+
+
+def test_structural_scan_keeps_one_candidate_design_pair_alive(monkeypatch):
+    # a step's Psi_J and B_K, the factor built from them and a candidate's outcome are released soon
+    # after the step: whenever a step builds its Psi_J, at most one earlier Psi and one earlier B are alive
+    data = generate(DesignConfig("I", 500, 0.9, HSpec("mono", c0=0.3), RngStream(4, 2)))  # steps J = 3...6
+    psis, bs = [], []
+    most_alive = [0, 0]
+    eval_design_, instrument_design = adaptive_module.eval_design, RunConfig.instrument_design
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def recording_psi(spec, points):
+        design = eval_design_(spec, points)
+        if points is data.x:  # Psi_J; a 1-d B_K is evaluated at w
+            most_alive[:] = max(most_alive[0], alive(psis)), max(most_alive[1], alive(bs))
+            psis.append(weakref.ref(design))
+        return design
+
+    def recording_b(self, k_target, w):
+        specs, b = instrument_design(self, k_target, w)
+        bs.append(weakref.ref(b))
+        return specs, b
+
+    monkeypatch.setattr(adaptive_module, "eval_design", recording_psi)
+    monkeypatch.setattr(RunConfig, "instrument_design", recording_b)
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"))
+    assert len(psis) == len(bs) == len(rep.grid.shat) > len(rep.grid.j_list) >= 2
+    assert max(most_alive) <= 1
 
 
 def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
