@@ -17,6 +17,8 @@ Candidate sets come in three modes:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Integral, Real
@@ -24,8 +26,8 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import (BasisSpec, ConstraintMatrix, _max_support_count, deriv_constraints, eval_design, min_dim,
-                    tensor_design, zeta)
+from .basis import (BasisSpec, ConstraintMatrix, _max_support_count, _tensor_product, deriv_constraints, eval_design,
+                    min_dim, tensor_design, zeta)
 from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
@@ -387,6 +389,103 @@ def _checked_data(y, x, w):
     return y, x, w, n
 
 
+def _design_key(spec: BasisSpec, column) -> tuple:
+    """What a design is built from: the basis, and the sample column 'x', 'w' or coordinate i of a 2-d w."""
+    return spec.family, spec.dim, spec.order, spec.support, spec.knot_rule, column
+
+
+class _Designs:
+    """The designs, structural fits and constraint rows of the scans of one sample (x, w).
+
+    Outside a sample store (_sample_store) every request builds afresh and nothing is kept, so a scan holds
+    only the designs of the candidate it is at. Inside one, every scan of the store's sample reads the same
+    instance, which builds each kept entry once and keeps it until the store is dropped. The one-dimensional
+    factors of a tensor instrument are always kept: the stability steps, the candidates and the tensors of
+    every scan read them. The rest is kept only when the store is shared, that is when two or more scans of
+    one statistic read the sample: a design, keyed by _design_key; a tensor instrument, by its factors' keys;
+    a structural NpivFit, by Psi_J's key, K and rcond (a weighted scan's fit is not kept); a shape null's
+    constraint rows, by the shape and the regressor design's key. A kept array lives to the store's end,
+    and one that no other scan reads again costs its pages more than its rebuild. A build that raises keeps
+    nothing, so every scan that needs it raises the same error. Kept arrays are read-only.
+    """
+
+    def __init__(self, x, w, stored: bool = False, shared: bool = False):
+        self.x, self.w = x, w
+        self._kept: dict | None = {} if stored else None
+        self._shared = shared
+
+    def _get(self, key, build, factor: bool = False):
+        if self._kept is None or not (self._shared or factor):
+            return build()
+        if key not in self._kept:
+            value = build()
+            for a in [value] if isinstance(value, np.ndarray) else vars(value).values():
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._kept[key] = value
+        return self._kept[key]
+
+    def _columns(self, specs) -> list:
+        return ["w"] if self.w.ndim == 1 else list(range(len(specs)))
+
+    def psi(self, spec: BasisSpec) -> np.ndarray:
+        """Psi_J: spec's design at x."""
+        return self._get(_design_key(spec, "x"), lambda: eval_design(spec, self.x))
+
+    def factors(self, specs) -> list[np.ndarray]:
+        """The one-dimensional instrument designs: spec i's at coordinate i of w (B itself for a 1-d w)."""
+        return [self._get(_design_key(spec, column),
+                          partial(eval_design, spec, self.w if column == "w" else self.w[:, column]),
+                          factor=column != "w")
+                for spec, column in zip(specs, self._columns(specs))]
+
+    def instrument(self, config: RunConfig, k_target: int) -> np.ndarray:
+        """B_K: config's instrument design for k_target at w, the tensor product of its factors for a 2-d w."""
+        if self._kept is None:
+            return config.instrument_design(k_target, self.w)[1]
+        specs = config.instrument_specs(k_target, self.w)
+        factors = self.factors(specs)
+        if len(factors) == 1:
+            return factors[0]
+        return self._get(tuple(map(_design_key, specs, self._columns(specs))), lambda: _tensor_product(factors))
+
+    def fit(self, psi_spec: BasisSpec, k: int, rcond, weighted: bool, build):
+        """build(), the NpivFit of Psi_J and the K-column B_K on the same basis; a weighted scan's fit is not
+        kept. Psi_J's key and K determine B_K, since the scan builds both from one RunConfig."""
+        if weighted:
+            return build()
+        return self._get(("fit", _design_key(psi_spec, "x"), k, rcond), build)
+
+    def rows(self, null: NullSpec, psi_spec: BasisSpec) -> ConstraintMatrix:
+        """The shape null's constraint rows on Psi_J's basis; custom rows are not kept."""
+        if null.custom_rows is not None:
+            return null.constraints(psi_spec)
+        return self._get(("rows", null.shape, _design_key(psi_spec, "x")), partial(null.constraints, psi_spec))
+
+
+_store: ContextVar[_Designs | None] = ContextVar("npivtest_sample_store", default=None)
+
+
+@contextmanager
+def _sample_store(x, w, shared: bool):
+    """Inside the block, every scan of the sample (x, w), passed as these very arrays, reads one _Designs
+    store, shared when two or more scans of one statistic read the sample; the block's end drops it. The
+    sim module enters one per replication."""
+    token = _store.set(_Designs(x, w, stored=True, shared=shared))
+    try:
+        yield
+    finally:
+        _store.reset(token)
+
+
+def _designs(x, w) -> _Designs:
+    """The sample store's _Designs when (x, w) is its sample (x None: when w is), else one that keeps nothing."""
+    store = _store.get()
+    if store is not None and store.w is w and (x is None or store.x is x):
+        return store
+    return _Designs(x, w)
+
+
 def _candidate_pass(n: int, config: RunConfig, step, visit, outcome, j_min: int):
     """(grid, entries): candidate dimensions via the exponential scan, the knot scan, or an explicit list.
 
@@ -538,21 +637,23 @@ def _structural_scan(y, x, w, null: NullSpec, config: RunConfig, mu, h0):
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
     config.check_null_basis(null)
-    mu = _weights(mu, n)
+    weighted, mu = mu is not None, _weights(mu, n)
     knot_data = x if config.knot_rule == "quantile" else None
     scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
     fit_warnings: list[str] = []
+    store = _designs(x, w)
 
     def step(j: int):
         psi_spec = config.psi_spec(j, knot_data)
-        psi = eval_design(psi_spec, x)
-        _, b = config.instrument_design(config.k_factor * j, w)
+        psi = store.psi(psi_spec)
+        b = store.instrument(config, config.k_factor * j)
         k = b.shape[1]
         try:
             if k >= n and scanned:
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            fit = fit_from_design(psi, b, mu=mu, rcond=config.rcond)
+            fit = store.fit(psi_spec, k, config.rcond, weighted, partial(fit_from_design, psi, b, mu=mu,
+                                                                        rcond=config.rcond))
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
@@ -570,7 +671,7 @@ def _structural_scan(y, x, w, null: NullSpec, config: RunConfig, mu, h0):
         psi_spec, psi, fit = designs
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
         try:
-            rows = null.constraints(psi_spec) if null.kind == "shape" else None
+            rows = store.rows(null, psi_spec) if null.kind == "shape" else None
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
         return j, s_hat, psi, fit, rows
@@ -728,19 +829,21 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
 
     The scan steps far more dimensions than it visits, and a step only asks whether the noise level
     reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
-    B >= 0 and unit row sums, and a tensor column is supported inside each of its factors' supports, so
-    s_K >= sqrt(n / min_d max_j N_{d,j}), N_{d,j} the knot-interval counts of coordinate d's sorted
-    sample (basis._max_support_count). A step whose noise stays below that bound returns
-    (dim, noise, None, None): it builds no design and computes no s_K, and a candidate's visit builds
-    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms B'B for
-    lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
-    realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D call at
-    n = 5000, xi = 0.5, all 120 design-I steps are certified, so only the 20 candidate visits build a
-    design; of the 120 multivariate steps the 92 below K = 36 are, so the scan builds 12 tensor designs
-    (9, 16 and 36 per replication), not 16, and takes 4 eigvalsh, not 16.
+    B >= 0 and unit row sums, so by Gershgorin lambda_max(B'B/n) <= max_j (column sum j of B) / n. A
+    column of B is supported inside each of its factors' supports, so that is at most
+    min_d max_j N_{d,j} / n, N_{d,j} the knot-interval counts of coordinate d's sorted sample
+    (basis._max_support_count). A step first tries the counts and, for a tensor they leave uncertified,
+    the column sums themselves: for a 2-d w they are the entries of B_1'B_2, formed from the n x per_dim
+    factors. A step whose noise stays below the bound returns (dim, noise, None, None): it builds no
+    n x K design and computes no s_K, and a candidate's visit builds B and reads s_K = sqrt(n) / s_max(B).
+    Any other step (cosine, power, or uncertified) forms B'B for lambda_max only and factors no design. A
+    2-d w rounds k up to the next per_dim^2, so a step whose realized dim repeats the last one returns that
+    step unchanged. In one 4-replication supp-D call at n = 5000, xi = 0.5, every step of either design is
+    certified: the scans build only their candidates' designs and call no eigvalsh.
     """
     columns = [w] if w.ndim == 1 else list(w.T)
     w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
+    store = _designs(None, w)
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
     def step(k: int):
@@ -748,20 +851,23 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
+        specs = config.instrument_specs(k, w)
+        noise = _noise_level(specs, dim, n)
         if w_sorted is not None:
-            specs = config.instrument_specs(k, w)
-            noise = _noise_level(specs, dim, n)
-            count = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
+            bound = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
             # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
-            if noise < math.sqrt(n / count) * (1.0 - 1e-9):
+            if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(specs) > 1:
+                factors = store.factors(specs)
+                bound = float(np.max(_tensor_product(factors[:-1]).T @ factors[-1]))
+            if noise < math.sqrt(n / bound) * (1.0 - 1e-9):
                 last[dim] = (dim, noise, None, None)
                 return last[dim]
-        specs, b = config.instrument_design(k, w)
+        b = store.instrument(config, k)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
             raise NumericalError("instrument gram B'B is numerically singular")
-        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        last[dim] = (b.shape[1], noise, 1.0 / math.sqrt(float(evals[-1])), b)
         return last[dim]
 
     return step
@@ -792,12 +898,13 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     null.check_image_space()
     y, x, w, n = _checked_data(y, x, w)
     model = null.model if null.custom_design is None else null.custom_design
+    store = _designs(x, w)
 
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         if b is None:  # a certified step built no design
-            _, b = config.instrument_design(realized, w)
+            b = store.instrument(config, realized)
         q, r_b, s_b = orthonormal_range(b, config.rcond)
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 

@@ -110,20 +110,42 @@ def _clamp(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.ndarray:
+def _knot_count(x: np.ndarray, t: np.ndarray, order: int, equispaced: bool) -> np.ndarray:
+    """searchsorted(t[order:nb], x, "right"): the number c of interior knots at or below each x, so that x lies
+    in the knot span [t[s], t[s+1]), s = c + order - 1 (the last span is right-closed).
+
+    Equispaced interior knots t[order + c] = lo + (hi - lo)(c + 1)/(m + 1) are counted by arithmetic: the count
+    floor((x - lo)(m + 1)/(hi - lo)), capped at m, is off by at most one near a knot, and one comparison with
+    each neighbouring knot corrects it, so it equals searchsorted's exactly.
+    """
+    nb = len(t) - order
+    inner = t[order:nb]
+    if not equispaced:
+        return np.searchsorted(inner, x, side="right")
+    lo, hi, m = t[0], t[-1], nb - order
+    count = np.minimum(((x - lo) * ((m + 1) / (hi - lo))).astype(np.intp), m)  # x >= lo: clamped
+    fence = np.concatenate(([-np.inf], inner, [np.inf]))  # fence[c] = inner[c - 1]
+    count += fence[1:][count] <= x
+    count -= fence[count] > x
+    return count
+
+
+def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int, equispaced: bool) -> np.ndarray:
     """All order-`order` B-splines on the clamped knot vector t, or their deriv-th derivative
-    (deriv < order), at x in [t[0], t[-1]], by the de Boor recursion on the nonzero ones only.
+    (deriv < order), at x in [t[0], t[-1]], by the de Boor recursion on the nonzero ones only, as a
+    column-major (Fortran-ordered) n x nb array.
 
     x lies in the knot span [t[s], t[s+1]) (the last span is right-closed), where only
     N_{s-order+1..s} are nonzero. Stage m maps the m - 1 values of order m - 1 at j = s-m+2..s
     to the m of order m at j = s-m+1..s: Cox-de Boor up to order - deriv, the derivative
     difference formula above it. A window end drops the term whose function lies outside the
-    window, the only term that can meet a zero-width knot gap.
+    window, the only term that can meet a zero-width knot gap. equispaced says the interior
+    knots are equispaced, so the spans come from arithmetic (_knot_count).
     """
-    nb = len(t) - order
-    span = np.clip(np.searchsorted(t[order:nb], x, side="right") + order - 1, order - 1, nb - 1)
-    knot = {offset: t[span + offset] for offset in range(2 - order, order)}  # knot[o] = t[s + o]
-    vals = [np.ones(len(x))]
+    nb, n = len(t) - order, len(x)
+    count = _knot_count(x, t, order, equispaced)  # s - order + 1, the first nonzero B-spline
+    knot = {offset: t[order - 1 + offset :][count] for offset in range(2 - order, order)}  # knot[o] = t[s + o]
+    vals = [np.ones(n)]
     for m in range(2, order + 1):
         # B-spline j = s - m + 1 + r has knots t_j .. t_{j+m} = knot[r - m + 1 .. r + 1]; gaps[r] is
         # t_{j+m} - t_{j+1}, the denominator of its N_{j+1, m-1} term and of B-spline j+1's N_{j+1, m-1} term
@@ -138,12 +160,13 @@ def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.
                 b = (knot[r + 1] - x if value else 1 - m) / gaps[r] * vals[r]
             nxt.append(b if a is None else a if b is None else a + b)
         vals = nxt
-    out = np.zeros((len(x), nb))
+    out = np.zeros((nb, n))  # the transpose of the column-major result
     flat = out.reshape(-1)
-    first = span + (np.arange(len(x)) * nb - order + 1)  # flat index of each row's first nonzero
-    for r, v in enumerate(vals):
-        flat[first + r] = v
-    return out
+    at = count * n + np.arange(n)  # flat index of each point's first nonzero
+    for v in vals:
+        flat[at] = v
+        at += n
+    return out.T
 
 
 def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
@@ -161,7 +184,8 @@ def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
 def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     """(n x J) design matrix of the basis (or, for B-splines, its deriv-th derivative) at sample points x.
 
-    Points outside the support are clamped to it with a warning.
+    The design is column-major (Fortran-ordered), so each basis function's column is contiguous. Points
+    outside the support are clamped to it with a warning.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
@@ -175,14 +199,17 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     x = _clamp(spec, x)
     if spec.family == "bspline":
         if deriv >= spec.order:
-            return np.zeros((len(x), spec.dim))
-        return _bspline_design(x, spec.knot_vector(), spec.order, deriv)
+            return np.zeros((len(x), spec.dim), order="F")
+        return _bspline_design(x, spec.knot_vector(), spec.order, deriv, spec.knot_rule == "equispaced")
     lo, hi = spec.support
     u = (x - lo) / (hi - lo)
-    if spec.family == "power":
-        return np.column_stack([u**jj for jj in np.arange(spec.dim)])
-    # cosine: {1, sqrt(2) cos(pi j u)}, orthonormal w.r.t. Lebesgue on [lo, hi] scaled to unit mass
-    return np.column_stack([np.ones_like(u)] + [np.sqrt(2.0) * np.cos(np.pi * jj * u) for jj in range(1, spec.dim)])
+    out = np.empty((len(x), spec.dim), order="F")
+    for jj in range(spec.dim):
+        if spec.family == "power":
+            out[:, jj] = u**jj
+        else:  # cosine: {1, sqrt(2) cos(pi j u)}, orthonormal w.r.t. Lebesgue on [lo, hi] scaled to unit mass
+            out[:, jj] = np.sqrt(2.0) * np.cos(np.pi * jj * u) if jj else 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,7 +279,8 @@ def deriv_constraints(spec: BasisSpec, kind: str) -> ConstraintMatrix:
 
 
 def tensor_design(specs, x) -> np.ndarray:
-    """Row-wise tensor product design; columns are all cross-products, one factor per coordinate."""
+    """Row-wise tensor product design; columns are all cross-products, one factor per coordinate, the last
+    coordinate's index running fastest. Column-major, like eval_design."""
     if len(specs) < 1:
         raise InputError("tensor_design needs at least one basis spec")
     x = np.asarray(x, dtype=float)
@@ -262,10 +290,18 @@ def tensor_design(specs, x) -> np.ndarray:
         raise InputError(
             f"sample has {x.shape[1] if x.ndim == 2 else 1} coordinates but {len(specs)} basis specs were given"
         )
-    design = eval_design(specs[0], x[:, 0])
-    for k, spec in enumerate(specs[1:], start=1):
-        nxt = eval_design(spec, x[:, k])
-        design = np.einsum("ij,ik->ijk", design, nxt).reshape(x.shape[0], -1)
+    return _tensor_product([eval_design(spec, x[:, k]) for k, spec in enumerate(specs)])
+
+
+def _tensor_product(factors) -> np.ndarray:
+    """The column-major row-wise tensor product of the n x J_d factor designs: column (j, k) of the product of
+    two factors is their columns' elementwise product, formed one left column at a time."""
+    design = factors[0]
+    for nxt in factors[1:]:
+        out = np.empty((design.shape[0], design.shape[1] * nxt.shape[1]), order="F")
+        for j in range(design.shape[1]):
+            np.multiply(design[:, j, None], nxt, out=out[:, j * nxt.shape[1] : (j + 1) * nxt.shape[1]])
+        design = out
     return design
 
 

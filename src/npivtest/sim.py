@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import published
-from .adaptive import NullSpec, RunConfig, _res_parameters, adaptive_scan, decide, image_space_scan
-from .dgp import DesignConfig, HSpec, generate, null_boundary
+from .adaptive import NullSpec, RunConfig, _res_parameters, _sample_store, adaptive_scan, decide, image_space_scan
+from .dgp import DesignConfig, HSpec, draw, null_boundary
 from .errors import InputError, NumericalError
 from .randdist import RngStream
 
@@ -227,32 +227,53 @@ def _plan(spec: ExperimentSpec) -> list[_Task]:
     return tasks
 
 
-def _rep_outcomes(task: _Task, reps) -> _Outcomes:
-    """Worker: run the test on fresh datasets of one cell, one per replication index in `reps`.
+def _groups(tasks: list[_Task]) -> list[list[int]]:
+    """The indices of the tasks that read the same draw, one group per (design, n, xi, master seed, stream
+    offset, replications), in order of first appearance: a group's tasks differ only in h, the statistic
+    and the test configuration."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (spec, cell, stream_offset) in enumerate(tasks):
+        key = (spec.design, cell["n"], cell["xi"], spec.master_seed, stream_offset, spec.replications)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
-    Returns per rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
-    "ExcClass: message" of a numerical failure.
+
+def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
+    """Worker: run the test of every task of one group on the replications in `reps`.
+
+    Per replication the group draws (x, w, u) once and forms each task's
+    y = h(x) + u as dgp.generate does. Its tasks' scans read one sample
+    store (adaptive._sample_store), shared when two or more of them run one
+    statistic, so every design, structural fit and constraint row set they
+    have in common is built once; the store is dropped after the
+    replication. Returns each task's outcomes: per rep
+    {alpha: (reject, j_reported, max_J W_J)}, or the reason "ExcClass: message"
+    of a numerical failure.
     """
-    spec, cell, stream_offset = task
-    null = spec.null_spec()
-    config = spec.run_config()
-    configs = {alpha: replace(config, alpha=alpha) for alpha in spec.alphas}
-    scan = adaptive_scan if spec.statistic == "structural" else image_space_scan
-    h = spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0))
-    out = []
+    runs = []
+    for spec, cell, _ in tasks:
+        config = spec.run_config()
+        runs.append((spec.null_spec(), config, {alpha: replace(config, alpha=alpha) for alpha in spec.alphas},
+                     adaptive_scan if spec.statistic == "structural" else image_space_scan,
+                     spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0))))
+    spec, cell, stream_offset = tasks[0]
+    shared = max(Counter(task.spec.statistic for task in tasks).values()) > 1
+    out: list[_Outcomes] = [[] for _ in tasks]
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
-        data = generate(DesignConfig(spec.design, cell["n"], cell["xi"], h, stream))
-        try:
-            grid, entries, _, n_obs = scan(data.y, data.x, data.w, null, config)
-            per_alpha = {}
-            for alpha in spec.alphas:
-                report = decide(grid, entries, n_obs, null, configs[alpha])
-                w_max = max(rec.w_stat for rec in report.per_j)
-                per_alpha[alpha] = (report.reject, report.j_reported, w_max)
-            out.append((r, per_alpha))
-        except NumericalError as exc:
-            out.append((r, f"{type(exc).__name__}: {exc}"))
+        x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][-1], stream))  # reads no h
+        with _sample_store(x, w, shared):
+            for (null, config, configs, scan, h), outcomes in zip(runs, out):
+                try:
+                    grid, entries, _, n_obs = scan(h(x) + u, x, w, null, config)
+                    per_alpha = {}
+                    for alpha, alpha_config in configs.items():
+                        report = decide(grid, entries, n_obs, null, alpha_config)
+                        w_max = max(rec.w_stat for rec in report.per_j)
+                        per_alpha[alpha] = (report.reject, report.j_reported, w_max)
+                    outcomes.append((r, per_alpha))
+                except NumericalError as exc:
+                    outcomes.append((r, f"{type(exc).__name__}: {exc}"))
     return out
 
 
@@ -284,21 +305,29 @@ def _discard_pool() -> None:
 def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
     """Each task's outcomes in plan order, sorted by replication index whatever the chunking.
 
-    With jobs > 1 and at least 4 replications per task, the process's one
-    pool of `jobs` workers runs every task in at most 4 * jobs chunks; every
-    chunk is submitted before the first result is gathered. The pool stays
-    warm for the next call with the same jobs, and is discarded when a call
-    fails (`_summaries`) and at exit. Otherwise the tasks run in this process.
+    Tasks run in their draw groups (_groups). With jobs > 1 and at least 4
+    replications per task, the process's one pool of `jobs` workers runs
+    each group in at most 4 * jobs chunks of replications; every chunk is
+    submitted before the first result is gathered. The pool stays warm for
+    the next call with the same jobs, and is discarded when a call fails
+    (`_summaries`) and at exit. Otherwise the groups run in this process.
     """
+    groups = _groups(tasks)
+    members = [tuple(tasks[i] for i in group) for group in groups]
     if jobs <= 1 or any(task.spec.replications < 4 for task in tasks):
-        return [_rep_outcomes(task, range(task.spec.replications)) for task in tasks]
-    pool = _workers(jobs)
-    futures = [[pool.submit(_rep_outcomes, task, chunk.tolist())
-                for chunk in np.array_split(np.arange(task.spec.replications),
-                                            min(4 * jobs, task.spec.replications))]
-               for task in tasks]
-    return [sorted((item for fut in chunks for item in fut.result()), key=lambda item: item[0])
-            for chunks in futures]
+        chunked = [[_rep_outcomes(group, range(group[0].spec.replications))] for group in members]
+    else:
+        pool = _workers(jobs)
+        futures = [[pool.submit(_rep_outcomes, group, chunk.tolist())
+                    for chunk in np.array_split(np.arange(group[0].spec.replications),
+                                                min(4 * jobs, group[0].spec.replications))]
+                   for group in members]
+        chunked = [[fut.result() for fut in chunks] for chunks in futures]
+    outcomes: list[_Outcomes] = [[] for _ in tasks]
+    for group, chunks in zip(groups, chunked):  # each chunk holds every task's outcomes on its replications
+        for t, i in enumerate(group):
+            outcomes[i] = sorted((item for chunk in chunks for item in chunk[t]), key=lambda item: item[0])
+    return outcomes
 
 
 def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> dict[str, int]:

@@ -385,6 +385,52 @@ def bspline_design_dense(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -
     return b
 
 
+# The B-spline kernel and the tensor product as they were before designs became column-major: the kernel
+# located each point's knot span by searchsorted and scattered into a row-major n x nb array, and
+# tensor_design formed the row-wise products with one einsum per factor. Kept verbatim as the parity oracles
+# of basis._bspline_design and basis.tensor_design.
+
+
+def bspline_design_rowmajor(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.ndarray:
+    """All order-`order` B-splines on the clamped knot vector t (or their deriv-th derivative) at x, row-major."""
+    nb = len(t) - order
+    span = np.clip(np.searchsorted(t[order:nb], x, side="right") + order - 1, order - 1, nb - 1)
+    knot = {offset: t[span + offset] for offset in range(2 - order, order)}  # knot[o] = t[s + o]
+    vals = [np.ones(len(x))]
+    for m in range(2, order + 1):
+        gaps = [knot[r + 1] - knot[r - m + 2] for r in range(m - 1)]
+        value = m <= order - deriv
+        nxt = []
+        for r in range(m):
+            a = b = None
+            if r > 0:
+                a = (x - knot[r - m + 1] if value else m - 1) / gaps[r - 1] * vals[r - 1]
+            if r < m - 1:
+                b = (knot[r + 1] - x if value else 1 - m) / gaps[r] * vals[r]
+            nxt.append(b if a is None else a if b is None else a + b)
+        vals = nxt
+    out = np.zeros((len(x), nb))
+    flat = out.reshape(-1)
+    first = span + (np.arange(len(x)) * nb - order + 1)  # flat index of each row's first nonzero
+    for r, v in enumerate(vals):
+        flat[first + r] = v
+    return out
+
+
+def tensor_design_einsum(specs, x) -> np.ndarray:
+    """Row-wise tensor product design of the factors eval_design gives, by einsum, row-major."""
+    from npivtest.basis import eval_design
+
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    design = np.ascontiguousarray(eval_design(specs[0], x[:, 0]))
+    for k, spec in enumerate(specs[1:], start=1):
+        nxt = eval_design(spec, x[:, k])
+        design = np.einsum("ij,ik->ijk", design, nxt).reshape(x.shape[0], -1)
+    return design
+
+
 # The structural candidate pipeline as it was before the fit computed s_hat: compute_shat formed
 # B'B, B'Psi and Psi'Omega Psi, two inverse square roots and one SVD, and the fit factored B and
 # Psi'Omega Psi again. Kept verbatim (fit_from_design_ub returns the old NpivFit fields, u_b in
@@ -588,6 +634,42 @@ def image_space_step_dense(config, w: np.ndarray, n: int):
         if dim in last:
             return last[dim]
         last.clear()
+        specs, b = config.instrument_design(k, w)
+        gb = b.T @ b / n
+        evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
+        if evals[-1] <= 0:
+            raise NumericalError("instrument gram B'B is numerically singular")
+        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        return last[dim]
+
+    return step
+
+
+def image_space_step_knot_counts(config, w: np.ndarray, n: int):
+    """The image-space stability step that certifies from knot-interval counts alone, a drop-in for
+    adaptive._image_space_step: a B-spline step (1-d or tensor) whose noise level stays below
+    sqrt(n / min_d max_j N_{d,j}) returns (dim, noise, None, None); every other step builds B, forms B'B/n
+    and returns (dim, noise, s_K, B) from one eigvalsh. A step whose realized dim repeats the last one
+    returns that step unchanged.
+    """
+    from npivtest.adaptive import _max_support_count, _noise_level
+
+    columns = [w] if w.ndim == 1 else list(w.T)
+    w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
+    last: dict[int, tuple] = {}
+
+    def step(k: int):
+        dim = config.instrument_dim(k, len(columns))
+        if dim in last:
+            return last[dim]
+        last.clear()
+        if w_sorted is not None:
+            specs = config.instrument_specs(k, w)
+            noise = _noise_level(specs, dim, n)
+            count = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
+            if noise < math.sqrt(n / count) * (1.0 - 1e-9):
+                last[dim] = (dim, noise, None, None)
+                return last[dim]
         specs, b = config.instrument_design(k, w)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))

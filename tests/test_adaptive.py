@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import pathlib
 import warnings
 import weakref
@@ -38,6 +39,7 @@ from oracles import (
     chisq_quantile_bisect,
     image_space_statistics_basis,
     image_space_step_dense,
+    image_space_step_knot_counts,
     image_vhat_gram,
 )
 
@@ -819,6 +821,36 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     assert bypassed.to_dict() == rep.to_dict()
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_sample_store_keeps_tensor_factors_and_when_shared_the_rest(monkeypatch, shared):
+    # two structural tests and an image-space test of one multivariate sample give the reports they give
+    # alone; the store builds each tensor factor once, and each Psi_J once when it is shared. A test of
+    # another x inside the store builds its own designs
+    data = generate(DesignConfig("multivariate", 1000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
+    other_x = data.x.copy()
+    built = Counter()
+    eval_design_ = adaptive_module.eval_design
+
+    def recording(spec, points):
+        built["psi" if points is data.x else "other psi" if points is other_x else (spec.dim, points[0])] += 1
+        return eval_design_(spec, points)
+
+    monkeypatch.setattr(adaptive_module, "eval_design", recording)
+    null, config = NullSpec.from_name("linear"), RunConfig(grid="knots", k_factor=4)
+    tests = [lambda y, x, w: adaptive_test(y, x, w, null, config)] * 2 + [
+        lambda y, x, w: image_space_test(y, x, w, "linear", config)]
+    alone = [test(data.y, data.x, data.w).to_dict() for test in tests]
+    psi_alone = built["psi"]  # without a store the tensor instruments go through RunConfig.instrument_design
+    built.clear()
+    with adaptive_module._sample_store(data.x, data.w, shared):
+        assert [test(data.y, data.x, data.w).to_dict() for test in tests] == alone
+        assert built.pop("psi") == (psi_alone // 2 if shared else psi_alone)
+        assert set(built.values()) == {1}
+        assert (3, data.w[0, 0]) in built  # the image-space candidate K = 9 = 3 x 3 is built from these factors
+        tests[0](data.y, other_x, data.w)
+    assert built["other psi"] == psi_alone // 2
+
+
 def _concentrated_sample(n=1000, share=0.9, width=0.01, seed=5):
     """A share of w inside [0.5, 0.5 + width]: the knot-interval counts there certify too little for the top
     of the scan, and at n = 80 with 95 % inside [0.5, 0.501] the stability scan stops below its hard cap."""
@@ -912,6 +944,46 @@ def test_image_space_scan_matches_the_dense_step_oracle(monkeypatch):
                         assert row == expected
                     compared += 1
     assert compared >= 130
+
+
+def test_image_space_scan_matches_the_knot_count_step_oracle(monkeypatch):
+    # the column sums of a tensor B (the entries of B_1'B_2) certify steps the knot-interval counts leave
+    # uncertified, and a certified step cannot stop the scan: grids, decisions and errors are the count-only
+    # step's, and D, v, W and p too, since a visit builds the same design; s_hat comes from another
+    # factorization of B'B. The 2-d samples take fewer eigvalsh calls in all
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh", (np.linalg,))
+    samples = [generate(DesignConfig("multivariate", n, xi, HSpec("quad", c_a=1.0), RngStream(seed, 5)))
+               for n, xi, seed in [(200, 0.5, 1), (1000, 0.3, 2), (1000, 0.7, 3), (5000, 0.5, 4), (5000, 0.7, 5)]]
+    samples = [(d.y, d.x, d.w) for d in samples]
+    y, x, w = _concentrated_sample()
+    samples += [(y, x, np.column_stack([w, w[::-1]])), _concentrated_sample()]
+    calls = {"fast": 0, "counts": 0}
+    compared = 0
+    for y, x, w in samples:
+        for basis in ("bspline2", "bspline3"):
+            for knot_rule in ("equispaced", "quantile"):
+                for model in ("linear", "quadratic"):
+                    config = RunConfig(basis=basis, knot_rule=knot_rule)
+                    eigvalsh["calls"] = 0
+                    fast = _image_space_outcome(y, x, w, model, config)
+                    calls["fast"] += eigvalsh["calls"]
+                    eigvalsh["calls"] = 0
+                    with monkeypatch.context() as patch:
+                        patch.setattr(adaptive_module, "_image_space_step", image_space_step_knot_counts)
+                        counts = _image_space_outcome(y, x, w, model, config)
+                    calls["counts"] += eigvalsh["calls"]
+                    if isinstance(counts, tuple):
+                        assert fast == counts
+                        continue
+                    fast_rows, count_rows = fast.pop("per_J"), counts.pop("per_J")
+                    assert fast == counts
+                    assert len(fast_rows) == len(count_rows)
+                    for row, expected in zip(fast_rows, count_rows):
+                        assert row.pop("s_hat") == pytest.approx(expected.pop("s_hat"), rel=1e-10)
+                        assert row == expected
+                    compared += 1
+    assert compared >= 50
+    assert calls["fast"] < calls["counts"]
 
 
 def test_image_space_statistics_match_the_basis_oracle(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from npivtest.basis import BasisSpec, _max_support_count, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from npivtest.errors import InputError
 
-from oracles import bspline_design_dense, simpson
+from oracles import bspline_design_dense, bspline_design_rowmajor, simpson, tensor_design_einsum
 
 
 def bspline(dim, order=3, **kw):
@@ -249,7 +249,42 @@ def test_tensor_bspline_gram_is_bounded_by_support_counts(order, knot_rule, n_in
         warnings.simplefilter("ignore")  # clamping
         b = tensor_design(specs, w)
     bound = min(_max_support_count(spec, np.sort(np.clip(c, *spec.support))) for spec, c in zip(specs, columns)) / n
-    assert np.linalg.eigvalsh(b.T @ b / n)[-1] <= bound * (1.0 + 1e-12)
+    lam_max = np.linalg.eigvalsh(b.T @ b / n)[-1]
+    assert lam_max <= bound * (1.0 + 1e-12)
+    # the column sums of B, the entries of B_1'B_2, bound it too, and no worse than the counts
+    factors = [eval_design(spec, np.clip(c, *spec.support)) for spec, c in zip(specs, columns)]
+    col_sums = factors[0].T @ factors[1]
+    np.testing.assert_allclose(col_sums.reshape(-1), b.sum(axis=0), rtol=1e-12, atol=1e-12)
+    assert lam_max <= col_sums.max() / n * (1.0 + 1e-12)
+    assert col_sums.max() / n <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("support", [(0.0, 1.0), (-1.0, 2.0), (0.1, 0.3), (-1e3, 7.0), (-3.7, -1.2)])
+def test_equispaced_spans_match_the_searchsorted_kernel(support):
+    # the spans of equispaced knots come from arithmetic; at every knot, its neighbouring floats and a fine
+    # grid, every design and derivative equals the searchsorted kernel's bit for bit
+    lo, hi = support
+    for order in (2, 3, 4):
+        for dim in range(order, 81):
+            spec = bspline(dim, order, support=support)
+            knots = spec.interior_knots()
+            x = np.concatenate([np.linspace(lo, hi, 1001), knots, np.nextafter(knots, -np.inf),
+                                np.nextafter(knots, np.inf), [np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]])
+            for deriv in range(order):
+                expected = bspline_design_rowmajor(x, spec.knot_vector(), order, deriv)
+                assert np.array_equal(eval_design(spec, x, deriv=deriv), expected)
+
+
+@pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 0), ("power", 0)])
+def test_designs_are_column_major(family, order, rng):
+    # each basis function's column is contiguous; a tensor's columns are the einsum products bit for bit
+    specs = [BasisSpec(family, 5, max(order, 2)), BasisSpec(family, 4, max(order, 2))]
+    w = rng.uniform(size=(200, 2))
+    for deriv in range(order + 1 if family == "bspline" else 1):
+        assert eval_design(specs[0], w[:, 0], deriv=deriv).flags.f_contiguous
+    design = tensor_design(specs, w)
+    assert design.flags.f_contiguous
+    assert np.array_equal(design, tensor_design_einsum(specs, w))
 
 
 def test_tensor_dimension_mismatch():

@@ -7,13 +7,17 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import npivtest.adaptive as adaptive_module
 import npivtest.sim as sim_module
+from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
+from npivtest.randdist import RngStream
 from npivtest.sim import ExperimentSpec, reproduce, run_experiment
 
 
@@ -233,18 +237,18 @@ def test_reproduce_supp_d_has_both_statistics():
 def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
     # the SVDs of the second replication's fits fail to converge
     datasets = {"made": 0}
-    generate, svd = sim_module.generate, np.linalg.svd
+    draw, svd = sim_module.draw, np.linalg.svd
 
-    def counting_generate(cfg):
+    def counting_draw(cfg):
         datasets["made"] += 1
-        return generate(cfg)
+        return draw(cfg)
 
     def failing_svd(a, *args, **kwargs):
         if datasets["made"] == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(sim_module, "generate", counting_generate)
+    monkeypatch.setattr(sim_module, "draw", counting_draw)
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     out = reproduce("T1", replications=100, seed=3, n_values=(500,), xi_values=(0.5,),
                     c0_values=(1.0,), k_factors=(2,))
@@ -309,17 +313,126 @@ def test_every_chunk_of_a_reproduce_call_is_submitted_before_the_first_result(mo
 
     monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
     reproduce("supp-D", replications=4, seed=3, jobs=2, n_values=(500,), xi_values=(0.5,))
-    assert events == ["submit"] * 16 + ["result"] * 16  # 4 cells of 4 one-replication chunks
+    assert events == ["submit"] * 8 + ["result"] * 8  # 2 draw groups (one per design) of 4 one-replication chunks
 
 
 @pytest.mark.parametrize("table, cells", [
     ("supp-D", dict(n_values=(500, 1000), xi_values=(0.5,))),
     ("F1", dict(n_values=(500,), xi_values=(0.5,))),  # size-adjusted power: boundary runs calibrate each curve
+    ("T1", dict(n_values=(500,))),
+    ("T2", dict(n_values=(500,))),
+    ("F2", dict(n_values=(500,), xi_values=(0.5,))),
+    ("supp-C", dict(n_values=(500,))),
 ])
 def test_reproduce_rows_do_not_depend_on_jobs(table, cells):
     serial = reproduce(table, replications=5, seed=3, jobs=1, **cells)
     parallel = reproduce(table, replications=5, seed=3, jobs=2, **cells)
     assert json.dumps(parallel["rows"]) == json.dumps(serial["rows"])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_sample_is_drawn_once(monkeypatch, tmp_path, jobs):
+    # supp-D's structural and image-space tests of one design read the same draw: 2 designs x 4 replications
+    # are 8 draws, not one per cell and replication (16); the forked workers append to one file
+    log = tmp_path / "draws"
+    draw = sim_module.draw
+
+    def logging_draw(cfg):
+        with open(log, "a") as f:
+            f.write(f"{cfg.design} {cfg.rng.stream_id}\n")
+        return draw(cfg)
+
+    monkeypatch.setattr(sim_module, "draw", logging_draw)
+    reproduce("supp-D", replications=4, seed=3, jobs=jobs, n_values=(500,), xi_values=(0.5,))
+    assert sorted(log.read_text().split("\n")[:-1]) == sorted(f"{d} {r}" for d in ("I", "multivariate")
+                                                               for r in range(4))
+
+
+def test_a_group_builds_each_design_once_per_replication(monkeypatch):
+    # T1's 3 c0 x 2 K-factor tasks of one xi share each draw: per replication every Psi_J and B_K is evaluated
+    # once, every (Psi_J, B_K) pair factored once, and every J's constraint rows built once
+    replication = {"r": -1}
+    records = []
+    draw, eval_design, fit, rows = (sim_module.draw, adaptive_module.eval_design, adaptive_module.fit_from_design,
+                                    adaptive_module.deriv_constraints)
+
+    def counting_draw(cfg):
+        replication["r"] += 1
+        return draw(cfg)
+
+    def recording(name, fn, key):
+        def wrapper(*args, **kwargs):
+            records.append((replication["r"], name, key(*args)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim_module, "draw", counting_draw)
+    monkeypatch.setattr(adaptive_module, "eval_design",
+                        recording("design", eval_design, lambda spec, x: (spec.dim, len(np.shape(x)), x[0])))
+    monkeypatch.setattr(adaptive_module, "fit_from_design",
+                        recording("fit", fit, lambda psi, b: (psi.shape[1], b.shape[1])))
+    monkeypatch.setattr(adaptive_module, "deriv_constraints",
+                        recording("rows", rows, lambda spec, kind: (spec.dim, kind)))
+    out = reproduce("T1", replications=3, seed=3, n_values=(500,), xi_values=(0.7,))
+    assert replication["r"] == 2
+    assert all(count == 1 for count in Counter(records).values())
+    for r in range(3):  # without the store each of them would be built once per task that steps it
+        assert {("fit", (3, 6)), ("fit", (3, 12)), ("rows", (3, "decreasing"))} <= {
+            (name, key) for rep, name, key in records if rep == r}
+    assert len(out["summaries"]["k2"].cells) == len(out["summaries"]["k4"].cells) == 3
+
+
+def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
+    # c0 = 0.1 and 1.0 share each draw. In replication 3 the J = 3 step's fit raises: the failed build is not
+    # kept, so both tasks fail there. In replication 7 only the c0 = 1.0 task's scan fails. Reasons and rows
+    # are those of each task run on its own
+    replication = {"r": -1}
+    draw, fit, scan = sim_module.draw, adaptive_module.fit_from_design, sim_module.adaptive_scan
+    target = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=1.0), RngStream(31, 7))).y
+
+    def counting_draw(cfg):
+        replication["r"] += 1
+        return draw(cfg)
+
+    def failing_fit(psi, b, *args, **kwargs):
+        if replication["r"] == 3 and psi.shape[1] == 3:
+            raise NumericalError("injected step failure")
+        return fit(psi, b, *args, **kwargs)
+
+    def failing_scan(y, *args):
+        if np.array_equal(y, target):
+            raise NumericalError("injected outcome failure")
+        return scan(y, *args)
+
+    monkeypatch.setattr(sim_module, "draw", counting_draw)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
+    monkeypatch.setattr(sim_module, "adaptive_scan", failing_scan)
+    grouped = run_experiment(small_size_spec(replications=201, c0_values=(0.1, 1.0)))
+    single = []
+    for c0 in (0.1, 1.0):
+        replication["r"] = -1
+        single += run_experiment(small_size_spec(replications=201, c0_values=(c0,))).cells
+    step, outcome = "NumericalError: injected step failure", "NumericalError: injected outcome failure"
+    assert [cell.failures_by_reason for cell in grouped.cells] == [{step: 1}, {outcome: 1, step: 1}]
+    assert [cell.failures_by_reason for cell in single] == [{step: 1}, {outcome: 1, step: 1}]
+    assert grouped.rows() == [row for cell in single for row in cell.rows()]
+
+
+def test_a_supp_d_replication_calls_no_eigvalsh(monkeypatch):
+    # at n = 5000 the column sums of the tensor instrument certify the K = 26...32 image-space steps that
+    # the knot-interval counts leave (one 36-column gram and its eigvalsh per multivariate replication
+    # before), so no scan of either design's replications forms a stability step's gram
+    calls = {"eigvalsh": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = reproduce("supp-D", replications=2, seed=3, n_values=(5000,))
+    assert len(out["rows"]) == 24
+    assert calls == {"eigvalsh": 0}
 
 
 def _fresh_pool_matches_serial(counts):
@@ -350,7 +463,7 @@ def test_worker_pool_is_shut_down_when_a_worker_fails(monkeypatch):
         raise RuntimeError("replication failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sim_module, "generate", failing)  # the forked workers inherit it
+        patch.setattr(sim_module, "draw", failing)  # the forked workers inherit it
         with pytest.raises(RuntimeError, match="replication failed"):
             run_experiment(small_size_spec(replications=4), jobs=2)
     assert counts == {"built": 1, "shut": 1}
@@ -439,10 +552,12 @@ GOLDEN_MC = pathlib.Path(__file__).parent / "data" / "golden_mc_reproduce.json"
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_reproduce_matches_golden_fixture(jobs):
-    # reproduce rows and summaries (without timings) of F1 (n = 500, xi = 0.5) and T1 (n = 500) at 6
-    # replications and seed 3; compared as JSON text, so NaN published values compare equal
+    # reproduce rows and summaries (without timings) of F1 (n = 500, xi = 0.5), T1 (n = 500), and supp-D and
+    # supp-C (n = 500, 1000) at 6 replications and seed 3; compared as JSON text, so NaN published values
+    # compare equal
     golden = json.loads(GOLDEN_MC.read_text())
-    for table, cells in (("F1", dict(n_values=(500,), xi_values=(0.5,))), ("T1", dict(n_values=(500,)))):
+    for table, cells in (("F1", dict(n_values=(500,), xi_values=(0.5,))), ("T1", dict(n_values=(500,))),
+                         ("supp-D", dict(n_values=(500, 1000))), ("supp-C", dict(n_values=(500, 1000)))):
         out = reproduce(table, replications=6, seed=3, jobs=jobs, **cells)
         ours = {"rows": out["rows"], "summaries": {k: _without_timings(s) for k, s in out["summaries"].items()}}
         assert json.dumps(ours, sort_keys=True) == json.dumps(golden[table], sort_keys=True)
