@@ -17,10 +17,8 @@ Candidate sets come in three modes:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
 
@@ -103,7 +101,18 @@ class NullSpec:
             raise InputError("constraints are only defined for shape nulls")
         if self.custom_rows is not None:
             return self.custom_rows(spec)
-        return deriv_constraints(spec, self.shape)
+        if spec.knot_rule != "equispaced":  # a quantile spec's hash leaves out its knot data
+            return deriv_constraints(spec, self.shape)
+        return _equispaced_constraints(spec, self.shape)
+
+
+@lru_cache(maxsize=256)
+def _equispaced_constraints(spec: BasisSpec, shape: str) -> ConstraintMatrix:
+    """deriv_constraints on an equispaced basis, which its rows depend on alone: built once per process and
+    returned read-only."""
+    m = deriv_constraints(spec, shape)
+    m.rows.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -376,118 +385,62 @@ def _clamp_warnings(config: RunConfig, **samples) -> list[str]:
     return lines
 
 
-def _checked_data(y, x, w):
-    """(y, x, w, n) as float arrays sharing n finite observations."""
-    y = np.asarray(y, dtype=float)
+def _checked_data(ys, x, w):
+    """(ys, x, w, n): each outcome of ys, x and w as float arrays sharing n finite observations."""
+    ys = [np.asarray(y, dtype=float) for y in ys]
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    n = y.shape[0]
-    if y.ndim != 1 or x.shape[0] != n or w.shape[0] != n:
+    n = ys[0].shape[0]
+    if any(y.ndim != 1 or y.shape[0] != n for y in ys) or x.shape[0] != n or w.shape[0] != n:
         raise InputError("y, x, w must share the number of observations")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+    if not (all(np.all(np.isfinite(y)) for y in ys) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise InputError("data contains non-finite values")
-    return y, x, w, n
+    return ys, x, w, n
 
 
-def _design_key(spec: BasisSpec, column) -> tuple:
-    """What a design is built from: the basis, and the sample column 'x', 'w' or coordinate i of a 2-d w."""
-    return spec.family, spec.dim, spec.order, spec.support, spec.knot_rule, column
+def _single(grid, results, warnings, n):
+    """A public scan's (grid, entries, warnings, n) of its one outcome; the error that ended the pass is raised."""
+    (entries,) = results
+    if isinstance(entries, NumericalError):
+        raise entries
+    return grid, entries, warnings, n
 
 
 class _Designs:
-    """The designs, structural fits and constraint rows of the scans of one sample (x, w).
+    """The instrument designs of one sample w, for every candidate pass on it.
 
-    Outside a sample store (_sample_store) every request builds afresh and nothing is kept, so a scan holds
-    only the designs of the candidate it is at. Inside one, every scan of the store's sample reads the same
-    instance, which builds each kept entry once and keeps it until the store is dropped. The one-dimensional
-    factors of a tensor instrument are always kept: the stability steps, the candidates and the tensors of
-    every scan read them. The rest is kept only when the store is shared, that is when two or more scans of
-    one statistic read the sample: a design, keyed by _design_key; a tensor instrument, by its factors' keys;
-    a structural NpivFit, by Psi_J's key, K and rcond (a weighted scan's fit is not kept); a shape null's
-    constraint rows, by the shape and the regressor design's key. A kept array lives to the store's end,
-    and one that no other scan reads again costs its pages more than its rebuild. A build that raises keeps
-    nothing, so every scan that needs it raises the same error. Kept arrays are read-only.
+    The one-dimensional factors of a tensor instrument (a 2-d w) are kept, read-only, as long as the owner
+    holds the object, one public scan call or one Monte Carlo replication: the stability steps, the
+    candidates and the tensors of every pass on w read them. A 1-d w's B is built on each request, so a
+    pass holds only the designs of the candidate it is at.
     """
 
-    def __init__(self, x, w, stored: bool = False, shared: bool = False):
-        self.x, self.w = x, w
-        self._kept: dict | None = {} if stored else None
-        self._shared = shared
-
-    def _get(self, key, build, factor: bool = False):
-        if self._kept is None or not (self._shared or factor):
-            return build()
-        if key not in self._kept:
-            value = build()
-            for a in [value] if isinstance(value, np.ndarray) else vars(value).values():
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
-            self._kept[key] = value
-        return self._kept[key]
-
-    def _columns(self, specs) -> list:
-        return ["w"] if self.w.ndim == 1 else list(range(len(specs)))
-
-    def psi(self, spec: BasisSpec) -> np.ndarray:
-        """Psi_J: spec's design at x."""
-        return self._get(_design_key(spec, "x"), lambda: eval_design(spec, self.x))
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self._factors: dict[tuple, np.ndarray] = {}
 
     def factors(self, specs) -> list[np.ndarray]:
-        """The one-dimensional instrument designs: spec i's at coordinate i of w (B itself for a 1-d w)."""
-        return [self._get(_design_key(spec, column),
-                          partial(eval_design, spec, self.w if column == "w" else self.w[:, column]),
-                          factor=column != "w")
-                for spec, column in zip(specs, self._columns(specs))]
+        """Spec i's design at coordinate i of the 2-d w; a spec's equality leaves out its knot data, which for
+        coordinate i of one w is always w[:, i]."""
+        out = []
+        for i, spec in enumerate(specs):
+            key = (spec, i)
+            if key not in self._factors:
+                self._factors[key] = eval_design(spec, self.w[:, i])
+                self._factors[key].flags.writeable = False
+            out.append(self._factors[key])
+        return out
 
     def instrument(self, config: RunConfig, k_target: int) -> np.ndarray:
-        """B_K: config's instrument design for k_target at w, the tensor product of its factors for a 2-d w."""
-        if self._kept is None:
+        """B_K: config's instrument design for k_target at w, the tensor product of the kept factors for a 2-d w."""
+        if self.w.ndim == 1:
             return config.instrument_design(k_target, self.w)[1]
-        specs = config.instrument_specs(k_target, self.w)
-        factors = self.factors(specs)
-        if len(factors) == 1:
-            return factors[0]
-        return self._get(tuple(map(_design_key, specs, self._columns(specs))), lambda: _tensor_product(factors))
-
-    def fit(self, psi_spec: BasisSpec, k: int, rcond, weighted: bool, build):
-        """build(), the NpivFit of Psi_J and the K-column B_K on the same basis; a weighted scan's fit is not
-        kept. Psi_J's key and K determine B_K, since the scan builds both from one RunConfig."""
-        if weighted:
-            return build()
-        return self._get(("fit", _design_key(psi_spec, "x"), k, rcond), build)
-
-    def rows(self, null: NullSpec, psi_spec: BasisSpec) -> ConstraintMatrix:
-        """The shape null's constraint rows on Psi_J's basis; custom rows are not kept."""
-        if null.custom_rows is not None:
-            return null.constraints(psi_spec)
-        return self._get(("rows", null.shape, _design_key(psi_spec, "x")), partial(null.constraints, psi_spec))
+        return _tensor_product(self.factors(config.instrument_specs(k_target, self.w)))
 
 
-_store: ContextVar[_Designs | None] = ContextVar("npivtest_sample_store", default=None)
-
-
-@contextmanager
-def _sample_store(x, w, shared: bool):
-    """Inside the block, every scan of the sample (x, w), passed as these very arrays, reads one _Designs
-    store, shared when two or more scans of one statistic read the sample; the block's end drops it. The
-    sim module enters one per replication."""
-    token = _store.set(_Designs(x, w, stored=True, shared=shared))
-    try:
-        yield
-    finally:
-        _store.reset(token)
-
-
-def _designs(x, w) -> _Designs:
-    """The sample store's _Designs when (x, w) is its sample (x None: when w is), else one that keeps nothing."""
-    store = _store.get()
-    if store is not None and store.w is w and (x is None or store.x is x):
-        return store
-    return _Designs(x, w)
-
-
-def _candidate_pass(n: int, config: RunConfig, step, visit, outcome, j_min: int):
-    """(grid, entries): candidate dimensions via the exponential scan, the knot scan, or an explicit list.
+def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int):
+    """(grid, results): candidate dimensions via the exponential scan, the knot scan, or an explicit list, and
+    the statistics of every outcome on them.
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
@@ -495,23 +448,36 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcome, j_min: int)
     that has certified noise < s without computing s returns s = None and
     may return no designs; it cannot stop the scan. Candidates are keyed by
     dim; visit(dim, s, designs) turns each one's designs, once, into its
-    y-free factor, and outcome(factor) at once gives its _ScanEntry, with
-    the exact s. Designs and factor are dropped before the next index's
-    designs are built. j_min is the scan's lowest admissible index, the one
-    minimum every rule starts from.
+    y-free factor (dim, the exact s, ...), and each outcome at once turns
+    that factor into its _ScanEntry. Designs and factor are dropped before
+    the next index's designs are built. j_min is the scan's lowest
+    admissible index, the one minimum every rule starts from.
+
+    results[i] is outcome i's entries, or the NumericalError that ended it:
+    an outcome's own error ends that outcome alone, and an error of the
+    y-free pass ends every outcome still running. The pass stops when no
+    outcome is running, and grid is then None.
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     shat: dict[int, float] = {}
     warnings_list: list[str] = []
     j_list: list[int] = []
-    entries: list[_ScanEntry] = []
+    results: list[list[_ScanEntry] | NumericalError] = [[] for _ in outcomes]
 
     def record(dim: int, noise: float, s: float | None, designs, candidate: bool = True) -> bool:
         """Visit a new candidate, keep the exact s of a stepped index; True when the noise level overtakes s."""
         stop = s is not None and noise >= s
         if candidate and dim not in j_list:
-            entries.append(outcome(visit(dim, s, designs)))
-            s = entries[-1].s_hat
+            factor = visit(dim, s, designs)
+            s = factor[1]
+            for i, outcome in enumerate(outcomes):
+                if isinstance(results[i], list):
+                    try:
+                        results[i].append(outcome(factor))
+                    except NumericalError as exc:
+                        results[i] = exc
+            if not any(isinstance(res, list) for res in results):
+                raise results[-1]  # ends the pass, every outcome holding its own error
             j_list.append(dim)
         if s is not None:
             shat[dim] = s
@@ -519,42 +485,45 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcome, j_min: int)
 
     config.check_explicit_grid()
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
-    if mode == "explicit":
-        for j in config.grid:
-            record(*step(j))
-        j_max_hat = config.grid[-1]
-    else:
-        # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
-        rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
-        scan_start = max(j_under + 1, j_min)
-        for j in rule:
-            if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
+    try:
+        if mode == "explicit":
+            for j in config.grid:
                 record(*step(j))
-        # data-driven stability bound: first J where the noise level overtakes s_J
-        j_max_hat = hard_cap
-        for j in range(scan_start, hard_cap + 1):
-            try:
-                stepped = step(j)
-            except NumericalError as exc:
-                warnings_list.append(f"stability scan stopped at J={j}: {exc}")
-                j_max_hat = max(scan_start, j - 1)
-                if j <= j_max_hat and j in rule:  # J_max_hat keeps this candidate, which has no s_J
-                    raise
-                break
-            stop = record(*stepped, candidate=j in rule)
-            del stepped  # released before the next J's designs are built
-            if stop:
-                j_max_hat = j
-                break
+            j_max_hat = config.grid[-1]
+        else:
+            # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
+            rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
+            scan_start = max(j_under + 1, j_min)
+            for j in rule:
+                if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
+                    record(*step(j))
+            # data-driven stability bound: first J where the noise level overtakes s_J
+            j_max_hat = hard_cap
+            for j in range(scan_start, hard_cap + 1):
+                try:
+                    stepped = step(j)
+                except NumericalError as exc:
+                    warnings_list.append(f"stability scan stopped at J={j}: {exc}")
+                    j_max_hat = max(scan_start, j - 1)
+                    if j <= j_max_hat and j in rule:  # J_max_hat keeps this candidate, which has no s_J
+                        raise
+                    break
+                stop = record(*stepped, candidate=j in rule)
+                del stepped  # released before the next J's designs are built
+                if stop:
+                    j_max_hat = j
+                    break
 
-    fallback = not j_list
-    if fallback:
-        warnings_list.append(
-            f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
-        )
-        record(*step(j_min))
+        fallback = not j_list
+        if fallback:
+            warnings_list.append(
+                f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
+            )
+            record(*step(j_min))
+    except NumericalError as exc:  # a y-free error, or the last running outcome's: the pass ends
+        return None, [exc if isinstance(res, list) else res for res in results]
     return CandidateGrid(mode=mode, j_underbar=j_under, j_max_exp=j_max_exp, hard_cap=hard_cap, j_max_hat=j_max_hat,
-                         j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), entries
+                         j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), results
 
 
 def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
@@ -628,32 +597,33 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
     y-free factor, and _structural_outcome, the only part that reads y,
     computes its statistics at once. Returns (grid, entries, warnings, n).
     """
-    return _structural_scan(y, x, w, null, config, mu, h0=None)
+    return _single(*_structural_scan([y], x, w, null, config, None, mu))
 
 
-def _structural_scan(y, x, w, null: NullSpec, config: RunConfig, mu, h0):
-    """adaptive_scan, with D_J taken on y - h0 instead of the restricted residuals when h0 is given."""
-    y, x, w, n = _checked_data(y, x, w)
+def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None, mu=None, h0=None):
+    """adaptive_scan of every outcome in ys on one y-free pass: (grid, results, warnings, n), results as
+    _candidate_pass gives them, with D_J taken on y - h0 instead of the restricted residuals when h0 is given.
+    designs is the sample's _Designs; None builds one for this call."""
+    ys, x, w, n = _checked_data(ys, x, w)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
     config.check_null_basis(null)
-    weighted, mu = mu is not None, _weights(mu, n)
+    mu = _weights(mu, n)
+    designs = _Designs(w) if designs is None else designs
     knot_data = x if config.knot_rule == "quantile" else None
     scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
     fit_warnings: list[str] = []
-    store = _designs(x, w)
 
     def step(j: int):
         psi_spec = config.psi_spec(j, knot_data)
-        psi = store.psi(psi_spec)
-        b = store.instrument(config, config.k_factor * j)
+        psi = eval_design(psi_spec, x)
+        b = designs.instrument(config, config.k_factor * j)
         k = b.shape[1]
         try:
             if k >= n and scanned:
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            fit = store.fit(psi_spec, k, config.rcond, weighted, partial(fit_from_design, psi, b, mu=mu,
-                                                                        rcond=config.rcond))
+            fit = fit_from_design(psi, b, mu=mu, rcond=config.rcond)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
@@ -667,19 +637,19 @@ def _structural_scan(y, x, w, null: NullSpec, config: RunConfig, mu, h0):
             raise
         return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, psi, fit)
 
-    def visit(j: int, s_hat: float, designs):
-        psi_spec, psi, fit = designs
+    def visit(j: int, s_hat: float, built):
+        psi_spec, psi, fit = built
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
         try:
-            rows = store.rows(null, psi_spec) if null.kind == "shape" else None
+            rows = null.constraints(psi_spec) if null.kind == "shape" else None
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
         return j, s_hat, psi, fit, rows
 
     model = null.model if null.custom_design is None else null.custom_design
-    outcome = partial(_structural_outcome, y=y, h0=h0, x=x, model=model, rcond=config.rcond)
-    grid, entries = _candidate_pass(n, config, step, visit, outcome, j_min)
-    return grid, entries, [*_clamp_warnings(config, x=x, w=w), *grid.warnings, *fit_warnings], n
+    outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model, rcond=config.rcond) for y in ys]
+    grid, results = _candidate_pass(n, config, step, visit, outcomes, j_min)
+    return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
@@ -816,7 +786,7 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model="linear") if null is None else null
     values = _candidate_on_sample(candidate, x, config, null)
-    grid, entries, _, n = _structural_scan(y, x, w, null, config, mu, h0=values)
+    grid, entries, _, n = _single(*_structural_scan([y], x, w, null, config, None, mu, h0=values))
     report = decide(grid, entries, n, null, config)
     per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
              for rec in report.per_j]
@@ -824,8 +794,8 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j}
 
 
-def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
-    """step(k) of the image-space stability scan: (dim, noise, s_K, B) of the instrument design for k.
+def _image_space_step(config: RunConfig, designs: _Designs, n: int):
+    """step(k) of the image-space stability scan on designs.w: (dim, noise, s_K, B) of the instrument design for k.
 
     The scan steps far more dimensions than it visits, and a step only asks whether the noise level
     reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
@@ -841,9 +811,9 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
     step unchanged. In one 4-replication supp-D call at n = 5000, xi = 0.5, every step of either design is
     certified: the scans build only their candidates' designs and call no eigvalsh.
     """
+    w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)
     w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
-    store = _designs(None, w)
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
     def step(k: int):
@@ -857,12 +827,12 @@ def _image_space_step(config: RunConfig, w: np.ndarray, n: int):
             bound = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
             # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
             if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(specs) > 1:
-                factors = store.factors(specs)
+                factors = designs.factors(specs)
                 bound = float(np.max(_tensor_product(factors[:-1]).T @ factors[-1]))
             if noise < math.sqrt(n / bound) * (1.0 - 1e-9):
                 last[dim] = (dim, noise, None, None)
                 return last[dim]
-        b = store.instrument(config, k)
+        b = designs.instrument(config, k)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
@@ -895,16 +865,22 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     freedom. Returns (grid, entries, warnings, n), as adaptive_scan does: a
     candidate's y-free factor is U_B = q r_b, and _image_space_outcome reads y.
     """
+    return _single(*_image_space_scan([y], x, w, null, config, None))
+
+
+def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None):
+    """image_space_scan of every outcome in ys on one y-free pass: (grid, results, warnings, n), results as
+    _candidate_pass gives them. designs is the sample's _Designs; None builds one for this call."""
     null.check_image_space()
-    y, x, w, n = _checked_data(y, x, w)
+    ys, x, w, n = _checked_data(ys, x, w)
     model = null.model if null.custom_design is None else null.custom_design
-    store = _designs(x, w)
+    designs = _Designs(w) if designs is None else designs
 
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         if b is None:  # a certified step built no design
-            b = store.instrument(config, realized)
+            b = designs.instrument(config, realized)
         q, r_b, s_b = orthonormal_range(b, config.rcond)
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
@@ -913,10 +889,10 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
         raise InputError("parametric design and y must share the number of rows")
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
-    outcome = partial(_image_space_outcome, y=y, x=x, model=model, rcond=config.rcond)
-    grid, entries = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, w, n), visit,
-                                    outcome, k_min)
-    return grid, entries, [*_clamp_warnings(config, w=w), *grid.warnings], n
+    outcomes = [partial(_image_space_outcome, y=y, x=x, model=model, rcond=config.rcond) for y in ys]
+    grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n), visit,
+                                    outcomes, k_min)
+    return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic

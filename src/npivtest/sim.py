@@ -11,7 +11,8 @@ An experiment runs in three steps: `_plan` lists its cell tasks in row
 order, `_run` runs them, and `_summary` turns their outcomes into cells.
 `run_experiment` runs one experiment and `reproduce` all the experiments of
 a published table as one plan, so with jobs > 1 a call submits every chunk
-of every task before it gathers any. The process keeps one worker pool: the
+of every task before it gathers any. jobs is a positive integer. The process
+keeps one worker pool, of at most one worker per CPU available to it: the
 first call with jobs > 1 forks it, later calls with the same jobs reuse its
 warm workers, a call with another jobs replaces it, and it is shut down when
 a call fails and at exit; calls from several threads take turns. Outcomes
@@ -36,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import published
-from .adaptive import NullSpec, RunConfig, _res_parameters, _sample_store, adaptive_scan, decide, image_space_scan
+from .adaptive import (NullSpec, RunConfig, _Designs, _image_space_scan, _res_parameters, _structural_scan,
+                       decide)
 from .dgp import DesignConfig, HSpec, draw, null_boundary
 from .errors import InputError, NumericalError
 from .randdist import RngStream
@@ -242,39 +244,48 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     """Worker: run the test of every task of one group on the replications in `reps`.
 
     Per replication the group draws (x, w, u) once and forms each task's
-    y = h(x) + u as dgp.generate does. Its tasks' scans read one sample
-    store (adaptive._sample_store), shared when two or more of them run one
-    statistic, so every design, structural fit and constraint row set they
-    have in common is built once; the store is dropped after the
-    replication. Returns each task's outcomes: per rep
-    {alpha: (reject, j_reported, max_J W_J)}, or the reason "ExcClass: message"
-    of a numerical failure.
+    y = h(x) + u as dgp.generate does. Its tasks with one (statistic, null,
+    run config) share one y-free candidate pass, which runs every such
+    task's outcome on each candidate it visits, and every pass of the
+    replication reads one _Designs of w. Returns each task's outcomes: per
+    rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
+    "ExcClass: message" of a numerical failure, the task's own or, for
+    every task of a pass still running when it fails, the pass's.
     """
+    passes: dict[tuple, list[int]] = {}
     runs = []
-    for spec, cell, _ in tasks:
+    for t, (spec, cell, _) in enumerate(tasks):
         config = spec.run_config()
-        runs.append((spec.null_spec(), config, {alpha: replace(config, alpha=alpha) for alpha in spec.alphas},
-                     adaptive_scan if spec.statistic == "structural" else image_space_scan,
-                     spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0))))
+        passes.setdefault((spec.statistic, spec.null_spec(), config), []).append(t)
+        runs.append((spec.h_spec(cell.get("c0", 1.0), cell.get("c_a", 0.0), cell.get("c_b", 0.0)),
+                     {alpha: replace(config, alpha=alpha) for alpha in spec.alphas}))
     spec, cell, stream_offset = tasks[0]
-    shared = max(Counter(task.spec.statistic for task in tasks).values()) > 1
     out: list[_Outcomes] = [[] for _ in tasks]
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
-        x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][-1], stream))  # reads no h
-        with _sample_store(x, w, shared):
-            for (null, config, configs, scan, h), outcomes in zip(runs, out):
-                try:
-                    grid, entries, _, n_obs = scan(h(x) + u, x, w, null, config)
-                    per_alpha = {}
-                    for alpha, alpha_config in configs.items():
-                        report = decide(grid, entries, n_obs, null, alpha_config)
-                        w_max = max(rec.w_stat for rec in report.per_j)
-                        per_alpha[alpha] = (report.reject, report.j_reported, w_max)
-                    outcomes.append((r, per_alpha))
-                except NumericalError as exc:
-                    outcomes.append((r, f"{type(exc).__name__}: {exc}"))
+        x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][0], stream))  # reads no h
+        designs = _Designs(w)
+        for (statistic, null, config), members in passes.items():
+            scan = _structural_scan if statistic == "structural" else _image_space_scan
+            grid, results, _, n_obs = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
+            for t, entries in zip(members, results):
+                out[t].append((r, _verdicts(grid, entries, n_obs, null, runs[t][1])))
     return out
+
+
+def _verdicts(grid, entries, n: int, null: NullSpec, configs: dict[float, RunConfig]) -> dict | str:
+    """{alpha: (reject, j_reported, max_J W_J)} of one task's entries, or the reason "ExcClass: message" of
+    the NumericalError that ended its pass or its decision."""
+    try:
+        if isinstance(entries, NumericalError):
+            raise entries
+        per_alpha = {}
+        for alpha, config in configs.items():
+            report = decide(grid, entries, n, null, config)
+            per_alpha[alpha] = (report.reject, report.j_reported, max(rec.w_stat for rec in report.per_j))
+        return per_alpha
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # the process's worker pool as (owner pid, jobs, pool); a forked child inherits the tuple but not the workers
@@ -283,13 +294,19 @@ _calls = threading.Lock()  # held through each call, so calls from several threa
 
 
 def _workers(jobs: int) -> ProcessPoolExecutor:
-    """The process's pool of `jobs` workers, built on first use and replaced when jobs changes or a worker
-    died while the pool was idle."""
+    """The process's pool for `jobs`, built on first use and replaced when jobs changes or a worker died while
+    the pool was idle. It has at most one worker per CPU available to the process: a pool starts every
+    worker at its first submit."""
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), jobs) or _pool[2]._broken:
         _discard_pool()
-        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=min(jobs, _cpus())))
     return _pool[2]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @atexit.register
@@ -306,8 +323,8 @@ def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
     """Each task's outcomes in plan order, sorted by replication index whatever the chunking.
 
     Tasks run in their draw groups (_groups). With jobs > 1 and at least 4
-    replications per task, the process's one pool of `jobs` workers runs
-    each group in at most 4 * jobs chunks of replications; every chunk is
+    replications per task, the process's one pool (_workers) runs each
+    group in at most 4 * jobs chunks of replications; every chunk is
     submitted before the first result is gathered. The pool stays warm for
     the next call with the same jobs, and is discarded when a call fails
     (`_summaries`) and at exit. Otherwise the groups run in this process.
@@ -404,6 +421,8 @@ def _summaries(specs: list[ExperimentSpec], jobs: int) -> list[McSummary]:
     """The summary of each experiment, all of them run as one plan; the process's pool is discarded when
     anything fails, so no failed call leaves workers behind for the next. Calls from several threads take
     turns, so none replaces or discards the pool under another."""
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+        raise InputError(f"jobs must be a positive integer, got {jobs!r}")
     start = time.perf_counter()
     plans = [_plan(spec) for spec in specs]
     with _calls:

@@ -617,7 +617,7 @@ def compute_shat(psi, b, omega=None) -> float:
     return float(svals[-1])
 
 
-def image_space_step_dense(config, w: np.ndarray, n: int):
+def image_space_step_dense(config, designs, n: int):
     """The image-space stability step that builds every design, a drop-in for adaptive._image_space_step.
 
     step(k) builds the instrument design B for k, forms B'B/n and returns (dim, noise, s_K, B) with
@@ -626,6 +626,7 @@ def image_space_step_dense(config, w: np.ndarray, n: int):
     """
     from npivtest.adaptive import _noise_level
 
+    w = designs.w
     d_w = 1 if w.ndim == 1 else w.shape[1]
     last: dict[int, tuple] = {}
 
@@ -645,7 +646,7 @@ def image_space_step_dense(config, w: np.ndarray, n: int):
     return step
 
 
-def image_space_step_knot_counts(config, w: np.ndarray, n: int):
+def image_space_step_knot_counts(config, designs, n: int):
     """The image-space stability step that certifies from knot-interval counts alone, a drop-in for
     adaptive._image_space_step: a B-spline step (1-d or tensor) whose noise level stays below
     sqrt(n / min_d max_j N_{d,j}) returns (dim, noise, None, None); every other step builds B, forms B'B/n
@@ -654,6 +655,7 @@ def image_space_step_knot_counts(config, w: np.ndarray, n: int):
     """
     from npivtest.adaptive import _max_support_count, _noise_level
 
+    w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)
     w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
     last: dict[int, tuple] = {}

@@ -20,6 +20,7 @@ from npivtest.adaptive import (
     compute_D,
     compute_vhat,
     cs_contains,
+    decide,
     eta_hat,
     gamma_hat,
     image_space_test,
@@ -792,14 +793,14 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     # the next per_dim^2, so the scan steps more indices than designs
     data = generate(DesignConfig("multivariate", 5000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
     built = []
-    instrument_design = RunConfig.instrument_design
+    instrument = adaptive_module._Designs.instrument
 
-    def recording(self, k_target, w):
-        specs, b = instrument_design(self, k_target, w)
+    def recording(self, config, k_target):
+        b = instrument(self, config, k_target)
         built.append(b.shape[1])
-        return specs, b
+        return b
 
-    monkeypatch.setattr(RunConfig, "instrument_design", recording)
+    monkeypatch.setattr(adaptive_module._Designs, "instrument", recording)
     rep = image_space_test(data.y, data.x, data.w, "linear")
     assert sorted(built) == sorted(rep.grid.j_list) == sorted(rep.grid.shat)  # builds == candidates
     built.clear()
@@ -821,34 +822,114 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     assert bypassed.to_dict() == rep.to_dict()
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_a_sample_store_keeps_tensor_factors_and_when_shared_the_rest(monkeypatch, shared):
-    # two structural tests and an image-space test of one multivariate sample give the reports they give
-    # alone; the store builds each tensor factor once, and each Psi_J once when it is shared. A test of
-    # another x inside the store builds its own designs
+def test_passes_on_one_sample_share_its_tensor_factors(monkeypatch):
+    # a structural pass and an image-space pass, on one _Designs of a multivariate sample, give the reports
+    # each test gives alone, and every tensor factor is built once across both passes
     data = generate(DesignConfig("multivariate", 1000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
-    other_x = data.x.copy()
+    null, config = NullSpec.from_name("linear"), RunConfig(grid="knots", k_factor=4)
+    alone = [adaptive_test(data.y, data.x, data.w, null, config).to_dict(),
+             image_space_test(data.y, data.x, data.w, "linear", config).to_dict()]
     built = Counter()
     eval_design_ = adaptive_module.eval_design
 
     def recording(spec, points):
-        built["psi" if points is data.x else "other psi" if points is other_x else (spec.dim, points[0])] += 1
+        if points is not data.x:
+            built[(spec.dim, points[0])] += 1
         return eval_design_(spec, points)
 
     monkeypatch.setattr(adaptive_module, "eval_design", recording)
+    designs = adaptive_module._Designs(data.w)
+    grid, (entries,), warn, n = adaptive_module._structural_scan([data.y], data.x, data.w, null, config, designs)
+    shared = [decide(grid, entries, n, null, config, warnings=warn).to_dict()]
+    grid, (entries,), warn, n = adaptive_module._image_space_scan([data.y], data.x, data.w, null, config, designs)
+    shared.append(decide(grid, entries, n, null, config, statistic="image-space", warnings=warn).to_dict())
+    assert shared == alone
+    assert set(built.values()) == {1}
+    assert (3, data.w[0, 0]) in built  # the image-space candidate K = 9 = 3 x 3 is built from these factors
+
+
+def test_a_structural_pass_builds_each_psi_once_for_all_its_outcomes(monkeypatch):
+    # two structural outcomes on one pass of a multivariate sample give the reports each test gives alone,
+    # and each stepped Psi_J is built once for both
+    data = generate(DesignConfig("multivariate", 1000, 0.5, HSpec("quad", c_a=0.5), RngStream(4, 2)))
     null, config = NullSpec.from_name("linear"), RunConfig(grid="knots", k_factor=4)
-    tests = [lambda y, x, w: adaptive_test(y, x, w, null, config)] * 2 + [
-        lambda y, x, w: image_space_test(y, x, w, "linear", config)]
-    alone = [test(data.y, data.x, data.w).to_dict() for test in tests]
-    psi_alone = built["psi"]  # without a store the tensor instruments go through RunConfig.instrument_design
-    built.clear()
-    with adaptive_module._sample_store(data.x, data.w, shared):
-        assert [test(data.y, data.x, data.w).to_dict() for test in tests] == alone
-        assert built.pop("psi") == (psi_alone // 2 if shared else psi_alone)
-        assert set(built.values()) == {1}
-        assert (3, data.w[0, 0]) in built  # the image-space candidate K = 9 = 3 x 3 is built from these factors
-        tests[0](data.y, other_x, data.w)
-    assert built["other psi"] == psi_alone // 2
+    ys = [data.y, data.y + np.sin(6.0 * data.x)]
+    alone = [adaptive_test(y, data.x, data.w, null, config).to_dict() for y in ys]
+    built = Counter()
+    eval_design_ = adaptive_module.eval_design
+
+    def recording(spec, points):
+        if points is data.x:
+            built[spec.dim] += 1
+        return eval_design_(spec, points)
+
+    monkeypatch.setattr(adaptive_module, "eval_design", recording)
+    grid, results, warn, n = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
+    assert [decide(grid, entries, n, null, config, warnings=warn).to_dict() for entries in results] == alone
+    assert len(ys) == 2 and sorted(built) == sorted(grid.shat) and set(built.values()) == {1}
+
+
+def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(monkeypatch):
+    # on an explicit grid (3, 4, 5): the first outcome fails at J = 4 with its own error, and the fit of
+    # J = 5 fails for the whole pass, which ends the two outcomes still running with that one error. A
+    # public scan raises its outcome's error at once and steps no further
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
+    ys = [data.y, data.y + 1.0, data.y + 2.0]
+    outcome, fit = adaptive_module._structural_outcome, adaptive_module.fit_from_design
+    fitted = []
+
+    def failing_outcome(factor, y, **kwargs):
+        if y is ys[0] and factor[0] == 4:
+            raise NumericalError("outcome failure")
+        return outcome(factor, y, **kwargs)
+
+    def failing_fit(psi, b, **kwargs):
+        fitted.append(psi.shape[1])
+        if psi.shape[1] == 5:
+            raise NumericalError("pass failure")
+        return fit(psi, b, **kwargs)
+
+    monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
+    null, config = NullSpec.from_name("decreasing"), RunConfig(grid=(3, 4, 5))
+    grid, results, _, _ = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
+    assert grid is None
+    assert [str(res) for res in results] == ["outcome failure", "pass failure", "pass failure"]
+    assert results[1] is results[2]
+    fitted.clear()
+    with pytest.raises(NumericalError, match="outcome failure"):
+        adaptive_scan(ys[0], data.x, data.w, null, config)
+    assert fitted == [3, 4]
+
+
+def test_equispaced_constraint_rows_are_built_once_per_process(monkeypatch):
+    adaptive_module._equispaced_constraints.cache_clear()
+    calls = _count_calls(monkeypatch, "deriv_constraints", (adaptive_module,))
+    null = NullSpec.from_name("convex")
+    first = null.constraints(BasisSpec("bspline", 7, 3))
+    assert null.constraints(BasisSpec("bspline", 7, 3)) is first
+    assert calls["calls"] == 1
+    expected = deriv_constraints(BasisSpec("bspline", 7, 3), "convex")
+    assert first.kind == expected.kind
+    np.testing.assert_array_equal(first.rows, expected.rows)
+    with pytest.raises(ValueError, match="read-only"):
+        first.rows[0, 0] = 1.0
+
+
+def test_quantile_knot_constraint_rows_are_built_fresh(monkeypatch, rng):
+    # a quantile spec hashes without its knot data, so equal-looking specs may hold other knots
+    adaptive_module._equispaced_constraints.cache_clear()
+    calls = _count_calls(monkeypatch, "deriv_constraints", (adaptive_module,))
+    null = NullSpec.from_name("decreasing")
+    x = rng.uniform(size=300)
+    specs = [BasisSpec("bspline", 7, 3, knot_rule="quantile", knot_data=data) for data in (x, x**3)]
+    assert specs[0] == specs[1]
+    rows = [null.constraints(spec) for spec in specs]
+    assert calls["calls"] == 2
+    assert not np.array_equal(rows[0].rows, rows[1].rows)
+    for m, spec in zip(rows, specs):
+        np.testing.assert_array_equal(m.rows, deriv_constraints(spec, "decreasing").rows)
+    assert adaptive_module._equispaced_constraints.cache_info().currsize == 0
 
 
 def _concentrated_sample(n=1000, share=0.9, width=0.01, seed=5):
@@ -865,8 +946,8 @@ def _recorded_image_space_test(monkeypatch, y, x, w, config=None):
     steps, built = [], []
     factory, instrument_design = adaptive_module._image_space_step, RunConfig.instrument_design
 
-    def recording_factory(config, w, n):
-        step = factory(config, w, n)
+    def recording_factory(config, designs, n):
+        step = factory(config, designs, n)
 
         def recording_step(k):
             stepped = step(k)

@@ -653,6 +653,12 @@ def test_cmd_reproduce_bad_filter_exit_2(capsys, table, flags):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cmd_reproduce_jobs_below_one_exit_2(capsys, jobs):
+    assert run_cli("reproduce", "T1", "--reps", "4", "--n", "500", "--jobs", jobs) == 2
+    assert "jobs must be a positive integer" in capsys.readouterr().err
+
+
 def test_cmd_reproduce_unknown_table(capsys):
     with pytest.raises(SystemExit):
         run_cli("reproduce", "T7")

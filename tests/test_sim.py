@@ -8,7 +8,7 @@ import sys
 import textwrap
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -131,22 +131,22 @@ def test_run_experiment_does_not_depend_on_jobs(spec):
 
 
 def test_calibration_and_cell_failures_do_not_depend_on_jobs(monkeypatch):
-    # the scan fails once in the boundary-null run (stream offset + 5) and once in the cell (stream 7)
+    # the outcome fails once in the boundary-null run (stream offset + 5) and once in the cell (stream 7)
     failing = {sim_module.CALIBRATION_STREAM_OFFSET + 5, 7}
     current = {}
-    stream, scan = sim_module.RngStream, sim_module.adaptive_scan
+    stream, outcome = sim_module.RngStream, adaptive_module._structural_outcome
 
     def recording_stream(seed, stream_id):
         current["id"] = stream_id
         return stream(seed, stream_id)
 
-    def failing_scan(*args, **kwargs):
+    def failing_outcome(*args, **kwargs):
         if current["id"] in failing:
             raise NumericalError("injected")
-        return scan(*args, **kwargs)
+        return outcome(*args, **kwargs)
 
     monkeypatch.setattr(sim_module, "RngStream", recording_stream)  # the forked workers inherit both
-    monkeypatch.setattr(sim_module, "adaptive_scan", failing_scan)
+    monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
     spec = ExperimentSpec(mode="size_adjusted_power", h_family="sin", n_values=(200,), c_a_values=(1.0,),
                           replications=101, master_seed=17)  # one failure in 101 is within MAX_FAILURE_SHARE
     serial = _without_timings(run_experiment(spec, jobs=1))
@@ -348,46 +348,120 @@ def test_each_sample_is_drawn_once(monkeypatch, tmp_path, jobs):
                                                                for r in range(4))
 
 
-def test_a_group_builds_each_design_once_per_replication(monkeypatch):
-    # T1's 3 c0 x 2 K-factor tasks of one xi share each draw: per replication every Psi_J and B_K is evaluated
-    # once, every (Psi_J, B_K) pair factored once, and every J's constraint rows built once
-    replication = {"r": -1}
-    records = []
-    draw, eval_design, fit, rows = (sim_module.draw, adaptive_module.eval_design, adaptive_module.fit_from_design,
-                                    adaptive_module.deriv_constraints)
+def _recording(records, replication, name, fn, key):
+    """fn, appending (replication["r"], name, key(*args)) to records on each call."""
+    def wrapper(*args, **kwargs):
+        records.append((replication["r"], name, key(*args)))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _counting_draws(monkeypatch, replication, seen=None):
+    """Patch sim.draw to count draws in replication["r"] (from 0) and keep each draw's (x, w) in seen."""
+    draw = sim_module.draw
 
     def counting_draw(cfg):
         replication["r"] += 1
-        return draw(cfg)
-
-    def recording(name, fn, key):
-        def wrapper(*args, **kwargs):
-            records.append((replication["r"], name, key(*args)))
-            return fn(*args, **kwargs)
-        return wrapper
+        x, w, u = draw(cfg)
+        if seen is not None:
+            seen[replication["r"]] = (x, w)
+        return x, w, u
 
     monkeypatch.setattr(sim_module, "draw", counting_draw)
-    monkeypatch.setattr(adaptive_module, "eval_design",
-                        recording("design", eval_design, lambda spec, x: (spec.dim, len(np.shape(x)), x[0])))
-    monkeypatch.setattr(adaptive_module, "fit_from_design",
-                        recording("fit", fit, lambda psi, b: (psi.shape[1], b.shape[1])))
-    monkeypatch.setattr(adaptive_module, "deriv_constraints",
-                        recording("rows", rows, lambda spec, kind: (spec.dim, kind)))
+
+
+def test_t1_builds_each_psi_once_per_k_factor_pass_and_its_rows_once(monkeypatch):
+    # T1's 3 c0 x 2 K-factor tasks of one xi share each draw, and the 3 c0 tasks of one K factor share a pass:
+    # per replication each stepped Psi_J is evaluated once per K factor that steps J, each (Psi_J, B_K) pair
+    # is factored once, and each J's constraint rows are built once in the whole call
+    adaptive_module._equispaced_constraints.cache_clear()
+    replication, records, seen = {"r": -1}, [], {}
+    _counting_draws(monkeypatch, replication, seen)
+    eval_design = adaptive_module.eval_design
+    monkeypatch.setattr(adaptive_module, "eval_design", _recording(
+        records, replication, "psi", eval_design, lambda spec, x: spec.dim if x is seen[replication["r"]][0] else None))
+    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
+        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, b: (psi.shape[1], b.shape[1])))
+    monkeypatch.setattr(adaptive_module, "deriv_constraints", _recording(
+        records, replication, "rows", adaptive_module.deriv_constraints, lambda spec, kind: (spec.dim, kind)))
     out = reproduce("T1", replications=3, seed=3, n_values=(500,), xi_values=(0.7,))
     assert replication["r"] == 2
-    assert all(count == 1 for count in Counter(records).values())
-    for r in range(3):  # without the store each of them would be built once per task that steps it
-        assert {("fit", (3, 6)), ("fit", (3, 12)), ("rows", (3, "decreasing"))} <= {
-            (name, key) for rep, name, key in records if rep == r}
+    fits = Counter((r, key) for r, name, key in records if name == "fit")
+    assert set(fits.values()) == {1}
+    k_factors = Counter((r, j) for r, j, k in {(r, j, k) for (r, (j, k)) in fits})
+    psis = Counter((r, key) for r, name, key in records if name == "psi" and key is not None)
+    assert psis == k_factors
+    assert max(psis.values()) == 2  # J = 3 is stepped by both K factors
+    rows = Counter(key for _, name, key in records if name == "rows")
+    assert set(rows.values()) == {1} and (3, "decreasing") in rows
     assert len(out["summaries"]["k2"].cells) == len(out["summaries"]["k4"].cells) == 3
 
 
+def test_an_f1_group_builds_each_fit_once_per_stepped_j(monkeypatch):
+    # F1's 6 c_a x 3 c_b cells of one xi share each draw and one pass, as do its 3 boundary-null runs: per
+    # draw each stepped J's fit is built once, and every cell of the pass computes its outcome on it
+    replication, records = {"r": -1}, []
+    _counting_draws(monkeypatch, replication)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
+        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, b: psi.shape[1]))
+    monkeypatch.setattr(adaptive_module, "_structural_outcome", _recording(
+        records, replication, "outcome", adaptive_module._structural_outcome, lambda factor: factor[0]))
+    out = reproduce("F1", replications=2, seed=3, n_values=(500,), xi_values=(0.5,))
+    assert replication["r"] == 3  # 2 draws for the boundary-null runs, 2 for the cells
+    fits = Counter((r, j) for r, name, j in records if name == "fit")
+    assert set(fits.values()) == {1}
+    outcomes = Counter((r, j) for r, name, j in records if name == "outcome")
+    assert set(outcomes) == set(fits)  # every stepped J is a candidate of F1's knot grid
+    assert {r: set(n for (rep, _), n in outcomes.items() if rep == r) for r in range(4)} == {
+        0: {3}, 1: {3}, 2: {18}, 3: {18}}
+    assert len(out["rows"]) == 18
+
+
+def test_a_supp_d_sample_builds_its_tensor_factors_once(monkeypatch):
+    # supp-D's structural and image-space passes of one multivariate draw read one _Designs: each tensor
+    # factor, and each stepped Psi_J, is evaluated once per sample
+    replication, records, seen = {"r": -1}, [], {}
+    _counting_draws(monkeypatch, replication, seen)
+    eval_design = adaptive_module.eval_design
+
+    def key(spec, points):
+        x, w = seen[replication["r"]]
+        return (w.ndim, "x" if points is x else "w", spec.dim, float(points[0]))
+
+    monkeypatch.setattr(adaptive_module, "eval_design", _recording(records, replication, "design", eval_design, key))
+    reproduce("supp-D", replications=2, seed=3, n_values=(500,), xi_values=(0.5,))
+    multivariate = Counter((r, k) for r, _, k in records if k[0] == 2)
+    factors = {(r, dim) for r, (_, side, dim, _) in multivariate if side == "w"}
+    assert set(multivariate.values()) == {1}
+    assert len(factors) >= 4 and len({r for r, _ in factors}) == 2
+
+
+def test_image_space_cells_sharing_a_pass_match_their_own_runs(monkeypatch):
+    # the c_a cells of an image-space power experiment share one pass per replication; their rows are
+    # those of each cell run on its own
+    calls = {"passes": 0}
+    scan = sim_module._image_space_scan
+
+    def counting_scan(*args):
+        calls["passes"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(sim_module, "_image_space_scan", counting_scan)
+    fields = dict(design="multivariate", mode="power", statistic="image-space", null="linear", h_family="quad",
+                  n_values=(500,), replications=6, k_factor=4, master_seed=5)
+    shared = run_experiment(ExperimentSpec(c_a_values=(0.0, 1.0, 3.0), **fields))
+    assert calls["passes"] == 6
+    single = [run_experiment(ExperimentSpec(c_a_values=(c_a,), **fields)) for c_a in (0.0, 1.0, 3.0)]
+    assert shared.rows() == [row for summary in single for row in summary.rows()]
+    assert len({row["reject_rate"] for row in shared.rows()}) > 1
+
+
 def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
-    # c0 = 0.1 and 1.0 share each draw. In replication 3 the J = 3 step's fit raises: the failed build is not
-    # kept, so both tasks fail there. In replication 7 only the c0 = 1.0 task's scan fails. Reasons and rows
-    # are those of each task run on its own
+    # c0 = 0.1 and 1.0 share each draw and each pass. In replication 3 the J = 3 step's fit raises: the pass
+    # fails, so both tasks fail there. In replication 7 only the c0 = 1.0 task's outcome fails, and the pass
+    # goes on for the other. Reasons and rows are those of each task run on its own
     replication = {"r": -1}
-    draw, fit, scan = sim_module.draw, adaptive_module.fit_from_design, sim_module.adaptive_scan
+    draw, fit, outcome = sim_module.draw, adaptive_module.fit_from_design, adaptive_module._structural_outcome
     target = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=1.0), RngStream(31, 7))).y
 
     def counting_draw(cfg):
@@ -399,14 +473,14 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
             raise NumericalError("injected step failure")
         return fit(psi, b, *args, **kwargs)
 
-    def failing_scan(y, *args):
+    def failing_outcome(factor, y, **kwargs):
         if np.array_equal(y, target):
             raise NumericalError("injected outcome failure")
-        return scan(y, *args)
+        return outcome(factor, y, **kwargs)
 
     monkeypatch.setattr(sim_module, "draw", counting_draw)
     monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
-    monkeypatch.setattr(sim_module, "adaptive_scan", failing_scan)
+    monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
     grouped = run_experiment(small_size_spec(replications=201, c0_values=(0.1, 1.0)))
     single = []
     for c0 in (0.1, 1.0):
@@ -490,6 +564,48 @@ def test_calls_from_threads_share_the_pool_in_turn():
     with ThreadPoolExecutor(max_workers=4) as threads:
         calls = [threads.submit(run_experiment, spec, jobs) for jobs in (2, 3) * 3]
         assert [call.result(timeout=300).rows() for call in calls] == [serial] * 6
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2", None])
+def test_jobs_must_be_a_positive_integer(monkeypatch, jobs):
+    counts = _counting_pools(monkeypatch)
+    with pytest.raises(InputError, match="jobs must be a positive integer"):
+        run_experiment(small_size_spec(replications=4), jobs=jobs)
+    with pytest.raises(InputError, match="jobs must be a positive integer"):
+        reproduce("T1", replications=4, jobs=jobs, n_values=(500,))
+    assert counts == {"built": 0, "shut": 0}
+
+
+def test_the_pool_has_at_most_one_worker_per_available_cpu(monkeypatch):
+    # a pool starts every worker at its first submit, so the requested jobs must not reach it unchecked;
+    # the inline pool below starts none, and jobs still sets the chunking, so the rows are the serial rows
+    created = []
+
+    class InlinePool:
+        _broken = False
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, **kwargs):
+            pass
+
+    assert 1 <= sim_module._cpus() == len(os.sched_getaffinity(0))
+    spec = small_size_spec(replications=8)
+    serial = run_experiment(spec, jobs=1).rows()
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
+    try:
+        assert run_experiment(spec, jobs=100_000).rows() == serial
+        assert run_experiment(spec, jobs=2).rows() == serial
+    finally:
+        sim_module._discard_pool()
+    assert created == [3, 2]
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
