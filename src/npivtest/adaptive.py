@@ -24,11 +24,11 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import (BasisSpec, ConstraintMatrix, _max_support_count, _tensor_product, deriv_constraints, eval_design,
-                    min_dim, tensor_design, zeta)
+from .basis import (BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design, min_dim,
+                    tensor_design, zeta)
 from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
-from .linalg import _lapack, frobenius_norm, orthonormal_range
-from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
+from .linalg import _lapack, default_rcond, frobenius_norm, orthonormal_range
+from .npiv import _fit_from_factor, _weights, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -411,13 +411,16 @@ class _Designs:
 
     The one-dimensional factors of a tensor instrument (a 2-d w) are kept, read-only, as long as the owner
     holds the object, one public scan call or one Monte Carlo replication: the stability steps, the
-    candidates and the tensors of every pass on w read them. A 1-d w's B is built on each request, so a
-    pass holds only the designs of the candidate it is at.
+    candidates and the tensors of every pass on w read them. A design B_K is built on each request. With
+    keep, instrument_factor keeps each realized design's factor for the owner's lifetime too: the structural
+    fits and the image-space candidates of a replication's passes share it. Without keep (a public scan,
+    which reads each factor once) a pass holds only the designs and factor of the candidate it is at.
     """
 
-    def __init__(self, w: np.ndarray):
+    def __init__(self, w: np.ndarray, keep: bool = False):
         self.w = w
         self._factors: dict[tuple, np.ndarray] = {}
+        self._kept: dict[tuple, tuple] | None = {} if keep else None
 
     def factors(self, specs) -> list[np.ndarray]:
         """Spec i's design at coordinate i of the 2-d w; a spec's equality leaves out its knot data, which for
@@ -436,6 +439,17 @@ class _Designs:
         if self.w.ndim == 1:
             return config.instrument_design(k_target, self.w)[1]
         return _tensor_product(self.factors(config.instrument_specs(k_target, self.w)))
+
+    def instrument_factor(self, config: RunConfig, k_target: int, b: np.ndarray | None = None) -> tuple:
+        """(q, r, s_B) = orthonormal_range(B_K, config.rcond) of config's instrument design for k_target, from b
+        when the caller has built B_K. With n > K the default rcond is 1e-12 n, the structural fit's own."""
+        key = (tuple(config.instrument_specs(k_target, self.w)), config.rcond)
+        if self._kept is not None and key in self._kept:
+            return self._kept[key]
+        factor = orthonormal_range(self.instrument(config, k_target) if b is None else b, config.rcond)
+        if self._kept is not None:
+            self._kept[key] = factor
+        return factor
 
 
 def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int):
@@ -611,19 +625,24 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     mu = _weights(mu, n)
     designs = _Designs(w) if designs is None else designs
     knot_data = x if config.knot_rule == "quantile" else None
-    scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
+    scanned, j_min, d_w = not isinstance(config.grid, tuple), config.basis_min(), 1 if w.ndim == 1 else w.shape[1]
     fit_warnings: list[str] = []
 
     def step(j: int):
         psi_spec = config.psi_spec(j, knot_data)
         psi = eval_design(psi_spec, x)
-        b = designs.instrument(config, config.k_factor * j)
-        k = b.shape[1]
+        k_target = config.k_factor * j
+        k = config.instrument_dim(k_target, d_w)
         try:
-            if k >= n and scanned:
+            if k >= n:  # B_K is built for its evaluation errors alone, which come first as at any step
+                designs.instrument(config, k_target)
+                if not scanned:
+                    raise InputError(f"need n > K, got n={n}, K={k}")
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            fit = fit_from_design(psi, b, mu=mu, rcond=config.rcond)
+            # n > K >= J, so the fit's default rcond is B's factor's, 1e-12 n
+            rcond = default_rcond((n, k)) if config.rcond is None else config.rcond
+            fit = _fit_from_factor(psi, designs.instrument_factor(config, k_target), mu, rcond)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
@@ -794,6 +813,61 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j}
 
 
+@lru_cache(maxsize=64)
+def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: int):
+    """(rows, knots) of the image-space stability scan on n points of a d_w-dimensional w, built once per process.
+
+    rows[k], k = 0...hard_cap, is (dim, noise, per_dim) of the instrument design for k: its realized dimension,
+    noise level and per-coordinate factor dimension. knots maps each such per_dim to its equispaced B-spline
+    knot vector on support; it is None for another family.
+    """
+    config = RunConfig(basis=basis, support=support)
+    rows = []
+    for k in range(_res_parameters(n)[2] + 1):
+        dim = config.instrument_dim(k, d_w)
+        per_dim = round(dim ** (1.0 / d_w))
+        rows.append((dim, _noise_level([config.psi_spec(per_dim)] * d_w, dim, n), per_dim))
+    if config.family != "bspline":
+        return tuple(rows), None
+    return tuple(rows), {per_dim: config.psi_spec(per_dim).knot_vector() for *_, per_dim in rows}
+
+
+def _support_counts(knots: dict[int, np.ndarray], order: int, x_sorted: np.ndarray) -> dict[int, int]:
+    """max_j N_j per key of knots, N_j the number of the sorted points x_sorted in the support [t_j, t_{j+order}]
+    of B-spline j on that knot vector t, from one searchsorted over the concatenated knot vectors.
+
+    A B-spline design B at points inside the support has B >= 0 and rows summing to one, so by Gershgorin
+    lambda_max(B'B/n) <= max_j (1/n) sum_i B_j(x_i) <= max_j N_j / n. Clamp the points before sorting them.
+    """
+    if not knots:
+        return {}
+    t = np.concatenate(list(knots.values()))
+    # x <= t exactly when x < the next float above t, so one search finds both ends of every support
+    found = np.searchsorted(x_sorted, np.concatenate([t, np.nextafter(t, np.inf)]))
+    first, last = found[: t.size], found[t.size :]
+    lengths = [v.size for v in knots.values()]
+    # an index j that runs past its knot vector pairs a knot at hi with one at lo of the next clamped vector,
+    # so its count is at most 0 and never exceeds a B-spline's
+    counts = np.maximum.reduceat(last[order:] - first[:-order], np.cumsum(lengths) - lengths)
+    return dict(zip(knots, counts.tolist()))
+
+
+def _coordinate_counts(config: RunConfig, knots: dict[int, np.ndarray], c: np.ndarray) -> dict:
+    """per_dim -> max_j N_j of coordinate c of w for each per_dim of knots, the table's equispaced knot
+    vectors; a quantile rule counts on c's own knots instead, and a per_dim whose quantile knots have too
+    many ties maps to the InputError its design would raise."""
+    errors = {}
+    if config.knot_rule == "quantile":
+        own = {}
+        for per_dim in knots:
+            try:
+                own[per_dim] = config.psi_spec(per_dim, c).knot_vector()
+            except InputError as exc:
+                errors[per_dim] = exc
+        knots = own
+    return {**_support_counts(knots, config.order, np.sort(np.clip(c, *config.support))), **errors}
+
+
 def _image_space_step(config: RunConfig, designs: _Designs, n: int):
     """step(k) of the image-space stability scan on designs.w: (dim, noise, s_K, B) of the instrument design for k.
 
@@ -802,32 +876,42 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int):
     B >= 0 and unit row sums, so by Gershgorin lambda_max(B'B/n) <= max_j (column sum j of B) / n. A
     column of B is supported inside each of its factors' supports, so that is at most
     min_d max_j N_{d,j} / n, N_{d,j} the knot-interval counts of coordinate d's sorted sample
-    (basis._max_support_count). A step first tries the counts and, for a tensor they leave uncertified,
-    the column sums themselves: for a 2-d w they are the entries of B_1'B_2, formed from the n x per_dim
-    factors. A step whose noise stays below the bound returns (dim, noise, None, None): it builds no
-    n x K design and computes no s_K, and a candidate's visit builds B and reads s_K = sqrt(n) / s_max(B).
-    Any other step (cosine, power, or uncertified) forms B'B for lambda_max only and factors no design. A
-    2-d w rounds k up to the next per_dim^2, so a step whose realized dim repeats the last one returns that
-    step unchanged. In one 4-replication supp-D call at n = 5000, xi = 0.5, every step of either design is
-    certified: the scans build only their candidates' designs and call no eigvalsh.
+    (_support_counts). A step's dim, noise level and factor dimension come from the per-process
+    _image_space_table, and the counts of every factor dimension it lists from one search per coordinate
+    of w, on the table's equispaced knots or on the sample's quantile knots. A step first tries the counts
+    and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w they are the entries
+    of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the bound returns
+    (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's visit builds
+    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, uncertified, or past the table)
+    forms B'B for lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a
+    step whose realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D
+    call at n = 5000, xi = 0.5, every step of either design is certified: the scans build only their
+    candidates' designs and call no eigvalsh.
     """
     w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)
-    w_sorted = [np.sort(np.clip(c, *config.support)) for c in columns] if config.family == "bspline" else None
+    rows, knots = _image_space_table(config.basis, config.support, n, len(columns))
+    counts = None if knots is None else [_coordinate_counts(config, knots, c) for c in columns]
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
     def step(k: int):
-        dim = config.instrument_dim(k, len(columns))
+        if k >= len(rows):
+            dim = config.instrument_dim(k, len(columns))
+            noise, per_dim = _noise_level(config.instrument_specs(k, w), dim, n), None
+        else:
+            dim, noise, per_dim = rows[k]
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
-        specs = config.instrument_specs(k, w)
-        noise = _noise_level(specs, dim, n)
-        if w_sorted is not None:
-            bound = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
+        if counts is not None and per_dim is not None:
+            bounds = [c[per_dim] for c in counts]
+            for bound in bounds:
+                if isinstance(bound, InputError):
+                    raise bound
+            bound = min(bounds)
             # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
-            if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(specs) > 1:
-                factors = designs.factors(specs)
+            if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(columns) > 1:
+                factors = designs.factors(config.instrument_specs(k, w))
                 bound = float(np.max(_tensor_product(factors[:-1]).T @ factors[-1]))
             if noise < math.sqrt(n / bound) * (1.0 - 1e-9):
                 last[dim] = (dim, noise, None, None)
@@ -879,9 +963,7 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        if b is None:  # a certified step built no design
-            b = designs.instrument(config, realized)
-        q, r_b, s_b = orthonormal_range(b, config.rcond)
+        q, r_b, s_b = designs.instrument_factor(config, realized, b)  # a certified step built no b
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)

@@ -15,15 +15,20 @@ of every task before it gathers any. jobs is a positive integer. The process
 keeps one worker pool, of at most one worker per CPU available to it: the
 first call with jobs > 1 forks it, later calls with the same jobs reuse its
 warm workers, a call with another jobs replaces it, and it is shut down when
-a call fails and at exit; calls from several threads take turns. Outcomes
-are sorted by replication index, so the rows do not depend on jobs. A
-failed replication is counted with its reason.
+a call fails and at exit; calls from several threads take turns. Each
+worker keeps the pages it frees, and so each replication's instrument
+factors, and runs one BLAS thread (_init_worker); the calling process is
+left as it is. Outcomes are sorted by replication index, so the rows do not
+depend on jobs. A failed replication is counted with its reason.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
+import glob
 import math
+import multiprocessing.process
 import os
 import threading
 import time
@@ -247,7 +252,9 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     y = h(x) + u as dgp.generate does. Its tasks with one (statistic, null,
     run config) share one y-free candidate pass, which runs every such
     task's outcome on each candidate it visits, and every pass of the
-    replication reads one _Designs of w. Returns each task's outcomes: per
+    replication reads one _Designs of w. In a pool worker that _Designs
+    keeps each instrument factor until the replication ends, so the passes
+    share it (_keep_factors). Returns each task's outcomes: per
     rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
     "ExcClass: message" of a numerical failure, the task's own or, for
     every task of a pass still running when it fails, the pass's.
@@ -264,7 +271,7 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
         x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][0], stream))  # reads no h
-        designs = _Designs(w)
+        designs = _Designs(w, keep=_keep_factors)
         for (statistic, null, config), members in passes.items():
             scan = _structural_scan if statistic == "structural" else _image_space_scan
             grid, results, _, n_obs = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
@@ -296,17 +303,74 @@ _calls = threading.Lock()  # held through each call, so calls from several threa
 def _workers(jobs: int) -> ProcessPoolExecutor:
     """The process's pool for `jobs`, built on first use and replaced when jobs changes or a worker died while
     the pool was idle. It has at most one worker per CPU available to the process: a pool starts every
-    worker at its first submit."""
+    worker at its first submit, and _init_worker sets each one up."""
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), jobs) or _pool[2]._broken:
         _discard_pool()
-        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=min(jobs, _cpus())))
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=min(jobs, _cpus()), initializer=_init_worker))
     return _pool[2]
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+# Whether a replication keeps its instrument factors for all its passes: only where the allocator keeps the
+# pages they free, in a pool worker. Elsewhere glibc hands the larger live set back to the kernel at each
+# replication's end, and the next one's page faults cost more than the shared factorizations save.
+_keep_factors = False
+
+
+def _init_worker() -> None:
+    """Set up a pool worker: it keeps the pages it frees and, where it does, the instrument factors of each
+    replication; and it runs one BLAS thread."""
+    global _keep_factors
+    try:
+        libc = ctypes.CDLL(None)  # the symbols the process has loaded, the C library's among them
+    except (OSError, TypeError):  # a platform that cannot open the process itself
+        libc = None
+    _keep_factors = _keep_freed_pages(libc)
+    _one_blas_thread()
+
+
+def _keep_freed_pages(libc) -> bool:
+    """Let the C allocator keep freed memory up to 256 MiB and serve blocks up to 32 MiB from its heap, and
+    say whether it does.
+
+    A replication frees its designs and factors, and glibc would hand most of those pages back to the
+    kernel, so the next replication pays a page fault for every page it touches again. Nothing is done
+    where libc has no mallopt."""
+    mallopt = getattr(libc, "mallopt", None)
+    return mallopt is not None and bool(mallopt(_M_TRIM_THRESHOLD, 256 << 20)) \
+        and bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+
+
+def _one_blas_thread() -> None:
+    """One OpenBLAS thread for this process, through the library numpy bundles; nothing is done where that
+    library or its setter is missing. Workers each run one replication at a time on matrices a few dozen
+    columns wide, where more BLAS threads than CPUs only contend."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so")
+    for lib in glob.glob(libs):
+        setter = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
 
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _forget_inherited_workers() -> None:
+    """In a child forked while the pool lives, drop multiprocessing's records of the parent's workers, which its
+    exit hook would otherwise try to join."""
+    if _pool is not None:
+        for worker in (_pool[2]._processes or {}).values():
+            multiprocessing.process._children.discard(worker)
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has no inherited workers
+    os.register_at_fork(after_in_child=_forget_inherited_workers)
 
 
 @atexit.register

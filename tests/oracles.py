@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from npivtest.basis import ConstraintMatrix
+from npivtest.basis import BasisSpec, ConstraintMatrix
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
 from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, orthonormal_range, pinv
@@ -617,6 +617,22 @@ def compute_shat(psi, b, omega=None) -> float:
     return float(svals[-1])
 
 
+# basis._max_support_count counted one B-spline design's supports per call, which the image-space stability
+# scan did at every step. Kept as the oracle of adaptive._support_counts and of the Gershgorin bounds.
+
+
+def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
+    """max_j N_j, N_j the number of the sorted points x_sorted in the support [t_j, t_{j+order}] of B-spline j.
+
+    A B-spline design B at points inside the support has B >= 0 and rows summing to one, so by Gershgorin
+    lambda_max(B'B/n) <= max_j (1/n) sum_i B_j(x_i) <= max_j N_j / n; it is counted from the knot vector
+    without building B. Clamp the points to the support before sorting them.
+    """
+    t = spec.knot_vector()
+    first, last = np.searchsorted(x_sorted, t, "left"), np.searchsorted(x_sorted, t, "right")
+    return int(np.max(last[spec.order :] - first[: -spec.order]))
+
+
 def image_space_step_dense(config, designs, n: int):
     """The image-space stability step that builds every design, a drop-in for adaptive._image_space_step.
 
@@ -653,7 +669,7 @@ def image_space_step_knot_counts(config, designs, n: int):
     and returns (dim, noise, s_K, B) from one eigvalsh. A step whose realized dim repeats the last one
     returns that step unchanged.
     """
-    from npivtest.adaptive import _max_support_count, _noise_level
+    from npivtest.adaptive import _noise_level
 
     w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)

@@ -33,6 +33,7 @@ from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_p
 from npivtest.randdist import RngStream, chisq_quantile
 
 from oracles import (
+    _max_support_count,
     brute_D,
     brute_image_D,
     brute_shat,
@@ -528,17 +529,17 @@ def test_stability_scan_reads_y_only_in_candidate_visits(monkeypatch, null):
     # this dyadic scan steps J = 3, 4, 5 and stops at J_max_hat = 5, which is no dyadic candidate:
     # the factor reads no y, and the y-part runs once per candidate, at the candidates only
     stepped, visited = [], []
-    factor, coefficients = npiv_module.fit_from_design, npiv_module.NpivFit.coefficients
+    factor, coefficients = npiv_module._fit_from_factor, npiv_module.NpivFit.coefficients
 
-    def recording_factor(psi, b, *args, **kwargs):
+    def recording_factor(psi, *args):
         stepped.append(psi.shape[1])
-        return factor(psi, b, *args, **kwargs)
+        return factor(psi, *args)
 
     def recording_coefficients(fit, y):
         visited.append(fit.l_inv_t.shape[0])
         return coefficients(fit, y)
 
-    monkeypatch.setattr(adaptive_module, "fit_from_design", recording_factor)
+    monkeypatch.setattr(adaptive_module, "_fit_from_factor", recording_factor)
     monkeypatch.setattr(npiv_module.NpivFit, "coefficients", recording_coefficients)
     data = generate(DesignConfig("I", 5000, 0.5, HSpec("mono", c0=0.5), RngStream(1, 0)))
     grid = adaptive_scan(data.y, data.x, data.w, NullSpec.from_name(null), RunConfig())[0]
@@ -817,7 +818,11 @@ def test_image_space_scan_builds_each_tensor_design_once(monkeypatch):
     instrument_dim = RunConfig.instrument_dim
     monkeypatch.setattr(RunConfig, "instrument_dim", lambda self, k, d_w: Fresh(instrument_dim(self, k, d_w)))
     built.clear()
-    bypassed = image_space_test(data.y, data.x, data.w, "linear", config=cosine)
+    adaptive_module._image_space_table.cache_clear()  # the scan reads realized dims from the per-process table
+    try:
+        bypassed = image_space_test(data.y, data.x, data.w, "linear", config=cosine)
+    finally:
+        adaptive_module._image_space_table.cache_clear()
     assert len(built) > len(rep.grid.shat)
     assert bypassed.to_dict() == rep.to_dict()
 
@@ -875,7 +880,7 @@ def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(mo
     # public scan raises its outcome's error at once and steps no further
     data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
     ys = [data.y, data.y + 1.0, data.y + 2.0]
-    outcome, fit = adaptive_module._structural_outcome, adaptive_module.fit_from_design
+    outcome, fit = adaptive_module._structural_outcome, adaptive_module._fit_from_factor
     fitted = []
 
     def failing_outcome(factor, y, **kwargs):
@@ -883,14 +888,14 @@ def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(mo
             raise NumericalError("outcome failure")
         return outcome(factor, y, **kwargs)
 
-    def failing_fit(psi, b, **kwargs):
+    def failing_fit(psi, *args):
         fitted.append(psi.shape[1])
         if psi.shape[1] == 5:
             raise NumericalError("pass failure")
-        return fit(psi, b, **kwargs)
+        return fit(psi, *args)
 
     monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
-    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
+    monkeypatch.setattr(adaptive_module, "_fit_from_factor", failing_fit)
     null, config = NullSpec.from_name("decreasing"), RunConfig(grid=(3, 4, 5))
     grid, results, _, _ = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
     assert grid is None
@@ -1065,6 +1070,54 @@ def test_image_space_scan_matches_the_knot_count_step_oracle(monkeypatch):
                     compared += 1
     assert compared >= 50
     assert calls["fast"] < calls["counts"]
+
+
+def _step_or_error(step, k):
+    try:
+        return step(k)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [60, 500, 5000])
+def test_image_space_table_steps_match_the_knot_count_oracle(n):
+    # the per-process table's realized dims and noise levels, and the knot-interval counts of one search per
+    # coordinate, are those the knot-count step derives at each step from its specs and each spec's own knot
+    # vector, errors of tied quantile knots included; a 1-d step is the oracle's, and a 2-d step certifies
+    # every step the oracle's does and is the oracle's where neither certifies
+    gen = np.random.default_rng(n)
+    tied = np.where(gen.uniform(size=n) < 0.7, 0.5, gen.uniform(size=n))  # its quantile knots tie from J = 5 on
+    samples = [gen.uniform(size=n), tied, gen.beta(2.0, 5.0, size=(n, 2)), np.column_stack([gen.uniform(size=n), tied])]
+    compared, errors = 0, 0
+    for w in samples:
+        columns = [w] if w.ndim == 1 else list(w.T)
+        for basis in ("bspline2", "bspline3"):
+            for knot_rule in ("equispaced", "quantile"):
+                config = RunConfig(basis=basis, knot_rule=knot_rule)
+                rows, knots = adaptive_module._image_space_table(basis, config.support, n, len(columns))
+                counts = [adaptive_module._coordinate_counts(config, knots, c) for c in columns]
+                fast = adaptive_module._image_space_step(config, adaptive_module._Designs(w), n)
+                oracle = image_space_step_knot_counts(config, adaptive_module._Designs(w), n)
+                for k in range(config.basis_min(), len(rows)):
+                    dim, noise, per_dim = rows[k]
+                    specs = config.instrument_specs(k, w)
+                    assert (dim, [spec.dim for spec in specs]) == (config.instrument_dim(k, len(columns)),
+                                                                   [per_dim] * len(columns))
+                    assert noise == adaptive_module._noise_level(specs, dim, n)
+                    for spec, c, count in zip(specs, columns, counts):
+                        expected = _step_or_error(lambda x: _max_support_count(spec, x), np.sort(np.clip(c, 0, 1)))
+                        assert (str(count[per_dim]) if isinstance(count[per_dim], InputError) else count[per_dim]) \
+                            == expected
+                    got, want = _step_or_error(fast, k), _step_or_error(oracle, k)
+                    errors += isinstance(want, str)
+                    if isinstance(want, str) or w.ndim == 1 or got[2] is not None:
+                        assert got[:3] == want[:3]
+                        assert (got[3] is None) == (want[3] is None) and np.array_equal(got[3], want[3])
+                    else:  # the column sums of the tensor certified what the counts left
+                        assert got[:3] == (*want[:2], None)
+                    compared += 1
+    assert compared >= 4 * 4 * (len(rows) - 4)
+    assert (errors > 0) == (n > 60)  # at n = 60 the scan stops at K = 4, below any tie
 
 
 def test_image_space_statistics_match_the_basis_oracle(monkeypatch):

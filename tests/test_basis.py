@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npivtest.basis import BasisSpec, _max_support_count, deriv_constraints, eval_design, min_dim, tensor_design, zeta
+from npivtest.basis import BasisSpec, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from npivtest.errors import InputError
 
-from oracles import bspline_design_dense, bspline_design_rowmajor, simpson, tensor_design_einsum
+from oracles import _max_support_count, bspline_design_dense, bspline_design_rowmajor, simpson, tensor_design_einsum
 
 
 def bspline(dim, order=3, **kw):

@@ -380,8 +380,9 @@ def test_t1_builds_each_psi_once_per_k_factor_pass_and_its_rows_once(monkeypatch
     eval_design = adaptive_module.eval_design
     monkeypatch.setattr(adaptive_module, "eval_design", _recording(
         records, replication, "psi", eval_design, lambda spec, x: spec.dim if x is seen[replication["r"]][0] else None))
-    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
-        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, b: (psi.shape[1], b.shape[1])))
+    monkeypatch.setattr(adaptive_module, "_fit_from_factor", _recording(
+        records, replication, "fit", adaptive_module._fit_from_factor,
+        lambda psi, factor, *_: (psi.shape[1], factor[2].shape[0])))
     monkeypatch.setattr(adaptive_module, "deriv_constraints", _recording(
         records, replication, "rows", adaptive_module.deriv_constraints, lambda spec, kind: (spec.dim, kind)))
     out = reproduce("T1", replications=3, seed=3, n_values=(500,), xi_values=(0.7,))
@@ -402,8 +403,8 @@ def test_an_f1_group_builds_each_fit_once_per_stepped_j(monkeypatch):
     # draw each stepped J's fit is built once, and every cell of the pass computes its outcome on it
     replication, records = {"r": -1}, []
     _counting_draws(monkeypatch, replication)
-    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
-        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, b: psi.shape[1]))
+    monkeypatch.setattr(adaptive_module, "_fit_from_factor", _recording(
+        records, replication, "fit", adaptive_module._fit_from_factor, lambda psi, *_: psi.shape[1]))
     monkeypatch.setattr(adaptive_module, "_structural_outcome", _recording(
         records, replication, "outcome", adaptive_module._structural_outcome, lambda factor: factor[0]))
     out = reproduce("F1", replications=2, seed=3, n_values=(500,), xi_values=(0.5,))
@@ -461,17 +462,17 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
     # fails, so both tasks fail there. In replication 7 only the c0 = 1.0 task's outcome fails, and the pass
     # goes on for the other. Reasons and rows are those of each task run on its own
     replication = {"r": -1}
-    draw, fit, outcome = sim_module.draw, adaptive_module.fit_from_design, adaptive_module._structural_outcome
+    draw, fit, outcome = sim_module.draw, adaptive_module._fit_from_factor, adaptive_module._structural_outcome
     target = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=1.0), RngStream(31, 7))).y
 
     def counting_draw(cfg):
         replication["r"] += 1
         return draw(cfg)
 
-    def failing_fit(psi, b, *args, **kwargs):
+    def failing_fit(psi, *args):
         if replication["r"] == 3 and psi.shape[1] == 3:
             raise NumericalError("injected step failure")
-        return fit(psi, b, *args, **kwargs)
+        return fit(psi, *args)
 
     def failing_outcome(factor, y, **kwargs):
         if np.array_equal(y, target):
@@ -479,7 +480,7 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
         return outcome(factor, y, **kwargs)
 
     monkeypatch.setattr(sim_module, "draw", counting_draw)
-    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
+    monkeypatch.setattr(adaptive_module, "_fit_from_factor", failing_fit)
     monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
     grouped = run_experiment(small_size_spec(replications=201, c0_values=(0.1, 1.0)))
     single = []
@@ -490,6 +491,34 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
     assert [cell.failures_by_reason for cell in grouped.cells] == [{step: 1}, {outcome: 1, step: 1}]
     assert [cell.failures_by_reason for cell in single] == [{step: 1}, {outcome: 1, step: 1}]
     assert grouped.rows() == [row for cell in single for row in cell.rows()]
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["pool-worker", "caller"])
+def test_a_supp_d_replication_factors_each_realized_instrument_design_once(monkeypatch, keep):
+    # where the allocator keeps freed pages (a pool worker), the structural fits and the image-space candidates
+    # of one replication read one factor per realized K: on design I the structural J = 4 and the image-space
+    # candidate share K = 16, and on the multivariate design the structural J = 3 and J = 4 and the
+    # image-space candidate share the 4 x 4 tensor. A caller's own process keeps no factor across passes
+    monkeypatch.setattr(sim_module, "_keep_factors", keep)
+    replication, records, seen = {"r": -1}, [], {}
+    _counting_draws(monkeypatch, replication, seen)
+    monkeypatch.setattr(adaptive_module, "orthonormal_range", _recording(
+        records, replication, "factor", adaptive_module.orthonormal_range, lambda b, *_: b.shape[1]))
+    instrument_design, tensor_product = adaptive_module.RunConfig.instrument_design, adaptive_module._tensor_product
+    monkeypatch.setattr(adaptive_module.RunConfig, "instrument_design", _recording(
+        records, replication, "build", instrument_design, lambda config, k, w: config.instrument_dim(k, 1)))
+    monkeypatch.setattr(adaptive_module, "_tensor_product", _recording(
+        records, replication, "build", tensor_product,
+        lambda factors: int(np.prod([f.shape[1] for f in factors])) if len(factors) > 1 else None))
+    out = reproduce("supp-D", replications=1, seed=3, n_values=(5000,), xi_values=(0.5,))
+    assert len(out["rows"]) == 8 and replication["r"] == 1  # one draw per design
+    factors = Counter((r, k) for r, name, k in records if name == "factor")
+    builds = Counter((r, k) for r, name, k in records if name == "build" and k is not None)
+    assert set(factors) == set(builds) and len(factors) >= 8
+    if keep:
+        assert set(factors.values()) == set(builds.values()) == {1}
+    else:
+        assert factors == builds and factors[(0, 16)] == 2 and factors[(1, 16)] == 3
 
 
 def test_a_supp_d_replication_calls_no_eigvalsh(monkeypatch):
@@ -584,8 +613,9 @@ def test_the_pool_has_at_most_one_worker_per_available_cpu(monkeypatch):
     class InlinePool:
         _broken = False
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):  # a worker's set-up is not run in this process
             created.append(max_workers)
+            assert initializer is sim_module._init_worker
 
         def submit(self, fn, *args):
             future = Future()
@@ -652,6 +682,80 @@ def test_a_forked_child_builds_its_own_pool():
     """)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "True", "True"]
+
+
+def test_a_child_forked_after_the_pool_exits_cleanly():
+    # the child inherits multiprocessing's records of the parent's workers; its exit must not try to join
+    # them, and the parent's pool serves the next call
+    done = _python("""
+        import json, os, signal, sys
+        from npivtest import sim
+        signal.alarm(240)
+        kw = dict(replications=4, jobs=2, n_values=(500,), xi_values=(0.5,), c0_values=(1.0,), k_factors=(2,))
+        first = json.dumps(sim.reproduce("T1", **kw)["rows"])
+        pool = sim._pool
+        child = os.fork()
+        if child == 0:
+            sys.exit(0)
+        print(os.waitpid(child, 0)[1], json.dumps(sim.reproduce("T1", **kw)["rows"]) == first, sim._pool is pool)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.split() == ["0", "True", "True"]
+
+
+class _Libc:
+    """A C library that records its mallopt calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_pool_workers_keep_their_freed_pages():
+    libc = _Libc()
+    assert sim_module._keep_freed_pages(libc)
+    assert libc.calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+    assert not sim_module._keep_freed_pages(object())  # a C library without mallopt is left as it is
+    assert not sim_module._keep_freed_pages(None)
+
+
+def test_pool_workers_run_one_blas_thread_and_keep_factors():
+    # the initializer runs in each worker: each reports one OpenBLAS thread whatever the environment says, and
+    # keeps each replication's instrument factors, which the calling process does not
+    done = _python("""
+        import ctypes, glob, os
+        import numpy as np
+        from npivtest import sim
+        lib = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so"))
+        get = getattr(ctypes.CDLL(lib[0]), "scipy_openblas_get_num_threads64_", None) if lib else None
+
+        def threads():
+            return get(), sim._keep_factors
+
+        pool = sim._workers(2)
+        print(sim._keep_factors, get is None or sorted(pool.submit(threads).result() for _ in range(4)) == [(1, True)] * 4)
+        sim._discard_pool()
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_reproduce_bytes_do_not_depend_on_blas_threads():
+    # the pool's workers set their own BLAS thread count, so the environment's does not reach the rows
+    src = str(pathlib.Path(sim_module.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    command = [sys.executable, "-m", "npivtest.cli", "reproduce", "supp-D", "--reps", "4", "--n", "500",
+               "--jobs", "2", "--format", "json"]
+    unset, one = (subprocess.run(command, env=extra, capture_output=True, timeout=300)
+                  for extra in (env, {**env, "OPENBLAS_NUM_THREADS": "1"}))
+    assert unset.returncode == one.returncode == 0, (unset.stderr, one.stderr)
+    assert json.loads(unset.stdout)["rows"]
+    assert unset.stdout == one.stdout
 
 
 def _alive(pid: int) -> bool:
