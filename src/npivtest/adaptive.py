@@ -24,8 +24,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import (BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design, min_dim,
-                    tensor_design, zeta)
+from .basis import BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design, min_dim, zeta
 from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from .linalg import _lapack, default_rcond, frobenius_norm, orthonormal_range
 from .npiv import _fit_from_factor, _weights, fit_restricted_cone, fit_restricted_parametric, parametric_design
@@ -117,7 +116,8 @@ def _equispaced_constraints(spec: BasisSpec, shape: str) -> ConstraintMatrix:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; mirrors the CLI flags one-to-one."""
+    """Resolved run configuration, as a --config file gives it. The CLI flags override alpha, basis, grid,
+    k_factor and support by name, and --quantile-knots sets knot_rule; rcond has no flag."""
 
     alpha: float = 0.05
     basis: str = "bspline2"
@@ -191,11 +191,6 @@ class RunConfig:
         d_w = w.shape[1]
         per_dim = round(self.instrument_dim(k_target, d_w) ** (1.0 / d_w))
         return [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
-
-    def instrument_design(self, k_target: int, w: np.ndarray):
-        """(specs, B): instrument_specs(k_target, w) and the instrument design B they span at w."""
-        specs = self.instrument_specs(k_target, w)
-        return specs, eval_design(specs[0], w) if w.ndim == 1 else tensor_design(specs, w)
 
     def basis_min(self) -> int:
         return min_dim(self)
@@ -411,16 +406,13 @@ class _Designs:
 
     The one-dimensional factors of a tensor instrument (a 2-d w) are kept, read-only, as long as the owner
     holds the object, one public scan call or one Monte Carlo replication: the stability steps, the
-    candidates and the tensors of every pass on w read them. A design B_K is built on each request. With
-    keep, instrument_factor keeps each realized design's factor for the owner's lifetime too: the structural
-    fits and the image-space candidates of a replication's passes share it. Without keep (a public scan,
-    which reads each factor once) a pass holds only the designs and factor of the candidate it is at.
+    candidates and the tensors of every pass on w read them. A design B_K is built on each request, and
+    its user factors it, so a pass holds only the designs and factor of the candidate it is at.
     """
 
-    def __init__(self, w: np.ndarray, keep: bool = False):
+    def __init__(self, w: np.ndarray):
         self.w = w
         self._factors: dict[tuple, np.ndarray] = {}
-        self._kept: dict[tuple, tuple] | None = {} if keep else None
 
     def factors(self, specs) -> list[np.ndarray]:
         """Spec i's design at coordinate i of the 2-d w; a spec's equality leaves out its knot data, which for
@@ -436,20 +428,10 @@ class _Designs:
 
     def instrument(self, config: RunConfig, k_target: int) -> np.ndarray:
         """B_K: config's instrument design for k_target at w, the tensor product of the kept factors for a 2-d w."""
+        specs = config.instrument_specs(k_target, self.w)
         if self.w.ndim == 1:
-            return config.instrument_design(k_target, self.w)[1]
-        return _tensor_product(self.factors(config.instrument_specs(k_target, self.w)))
-
-    def instrument_factor(self, config: RunConfig, k_target: int, b: np.ndarray | None = None) -> tuple:
-        """(q, r, s_B) = orthonormal_range(B_K, config.rcond) of config's instrument design for k_target, from b
-        when the caller has built B_K. With n > K the default rcond is 1e-12 n, the structural fit's own."""
-        key = (tuple(config.instrument_specs(k_target, self.w)), config.rcond)
-        if self._kept is not None and key in self._kept:
-            return self._kept[key]
-        factor = orthonormal_range(self.instrument(config, k_target) if b is None else b, config.rcond)
-        if self._kept is not None:
-            self._kept[key] = factor
-        return factor
+            return eval_design(specs[0], self.w)
+        return _tensor_product(self.factors(specs))
 
 
 def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int):
@@ -640,9 +622,9 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
                     raise InputError(f"need n > K, got n={n}, K={k}")
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            # n > K >= J, so the fit's default rcond is B's factor's, 1e-12 n
+            # n > K >= J, so one rcond, 1e-12 n by default, serves B's factor and the fit
             rcond = default_rcond((n, k)) if config.rcond is None else config.rcond
-            fit = _fit_from_factor(psi, designs.instrument_factor(config, k_target), mu, rcond)
+            fit = _fit_from_factor(psi, orthonormal_range(designs.instrument(config, k_target), rcond), mu, rcond)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
@@ -814,16 +796,17 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
 
 
 @lru_cache(maxsize=64)
-def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: int):
+def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: int, k_min: int):
     """(rows, knots) of the image-space stability scan on n points of a d_w-dimensional w, built once per process.
 
-    rows[k], k = 0...hard_cap, is (dim, noise, per_dim) of the instrument design for k: its realized dimension,
-    noise level and per-coordinate factor dimension. knots maps each such per_dim to its equispaced B-spline
-    knot vector on support; it is None for another family.
+    rows[k], k = 0...max(hard_cap, k_min), is (dim, noise, per_dim) of the instrument design for k: its realized
+    dimension, noise level and per-coordinate factor dimension; the scan's fallback singleton {k_min} may lie
+    above the hard cap. knots maps each such per_dim to its equispaced B-spline knot vector on support; it is
+    None for another family.
     """
     config = RunConfig(basis=basis, support=support)
     rows = []
-    for k in range(_res_parameters(n)[2] + 1):
+    for k in range(max(_res_parameters(n)[2], k_min) + 1):
         dim = config.instrument_dim(k, d_w)
         per_dim = round(dim ** (1.0 / d_w))
         rows.append((dim, _noise_level([config.psi_spec(per_dim)] * d_w, dim, n), per_dim))
@@ -868,8 +851,9 @@ def _coordinate_counts(config: RunConfig, knots: dict[int, np.ndarray], c: np.nd
     return {**_support_counts(knots, config.order, np.sort(np.clip(c, *config.support))), **errors}
 
 
-def _image_space_step(config: RunConfig, designs: _Designs, n: int):
-    """step(k) of the image-space stability scan on designs.w: (dim, noise, s_K, B) of the instrument design for k.
+def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
+    """step(k) of the image-space stability scan on designs.w from k_min: (dim, noise, s_K, B) of the instrument
+    design for k.
 
     The scan steps far more dimensions than it visits, and a step only asks whether the noise level
     reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
@@ -882,28 +866,24 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int):
     and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w they are the entries
     of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the bound returns
     (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's visit builds
-    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, uncertified, or past the table)
-    forms B'B for lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a
-    step whose realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D
-    call at n = 5000, xi = 0.5, every step of either design is certified: the scans build only their
-    candidates' designs and call no eigvalsh.
+    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms B'B for
+    lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
+    realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D call at
+    n = 5000, xi = 0.5, every step of either design is certified: the scans build only their candidates'
+    designs and call no eigvalsh.
     """
     w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)
-    rows, knots = _image_space_table(config.basis, config.support, n, len(columns))
+    rows, knots = _image_space_table(config.basis, config.support, n, len(columns), k_min)
     counts = None if knots is None else [_coordinate_counts(config, knots, c) for c in columns]
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
     def step(k: int):
-        if k >= len(rows):
-            dim = config.instrument_dim(k, len(columns))
-            noise, per_dim = _noise_level(config.instrument_specs(k, w), dim, n), None
-        else:
-            dim, noise, per_dim = rows[k]
+        dim, noise, per_dim = rows[k]
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
-        if counts is not None and per_dim is not None:
+        if counts is not None:
             bounds = [c[per_dim] for c in counts]
             for bound in bounds:
                 if isinstance(bound, InputError):
@@ -963,7 +943,9 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
         if n <= realized:
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        q, r_b, s_b = designs.instrument_factor(config, realized, b)  # a certified step built no b
+        if b is None:  # a certified step built no design
+            b = designs.instrument(config, realized)
+        q, r_b, s_b = orthonormal_range(b, config.rcond)
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)
@@ -972,8 +954,8 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
     outcomes = [partial(_image_space_outcome, y=y, x=x, model=model, rcond=config.rcond) for y in ys]
-    grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n), visit,
-                                    outcomes, k_min)
+    grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n, k_min),
+                                    visit, outcomes, k_min)
     return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], n
 
 

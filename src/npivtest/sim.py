@@ -16,9 +16,9 @@ keeps one worker pool, of at most one worker per CPU available to it: the
 first call with jobs > 1 forks it, later calls with the same jobs reuse its
 warm workers, a call with another jobs replaces it, and it is shut down when
 a call fails and at exit; calls from several threads take turns. Each
-worker keeps the pages it frees, and so each replication's instrument
-factors, and runs one BLAS thread (_init_worker); the calling process is
-left as it is. Outcomes are sorted by replication index, so the rows do not
+worker keeps the pages it frees and runs one BLAS thread (_init_worker);
+the calling process is left as it is. Every process runs a replication by
+the same code. Outcomes are sorted by replication index, so the rows do not
 depend on jobs. A failed replication is counted with its reason.
 """
 
@@ -252,9 +252,7 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     y = h(x) + u as dgp.generate does. Its tasks with one (statistic, null,
     run config) share one y-free candidate pass, which runs every such
     task's outcome on each candidate it visits, and every pass of the
-    replication reads one _Designs of w. In a pool worker that _Designs
-    keeps each instrument factor until the replication ends, so the passes
-    share it (_keep_factors). Returns each task's outcomes: per
+    replication reads one _Designs of w. Returns each task's outcomes: per
     rep {alpha: (reject, j_reported, max_J W_J)}, or the reason
     "ExcClass: message" of a numerical failure, the task's own or, for
     every task of a pass still running when it fails, the pass's.
@@ -271,7 +269,7 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
         x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][0], stream))  # reads no h
-        designs = _Designs(w, keep=_keep_factors)
+        designs = _Designs(w)
         for (statistic, null, config), members in passes.items():
             scan = _structural_scan if statistic == "structural" else _image_space_scan
             grid, results, _, n_obs = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
@@ -295,8 +293,8 @@ def _verdicts(grid, entries, n: int, null: NullSpec, configs: dict[float, RunCon
         return f"{type(exc).__name__}: {exc}"
 
 
-# the process's worker pool as (owner pid, jobs, pool); a forked child inherits the tuple but not the workers
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+# the process's worker pool as (jobs, pool); a child forked while it lives forgets it (_forget_inherited_pool)
+_pool: tuple[int, ProcessPoolExecutor] | None = None
 _calls = threading.Lock()  # held through each call, so calls from several threads take turns on the pool
 
 
@@ -305,44 +303,37 @@ def _workers(jobs: int) -> ProcessPoolExecutor:
     the pool was idle. It has at most one worker per CPU available to the process: a pool starts every
     worker at its first submit, and _init_worker sets each one up."""
     global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), jobs) or _pool[2]._broken:
+    if _pool is None or _pool[0] != jobs or _pool[1]._broken:
         _discard_pool()
-        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=min(jobs, _cpus()), initializer=_init_worker))
-    return _pool[2]
+        _pool = (jobs, ProcessPoolExecutor(max_workers=min(jobs, _cpus()), initializer=_init_worker))
+    return _pool[1]
 
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
-# Whether a replication keeps its instrument factors for all its passes: only where the allocator keeps the
-# pages they free, in a pool worker. Elsewhere glibc hands the larger live set back to the kernel at each
-# replication's end, and the next one's page faults cost more than the shared factorizations save.
-_keep_factors = False
-
 
 def _init_worker() -> None:
-    """Set up a pool worker: it keeps the pages it frees and, where it does, the instrument factors of each
-    replication; and it runs one BLAS thread."""
-    global _keep_factors
+    """Set up a pool worker: it keeps the pages it frees and runs one BLAS thread."""
     try:
         libc = ctypes.CDLL(None)  # the symbols the process has loaded, the C library's among them
     except (OSError, TypeError):  # a platform that cannot open the process itself
         libc = None
-    _keep_factors = _keep_freed_pages(libc)
+    _keep_freed_pages(libc)
     _one_blas_thread()
 
 
-def _keep_freed_pages(libc) -> bool:
-    """Let the C allocator keep freed memory up to 256 MiB and serve blocks up to 32 MiB from its heap, and
-    say whether it does.
+def _keep_freed_pages(libc) -> None:
+    """Let the C allocator keep freed memory up to 256 MiB and serve blocks up to 32 MiB from its heap.
 
     A replication frees its designs and factors, and glibc would hand most of those pages back to the
     kernel, so the next replication pays a page fault for every page it touches again. Nothing is done
     where libc has no mallopt."""
     mallopt = getattr(libc, "mallopt", None)
-    return mallopt is not None and bool(mallopt(_M_TRIM_THRESHOLD, 256 << 20)) \
-        and bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _one_blas_thread() -> None:
@@ -361,26 +352,27 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _forget_inherited_workers() -> None:
-    """In a child forked while the pool lives, drop multiprocessing's records of the parent's workers, which its
-    exit hook would otherwise try to join."""
+def _forget_inherited_pool() -> None:
+    """In a child forked while the pool lives, forget the pool, which belongs to the parent, and drop
+    multiprocessing's records of its workers, which the child's exit hook would otherwise try to join."""
+    global _pool
     if _pool is not None:
-        for worker in (_pool[2]._processes or {}).values():
+        for worker in (_pool[1]._processes or {}).values():
             multiprocessing.process._children.discard(worker)
+    _pool = None
 
 
-if hasattr(os, "register_at_fork"):  # a platform without fork has no inherited workers
-    os.register_at_fork(after_in_child=_forget_inherited_workers)
+if hasattr(os, "register_at_fork"):  # a platform without fork has no inherited pool
+    os.register_at_fork(after_in_child=_forget_inherited_pool)
 
 
 @atexit.register
 def _discard_pool() -> None:
-    """Forget the process's pool and shut it down, cancelling its queued chunks; a pool inherited
-    through fork belongs to the parent and is only forgotten."""
+    """Forget the process's pool and shut it down, cancelling its queued chunks."""
     global _pool
     owned, _pool = _pool, None
-    if owned is not None and owned[0] == os.getpid():
-        owned[2].shutdown(cancel_futures=True)
+    if owned is not None:
+        owned[1].shutdown(cancel_futures=True)
 
 
 def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:

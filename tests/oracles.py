@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from npivtest.basis import BasisSpec, ConstraintMatrix
+from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
 from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, orthonormal_range, pinv
@@ -633,7 +633,14 @@ def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
     return int(np.max(last[spec.order :] - first[: -spec.order]))
 
 
-def image_space_step_dense(config, designs, n: int):
+def instrument_design(config, k_target: int, w: np.ndarray):
+    """(specs, B): config.instrument_specs(k_target, w) and the instrument design B they span at w, a 2-d w's
+    through basis.tensor_design rather than the scans' kept factors."""
+    specs = config.instrument_specs(k_target, w)
+    return specs, eval_design(specs[0], w) if w.ndim == 1 else tensor_design(specs, w)
+
+
+def image_space_step_dense(config, designs, n: int, k_min: int):
     """The image-space stability step that builds every design, a drop-in for adaptive._image_space_step.
 
     step(k) builds the instrument design B for k, forms B'B/n and returns (dim, noise, s_K, B) with
@@ -651,7 +658,7 @@ def image_space_step_dense(config, designs, n: int):
         if dim in last:
             return last[dim]
         last.clear()
-        specs, b = config.instrument_design(k, w)
+        specs, b = instrument_design(config, k, w)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
@@ -662,7 +669,7 @@ def image_space_step_dense(config, designs, n: int):
     return step
 
 
-def image_space_step_knot_counts(config, designs, n: int):
+def image_space_step_knot_counts(config, designs, n: int, k_min: int):
     """The image-space stability step that certifies from knot-interval counts alone, a drop-in for
     adaptive._image_space_step: a B-spline step (1-d or tensor) whose noise level stays below
     sqrt(n / min_d max_j N_{d,j}) returns (dim, noise, None, None); every other step builds B, forms B'B/n
@@ -688,7 +695,7 @@ def image_space_step_knot_counts(config, designs, n: int):
             if noise < math.sqrt(n / count) * (1.0 - 1e-9):
                 last[dim] = (dim, noise, None, None)
                 return last[dim]
-        specs, b = config.instrument_design(k, w)
+        specs, b = instrument_design(config, k, w)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:

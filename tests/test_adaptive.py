@@ -43,6 +43,7 @@ from oracles import (
     image_space_step_dense,
     image_space_step_knot_counts,
     image_vhat_gram,
+    instrument_design,
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -628,7 +629,7 @@ def test_cs_contains_is_the_test_on_the_candidate_residuals(c_a):
     cfg = RunConfig(grid=(4,), k_factor=2)
     null = NullSpec.from_name("linear")
     rep = adaptive_test(data.y, data.x, data.w, null, config=cfg)
-    _, b = cfg.instrument_design(8, data.w)
+    _, b = instrument_design(cfg, 8, data.w)
     fit = fit_from_design(eval_design(cfg.psi_spec(4), data.x), b)
     rfit = fit_restricted_parametric(data.y, data.x, "linear", fit.q, fit.r)
     contained, binding, detail = cs_contains(rfit.fitted_r, data.y, data.x, data.w, config=cfg, null=null)
@@ -731,7 +732,7 @@ def test_image_space_matches_brute_double_sum(rng):
     rep = image_space_test(y, x, w, "linear", config=cfg)
     assert rep.per_j
     for rec in rep.per_j:
-        _, b = cfg.instrument_design(rec.k, w)
+        _, b = instrument_design(cfg, rec.k, w)
         assert b.shape[1] == rec.k
         r = fit_restricted_parametric(y, x, "linear", *orthonormal_range(b)[:2]).residuals_r
         assert rec.d_stat == pytest.approx(brute_image_D(r, b), rel=1e-10)
@@ -741,16 +742,16 @@ def test_image_space_matches_brute_double_sum(rng):
 def test_image_space_scan_keeps_one_instrument_design_alive(monkeypatch):
     built = []
     most_alive = 0
-    instrument_design = RunConfig.instrument_design
+    instrument = adaptive_module._Designs.instrument
 
-    def recording(self, k_target, w):
+    def recording(self, config, k_target):
         nonlocal most_alive
         most_alive = max(most_alive, sum(ref() is not None for ref in built))
-        specs, b = instrument_design(self, k_target, w)
+        b = instrument(self, config, k_target)
         built.append(weakref.ref(b))
-        return specs, b
+        return b
 
-    monkeypatch.setattr(RunConfig, "instrument_design", recording)
+    monkeypatch.setattr(adaptive_module._Designs, "instrument", recording)
     data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
     image_space_test(data.y, data.x, data.w, "linear")
     assert len(built) >= 3
@@ -763,7 +764,7 @@ def test_structural_scan_keeps_one_candidate_design_pair_alive(monkeypatch):
     data = generate(DesignConfig("I", 500, 0.9, HSpec("mono", c0=0.3), RngStream(4, 2)))  # steps J = 3...6
     psis, bs = [], []
     most_alive = [0, 0]
-    eval_design_, instrument_design = adaptive_module.eval_design, RunConfig.instrument_design
+    eval_design_, instrument = adaptive_module.eval_design, adaptive_module._Designs.instrument
 
     def alive(refs):
         return sum(ref() is not None for ref in refs)
@@ -775,13 +776,13 @@ def test_structural_scan_keeps_one_candidate_design_pair_alive(monkeypatch):
             psis.append(weakref.ref(design))
         return design
 
-    def recording_b(self, k_target, w):
-        specs, b = instrument_design(self, k_target, w)
+    def recording_b(self, config, k_target):
+        b = instrument(self, config, k_target)
         bs.append(weakref.ref(b))
-        return specs, b
+        return b
 
     monkeypatch.setattr(adaptive_module, "eval_design", recording_psi)
-    monkeypatch.setattr(RunConfig, "instrument_design", recording_b)
+    monkeypatch.setattr(adaptive_module._Designs, "instrument", recording_b)
     rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"))
     assert len(psis) == len(bs) == len(rep.grid.shat) > len(rep.grid.j_list) >= 2
     assert max(most_alive) <= 1
@@ -949,10 +950,10 @@ def _concentrated_sample(n=1000, share=0.9, width=0.01, seed=5):
 def _recorded_image_space_test(monkeypatch, y, x, w, config=None):
     """image_space_test, with each stepped (dim, exact) and each instrument design build recorded."""
     steps, built = [], []
-    factory, instrument_design = adaptive_module._image_space_step, RunConfig.instrument_design
+    factory, instrument = adaptive_module._image_space_step, adaptive_module._Designs.instrument
 
-    def recording_factory(config, designs, n):
-        step = factory(config, designs, n)
+    def recording_factory(config, designs, n, k_min):
+        step = factory(config, designs, n, k_min)
 
         def recording_step(k):
             stepped = step(k)
@@ -961,12 +962,12 @@ def _recorded_image_space_test(monkeypatch, y, x, w, config=None):
 
         return recording_step
 
-    def recording_design(self, k_target, w):
+    def recording_design(self, config, k_target):
         built.append(k_target)
-        return instrument_design(self, k_target, w)
+        return instrument(self, config, k_target)
 
     monkeypatch.setattr(adaptive_module, "_image_space_step", recording_factory)
-    monkeypatch.setattr(RunConfig, "instrument_design", recording_design)
+    monkeypatch.setattr(adaptive_module._Designs, "instrument", recording_design)
     return image_space_test(y, x, w, "linear", config=config), steps, built
 
 
@@ -1094,10 +1095,11 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
         for basis in ("bspline2", "bspline3"):
             for knot_rule in ("equispaced", "quantile"):
                 config = RunConfig(basis=basis, knot_rule=knot_rule)
-                rows, knots = adaptive_module._image_space_table(basis, config.support, n, len(columns))
+                k_min = config.basis_min()
+                rows, knots = adaptive_module._image_space_table(basis, config.support, n, len(columns), k_min)
                 counts = [adaptive_module._coordinate_counts(config, knots, c) for c in columns]
-                fast = adaptive_module._image_space_step(config, adaptive_module._Designs(w), n)
-                oracle = image_space_step_knot_counts(config, adaptive_module._Designs(w), n)
+                fast = adaptive_module._image_space_step(config, adaptive_module._Designs(w), n, k_min)
+                oracle = image_space_step_knot_counts(config, adaptive_module._Designs(w), n, k_min)
                 for k in range(config.basis_min(), len(rows)):
                     dim, noise, per_dim = rows[k]
                     specs = config.instrument_specs(k, w)
@@ -1118,6 +1120,38 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
                     compared += 1
     assert compared >= 4 * 4 * (len(rows) - 4)
     assert (errors > 0) == (n > 60)  # at n = 60 the scan stops at K = 4, below any tie
+
+
+def test_an_image_space_fallback_above_the_hard_cap_reads_the_table(monkeypatch):
+    # at n = 40 the hard cap is K = 4, and a 7-column null puts K_min = 7 above it, so the scan falls back to
+    # the singleton {7}, whose step the per-process table spans. Grids, decisions, warnings and statistics
+    # are those of the step that builds every design, s_hat within rel 1e-10, for a 1-d and a 2-d w (K = 7
+    # rounds up to 9 or 16)
+    gen = np.random.default_rng(40)
+    compared = []
+    for w in (gen.uniform(size=40), gen.uniform(size=(40, 2))):
+        x = np.clip((w if w.ndim == 1 else w.mean(axis=1)) + 0.2 * gen.normal(size=40), 0.0, 1.0)
+        y = np.sin(3.0 * x) + gen.normal(size=40)
+        z = np.column_stack([x**p for p in range(7)])
+        for basis in ("bspline2", "bspline3", "cosine", "power"):
+            for knot_rule in ("equispaced", "quantile"):
+                config = RunConfig(alpha=1e-6, basis=basis, knot_rule=knot_rule)
+                rows, _ = adaptive_module._image_space_table(basis, config.support, 40, w.ndim, 7)
+                assert len(rows) == 8
+                fast = _image_space_outcome(y, x, w, z, config)
+                with monkeypatch.context() as patch:
+                    patch.setattr(adaptive_module, "_image_space_step", image_space_step_dense)
+                    dense = _image_space_outcome(y, x, w, z, config)
+                fast_rows, dense_rows = fast.pop("per_J"), dense.pop("per_J")
+                assert fast == dense
+                assert fast["grid"]["fallback"] and fast["grid"]["hard_cap"] == 4
+                assert fast["warnings"] == ["J_max_hat=4 leaves no admissible candidate; falling back to the "
+                                            "singleton {7}"]
+                (row,), (expected,) = fast_rows, dense_rows
+                assert row.pop("s_hat") == pytest.approx(expected.pop("s_hat"), rel=1e-10)
+                assert row == expected
+                compared.append(row["K"])
+    assert sorted(set(compared)) == [7, 9, 16]
 
 
 def test_image_space_statistics_match_the_basis_oracle(monkeypatch):

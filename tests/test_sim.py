@@ -493,32 +493,55 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
     assert grouped.rows() == [row for cell in single for row in cell.rows()]
 
 
-@pytest.mark.parametrize("keep", [True, False], ids=["pool-worker", "caller"])
-def test_a_supp_d_replication_factors_each_realized_instrument_design_once(monkeypatch, keep):
-    # where the allocator keeps freed pages (a pool worker), the structural fits and the image-space candidates
-    # of one replication read one factor per realized K: on design I the structural J = 4 and the image-space
-    # candidate share K = 16, and on the multivariate design the structural J = 3 and J = 4 and the
-    # image-space candidate share the 4 x 4 tensor. A caller's own process keeps no factor across passes
-    monkeypatch.setattr(sim_module, "_keep_factors", keep)
-    replication, records, seen = {"r": -1}, [], {}
-    _counting_draws(monkeypatch, replication, seen)
+def test_a_supp_d_replication_factors_each_realized_instrument_design_once(monkeypatch):
+    # every instrument design a replication builds is factored once, where it is used: on design I the
+    # structural J = 4 and the image-space candidate each build and factor K = 16, and on the multivariate
+    # design the structural J = 3 and J = 4 and the image-space candidate each build and factor the 4 x 4 tensor
+    replication, records = {"r": -1}, []
+    _counting_draws(monkeypatch, replication)
     monkeypatch.setattr(adaptive_module, "orthonormal_range", _recording(
         records, replication, "factor", adaptive_module.orthonormal_range, lambda b, *_: b.shape[1]))
-    instrument_design, tensor_product = adaptive_module.RunConfig.instrument_design, adaptive_module._tensor_product
-    monkeypatch.setattr(adaptive_module.RunConfig, "instrument_design", _recording(
-        records, replication, "build", instrument_design, lambda config, k, w: config.instrument_dim(k, 1)))
-    monkeypatch.setattr(adaptive_module, "_tensor_product", _recording(
-        records, replication, "build", tensor_product,
-        lambda factors: int(np.prod([f.shape[1] for f in factors])) if len(factors) > 1 else None))
+    instrument = adaptive_module._Designs.instrument
+
+    def width(designs, config, k_target):
+        return config.instrument_dim(k_target, 1 if designs.w.ndim == 1 else designs.w.shape[1])
+
+    monkeypatch.setattr(adaptive_module._Designs, "instrument", _recording(records, replication, "build", instrument,
+                                                                          width))
     out = reproduce("supp-D", replications=1, seed=3, n_values=(5000,), xi_values=(0.5,))
     assert len(out["rows"]) == 8 and replication["r"] == 1  # one draw per design
     factors = Counter((r, k) for r, name, k in records if name == "factor")
-    builds = Counter((r, k) for r, name, k in records if name == "build" and k is not None)
-    assert set(factors) == set(builds) and len(factors) >= 8
-    if keep:
-        assert set(factors.values()) == set(builds.values()) == {1}
-    else:
-        assert factors == builds and factors[(0, 16)] == 2 and factors[(1, 16)] == 3
+    builds = Counter((r, k) for r, name, k in records if name == "build")
+    assert len(factors) >= 8
+    assert factors == builds and factors[(0, 16)] == 2 and factors[(1, 16)] == 3
+
+
+def test_a_supp_d_replication_factors_the_same_designs_at_any_jobs(monkeypatch, tmp_path):
+    # a pool worker runs a replication by the caller's own code: each replication makes the same
+    # orthonormal_range calls, by design width, in this process (jobs 1) as in a forked worker (jobs 2);
+    # the workers append theirs to one file
+    draw, orthonormal_range = sim_module.draw, adaptive_module.orthonormal_range
+    current = {}
+
+    def logging_draw(cfg):
+        current["replication"] = f"{cfg.design} {cfg.rng.stream_id}"
+        return draw(cfg)
+
+    def logging_range(b, *args):
+        with open(current["log"], "a") as f:
+            f.write(f"{current['replication']} {b.shape[1]}\n")
+        return orthonormal_range(b, *args)
+
+    monkeypatch.setattr(sim_module, "draw", logging_draw)
+    monkeypatch.setattr(adaptive_module, "orthonormal_range", logging_range)
+    calls = {}
+    for jobs in (1, 2):
+        current["log"] = tmp_path / f"jobs{jobs}"
+        reproduce("supp-D", replications=4, seed=3, jobs=jobs, n_values=(5000,), xi_values=(0.5,))
+        calls[jobs] = Counter(current["log"].read_text().split("\n")[:-1])
+    assert calls[1] == calls[2]
+    replications = {line.rsplit(" ", 1)[0] for line in calls[1]}
+    assert replications == {f"{d} {r}" for d in ("I", "multivariate") for r in range(4)}
 
 
 def test_a_supp_d_replication_calls_no_eigvalsh(monkeypatch):
@@ -580,7 +603,7 @@ def test_a_pool_broken_while_idle_is_replaced(monkeypatch):
     run_experiment(spec, jobs=2)
     os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
     deadline = time.monotonic() + 60
-    while not sim_module._pool[2]._broken and time.monotonic() < deadline:  # the pool notices the death
+    while not sim_module._pool[1]._broken and time.monotonic() < deadline:  # the pool notices the death
         time.sleep(0.01)
     assert run_experiment(spec, jobs=2).rows() == serial
     assert counts == {"built": 2, "shut": 1}
@@ -661,8 +684,8 @@ def test_no_worker_outlives_its_parent():
 
 
 def test_a_forked_child_builds_its_own_pool():
-    # the child inherits the parent's pool object but not its workers: reusing it would hang the child,
-    # which its alarm then ends before the parent's
+    # the child inherits the parent's pool object but not its workers, so it forgets the pool at the fork and
+    # builds its own: reusing the parent's would hang the child, which its alarm then ends before the parent's
     done = _python("""
         import os, signal
         from npivtest import sim
@@ -673,8 +696,9 @@ def test_a_forked_child_builds_its_own_pool():
         child = os.fork()
         if child == 0:
             signal.alarm(60)
+            forgotten = sim._pool is None
             sim.reproduce("supp-D", **kw)
-            print(sim._pool[0] == os.getpid(), sim._pool[2] is not parent_pool[2], flush=True)
+            print(forgotten, sim._pool[1] is not parent_pool[1], flush=True)
             sim._discard_pool()
             os._exit(0)
         os.waitpid(child, 0)
@@ -717,15 +741,14 @@ class _Libc:
 
 def test_pool_workers_keep_their_freed_pages():
     libc = _Libc()
-    assert sim_module._keep_freed_pages(libc)
+    sim_module._keep_freed_pages(libc)
     assert libc.calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-    assert not sim_module._keep_freed_pages(object())  # a C library without mallopt is left as it is
-    assert not sim_module._keep_freed_pages(None)
+    sim_module._keep_freed_pages(object())  # a C library without mallopt is left as it is
+    sim_module._keep_freed_pages(None)
 
 
-def test_pool_workers_run_one_blas_thread_and_keep_factors():
-    # the initializer runs in each worker: each reports one OpenBLAS thread whatever the environment says, and
-    # keeps each replication's instrument factors, which the calling process does not
+def test_pool_workers_run_one_blas_thread():
+    # the initializer runs in each worker: each reports one OpenBLAS thread whatever the environment says
     done = _python("""
         import ctypes, glob, os
         import numpy as np
@@ -734,14 +757,14 @@ def test_pool_workers_run_one_blas_thread_and_keep_factors():
         get = getattr(ctypes.CDLL(lib[0]), "scipy_openblas_get_num_threads64_", None) if lib else None
 
         def threads():
-            return get(), sim._keep_factors
+            return get()
 
         pool = sim._workers(2)
-        print(sim._keep_factors, get is None or sorted(pool.submit(threads).result() for _ in range(4)) == [(1, True)] * 4)
+        print(get is None or [pool.submit(threads).result() for _ in range(4)] == [1] * 4)
         sim._discard_pool()
     """)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["True"]
 
 
 def test_reproduce_bytes_do_not_depend_on_blas_threads():
