@@ -24,7 +24,8 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design, min_dim, zeta
+from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design,
+                    min_dim, zeta)
 from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from .linalg import _lapack, default_rcond, frobenius_norm, orthonormal_range
 from .npiv import _fit_from_factor, _weights, fit_restricted_cone, fit_restricted_parametric, parametric_design
@@ -116,8 +117,9 @@ def _equispaced_constraints(spec: BasisSpec, shape: str) -> ConstraintMatrix:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration, as a --config file gives it. The CLI flags override alpha, basis, grid,
-    k_factor and support by name, and --quantile-knots sets knot_rule; rcond has no flag."""
+    """Resolved run configuration: the level alpha, the sieve basis and its support and knot rule, the candidate
+    rule grid and K = k_factor * J. A --config file names any of these six fields (and may carry schema_version 1);
+    the CLI flags override alpha, basis, grid, k_factor and support by name, and --quantile-knots sets knot_rule."""
 
     alpha: float = 0.05
     basis: str = "bspline2"
@@ -125,22 +127,20 @@ class RunConfig:
     k_factor: int = 4
     support: tuple[float, float] = (0.0, 1.0)
     knot_rule: str = "equispaced"
-    rcond: float | None = None
 
     schema_version: ClassVar[int] = 1
 
     def __post_init__(self):
-        kinds = {"alpha": (Real,), "k_factor": (Integral,), "rcond": (Real, type(None))}
-        for name, kind in kinds.items():
+        for name, kind in (("alpha", Real), ("k_factor", Integral)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise InputError(f"{name} must be {'an integer' if Integral in kind else 'a number'}, got {value!r}")
+                raise InputError(f"{name} must be {'an integer' if kind is Integral else 'a number'}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.rcond is not None and not 0.0 < self.rcond < 1.0:
-            raise InputError(f"rcond must be in (0, 1), got {self.rcond}")
         if not isinstance(self.basis, str) or self.basis not in _BASIS_NAMES:
             raise InputError(f"unknown basis {self.basis!r}; expected one of {sorted(_BASIS_NAMES)}")
+        if self.knot_rule not in _KNOT_RULES:
+            raise InputError(f"unknown knot rule {self.knot_rule!r}")
         if self.k_factor < 2:
             raise InputError(f"k_factor must be >= 2, got {self.k_factor}")
         support = tuple(self.support) if isinstance(self.support, (tuple, list)) else ()
@@ -215,22 +215,24 @@ class RunConfig:
             "k_factor": self.k_factor,
             "support": list(self.support),
             "knot_rule": self.knot_rule,
-            "rcond": self.rcond,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = dict(d)
-        version = d.pop("schema_version", 1)
-        if version != 1:
-            raise InputError(f"unsupported config schema version {version}")
-        if isinstance(d.get("grid"), list):
-            d["grid"] = tuple(d["grid"])
-        known = {k: v for k, v in d.items() if k in RunConfig.__dataclass_fields__}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        return RunConfig(**known)
+        return _from_fields(RunConfig, d, "config")
+
+
+def _from_fields(cls, d: dict, what: str):
+    """cls built from d, a file's JSON object: schema_version, where d names it, must be 1, and every other key
+    must be a field of cls. what names the file kind in the errors."""
+    d = dict(d)
+    version = d.pop("schema_version", 1)
+    if version != 1:
+        raise InputError(f"unsupported {what} schema version {version}")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -622,8 +624,8 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
                     raise InputError(f"need n > K, got n={n}, K={k}")
                 # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            # n > K >= J, so one rcond, 1e-12 n by default, serves B's factor and the fit
-            rcond = default_rcond((n, k)) if config.rcond is None else config.rcond
+            # n > K >= J, so one rcond, 1e-12 n, serves B's factor and the fit
+            rcond = default_rcond((n, k))
             fit = _fit_from_factor(psi, orthonormal_range(designs.instrument(config, k_target), rcond), mu, rcond)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
@@ -648,13 +650,13 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
         return j, s_hat, psi, fit, rows
 
     model = null.model if null.custom_design is None else null.custom_design
-    outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model, rcond=config.rcond) for y in ys]
+    outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
     grid, results = _candidate_pass(n, config, step, visit, outcomes, j_min)
     return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
-def _structural_outcome(factor, y, h0, x, model, rcond) -> _ScanEntry:
+def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
     """The part of a structural candidate that reads y: beta, u = y - Psi beta, the restricted fit (the cone of a
     shape null's rows, else the 2SLS of model on U_B), v_J on u and D_J on the restricted residuals, or on y - h0
     when h0 is given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows); a parametric null's rows are None."""
@@ -666,7 +668,7 @@ def _structural_outcome(factor, y, h0, x, model, rcond) -> _ScanEntry:
             rfit = fit_restricted_cone(fit, rows, beta, psi, y)
             gamma = gamma_hat(rows, rfit.active_set)
         else:
-            rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r, rcond=rcond)
+            rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r)
             gamma = j
         s = fit.scaled_map
         r = rfit.residuals_r if h0 is None else y - h0
@@ -945,7 +947,7 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         if b is None:  # a certified step built no design
             b = designs.instrument(config, realized)
-        q, r_b, s_b = orthonormal_range(b, config.rcond)
+        q, r_b, s_b = orthonormal_range(b)
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)
@@ -953,18 +955,18 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
         raise InputError("parametric design and y must share the number of rows")
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
-    outcomes = [partial(_image_space_outcome, y=y, x=x, model=model, rcond=config.rcond) for y in ys]
+    outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]
     grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n, k_min),
                                     visit, outcomes, k_min)
     return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
-def _image_space_outcome(factor, y, x, model, rcond) -> _ScanEntry:
+def _image_space_outcome(factor, y, x, model) -> _ScanEntry:
     """The part of an image-space candidate that reads y: the 2SLS of model on U_B = q r_b, and D_K and v_K of
     its residuals. factor is the visit's (K, s_K, q, r_b)."""
     k, s_hat, q, r_b = factor
-    rfit = fit_restricted_parametric(y, x, model, q, r_b, rcond=rcond)
+    rfit = fit_restricted_parametric(y, x, model, q, r_b)
     r = rfit.residuals_r
     d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
     _check_underflow(k, y, D=(d_stat, r), v=(v_stat, r))

@@ -31,6 +31,7 @@ __all__ = [
 
 _FAMILIES = ("bspline", "cosine", "power")
 _CONSTRAINT_KINDS = ("decreasing", "increasing", "convex", "concave", "custom")
+_KNOT_RULES = ("equispaced", "quantile")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class BasisSpec:
             raise InputError(f"B-spline order must be >= 2, got {self.order}")
         if self.dim < min_dim(self):
             raise InputError(f"{self.family} basis needs dim >= {min_dim(self)}, got dim={self.dim}")
-        if self.knot_rule not in ("equispaced", "quantile"):
+        if self.knot_rule not in _KNOT_RULES:
             raise InputError(f"unknown knot rule {self.knot_rule!r}")
         if self.knot_rule == "quantile" and self.knot_data is None:
             raise InputError("quantile knot rule requires knot_data")

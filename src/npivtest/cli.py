@@ -366,9 +366,6 @@ def _rows_csv(rows: list[dict], front: tuple[str, ...]) -> str:
 
 def _cmd_simulate(args) -> int:
     doc = _read_json(args.spec, "spec")
-    version = doc.pop("schema_version", 1)
-    if version != 1:
-        raise InputError(f"unsupported experiment schema version {version}")
     if args.reps is not None:
         doc["replications"] = args.reps
     if args.seed is not None:

@@ -248,7 +248,7 @@ def parametric_design(x, model) -> tuple[np.ndarray, str]:
     raise InputError(f"unknown parametric model {model!r}; expected 'linear', 'quadratic', or a design array")
 
 
-def fit_restricted_parametric(y, x, model, q, r, rcond: float | None = None) -> RestrictedFit:
+def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:
     """Null-restricted parametric 2SLS on the instrument sieve.
 
     q @ r is an orthonormal basis U_B of the instrument design B's column space, as orthonormal_range(B)
@@ -263,9 +263,7 @@ def fit_restricted_parametric(y, x, model, q, r, rcond: float | None = None) -> 
         raise InputError("parametric design and y must share the number of rows")
     if q.ndim != 2 or q.shape[0] != y.shape[0]:
         raise InputError("instrument basis and y must share the number of rows")
-    if rcond is None:
-        rcond = default_rcond((q.shape[0], r.shape[1]))
-    tz_pinv, svals = pinv(r.T @ (q.T @ z), rcond)
+    tz_pinv, svals = pinv(r.T @ (q.T @ z), default_rcond((q.shape[0], r.shape[1])))
     if svals.size < z.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise InputError(
             f"parametric design is rank deficient after instrument projection "

@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import published
-from .adaptive import (NullSpec, RunConfig, _Designs, _image_space_scan, _res_parameters, _structural_scan,
-                       decide)
+from .adaptive import (NullSpec, RunConfig, _Designs, _from_fields, _image_space_scan, _res_parameters,
+                       _structural_scan, decide)
 from .dgp import DesignConfig, HSpec, draw, null_boundary
 from .errors import InputError, NumericalError
 from .randdist import RngStream
@@ -96,6 +96,8 @@ class ExperimentSpec:
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if name in _AXES else (value,))):
                 what = f"a list of {'integers' if kind is Integral else 'numbers'}" if name in _AXES else "an integer"
                 raise InputError(f"{name} must be {what}, got {value!r}")
+        if isinstance(self.grid_mode, list):
+            object.__setattr__(self, "grid_mode", tuple(self.grid_mode))
         if self.replications < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
         if self.mode not in ("size", "power", "size_adjusted_power"):
@@ -140,14 +142,7 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
-        d = dict(d)
-        known = set(ExperimentSpec.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise InputError(f"unknown experiment keys: {sorted(unknown)}")
-        if isinstance(d.get("grid_mode"), list):
-            d["grid_mode"] = tuple(d["grid_mode"])
-        return ExperimentSpec(**d)
+        return _from_fields(ExperimentSpec, d, "experiment")
 
 
 @dataclass

@@ -413,6 +413,12 @@ def test_config_schema_version_is_not_settable():
         RunConfig.from_dict({"schema_version": 2})
 
 
+def test_config_checks_the_knot_rule_at_construction():
+    with pytest.raises(InputError, match="unknown knot rule 'weird'"):
+        RunConfig(knot_rule="weird")
+    assert RunConfig(knot_rule="quantile").knot_rule == "quantile"
+
+
 def test_golden_report_snapshot():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.1), RngStream(123, 7)))
     cfg = RunConfig(grid="knots", k_factor=2)

@@ -54,6 +54,10 @@ def test_spec_json_roundtrip():
     assert again == spec
     with pytest.raises(InputError):
         ExperimentSpec.from_dict({"mode": "size", "cheese": 1})
+    # a spec file that experiment.schema.json accepts carries schema_version 1
+    assert ExperimentSpec.from_dict({**spec.to_dict(), "schema_version": 1}) == spec
+    with pytest.raises(InputError, match="unsupported experiment schema version 2"):
+        ExperimentSpec.from_dict({**spec.to_dict(), "schema_version": 2})
 
 
 def test_single_replication_rate_is_binary():
