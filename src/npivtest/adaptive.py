@@ -27,8 +27,8 @@ import numpy as np
 from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design,
                     min_dim, zeta)
 from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
-from .linalg import _lapack, default_rcond, frobenius_norm, orthonormal_range
-from .npiv import _fit_from_factor, _weights, fit_restricted_cone, fit_restricted_parametric, parametric_design
+from .linalg import _lapack, frobenius_norm, orthonormal_range
+from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -152,13 +152,16 @@ class RunConfig:
             if self.grid not in ("dyadic", "knots"):
                 raise InputError(f"grid mode must be 'dyadic', 'knots', or an explicit list, got {self.grid!r}")
         else:
+            bad = InputError(f"explicit grid must be a list of dims, got {self.grid!r}")
             try:
-                lst = tuple(int(j) for j in self.grid)
-            except (TypeError, ValueError):
-                raise InputError(f"explicit grid must be a list of dims, got {self.grid!r}") from None
+                lst = tuple(self.grid)
+            except TypeError:
+                raise bad from None
+            if any(isinstance(j, bool) or not isinstance(j, Integral) for j in lst):  # k_factor's rule, per entry
+                raise bad
             if len(lst) == 0 or any(j < 1 for j in lst):
                 raise InputError(f"explicit grid must be a non-empty list of positive dims, got {self.grid}")
-            object.__setattr__(self, "grid", tuple(sorted(set(lst))))
+            object.__setattr__(self, "grid", tuple(sorted({int(j) for j in lst})))
 
     @property
     def family(self) -> str:
@@ -609,24 +612,18 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     mu = _weights(mu, n)
     designs = _Designs(w) if designs is None else designs
     knot_data = x if config.knot_rule == "quantile" else None
-    scanned, j_min, d_w = not isinstance(config.grid, tuple), config.basis_min(), 1 if w.ndim == 1 else w.shape[1]
+    scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
     fit_warnings: list[str] = []
 
     def step(j: int):
         psi_spec = config.psi_spec(j, knot_data)
         psi = eval_design(psi_spec, x)
-        k_target = config.k_factor * j
-        k = config.instrument_dim(k_target, d_w)
+        b = designs.instrument(config, config.k_factor * j)
+        k = b.shape[1]
         try:
-            if k >= n:  # B_K is built for its evaluation errors alone, which come first as at any step
-                designs.instrument(config, k_target)
-                if not scanned:
-                    raise InputError(f"need n > K, got n={n}, K={k}")
-                # B'B has rank at most n < K, which ends a scanned grid's stability scan
+            if scanned and k >= n:  # B'B has rank at most n < K, which ends a scanned grid's stability scan
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            # n > K >= J, so one rcond, 1e-12 n, serves B's factor and the fit
-            rcond = default_rcond((n, k))
-            fit = _fit_from_factor(psi, orthonormal_range(designs.instrument(config, k_target), rcond), mu, rcond)
+            fit = fit_from_design(psi, b, mu)
         except SingularGramError as exc:
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "

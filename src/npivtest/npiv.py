@@ -114,14 +114,7 @@ def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     mu = _weights(mu, n)
     if rcond is None:
         rcond = default_rcond((n, max(j_dim, k_dim)))
-    return _fit_from_factor(psi, orthonormal_range(b, rcond), mu, rcond)
-
-
-def _fit_from_factor(psi: np.ndarray, factor, mu: np.ndarray, rcond: float) -> NpivFit:
-    """fit_from_design of checked designs with n > K >= J, from B's factor (q, r, s_B) = orthonormal_range(B, rcond)
-    and the weights mu: a sample's passes share one factor per instrument design."""
-    q, r, s_b = factor
-    j_dim, k_dim = psi.shape[1], s_b.shape[0]
+    q, r, s_b = orthonormal_range(b, rcond)
     warnings_list: list[str] = []
     if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
         raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k_dim})")

@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice, product
 from numbers import Integral, Real
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class ExperimentSpec:
     basis: str = "bspline2"
     master_seed: int = 0
 
+    schema_version: ClassVar[int] = 1
+
     def __post_init__(self):
         for name in ("replications", "k_factor", "master_seed", *_AXES):
             value = getattr(self, name)
@@ -96,6 +98,9 @@ class ExperimentSpec:
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if name in _AXES else (value,))):
                 what = f"a list of {'integers' if kind is Integral else 'numbers'}" if name in _AXES else "an integer"
                 raise InputError(f"{name} must be {what}, got {value!r}")
+            repeated = sorted({v for v in value if value.count(v) > 1}) if name in _AXES else []
+            if repeated:  # a repeated value would run its cells, and print their rows, twice
+                raise InputError(f"{name} has repeated values {repeated}")
         if isinstance(self.grid_mode, list):
             object.__setattr__(self, "grid_mode", tuple(self.grid_mode))
         if self.replications < 1:
@@ -134,7 +139,7 @@ class ExperimentSpec:
         return HSpec(family=self.h_family, c0=c0, c_a=c_a, c_b=c_b)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {"schema_version": self.schema_version, **asdict(self)}
         d["grid_mode"] = self.grid_mode if isinstance(self.grid_mode, str) else list(self.grid_mode)
         for key in _AXES:
             d[key] = list(d[key])

@@ -419,6 +419,14 @@ def test_config_checks_the_knot_rule_at_construction():
     assert RunConfig(knot_rule="quantile").knot_rule == "quantile"
 
 
+@pytest.mark.parametrize("grid", [[3.9, 8], ["3"], [True, 4]], ids=["float", "numeric-text", "bool"])
+def test_config_grid_takes_integer_entries_only(grid):
+    # an entry int() would turn into another J (3.9 -> 3, True -> 1) names no dimension
+    with pytest.raises(InputError, match="explicit grid must be a list of dims"):
+        RunConfig(grid=grid)
+    assert RunConfig(grid=[np.int64(8), 3, 3]).grid == (3, 8)
+
+
 def test_golden_report_snapshot():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=0.1), RngStream(123, 7)))
     cfg = RunConfig(grid="knots", k_factor=2)
@@ -536,7 +544,7 @@ def test_stability_scan_reads_y_only_in_candidate_visits(monkeypatch, null):
     # this dyadic scan steps J = 3, 4, 5 and stops at J_max_hat = 5, which is no dyadic candidate:
     # the factor reads no y, and the y-part runs once per candidate, at the candidates only
     stepped, visited = [], []
-    factor, coefficients = npiv_module._fit_from_factor, npiv_module.NpivFit.coefficients
+    factor, coefficients = adaptive_module.fit_from_design, npiv_module.NpivFit.coefficients
 
     def recording_factor(psi, *args):
         stepped.append(psi.shape[1])
@@ -546,13 +554,28 @@ def test_stability_scan_reads_y_only_in_candidate_visits(monkeypatch, null):
         visited.append(fit.l_inv_t.shape[0])
         return coefficients(fit, y)
 
-    monkeypatch.setattr(adaptive_module, "_fit_from_factor", recording_factor)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", recording_factor)
     monkeypatch.setattr(npiv_module.NpivFit, "coefficients", recording_coefficients)
     data = generate(DesignConfig("I", 5000, 0.5, HSpec("mono", c0=0.5), RngStream(1, 0)))
     grid = adaptive_scan(data.y, data.x, data.w, NullSpec.from_name(null), RunConfig())[0]
     assert grid.j_list == (3, 4) and grid.j_max_hat == 5
     assert stepped == [3, 4, 5]
     assert visited == list(grid.j_list)
+
+
+def test_adaptive_test_fits_each_stepped_j_once_through_fit_from_design(monkeypatch):
+    # the structural step has one fit path, the public kernel: one fit_from_design call per stepped J
+    fitted, fit = [], adaptive_module.fit_from_design
+
+    def recording_fit(psi, b, *args):
+        fitted.append((psi.shape[1], b.shape[1]))
+        return fit(psi, b, *args)
+
+    monkeypatch.setattr(adaptive_module, "fit_from_design", recording_fit)
+    data = generate(DesignConfig("I", 1000, 0.5, HSpec("mono", c0=0.1), RngStream(4, 3)))
+    rep = adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"), config=RunConfig(grid="knots"))
+    assert rep.grid.size >= 2
+    assert fitted == [(j, 4 * j) for j in sorted(rep.grid.shat)]
 
 
 def test_image_space_candidate_decomposes_each_instrument_design_once(monkeypatch):
@@ -887,7 +910,7 @@ def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(mo
     # public scan raises its outcome's error at once and steps no further
     data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
     ys = [data.y, data.y + 1.0, data.y + 2.0]
-    outcome, fit = adaptive_module._structural_outcome, adaptive_module._fit_from_factor
+    outcome, fit = adaptive_module._structural_outcome, adaptive_module.fit_from_design
     fitted = []
 
     def failing_outcome(factor, y, **kwargs):
@@ -902,7 +925,7 @@ def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(mo
         return fit(psi, *args)
 
     monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
-    monkeypatch.setattr(adaptive_module, "_fit_from_factor", failing_fit)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
     null, config = NullSpec.from_name("decreasing"), RunConfig(grid=(3, 4, 5))
     grid, results, _, _ = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
     assert grid is None

@@ -367,11 +367,15 @@ def test_cmd_test_flag_overrides_config(tmp_path):
     ([], {"k_factor": "4"}),
     ([], {"grid": 5}),
     ([], {"grid": ["a"]}),
+    ([], {"grid": [3.9, 8]}),
+    ([], {"grid": ["3"]}),
+    ([], {"grid": [True, 4]}),
     ([], {"support": [0]}),
     ([], {"support": None}),
     ([], {"basis": []}),
 ], ids=["support-one-value", "support-text", "support-reversed", "alpha-text", "k_factor-text", "grid-number",
-        "grid-text-entry", "support-one-entry", "support-null", "basis-list"])
+        "grid-text-entry", "grid-float-entry", "grid-numeric-text-entry", "grid-bool-entry", "support-one-entry",
+        "support-null", "basis-list"])
 def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -575,6 +579,7 @@ def test_cmd_simulate_minimal(tmp_path, capsys):
     if jsonschema is not None:
         schema = json.loads((SCHEMA_DIR / "experiment.schema.json").read_text())
         jsonschema.validate(sim_spec_doc(), schema)
+        jsonschema.validate(payload["spec"], schema)  # the summary's spec reads back as a spec file
 
 
 def test_cmd_simulate_parallel_identical_numbers(tmp_path, capsys):
@@ -681,6 +686,12 @@ def test_cmd_reproduce_filters_match_library(tmp_path, capsys):
 def test_cmd_reproduce_bad_filter_exit_2(capsys, table, flags):
     assert run_cli("reproduce", table, "--reps", "1", *flags) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cmd_reproduce_repeated_filter_value_exit_2(capsys):
+    # a repeated value would run each of its cells, and print each row, twice
+    assert run_cli("reproduce", "T2", "--reps", "4", "--n", "500", "500", "--xi", "0.5", "--kfactor", "2") == 2
+    assert "n_values has repeated values [500]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import npivtest.adaptive as adaptive_module
+import npivtest.npiv as npiv_module
 import npivtest.sim as sim_module
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError
@@ -46,6 +47,8 @@ def test_spec_validation():
         small_size_spec(mode="speed")
     with pytest.raises(InputError):
         small_size_spec(n_values=())
+    with pytest.raises(InputError, match=r"n_values has repeated values \[500\]"):
+        small_size_spec(n_values=(500, 1000, 500))
 
 
 def test_spec_json_roundtrip():
@@ -54,8 +57,8 @@ def test_spec_json_roundtrip():
     assert again == spec
     with pytest.raises(InputError):
         ExperimentSpec.from_dict({"mode": "size", "cheese": 1})
-    # a spec file that experiment.schema.json accepts carries schema_version 1
-    assert ExperimentSpec.from_dict({**spec.to_dict(), "schema_version": 1}) == spec
+    # a spec file that experiment.schema.json accepts carries schema_version 1, as to_dict writes it
+    assert spec.to_dict()["schema_version"] == 1
     with pytest.raises(InputError, match="unsupported experiment schema version 2"):
         ExperimentSpec.from_dict({**spec.to_dict(), "schema_version": 2})
 
@@ -384,9 +387,8 @@ def test_t1_builds_each_psi_once_per_k_factor_pass_and_its_rows_once(monkeypatch
     eval_design = adaptive_module.eval_design
     monkeypatch.setattr(adaptive_module, "eval_design", _recording(
         records, replication, "psi", eval_design, lambda spec, x: spec.dim if x is seen[replication["r"]][0] else None))
-    monkeypatch.setattr(adaptive_module, "_fit_from_factor", _recording(
-        records, replication, "fit", adaptive_module._fit_from_factor,
-        lambda psi, factor, *_: (psi.shape[1], factor[2].shape[0])))
+    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
+        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, b, *_: (psi.shape[1], b.shape[1])))
     monkeypatch.setattr(adaptive_module, "deriv_constraints", _recording(
         records, replication, "rows", adaptive_module.deriv_constraints, lambda spec, kind: (spec.dim, kind)))
     out = reproduce("T1", replications=3, seed=3, n_values=(500,), xi_values=(0.7,))
@@ -407,8 +409,8 @@ def test_an_f1_group_builds_each_fit_once_per_stepped_j(monkeypatch):
     # draw each stepped J's fit is built once, and every cell of the pass computes its outcome on it
     replication, records = {"r": -1}, []
     _counting_draws(monkeypatch, replication)
-    monkeypatch.setattr(adaptive_module, "_fit_from_factor", _recording(
-        records, replication, "fit", adaptive_module._fit_from_factor, lambda psi, *_: psi.shape[1]))
+    monkeypatch.setattr(adaptive_module, "fit_from_design", _recording(
+        records, replication, "fit", adaptive_module.fit_from_design, lambda psi, *_: psi.shape[1]))
     monkeypatch.setattr(adaptive_module, "_structural_outcome", _recording(
         records, replication, "outcome", adaptive_module._structural_outcome, lambda factor: factor[0]))
     out = reproduce("F1", replications=2, seed=3, n_values=(500,), xi_values=(0.5,))
@@ -466,7 +468,7 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
     # fails, so both tasks fail there. In replication 7 only the c0 = 1.0 task's outcome fails, and the pass
     # goes on for the other. Reasons and rows are those of each task run on its own
     replication = {"r": -1}
-    draw, fit, outcome = sim_module.draw, adaptive_module._fit_from_factor, adaptive_module._structural_outcome
+    draw, fit, outcome = sim_module.draw, adaptive_module.fit_from_design, adaptive_module._structural_outcome
     target = generate(DesignConfig("I", 200, 0.5, HSpec("mono", c0=1.0), RngStream(31, 7))).y
 
     def counting_draw(cfg):
@@ -484,7 +486,7 @@ def test_every_task_of_a_group_keeps_its_failure_reasons(monkeypatch):
         return outcome(factor, y, **kwargs)
 
     monkeypatch.setattr(sim_module, "draw", counting_draw)
-    monkeypatch.setattr(adaptive_module, "_fit_from_factor", failing_fit)
+    monkeypatch.setattr(adaptive_module, "fit_from_design", failing_fit)
     monkeypatch.setattr(adaptive_module, "_structural_outcome", failing_outcome)
     grouped = run_experiment(small_size_spec(replications=201, c0_values=(0.1, 1.0)))
     single = []
@@ -503,8 +505,9 @@ def test_a_supp_d_replication_factors_each_realized_instrument_design_once(monke
     # design the structural J = 3 and J = 4 and the image-space candidate each build and factor the 4 x 4 tensor
     replication, records = {"r": -1}, []
     _counting_draws(monkeypatch, replication)
-    monkeypatch.setattr(adaptive_module, "orthonormal_range", _recording(
-        records, replication, "factor", adaptive_module.orthonormal_range, lambda b, *_: b.shape[1]))
+    for module in (adaptive_module, npiv_module):  # the image-space visit and fit_from_design each factor their B
+        monkeypatch.setattr(module, "orthonormal_range", _recording(
+            records, replication, "factor", module.orthonormal_range, lambda b, *_: b.shape[1]))
     instrument = adaptive_module._Designs.instrument
 
     def width(designs, config, k_target):
@@ -538,6 +541,7 @@ def test_a_supp_d_replication_factors_the_same_designs_at_any_jobs(monkeypatch, 
 
     monkeypatch.setattr(sim_module, "draw", logging_draw)
     monkeypatch.setattr(adaptive_module, "orthonormal_range", logging_range)
+    monkeypatch.setattr(npiv_module, "orthonormal_range", logging_range)
     calls = {}
     for jobs in (1, 2):
         current["log"] = tmp_path / f"jobs{jobs}"
