@@ -70,30 +70,41 @@ class CsvDataset:
         return self.y.shape[0]
 
 
-def _bulk_table(text: str):
-    """(header, n x d table) of a CSV text the row loop would parse without error, else None.
+def _stream_table(data: bytes):
+    """(header, n x d table) of a CSV file's bytes, parsed in chunks by numpy's C reader, else None.
 
-    Only the regular case is handled: no quote, CR only in CRLF, no line longer than the
-    csv module's field limit, and rows of d cells that numpy's C reader parses as finite
-    floats (it skips blank lines, as the row loop does).
+    None sends the file to the row loop. That happens where the csv module could split the file
+    differently (no newline after the header, an empty or quoted header, a CR outside CRLF, a field
+    over the csv module's limit) and where the C reader fails or returns an empty, ragged or
+    non-finite table (it skips blank lines, as the row loop does). A leading BOM is skipped.
     """
-    text = text.replace("\r\n", "\n")
-    lines = text.split("\n")[:-1] if text.endswith("\n") else text.split("\n")
-    if '"' in text or "\r" in text or len(lines) < 2 or not lines[0] \
-            or max(map(len, lines)) > csv.field_size_limit():
+    half = csv.field_size_limit() // 2
+    # a field over the limit spans some aligned half-limit block, which then holds no newline
+    if (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")) or any(
+            data.find(b"\n", i, i + half) < 0 for i in range(0, len(data) - half + 1, half)):
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    with warnings.catch_warnings():
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(io.StringIO(text[len(lines[0]) + 1:]), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+            first = fh.readline()
+            if not first.endswith("\n") or first == "\n" or '"' in first:
+                return None
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # an undecodable byte raises UnicodeDecodeError, a ValueError
             return None
-    return (header, table) if table.shape[1] == len(header) and np.all(np.isfinite(table)) else None
+    header = [h.strip() for h in first[:-1].split(",")]
+    return (header, table) if table.size and table.shape[1] == len(header) and np.all(np.isfinite(table)) else None
 
 
-def _row_table(path: str, text: str):
-    """(header, n x d table) by the row loop, which raises InputError naming the line and column."""
+def _row_table(path: str, data: bytes):
+    """(header, n x d table) by the row loop, which raises InputError naming the line and column.
+
+    The whole file is decoded at once, so an undecodable byte is reported at its file offset.
+    """
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
     try:
@@ -130,14 +141,15 @@ def _row_table(path: str, text: str):
 def load_csv_dataset(path: str) -> CsvDataset:
     """Read and validate a dataset; malformed files raise InputError with a line number.
 
-    The file is read once; a regular file is parsed in bulk, anything else by the row loop.
+    The file is read once, as bytes; a regular file streams through numpy's C reader, anything
+    else goes to the row loop.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    header, table = _bulk_table(text) or _row_table(path, text)
+    header, table = _stream_table(raw) or _row_table(path, raw)
     if len(set(header)) != len(header):
         raise InputError(f"{path}: duplicate column names in header")
     data = {name: table[:, i].copy() for i, name in enumerate(header)}

@@ -92,7 +92,7 @@ class RestrictedFit:
     df_consumed: int = 0  # columns of the parametric design, full rank after instrument projection
 
 
-def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
+def fit_from_design(psi, b, mu=None) -> NpivFit:
     """Factor of a candidate from pre-evaluated design matrices, with its stability measure s_hat.
 
     With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
@@ -112,8 +112,7 @@ def fit_from_design(psi, b, mu=None, rcond: float | None = None) -> NpivFit:
     if not np.all(np.isfinite(psi)):  # orthonormal_range checks b
         raise InputError("regressor design Psi contains non-finite values")
     mu = _weights(mu, n)
-    if rcond is None:
-        rcond = default_rcond((n, max(j_dim, k_dim)))
+    rcond = default_rcond((n, max(j_dim, k_dim)))
     q, r, s_b = orthonormal_range(b, rcond)
     warnings_list: list[str] = []
     if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:

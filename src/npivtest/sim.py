@@ -64,6 +64,13 @@ TABLE_IDS = ("T1", "T2", "F1", "F2", "supp-C", "supp-D")
 _AXES = ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas")  # the cell axes of a spec
 
 
+def _check_distinct(name: str, values) -> None:
+    """InputError naming the repeated values: each would run its cells, and print their rows, twice."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise InputError(f"{name} has repeated values {repeated}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Grid of simulation cells plus the test configuration to run on each."""
@@ -98,9 +105,8 @@ class ExperimentSpec:
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if name in _AXES else (value,))):
                 what = f"a list of {'integers' if kind is Integral else 'numbers'}" if name in _AXES else "an integer"
                 raise InputError(f"{name} must be {what}, got {value!r}")
-            repeated = sorted({v for v in value if value.count(v) > 1}) if name in _AXES else []
-            if repeated:  # a repeated value would run its cells, and print their rows, twice
-                raise InputError(f"{name} has repeated values {repeated}")
+            if name in _AXES:
+                _check_distinct(name, value)
         if isinstance(self.grid_mode, list):
             object.__setattr__(self, "grid_mode", tuple(self.grid_mode))
         if self.replications < 1:
@@ -497,10 +503,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     return _summaries([spec], jobs)[0]
 
 
-def _filtered(values, chosen):
+def _filtered(values, chosen, name):
     if chosen is None:
         return tuple(values)
     chosen = tuple(chosen)
+    _check_distinct(name, chosen)
     missing = [v for v in chosen if v not in values]
     if missing:
         raise InputError(f"requested cells {missing} are not part of this table")
@@ -539,12 +546,13 @@ def _table_runs(table_id: str, n_values, xi_values, c0_values, k_factors) -> lis
     if table_id in ("F1", "F2"):
         spec = dict(
             mode="size_adjusted_power", null="decreasing" if table_id == "F1" else "linear", h_family="sin",
-            n_values=_filtered((500, 1000) if table_id == "F1" else (500,), n_values),
-            xi_values=_filtered((0.5, 0.7), xi_values),
+            n_values=_filtered((500, 1000) if table_id == "F1" else (500,), n_values, "n_values"),
+            xi_values=_filtered((0.5, 0.7), xi_values, "xi_values"),
             c_a_values=(0.1, 0.3, 0.6, 1.0, 1.5, 2.0), c_b_values=(0.0, 0.5, 1.0), k_factor=4,
         )
         return [_Run("power", spec, {}, None, (), ((0.05, None),), None)]
-    axes = dict(n_values=_filtered((500, 1000, 5000), n_values), xi_values=_filtered((0.3, 0.5, 0.7), xi_values))
+    axes = dict(n_values=_filtered((500, 1000, 5000), n_values, "n_values"),
+                xi_values=_filtered((0.3, 0.5, 0.7), xi_values, "xi_values"))
     if table_id == "supp-D":  # structural (K=4J) vs image-space test of linearity
         return [
             _Run(f"{design}:{statistic}",
@@ -556,10 +564,10 @@ def _table_runs(table_id: str, n_values, xi_values, c0_values, k_factors) -> lis
         ]
     fields, table, lookup, rates = _PER_K_TABLES[table_id]
     if table_id == "T1":
-        axes["c0_values"] = _filtered((0.01, 0.1, 1.0), c0_values)
+        axes["c0_values"] = _filtered((0.01, 0.1, 1.0), c0_values, "c0_values")
     return [
         _Run(f"k{k}", dict(k_factor=k, **fields, **axes), {"k_factor": k}, table, lookup, rates, ("avg_J", "jhat"))
-        for k in _filtered((2, 4), k_factors)
+        for k in _filtered((2, 4), k_factors, "k_factors")
     ]
 
 

@@ -1,3 +1,6 @@
+import os
+import pathlib
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,6 +11,13 @@ hypothesis.settings.register_profile(
     "numeric", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("numeric")
+
+
+@pytest.fixture
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a test that starts an interpreter."""
+    src = str(pathlib.Path(sim_module.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 @pytest.fixture

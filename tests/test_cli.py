@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,9 +85,11 @@ def _rows(n=25, cols=3):
     return [",".join(f"{v:.17g}" for v in row) for row in rng.uniform(0.0, 1.0, size=(n, cols))]
 
 
-# _BULK texts take the bulk parser (some still fail validation after it); _ROW_LOOP texts fall back to the row loop
+# _BULK texts stream through numpy's C reader (some still fail validation after it); _ROW_LOOP texts fall
+# back to the row loop
 _BULK = {
     "plain": "y,x,w\n" + "\n".join(_rows()) + "\n",
+    "bom": "\ufeffy,x,w\n" + "\n".join(_rows()) + "\n",
     "no-final-newline": "y,x,w\n" + "\n".join(_rows()),
     "crlf": "y,x,w\r\n" + "\r\n".join(_rows()) + "\r\n",
     "blank-lines": "y,x,w\n" + "\n\n".join(_rows()) + "\n\n",
@@ -105,6 +108,7 @@ _ROW_LOOP = {
     "underscore": "y,x,w\n" + "\n".join(_rows()) + "\n1_0,0.5,0.5\n",
     "quoted-cells": "y,x,w\n" + "\n".join(f'"{r}"'.replace(",", '","') for r in _rows()),
     "quoted-header": '"y","x","w"\n' + "\n".join(_rows()),
+    "bom-quoted-header": '\ufeff"y","x","w"\n' + "\n".join(_rows()),
     "whitespace-lines": "y,x,w\n" + "\n  \t\n".join(_rows()),
     "comma-only-lines": "y,x,w\n" + "\n , ,\n".join(_rows()),
     "lone-cr": "y,x,w\r" + "\r".join(_rows()),
@@ -135,9 +139,9 @@ def test_csv_bulk_parse_matches_row_loop(tmp_path, monkeypatch, name):
     text = _BULK.get(name, _ROW_LOOP.get(name))
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (cli_module._bulk_table(text) is not None) == (name in _BULK)
+    assert (cli_module._stream_table(text.encode("utf-8")) is not None) == (name in _BULK)
     bulk = _load_outcome(str(path))
-    monkeypatch.setattr(cli_module, "_bulk_table", lambda text: None)
+    monkeypatch.setattr(cli_module, "_stream_table", lambda data: None)
     rows = _load_outcome(str(path))
     if isinstance(rows, str):
         assert bulk == rows
@@ -148,6 +152,34 @@ def test_csv_bulk_parse_matches_row_loop(tmp_path, monkeypatch, name):
         if want is not None:
             assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
+
+
+def test_csv_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM, which once hid the first header name
+    for plain, bom in (("plain", "bom"), ("quoted-header", "bom-quoted-header")):
+        outcomes = []
+        for name in (plain, bom):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(_BULK.get(name, _ROW_LOOP.get(name)).encode("utf-8"))
+            outcomes.append(_load_outcome(str(path)))
+        assert not isinstance(outcomes[1], str), outcomes[1]
+        for got, want in zip(*outcomes):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_csv_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # the C reader takes the body in chunks: no whole-file text, line list or StringIO copy
+    path = tmp_path / "big.csv"
+    table = np.random.default_rng(20_000).uniform(size=(20_000, 3))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="y,x,w", comments="")
+    tracemalloc.start()
+    try:
+        ds = load_csv_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ds.y, table[:, 0])
+    assert peak < 3 * path.stat().st_size
 
 
 def test_csv_malformed_files_keep_their_messages(tmp_path):
@@ -692,6 +724,8 @@ def test_cmd_reproduce_repeated_filter_value_exit_2(capsys):
     # a repeated value would run each of its cells, and print each row, twice
     assert run_cli("reproduce", "T2", "--reps", "4", "--n", "500", "500", "--xi", "0.5", "--kfactor", "2") == 2
     assert "n_values has repeated values [500]" in capsys.readouterr().err
+    assert run_cli("reproduce", "T2", "--reps", "2", "--n", "500", "--xi", "0.5", "--kfactor", "2", "2") == 2
+    assert "k_factors has repeated values [2]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -709,9 +743,10 @@ def test_cmd_reproduce_unknown_table(capsys):
 # --------------------------------------------------------------- entry point
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(checkout_env):
     proc = subprocess.run(
         [sys.executable, "-m", "npivtest.cli", "--version"],
+        env=checkout_env,
         capture_output=True,
         text=True,
     )

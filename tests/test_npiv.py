@@ -144,14 +144,14 @@ def test_fit_matches_the_two_factorization_oracle(family, order):
             assert fit.s_hat == pytest.approx(old_s, rel=1e-6 if family == "power" else 1e-12)
 
 
-def _assert_matches_the_joint_fit(y, psi, b, mu=None, rcond=None):
+def _assert_matches_the_joint_fit(y, psi, b, mu=None):
     try:
-        old = fit_from_design_joint(y, psi, b, mu, rcond)
+        old = fit_from_design_joint(y, psi, b, mu)
     except (InputError, NumericalError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            fit_from_design(psi, b, mu, rcond)
+            fit_from_design(psi, b, mu)
         return None
-    fit = fit_from_design(psi, b, mu, rcond)
+    fit = fit_from_design(psi, b, mu)
     beta = fit.coefficients(y)
     assert np.array_equal(beta, old.beta)
     assert np.array_equal(y - psi @ beta, old.residuals)
@@ -185,10 +185,11 @@ def test_split_fit_matches_the_joint_fit_when_rank_deficient(rng):
     psi = np.column_stack([np.ones(n), x, e - q @ (r @ (r.T @ (q.T @ e)))])
     fit = _assert_matches_the_joint_fit(y, psi, b)
     assert any("projected regressor design is rank deficient" in msg for msg in fit.warnings)
-    # a near-duplicate instrument column below rcond truncates U_B
-    b_cut = np.column_stack([b, b[:, 0] + 1e-5 * rng.normal(size=n)])
-    fit = _assert_matches_the_joint_fit(y, eval_design(bspline(4), x), b_cut, rcond=1e-3)
-    assert any("instrument design is rank deficient" in msg for msg in fit.warnings)
+    # at the cutoff 1e-12 n, a near-duplicate instrument column close enough to be cut makes B'B singular first
+    b_cut = np.column_stack([b, b[:, 0] + 1e-9 * rng.normal(size=n)])
+    assert _assert_matches_the_joint_fit(y, eval_design(bspline(4), x), b_cut) is None
+    with pytest.raises(NumericalError, match="instrument gram B'B is numerically singular"):
+        fit_from_design(eval_design(bspline(4), x), b_cut)
     # a singular weighted gram is the same error
     assert _assert_matches_the_joint_fit(y, np.column_stack([np.ones(n), x, x]), b) is None
 
@@ -331,7 +332,7 @@ def test_cone_project_small_norm_matches_enumeration():
     assert np.linalg.norm(beta - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
-def test_shape_null_test_does_not_import_scipy_optimize():
+def test_shape_null_test_does_not_import_scipy_optimize(checkout_env):
     # the cone solver is plain numpy; scipy.optimize would add its import time and memory to every run
     code = (
         "import sys\n"
@@ -343,7 +344,7 @@ def test_shape_null_test_does_not_import_scipy_optimize():
         "assert any(rec.n_active for rec in rep.per_j)\n"
         "assert 'scipy.optimize' not in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=checkout_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
