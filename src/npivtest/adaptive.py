@@ -674,7 +674,7 @@ def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
     except (InputError, NumericalError) as exc:
         raise type(exc)(f"candidate J={j}: {exc}") from exc
     _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
-    return _ScanEntry(j=j, k=fit.k_dim, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
+    return _ScanEntry(j=j, k=fit.r.shape[1], d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
                       n_active=len(rfit.active_set), center=gamma)
 
 
@@ -944,7 +944,10 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
             raise InputError(f"candidate K={realized}: need n > K, got n={n}")
         if b is None:  # a certified step built no design
             b = designs.instrument(config, realized)
-        q, r_b, s_b = orthonormal_range(b)
+        try:
+            q, r_b, s_b = orthonormal_range(b)
+        except (InputError, NumericalError) as exc:
+            raise type(exc)(f"candidate K={realized}: {exc}") from exc
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)

@@ -1,10 +1,10 @@
 """Dense matrix kernels used throughout the test machinery.
 
 Thin, contract-checked wrappers around LAPACK (via numpy): truncated
-Moore-Penrose pseudo-inverses and orthonormal range bases. Generalized
-inverses use a relative singular-value cutoff; a range basis comes from the
-K x K gram b'b where that is well conditioned, and from the thin SVD of b
-elsewhere.
+Moore-Penrose pseudo-inverses, full-rank orthonormal range bases and the
+singular-gram rule. Generalized inverses use a relative singular-value cutoff;
+a range basis comes from the K x K gram b'b where that is well conditioned,
+and from the thin SVD of b elsewhere.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, SingularGramError
 
 __all__ = [
     "pinv",
     "orthonormal_range",
     "frobenius_norm",
     "default_rcond",
+    "check_gram",
 ]
 
 
@@ -32,6 +33,12 @@ GRAM_FLOOR = 1e-3
 def default_rcond(shape: tuple[int, int]) -> float:
     """Relative cutoff for discarding singular values / eigenvalues."""
     return 1e-12 * max(shape)
+
+
+def check_gram(lam_min: float, lam_max: float, dim: int, error: type[NumericalError], name: str) -> None:
+    """The singular-gram rule: raise error, naming the dim x dim gram, when lam_min <= 1e-12 dim lam_max."""
+    if lam_min <= default_rcond((dim, dim)) * lam_max:
+        raise error(f"{name} is numerically singular (dim {dim})")
 
 
 def _as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
@@ -69,29 +76,27 @@ def pinv(a, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     return (vt.T * inv_s) @ u.T, s
 
 
-def orthonormal_range(b, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, r, s): q @ r is an orthonormal basis (n x rank) of b's range, s b's singular values, descending.
+def orthonormal_range(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, s): q @ r is an orthonormal basis (n x K) of b's range, s b's singular values, descending.
 
-    Where b'b = V diag(lam) V' has lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and
-    (q, r, s) = (b, V diag(lam)^{-1/2}, sqrt(lam) descending), so no n x K basis is formed; otherwise (or
-    for a non-finite b'b or a failed eigh) q is the thin SVD's U truncated at s <= rcond * s_max, r = I.
+    A b whose gram fails check_gram is a SingularGramError, so no column is cut. Where b'b = V diag(lam) V'
+    has lam_min > GRAM_FLOOR lam_max, (q, r, s) = (b, V diag(lam)^{-1/2}, sqrt(lam) descending), so no
+    n x K basis is formed; otherwise (or for a non-finite b'b or a failed eigh) q is the thin SVD's U, r = I.
     """
     b = _as_matrix(b, finite=False)
-    if rcond is None:
-        rcond = default_rcond(b.shape)
     g = b.T @ b
     if np.all(np.isfinite(g)):  # so b is finite: g's diagonal sums the squares of b's columns
         with contextlib.suppress(NumericalError):  # a failed eigh falls through to the SVD
             lam, v = _lapack(np.linalg.eigh, g)
-            if lam[0] > max(GRAM_FLOOR, rcond * rcond) * lam[-1]:
+            if lam[0] > GRAM_FLOOR * lam[-1]:  # which passes check_gram while K < 1e9
                 root = np.sqrt(lam)
                 return b, v / root, root[::-1]
     b = _as_matrix(b)  # a non-finite entry is an input error; a finite b whose gram overflows takes the SVD
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
-    rank = int(np.sum(s > rcond * s[0]))
-    if rank == 0:
-        raise NumericalError("matrix has numerical rank zero; no range to project on")
-    return u[:, :rank], np.eye(rank), s
+    # b'b's spectrum scaled to lam_max = 1, so a gram that overflows is judged too; n < K leaves b'b singular
+    lam_min = (s[-1] / s[0]) ** 2 if s[0] > 0 and s.size == b.shape[1] else 0.0
+    check_gram(lam_min, 1.0, b.shape[1], SingularGramError, "instrument gram B'B")
+    return u, np.eye(b.shape[1]), s
 
 
 def frobenius_norm(a) -> float:

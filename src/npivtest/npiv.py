@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
-from .linalg import _lapack, default_rcond, orthonormal_range, pinv
+from .errors import InputError, NumericalError, SingularRegressorGramError
+from .linalg import _lapack, check_gram, default_rcond, orthonormal_range, pinv
 
 __all__ = [
     "NpivFit",
@@ -59,10 +59,9 @@ class NpivFit:
 
     gram_weighted: np.ndarray  # Psi' Omega Psi = L L'
     l_inv_t: np.ndarray  # L^{-T} (J x J)
-    m_pinv: np.ndarray  # M^+ (J x rank), M = U_B' Psi L^{-T}
-    q: np.ndarray  # q @ r is an orthonormal basis U_B of the instrument design's column space
-    r: np.ndarray
-    k_dim: int
+    m_pinv: np.ndarray  # M^+ (J x K), M = U_B' Psi L^{-T}
+    q: np.ndarray  # q @ r is an orthonormal basis U_B (n x K) of the instrument design's column space
+    r: np.ndarray  # K x K, so r.shape[1] is the instrument dimension K
     s_hat: float  # smallest singular value of M
     warnings: list[str] = field(default_factory=list)
 
@@ -89,7 +88,7 @@ class RestrictedFit:
     fitted_r: np.ndarray
     residuals_r: np.ndarray
     active_set: np.ndarray
-    df_consumed: int = 0  # columns of the parametric design, full rank after instrument projection
+    df_consumed: int = 0  # rank of the parametric design after instrument projection, which is all its columns
 
 
 def fit_from_design(psi, b, mu=None) -> NpivFit:
@@ -98,7 +97,7 @@ def fit_from_design(psi, b, mu=None) -> NpivFit:
     With U_B = q r = orthonormal_range(B) and Psi' Omega Psi = V diag(lam) V', L^{-T} = V diag(lam)^{-1/2},
     one SVD of the orthonormalized cross-gram M = U_B' Psi L^{-T} gives s_hat = s_min(M) and M^+, from
     which coefficients(y) = L^{-T} M^+ U_B' y and scaled_map = M^+ U_B' = L'C. A singular B'B is a
-    SingularGramError, then a singular Psi' Omega Psi a SingularRegressorGramError.
+    SingularGramError, then a singular Psi' Omega Psi a SingularRegressorGramError; M^+ is cut at 1e-12 n.
     """
     psi = np.asarray(psi, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -112,27 +111,18 @@ def fit_from_design(psi, b, mu=None) -> NpivFit:
     if not np.all(np.isfinite(psi)):  # orthonormal_range checks b
         raise InputError("regressor design Psi contains non-finite values")
     mu = _weights(mu, n)
-    rcond = default_rcond((n, max(j_dim, k_dim)))
-    q, r, s_b = orthonormal_range(b, rcond)
-    warnings_list: list[str] = []
-    if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
-        raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k_dim})")
-    if r.shape[1] < k_dim:
-        warnings_list.append(f"instrument design is rank deficient: rank {r.shape[1]} < K={k_dim}")
+    q, r, _ = orthonormal_range(b)
     gram_weighted = psi.T @ (psi * mu[:, None])
     gram_weighted = 0.5 * (gram_weighted + gram_weighted.T)
     lam, v = _lapack(np.linalg.eigh, gram_weighted)
-    if lam[0] <= default_rcond((j_dim, j_dim)) * lam[-1]:
-        raise SingularRegressorGramError(f"weighted regressor gram Psi'Omega Psi is numerically singular (dim {j_dim})")
+    check_gram(lam[0], lam[-1], j_dim, SingularRegressorGramError, "weighted regressor gram Psi'Omega Psi")
     l_inv_t = v / np.sqrt(lam)
+    rcond = default_rcond((n, max(j_dim, k_dim)))
     m_pinv, m_svals = pinv(r.T @ (q.T @ psi) @ l_inv_t, rcond)
-    if m_svals[-1] <= rcond * m_svals[0]:
-        warnings_list.append(
-            f"projected regressor design is rank deficient (min/max singular value "
-            f"{m_svals[-1]:.3e}/{m_svals[0]:.3e}); pseudo-inverse truncation applied"
-        )
-    return NpivFit(gram_weighted=gram_weighted, l_inv_t=l_inv_t, m_pinv=m_pinv, q=q, r=r, k_dim=k_dim,
-                   s_hat=float(m_svals[-1]), warnings=warnings_list)
+    return NpivFit(gram_weighted=gram_weighted, l_inv_t=l_inv_t, m_pinv=m_pinv, q=q, r=r, s_hat=float(m_svals[-1]),
+                   warnings=[f"projected regressor design is rank deficient (min/max singular value "
+                             f"{m_svals[-1]:.3e}/{m_svals[0]:.3e}); pseudo-inverse truncation applied"]
+                   if m_svals[-1] <= rcond * m_svals[0] else [])  # a warning exactly where pinv cut
 
 
 def _active_rows(m_rows: np.ndarray, beta: np.ndarray, scale: float) -> np.ndarray:
@@ -255,8 +245,9 @@ def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:
         raise InputError("parametric design and y must share the number of rows")
     if q.ndim != 2 or q.shape[0] != y.shape[0]:
         raise InputError("instrument basis and y must share the number of rows")
-    tz_pinv, svals = pinv(r.T @ (q.T @ z), default_rcond((q.shape[0], r.shape[1])))
-    if svals.size < z.shape[1] or svals[-1] <= 1e-10 * svals[0]:
+    rcond = default_rcond((q.shape[0], r.shape[1]))
+    tz_pinv, svals = pinv(r.T @ (q.T @ z), rcond)
+    if svals.size < z.shape[1] or svals[-1] <= rcond * svals[0]:  # pinv's cut would drop a direction
         raise InputError(
             f"parametric design is rank deficient after instrument projection "
             f"(model {model_name!r}, {z.shape[1]} columns, K={r.shape[1]})"

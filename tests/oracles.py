@@ -18,7 +18,7 @@ import numpy as np
 from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
 from npivtest.errors import InputError, NumericalError, SingularGramError
-from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, orthonormal_range, pinv
+from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, pinv
 from npivtest.npiv import _weights
 from npivtest.randdist import CovarianceSpec, mvn_sample, std_normal_cdf
 
@@ -437,26 +437,37 @@ def tensor_design_einsum(specs, x) -> np.ndarray:
 # place of (q, r), as a namespace) as the parity oracle of npiv.fit_from_design.
 
 
-def orthonormal_range_ub(b, rcond: float | None = None) -> np.ndarray:
-    """Orthonormal basis (n x r) of the column space of b, rank-truncated at s <= rcond * s_max.
+def orthonormal_range_truncating(b, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, s): q @ r is an orthonormal basis (n x rank) of b's range, s b's singular values, descending.
 
-    Where b'b = V diag(lam) V' has lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and the
-    basis is b V diag(lam)^{-1/2}; otherwise (or for a non-finite b'b or a failed eigh) the thin SVD's U.
+    linalg.orthonormal_range as it was before it raised on a singular gram. Where b'b = V diag(lam) V' has
+    lam_min > max(GRAM_FLOOR, rcond^2) lam_max, no column is cut and (q, r, s) = (b, V diag(lam)^{-1/2},
+    sqrt(lam) descending); otherwise (or for a non-finite b'b or a failed eigh) q is the thin SVD's U
+    truncated at s <= rcond * s_max, r = I.
     """
-    b = _as_matrix(b)
+    b = _as_matrix(b, finite=False)
     if rcond is None:
         rcond = default_rcond(b.shape)
     g = b.T @ b
-    if np.all(np.isfinite(g)):
+    if np.all(np.isfinite(g)):  # so b is finite: g's diagonal sums the squares of b's columns
         with contextlib.suppress(NumericalError):  # a failed eigh falls through to the SVD
             lam, v = _lapack(np.linalg.eigh, g)
             if lam[0] > max(GRAM_FLOOR, rcond * rcond) * lam[-1]:
-                return b @ (v / np.sqrt(lam))
+                root = np.sqrt(lam)
+                return b, v / root, root[::-1]
+    b = _as_matrix(b)  # a non-finite entry is an input error; a finite b whose gram overflows takes the SVD
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
     rank = int(np.sum(s > rcond * s[0]))
     if rank == 0:
         raise NumericalError("matrix has numerical rank zero; no range to project on")
-    return u[:, :rank]
+    return u[:, :rank], np.eye(rank), s
+
+
+def orthonormal_range_ub(b, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal basis (n x r) of the column space of b, rank-truncated at s <= rcond * s_max: the
+    truncating kernel's q @ r, b V diag(lam)^{-1/2} on its gram path and the thin SVD's U elsewhere."""
+    q, r, _ = orthonormal_range_truncating(b, rcond)
+    return q @ r
 
 
 def sym_inv_sqrt(g, name: str = "gram") -> np.ndarray:
@@ -557,14 +568,14 @@ def fit_from_design_joint(y, psi, b, mu=None, rcond: float | None = None) -> Sim
         raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
     if n <= k_dim:
         raise InputError(f"need n > K, got n={n}, K={k_dim}")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi))):  # orthonormal_range checks b
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(psi))):  # orthonormal_range_truncating checks b
         raise InputError("data or design matrices contain non-finite values")
     mu = _weights(mu, n)
     if rcond is None:
         rcond = default_rcond((n, max(j_dim, k_dim)))
 
     warnings_list: list[str] = []
-    q, r, s_b = orthonormal_range(b, rcond)
+    q, r, s_b = orthonormal_range_truncating(b, rcond)
     if s_b[-1] ** 2 <= default_rcond((k_dim, k_dim)) * s_b[0] ** 2:
         raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k_dim})")
     if r.shape[1] < k_dim:

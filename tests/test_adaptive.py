@@ -27,7 +27,7 @@ from npivtest.adaptive import (
 )
 from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
-from npivtest.errors import InputError, NumericalError
+from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from npivtest.randdist import RngStream, chisq_quantile
@@ -1233,6 +1233,19 @@ def test_image_space_scan_starts_at_the_null_parameter_count(basis, model, n_par
     rep = image_space_test(data.y, data.x, data.w, model, config=cfg)
     assert rep.grid.j_list[0] == max(cfg.basis_min(), n_params)
     assert all(rec.k >= n_params for rec in rep.per_j)
+
+
+def test_image_space_rank_deficient_instrument_is_a_singular_gram_error():
+    # w with three distinct values leaves every B_K of rank 3: from K = 4 on the scan cannot
+    # report df K - 2 and centering K, so the first such candidate fails the gram rule
+    gen = np.random.default_rng(0)
+    n = 2000
+    w = gen.integers(0, 3, size=n) / 2.0
+    x = w + 0.3 * gen.normal(size=n)
+    y = 1.0 + 2.0 * x + gen.normal(size=n)
+    with pytest.raises(SingularGramError) as info:
+        image_space_test(y, x, w, "linear")
+    assert str(info.value) == "candidate K=4: instrument gram B'B is numerically singular (dim 4)"
 
 
 def test_image_space_eta_error_names_k_df_and_centering():

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
 import pytest
 
 import npivtest
+from npivtest.linalg import orthonormal_range
 
 MODULES = ["npivtest"] + [f"npivtest.{m.name}" for m in pkgutil.iter_modules(npivtest.__path__)]
 LAYERS_FILE = pathlib.Path(__file__).parent.parent / "perfbench" / "layers.py"
@@ -49,3 +51,9 @@ def test_traced_functions_are_exported():
                 continue
             assert fn in module.__all__, f"{mod}.{fn} is not exported"
             assert callable(getattr(module, fn)), f"{mod}.{fn} does not resolve"
+
+
+def test_orthonormal_range_takes_b_first():
+    # the benchmark counts linalg.orthonormal_range's cells from its first positional argument (or b=);
+    # a renamed or reordered parameter would silently zero that counter
+    assert next(iter(inspect.signature(orthonormal_range).parameters)) == "b"

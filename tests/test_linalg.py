@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import npivtest.linalg as linalg_module
 from npivtest.basis import BasisSpec, eval_design, tensor_design
-from npivtest.errors import InputError, NumericalError
+from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import GRAM_FLOOR, frobenius_norm, orthonormal_range, pinv
 
 from oracles import orthonormal_range_svd, sym_inv_sqrt
@@ -13,9 +13,9 @@ from oracles import orthonormal_range_svd, sym_inv_sqrt
 # pinv returns the singular values of its one SVD; the svd tests read them there
 
 
-def range_basis(b, rcond=None):
+def range_basis(b):
     """The orthonormal basis q @ r of orthonormal_range's triple."""
-    q, r, _ = orthonormal_range(b, rcond)
+    q, r, _ = orthonormal_range(b)
     return q @ r
 
 
@@ -121,23 +121,26 @@ def sweep_designs(basis: str, n: int):
 @pytest.mark.parametrize("n", [60, 500, 5000])
 @pytest.mark.parametrize("basis", sorted(SWEEP_BASES))
 def test_orthonormal_range_matches_svd_oracle(basis, n):
-    # the gram path and the SVD span the same space up to a rotation: same rank,
-    # orthonormal columns, same projection; a zero or duplicated column and a
-    # large user rcond send the design to the truncating SVD
+    # the gram path and the SVD span the same space up to a rotation: every column kept,
+    # orthonormal columns, same projection as the SVD oracle; a zero or duplicated column,
+    # which the oracle would cut, fails the gram rule, as does a design the rule finds singular
     gen = np.random.default_rng(7)
-    truncated = 0
     for b in sweep_designs(basis, n):
-        cases = [(b, None), (np.column_stack([b, np.zeros(n)]), None), (np.column_stack([b, b[:, :1]]), None),
-                 (b, 1e-3), (b, 0.5)]
-        for design, rcond in cases:
-            u, oracle = range_basis(design, rcond), orthonormal_range_svd(design, rcond)
-            assert u.shape == oracle.shape
-            truncated += u.shape[1] < design.shape[1]
+        s = np.linalg.svd(b, compute_uv=False)
+        cases = [(b, (s[-1] / s[0]) ** 2 <= 1e-12 * b.shape[1]),
+                 (np.column_stack([b, np.zeros(n)]), True), (np.column_stack([b, b[:, :1]]), True)]
+        for design, rank_deficient in cases:
+            if rank_deficient:
+                with pytest.raises(SingularGramError, match=rf"^instrument gram B'B is numerically singular "
+                                                             rf"\(dim {design.shape[1]}\)$"):
+                    orthonormal_range(design)
+                continue
+            u, oracle = range_basis(design), orthonormal_range_svd(design)
+            assert u.shape == oracle.shape == design.shape
             np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
             x = gen.normal(size=(n, 3))
             expected = oracle @ (oracle.T @ x)
             assert np.linalg.norm(u @ (u.T @ x) - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert truncated > 0
 
 
 def _count_tall_svds(monkeypatch, n: int) -> dict:

@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import npivtest.npiv as npiv_module
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
-from npivtest.errors import InputError, NumericalError
+from npivtest.errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import (
     cone_project,
@@ -33,6 +34,15 @@ from oracles import (
 
 def bspline(dim, order=3, **kw):
     return BasisSpec("bspline", dim, order, **kw)
+
+
+def blocks(n, scales):
+    """n x len(scales) design whose column j is scales[j] on rows [j n/5, (j + 1) n/5) and 0 elsewhere."""
+    m = n // 5
+    design = np.zeros((n, len(scales)))
+    for j, scale in enumerate(scales):
+        design[j * m:(j + 1) * m, j] = scale
+    return design
 
 
 def random_spd(gen, dim, jitter=0.3):
@@ -117,6 +127,16 @@ def test_rank_deficiency_warning(rng):
     assert any("rank deficient" in msg for msg in fit.warnings)
     with pytest.raises(NumericalError, match="weighted regressor gram"):
         fit_from_design(np.column_stack([np.ones(n), x, x, x**2]), b)
+    # M^+ is cut, with the warning, exactly when s_min(M) <= 1e-12 n s_max(M): on four instrument blocks,
+    # Psi's third column eps block_3 + block_5 has M's singular values (1, 1, eps / sqrt(1 + eps^2))
+    n, cut = 80, 1e-12 * 80
+    b = blocks(n, [1.0] * 4)
+    for eps, kept in ((cut * (1 - 1e-3), 2), (cut * (1 + 1e-3), 3)):
+        psi = blocks(n, [1.0, 1.0, eps])
+        psi[4 * (n // 5):, 2] = 1.0
+        fit = fit_from_design(psi, b)
+        assert np.linalg.matrix_rank(fit.m_pinv, tol=1e-3) == kept
+        assert any("pseudo-inverse truncation applied" in msg for msg in fit.warnings) == (kept == 2)
 
 
 @pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 2), ("power", 2)])
@@ -192,6 +212,33 @@ def test_split_fit_matches_the_joint_fit_when_rank_deficient(rng):
         fit_from_design(eval_design(bspline(4), x), b_cut)
     # a singular weighted gram is the same error
     assert _assert_matches_the_joint_fit(y, np.column_stack([np.ones(n), x, x]), b) is None
+
+
+def test_gram_rule_boundaries():
+    # one rule for B'B and Psi'Omega Psi: singular exactly when lam_min <= 1e-12 dim lam_max.
+    # Block columns scaled (1, ..., 1, t) have gram eigenvalues proportional to (1, ..., 1, t^2)
+    n = 80
+    psi = blocks(n, [1.0, 1.0])
+    for t, singular in ((math.sqrt(4e-12) * (1 - 1e-6), True), (math.sqrt(4e-12) * (1 + 1e-6), False)):
+        b = blocks(n, [1.0, 1.0, 1.0, t])
+        if singular:
+            with pytest.raises(SingularGramError, match=r"^instrument gram B'B is numerically singular \(dim 4\)$"):
+                orthonormal_range(b)
+            with pytest.raises(SingularGramError, match=r"^instrument gram B'B is numerically singular \(dim 4\)$"):
+                fit_from_design(psi, b)
+        else:
+            q, r, _ = orthonormal_range(b)
+            assert (q @ r).shape == (n, 4)
+            assert fit_from_design(psi, b).r.shape == (4, 4)
+    b = blocks(n, [1.0] * 4)
+    for t, singular in ((math.sqrt(3e-12) * (1 - 1e-6), True), (math.sqrt(3e-12) * (1 + 1e-6), False)):
+        psi = blocks(n, [1.0, 1.0, t])
+        if singular:
+            with pytest.raises(SingularRegressorGramError,
+                               match=r"^weighted regressor gram Psi'Omega Psi is numerically singular \(dim 3\)$"):
+                fit_from_design(psi, b)
+        else:
+            assert fit_from_design(psi, b).l_inv_t.shape == (3, 3)
 
 
 # ------------------------------------------------------------- cone projection
@@ -456,6 +503,20 @@ def test_parametric_rank_guard(rng):
     degenerate = np.column_stack([np.ones(n), np.ones(n)])
     with pytest.raises(InputError):
         fit_restricted_parametric(y, x, degenerate, *orthonormal_range(eval_design(bspline(6), w))[:2])
+    # one cutoff, pinv's 1e-12 n: Z = (block_1, eps block_2 + block_5) projects onto four instrument
+    # blocks with singular values in the ratio eps; below the cutoff it raises, above it df is both columns
+    for n in (50, 1000):
+        cut, b = 1e-12 * n, blocks(n, [1.0] * 4)
+        q, r, _ = orthonormal_range(b)
+        for eps, raises in ((cut * (1 - 1e-3), True), (cut * (1 + 1e-3), False)):
+            z = blocks(n, [1.0, eps])
+            z[4 * (n // 5):, 1] = 1.0
+            y = z @ np.array([1.0, 2.0]) + rng.normal(size=n)
+            if raises:
+                with pytest.raises(InputError, match="rank deficient after instrument projection"):
+                    fit_restricted_parametric(y, None, z, q, r)
+            else:
+                assert fit_restricted_parametric(y, None, z, q, r).df_consumed == 2
 
 
 def test_restricted_positive_homogeneity(rng):
