@@ -544,7 +544,8 @@ def compute_D(scaled_map, r) -> float:
     """
     scaled_map, r = _map_and_residuals(scaled_map, r)
     t = scaled_map @ r
-    loo = float(np.sum(r * r * np.sum(scaled_map**2, axis=0)))
+    squares = sum(row * row for row in scaled_map)  # |S_i|^2, row by row, as np.sum(S**2, axis=0) adds them
+    loo = float(np.sum(r * r * squares))
     return (float(t @ t) - loo) / (r.shape[0] - 1)
 
 
@@ -558,8 +559,14 @@ def compute_vhat(scaled_map, u) -> float:
     _image_space_statistics.
     """
     scaled_map, u = _map_and_residuals(scaled_map, u)
-    e = scaled_map * u[None, :]
-    return frobenius_norm(e @ e.T)
+    return _vhat_scaling(np.array(scaled_map, order="K"), u)
+
+
+def _vhat_scaling(s: np.ndarray, u: np.ndarray) -> float:
+    """compute_vhat(s, u), scaling s by u in place: s must be a map the caller owns alone, never a factor that
+    several outcomes share."""
+    s *= u
+    return frobenius_norm(s @ s.T)
 
 
 def gamma_hat(m: ConstraintMatrix, active_set) -> int:
@@ -667,10 +674,10 @@ def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
         else:
             rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r)
             gamma = j
-        s = fit.scaled_map
+        s = fit.scaled_map  # formed fresh for this outcome, so v_J may scale it once D_J has read it
         r = rfit.residuals_r if h0 is None else y - h0
         d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
-        v_stat = 0.0 if _numerically_zero(u, y) else compute_vhat(s, u)
+        v_stat = 0.0 if _numerically_zero(u, y) else _vhat_scaling(s, u)
     except (InputError, NumericalError) as exc:
         raise type(exc)(f"candidate J={j}: {exc}") from exc
     _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
@@ -912,7 +919,7 @@ def _image_space_statistics(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) -> tu
     With C = U_B' diag(r^2) U_B = r_b' (q o r)'(q o r) r_b and t = U_B' r = r_b'(q'r), compute_D and
     compute_vhat on S = U_B' are D = (|t|^2 - tr C) / (n - 1) and v = ||C||_F; no n x K basis is formed.
     """
-    e = q * r[:, None]
+    e = q * r[:, None]  # q is shared by every outcome of the pass, so it is never scaled in place
     c = r_b.T @ (e.T @ e) @ r_b
     t = r_b.T @ (q.T @ r)
     return (float(t @ t) - float(np.trace(c))) / (r.shape[0] - 1), frobenius_norm(c)

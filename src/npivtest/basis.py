@@ -161,12 +161,14 @@ def _bspline_design(x: np.ndarray, t: np.ndarray, order: int, deriv: int, equisp
                 b = (knot[r + 1] - x if value else 1 - m) / gaps[r] * vals[r]
             nxt.append(b if a is None else a if b is None else a + b)
         vals = nxt
+    del knot, gaps  # the span's knots and gaps are freed before the design, the largest array, exists
+    count *= n
+    count += np.arange(n)  # count is now the flat index of each point's first nonzero
     out = np.zeros((nb, n))  # the transpose of the column-major result
     flat = out.reshape(-1)
-    at = count * n + np.arange(n)  # flat index of each point's first nonzero
     for v in vals:
-        flat[at] = v
-        at += n
+        flat[count] = v
+        count += n
     return out.T
 
 

@@ -7,6 +7,9 @@ experiment spec), `reproduce` (re-run a published table at desk scale).
 CSV dialect: comma-separated, UTF-8, '.' decimals, header required. Columns:
 y, x (or x1..xd), w (or w1..wdw), optional mu. Exit codes: 0 completed,
 2 input error, 3 numerical failure.
+
+`main` runs its process under the pool workers' allocator policy
+(sim._keep_freed_pages); importing the module, or calling the library, does not.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import __version__
 from .adaptive import _BASIS_NAMES, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test, cs_contains
 from .errors import InputError, NumericalError
 from .npiv import parametric_design
-from .sim import TABLE_IDS, ExperimentSpec, reproduce, run_experiment
+from .sim import TABLE_IDS, ExperimentSpec, _keep_freed_pages, reproduce, run_experiment
 
 __all__ = ["main", "load_csv_dataset", "resolve_config", "render_report"]
 
@@ -155,12 +158,15 @@ def load_csv_dataset(path: str) -> CsvDataset:
     data = {name: table[:, i].copy() for i, name in enumerate(header)}
 
     def gather(prefix: str) -> np.ndarray | None:
-        if prefix in data:
-            return data[prefix]
         numbered = sorted(
             (name for name in data if name.startswith(prefix) and name[len(prefix):].isdigit()),
             key=lambda name: int(name[len(prefix):]),
         )
+        if prefix in data:
+            if numbered:  # one of the two would be dropped unread
+                raise InputError(f"{path}: header names both {prefix!r} and {', '.join(map(repr, numbered))}; "
+                                 f"use {prefix} or {prefix}1..{prefix}d, not both")
+            return data[prefix]
         if not numbered:
             return None
         expected = [f"{prefix}{i}" for i in range(1, len(numbered) + 1)]
@@ -478,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,9 @@ first call with jobs > 1 forks it, later calls with the same jobs reuse its
 warm workers, a call with another jobs replaces it, and it is shut down when
 a call fails and at exit; calls from several threads take turns. Each
 worker keeps the pages it frees and runs one BLAS thread (_init_worker);
-the calling process is left as it is. Every process runs a replication by
+the `npivtest` command's own process runs the same allocator policy
+(cli.main), while a library caller's process, a serial call included, keeps
+its allocator. Every process runs a replication by
 the same code. Outcomes are sorted by replication index, so the rows do not
 depend on jobs. A failed replication is counted with its reason.
 """
@@ -322,21 +324,26 @@ _M_MMAP_THRESHOLD = -3
 
 def _init_worker() -> None:
     """Set up a pool worker: it keeps the pages it frees and runs one BLAS thread."""
-    try:
-        libc = ctypes.CDLL(None)  # the symbols the process has loaded, the C library's among them
-    except (OSError, TypeError):  # a platform that cannot open the process itself
-        libc = None
-    _keep_freed_pages(libc)
+    _keep_freed_pages()
     _one_blas_thread()
 
 
-def _keep_freed_pages(libc) -> None:
-    """Let the C allocator keep freed memory up to 256 MiB and serve blocks up to 32 MiB from its heap.
+def _libc():
+    """This process's C library, or None on a platform that cannot open the process itself."""
+    try:
+        return ctypes.CDLL(None)  # the symbols the process has loaded, the C library's among them
+    except (OSError, TypeError):
+        return None
 
-    A replication frees its designs and factors, and glibc would hand most of those pages back to the
-    kernel, so the next replication pays a page fault for every page it touches again. Nothing is done
-    where libc has no mallopt."""
-    mallopt = getattr(libc, "mallopt", None)
+
+def _keep_freed_pages() -> None:
+    """Let this process's C allocator keep freed memory up to 256 MiB and serve blocks up to 32 MiB from its heap.
+
+    A replication, or a candidate of a `test` call, frees its designs and factors, and glibc would hand most of
+    those pages back to the kernel, so the next one pays a page fault for every page it touches again. Pool
+    workers and the `npivtest` command's own process run this; a library caller's process is left as it is.
+    Nothing is done where libc has no mallopt."""
+    mallopt = getattr(_libc(), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)

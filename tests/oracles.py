@@ -173,6 +173,21 @@ def brute_vhat(u: np.ndarray, psi: np.ndarray, b: np.ndarray, mu=None) -> float:
     return math.sqrt(float(np.sum(mat * mat)))
 
 
+# compute_D and compute_vhat as they were while each formed a second J x n array from the map S: S**2 for the
+# leave-one-out term and S * u for v. Kept as their bit-for-bit oracles.
+
+
+def compute_D_squares(s: np.ndarray, r: np.ndarray) -> float:
+    t = s @ r
+    loo = float(np.sum(r * r * np.sum(s**2, axis=0)))
+    return (float(t @ t) - loo) / (r.shape[0] - 1)
+
+
+def compute_vhat_product(s: np.ndarray, u: np.ndarray) -> float:
+    e = s * u[None, :]
+    return frobenius_norm(e @ e.T)
+
+
 def brute_shat(psi: np.ndarray, b: np.ndarray, omega=None) -> float:
     n = psi.shape[0]
     om = np.ones(n) if omega is None else np.asarray(omega, dtype=float)

@@ -39,6 +39,8 @@ from oracles import (
     brute_shat,
     brute_vhat,
     chisq_quantile_bisect,
+    compute_D_squares,
+    compute_vhat_product,
     image_space_statistics_basis,
     image_space_step_dense,
     image_space_step_knot_counts,
@@ -236,6 +238,42 @@ def test_vhat_matches_brute_force(rng):
         u = rng.normal(size=n)
         assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
     assert compute_vhat(fit.scaled_map, y - psi @ fit.coefficients(y)) >= 0.0
+
+
+def test_D_and_v_equal_their_squared_map_oracles_bit_for_bit():
+    # compute_D adds S's squared rows one at a time and compute_vhat scales a copy of S in place; on C-ordered
+    # maps, which fit_from_design forms, both equal the formulas that formed S**2 and S * u, to the last bit
+    gen = np.random.default_rng(11)
+    for n in (25, 20_000):
+        for j in range(1, 17):
+            for scale in (1e-50, 1e50):
+                s, r = scale * gen.normal(size=(j, n)), gen.normal(size=n)
+                kept = s.copy()
+                assert compute_D(s, r) == compute_D_squares(s, r)
+                assert compute_vhat(s, r) == compute_vhat_product(s, r)
+                np.testing.assert_array_equal(s, kept)  # the caller's map is not scaled
+
+
+@pytest.mark.parametrize("null", ["decreasing", "linear"])
+def test_structural_outcome_scales_its_own_map(null):
+    # the outcome scales its fresh fit.scaled_map by u in place for v_J, after D_J has read it: both equal the
+    # old formulas on a map formed apart, and the fit still forms the same map afterwards
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
+    config, spec = RunConfig(), NullSpec.from_name(null)
+    for j in (3, 4, 5):
+        psi_spec = config.psi_spec(j)
+        psi = eval_design(psi_spec, data.x)
+        fit = fit_from_design(psi, eval_design(config.psi_spec(config.k_factor * j), data.w))
+        s = fit.scaled_map
+        rows = spec.constraints(psi_spec) if spec.kind == "shape" else None
+        entry = adaptive_module._structural_outcome((j, fit.s_hat, psi, fit, rows), data.y, None, data.x, spec.model)
+        beta = fit.coefficients(data.y)
+        u = data.y - psi @ beta
+        r = (fit_restricted_cone(fit, rows, beta, psi, data.y) if rows is not None
+             else fit_restricted_parametric(data.y, data.x, spec.model, fit.q, fit.r)).residuals_r
+        assert entry.v_stat == compute_vhat(s, u) == compute_vhat_product(s, u)
+        assert entry.d_stat == compute_D(s, r) == compute_D_squares(s, r)
+        np.testing.assert_array_equal(fit.scaled_map, s)
 
 
 # --------------------------------------------------------------- gamma / eta

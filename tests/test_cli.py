@@ -193,6 +193,8 @@ def test_csv_malformed_files_keep_their_messages(tmp_path):
         "y,x,w\n0.1,0.2,0.3\n": "need at least 20 rows, got 1",
         "y,y,x,w\n1,1,2,3\n": "duplicate column names in header",
         "y,x1,x3,w\n1,1,2,3\n": "x-columns must be consecutive",
+        "y,x,x1,w,w1\n1,1,2,3,4\n": "header names both 'x' and 'x1'",
+        "y,x,w,w2,w1\n1,1,2,3,4\n": "header names both 'w' and 'w1', 'w2'",
         "y,w\n1,2\n": "regressor column 'x' (or x1..xd) is missing",
         "y,x,w,mu\n" + "\n".join(["0.1,0.2,0.3,-1"] * 20): "weight column 'mu' must be nonnegative",
     }
@@ -277,6 +279,7 @@ def test_cmd_test_malformed_inputs_exit_2(tmp_path, capsys):
         "text.csv": "y,x,w\n" + "\n".join("a,b,c" for _ in range(25)),
         "toofew.csv": "y,x,w\n0.1,0.2,0.3\n",
         "dup.csv": "y,y,x,w\n" + "\n".join("1,1,2,3" for _ in range(25)),
+        "x-and-x1.csv": "y,x,x1,w,w1\n" + "\n".join(_rows(n=25, cols=5)),
     }
     for name, text in cases.items():
         path = write_csv(tmp_path, name, text)

@@ -747,12 +747,38 @@ class _Libc:
         return 1
 
 
-def test_pool_workers_keep_their_freed_pages():
+_POLICY = [(-1, 256 << 20), (-3, 32 << 20)]  # mallopt(M_TRIM_THRESHOLD, 256 MiB), mallopt(M_MMAP_THRESHOLD, 32 MiB)
+
+
+def test_pool_workers_keep_their_freed_pages(monkeypatch):
     libc = _Libc()
-    sim_module._keep_freed_pages(libc)
-    assert libc.calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-    sim_module._keep_freed_pages(object())  # a C library without mallopt is left as it is
-    sim_module._keep_freed_pages(None)
+    monkeypatch.setattr(sim_module, "_libc", lambda: libc)
+    monkeypatch.setattr(sim_module, "_one_blas_thread", lambda: None)  # this process keeps its BLAS threads
+    sim_module._init_worker()
+    assert libc.calls == _POLICY
+    for absent in (object(), None):  # a C library without mallopt, or none at all, is left as it is
+        monkeypatch.setattr(sim_module, "_libc", lambda: absent)
+        sim_module._keep_freed_pages()
+
+
+def test_only_the_command_runs_the_workers_allocator_policy(monkeypatch, tmp_path):
+    # cli.main runs its own process under the workers' policy; the library entry points, a serial reproduce
+    # among them, leave the caller's allocator as it is
+    from npivtest.adaptive import NullSpec, adaptive_test, image_space_test
+    from npivtest.cli import main
+
+    libc = _Libc()
+    monkeypatch.setattr(sim_module, "_libc", lambda: libc)
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(3, 0)))
+    adaptive_test(data.y, data.x, data.w, NullSpec.from_name("decreasing"))
+    image_space_test(data.y, data.x, data.w, "linear")
+    reproduce("T1", replications=2, jobs=1, n_values=(500,), xi_values=(0.5,), c0_values=(1.0,), k_factors=(2,))
+    assert libc.calls == []
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack([data.y, data.x, data.w]), fmt="%.17g", delimiter=",", header="y,x,w",
+               comments="")
+    assert main(["test", str(path), "--out", str(tmp_path / "report.txt")]) == 0
+    assert libc.calls == _POLICY
 
 
 def test_pool_workers_run_one_blas_thread():
