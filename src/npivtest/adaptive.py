@@ -89,7 +89,9 @@ class NullSpec:
         raise InputError(f"unknown null {name!r}; expected one of {_SHAPE_KINDS + _MODEL_KINDS}")
 
     def describe(self) -> str:
-        return self.shape if self.kind == "shape" else f"parametric:{self.model}"
+        if self.kind == "shape":
+            return "custom" if self.custom_rows is not None else self.shape
+        return f"parametric:{'custom' if self.custom_design is not None else self.model}"
 
     def check_image_space(self) -> None:
         """The image-space statistic fits a parametric null on the instrument basis."""
@@ -454,10 +456,16 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
     the next index's designs are built. j_min is the scan's lowest
     admissible index, the one minimum every rule starts from.
 
+    The pass steps an explicit grid's list, or the rule's candidates below
+    the scan start and then every index up to the hard cap, until the noise
+    level overtakes s (J_max_hat). A NumericalError in an index's step,
+    visit or outcomes ends the pass where J_max_hat keeps that candidate
+    (explicit, below the scan start or the scan's first index) or no outcome
+    is left running; else a warning stops the scan at max(scan start, j - 1).
+
     results[i] is outcome i's entries, or the NumericalError that ended it:
-    an outcome's own error ends that outcome alone, and an error of the
-    y-free pass ends every outcome still running. The pass stops when no
-    outcome is running, and grid is then None.
+    its own, which ends that outcome alone, or the one that ended the pass
+    while it ran. A pass that ends returns grid None.
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     shat: dict[int, float] = {}
@@ -486,34 +494,27 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
 
     config.check_explicit_grid()
     mode = "explicit" if isinstance(config.grid, tuple) else config.grid
+    if mode == "explicit":
+        rule = indices = config.grid
+        scan_start, j_max_hat = math.inf, config.grid[-1]  # an explicit grid has no stability scan
+    else:
+        # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
+        rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
+        scan_start, j_max_hat = max(j_under + 1, j_min), hard_cap
+        indices = [*(j for j in rule if j < scan_start), *range(scan_start, hard_cap + 1)]
     try:
-        if mode == "explicit":
-            for j in config.grid:
-                record(*step(j))
-            j_max_hat = config.grid[-1]
-        else:
-            # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
-            rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
-            scan_start = max(j_under + 1, j_min)
-            for j in rule:
-                if j < scan_start and j <= hard_cap:  # below the scan, hence below J_max_hat
-                    record(*step(j))
-            # data-driven stability bound: first J where the noise level overtakes s_J
-            j_max_hat = hard_cap
-            for j in range(scan_start, hard_cap + 1):
-                try:
-                    stepped = step(j)
-                except NumericalError as exc:
-                    warnings_list.append(f"stability scan stopped at J={j}: {exc}")
-                    j_max_hat = max(scan_start, j - 1)
-                    if j <= j_max_hat and j in rule:  # J_max_hat keeps this candidate, which has no s_J
-                        raise
-                    break
-                stop = record(*stepped, candidate=j in rule)
-                del stepped  # released before the next J's designs are built
-                if stop:
-                    j_max_hat = j
-                    break
+        for j in indices:
+            try:
+                stop = record(*step(j), candidate=j in rule)
+            except NumericalError as exc:
+                if (j in rule and j <= scan_start) or not any(isinstance(res, list) for res in results):
+                    raise
+                warnings_list.append(f"stability scan stopped at J={j}: {exc}")
+                j_max_hat = max(scan_start, j - 1)
+                break
+            if stop and j >= scan_start:  # data-driven stability bound: first J where the noise level overtakes s_J
+                j_max_hat = j
+                break
 
         fallback = not j_list
         if fallback:
@@ -905,8 +906,6 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
         b = designs.instrument(config, k)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
-        if evals[-1] <= 0:
-            raise NumericalError("instrument gram B'B is numerically singular")
         last[dim] = (b.shape[1], noise, 1.0 / math.sqrt(float(evals[-1])), b)
         return last[dim]
 

@@ -1273,17 +1273,66 @@ def test_image_space_scan_starts_at_the_null_parameter_count(basis, model, n_par
     assert all(rec.k >= n_params for rec in rep.per_j)
 
 
-def test_image_space_rank_deficient_instrument_is_a_singular_gram_error():
-    # w with three distinct values leaves every B_K of rank 3: from K = 4 on the scan cannot
-    # report df K - 2 and centering K, so the first such candidate fails the gram rule
+def _discrete_instrument_sample(levels, n=2000):
+    # w with `levels` distinct values leaves every B_K of rank `levels` at most
     gen = np.random.default_rng(0)
-    n = 2000
-    w = gen.integers(0, 3, size=n) / 2.0
+    w = gen.integers(0, levels, size=n) / (levels - 1)
     x = w + 0.3 * gen.normal(size=n)
-    y = 1.0 + 2.0 * x + gen.normal(size=n)
+    return 1.0 + 2.0 * x + gen.normal(size=n), x, w
+
+
+@pytest.mark.parametrize("levels, j_list, j_max_hat, k_stop", [(3, (3,), 3, 4), (5, (3, 4), 7, 8)],
+                         ids=["levels3", "levels5"])
+def test_image_space_discrete_instrument_stops_the_stability_scan(levels, j_list, j_max_hat, k_stop):
+    # the first candidate whose B_K is singular lies past the scan's first index: its visit stops the scan at
+    # J_max_hat = K - 1, as a singular step would, and the test decides on the candidates before it
+    y, x, w = _discrete_instrument_sample(levels)
+    report = image_space_test(y, x, w, "linear")
+    assert report.grid.j_list == j_list and report.grid.j_max_hat == j_max_hat
+    assert report.warnings == (f"stability scan stopped at J={k_stop}: candidate K={k_stop}: instrument gram B'B "
+                               f"is numerically singular (dim {k_stop})",)
+
+
+def test_image_space_two_level_instrument_is_a_singular_gram_error():
+    # the scan's first index K = 3 is a candidate that J_max_hat keeps, so its singular gram ends the pass
+    y, x, w = _discrete_instrument_sample(2)
     with pytest.raises(SingularGramError) as info:
         image_space_test(y, x, w, "linear")
-    assert str(info.value) == "candidate K=4: instrument gram B'B is numerically singular (dim 4)"
+    assert str(info.value) == "candidate K=3: instrument gram B'B is numerically singular (dim 3)"
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5])
+def test_structural_scan_on_a_discrete_instrument_needs_k_distinct_values(levels):
+    # K = 4 J = 12 instrument columns at the minimum candidate J = 3 exceed the distinct values of w
+    y, x, w = _discrete_instrument_sample(levels)
+    with pytest.raises(InputError) as info, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # x = w + noise leaves the support
+        adaptive_test(y, x, w, NullSpec.from_name("linear"))
+    assert str(info.value) == ("sample too small for the bspline2 basis: its minimum candidate J=3 needs K=12 "
+                               "instrument columns, whose gram B'B is singular at n=2000")
+
+
+@pytest.mark.parametrize("run", [
+    lambda y, x, w: adaptive_test(y, x, w, NullSpec.from_name("decreasing")),
+    lambda y, x, w: image_space_test(y, x, w, "linear"),
+    lambda y, x, w: cs_contains(np.zeros_like(y), y, x, w),
+], ids=["adaptive_test", "image_space_test", "cs_contains"])
+@pytest.mark.parametrize("bad, message", [
+    ("short w", "y, x, w must share the number of observations"),
+    ("nan y", "data contains non-finite values"),
+    ("nan x", "data contains non-finite values"),
+    ("nan w", "data contains non-finite values"),
+])
+def test_public_entry_points_check_their_data(run, bad, message):
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    sample = {"y": data.y.copy(), "x": data.x.copy(), "w": data.w.copy()}
+    if bad == "short w":
+        sample["w"] = sample["w"][:-1]
+    else:
+        sample[bad[-1]][7] = np.nan
+    with pytest.raises(InputError) as info:
+        run(**sample)
+    assert str(info.value) == message
 
 
 def test_image_space_eta_error_names_k_df_and_centering():

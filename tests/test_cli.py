@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import pathlib
@@ -11,8 +12,8 @@ import pytest
 
 import npivtest.cli as cli_module
 import npivtest.sim as sim_module
-from npivtest.adaptive import NullSpec, RunConfig, cs_contains
-from npivtest.basis import BasisSpec
+from npivtest.adaptive import NullSpec, RunConfig, adaptive_test, cs_contains, image_space_test
+from npivtest.basis import BasisSpec, deriv_constraints
 from npivtest.cli import dump_json, load_csv_dataset, main
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError
@@ -267,6 +268,33 @@ def test_cmd_test_golden_csv_pathway(tmp_path):
     got = json.loads(out_path.read_text())
     expected = json.loads((DATA_DIR / "golden_engel_report.json").read_text())
     assert got == expected
+
+
+def test_cmd_test_csv_format_is_the_per_candidate_table(capsys):
+    args = ["test", ENGEL, "--null", "decreasing", "--grid", "knots", "--kfactor", "2"]
+    assert run_cli(*args, "--format", "json") == 0
+    per_j = json.loads(capsys.readouterr().out)["per_J"]
+    assert run_cli(*args, "--format", "csv") == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = ["J", "K", "D", "v", "s_hat", "gamma", "eta", "W", "p_value", "n_active"]
+    assert lines[0] == ",".join(fields)
+    assert len(per_j) > 1
+    assert [{k: float(v) for k, v in row.items()} for row in csv.DictReader(lines)] == per_j
+
+
+def test_custom_nulls_have_labels_the_report_schema_accepts():
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    rows = NullSpec(kind="shape", custom_rows=lambda spec: deriv_constraints(spec, "decreasing"))
+    design = NullSpec(kind="parametric", custom_design=data.x[:, None])
+    reports = [
+        ("custom", adaptive_test(data.y, data.x, data.w, rows)),
+        ("parametric:custom", adaptive_test(data.y, data.x, data.w, design)),
+        ("parametric:custom", image_space_test(data.y, data.x, data.w, data.x[:, None])),
+    ]
+    for label, report in reports:
+        payload = json.loads(dump_json(report.to_dict()))
+        assert payload["null"] == label
+        validate(payload, "report.schema.json")
 
 
 def test_cmd_test_malformed_inputs_exit_2(tmp_path, capsys):
