@@ -633,6 +633,12 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
                 raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
             fit = fit_from_design(psi, b, mu)
         except SingularGramError as exc:
+            if scanned and j == j_min and k < n and len(np.unique(w, axis=0)) < k:
+                # no candidate is left: B_K has rank at most the number of distinct points of w, fewer than K
+                counts = ", ".join(str(np.unique(c).size) for c in np.atleast_2d(w.T))
+                raise InputError(f"instrument sample too degenerate for the {config.basis} basis: the gram B'B of "
+                                 f"its minimum candidate J={j} (K={k} instrument columns) is singular at n={n} with "
+                                 f"{counts} distinct w value(s){' per column' if w.ndim == 2 else ''}") from exc
             if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
                 raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
                                  f"needs K={k} instrument columns, whose gram B'B is singular at n={n}") from exc
@@ -808,8 +814,8 @@ def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: in
 
     rows[k], k = 0...max(hard_cap, k_min), is (dim, noise, per_dim) of the instrument design for k: its realized
     dimension, noise level and per-coordinate factor dimension; the scan's fallback singleton {k_min} may lie
-    above the hard cap. knots maps each such per_dim to its equispaced B-spline knot vector on support; it is
-    None for another family.
+    above the hard cap. knots maps each such per_dim to its equispaced B-spline knot vector on support, on which
+    an equispaced step counts its supports; it is None for another family.
     """
     config = RunConfig(basis=basis, support=support)
     rows = []
@@ -822,42 +828,6 @@ def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: in
     return tuple(rows), {per_dim: config.psi_spec(per_dim).knot_vector() for *_, per_dim in rows}
 
 
-def _support_counts(knots: dict[int, np.ndarray], order: int, x_sorted: np.ndarray) -> dict[int, int]:
-    """max_j N_j per key of knots, N_j the number of the sorted points x_sorted in the support [t_j, t_{j+order}]
-    of B-spline j on that knot vector t, from one searchsorted over the concatenated knot vectors.
-
-    A B-spline design B at points inside the support has B >= 0 and rows summing to one, so by Gershgorin
-    lambda_max(B'B/n) <= max_j (1/n) sum_i B_j(x_i) <= max_j N_j / n. Clamp the points before sorting them.
-    """
-    if not knots:
-        return {}
-    t = np.concatenate(list(knots.values()))
-    # x <= t exactly when x < the next float above t, so one search finds both ends of every support
-    found = np.searchsorted(x_sorted, np.concatenate([t, np.nextafter(t, np.inf)]))
-    first, last = found[: t.size], found[t.size :]
-    lengths = [v.size for v in knots.values()]
-    # an index j that runs past its knot vector pairs a knot at hi with one at lo of the next clamped vector,
-    # so its count is at most 0 and never exceeds a B-spline's
-    counts = np.maximum.reduceat(last[order:] - first[:-order], np.cumsum(lengths) - lengths)
-    return dict(zip(knots, counts.tolist()))
-
-
-def _coordinate_counts(config: RunConfig, knots: dict[int, np.ndarray], c: np.ndarray) -> dict:
-    """per_dim -> max_j N_j of coordinate c of w for each per_dim of knots, the table's equispaced knot
-    vectors; a quantile rule counts on c's own knots instead, and a per_dim whose quantile knots have too
-    many ties maps to the InputError its design would raise."""
-    errors = {}
-    if config.knot_rule == "quantile":
-        own = {}
-        for per_dim in knots:
-            try:
-                own[per_dim] = config.psi_spec(per_dim, c).knot_vector()
-            except InputError as exc:
-                errors[per_dim] = exc
-        knots = own
-    return {**_support_counts(knots, config.order, np.sort(np.clip(c, *config.support))), **errors}
-
-
 def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
     """step(k) of the image-space stability scan on designs.w from k_min: (dim, noise, s_K, B) of the instrument
     design for k.
@@ -866,15 +836,16 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
     reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
     B >= 0 and unit row sums, so by Gershgorin lambda_max(B'B/n) <= max_j (column sum j of B) / n. A
     column of B is supported inside each of its factors' supports, so that is at most
-    min_d max_j N_{d,j} / n, N_{d,j} the knot-interval counts of coordinate d's sorted sample
-    (_support_counts). A step's dim, noise level and factor dimension come from the per-process
-    _image_space_table, and the counts of every factor dimension it lists from one search per coordinate
-    of w, on the table's equispaced knots or on the sample's quantile knots. A step first tries the counts
-    and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w they are the entries
-    of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the bound returns
-    (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's visit builds
-    B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms B'B for
-    lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
+    min_d max_j N_{d,j} / n, N_{d,j} the number of coordinate d's points in the support [t_j, t_{j+order}]
+    of B-spline j on that coordinate's knot vector t. A step's dim, noise level and factor dimension come
+    from the per-process _image_space_table. A step that reaches a new realized dim counts N_{d,j} on its
+    own knot vectors, the table's equispaced ones or its specs' quantile ones (a tied one raises its
+    InputError there), with one searchsorted per coordinate of w, clamped and sorted once per scan. A step
+    first tries the counts and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w
+    they are the entries of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the
+    bound returns (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's
+    visit builds B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms
+    B'B for lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
     realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D call at
     n = 5000, xi = 0.5, every step of either design is certified: the scans build only their candidates'
     designs and call no eigvalsh.
@@ -882,20 +853,25 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
     w = designs.w
     columns = [w] if w.ndim == 1 else list(w.T)
     rows, knots = _image_space_table(config.basis, config.support, n, len(columns), k_min)
-    counts = None if knots is None else [_coordinate_counts(config, knots, c) for c in columns]
+    points = None if knots is None else [np.sort(np.clip(c, *config.support)) for c in columns]
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
+
+    def count(t: np.ndarray, x_sorted: np.ndarray) -> int:
+        # x <= t exactly when x < the next float above t, so one search finds both ends of every support
+        found = np.searchsorted(x_sorted, np.concatenate([t, np.nextafter(t, np.inf)]))
+        return int(np.max(found[t.size + config.order :] - found[: t.size - config.order]))
 
     def step(k: int):
         dim, noise, per_dim = rows[k]
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
-        if counts is not None:
-            bounds = [c[per_dim] for c in counts]
-            for bound in bounds:
-                if isinstance(bound, InputError):
-                    raise bound
-            bound = min(bounds)
+        if points is not None:
+            if config.knot_rule == "quantile":
+                vectors = [spec.knot_vector() for spec in config.instrument_specs(k, w)]
+            else:
+                vectors = [knots[per_dim]] * len(points)
+            bound = min(map(count, vectors, points))
             # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
             if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(columns) > 1:
                 factors = designs.factors(config.instrument_specs(k, w))

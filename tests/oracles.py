@@ -643,8 +643,9 @@ def compute_shat(psi, b, omega=None) -> float:
     return float(svals[-1])
 
 
-# basis._max_support_count counted one B-spline design's supports per call, which the image-space stability
-# scan did at every step. Kept as the oracle of adaptive._support_counts and of the Gershgorin bounds.
+# basis._max_support_count counted one B-spline design's supports per call. Kept as the oracle of the
+# image-space stability step's knot-interval counts and of the Gershgorin bounds: it searches a knot vector
+# from the left and from the right, where the step searches the vector and its next floats in one call.
 
 
 def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:

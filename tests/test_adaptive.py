@@ -1149,9 +1149,9 @@ def _step_or_error(step, k):
 
 @pytest.mark.parametrize("n", [60, 500, 5000])
 def test_image_space_table_steps_match_the_knot_count_oracle(n):
-    # the per-process table's realized dims and noise levels, and the knot-interval counts of one search per
-    # coordinate, are those the knot-count step derives at each step from its specs and each spec's own knot
-    # vector, errors of tied quantile knots included; a 1-d step is the oracle's, and a 2-d step certifies
+    # the per-process table's realized dims and noise levels are those the knot-count step derives at each step
+    # from its specs; a step certifies where the oracle counts of its specs' own knot vectors do, and raises
+    # the error of the first tied quantile knot vector; a 1-d step is the oracle's, and a 2-d step certifies
     # every step the oracle's does and is the oracle's where neither certifies
     gen = np.random.default_rng(n)
     tied = np.where(gen.uniform(size=n) < 0.7, 0.5, gen.uniform(size=n))  # its quantile knots tie from J = 5 on
@@ -1163,8 +1163,7 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
             for knot_rule in ("equispaced", "quantile"):
                 config = RunConfig(basis=basis, knot_rule=knot_rule)
                 k_min = config.basis_min()
-                rows, knots = adaptive_module._image_space_table(basis, config.support, n, len(columns), k_min)
-                counts = [adaptive_module._coordinate_counts(config, knots, c) for c in columns]
+                rows, _ = adaptive_module._image_space_table(basis, config.support, n, len(columns), k_min)
                 fast = adaptive_module._image_space_step(config, adaptive_module._Designs(w), n, k_min)
                 oracle = image_space_step_knot_counts(config, adaptive_module._Designs(w), n, k_min)
                 for k in range(config.basis_min(), len(rows)):
@@ -1173,11 +1172,14 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
                     assert (dim, [spec.dim for spec in specs]) == (config.instrument_dim(k, len(columns)),
                                                                    [per_dim] * len(columns))
                     assert noise == adaptive_module._noise_level(specs, dim, n)
-                    for spec, c, count in zip(specs, columns, counts):
-                        expected = _step_or_error(lambda x: _max_support_count(spec, x), np.sort(np.clip(c, 0, 1)))
-                        assert (str(count[per_dim]) if isinstance(count[per_dim], InputError) else count[per_dim]) \
-                            == expected
+                    counts = [_step_or_error(lambda x: _max_support_count(spec, x), np.sort(np.clip(c, 0, 1)))
+                              for spec, c in zip(specs, columns)]
+                    tied = [count for count in counts if isinstance(count, str)]
                     got, want = _step_or_error(fast, k), _step_or_error(oracle, k)
+                    if tied:
+                        assert got == tied[0]
+                    elif noise < math.sqrt(n / min(counts)) * (1.0 - 1e-9):
+                        assert got == (dim, noise, None, None)
                     errors += isinstance(want, str)
                     if isinstance(want, str) or w.ndim == 1 or got[2] is not None:
                         assert got[:3] == want[:3]
@@ -1308,8 +1310,32 @@ def test_structural_scan_on_a_discrete_instrument_needs_k_distinct_values(levels
     with pytest.raises(InputError) as info, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # x = w + noise leaves the support
         adaptive_test(y, x, w, NullSpec.from_name("linear"))
-    assert str(info.value) == ("sample too small for the bspline2 basis: its minimum candidate J=3 needs K=12 "
-                               "instrument columns, whose gram B'B is singular at n=2000")
+    assert str(info.value) == ("instrument sample too degenerate for the bspline2 basis: the gram B'B of its minimum "
+                               "candidate J=3 (K=12 instrument columns) is singular at n=2000 with "
+                               f"{levels} distinct w value(s)")
+
+
+def test_structural_scan_on_a_two_column_discrete_instrument_names_each_columns_values():
+    # the K = 16 tensor columns at J = 3 exceed the 2 x 3 distinct points of a 2-d w
+    gen = np.random.default_rng(0)
+    w = np.column_stack([gen.integers(0, 2, size=2000), gen.integers(0, 3, size=2000) / 2])
+    x = np.clip(w.mean(axis=1) + 0.1 * gen.normal(size=2000), 0.0, 1.0)
+    with pytest.raises(InputError) as info:
+        adaptive_test(1.0 + 2.0 * x + gen.normal(size=2000), x, w, NullSpec.from_name("linear"))
+    assert str(info.value) == ("instrument sample too degenerate for the bspline2 basis: the gram B'B of its minimum "
+                               "candidate J=3 (K=16 instrument columns) is singular at n=2000 with 2, 3 distinct w "
+                               "value(s) per column")
+
+
+def test_structural_scan_whose_minimum_candidate_has_k_at_least_n_needs_more_data():
+    # a 3-column w realizes K = 3^3 = 27 >= n = 24 at J = 3, whatever its distinct values
+    gen = np.random.default_rng(1)
+    w = gen.uniform(size=(24, 3))
+    x = np.clip(w.mean(axis=1) + 0.1 * gen.normal(size=24), 0.0, 1.0)
+    with pytest.raises(InputError) as info:
+        adaptive_test(x + gen.normal(size=24), x, w, NullSpec.from_name("linear"))
+    assert str(info.value) == ("sample too small for the bspline2 basis: its minimum candidate J=3 needs K=27 "
+                               "instrument columns, whose gram B'B is singular at n=24")
 
 
 @pytest.mark.parametrize("run", [

@@ -197,6 +197,7 @@ def test_csv_malformed_files_keep_their_messages(tmp_path):
         "y,x,x1,w,w1\n1,1,2,3,4\n": "header names both 'x' and 'x1'",
         "y,x,w,w2,w1\n1,1,2,3,4\n": "header names both 'w' and 'w1', 'w2'",
         "y,w\n1,2\n": "regressor column 'x' (or x1..xd) is missing",
+        "y,x\n1,2\n": "instrument column 'w' (or w1..wdw) is missing",
         "y,x,w,mu\n" + "\n".join(["0.1,0.2,0.3,-1"] * 20): "weight column 'mu' must be nonnegative",
     }
     for i, (text, message) in enumerate(cases.items()):
@@ -223,6 +224,15 @@ def test_cmd_test_text_report(tmp_path, capsys):
     assert "reject H0:" in out
     assert "p value:" in out
     assert "W_J" in out
+
+
+def test_cmd_test_text_report_lists_the_warnings(capsys):
+    # engel_style.csv has x and w in [0, 1]; a narrower support clamps some of each
+    with pytest.warns(UserWarning, match="evaluation points outside"):
+        code = run_cli("test", ENGEL, "--null", "decreasing", "--support", "0.1,0.9")
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == ("warnings: 87 points of x outside [0.1, 0.9] were clamped; "
+                                                        "85 points of w outside [0.1, 0.9] were clamped")
 
 
 def test_cmd_test_engel_style_report_shape(tmp_path):
@@ -450,6 +460,12 @@ def test_cmd_test_malformed_config_exit_2(tmp_path, capsys, flags, config):
     assert "Traceback" not in err
 
 
+def test_cmd_test_malformed_grid_flag_exit_2(capsys):
+    assert run_cli("test", ENGEL, "--grid", "3,x") == 2
+    assert capsys.readouterr().err == ("input error: --grid must be 'dyadic', 'knots', or a comma-separated list of "
+                                       "dims, got '3,x'\n")
+
+
 def test_cmd_test_config_naming_rcond_exit_2(tmp_path, capsys):
     # the fits take their rank cutoff from the design's shape; a config file has no rcond to set
     cfg = tmp_path / "cfg.json"
@@ -529,7 +545,7 @@ def test_cmd_cs_parametric_candidate(tmp_path):
     assert payload["contained"] in (True, False)
 
 
-def test_cmd_cs_shifted_candidate_excluded(tmp_path):
+def test_cmd_cs_shifted_candidate_excluded(tmp_path, capsys):
     near = tmp_path / "near.json"
     far = tmp_path / "far.json"
     near.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
@@ -543,6 +559,10 @@ def test_cmd_cs_shifted_candidate_excluded(tmp_path):
     payload_far = json.loads(out_far.read_text())
     assert payload_far["contained"] is False
     assert payload_far["binding_J"] is not None
+    capsys.readouterr()
+    assert run_cli("cs", ENGEL, str(far), "--null", "linear", "--format", "text") == 0
+    assert capsys.readouterr().out == ("contained in the 95% confidence set: no\n"
+                                       f"first violated candidate dimension: J = {payload_far['binding_J']}\n")
 
 
 @pytest.mark.parametrize("alpha, level", [("0.05", "95%"), ("0.025", "97.5%"), ("0.001", "99.9%")])
@@ -591,17 +611,27 @@ def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("doc", [
-    {"kind": "coeffs", "basis": {"name": "bspline2", "dim": "x"}, "coefficients": [1.0, 2.0]},
-    {"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
-    {"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
-    {"kind": "values", "values": "abc"},
-], ids=["dim", "support", "theta", "values"])
-def test_cmd_cs_malformed_candidate_fields_exit_2(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "coeffs", "basis": {"name": "bspline2", "dim": "x"}, "coefficients": [1.0, 2.0]},
+     "malformed: invalid literal for int() with base 10: 'x'"),
+    ({"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
+     "malformed: support must be a finite interval [lo, hi] with lo < hi, got 5"),
+    ({"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
+     "malformed: could not convert string to float: 'a'"),
+    ({"kind": "values", "values": "abc"}, "malformed: could not convert string to float: 'abc'"),
+    ({"coefficients": [1.0]}, "must be a JSON object with a 'kind' field"),
+    ({"kind": "coeffs", "coefficients": [1.0, 2.0]}, "coeffs candidate needs 'basis' and 'coefficients'"),
+    ({"kind": "coeffs", "basis": {"name": "spline9"}, "coefficients": [1.0]}, "unknown candidate basis 'spline9'"),
+    ({"kind": "parametric", "model": "cubic", "theta": [1.0, 2.0]},
+     "parametric candidate needs model in {linear, quadratic} and 'theta'"),
+    ({"kind": "parametric", "model": "linear", "theta": [1.0, 2.0, 3.0]}, "theta has 3 entries, design needs 2"),
+], ids=["dim", "support", "theta", "values", "no-kind", "coeffs-no-basis", "unknown-basis", "model", "theta-length"])
+def test_cmd_cs_malformed_candidate_fields_exit_2(tmp_path, capsys, doc, message):
     cand = tmp_path / "cand.json"
     cand.write_text(json.dumps(doc))
     assert run_cli("cs", ENGEL, str(cand)) == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.rstrip("\n").endswith(message)
 
 
 # -------------------------------------------------------------- cmd: simulate
@@ -643,6 +673,18 @@ def test_cmd_simulate_minimal(tmp_path, capsys):
         schema = json.loads((SCHEMA_DIR / "experiment.schema.json").read_text())
         jsonschema.validate(sim_spec_doc(), schema)
         jsonschema.validate(payload["spec"], schema)  # the summary's spec reads back as a spec file
+
+
+def test_cmd_simulate_reps_and_seed_flags_override_the_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec_doc()))
+    assert run_cli("simulate", str(spec), "--reps", "4", "--seed", "9", "--out", str(tmp_path / "flags")) == 0
+    spec.write_text(json.dumps(sim_spec_doc(replications=4, master_seed=9)))
+    assert run_cli("simulate", str(spec), "--out", str(tmp_path / "file")) == 0
+    capsys.readouterr()
+    flags, file = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("flags", "file"))
+    assert (flags["spec"]["replications"], flags["spec"]["master_seed"]) == (4, 9)
+    assert flags["spec"] == file["spec"] and flags["cells"] == file["cells"]
 
 
 def test_cmd_simulate_parallel_identical_numbers(tmp_path, capsys):

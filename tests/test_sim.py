@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -267,6 +268,44 @@ def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
     assert reason.startswith("NumericalError: ") and reason.endswith("SVD did not converge")
     assert summary.metadata["failures_by_reason"] == [{"cell": cell.params, "reasons": {reason: 1}}]
     assert all("failures_by_reason" not in row for row in [*out["rows"], *summary.rows()])
+
+
+def _failing_replications(monkeypatch, failing):
+    """Replace sim._verdicts by a wrapper that returns a failure reason on the calls numbered in failing (from
+    0): at jobs = 1 on a one-cell spec, call r reads replication r."""
+    calls, verdicts = itertools.count(), sim_module._verdicts
+
+    def injected(*args):
+        return "NumericalError: injected" if next(calls) in failing else verdicts(*args)
+
+    monkeypatch.setattr(sim_module, "_verdicts", injected)
+
+
+def test_one_failed_replication_in_a_hundred_is_counted(monkeypatch):
+    _failing_replications(monkeypatch, {17})
+    (cell,) = run_experiment(small_size_spec(replications=100, n_values=(100,)), jobs=1).cells
+    assert cell.failures == 1 and cell.failures_by_reason == {"NumericalError: injected": 1}
+
+
+def test_two_failed_replications_in_a_hundred_fail_the_cell(monkeypatch):
+    # more than MAX_FAILURE_SHARE = 1 % of a cell's replications failed
+    _failing_replications(monkeypatch, {17, 60})
+    with pytest.raises(NumericalError) as info:
+        run_experiment(small_size_spec(replications=100, n_values=(100,)), jobs=1)
+    assert str(info.value) == ("cell {'n': 100, 'xi': 0.5, 'c0': 0.1} had 2/100 failed replications (> 1%): "
+                               "{'NumericalError: injected': 2}")
+
+
+def test_simulate_whose_cell_fails_exits_3(monkeypatch, tmp_path, capsys):
+    from npivtest.cli import main
+
+    _failing_replications(monkeypatch, {17, 60})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(small_size_spec(replications=100, n_values=(100,)).to_dict()))
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: cell {'n': 100, 'xi': 0.5, 'c0': 0.1} had 2/100 "
+                                              "failed replications (> 1%)")
+    assert not (tmp_path / "out.json").exists()
 
 
 def _counting_pools(monkeypatch):
