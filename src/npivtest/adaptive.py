@@ -176,26 +176,24 @@ class RunConfig:
     def psi_spec(self, j: int, knot_data=None) -> BasisSpec:
         return BasisSpec(self.family, j, max(self.order, 2), self.support, self.knot_rule, knot_data)
 
-    def instrument_dim(self, k_target: int, d_w: int) -> int:
-        """Realized dimension of the instrument design for k_target: the smallest per_dim^d_w >= k_target.
+    def instrument_per_dim(self, k_target: int, d_w: int) -> int:
+        """The smallest per-coordinate dimension, at least the basis minimum, whose d_w-th power reaches k_target."""
+        lo, hi = self.basis_min(), max(self.basis_min(), k_target)  # bisection on the integers: hi^d_w >= k_target
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if mid**d_w < k_target else (lo, mid)
+        return lo
 
-        per_dim is at least the basis minimum; with d_w = 1 this is max(k_target, basis minimum).
-        """
-        base = max(k_target, self.basis_min())
-        per_dim = max(self.basis_min(), math.ceil(base ** (1.0 / d_w)))
-        while per_dim**d_w < base:
-            per_dim += 1
-        return per_dim**d_w
+    def instrument_dim(self, k_target: int, d_w: int) -> int:
+        """Realized dimension of the instrument design for k_target; with d_w = 1, max(k_target, basis minimum)."""
+        return self.instrument_per_dim(k_target, d_w) ** d_w
 
     def instrument_specs(self, k_target: int, w: np.ndarray) -> list[BasisSpec]:
         """One basis spec per coordinate of the instrument sample w, of dimension instrument_dim(k_target, d_w)
         together: a d_w-dimensional instrument gets the tensor product of d_w equal factors."""
-        knot_data = w if self.knot_rule == "quantile" else None
-        if w.ndim == 1:
-            return [self.psi_spec(self.instrument_dim(k_target, 1), knot_data)]
-        d_w = w.shape[1]
-        per_dim = round(self.instrument_dim(k_target, d_w) ** (1.0 / d_w))
-        return [self.psi_spec(per_dim, None if knot_data is None else knot_data[:, i]) for i in range(d_w)]
+        columns = [w] if w.ndim == 1 else list(w.T)
+        per_dim = self.instrument_per_dim(k_target, len(columns))
+        return [self.psi_spec(per_dim, c if self.knot_rule == "quantile" else None) for c in columns]
 
     def basis_min(self) -> int:
         return min_dim(self)
@@ -400,9 +398,26 @@ def _checked_data(ys, x, w):
     return ys, x, w, n
 
 
-def _single(grid, results, warnings, n):
-    """A public scan's (grid, entries, warnings, n) of its one outcome; the error that ended the pass is raised."""
-    (entries,) = results
+def _single(scan, label: str, config: RunConfig, x, w, mu=None):
+    """A public scan's (grid, entries, warnings, n) of its one outcome, from its pass's (grid, results, warnings, n);
+    the error that ended the pass is raised, a data failure as an InputError naming the candidate (label J or K)."""
+    grid, (entries,), warnings, n = scan
+    if isinstance(entries, (SingularGramError, SingularRegressorGramError)):
+        w, j, basis = np.asarray(w, dtype=float), entries.candidate, config.basis
+        k = config.instrument_dim(config.k_factor * j if label == "J" else j, 1 if w.ndim == 1 else w.shape[1])
+        at = f"its {'minimum ' if j == config.basis_min() else ''}candidate {label}={j if label == 'J' else k}"
+        if isinstance(entries, SingularRegressorGramError):
+            raise InputError(f"regressor sample too degenerate for the {basis} basis: the weighted gram Psi'Omega Psi "
+                             f"of {at} is singular at n={n} with {np.unique(np.asarray(x)[_weights(mu, n) > 0]).size} "
+                             "distinct x value(s)") from entries
+        if k < n and len(np.unique(w, axis=0)) < k:  # B_K has rank at most the number of distinct points of w
+            counts = ", ".join(str(np.unique(c).size) for c in np.atleast_2d(w.T))
+            columns = f" (K={k} instrument columns)" if label == "J" else ""
+            raise InputError(f"instrument sample too degenerate for the {basis} basis: the gram B'B of {at}{columns} "
+                             f"is singular at n={n} with {counts} distinct w value(s)"
+                             f"{' per column' if w.ndim == 2 else ''}") from entries
+        raise InputError(f"sample too small for the {basis} basis: {at} needs K={k} instrument columns, whose gram "
+                         f"B'B is singular at n={n}") from entries
     if isinstance(entries, NumericalError):
         raise entries
     return grid, entries, warnings, n
@@ -434,8 +449,12 @@ class _Designs:
         return out
 
     def instrument(self, config: RunConfig, k_target: int) -> np.ndarray:
-        """B_K: config's instrument design for k_target at w, the tensor product of the kept factors for a 2-d w."""
+        """B_K: config's instrument design for k_target at w, the tensor product of the kept factors for a 2-d w.
+        Both scans build every B here, and a K >= n (B'B of rank at most n) is a SingularGramError before B exists."""
         specs = config.instrument_specs(k_target, self.w)
+        k = math.prod(spec.dim for spec in specs)
+        if k >= self.w.shape[0]:
+            raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
         if self.w.ndim == 1:
             return eval_design(specs[0], self.w)
         return _tensor_product(self.factors(specs))
@@ -462,6 +481,9 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
     visit or outcomes ends the pass where J_max_hat keeps that candidate
     (explicit, below the scan start or the scan's first index) or no outcome
     is left running; else a warning stops the scan at max(scan start, j - 1).
+    A data failure, a candidate the sample cannot carry (a singular gram,
+    K >= n or tied quantile knots), is such an error in either scan. The
+    error that ends the pass gets its index as exc.candidate.
 
     results[i] is outcome i's entries, or the NumericalError that ended it:
     its own, which ends that outcome alone, or the one that ended the pass
@@ -521,8 +543,10 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
             warnings_list.append(
                 f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
             )
-            record(*step(j_min))
+            j = j_min
+            record(*step(j))
     except NumericalError as exc:  # a y-free error, or the last running outcome's: the pass ends
+        exc.candidate = j
         return None, [exc if isinstance(res, list) else res for res in results]
     return CandidateGrid(mode=mode, j_underbar=j_under, j_max_exp=j_max_exp, hard_cap=hard_cap, j_max_hat=j_max_hat,
                          j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), results
@@ -606,7 +630,7 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
     y-free factor, and _structural_outcome, the only part that reads y,
     computes its statistics at once. Returns (grid, entries, warnings, n).
     """
-    return _single(*_structural_scan([y], x, w, null, config, None, mu))
+    return _single(_structural_scan([y], x, w, null, config, None, mu), "J", config, x, w, mu)
 
 
 def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None, mu=None, h0=None):
@@ -619,36 +643,12 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     config.check_null_basis(null)
     mu = _weights(mu, n)
     designs = _Designs(w) if designs is None else designs
-    knot_data = x if config.knot_rule == "quantile" else None
-    scanned, j_min = not isinstance(config.grid, tuple), config.basis_min()
     fit_warnings: list[str] = []
 
     def step(j: int):
-        psi_spec = config.psi_spec(j, knot_data)
+        psi_spec = config.psi_spec(j, x if config.knot_rule == "quantile" else None)
         psi = eval_design(psi_spec, x)
-        b = designs.instrument(config, config.k_factor * j)
-        k = b.shape[1]
-        try:
-            if scanned and k >= n:  # B'B has rank at most n < K, which ends a scanned grid's stability scan
-                raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-            fit = fit_from_design(psi, b, mu)
-        except SingularGramError as exc:
-            if scanned and j == j_min and k < n and len(np.unique(w, axis=0)) < k:
-                # no candidate is left: B_K has rank at most the number of distinct points of w, fewer than K
-                counts = ", ".join(str(np.unique(c).size) for c in np.atleast_2d(w.T))
-                raise InputError(f"instrument sample too degenerate for the {config.basis} basis: the gram B'B of "
-                                 f"its minimum candidate J={j} (K={k} instrument columns) is singular at n={n} with "
-                                 f"{counts} distinct w value(s){' per column' if w.ndim == 2 else ''}") from exc
-            if scanned and j == j_min:  # no candidate is left: the sample is too small for the basis
-                raise InputError(f"sample too small for the {config.basis} basis: its minimum candidate J={j} "
-                                 f"needs K={k} instrument columns, whose gram B'B is singular at n={n}") from exc
-            raise
-        except SingularRegressorGramError as exc:
-            if scanned and j == j_min:  # no candidate is left: x has too few distinct values for the basis
-                raise InputError(f"regressor sample too degenerate for the {config.basis} basis: the weighted gram "
-                                 f"Psi'Omega Psi of its minimum candidate J={j} is singular at n={n} with "
-                                 f"{np.unique(x[mu > 0]).size} distinct x value(s)") from exc
-            raise
+        fit = fit_from_design(psi, designs.instrument(config, config.k_factor * j), mu)
         return j, _noise_level(psi_spec, j, n), fit.s_hat, (psi_spec, psi, fit)
 
     def visit(j: int, s_hat: float, built):
@@ -662,7 +662,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
 
     model = null.model if null.custom_design is None else null.custom_design
     outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
-    grid, results = _candidate_pass(n, config, step, visit, outcomes, j_min)
+    grid, results = _candidate_pass(n, config, step, visit, outcomes, config.basis_min())
     return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], n
 
 
@@ -800,7 +800,8 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model="linear") if null is None else null
     values = _candidate_on_sample(candidate, x, config, null)
-    grid, entries, _, n = _single(*_structural_scan([y], x, w, null, config, None, mu, h0=values))
+    grid, entries, _, n = _single(_structural_scan([y], x, w, null, config, None, mu, h0=values), "J", config, x, w,
+                                  mu)
     report = decide(grid, entries, n, null, config)
     per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
              for rec in report.per_j]
@@ -820,8 +821,7 @@ def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: in
     config = RunConfig(basis=basis, support=support)
     rows = []
     for k in range(max(_res_parameters(n)[2], k_min) + 1):
-        dim = config.instrument_dim(k, d_w)
-        per_dim = round(dim ** (1.0 / d_w))
+        dim, per_dim = config.instrument_dim(k, d_w), config.instrument_per_dim(k, d_w)
         rows.append((dim, _noise_level([config.psi_spec(per_dim)] * d_w, dim, n), per_dim))
     if config.family != "bspline":
         return tuple(rows), None
@@ -840,7 +840,7 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
     of B-spline j on that coordinate's knot vector t. A step's dim, noise level and factor dimension come
     from the per-process _image_space_table. A step that reaches a new realized dim counts N_{d,j} on its
     own knot vectors, the table's equispaced ones or its specs' quantile ones (a tied one raises its
-    InputError there), with one searchsorted per coordinate of w, clamped and sorted once per scan. A step
+    TiedKnotsError there), with one searchsorted per coordinate of w, clamped and sorted once per scan. A step
     first tries the counts and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w
     they are the entries of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the
     bound returns (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's
@@ -910,7 +910,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     freedom. Returns (grid, entries, warnings, n), as adaptive_scan does: a
     candidate's y-free factor is U_B = q r_b, and _image_space_outcome reads y.
     """
-    return _single(*_image_space_scan([y], x, w, null, config, None))
+    return _single(_image_space_scan([y], x, w, null, config, None), "K", config, x, w)
 
 
 def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None):
@@ -922,12 +922,8 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     designs = _Designs(w) if designs is None else designs
 
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
-        if n <= realized:
-            raise InputError(f"candidate K={realized}: need n > K, got n={n}")
-        if b is None:  # a certified step built no design
-            b = designs.instrument(config, realized)
-        try:
-            q, r_b, s_b = orthonormal_range(b)
+        try:  # b is None where a certified step built no design
+            q, r_b, s_b = orthonormal_range(designs.instrument(config, realized) if b is None else b)
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate K={realized}: {exc}") from exc
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, TiedKnotsError
 
 __all__ = [
     "BasisSpec",
@@ -76,14 +76,13 @@ class BasisSpec:
             return np.empty(0)
         if self.knot_rule == "equispaced":
             return lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
-        probs = np.arange(1, n + 1) / (n + 1)
-        knots = np.quantile(np.asarray(self.knot_data, dtype=float), probs)
-        knots = np.clip(knots, lo, hi)
-        if np.any(np.diff(knots) <= 0) or knots[0] <= lo or knots[-1] >= hi:
-            raise InputError(
-                "quantile knots are not strictly increasing inside the support; "
-                "the data has too many ties for this many knots"
-            )
+        data = np.asarray(self.knot_data, dtype=float)
+        # a point at or beyond an end lies in the first or last knot span wherever the interior knots are
+        inside = data[(data > lo) & (data < hi)]
+        knots = np.quantile(inside, np.arange(1, n + 1) / (n + 1)) if inside.size else None
+        if knots is None or np.any(np.diff(knots) <= 0):
+            raise TiedKnotsError("quantile knots are not strictly increasing inside the support; the data has too "
+                                 "many ties for this many knots")
         return knots
 
     def knot_vector(self) -> np.ndarray:

@@ -13,8 +13,12 @@ class NumericalError(RuntimeError):
 
 
 class SingularGramError(NumericalError):
-    """Raised when the instrument gram B'B of a candidate is numerically singular."""
+    """Raised when the instrument gram B'B of a candidate is numerically singular, K >= n included."""
 
 
 class SingularRegressorGramError(NumericalError):
     """Raised when the weighted regressor gram Psi'Omega Psi of a candidate is numerically singular."""
+
+
+class TiedKnotsError(InputError, NumericalError):
+    """Raised when quantile knots are not strictly increasing: exit 2, but a data failure inside a candidate pass."""

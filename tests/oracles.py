@@ -660,6 +660,20 @@ def _max_support_count(spec: BasisSpec, x_sorted: np.ndarray) -> int:
     return int(np.max(last[spec.order :] - first[: -spec.order]))
 
 
+# RunConfig.instrument_dim and the per-coordinate dimension as they were before the integer search: a float
+# d_w-th root, rounded up and corrected upwards, and its per_dim recovered by rounding the root of the dim.
+# Kept as the oracle of RunConfig.instrument_dim and instrument_per_dim.
+
+
+def instrument_dims_float_root(config, k_target: int, d_w: int) -> tuple[int, int]:
+    """(realized dim, per_dim) of the instrument design for k_target by the float root."""
+    base = max(k_target, config.basis_min())
+    per_dim = max(config.basis_min(), math.ceil(base ** (1.0 / d_w)))
+    while per_dim**d_w < base:
+        per_dim += 1
+    return per_dim**d_w, round((per_dim**d_w) ** (1.0 / d_w))
+
+
 def instrument_design(config, k_target: int, w: np.ndarray):
     """(specs, B): config.instrument_specs(k_target, w) and the instrument design B they span at w, a 2-d w's
     through basis.tensor_design rather than the scans' kept factors."""

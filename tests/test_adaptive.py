@@ -27,7 +27,7 @@ from npivtest.adaptive import (
 )
 from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
-from npivtest.errors import InputError, NumericalError, SingularGramError
+from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
 from npivtest.randdist import RngStream, chisq_quantile
@@ -46,6 +46,7 @@ from oracles import (
     image_space_step_knot_counts,
     image_vhat_gram,
     instrument_design,
+    instrument_dims_float_root,
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -1140,6 +1141,14 @@ def test_image_space_scan_matches_the_knot_count_step_oracle(monkeypatch):
     assert calls["fast"] < calls["counts"]
 
 
+@pytest.mark.parametrize("basis", ["bspline2", "bspline3", "cosine", "power"])
+def test_instrument_dims_are_those_of_the_float_root(basis):
+    config = RunConfig(basis=basis)
+    for d_w in range(1, 5):
+        got = [(config.instrument_dim(k, d_w), config.instrument_per_dim(k, d_w)) for k in range(5001)]
+        assert got == [instrument_dims_float_root(config, k, d_w) for k in range(5001)]
+
+
 def _step_or_error(step, k):
     try:
         return step(k)
@@ -1283,8 +1292,9 @@ def _discrete_instrument_sample(levels, n=2000):
     return 1.0 + 2.0 * x + gen.normal(size=n), x, w
 
 
-@pytest.mark.parametrize("levels, j_list, j_max_hat, k_stop", [(3, (3,), 3, 4), (5, (3, 4), 7, 8)],
-                         ids=["levels3", "levels5"])
+@pytest.mark.parametrize("levels, j_list, j_max_hat, k_stop",
+                         [(3, (3,), 3, 4), (5, (3, 4), 7, 8), (12, (3, 4, 8), 15, 16)],
+                         ids=["levels3", "levels5", "levels12"])
 def test_image_space_discrete_instrument_stops_the_stability_scan(levels, j_list, j_max_hat, k_stop):
     # the first candidate whose B_K is singular lies past the scan's first index: its visit stops the scan at
     # J_max_hat = K - 1, as a singular step would, and the test decides on the candidates before it
@@ -1295,12 +1305,102 @@ def test_image_space_discrete_instrument_stops_the_stability_scan(levels, j_list
                                f"is numerically singular (dim {k_stop})",)
 
 
-def test_image_space_two_level_instrument_is_a_singular_gram_error():
-    # the scan's first index K = 3 is a candidate that J_max_hat keeps, so its singular gram ends the pass
-    y, x, w = _discrete_instrument_sample(2)
-    with pytest.raises(SingularGramError) as info:
-        image_space_test(y, x, w, "linear")
-    assert str(info.value) == "candidate K=3: instrument gram B'B is numerically singular (dim 3)"
+def _five_value_regressor_sample(n=20000):
+    # x with 5 distinct values leaves Psi_J'Omega Psi_J singular from J = 6 on
+    gen = np.random.default_rng(5)
+    x = gen.integers(0, 5, size=n) / 4.0
+    w = np.clip(x + 0.2 * gen.normal(size=n), 0.0, 1.0)
+    return 1.0 + x + gen.normal(size=n), x, w
+
+
+def _three_column_instrument_sample(n=24):
+    # a 3-column w realizes K = 3^3 = 27 >= n = 24 at the basis minimum, whatever its distinct values
+    gen = np.random.default_rng(1)
+    w = gen.uniform(size=(n, 3))
+    x = np.clip(w.mean(axis=1) + 0.1 * gen.normal(size=n), 0.0, 1.0)
+    return x + gen.normal(size=n), x, w
+
+
+_LINEAR = NullSpec.from_name("linear")
+_TIED = ("quantile knots are not strictly increasing inside the support; the data has too many ties for this many "
+         "knots")
+
+
+@pytest.mark.parametrize("sample, run, expected", [
+    pytest.param(lambda: _discrete_instrument_sample(2),
+                 lambda y, x, w: adaptive_test(y, x, w, _LINEAR, RunConfig(grid=(3,))),
+                 "instrument sample too degenerate for the bspline2 basis: the gram B'B of its minimum candidate J=3 "
+                 "(K=12 instrument columns) is singular at n=2000 with 2 distinct w value(s)",
+                 id="two-level-w-explicit"),
+    pytest.param(lambda: _discrete_instrument_sample(2), lambda y, x, w: image_space_test(y, x, w, "linear"),
+                 "instrument sample too degenerate for the bspline2 basis: the gram B'B of its minimum candidate K=3 "
+                 "is singular at n=2000 with 2 distinct w value(s)", id="two-level-w-image-space"),
+    pytest.param(_five_value_regressor_sample,
+                 lambda y, x, w: adaptive_test(y, x, w, _LINEAR, RunConfig(grid="knots", k_factor=2)),
+                 ((3, 4, 5), 5, "stability scan stopped at J=6: weighted regressor gram Psi'Omega Psi is numerically "
+                                "singular (dim 6)"), id="five-value-x-knots"),
+    pytest.param(_five_value_regressor_sample,
+                 lambda y, x, w: adaptive_test(y, x, w, _LINEAR, RunConfig(grid=(3, 4, 5, 6), k_factor=2)),
+                 "regressor sample too degenerate for the bspline2 basis: the weighted gram Psi'Omega Psi of its "
+                 "candidate J=6 is singular at n=20000 with 5 distinct x value(s)", id="five-value-x-explicit"),
+    # the two end levels of w lie in the first and last knot spans, so the quantile knots of its 10 inner
+    # levels tie from K = 13 on
+    pytest.param(lambda: _discrete_instrument_sample(12),
+                 lambda y, x, w: image_space_test(y, x, w, "linear", RunConfig(knot_rule="quantile")),
+                 ((3, 4, 8), 12, f"stability scan stopped at J=13: {_TIED}"), id="twelve-level-w-quantile"),
+    pytest.param(lambda: _discrete_instrument_sample(5),
+                 lambda y, x, w: adaptive_test(y, x, w, _LINEAR, RunConfig(knot_rule="quantile")),
+                 _TIED, id="five-level-w-quantile-first-candidate"),
+    pytest.param(_three_column_instrument_sample, lambda y, x, w: image_space_test(y, x, w, "linear"),
+                 "sample too small for the bspline2 basis: its minimum candidate K=27 needs K=27 instrument columns, "
+                 "whose gram B'B is singular at n=24", id="k-at-least-n-image-space"),
+])
+def test_a_data_failure_ends_by_the_one_rule(sample, run, expected):
+    # a candidate the sample cannot carry stops the stability scan past the scan start, in either scan; at an
+    # index J_max_hat keeps it ends the test with an input error that names the candidate, K and n
+    y, x, w = sample()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # x = w + noise leaves the support
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as info:
+                run(y, x, w)
+            assert str(info.value) == expected
+            return
+        report = run(y, x, w)
+    j_list, j_max_hat, stop = expected
+    assert (report.grid.j_list, report.grid.j_max_hat, report.warnings[-1]) == (j_list, j_max_hat, stop)
+
+
+def test_a_custom_rows_error_is_a_user_error_at_any_candidate():
+    # a custom_rows callable that raises is not a data failure: past the scan start (this grid is 3...7) it
+    # still ends the test
+    data = generate(DesignConfig("I", 2000, 0.9, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+
+    def rows(spec):
+        if spec.dim == 5:
+            raise InputError("no rows for this basis")
+        return ConstraintMatrix(np.eye(1, spec.dim), "custom")
+
+    null = NullSpec(kind="shape", custom_rows=rows)
+    with pytest.raises(InputError) as info:
+        adaptive_test(data.y, data.x, data.w, null, config=RunConfig(grid="knots"))
+    assert str(info.value) == "candidate J=5: no rows for this basis"
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["beyond-the-support", "clipped"])
+def test_quantile_knots_come_from_the_data_inside_the_support(clip):
+    # 2.7 % of this w lies below the support; clipped, they sit on its end. Neither places a knot there
+    gen = np.random.default_rng(0)
+    w = 1.1 * gen.beta(2.0, 5.0, size=50000) - 0.05
+    w = np.clip(w, 0.0, 1.0) if clip else w
+    x = np.clip(w + 0.1 * gen.normal(size=w.size), 0.0, 1.0)
+    y = 1.0 + x + gen.normal(size=w.size)
+    config = RunConfig(knot_rule="quantile")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the points beyond the support are clamped
+        reports = [image_space_test(y, x, w, "linear", config), adaptive_test(y, x, w, _LINEAR, config)]
+    for report in reports:
+        assert len(report.per_j) >= 2 and not any("stability scan stopped" in line for line in report.warnings)
 
 
 @pytest.mark.parametrize("levels", [2, 3, 5])
@@ -1328,12 +1428,9 @@ def test_structural_scan_on_a_two_column_discrete_instrument_names_each_columns_
 
 
 def test_structural_scan_whose_minimum_candidate_has_k_at_least_n_needs_more_data():
-    # a 3-column w realizes K = 3^3 = 27 >= n = 24 at J = 3, whatever its distinct values
-    gen = np.random.default_rng(1)
-    w = gen.uniform(size=(24, 3))
-    x = np.clip(w.mean(axis=1) + 0.1 * gen.normal(size=24), 0.0, 1.0)
+    y, x, w = _three_column_instrument_sample()
     with pytest.raises(InputError) as info:
-        adaptive_test(x + gen.normal(size=24), x, w, NullSpec.from_name("linear"))
+        adaptive_test(y, x, w, NullSpec.from_name("linear"))
     assert str(info.value) == ("sample too small for the bspline2 basis: its minimum candidate J=3 needs K=27 "
                                "instrument columns, whose gram B'B is singular at n=24")
 
@@ -1451,7 +1548,7 @@ def test_lapack_failure_at_the_basis_minimum_stays_a_numerical_error(monkeypatch
 
 def test_scanned_grid_stops_where_k_reaches_n():
     # K = 10 J reaches n = 40 at J = 4: B'B is singular there, so the stability scan stops;
-    # an explicit grid asking for that K is an input error
+    # an explicit grid asking for that K is an input error naming it
     gen = np.random.default_rng(1)
     x, w = gen.uniform(size=40), gen.uniform(size=40)
     y = x + gen.normal(size=40)
@@ -1459,5 +1556,7 @@ def test_scanned_grid_stops_where_k_reaches_n():
     rep = adaptive_test(y, x, w, NullSpec.from_name("linear"), config=cfg)
     assert rep.grid.j_list == (1, 2, 3)
     assert rep.warnings == ("stability scan stopped at J=4: instrument gram B'B is numerically singular (dim 40)",)
-    with pytest.raises(InputError, match="need n > K, got n=40, K=40"):
+    with pytest.raises(InputError) as info:
         adaptive_test(y, x, w, NullSpec.from_name("linear"), config=RunConfig(grid=(3, 4), k_factor=10, basis="cosine"))
+    assert str(info.value) == ("sample too small for the cosine basis: its candidate J=4 needs K=40 instrument "
+                               "columns, whose gram B'B is singular at n=40")

@@ -371,7 +371,8 @@ def test_cmd_test_multivariate_x_exit_2(tmp_path, capsys):
 def test_cmd_test_explicit_grid_with_k_at_least_n_exit_2(capsys):
     # engel_style.csv has 400 rows; K = 4 J = 400 at J = 100
     assert run_cli("test", ENGEL, "--null", "decreasing", "--grid", "3,100") == 2
-    assert "need n > K, got n=400, K=400" in capsys.readouterr().err
+    assert "its candidate J=100 needs K=400 instrument columns, whose gram B'B is singular at n=400" \
+        in capsys.readouterr().err
 
 
 def test_cmd_test_sample_too_small_for_the_basis_exit_2(tmp_path, capsys):
@@ -398,9 +399,9 @@ def test_cmd_test_degenerate_regressor_exit_2(tmp_path, capsys, x_kind, distinct
         assert run_cli("test", str(path), *flags) == 2
         assert f"minimum candidate J={j} is singular at n=200 with {distinct} distinct x value(s)" \
             in capsys.readouterr().err
-    # an explicit grid keeps the numerical failure
-    assert run_cli("test", str(path), "--grid", "3,4") == 3
-    assert "weighted regressor gram Psi'Omega Psi is numerically singular (dim 3)" in capsys.readouterr().err
+    # an explicit grid's entry is a candidate the sample cannot carry too
+    assert run_cli("test", str(path), "--grid", "3,4") == 2
+    assert f"minimum candidate J=3 is singular at n=200 with {distinct} distinct x value(s)" in capsys.readouterr().err
 
 
 def test_cmd_test_all_zero_weights_exit_2(tmp_path, capsys):

@@ -270,6 +270,15 @@ def test_lapack_failure_in_one_replication_is_a_counted_failure(monkeypatch):
     assert all("failures_by_reason" not in row for row in [*out["rows"], *summary.rows()])
 
 
+def test_a_replication_whose_sample_cannot_carry_the_minimum_candidate_is_a_counted_failure():
+    # at n = 40 a dyadic K = 4 J grid's minimum candidate J = 3 needs K = 12 instrument columns, and 9 of 300
+    # replications leave one of them without data: each is counted with its reason, and 9 > 1 % fails the cell
+    with pytest.raises(NumericalError) as info:
+        run_experiment(ExperimentSpec(n_values=(40,), replications=300, k_factor=4, grid_mode="dyadic"), jobs=1)
+    assert str(info.value) == ("cell {'n': 40, 'xi': 0.5, 'c0': 1.0} had 9/300 failed replications (> 1%): "
+                               "{\"SingularGramError: instrument gram B'B is numerically singular (dim 12)\": 9}")
+
+
 def _failing_replications(monkeypatch, failing):
     """Replace sim._verdicts by a wrapper that returns a failure reason on the calls numbered in failing (from
     0): at jobs = 1 on a one-cell spec, call r reads replication r."""
