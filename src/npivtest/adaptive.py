@@ -102,7 +102,10 @@ class NullSpec:
         if self.kind != "shape":
             raise InputError("constraints are only defined for shape nulls")
         if self.custom_rows is not None:
-            return self.custom_rows(spec)
+            rows = self.custom_rows(spec)
+            if not isinstance(rows, ConstraintMatrix):
+                raise InputError(f"custom_rows must return a ConstraintMatrix, got {type(rows).__name__}")
+            return rows
         if spec.knot_rule != "equispaced":  # a quantile spec's hash leaves out its knot data
             return deriv_constraints(spec, self.shape)
         return _equispaced_constraints(spec, self.shape)
@@ -639,7 +642,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     designs is the sample's _Designs; None builds one for this call."""
     ys, x, w, n = _checked_data(ys, x, w)
     if x.ndim != 1:
-        raise InputError(f"the structural statistic needs one regressor column, got x of shape {x.shape}")
+        raise InputError(f"the structural statistic needs one regressor as a 1-d x, got x of shape {x.shape}")
     config.check_null_basis(null)
     mu = _weights(mu, n)
     designs = _Designs(w) if designs is None else designs
@@ -757,9 +760,10 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
     if callable(candidate):
         values = np.asarray(candidate(x), dtype=float)
         if null.kind == "shape" and null.shape in _SHAPE_KINDS:
-            lo, hi = config.support
-            grid_x = np.linspace(lo, hi, 1001)
-            f = np.asarray(candidate(grid_x), dtype=float)
+            f = np.asarray(candidate(np.linspace(*config.support, 1001)), dtype=float)
+            if f.shape != (1001,):
+                raise InputError(f"candidate function must return one value per point, got shape {f.shape} on "
+                                 "1001 grid points")
             scale = 1e-8 * float(np.max(np.abs(f)))
             diffs = np.diff(f) if null.shape in ("decreasing", "increasing") else np.diff(f, 2)
             sign = 1.0 if null.shape in ("decreasing", "concave") else -1.0
@@ -779,10 +783,9 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
         values = eval_design(spec, x) @ coeffs
     else:
         values = np.asarray(candidate, dtype=float)
-        if values.shape != (x.shape[0],):
-            raise InputError(
-                "candidate must be callable, a (coeffs, BasisSpec) pair, or a vector of fitted values"
-            )
+    if values.shape != (x.shape[0],):
+        raise InputError("candidate must be callable, a (coeffs, BasisSpec) pair, or a vector of fitted values, "
+                         f"with one value per observation: need shape ({x.shape[0]},), got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InputError("candidate values are non-finite on the sample")
     return values
@@ -929,8 +932,6 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
         return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
 
     z, _ = parametric_design(x, model)
-    if z.shape[0] != n:
-        raise InputError("parametric design and y must share the number of rows")
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
     outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]

@@ -255,9 +255,7 @@ def deriv_constraints(spec: BasisSpec, kind: str) -> ConstraintMatrix:
     """
     if spec.family != "bspline":
         raise InputError(f"derivative constraints require a B-spline basis, got {spec.family!r}")
-    if kind in ("decreasing", "increasing"):
-        if spec.order < 2:
-            raise InputError("monotonicity constraints need B-spline order >= 2")
+    if kind in ("decreasing", "increasing"):  # BasisSpec holds a B-spline to order >= 2
         rows = eval_design(spec, _derivative_points(spec, 1), deriv=1)
         return ConstraintMatrix(rows if kind == "decreasing" else -rows, kind)
     if kind in ("concave", "convex"):

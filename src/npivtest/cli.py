@@ -41,17 +41,11 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):  # np.float64 included; every payload is built from Python scalars
         f = float(obj)
         if math.isfinite(f):
             return f
         return "NaN" if math.isnan(f) else ("Infinity" if f > 0 else "-Infinity")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
     return obj
 
 

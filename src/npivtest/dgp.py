@@ -162,17 +162,12 @@ def null_boundary(h_family: str, c_b: float = 0.0) -> float:
     xs = np.linspace(0.0, 1.0, _BOUNDARY_GRID_POINTS)
     if h_family == "sin":
         slope = 2.0 * xs + 2.0 * np.pi * c_b * np.cos(2.0 * np.pi * xs)
-        peak = float(np.max(slope))
-        if peak <= 0:
-            raise InputError("sine perturbation never increases; no boundary")
-        return 0.2 / peak
+        return 0.2 / float(np.max(slope))  # > 0: the slopes 2 + 2 pi c_b at 1 and 1 - 2 pi c_b at 1/2 sum to 3
     if h_family == "design2":
         # h' = 0.2 + 2x + 2 pi c_a cos(2 pi x) >= 0; binding where cos < 0
         base = 0.2 + 2.0 * xs
         trig = 2.0 * np.pi * np.cos(2.0 * np.pi * xs)
-        neg = trig < 0
-        if not np.any(neg):
-            raise InputError("no binding region for design2 boundary")
+        neg = trig < 0  # on (1/4, 3/4)
         return float(np.min(-base[neg] / trig[neg]))
     if h_family == "quad":
         return 0.0

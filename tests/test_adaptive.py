@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -1516,9 +1517,9 @@ def test_structural_statistic_needs_one_regressor_column(null):
     # a 2-d x is refused before the grid starts; the image-space scan takes it with a custom design
     data = generate(DesignConfig("I", 300, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 6)))
     x2 = np.column_stack([data.x, data.w])
-    with pytest.raises(InputError, match=r"needs one regressor column, got x of shape \(300, 2\)"):
+    with pytest.raises(InputError, match=r"needs one regressor as a 1-d x, got x of shape \(300, 2\)"):
         adaptive_test(data.y, x2, data.w, null)
-    with pytest.raises(InputError, match="needs one regressor column"):
+    with pytest.raises(InputError, match="needs one regressor as a 1-d x"):
         cs_contains(np.zeros(300), data.y, x2, data.w, null=null)
     design = np.column_stack([np.ones(300), x2])
     assert image_space_test(data.y, x2, data.w, design).per_j
@@ -1560,3 +1561,75 @@ def test_scanned_grid_stops_where_k_reaches_n():
         adaptive_test(y, x, w, NullSpec.from_name("linear"), config=RunConfig(grid=(3, 4), k_factor=10, basis="cosine"))
     assert str(info.value) == ("sample too small for the cosine basis: its candidate J=4 needs K=40 instrument "
                                "columns, whose gram B'B is singular at n=40")
+
+
+def _sample200():
+    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    return data.y, data.x, data.w
+
+
+def _x_as_a_column():
+    y, x, w = _sample200()
+    return y, x[:, None], w
+
+
+def _report_of_an_unscanned_j():
+    return dataclasses.replace(adaptive_test(*_sample200(), NullSpec.from_name("linear")), j_reported=999)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NullSpec(kind="shape"), InputError,
+     "shape null needs shape in ('decreasing', 'increasing', 'convex', 'concave') or custom rows, got None"),
+    (lambda: NullSpec(kind="cone"), InputError, "null kind must be 'shape' or 'parametric', got 'cone'"),
+    (lambda: NullSpec.from_name("linear").constraints(bspline(4)), InputError,
+     "constraints are only defined for shape nulls"),
+    (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list of positive dims, got []"),
+    (lambda: _report_of_an_unscanned_j().w_reported, KeyError, 999),
+    (lambda: compute_D(np.ones((2, 3)), np.ones(4)), InputError,
+     "need a 2-d map and one residual per column, got (2, 3) and (4,)"),
+    (lambda: eta_hat(0.05, 0, 1), InputError, "grid_size must be >= 1, got 0"),
+    (lambda: cs_contains((np.ones(3), bspline(4)), *_sample200()), InputError,
+     "candidate coefficients must have shape (4,), got (3,)"),
+    (lambda: cs_contains(np.full(200, np.nan), *_sample200()), InputError,
+     "candidate values are non-finite on the sample"),
+    (lambda: adaptive_test(*_sample200(), NullSpec(kind="shape", custom_rows=lambda spec: np.eye(1, spec.dim))),
+     InputError, "candidate J=3: custom_rows must return a ConstraintMatrix, got ndarray"),
+    (lambda: adaptive_test(*_x_as_a_column(), NullSpec.from_name("decreasing")), InputError,
+     "the structural statistic needs one regressor as a 1-d x, got x of shape (200, 1)"),
+], ids=["shape-null-without-shape", "unknown-null-kind", "constraints-of-a-parametric-null", "empty-grid",
+        "w-reported-of-a-missing-j", "map-and-residuals", "empty-grid-size", "coefficient-shape",
+        "non-finite-candidate", "custom-rows-not-a-constraint-matrix", "x-as-a-column"])
+def test_adaptive_input_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)
+
+
+_VALUES = ("candidate must be callable, a (coeffs, BasisSpec) pair, or a vector of fitted values, with one value "
+           "per observation: need shape (200,), got {}")
+_GRID = "candidate function must return one value per point, got shape {} on 1001 grid points"
+
+
+@pytest.mark.parametrize("candidate, null, message", [
+    (lambda x: -0.2 * x, "decreasing", None),
+    ((-0.2 * np.arange(4), bspline(4)), "decreasing", None),
+    ("vector", "linear", None),
+    (lambda x: (-0.2 * x)[:, None], "linear", _VALUES.format("(200, 1)")),
+    (lambda x: (-0.2 * x)[:, None], "decreasing", _GRID.format("(1001, 1)")),
+    (lambda x: (-0.2 * x)[:10], "linear", _VALUES.format("(10,)")),
+    (lambda x: 0.5, "linear", _VALUES.format("()")),
+    (lambda x: 0.5, "decreasing", _GRID.format("()")),
+    (np.zeros(199), "linear", _VALUES.format("(199,)")),
+], ids=["callable", "coefficients", "vector", "callable-column", "callable-column-shape-null", "callable-short",
+        "callable-scalar", "callable-scalar-shape-null", "short-vector"])
+def test_cs_contains_candidate_shape_rule(candidate, null, message):
+    # one rule for all three forms: a candidate has one value per observation; a shape null's callable also
+    # has one per point of its 1001-point check, so a column cannot pass that check by differencing its width
+    y, x, w = _sample200()
+    candidate = -0.2 * x if isinstance(candidate, str) else candidate
+    if message is None:
+        assert isinstance(cs_contains(candidate, y, x, w, null=NullSpec.from_name(null))[0], bool)
+        return
+    with pytest.raises(InputError) as info:
+        cs_contains(candidate, y, x, w, null=NullSpec.from_name(null))
+    assert str(info.value) == message

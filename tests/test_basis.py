@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npivtest.basis import BasisSpec, deriv_constraints, eval_design, min_dim, tensor_design, zeta
+from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
 from npivtest.errors import InputError
 
 from oracles import _max_support_count, bspline_design_dense, bspline_design_rowmajor, simpson, tensor_design_einsum
@@ -302,3 +302,23 @@ def test_zeta_values():
 def test_min_dim():
     assert min_dim(bspline(5, order=3)) == 3
     assert min_dim(BasisSpec("cosine", 5)) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bspline(4, order=1), "B-spline order must be >= 2, got 1"),
+    (lambda: bspline(4, knot_rule="median"), "unknown knot rule 'median'"),
+    (lambda: bspline(4, knot_rule="quantile"), "quantile knot rule requires knot_data"),
+    (lambda: eval_design(bspline(4), np.zeros((2, 2))), "eval_design expects scalar or 1-d x, got shape (2, 2)"),
+    (lambda: eval_design(bspline(4), [0.5, np.nan]), "evaluation points contain non-finite values"),
+    (lambda: eval_design(bspline(4), [0.5], deriv=-1), "derivative order must be >= 0, got -1"),
+    (lambda: ConstraintMatrix([[1.0, np.inf]], "custom"), "constraint rows contain non-finite entries"),
+    (lambda: ConstraintMatrix([[1.0]], "flat"), "unknown constraint kind 'flat'"),
+    (lambda: tensor_design([], np.zeros(3)), "tensor_design needs at least one basis spec"),
+    (lambda: zeta([BasisSpec("power", 3), bspline(4)]),
+     "mixed power/non-power tensor factors have no common growth rate"),
+], ids=["order-1", "unknown-knot-rule", "quantile-without-data", "2-d-points", "non-finite-points", "negative-deriv",
+        "non-finite-rows", "unknown-constraint-kind", "no-tensor-factor", "mixed-zeta"])
+def test_basis_input_guards(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -365,7 +365,7 @@ def test_cmd_test_multivariate_x_exit_2(tmp_path, capsys):
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="y,x1,x2,w1,w2", comments="")
     for null in ("decreasing", "linear"):
         assert run_cli("test", str(path), "--null", null) == 2
-        assert "needs one regressor column, got x of shape (300, 2)" in capsys.readouterr().err
+        assert "needs one regressor as a 1-d x, got x of shape (300, 2)" in capsys.readouterr().err
 
 
 def test_cmd_test_explicit_grid_with_k_at_least_n_exit_2(capsys):

@@ -5,6 +5,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import ndtri
 
@@ -90,6 +92,23 @@ def test_null_boundaries_match_thresholds():
     assert null_boundary("sin", 1.0) == pytest.approx(0.1 / (1.0 + math.pi), abs=1e-6)
     assert null_boundary("design2") == pytest.approx(0.184, abs=5e-4)
     assert null_boundary("quad") == 0.0
+
+
+@given(st.floats(min_value=-1e12, max_value=1e12))
+def test_sin_null_boundary_is_positive_and_finite(c_b):
+    # the slope 2x + 2 pi c_b cos(2 pi x) is 2 + 2 pi c_b at x = 1 and 1 - 2 pi c_b at x = 1/2, points of the grid
+    # whose slopes sum to 3, so its maximum is positive for every c_b
+    assert 0.0 < null_boundary("sin", c_b) < math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cfg(n=0), "n must be positive, got 0"),
+    (lambda: null_boundary("mono"), "no null boundary defined for family 'mono'"),
+], ids=["empty-sample", "mono-boundary"])
+def test_dgp_input_guards(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_h_design2_increasing_region():

@@ -245,3 +245,9 @@ def test_frobenius_orthogonal_invariance(seed):
     q, _ = np.linalg.qr(gen.normal(size=(4, 4)))
     assert frobenius_norm(q @ a) == pytest.approx(frobenius_norm(a), abs=1e-10)
     assert frobenius_norm(a @ q) == pytest.approx(frobenius_norm(a), abs=1e-10)
+
+
+def test_a_vector_is_not_a_matrix():
+    with pytest.raises(InputError) as info:
+        orthonormal_range(np.ones(3))
+    assert str(info.value) == "matrix must be 2-d with at least one row and column, got shape (3,)"

@@ -18,6 +18,7 @@ from npivtest.npiv import (
     fit_from_design,
     fit_restricted_cone,
     fit_restricted_parametric,
+    parametric_design,
 )
 from npivtest.randdist import RngStream
 
@@ -525,3 +526,69 @@ def test_restricted_positive_homogeneity(rng):
     r1 = fit_restricted_cone(fit, m, beta, psi, y)
     r2 = fit_restricted_cone(fit, m, fit.coefficients(2.5 * y), psi, 2.5 * y)
     np.testing.assert_allclose(r2.beta_r, 2.5 * r1.beta_r, atol=1e-8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_from_design(np.full((30, 3), np.nan), np.ones((30, 6))),
+     "regressor design Psi contains non-finite values"),
+    (lambda: cone_project(np.ones(3), np.eye(3), np.ones((1, 2))), "constraint rows have 2 columns, expected 3"),
+    (lambda: parametric_design(np.zeros((5, 2)), "linear"),
+     "named model 'linear' expects a scalar regressor; pass a custom design instead"),
+    (lambda: parametric_design(np.zeros(5), "cubic"),
+     "unknown parametric model 'cubic'; expected 'linear', 'quadratic', or a design array"),
+    (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), np.ones((4, 1)), np.eye(5, 2), np.eye(2)),
+     "parametric design and y must share the number of rows"),
+    (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), "linear", np.eye(4, 2), np.eye(2)),
+     "instrument basis and y must share the number of rows"),
+], ids=["non-finite-psi", "constraint-width", "named-model-of-2-d-x", "unknown-model", "design-rows", "basis-rows"])
+def test_npiv_input_guards(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _rounding_exit(a, b):
+    """_nnls(a, b), and whether it left by its rounding exit: a zero column that still gains, which its KKT exit
+    never leaves."""
+    x = npiv_module._nnls(a, b)
+    tol = npiv_module.NNLS_TOL * np.linalg.norm(b) * np.linalg.norm(a, axis=0)
+    return x, bool(np.any((x == 0.0) & (a.T @ (b - a @ x) - tol > 0.0)))
+
+
+def test_cone_projection_through_the_nnls_rounding_exit():
+    # rows scaled by 10^U(-4, 4) leave a few percent of the projections at a column whose gain passes the
+    # tolerance but whose least-squares step is not positive; the x they stop at is still the projection
+    gen = np.random.default_rng(0)
+    exits = 0
+    for _ in range(500):
+        j, k = int(gen.integers(2, 7)), int(gen.integers(2, 9))
+        rows = gen.standard_normal((k, j)) * 10.0 ** gen.uniform(-4.0, 4.0, size=(k, 1))
+        v = gen.standard_normal(j)
+        if np.all(rows @ v <= npiv_module.ACTIVE_TOL * np.linalg.norm(v) * np.linalg.norm(rows, axis=1)):
+            continue  # v is in the cone: no NNLS
+        beta, _ = cone_project(v, np.eye(j), rows)
+        _, rounding = _rounding_exit(rows.T, v)  # with g = I, cone_project's NNLS is that of (rows', v)
+        if rounding:
+            exits += 1
+            # the oracle's feasibility tolerance is not per row, so it takes unit rows (the same cone)
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            np.testing.assert_allclose(beta, cone_project_enumerate(v, np.eye(j), unit), rtol=0, atol=1e-6)
+    assert exits >= 5
+
+
+def test_cone_projection_past_the_nnls_iteration_cap(monkeypatch):
+    # an inner solve that never settles: it keeps the column that entered last and drops the one before, so on
+    # a = I columns 0 and 1 take turns until the loop's 3p iterations run out
+    before: set[int] = set()
+
+    def lstsq(a, b, rcond=None):
+        nonlocal before
+        passive = [int(i) for i in np.argmax(a, axis=0)]  # a holds columns of I
+        fresh = set(passive) - before
+        before = set(passive)
+        return np.array([1.0 if not fresh or i in fresh else -1.0 for i in passive]), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    with pytest.raises(NumericalError) as info:
+        cone_project(np.ones(2), np.eye(2), np.eye(2))
+    assert str(info.value) == "cone projection did not converge (J=2, rows=2)"

@@ -125,3 +125,15 @@ def test_covariance_validation():
         CovarianceSpec(np.array([[1.0, 2.0], [2.0, 1.0]])).cholesky()  # not PSD
     with pytest.raises(InputError):
         CovarianceSpec(np.array([[1.0, 0.1], [0.2, 1.0]]))  # asymmetric
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CovarianceSpec(np.ones((2, 3))), "covariance must be square, got shape (2, 3)"),
+    (lambda: CovarianceSpec(np.array([[1.0, np.nan], [np.nan, 1.0]])), "covariance contains non-finite entries"),
+    (lambda: chisq_sf(1.0, 0), "degrees of freedom must be a positive integer, got 0"),
+    (lambda: mvn_sample(CovarianceSpec(np.eye(2)), RngStream(0), 0), "sample size must be positive, got 0"),
+], ids=["non-square-covariance", "non-finite-covariance", "chisq-sf-df", "empty-sample"])
+def test_randdist_input_guards(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

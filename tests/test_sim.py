@@ -10,6 +10,7 @@ import textwrap
 import time
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_power_mode_on_the_mono_family_is_an_input_error():
     dict(basis="foo"), dict(design="IV"), dict(k_factor=1), dict(xi_values=(1.5,)), dict(n_values=(5,)),
     dict(alphas=(1.5,)), dict(null="wiggly"), dict(h_family="zigzag"), dict(grid_mode="weird"),
     dict(mode="power", h_family="mono"), dict(grid_mode=(1, 2)), dict(basis="cosine"),
-    dict(statistic="image-space"),
+    dict(statistic="image-space"), dict(statistic="banana"),
 ], ids=lambda kw: "-".join(map(str, kw.values())))
 def test_spec_values_are_checked_at_construction(kw):
     with pytest.raises(InputError):
@@ -827,6 +828,47 @@ def test_only_the_command_runs_the_workers_allocator_policy(monkeypatch, tmp_pat
                comments="")
     assert main(["test", str(path), "--out", str(tmp_path / "report.txt")]) == 0
     assert libc.calls == _POLICY
+
+
+def test_a_process_that_cannot_open_itself_keeps_its_allocator(monkeypatch):
+    def refuse(name):
+        raise OSError(f"cannot open {name}")
+
+    monkeypatch.setattr(sim_module, "ctypes", SimpleNamespace(CDLL=refuse))
+    assert sim_module._libc() is None
+    sim_module._keep_freed_pages()
+
+
+def test_one_blas_thread_sets_each_bundled_openblas_that_has_the_setter(monkeypatch):
+    # glob and the library loader are faked, so this process keeps its BLAS threads
+    patterns, calls = [], []
+    libs = {"with.so": SimpleNamespace(scipy_openblas_set_num_threads64_=lambda n: calls.append(("with.so", n))),
+            "without.so": SimpleNamespace()}
+    monkeypatch.setattr(sim_module, "glob", SimpleNamespace(glob=lambda p: patterns.append(p) or sorted(libs)))
+    monkeypatch.setattr(sim_module, "ctypes", SimpleNamespace(CDLL=libs.__getitem__))
+    sim_module._one_blas_thread()
+    assert patterns == [os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so")]
+    assert calls == [("with.so", 1)]
+
+
+def test_a_forked_child_forgets_the_inherited_pool(monkeypatch):
+    # the at-fork hook, run here on a stand-in pool: the child drops the pool and its records of the workers
+    worker, other = object(), object()
+    children = {worker, other}
+    monkeypatch.setattr(multiprocessing.process, "_children", children)
+    for processes in ({7: worker}, None):  # a pool that was shut down has _processes None
+        monkeypatch.setattr(sim_module, "_pool", (2, SimpleNamespace(_processes=processes)))
+        sim_module._forget_inherited_pool()
+        assert sim_module._pool is None
+    assert children == {other}
+
+
+def test_a_summary_has_no_cell_it_did_not_run():
+    summary = run_experiment(small_size_spec(replications=2))
+    assert summary.cell(c0=0.1) is summary.cells[0]
+    with pytest.raises(KeyError) as info:
+        summary.cell(c0=0.5)
+    assert info.value.args == ("no cell with {'c0': 0.5}",)
 
 
 def test_pool_workers_run_one_blas_thread():
