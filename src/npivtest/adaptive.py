@@ -247,7 +247,7 @@ class CandidateGrid:
 
     shat maps each stepped dimension to its stability measure s: every visited candidate's, and every
     non-candidate's the scan computed. A B-spline image-space step that certifies noise < s from
-    knot-interval counts computes no s, so such a non-candidate has no entry.
+    its knot-interval counts or tensor column sums computes no s, so such a non-candidate has no entry.
     """
 
     mode: str
@@ -754,13 +754,21 @@ def adaptive_test(y, x, w, null: NullSpec, config: RunConfig | None = None, mu=N
     return decide(grid, entries, n, null, config, warnings=warn)
 
 
+def _candidate_floats(value, form: str) -> np.ndarray:
+    """A candidate's value as a float array; a value that does not convert is an input error naming its form."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"candidate {form} must be numeric") from exc
+
+
 def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
     """Fitted values of the hypothesized function at the sample, plus a cone feasibility check."""
     x = np.asarray(x, dtype=float)
     if callable(candidate):
-        values = np.asarray(candidate(x), dtype=float)
+        values = _candidate_floats(candidate(x), "function values")
         if null.kind == "shape" and null.shape in _SHAPE_KINDS:
-            f = np.asarray(candidate(np.linspace(*config.support, 1001)), dtype=float)
+            f = _candidate_floats(candidate(np.linspace(*config.support, 1001)), "function values")
             if f.shape != (1001,):
                 raise InputError(f"candidate function must return one value per point, got shape {f.shape} on "
                                  "1001 grid points")
@@ -771,7 +779,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
                 raise InputError(f"candidate function violates the {null.shape} restriction")
     elif isinstance(candidate, tuple) and len(candidate) == 2:
         coeffs, spec = candidate
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _candidate_floats(coeffs, "coefficients")
         if coeffs.shape != (spec.dim,):
             raise InputError(f"candidate coefficients must have shape ({spec.dim},), got {coeffs.shape}")
         if null.kind == "shape":
@@ -782,7 +790,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
                 raise InputError(f"candidate coefficients violate the {m.kind} cone restriction")
         values = eval_design(spec, x) @ coeffs
     else:
-        values = np.asarray(candidate, dtype=float)
+        values = _candidate_floats(candidate, "fitted values")
     if values.shape != (x.shape[0],):
         raise InputError("candidate must be callable, a (coeffs, BasisSpec) pair, or a vector of fitted values, "
                          f"with one value per observation: need shape ({x.shape[0]},), got {values.shape}")
@@ -818,15 +826,15 @@ def _image_space_table(basis: str, support: tuple[float, float], n: int, d_w: in
 
     rows[k], k = 0...max(hard_cap, k_min), is (dim, noise, per_dim) of the instrument design for k: its realized
     dimension, noise level and per-coordinate factor dimension; the scan's fallback singleton {k_min} may lie
-    above the hard cap. knots maps each such per_dim to its equispaced B-spline knot vector on support, on which
-    an equispaced step counts its supports; it is None for another family.
+    above the hard cap. knots maps each such per_dim of a 1-d B-spline instrument to its equispaced knot vector
+    on support, on which an equispaced step counts its supports; it is None for another family or a tensor.
     """
     config = RunConfig(basis=basis, support=support)
     rows = []
     for k in range(max(_res_parameters(n)[2], k_min) + 1):
         dim, per_dim = config.instrument_dim(k, d_w), config.instrument_per_dim(k, d_w)
-        rows.append((dim, _noise_level([config.psi_spec(per_dim)] * d_w, dim, n), per_dim))
-    if config.family != "bspline":
+        rows.append((dim, _noise_level(config.psi_spec(per_dim), dim, n), per_dim))
+    if config.family != "bspline" or d_w > 1:
         return tuple(rows), None
     return tuple(rows), {per_dim: config.psi_spec(per_dim).knot_vector() for *_, per_dim in rows}
 
@@ -837,31 +845,29 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
 
     The scan steps far more dimensions than it visits, and a step only asks whether the noise level
     reaches s_K = lambda_max(B'B/n)^{-1/2}. A B-spline design, and a tensor of B-spline factors, has
-    B >= 0 and unit row sums, so by Gershgorin lambda_max(B'B/n) <= max_j (column sum j of B) / n. A
-    column of B is supported inside each of its factors' supports, so that is at most
-    min_d max_j N_{d,j} / n, N_{d,j} the number of coordinate d's points in the support [t_j, t_{j+order}]
-    of B-spline j on that coordinate's knot vector t. A step's dim, noise level and factor dimension come
-    from the per-process _image_space_table. A step that reaches a new realized dim counts N_{d,j} on its
-    own knot vectors, the table's equispaced ones or its specs' quantile ones (a tied one raises its
-    TiedKnotsError there), with one searchsorted per coordinate of w, clamped and sorted once per scan. A step
-    first tries the counts and, for a tensor they leave uncertified, the column sums themselves: for a 2-d w
-    they are the entries of B_1'B_2, formed from the n x per_dim factors. A step whose noise stays below the
-    bound returns (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's
-    visit builds B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms
-    B'B for lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
+    B >= 0 and unit row sums, so by Gershgorin lambda_max(B'B/n) <= max_j (column sum j of B) / n. Each
+    kind of design has one certificate of that maximum. A 1-d B-spline's is max_j N_j, N_j the number of
+    points in the support [t_j, t_{j+order}] of B-spline j on its knot vector t, the table's equispaced one
+    or its spec's quantile one (a tied one raises its TiedKnotsError there), counted with one searchsorted
+    on w, clamped and sorted once per scan. A tensor's is the column sums themselves: for a 2-d w they are
+    the entries of B_1'B_2, formed from the n x per_dim factors. As 0 <= B <= 1, each is at most either
+    factor's support count, so the counts would certify no step more. A step's dim, noise level and factor
+    dimension come from the per-process _image_space_table. A step whose noise stays below the bound
+    returns (dim, noise, None, None): it builds no n x K design and computes no s_K, and a candidate's visit
+    builds B and reads s_K = sqrt(n) / s_max(B). Any other step (cosine, power, or uncertified) forms B'B
+    for lambda_max only and factors no design. A 2-d w rounds k up to the next per_dim^2, so a step whose
     realized dim repeats the last one returns that step unchanged. In one 4-replication supp-D call at
     n = 5000, xi = 0.5, every step of either design is certified: the scans build only their candidates'
     designs and call no eigvalsh.
     """
     w = designs.w
-    columns = [w] if w.ndim == 1 else list(w.T)
-    rows, knots = _image_space_table(config.basis, config.support, n, len(columns), k_min)
-    points = None if knots is None else [np.sort(np.clip(c, *config.support)) for c in columns]
+    rows, knots = _image_space_table(config.basis, config.support, n, 1 if w.ndim == 1 else w.shape[1], k_min)
+    points = None if knots is None else np.sort(np.clip(w.ravel(), *config.support))
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
-    def count(t: np.ndarray, x_sorted: np.ndarray) -> int:
+    def count(t: np.ndarray) -> int:
         # x <= t exactly when x < the next float above t, so one search finds both ends of every support
-        found = np.searchsorted(x_sorted, np.concatenate([t, np.nextafter(t, np.inf)]))
+        found = np.searchsorted(points, np.concatenate([t, np.nextafter(t, np.inf)]))
         return int(np.max(found[t.size + config.order :] - found[: t.size - config.order]))
 
     def step(k: int):
@@ -869,19 +875,18 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
         if dim in last:
             return last[dim]
         last.clear()  # released before the next design is built
-        if points is not None:
-            if config.knot_rule == "quantile":
-                vectors = [spec.knot_vector() for spec in config.instrument_specs(k, w)]
-            else:
-                vectors = [knots[per_dim]] * len(points)
-            bound = min(map(count, vectors, points))
-            # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
-            if noise >= math.sqrt(n / bound) * (1.0 - 1e-9) and len(columns) > 1:
-                factors = designs.factors(config.instrument_specs(k, w))
-                bound = float(np.max(_tensor_product(factors[:-1]).T @ factors[-1]))
-            if noise < math.sqrt(n / bound) * (1.0 - 1e-9):
-                last[dim] = (dim, noise, None, None)
-                return last[dim]
+        if points is not None:  # a 1-d B-spline: its support counts
+            bound = count(config.instrument_specs(k, w)[0].knot_vector() if config.knot_rule == "quantile"
+                          else knots[per_dim])
+        elif config.family == "bspline":  # a tensor: its column sums
+            factors = designs.factors(config.instrument_specs(k, w))
+            bound = float(np.max(_tensor_product(factors[:-1]).T @ factors[-1]))
+        else:  # cosine or power: no certificate
+            bound = math.inf
+        # the margin covers rounding in B's unit row sums and in the exact step's eigvalsh
+        if noise < math.sqrt(n / bound) * (1.0 - 1e-9):
+            last[dim] = (dim, noise, None, None)
+            return last[dim]
         b = designs.instrument(config, k)
         gb = b.T @ b / n
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))

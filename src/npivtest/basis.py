@@ -293,15 +293,8 @@ def _tensor_product(factors) -> np.ndarray:
     return design
 
 
-def zeta(spec, dim: int | None = None) -> float:
-    """Sup-norm growth constant of the sieve: sqrt(J) for spline/cosine, J for power series."""
-    if isinstance(spec, (list, tuple)):
-        families = {s.family for s in spec}
-        total = int(np.prod([s.dim for s in spec])) if dim is None else dim
-        if families == {"power"}:
-            return float(total)
-        if "power" in families:
-            raise InputError("mixed power/non-power tensor factors have no common growth rate")
-        return float(np.sqrt(total))
+def zeta(spec: BasisSpec, dim: int | None = None) -> float:
+    """Sup-norm growth constant of the sieve of spec's family at dim (default spec.dim): sqrt(dim) for spline and
+    cosine, dim for power series. A tensor of equal factors passes one factor's spec and the tensor's dim."""
     j = spec.dim if dim is None else dim
     return float(j) if spec.family == "power" else float(np.sqrt(j))

@@ -256,20 +256,16 @@ def render_report(report, fmt: str) -> str:
         "",
         f"{'J':>4} {'K':>5} {'W_J':>12} {'gamma':>6} {'eta':>10} {'D_J':>13} {'v_J':>12} {'p_J':>9}",
     ]
-    for rec in d["per_J"]:
-        w_txt = f"{rec['W']:.4f}" if isinstance(rec["W"], float) else str(rec["W"])
-        p_txt = f"{rec['p_value']:.4f}" if isinstance(rec["p_value"], float) else str(rec["p_value"])
+    for rec in d["per_J"]:  # W (inf where v = 0), p_value and W_reported are floats
         lines.append(
-            f"{rec['J']:>4} {rec['K']:>5} {w_txt:>12} {rec['gamma']:>6} "
-            f"{rec['eta']:>10.4f} {rec['D']:>13.6g} {rec['v']:>12.6g} {p_txt:>9}"
+            f"{rec['J']:>4} {rec['K']:>5} {rec['W']:>12.4f} {rec['gamma']:>6} "
+            f"{rec['eta']:>10.4f} {rec['D']:>13.6g} {rec['v']:>12.6g} {rec['p_value']:>9.4f}"
         )
-    w_rep = d["W_reported"]
-    w_rep_txt = f"{w_rep:.4f}" if isinstance(w_rep, float) else str(w_rep)
     lines += [
         "",
         f"reject H0: {'yes' if d['reject'] else 'no'}",
         f"selected J set: {d['J_selected_set']}   reported J: {d['J_reported']}   "
-        f"W at reported J: {w_rep_txt}",
+        f"W at reported J: {d['W_reported']:.4f}",
         f"p value: {d['p_value']:.4g}  (Bonferroni threshold alpha/#candidates = {d['p_threshold']:.4g})",
     ]
     if d.get("warnings"):

@@ -704,7 +704,7 @@ def image_space_step_dense(config, designs, n: int, k_min: int):
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
             raise NumericalError("instrument gram B'B is numerically singular")
-        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        last[dim] = (b.shape[1], _noise_level(specs[0], b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
         return last[dim]
 
     return step
@@ -731,7 +731,7 @@ def image_space_step_knot_counts(config, designs, n: int, k_min: int):
         last.clear()
         if w_sorted is not None:
             specs = config.instrument_specs(k, w)
-            noise = _noise_level(specs, dim, n)
+            noise = _noise_level(specs[0], dim, n)
             count = min(_max_support_count(spec, x) for spec, x in zip(specs, w_sorted))
             if noise < math.sqrt(n / count) * (1.0 - 1e-9):
                 last[dim] = (dim, noise, None, None)
@@ -741,7 +741,7 @@ def image_space_step_knot_counts(config, designs, n: int, k_min: int):
         evals = _lapack(np.linalg.eigvalsh, 0.5 * (gb + gb.T))
         if evals[-1] <= 0:
             raise NumericalError("instrument gram B'B is numerically singular")
-        last[dim] = (b.shape[1], _noise_level(specs, b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
+        last[dim] = (b.shape[1], _noise_level(specs[0], b.shape[1], n), 1.0 / math.sqrt(float(evals[-1])), b)
         return last[dim]
 
     return step

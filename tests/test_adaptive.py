@@ -977,6 +977,25 @@ def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(mo
     assert fitted == [3, 4]
 
 
+def test_a_failed_outcome_is_not_called_at_later_candidates(monkeypatch):
+    # the first outcome, at 1e-200 of the second's scale, fails at J = 3 on an underflowed D; the pass calls it
+    # no more at J = 4, where the second outcome still runs
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
+    ys = [1e-200 * data.y, data.y]
+    outcome, calls = adaptive_module._structural_outcome, []
+
+    def recording(factor, y, **kwargs):
+        calls.append((int(np.max(np.abs(y)) > 1e-100), factor[0]))
+        return outcome(factor, y, **kwargs)
+
+    monkeypatch.setattr(adaptive_module, "_structural_outcome", recording)
+    null, config = NullSpec.from_name("linear"), RunConfig(grid=(3, 4))
+    grid, results, _, _ = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
+    assert calls == [(0, 3), (1, 3), (1, 4)]
+    assert isinstance(results[0], NumericalError) and str(results[0]).startswith("candidate J=3: D=0.0 underflowed")
+    assert grid.j_list == (3, 4) and [entry.j for entry in results[1]] == [3, 4]
+
+
 def test_equispaced_constraint_rows_are_built_once_per_process(monkeypatch):
     adaptive_module._equispaced_constraints.cache_clear()
     calls = _count_calls(monkeypatch, "deriv_constraints", (adaptive_module,))
@@ -1181,7 +1200,7 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
                     specs = config.instrument_specs(k, w)
                     assert (dim, [spec.dim for spec in specs]) == (config.instrument_dim(k, len(columns)),
                                                                    [per_dim] * len(columns))
-                    assert noise == adaptive_module._noise_level(specs, dim, n)
+                    assert noise == adaptive_module._noise_level(specs[0], dim, n)
                     counts = [_step_or_error(lambda x: _max_support_count(spec, x), np.sort(np.clip(c, 0, 1)))
                               for spec, c in zip(specs, columns)]
                     tied = [count for count in counts if isinstance(count, str)]
@@ -1592,13 +1611,19 @@ def _report_of_an_unscanned_j():
      "candidate coefficients must have shape (4,), got (3,)"),
     (lambda: cs_contains(np.full(200, np.nan), *_sample200()), InputError,
      "candidate values are non-finite on the sample"),
+    (lambda: cs_contains("abc", *_sample200()), InputError, "candidate fitted values must be numeric"),
+    (lambda: cs_contains(lambda x: np.full(x.shape, "abc"), *_sample200()), InputError,
+     "candidate function values must be numeric"),
+    (lambda: cs_contains((("abc", 0.0, 0.0, 0.0), bspline(4)), *_sample200()), InputError,
+     "candidate coefficients must be numeric"),
     (lambda: adaptive_test(*_sample200(), NullSpec(kind="shape", custom_rows=lambda spec: np.eye(1, spec.dim))),
      InputError, "candidate J=3: custom_rows must return a ConstraintMatrix, got ndarray"),
     (lambda: adaptive_test(*_x_as_a_column(), NullSpec.from_name("decreasing")), InputError,
      "the structural statistic needs one regressor as a 1-d x, got x of shape (200, 1)"),
 ], ids=["shape-null-without-shape", "unknown-null-kind", "constraints-of-a-parametric-null", "empty-grid",
         "w-reported-of-a-missing-j", "map-and-residuals", "empty-grid-size", "coefficient-shape",
-        "non-finite-candidate", "custom-rows-not-a-constraint-matrix", "x-as-a-column"])
+        "non-finite-candidate", "string-candidate", "callable-returning-strings", "coefficients-holding-a-string",
+        "custom-rows-not-a-constraint-matrix", "x-as-a-column"])
 def test_adaptive_input_guards(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -1613,6 +1638,7 @@ _GRID = "candidate function must return one value per point, got shape {} on 100
 @pytest.mark.parametrize("candidate, null, message", [
     (lambda x: -0.2 * x, "decreasing", None),
     ((-0.2 * np.arange(4), bspline(4)), "decreasing", None),
+    ((-0.2 * np.arange(4), bspline(4)), "linear", None),
     ("vector", "linear", None),
     (lambda x: (-0.2 * x)[:, None], "linear", _VALUES.format("(200, 1)")),
     (lambda x: (-0.2 * x)[:, None], "decreasing", _GRID.format("(1001, 1)")),
@@ -1620,8 +1646,9 @@ _GRID = "candidate function must return one value per point, got shape {} on 100
     (lambda x: 0.5, "linear", _VALUES.format("()")),
     (lambda x: 0.5, "decreasing", _GRID.format("()")),
     (np.zeros(199), "linear", _VALUES.format("(199,)")),
-], ids=["callable", "coefficients", "vector", "callable-column", "callable-column-shape-null", "callable-short",
-        "callable-scalar", "callable-scalar-shape-null", "short-vector"])
+], ids=["callable", "coefficients", "coefficients-parametric-null", "vector", "callable-column",
+        "callable-column-shape-null", "callable-short", "callable-scalar", "callable-scalar-shape-null",
+        "short-vector"])
 def test_cs_contains_candidate_shape_rule(candidate, null, message):
     # one rule for all three forms: a candidate has one value per observation; a shape null's callable also
     # has one per point of its 1001-point check, so a column cannot pass that check by differencing its width

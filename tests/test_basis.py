@@ -296,7 +296,8 @@ def test_zeta_values():
     assert zeta(bspline(9)) == pytest.approx(3.0)
     assert zeta(BasisSpec("power", 4)) == pytest.approx(4.0)
     assert zeta(BasisSpec("cosine", 16)) == pytest.approx(4.0)
-    assert zeta([bspline(3), bspline(3)]) == pytest.approx(3.0)
+    assert zeta(bspline(3), 9) == pytest.approx(3.0)  # a tensor of two 3-dim factors
+    assert zeta(BasisSpec("power", 3), 9) == pytest.approx(9.0)
 
 
 def test_min_dim():
@@ -314,10 +315,8 @@ def test_min_dim():
     (lambda: ConstraintMatrix([[1.0, np.inf]], "custom"), "constraint rows contain non-finite entries"),
     (lambda: ConstraintMatrix([[1.0]], "flat"), "unknown constraint kind 'flat'"),
     (lambda: tensor_design([], np.zeros(3)), "tensor_design needs at least one basis spec"),
-    (lambda: zeta([BasisSpec("power", 3), bspline(4)]),
-     "mixed power/non-power tensor factors have no common growth rate"),
 ], ids=["order-1", "unknown-knot-rule", "quantile-without-data", "2-d-points", "non-finite-points", "negative-deriv",
-        "non-finite-rows", "unknown-constraint-kind", "no-tensor-factor", "mixed-zeta"])
+        "non-finite-rows", "unknown-constraint-kind", "no-tensor-factor"])
 def test_basis_input_guards(call, message):
     with pytest.raises(InputError) as info:
         call()

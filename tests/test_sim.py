@@ -861,6 +861,8 @@ def test_a_forked_child_forgets_the_inherited_pool(monkeypatch):
         sim_module._forget_inherited_pool()
         assert sim_module._pool is None
     assert children == {other}
+    sim_module._forget_inherited_pool()  # a child forked while no pool lives has nothing to forget
+    assert sim_module._pool is None and children == {other}
 
 
 def test_a_summary_has_no_cell_it_did_not_run():

@@ -2,6 +2,7 @@
 outcome differs.
 
     python tests/tools/parity.py OLD_TREE NEW_TREE [--per-scan 1000] [--seed 0] [--reproduce]
+    python tests/tools/parity.py TREE --write-digest PATH
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so the trees may be any two checkouts of
 this repository. An input's outcome is its report's canonical `to_dict()` JSON (for `cs_contains`, the JSON
@@ -9,6 +10,11 @@ of the triple it returns), or its error's type (InputError for any input error) 
 input is printed with its case and a brief of both outcomes (a report's grid, decision and warnings), then a
 count of the changes by scan and by outcome kind (report or error type, before -> after).
 `--reproduce` also compares the rows of every `reproduce` table at 4 replications, seed 3.
+`--write-digest PATH` writes TREE's outcomes of the digest slice, the first DIGEST_SIZE seed-0 inputs with
+n <= DIGEST_MAX_N, to PATH as JSON: a report as its parsed `to_dict()` (for `cs_contains`, the triple), an
+error as its 'ErrorType: message' text. tests/test_parity_digest.py compares the package with the committed
+tests/data/parity_digest.json; like every golden, it is rewritten only by a change that means to move an
+outcome, which lists each moved input.
 
 The generator draws --per-scan inputs for each of `adaptive_test`, `image_space_test` and `cs_contains`
 from numpy's PCG64 seeded by (seed, index), so a case does not depend on the package's own generators:
@@ -38,6 +44,7 @@ from collections import Counter
 import numpy as np
 
 SCANS = ("adaptive_test", "image_space_test", "cs_contains")
+DIGEST_SIZE, DIGEST_MAX_N = 300, 2000
 SHAPES = ("decreasing", "increasing", "convex", "concave")
 BASES = ("bspline2", "bspline3", "cosine", "power")
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -151,10 +158,22 @@ def _outcome(description: dict, data: tuple) -> str:
         return f"uncaught {type(exc).__name__}: {exc}"
 
 
-def _worker(per_scan: int, seed: int, reproduce: bool) -> None:
-    for index in range(3 * per_scan):
-        description, data = case(seed, index)
-        print(json.dumps({"id": index, "outcome": _outcome(description, data)}), flush=True)
+def digest_cases():
+    """(description, data) of each input of the digest slice: the first DIGEST_SIZE seed-0 inputs with
+    n <= DIGEST_MAX_N, in index order."""
+    found, index = 0, 0
+    while found < DIGEST_SIZE:
+        description, data = case(0, index)
+        if description["n"] <= DIGEST_MAX_N:
+            found += 1
+            yield description, data
+        index += 1
+
+
+def _worker(per_scan: int, seed: int, reproduce: bool, digest: bool) -> None:
+    cases = digest_cases() if digest else (case(seed, index) for index in range(3 * per_scan))
+    for description, data in cases:
+        print(json.dumps({"id": description["id"], "outcome": _outcome(description, data)}), flush=True)
     if reproduce:
         from npivtest.sim import TABLE_IDS
         from npivtest.sim import reproduce as run_table
@@ -168,7 +187,7 @@ def _start(tree: pathlib.Path, args, out) -> subprocess.Popen:
     """The worker of one tree, writing its outcomes to the file out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     argv = [sys.executable, __file__, "--worker", "--per-scan", str(args.per_scan), "--seed", str(args.seed),
-            *(["--reproduce"] if args.reproduce else [])]
+            *(["--reproduce"] if args.reproduce else []), *(["--digest"] if args.write_digest else [])]
     return subprocess.Popen(argv, env=env, stdout=out, text=True)
 
 
@@ -180,6 +199,11 @@ def _read(out) -> dict:
 
 def _kind(outcome: str) -> str:
     return "report" if outcome.startswith(("{", "[")) else outcome.split(":", 1)[0]
+
+
+def parsed(outcome: str):
+    """An outcome as the digest holds it: a report's parsed JSON, an error's text."""
+    return json.loads(outcome) if _kind(outcome) == "report" else outcome
 
 
 def _brief(outcome: str) -> str:
@@ -202,10 +226,24 @@ def main(argv=None) -> int:
     parser.add_argument("--per-scan", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reproduce", action="store_true", help="also compare reproduce rows of every table")
+    parser.add_argument("--write-digest", type=pathlib.Path, metavar="PATH",
+                        help="write the tree's outcomes of the digest slice to PATH")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        _worker(args.per_scan, args.seed, args.reproduce)
+        _worker(args.per_scan, args.seed, args.reproduce, args.digest)
+        return 0
+    if args.write_digest:
+        if len(args.trees) != 1:
+            parser.error("give the one tree whose digest to write")
+        with tempfile.TemporaryFile("w+") as out:
+            if _start(args.trees[0].resolve(), args, out).wait():
+                print("the tree's run failed", file=sys.stderr)
+                return 1
+            outcomes = _read(out)
+        digest = [{"id": key, "outcome": parsed(text)} for key, text in outcomes.items()]
+        args.write_digest.write_text(json.dumps(digest, indent=0) + "\n")
         return 0
     if len(args.trees) != 2:
         parser.error("give the old and the new source tree")
