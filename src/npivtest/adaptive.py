@@ -77,6 +77,8 @@ class NullSpec:
         elif self.kind == "parametric":
             if self.model not in _MODEL_KINDS and self.custom_design is None:
                 raise InputError(f"parametric null needs model in {_MODEL_KINDS} or a custom design")
+            if self.custom_design is not None:  # checked once, here, for every scan of this null
+                object.__setattr__(self, "custom_design", _columns(self.custom_design, "custom design"))
         else:
             raise InputError(f"null kind must be 'shape' or 'parametric', got {self.kind!r}")
 
@@ -192,11 +194,10 @@ class RunConfig:
         return self.instrument_per_dim(k_target, d_w) ** d_w
 
     def instrument_specs(self, k_target: int, w: np.ndarray) -> list[BasisSpec]:
-        """One basis spec per coordinate of the instrument sample w, of dimension instrument_dim(k_target, d_w)
+        """One basis spec per column of the n x d_w instrument sample w, of dimension instrument_dim(k_target, d_w)
         together: a d_w-dimensional instrument gets the tensor product of d_w equal factors."""
-        columns = [w] if w.ndim == 1 else list(w.T)
-        per_dim = self.instrument_per_dim(k_target, len(columns))
-        return [self.psi_spec(per_dim, c if self.knot_rule == "quantile" else None) for c in columns]
+        per_dim = self.instrument_per_dim(k_target, w.shape[1])
+        return [self.psi_spec(per_dim, c if self.knot_rule == "quantile" else None) for c in w.T]
 
     def basis_min(self) -> int:
         return min_dim(self)
@@ -388,37 +389,55 @@ def _clamp_warnings(config: RunConfig, **samples) -> list[str]:
     return lines
 
 
-def _checked_data(ys, x, w):
-    """(ys, x, w, n): each outcome of ys, x and w as float arrays sharing n finite observations."""
-    ys = [np.asarray(y, dtype=float) for y in ys]
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+def _real_floats(value, name: str) -> np.ndarray:
+    """value as a real float array; one that does not convert, complex values included, is an input error naming it."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise TypeError(f"complex {name}")
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be real numbers") from exc
+
+
+def _columns(value, name: str, ndim: int = 2) -> np.ndarray:
+    """value as a real float array of 1 to ndim dimensions, a 2-d one with at least one column."""
+    array = _real_floats(value, name)
+    if not 1 <= array.ndim <= ndim or 0 in array.shape[1:]:
+        rule = "1-d" if ndim == 1 else "1-d, or 2-d with at least one column"
+        raise InputError(f"{name} must be {rule}, got shape {array.shape}")
+    return array
+
+
+def _checked_data(ys, x, w, mu):
+    """The sample (ys, x, w, mu, n) of every pass: n finite observations, w as an n x d_w view, mu checked."""
+    ys, x, w = [_columns(y, "y", 1) for y in ys], _columns(x, "x"), _columns(w, "w")
     n = ys[0].shape[0]
-    if any(y.ndim != 1 or y.shape[0] != n for y in ys) or x.shape[0] != n or w.shape[0] != n:
+    if any(a.shape[0] != n for a in (*ys, x, w)):
         raise InputError("y, x, w must share the number of observations")
-    if not (all(np.all(np.isfinite(y)) for y in ys) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+    if not all(np.all(np.isfinite(a)) for a in (*ys, x, w)):
         raise InputError("data contains non-finite values")
-    return ys, x, w, n
+    return ys, x, np.atleast_2d(w.T).T, _weights(None if mu is None else _real_floats(mu, "weights mu"), n), n
 
 
-def _single(scan, label: str, config: RunConfig, x, w, mu=None):
-    """A public scan's (grid, entries, warnings, n) of its one outcome, from its pass's (grid, results, warnings, n);
-    the error that ended the pass is raised, a data failure as an InputError naming the candidate (label J or K)."""
-    grid, (entries,), warnings, n = scan
+def _single(scan, label: str, config: RunConfig):
+    """A public scan's (grid, entries, warnings, n) of its one outcome, from its pass's (grid, results, warnings,
+    sample); the error that ended the pass is raised, a data failure as an InputError naming the candidate."""
+    grid, (entries,), warnings, (_, x, w, mu, n) = scan
     if isinstance(entries, (SingularGramError, SingularRegressorGramError)):
-        w, j, basis = np.asarray(w, dtype=float), entries.candidate, config.basis
-        k = config.instrument_dim(config.k_factor * j if label == "J" else j, 1 if w.ndim == 1 else w.shape[1])
+        j, basis = entries.candidate, config.basis
+        k = config.instrument_dim(config.k_factor * j if label == "J" else j, w.shape[1])
         at = f"its {'minimum ' if j == config.basis_min() else ''}candidate {label}={j if label == 'J' else k}"
         if isinstance(entries, SingularRegressorGramError):
             raise InputError(f"regressor sample too degenerate for the {basis} basis: the weighted gram Psi'Omega Psi "
-                             f"of {at} is singular at n={n} with {np.unique(np.asarray(x)[_weights(mu, n) > 0]).size} "
-                             "distinct x value(s)") from entries
+                             f"of {at} is singular at n={n} with {np.unique(x[mu > 0]).size} distinct x value(s)"
+                             ) from entries
         if k < n and len(np.unique(w, axis=0)) < k:  # B_K has rank at most the number of distinct points of w
-            counts = ", ".join(str(np.unique(c).size) for c in np.atleast_2d(w.T))
+            counts = ", ".join(str(np.unique(c).size) for c in w.T)
             columns = f" (K={k} instrument columns)" if label == "J" else ""
             raise InputError(f"instrument sample too degenerate for the {basis} basis: the gram B'B of {at}{columns} "
                              f"is singular at n={n} with {counts} distinct w value(s)"
-                             f"{' per column' if w.ndim == 2 else ''}") from entries
+                             f"{' per column' if w.shape[1] > 1 else ''}") from entries
         raise InputError(f"sample too small for the {basis} basis: {at} needs K={k} instrument columns, whose gram "
                          f"B'B is singular at n={n}") from entries
     if isinstance(entries, NumericalError):
@@ -429,10 +448,10 @@ def _single(scan, label: str, config: RunConfig, x, w, mu=None):
 class _Designs:
     """The instrument designs of one sample w, for every candidate pass on it.
 
-    The one-dimensional factors of a tensor instrument (a 2-d w) are kept, read-only, as long as the owner
-    holds the object, one public scan call or one Monte Carlo replication: the stability steps, the
-    candidates and the tensors of every pass on w read them. A design B_K is built on each request, and
-    its user factors it, so a pass holds only the designs and factor of the candidate it is at.
+    w is the sample's n x d_w view. The one-dimensional factors of a tensor instrument (d_w > 1) are kept,
+    read-only, as long as the owner holds the object, one public scan call or one Monte Carlo replication: the
+    stability steps, the candidates and the tensors of every pass on w read them. A design B_K is built on each
+    request, and its user factors it, so a pass holds only the designs and factor of the candidate it is at.
     """
 
     def __init__(self, w: np.ndarray):
@@ -458,8 +477,8 @@ class _Designs:
         k = math.prod(spec.dim for spec in specs)
         if k >= self.w.shape[0]:
             raise SingularGramError(f"instrument gram B'B is numerically singular (dim {k})")
-        if self.w.ndim == 1:
-            return eval_design(specs[0], self.w)
+        if self.w.shape[1] == 1:
+            return eval_design(specs[0], self.w[:, 0])
         return _tensor_product(self.factors(specs))
 
 
@@ -633,18 +652,18 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
     y-free factor, and _structural_outcome, the only part that reads y,
     computes its statistics at once. Returns (grid, entries, warnings, n).
     """
-    return _single(_structural_scan([y], x, w, null, config, None, mu), "J", config, x, w, mu)
+    return _single(_structural_scan([y], x, w, null, config, None, mu), "J", config)
 
 
 def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None, mu=None, h0=None):
-    """adaptive_scan of every outcome in ys on one y-free pass: (grid, results, warnings, n), results as
-    _candidate_pass gives them, with D_J taken on y - h0 instead of the restricted residuals when h0 is given.
-    designs is the sample's _Designs; None builds one for this call."""
-    ys, x, w, n = _checked_data(ys, x, w)
+    """adaptive_scan of every outcome in ys on one y-free pass: (grid, results, warnings, sample), results as
+    _candidate_pass gives them and sample as _checked_data does, with D_J taken on y - h0(x) at the checked x
+    instead of the restricted residuals when h0 is given. designs is the sample's _Designs; None builds one."""
+    ys, x, w, mu, n = sample = _checked_data(ys, x, w, mu)
+    h0 = None if h0 is None else h0(x)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor as a 1-d x, got x of shape {x.shape}")
     config.check_null_basis(null)
-    mu = _weights(mu, n)
     designs = _Designs(w) if designs is None else designs
     fit_warnings: list[str] = []
 
@@ -666,7 +685,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     model = null.model if null.custom_design is None else null.custom_design
     outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
     grid, results = _candidate_pass(n, config, step, visit, outcomes, config.basis_min())
-    return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], n
+    return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], sample
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
@@ -754,21 +773,12 @@ def adaptive_test(y, x, w, null: NullSpec, config: RunConfig | None = None, mu=N
     return decide(grid, entries, n, null, config, warnings=warn)
 
 
-def _candidate_floats(value, form: str) -> np.ndarray:
-    """A candidate's value as a float array; a value that does not convert is an input error naming its form."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"candidate {form} must be numeric") from exc
-
-
 def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
-    """Fitted values of the hypothesized function at the sample, plus a cone feasibility check."""
-    x = np.asarray(x, dtype=float)
+    """Fitted values of the hypothesized function at the checked sample x, plus a cone feasibility check."""
     if callable(candidate):
-        values = _candidate_floats(candidate(x), "function values")
+        values = _real_floats(candidate(x), "candidate function values")
         if null.kind == "shape" and null.shape in _SHAPE_KINDS:
-            f = _candidate_floats(candidate(np.linspace(*config.support, 1001)), "function values")
+            f = _real_floats(candidate(np.linspace(*config.support, 1001)), "candidate function values")
             if f.shape != (1001,):
                 raise InputError(f"candidate function must return one value per point, got shape {f.shape} on "
                                  "1001 grid points")
@@ -779,7 +789,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
                 raise InputError(f"candidate function violates the {null.shape} restriction")
     elif isinstance(candidate, tuple) and len(candidate) == 2:
         coeffs, spec = candidate
-        coeffs = _candidate_floats(coeffs, "coefficients")
+        coeffs = _real_floats(coeffs, "candidate coefficients")
         if coeffs.shape != (spec.dim,):
             raise InputError(f"candidate coefficients must have shape ({spec.dim},), got {coeffs.shape}")
         if null.kind == "shape":
@@ -790,7 +800,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
                 raise InputError(f"candidate coefficients violate the {m.kind} cone restriction")
         values = eval_design(spec, x) @ coeffs
     else:
-        values = _candidate_floats(candidate, "fitted values")
+        values = _real_floats(candidate, "candidate fitted values")
     if values.shape != (x.shape[0],):
         raise InputError("candidate must be callable, a (coeffs, BasisSpec) pair, or a vector of fitted values, "
                          f"with one value per observation: need shape ({x.shape[0]},), got {values.shape}")
@@ -810,9 +820,8 @@ def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullS
     """
     config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model="linear") if null is None else null
-    values = _candidate_on_sample(candidate, x, config, null)
-    grid, entries, _, n = _single(_structural_scan([y], x, w, null, config, None, mu, h0=values), "J", config, x, w,
-                                  mu)
+    h0 = partial(_candidate_on_sample, candidate, config=config, null=null)
+    grid, entries, _, n = _single(_structural_scan([y], x, w, null, config, None, mu, h0=h0), "J", config)
     report = decide(grid, entries, n, null, config)
     per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
              for rec in report.per_j]
@@ -861,7 +870,7 @@ def _image_space_step(config: RunConfig, designs: _Designs, n: int, k_min: int):
     designs and call no eigvalsh.
     """
     w = designs.w
-    rows, knots = _image_space_table(config.basis, config.support, n, 1 if w.ndim == 1 else w.shape[1], k_min)
+    rows, knots = _image_space_table(config.basis, config.support, n, w.shape[1], k_min)
     points = None if knots is None else np.sort(np.clip(w.ravel(), *config.support))
     last: dict[int, tuple] = {}  # realized dim -> (dim, noise, s, B) of the last step
 
@@ -918,14 +927,14 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     freedom. Returns (grid, entries, warnings, n), as adaptive_scan does: a
     candidate's y-free factor is U_B = q r_b, and _image_space_outcome reads y.
     """
-    return _single(_image_space_scan([y], x, w, null, config, None), "K", config, x, w)
+    return _single(_image_space_scan([y], x, w, null, config, None), "K", config)
 
 
 def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None):
-    """image_space_scan of every outcome in ys on one y-free pass: (grid, results, warnings, n), results as
-    _candidate_pass gives them. designs is the sample's _Designs; None builds one for this call."""
+    """image_space_scan of every outcome in ys on one y-free pass: (grid, results, warnings, sample), results as
+    _candidate_pass gives them, sample as _checked_data does. designs is the sample's _Designs; None builds one."""
     null.check_image_space()
-    ys, x, w, n = _checked_data(ys, x, w)
+    ys, x, w, _, n = sample = _checked_data(ys, x, w, None)
     model = null.model if null.custom_design is None else null.custom_design
     designs = _Designs(w) if designs is None else designs
 
@@ -942,7 +951,7 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]
     grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n, k_min),
                                     visit, outcomes, k_min)
-    return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], n
+    return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], sample
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic

@@ -277,10 +277,10 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
     for r in reps:
         stream = RngStream(spec.master_seed, stream_offset + r)
         x, w, u = draw(DesignConfig(spec.design, cell["n"], cell["xi"], runs[0][0], stream))  # reads no h
-        designs = _Designs(w)
+        designs = _Designs(w.reshape(len(w), -1))  # the n x d_w view each pass's checked sample holds
         for (statistic, null, config), members in passes.items():
             scan = _structural_scan if statistic == "structural" else _image_space_scan
-            grid, results, _, n_obs = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
+            grid, results, _, (*_, n_obs) = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
             for t, entries in zip(members, results):
                 out[t].append((r, _verdicts(grid, entries, n_obs, null, runs[t][1])))
     return out

@@ -677,7 +677,7 @@ def instrument_dims_float_root(config, k_target: int, d_w: int) -> tuple[int, in
 def instrument_design(config, k_target: int, w: np.ndarray):
     """(specs, B): config.instrument_specs(k_target, w) and the instrument design B they span at w, a 2-d w's
     through basis.tensor_design rather than the scans' kept factors."""
-    specs = config.instrument_specs(k_target, w)
+    specs = config.instrument_specs(k_target, w.reshape(len(w), -1))  # the specs read w as n x d_w
     return specs, eval_design(specs[0], w) if w.ndim == 1 else tensor_design(specs, w)
 
 

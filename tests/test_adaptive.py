@@ -914,9 +914,9 @@ def test_passes_on_one_sample_share_its_tensor_factors(monkeypatch):
 
     monkeypatch.setattr(adaptive_module, "eval_design", recording)
     designs = adaptive_module._Designs(data.w)
-    grid, (entries,), warn, n = adaptive_module._structural_scan([data.y], data.x, data.w, null, config, designs)
+    grid, (entries,), warn, (*_, n) = adaptive_module._structural_scan([data.y], data.x, data.w, null, config, designs)
     shared = [decide(grid, entries, n, null, config, warnings=warn).to_dict()]
-    grid, (entries,), warn, n = adaptive_module._image_space_scan([data.y], data.x, data.w, null, config, designs)
+    grid, (entries,), warn, (*_, n) = adaptive_module._image_space_scan([data.y], data.x, data.w, null, config, designs)
     shared.append(decide(grid, entries, n, null, config, statistic="image-space", warnings=warn).to_dict())
     assert shared == alone
     assert set(built.values()) == {1}
@@ -939,7 +939,7 @@ def test_a_structural_pass_builds_each_psi_once_for_all_its_outcomes(monkeypatch
         return eval_design_(spec, points)
 
     monkeypatch.setattr(adaptive_module, "eval_design", recording)
-    grid, results, warn, n = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
+    grid, results, warn, (*_, n) = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
     assert [decide(grid, entries, n, null, config, warnings=warn).to_dict() for entries in results] == alone
     assert len(ys) == 2 and sorted(built) == sorted(grid.shat) and set(built.values()) == {1}
 
@@ -1060,15 +1060,19 @@ def _recorded_image_space_test(monkeypatch, y, x, w, config=None):
 
 
 def test_certified_image_space_scan_builds_only_candidates(monkeypatch):
-    # at n = 5000 the knot-interval bound certifies every design-I step: no step builds a design,
-    # forms B'B or calls eigvalsh, and each candidate's visit builds its design once
-    eigvalsh = _count_calls(monkeypatch, "eigvalsh", (np.linalg,))
-    data = generate(DesignConfig("I", 5000, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
-    rep, steps, built = _recorded_image_space_test(monkeypatch, data.y, data.x, data.w)
-    assert len(steps) == rep.grid.hard_cap - rep.grid.j_list[0] + 1
-    assert not any(exact for _, exact in steps)
-    assert eigvalsh["calls"] == 0
-    assert sorted(built) == sorted(rep.grid.j_list) == sorted(rep.grid.shat)
+    # at n = 5000 the knot-interval bound certifies every design-I step, and the tensor's column sums every
+    # multivariate one (K = 9 ... 36): no step builds a design, forms B'B or calls eigvalsh, and each
+    # candidate's visit builds its design once
+    for design, h in (("I", HSpec("sin", c_a=0.5)), ("multivariate", HSpec("quad", c_a=0.5))):
+        data = generate(DesignConfig(design, 5000, 0.5, h, RngStream(4, 2)))
+        with monkeypatch.context() as patch:
+            eigvalsh = _count_calls(patch, "eigvalsh", (np.linalg,))
+            rep, steps, built = _recorded_image_space_test(patch, data.y, data.x, data.w)
+        assert len(steps) == rep.grid.hard_cap - RunConfig().basis_min() + 1
+        assert not any(exact for _, exact in steps)
+        assert eigvalsh["calls"] == 0
+        assert sorted(built) == sorted(rep.grid.j_list) == sorted(rep.grid.shat)
+    assert rep.grid.j_list[-1] == 36
 
 
 @pytest.mark.parametrize("basis", ["bspline2", "bspline3"])
@@ -1186,8 +1190,8 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
     tied = np.where(gen.uniform(size=n) < 0.7, 0.5, gen.uniform(size=n))  # its quantile knots tie from J = 5 on
     samples = [gen.uniform(size=n), tied, gen.beta(2.0, 5.0, size=(n, 2)), np.column_stack([gen.uniform(size=n), tied])]
     compared, errors = 0, 0
-    for w in samples:
-        columns = [w] if w.ndim == 1 else list(w.T)
+    for w in (w.reshape(n, -1) for w in samples):  # the scans' n x d_w view
+        columns = list(w.T)
         for basis in ("bspline2", "bspline3"):
             for knot_rule in ("equispaced", "quantile"):
                 config = RunConfig(basis=basis, knot_rule=knot_rule)
@@ -1210,7 +1214,7 @@ def test_image_space_table_steps_match_the_knot_count_oracle(n):
                     elif noise < math.sqrt(n / min(counts)) * (1.0 - 1e-9):
                         assert got == (dim, noise, None, None)
                     errors += isinstance(want, str)
-                    if isinstance(want, str) or w.ndim == 1 or got[2] is not None:
+                    if isinstance(want, str) or w.shape[1] == 1 or got[2] is not None:
                         assert got[:3] == want[:3]
                         assert (got[3] is None) == (want[3] is None) and np.array_equal(got[3], want[3])
                     else:  # the column sums of the tensor certified what the counts left
@@ -1455,27 +1459,79 @@ def test_structural_scan_whose_minimum_candidate_has_k_at_least_n_needs_more_dat
                                "instrument columns, whose gram B'B is singular at n=24")
 
 
-@pytest.mark.parametrize("run", [
-    lambda y, x, w: adaptive_test(y, x, w, NullSpec.from_name("decreasing")),
-    lambda y, x, w: image_space_test(y, x, w, "linear"),
-    lambda y, x, w: cs_contains(np.zeros_like(y), y, x, w),
-], ids=["adaptive_test", "image_space_test", "cs_contains"])
-@pytest.mark.parametrize("bad, message", [
-    ("short w", "y, x, w must share the number of observations"),
-    ("nan y", "data contains non-finite values"),
-    ("nan x", "data contains non-finite values"),
-    ("nan w", "data contains non-finite values"),
+def _null_of(model):
+    return NullSpec.from_name(model) if isinstance(model, str) else NullSpec(kind="parametric", custom_design=model)
+
+
+_SCANS = {  # each entry point with the arguments it takes of y, x, w, mu, a candidate and a parametric model
+    "adaptive_test": (lambda a: adaptive_test(a["y"], a["x"], a["w"], _null_of(a["model"]), mu=a["mu"]),
+                      {"y", "x", "w", "mu", "model"}),
+    "image_space_test": (lambda a: image_space_test(a["y"], a["x"], a["w"], a["model"]), {"y", "x", "w", "model"}),
+    "cs_contains": (lambda a: cs_contains(a["candidate"], a["y"], a["x"], a["w"], null=_null_of(a["model"]),
+                                          mu=a["mu"]), {"y", "x", "w", "mu", "candidate", "model"}),
+}
+_COLUMNS = "{} must be 1-d, or 2-d with at least one column, got shape {}"
+_NAN = np.arange(200) == 7
+_PROBES = [  # (probe, argument, its malformed value made from the sample (y, x, w), message)
+    ("short w", "w", lambda y, x, w: w[:-1], "y, x, w must share the number of observations"),
+    ("nan y", "y", lambda y, x, w: np.where(_NAN, np.nan, y), "data contains non-finite values"),
+    ("nan x", "x", lambda y, x, w: np.where(_NAN, np.nan, x), "data contains non-finite values"),
+    ("nan w", "w", lambda y, x, w: np.where(_NAN, np.nan, w), "data contains non-finite values"),
+    ("w without columns", "w", lambda y, x, w: np.empty((200, 0)), _COLUMNS.format("w", "(200, 0)")),
+    ("0-d y", "y", lambda y, x, w: y[0], "y must be 1-d, got shape ()"),
+    ("0-d x", "x", lambda y, x, w: x[0], _COLUMNS.format("x", "()")),
+    ("0-d w", "w", lambda y, x, w: w[0], _COLUMNS.format("w", "()")),
+    ("3-d w", "w", lambda y, x, w: w[:, None, None], _COLUMNS.format("w", "(200, 1, 1)")),
+    ("text y", "y", lambda y, x, w: np.full(200, "abc"), "y must be real numbers"),
+    ("text x", "x", lambda y, x, w: np.full(200, "abc"), "x must be real numbers"),
+    ("text w", "w", lambda y, x, w: np.full(200, "abc"), "w must be real numbers"),
+    ("text mu", "mu", lambda y, x, w: np.full(200, "abc"), "weights mu must be real numbers"),
+    ("complex y", "y", lambda y, x, w: y + 0.5j, "y must be real numbers"),
+    ("complex mu", "mu", lambda y, x, w: np.ones(200) + 0.5j, "weights mu must be real numbers"),
+    ("complex candidate", "candidate", lambda y, x, w: -0.2 * x + 0.5j,
+     "candidate fitted values must be real numbers"),
+    ("custom design without columns", "model", lambda y, x, w: np.empty((200, 0)),
+     _COLUMNS.format("custom design", "(200, 0)")),
+    ("3-d custom design", "model", lambda y, x, w: np.ones((200, 1, 1)),
+     _COLUMNS.format("custom design", "(200, 1, 1)")),
+    ("complex custom design", "model", lambda y, x, w: np.column_stack([np.ones(200), x]) + 0.5j,
+     "custom design must be real numbers"),
+]
+
+
+@pytest.mark.parametrize("scan, argument, value, message", [
+    pytest.param(scan, argument, value, message, id=f"{probe}-{message}-{scan}")
+    for probe, argument, value, message in _PROBES for scan, (_, takes) in _SCANS.items() if argument in takes
 ])
-def test_public_entry_points_check_their_data(run, bad, message):
-    data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
-    sample = {"y": data.y.copy(), "x": data.x.copy(), "w": data.w.copy()}
-    if bad == "short w":
-        sample["w"] = sample["w"][:-1]
-    else:
-        sample[bad[-1]][7] = np.nan
+def test_public_entry_points_check_their_data(scan, argument, value, message):
+    # one sample contract: each entry point that takes the argument ends each malformed value in an InputError
+    # naming it, before any candidate; a complex value cast to float would fail here on its ComplexWarning
+    y, x, w = _sample200()
+    args = {"y": y, "x": x, "w": w, "mu": None, "candidate": -0.2 * x, "model": "linear"}
+    args[argument] = value(y, x, w)
     with pytest.raises(InputError) as info:
-        run(**sample)
-    assert str(info.value) == message
+        _SCANS[scan][0](args)
+    assert info.value.args == (message,)
+
+
+def test_an_instrument_column_is_its_vector():
+    # a 1-d w and its n x 1 view are one sample: each entry point gives the same outcome, bit for bit, and a
+    # degenerate sample the same message, without the "per column" of a 2-d w
+    y, x, w = _sample200()
+    args = {"y": y, "x": x, "mu": None, "candidate": -0.2 * x, "model": "linear"}
+    for scan, (run, _) in _SCANS.items():
+        vector, column = (run({**args, "w": sample_w}) for sample_w in (w, w[:, None]))
+        if scan != "cs_contains":
+            vector, column = vector.to_dict(), column.to_dict()
+        assert json.dumps(column) == json.dumps(vector)
+    y, x, w = _discrete_instrument_sample(3)
+    messages = []
+    for sample_w in (w, w[:, None]):
+        with pytest.raises(InputError) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # x = w + noise leaves the support
+            adaptive_test(y, x, sample_w, NullSpec.from_name("linear"))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and messages[0].endswith("with 3 distinct w value(s)")
 
 
 def test_image_space_eta_error_names_k_df_and_centering():
@@ -1611,11 +1667,11 @@ def _report_of_an_unscanned_j():
      "candidate coefficients must have shape (4,), got (3,)"),
     (lambda: cs_contains(np.full(200, np.nan), *_sample200()), InputError,
      "candidate values are non-finite on the sample"),
-    (lambda: cs_contains("abc", *_sample200()), InputError, "candidate fitted values must be numeric"),
+    (lambda: cs_contains("abc", *_sample200()), InputError, "candidate fitted values must be real numbers"),
     (lambda: cs_contains(lambda x: np.full(x.shape, "abc"), *_sample200()), InputError,
-     "candidate function values must be numeric"),
+     "candidate function values must be real numbers"),
     (lambda: cs_contains((("abc", 0.0, 0.0, 0.0), bspline(4)), *_sample200()), InputError,
-     "candidate coefficients must be numeric"),
+     "candidate coefficients must be real numbers"),
     (lambda: adaptive_test(*_sample200(), NullSpec(kind="shape", custom_rows=lambda spec: np.eye(1, spec.dim))),
      InputError, "candidate J=3: custom_rows must return a ConstraintMatrix, got ndarray"),
     (lambda: adaptive_test(*_x_as_a_column(), NullSpec.from_name("decreasing")), InputError,
