@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design,
                     min_dim, zeta)
-from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
+from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError, _columns, _real_floats
 from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
@@ -389,26 +389,6 @@ def _clamp_warnings(config: RunConfig, **samples) -> list[str]:
     return lines
 
 
-def _real_floats(value, name: str) -> np.ndarray:
-    """value as a real float array; one that does not convert, complex values included, is an input error naming it."""
-    try:
-        array = np.asarray(value)
-        if array.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise TypeError(f"complex {name}")
-        return array.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be real numbers") from exc
-
-
-def _columns(value, name: str, ndim: int = 2) -> np.ndarray:
-    """value as a real float array of 1 to ndim dimensions, a 2-d one with at least one column."""
-    array = _real_floats(value, name)
-    if not 1 <= array.ndim <= ndim or 0 in array.shape[1:]:
-        rule = "1-d" if ndim == 1 else "1-d, or 2-d with at least one column"
-        raise InputError(f"{name} must be {rule}, got shape {array.shape}")
-    return array
-
-
 def _checked_data(ys, x, w, mu):
     """The sample (ys, x, w, mu, n) of every pass: n finite observations, w as an n x d_w view, mu checked."""
     ys, x, w = [_columns(y, "y", 1) for y in ys], _columns(x, "x"), _columns(w, "w")
@@ -417,7 +397,7 @@ def _checked_data(ys, x, w, mu):
         raise InputError("y, x, w must share the number of observations")
     if not all(np.all(np.isfinite(a)) for a in (*ys, x, w)):
         raise InputError("data contains non-finite values")
-    return ys, x, np.atleast_2d(w.T).T, _weights(None if mu is None else _real_floats(mu, "weights mu"), n), n
+    return ys, x, np.atleast_2d(w.T).T, _weights(mu, n), n
 
 
 def _single(scan, label: str, config: RunConfig):
@@ -575,10 +555,9 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
 
 
 def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
-    scaled_map = np.asarray(scaled_map, dtype=float)
-    r = np.asarray(r, dtype=float)
+    scaled_map, r = _real_floats(scaled_map, "scaled map"), _real_floats(r, "residuals")
     if scaled_map.ndim != 2 or r.shape != (scaled_map.shape[1],):
-        raise InputError(f"need a 2-d map and one residual per column, got {scaled_map.shape} and {r.shape}")
+        raise InputError(f"need a 2-d scaled map and residuals, one per column, got {scaled_map.shape} and {r.shape}")
     return scaled_map, r
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TiedKnotsError
+from .errors import InputError, TiedKnotsError, _columns, _real_floats
 
 __all__ = [
     "BasisSpec",
@@ -64,6 +64,8 @@ class BasisSpec:
             raise InputError(f"unknown knot rule {self.knot_rule!r}")
         if self.knot_rule == "quantile" and self.knot_data is None:
             raise InputError("quantile knot rule requires knot_data")
+        if self.knot_data is not None:
+            object.__setattr__(self, "knot_data", _columns(self.knot_data, "knot_data", 1))
 
     @property
     def n_interior(self) -> int:
@@ -76,7 +78,7 @@ class BasisSpec:
             return np.empty(0)
         if self.knot_rule == "equispaced":
             return lo + (hi - lo) * np.arange(1, n + 1) / (n + 1)
-        data = np.asarray(self.knot_data, dtype=float)
+        data = self.knot_data
         # a point at or beyond an end lies in the first or last knot span wherever the interior knots are
         inside = data[(data > lo) & (data < hi)]
         knots = np.quantile(inside, np.arange(1, n + 1) / (n + 1)) if inside.size else None
@@ -177,7 +179,7 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     The design is column-major (Fortran-ordered), so each basis function's column is contiguous. Points
     outside the support are clamped to it with a warning.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_real_floats(x, "x"))
     if x.ndim != 1:
         raise InputError(f"eval_design expects scalar or 1-d x, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -210,7 +212,7 @@ class ConstraintMatrix:
     kind: str
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        rows = np.atleast_2d(_columns(self.rows, "constraint rows"))
         if not np.all(np.isfinite(rows)):
             raise InputError("constraint rows contain non-finite entries")
         if self.kind not in _CONSTRAINT_KINDS:
@@ -271,13 +273,11 @@ def tensor_design(specs, x) -> np.ndarray:
     coordinate's index running fastest. Column-major, like eval_design."""
     if len(specs) < 1:
         raise InputError("tensor_design needs at least one basis spec")
-    x = np.asarray(x, dtype=float)
+    x = _columns(x, "x")
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != len(specs):
-        raise InputError(
-            f"sample has {x.shape[1] if x.ndim == 2 else 1} coordinates but {len(specs)} basis specs were given"
-        )
+    if x.shape[1] != len(specs):
+        raise InputError(f"sample has {x.shape[1]} coordinates but {len(specs)} basis specs were given")
     return _tensor_product([eval_design(spec, x[:, k]) for k, spec in enumerate(specs)])
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import _BASIS_NAMES, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test, cs_contains
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _columns
 from .npiv import parametric_design
 from .sim import TABLE_IDS, ExperimentSpec, _keep_freed_pages, reproduce, run_experiment
 
@@ -290,7 +290,7 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _load_candidate(path: str, data: CsvDataset, config: RunConfig):
+def _load_candidate(path: str, config: RunConfig):
     doc = _read_json(path, "candidate")
     if "kind" not in doc:
         raise InputError(f"candidate {path} must be a JSON object with a 'kind' field")
@@ -305,26 +305,23 @@ def _load_candidate(path: str, data: CsvDataset, config: RunConfig):
             raise InputError(f"unknown candidate basis {name!r}")
         own = replace(config, basis=name, support=basis.get("support", config.support), knot_rule="equispaced")
         spec = own.psi_spec(int(basis.get("dim", len(coeffs))))
-        return (np.asarray(coeffs, dtype=float), spec)
+        return (coeffs, spec)
     if kind == "parametric":
         model = doc.get("model")
         theta = doc.get("theta")
         if model not in _MODEL_KINDS or theta is None:
             raise InputError("parametric candidate needs model in {linear, quadratic} and 'theta'")
-        theta = np.asarray(theta, dtype=float)
+        theta = _columns(theta, "theta", 1)
 
         def fn(x, model=model, theta=theta):
-            z, _ = parametric_design(np.asarray(x, dtype=float), model)
+            z, _ = parametric_design(x, model)
             if z.shape[1] != theta.shape[0]:
                 raise InputError(f"theta has {theta.shape[0]} entries, design needs {z.shape[1]}")
             return z @ theta
 
         return fn
     if kind == "values":
-        values = np.asarray(doc.get("values", []), dtype=float)
-        if values.shape != (data.n,):
-            raise InputError(f"values candidate must have one entry per row ({data.n}), got {values.shape}")
-        return values
+        return doc.get("values", [])
     raise InputError(f"unknown candidate kind {kind!r}; expected coeffs, parametric, or values")
 
 
@@ -333,7 +330,7 @@ def _cmd_cs(args) -> int:
     config = resolve_config(args)
     null = NullSpec.from_name(args.null)
     try:
-        candidate = _load_candidate(args.candidate, data, config)
+        candidate = _load_candidate(args.candidate, config)
     except (TypeError, ValueError) as exc:
         raise InputError(f"candidate {args.candidate} is malformed: {exc}") from None
     contained, binding, detail = cs_contains(candidate, data.y, data.x, data.w, config=config, null=null, mu=data.mu)
@@ -355,15 +352,15 @@ def _cmd_cs(args) -> int:
     return 0
 
 
-def _columns(rows: list[dict], front: tuple[str, ...]) -> list[str]:
+def _header(rows: list[dict], front: tuple[str, ...]) -> list[str]:
     """The keys of rows: those in front first, in its order, then the rest sorted."""
     fields = sorted({key for row in rows for key in row})
     return [f for f in front if f in fields] + [f for f in fields if f not in front]
 
 
 def _rows_csv(rows: list[dict], front: tuple[str, ...]) -> str:
-    """Rows as CSV under the columns _columns gives; a missing cell is empty."""
-    columns = _columns(rows, front)
+    """Rows as CSV under the columns _header gives; a missing cell is empty."""
+    columns = _header(rows, front)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, restval="")
     writer.writeheader()
@@ -408,7 +405,7 @@ def _cmd_reproduce(args) -> int:
         _emit(_rows_csv(rows, front), args.out)
         return 0
     # text: fixed-width dump of the same rows
-    columns = _columns(rows, front)
+    columns = _header(rows, front)
     lines = ["  ".join(f"{f:>10}" for f in columns)]
     for row in rows:
         cells = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _real_floats
 from .randdist import CovarianceSpec, RngStream, mvn_sample, std_normal_cdf
 
 __all__ = [
@@ -47,22 +47,22 @@ def h_mono(c0: float, x):
     """Strictly decreasing slide from c0 to -c0; c0 tunes how step-like it is."""
     if c0 <= 0:
         raise InputError(f"c0 must be positive, got {c0}")
-    x = np.asarray(x, dtype=float)
+    x = _real_floats(x, "x")
     return c0 * (1.0 - 2.0 * std_normal_cdf((x - 0.5) / c0))
 
 
 def h_sin(c_a: float, c_b: float, x):
-    x = np.asarray(x, dtype=float)
+    x = _real_floats(x, "x")
     return -x / 5.0 + c_a * (x**2 + c_b * np.sin(2.0 * np.pi * x))
 
 
 def h_design2(c_a: float, x):
-    x = np.asarray(x, dtype=float)
+    x = _real_floats(x, "x")
     return x / 5.0 + x**2 + c_a * np.sin(2.0 * np.pi * x)
 
 
 def h_quad(c_a: float, x):
-    x = np.asarray(x, dtype=float)
+    x = _real_floats(x, "x")
     return -x / 5.0 + c_a * x**2
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericalError, SingularGramError
+from .errors import InputError, NumericalError, SingularGramError, _columns
 
 __all__ = [
     "pinv",
@@ -41,15 +41,6 @@ def check_gram(lam_min: float, lam_max: float, dim: int, error: type[NumericalEr
         raise error(f"{name} is numerically singular (dim {dim})")
 
 
-def _as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InputError(f"{name} must be 2-d with at least one row and column, got shape {a.shape}")
-    if finite and not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite entries")
-    return a
-
-
 def _lapack(fn, a: np.ndarray, *args, **kwargs):
     """fn(a, ...) for a numpy.linalg routine, with a LAPACK failure mapped to NumericalError."""
     try:
@@ -65,7 +56,7 @@ def pinv(a, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     singular values are all of them, non-increasing, so callers can judge
     the rank without factoring a again.
     """
-    a = _as_matrix(a)
+    a = _columns(a, "matrix a", matrix=True, finite=True)
     if rcond is None:
         rcond = default_rcond(a.shape)
     if not 0.0 < rcond < 1.0:
@@ -83,7 +74,7 @@ def orthonormal_range(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     has lam_min > GRAM_FLOOR lam_max, (q, r, s) = (b, V diag(lam)^{-1/2}, sqrt(lam) descending), so no
     n x K basis is formed; otherwise (or for a non-finite b'b or a failed eigh) q is the thin SVD's U, r = I.
     """
-    b = _as_matrix(b, finite=False)
+    b = _columns(b, "matrix b", matrix=True)
     g = b.T @ b
     if np.all(np.isfinite(g)):  # so b is finite: g's diagonal sums the squares of b's columns
         with contextlib.suppress(NumericalError):  # a failed eigh falls through to the SVD
@@ -91,7 +82,7 @@ def orthonormal_range(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if lam[0] > GRAM_FLOOR * lam[-1]:  # which passes check_gram while K < 1e9
                 root = np.sqrt(lam)
                 return b, v / root, root[::-1]
-    b = _as_matrix(b)  # a non-finite entry is an input error; a finite b whose gram overflows takes the SVD
+    b = _columns(b, "matrix b", matrix=True, finite=True)  # a finite b whose gram overflows takes the SVD
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
     # b'b's spectrum scaled to lam_max = 1, so a gram that overflows is judged too; n < K leaves b'b singular
     lam_min = (s[-1] / s[0]) ** 2 if s[0] > 0 and s.size == b.shape[1] else 0.0
@@ -107,7 +98,7 @@ def frobenius_norm(a) -> float:
     underflow to 0 nor overflow; where no square under- or overflows the result is bit-identical to
     sqrt(sum(a * a)).
     """
-    a = np.asarray(a, dtype=float)
-    _, exp = math.frexp(float(np.max(np.abs(a), initial=0.0)))
+    a = _columns(a, "matrix a", matrix=True)
+    _, exp = math.frexp(float(np.max(np.abs(a))))
     scaled = np.ldexp(a, -exp)
     return float(np.ldexp(np.sqrt(np.sum(scaled * scaled)), exp))

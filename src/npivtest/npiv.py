@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError, SingularRegressorGramError
+from .errors import InputError, NumericalError, SingularRegressorGramError, _columns, _real_floats
 from .linalg import _lapack, check_gram, default_rcond, orthonormal_range, pinv
 
 __all__ = [
@@ -43,9 +43,9 @@ NNLS_TOL = 1e-12
 def _weights(mu, n: int) -> np.ndarray:
     if mu is None:
         return np.ones(n)
-    mu = np.asarray(mu, dtype=float)
+    mu = _real_floats(mu, "weights mu")
     if mu.shape != (n,):
-        raise InputError(f"weight vector must have shape ({n},), got {mu.shape}")
+        raise InputError(f"weights mu must have shape ({n},), got {mu.shape}")
     if not np.all(np.isfinite(mu)) or np.any(mu < 0):
         raise InputError("weights must be finite and nonnegative")
     if not np.any(mu > 0):
@@ -67,7 +67,7 @@ class NpivFit:
 
     def coefficients(self, y) -> np.ndarray:
         """beta = L^{-T} M^+ U_B' y, the sieve 2SLS coefficients of outcome y."""
-        y = np.asarray(y, dtype=float)
+        y = _real_floats(y, "y")
         if y.shape != (self.q.shape[0],):
             raise InputError(f"y must have shape ({self.q.shape[0]},), got {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -99,10 +99,9 @@ def fit_from_design(psi, b, mu=None) -> NpivFit:
     which coefficients(y) = L^{-T} M^+ U_B' y and scaled_map = M^+ U_B' = L'C. A singular B'B is a
     SingularGramError, then a singular Psi' Omega Psi a SingularRegressorGramError; M^+ is cut at 1e-12 n.
     """
-    psi = np.asarray(psi, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if psi.ndim != 2 or b.ndim != 2 or b.shape[0] != psi.shape[0]:
-        raise InputError(f"Psi and B must be 2-d and share the number of rows, got {psi.shape} and {b.shape}")
+    psi, b = _columns(psi, "regressor design Psi", matrix=True), _columns(b, "instrument design B", matrix=True)
+    if b.shape[0] != psi.shape[0]:
+        raise InputError(f"Psi and B must share the number of rows, got {psi.shape} and {b.shape}")
     n, j_dim, k_dim = psi.shape[0], psi.shape[1], b.shape[1]
     if k_dim < j_dim:
         raise InputError(f"instrument dimension K={k_dim} must be >= regressor dimension J={j_dim}")
@@ -181,12 +180,11 @@ def cone_project(v, g, m):
     projection onto the polar cone). Every tolerance is relative to |v|, so
     cone_project(c v) = c cone_project(v) for c > 0.
     """
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(g, dtype=float)
-    rows = m.rows if isinstance(m, ConstraintMatrix) else np.atleast_2d(np.asarray(m, dtype=float))
+    v, g = _columns(v, "v", 1), _real_floats(g, "metric g")
+    rows = (m if isinstance(m, ConstraintMatrix) else ConstraintMatrix(m, "custom")).rows
     j = v.shape[0]
     if g.shape != (j, j):
-        raise InputError(f"metric must be {j}x{j}, got {g.shape}")
+        raise InputError(f"metric g must be {j}x{j}, got {g.shape}")
     if rows.shape[1] != j:
         raise InputError(f"constraint rows have {rows.shape[1]} columns, expected {j}")
     try:
@@ -210,6 +208,10 @@ def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> Rest
     j_dim = fit.gram_weighted.shape[0]
     if m.dim != j_dim:
         raise InputError(f"constraint matrix has dim {m.dim}, fit has J={j_dim}")
+    beta, y = _columns(beta, "beta", 1), _columns(y, "y", 1)
+    psi = _columns(psi, "regressor design Psi", matrix=True)
+    if psi.shape != (y.shape[0], j_dim):
+        raise InputError(f"regressor design Psi must have shape ({y.shape[0]}, {j_dim}), got {psi.shape}")
     beta_r, active = cone_project(beta, fit.gram_weighted, m)
     fitted_r = psi @ beta_r
     return RestrictedFit(beta_r=beta_r, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=active)
@@ -218,9 +220,9 @@ def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> Rest
 def parametric_design(x, model) -> tuple[np.ndarray, str]:
     """Design matrix for a named parametric null, or a user-supplied one."""
     if isinstance(model, np.ndarray):
-        z = np.asarray(model, dtype=float)
-        return (z.reshape(-1, 1) if z.ndim < 2 else z), "custom"  # an (n,) design is one column
-    x = np.asarray(x, dtype=float)
+        z = _columns(model, "custom design")
+        return (z[:, None] if z.ndim == 1 else z), "custom"  # an (n,) design is one column
+    x = _columns(x, "x")
     if model in ("linear", "quadratic") and x.ndim != 1:
         raise InputError(f"named model {model!r} expects a scalar regressor; pass a custom design instead")
     if model == "linear":
@@ -237,13 +239,11 @@ def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:
     returns it and the caller has already computed: the candidate's factor keeps it as NpivFit.q and .r, and
     the image-space scan factors each B once. Z and y are projected as r'(q'.); B is not factored here.
     """
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
+    y, q, r = _columns(y, "y", 1), _columns(q, "instrument basis q", matrix=True), _columns(r, "factor r", matrix=True)
     z, model_name = parametric_design(x, model)
     if z.shape[0] != y.shape[0]:
         raise InputError("parametric design and y must share the number of rows")
-    if q.ndim != 2 or q.shape[0] != y.shape[0]:
+    if q.shape[0] != y.shape[0]:
         raise InputError("instrument basis and y must share the number of rows")
     rcond = default_rcond((q.shape[0], r.shape[1]))
     tz_pinv, svals = pinv(r.T @ (q.T @ z), rcond)

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import special
 
-from .errors import InputError
+from .errors import InputError, _columns, _real_floats
 from .linalg import frobenius_norm
 
 __all__ = [
@@ -58,11 +58,9 @@ class CovarianceSpec:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _columns(self.matrix, "covariance", matrix=True, finite=True)
+        if m.shape[0] != m.shape[1]:
             raise InputError(f"covariance must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("covariance contains non-finite entries")
         if np.max(np.abs(m - m.T)) > 1e-10 * max(frobenius_norm(m), 1e-300):
             raise InputError("covariance is not symmetric")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
@@ -77,7 +75,7 @@ class CovarianceSpec:
 
 def std_normal_cdf(x):
     """Standard normal distribution function Phi."""
-    return special.ndtr(x)
+    return special.ndtr(_real_floats(x, "x"))
 
 
 def chisq_quantile(a: float, k: int) -> float:

@@ -17,8 +17,8 @@ import numpy as np
 
 from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
-from npivtest.errors import InputError, NumericalError, SingularGramError
-from npivtest.linalg import GRAM_FLOOR, _as_matrix, _lapack, default_rcond, frobenius_norm, pinv
+from npivtest.errors import InputError, NumericalError, SingularGramError, _columns
+from npivtest.linalg import GRAM_FLOOR, _lapack, default_rcond, frobenius_norm, pinv
 from npivtest.npiv import _weights
 from npivtest.randdist import CovarianceSpec, mvn_sample, std_normal_cdf
 
@@ -114,7 +114,7 @@ def dense_projector(b: np.ndarray) -> np.ndarray:
 
 def orthonormal_range_svd(b, rcond: float | None = None) -> np.ndarray:
     """Orthonormal basis (n x r) of the column space of b, rank-truncated."""
-    b = _as_matrix(b)
+    b = _columns(b, "matrix", matrix=True, finite=True)
     if rcond is None:
         rcond = default_rcond(b.shape)
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
@@ -460,7 +460,7 @@ def orthonormal_range_truncating(b, rcond: float | None = None) -> tuple[np.ndar
     sqrt(lam) descending); otherwise (or for a non-finite b'b or a failed eigh) q is the thin SVD's U
     truncated at s <= rcond * s_max, r = I.
     """
-    b = _as_matrix(b, finite=False)
+    b = _columns(b, "matrix", matrix=True)
     if rcond is None:
         rcond = default_rcond(b.shape)
     g = b.T @ b
@@ -470,7 +470,7 @@ def orthonormal_range_truncating(b, rcond: float | None = None) -> tuple[np.ndar
             if lam[0] > max(GRAM_FLOOR, rcond * rcond) * lam[-1]:
                 root = np.sqrt(lam)
                 return b, v / root, root[::-1]
-    b = _as_matrix(b)  # a non-finite entry is an input error; a finite b whose gram overflows takes the SVD
+    b = _columns(b, "matrix", matrix=True, finite=True)  # a finite b whose gram overflows takes the SVD
     u, s, _ = _lapack(np.linalg.svd, b, full_matrices=False)
     rank = int(np.sum(s > rcond * s[0]))
     if rank == 0:
@@ -492,7 +492,7 @@ def sym_inv_sqrt(g, name: str = "gram") -> np.ndarray:
     with rcond = default_rcond(G.shape). Inputs with relative asymmetry above
     1e-8 are rejected; below that, G is symmetrized first.
     """
-    g = _as_matrix(g, name)
+    g = _columns(g, name, matrix=True, finite=True)
     if g.shape[0] != g.shape[1]:
         raise InputError(f"{name} must be square, got {g.shape}")
     asym = np.max(np.abs(g - g.T))

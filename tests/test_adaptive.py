@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+import importlib
 import json
 import math
 from collections import Counter
 import pathlib
+import pkgutil
+import re
 import warnings
 import weakref
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import npivtest
 import npivtest.adaptive as adaptive_module
 import npivtest.basis as basis_module
 import npivtest.npiv as npiv_module
@@ -49,6 +54,7 @@ from oracles import (
     instrument_design,
     instrument_dims_float_root,
 )
+from test_parity_digest import _differences
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -372,6 +378,22 @@ def test_w_scale_invariance():
             assert scaled.grid.j_list == base.grid.j_list
             for r1, r2 in zip(base.per_j, scaled.per_j):
                 assert r2.w_stat == pytest.approx(r1.w_stat, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("null", ["decreasing", "linear"])
+@pytest.mark.parametrize("seed, n, weighted", [(0, 400, False), (1, 800, True), (2, 1500, False)])
+def test_report_invariant_under_row_permutation(null, seed, n, weighted):
+    # the test reads its sample as a set of rows: permuting (y, x, w, mu) together moves no decision and no
+    # selected J, and every float of the report by rounding only; seeds 1 and 2 reject, seed 0 does not
+    data = generate(DesignConfig("I", n, 0.8, HSpec("sin", c_a=seed, c_b=0.5), RngStream(seed, 9)))
+    gen = np.random.default_rng(seed)
+    mu = gen.uniform(0.5, 1.5, n) if weighted else np.ones(n)
+    order = gen.permutation(n)
+    base, permuted = (adaptive_test(data.y[rows], data.x[rows], data.w[rows], NullSpec.from_name(null),
+                                    RunConfig(grid="knots"), mu[rows]).to_dict() for rows in (np.arange(n), order))
+    assert base["reject"] == (seed > 0)
+    assert (permuted["reject"], permuted["J_selected_set"]) == (base["reject"], base["J_selected_set"])
+    assert not _differences(base, permuted, "report")
 
 
 @pytest.mark.parametrize("case", ["structural-decreasing", "structural-linear", "image-space-linear"])
@@ -1514,6 +1536,152 @@ def test_public_entry_points_check_their_data(scan, argument, value, message):
     assert info.value.args == (message,)
 
 
+_ARRAYS = [  # (export, argument, the name its messages give it, its fewest and most dimensions; None: elementwise)
+    ("adaptive.NullSpec", "custom_design", "custom design", 1, 2),
+    ("adaptive.adaptive_scan", "y", "y", 1, 1),
+    ("adaptive.adaptive_scan", "x", "x", 1, 2),
+    ("adaptive.adaptive_scan", "w", "w", 1, 2),
+    ("adaptive.adaptive_scan", "mu", "weights mu", 1, 1),
+    ("adaptive.image_space_scan", "y", "y", 1, 1),
+    ("adaptive.image_space_scan", "x", "x", 1, 2),
+    ("adaptive.image_space_scan", "w", "w", 1, 2),
+    ("adaptive.compute_D", "scaled_map", "scaled map", 2, 2),
+    ("adaptive.compute_D", "r", "residuals", 1, 1),
+    ("adaptive.compute_vhat", "scaled_map", "scaled map", 2, 2),
+    ("adaptive.compute_vhat", "u", "residuals", 1, 1),
+    ("basis.BasisSpec", "knot_data", "knot_data", 1, 1),
+    ("basis.ConstraintMatrix", "rows", "constraint rows", 1, 2),
+    ("basis.eval_design", "x", "x", 0, 1),
+    ("basis.tensor_design", "x", "x", 1, 2),
+    ("dgp.HSpec.__call__", "x", "x", 0, None),
+    ("dgp.h_mono", "x", "x", 0, None),
+    ("dgp.h_sin", "x", "x", 0, None),
+    ("dgp.h_design2", "x", "x", 0, None),
+    ("dgp.h_quad", "x", "x", 0, None),
+    ("linalg.pinv", "a", "matrix a", 2, 2),
+    ("linalg.orthonormal_range", "b", "matrix b", 2, 2),
+    ("linalg.frobenius_norm", "a", "matrix a", 2, 2),
+    ("npiv.NpivFit.coefficients", "y", "y", 1, 1),
+    ("npiv.fit_from_design", "psi", "regressor design Psi", 2, 2),
+    ("npiv.fit_from_design", "b", "instrument design B", 2, 2),
+    ("npiv.fit_from_design", "mu", "weights mu", 1, 1),
+    ("npiv.cone_project", "v", "v", 1, 1),
+    ("npiv.cone_project", "g", "metric g", 2, 2),
+    ("npiv.cone_project", "m", "constraint rows", 1, 2),
+    ("npiv.fit_restricted_cone", "beta", "beta", 1, 1),
+    ("npiv.fit_restricted_cone", "psi", "regressor design Psi", 2, 2),
+    ("npiv.fit_restricted_cone", "y", "y", 1, 1),
+    ("npiv.parametric_design", "x", "x", 1, 2),
+    ("npiv.parametric_design", "model", "custom design", 1, 2),
+    ("npiv.fit_restricted_parametric", "y", "y", 1, 1),
+    ("npiv.fit_restricted_parametric", "x", "x", 1, 2),
+    ("npiv.fit_restricted_parametric", "model", "custom design", 1, 2),
+    ("npiv.fit_restricted_parametric", "q", "instrument basis q", 2, 2),
+    ("npiv.fit_restricted_parametric", "r", "factor r", 2, 2),
+    ("randdist.CovarianceSpec", "matrix", "covariance", 2, 2),
+    ("randdist.std_normal_cdf", "x", "x", 0, None),
+]
+# exports none of whose arguments is an array
+_ARRAY_FREE = ("adaptive.RunConfig", "adaptive.eta_hat", "basis.deriv_constraints", "basis.zeta", "basis.min_dim",
+               "cli.main", "cli.load_csv_dataset", "cli.resolve_config", "cli.render_report", "dgp.DesignConfig",
+               "dgp.draw", "dgp.generate", "dgp.null_boundary", "errors.InputError", "errors.NumericalError",
+               "linalg.default_rcond", "linalg.check_gram", "randdist.RngStream", "randdist.chisq_quantile",
+               "randdist.chisq_sf", "randdist.mvn_sample", "sim.ExperimentSpec", "sim.run_experiment",
+               "sim.reproduce")
+# records the package fills from checked arrays, and calls that take another export's result (a scan's grid and
+# entries, a projection's active set) and no sample of their own
+_RESULTS = ("adaptive.CandidateGrid", "adaptive.CandidateRecord", "adaptive.TestReport", "adaptive.decide",
+            "adaptive.gamma_hat", "dgp.Dataset", "npiv.NpivFit", "npiv.RestrictedFit", "sim.CellResult",
+            "sim.McSummary")
+
+
+def _export(name: str):
+    module, *attributes = name.split(".")
+    return functools.reduce(getattr, attributes, importlib.import_module(f"npivtest.{module}"))
+
+
+def _valid_arguments(export: str) -> dict:
+    """Keyword arguments with which export completes, on the 200-point sample and one of its candidate factors."""
+    y, x, w = _sample200()
+    psi, b = eval_design(bspline(3), x), eval_design(bspline(6), w)
+    fit = fit_from_design(psi, b)
+    q, r, _ = orthonormal_range(b)
+    sample = {"y": y, "x": x, "w": w}
+    return {
+        "adaptive.NullSpec": {"kind": "parametric", "custom_design": np.column_stack([np.ones(200), x])},
+        "adaptive.adaptive_scan": {**sample, "null": NullSpec.from_name("linear"), "config": RunConfig(),
+                                   "mu": np.ones(200)},
+        "adaptive.image_space_scan": {**sample, "null": NullSpec.from_name("linear"), "config": RunConfig()},
+        "adaptive.compute_D": {"scaled_map": fit.scaled_map, "r": y},
+        "adaptive.compute_vhat": {"scaled_map": fit.scaled_map, "u": y},
+        "basis.BasisSpec": {"family": "bspline", "dim": 4, "knot_rule": "quantile", "knot_data": x},
+        "basis.ConstraintMatrix": {"rows": np.eye(2, 4), "kind": "custom"},
+        "basis.eval_design": {"spec": bspline(4), "x": x},
+        "basis.tensor_design": {"specs": [bspline(4)], "x": x},
+        "dgp.HSpec.__call__": {"self": HSpec("mono"), "x": x},
+        "dgp.h_mono": {"c0": 0.5, "x": x},
+        "dgp.h_sin": {"c_a": 0.5, "c_b": 0.1, "x": x},
+        "dgp.h_design2": {"c_a": 0.5, "x": x},
+        "dgp.h_quad": {"c_a": 0.5, "x": x},
+        "linalg.pinv": {"a": psi},
+        "linalg.orthonormal_range": {"b": b},
+        "linalg.frobenius_norm": {"a": psi},
+        "npiv.NpivFit.coefficients": {"self": fit, "y": y},
+        "npiv.fit_from_design": {"psi": psi, "b": b, "mu": np.ones(200)},
+        "npiv.cone_project": {"v": fit.coefficients(y), "g": fit.gram_weighted, "m": np.eye(2, 3)},
+        "npiv.fit_restricted_cone": {"fit": fit, "m": deriv_constraints(bspline(3), "decreasing"),
+                                     "beta": fit.coefficients(y), "psi": psi, "y": y},
+        "npiv.parametric_design": {"x": x, "model": "linear"},
+        "npiv.fit_restricted_parametric": {"y": y, "x": x, "model": "linear", "q": q, "r": r},
+        "randdist.CovarianceSpec": {"matrix": np.eye(2)},
+        "randdist.std_normal_cdf": {"x": x},
+    }[export]
+
+
+def _malformed(fewest: int, most: int | None):
+    """(probe, value): text and complex values, a 0-d value where an argument needs a dimension, and a value
+    with one dimension too many where an argument has a most."""
+    shape = (200, 2)[: max(fewest, 1)]
+    probes = [("text", np.full(shape, "abc")), ("complex", np.full(shape, 0.5 + 0.5j))]
+    if fewest >= 1:
+        probes.append(("0-d", np.asarray(0.5)))
+    if most is not None:
+        probes.append(("over-dimensioned", np.ones((200, 2, 1, 1)[: most + 1])))
+    return probes
+
+
+@pytest.mark.parametrize("export", sorted({export for export, *_ in _ARRAYS}))
+def test_each_probed_export_completes_on_its_valid_arguments(export):
+    _export(export)(**_valid_arguments(export))
+
+
+@pytest.mark.parametrize("export, argument, name, value", [
+    pytest.param(export, argument, name, value, id=f"{export}-{argument}-{probe}")
+    for export, argument, name, fewest, most in _ARRAYS for probe, value in _malformed(fewest, most)
+])
+def test_every_array_argument_of_an_export_follows_the_one_rule(export, argument, name, value):
+    # the rule of the three scans, one layer down: each malformed value is an InputError that names the argument;
+    # a complex value cast to float would fail here on its ComplexWarning
+    with pytest.raises(InputError) as info:
+        _export(export)(**{**_valid_arguments(export), argument: value})
+    message = str(info.value)
+    assert re.search(rf"(?<!\w){re.escape(name)}", message), message
+    if value.dtype.kind in "Uc":
+        assert message == f"{name} must be real numbers"
+
+
+def test_every_export_is_probed_or_takes_no_array():
+    # a new export must join the probe table, _ARRAY_FREE or _RESULTS, so none can skip the rule
+    # a method's class counts as probed (NpivFit, whose fields are results too, and HSpec)
+    probed = {".".join(export.split(".")[:2]) for export, *_ in _ARRAYS} | {f"adaptive.{scan}" for scan in _SCANS}
+    assert not probed & set(_ARRAY_FREE)
+    submodules = (importlib.import_module(f"npivtest.{m.name}") for m in pkgutil.iter_modules(npivtest.__path__))
+    modules = [npivtest, *submodules]
+    exports = (getattr(module, name) for module in modules for name in getattr(module, "__all__", ()))
+    exported = {f"{obj.__module__.removeprefix('npivtest.')}.{obj.__name__}" for obj in exports if callable(obj)}
+    assert exported == probed | set(_ARRAY_FREE) | set(_RESULTS)
+
+
 def test_an_instrument_column_is_its_vector():
     # a 1-d w and its n x 1 view are one sample: each entry point gives the same outcome, bit for bit, and a
     # degenerate sample the same message, without the "per column" of a 2-d w
@@ -1661,7 +1829,7 @@ def _report_of_an_unscanned_j():
     (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list of positive dims, got []"),
     (lambda: _report_of_an_unscanned_j().w_reported, KeyError, 999),
     (lambda: compute_D(np.ones((2, 3)), np.ones(4)), InputError,
-     "need a 2-d map and one residual per column, got (2, 3) and (4,)"),
+     "need a 2-d scaled map and residuals, one per column, got (2, 3) and (4,)"),
     (lambda: eta_hat(0.05, 0, 1), InputError, "grid_size must be >= 1, got 0"),
     (lambda: cs_contains((np.ones(3), bspline(4)), *_sample200()), InputError,
      "candidate coefficients must have shape (4,), got (3,)"),

@@ -618,15 +618,17 @@ def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
     ({"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
      "malformed: support must be a finite interval [lo, hi] with lo < hi, got 5"),
     ({"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
-     "malformed: could not convert string to float: 'a'"),
-    ({"kind": "values", "values": "abc"}, "malformed: could not convert string to float: 'abc'"),
+     "malformed: theta must be real numbers"),
+    ({"kind": "parametric", "model": "linear", "theta": 5}, "malformed: theta must be 1-d, got shape ()"),
+    ({"kind": "values", "values": "abc"}, "candidate fitted values must be real numbers"),
     ({"coefficients": [1.0]}, "must be a JSON object with a 'kind' field"),
     ({"kind": "coeffs", "coefficients": [1.0, 2.0]}, "coeffs candidate needs 'basis' and 'coefficients'"),
     ({"kind": "coeffs", "basis": {"name": "spline9"}, "coefficients": [1.0]}, "unknown candidate basis 'spline9'"),
     ({"kind": "parametric", "model": "cubic", "theta": [1.0, 2.0]},
      "parametric candidate needs model in {linear, quadratic} and 'theta'"),
     ({"kind": "parametric", "model": "linear", "theta": [1.0, 2.0, 3.0]}, "theta has 3 entries, design needs 2"),
-], ids=["dim", "support", "theta", "values", "no-kind", "coeffs-no-basis", "unknown-basis", "model", "theta-length"])
+], ids=["dim", "support", "theta", "0-d-theta", "values", "no-kind", "coeffs-no-basis", "unknown-basis", "model",
+        "theta-length"])
 def test_cmd_cs_malformed_candidate_fields_exit_2(tmp_path, capsys, doc, message):
     cand = tmp_path / "cand.json"
     cand.write_text(json.dumps(doc))

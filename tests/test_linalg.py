@@ -250,4 +250,4 @@ def test_frobenius_orthogonal_invariance(seed):
 def test_a_vector_is_not_a_matrix():
     with pytest.raises(InputError) as info:
         orthonormal_range(np.ones(3))
-    assert str(info.value) == "matrix must be 2-d with at least one row and column, got shape (3,)"
+    assert str(info.value) == "matrix b must be 2-d with at least one row and column, got shape (3,)"

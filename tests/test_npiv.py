@@ -547,6 +547,15 @@ def test_npiv_input_guards(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("rows, columns", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["rows", "columns"])
+def test_restricted_cone_needs_one_psi_row_per_outcome_and_one_column_per_coefficient(rng, rows, columns):
+    # a Psi that disagrees with y or beta would broadcast its fitted values, or fail inside numpy's matmul
+    fit, psi, y, beta, m = _design_fit(rng)
+    with pytest.raises(InputError) as info:
+        fit_restricted_cone(fit, m, beta, psi[rows, columns], y)
+    assert str(info.value) == f"regressor design Psi must have shape (120, 4), got {psi[rows, columns].shape}"
+
+
 def _rounding_exit(a, b):
     """_nnls(a, b), and whether it left by its rounding exit: a zero column that still gains, which its KKT exit
     never leaves."""
