@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from numbers import Integral, Real
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design,
                     min_dim, zeta)
-from .errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError, _columns, _real_floats
+from .errors import (InputError, NumericalError, SingularGramError, SingularRegressorGramError, _columns, _indices,
+                     _interval, _number, _real_floats)
 from .linalg import _lapack, frobenius_norm, orthonormal_range
 from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
@@ -52,6 +52,7 @@ __all__ = [
 _SHAPE_KINDS = ("decreasing", "increasing", "convex", "concave")
 _MODEL_KINDS = ("linear", "quadratic")
 _TINY = np.finfo(float).tiny  # smallest normal float
+_MIN_N = 20  # observations of the smallest sample a scan takes
 _BASIS_NAMES = {
     "bspline2": ("bspline", 3),
     "bspline3": ("bspline", 4),
@@ -138,37 +139,21 @@ class RunConfig:
     schema_version: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name, kind in (("alpha", Real), ("k_factor", Integral)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InputError(f"{name} must be {'an integer' if kind is Integral else 'a number'}, got {value!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", 0, 1))
+        object.__setattr__(self, "k_factor", _number(self.k_factor, "k_factor", 2, integer=True))
+        object.__setattr__(self, "support", _interval(self.support, "support"))
         if not isinstance(self.basis, str) or self.basis not in _BASIS_NAMES:
             raise InputError(f"unknown basis {self.basis!r}; expected one of {sorted(_BASIS_NAMES)}")
         if self.knot_rule not in _KNOT_RULES:
             raise InputError(f"unknown knot rule {self.knot_rule!r}")
-        if self.k_factor < 2:
-            raise InputError(f"k_factor must be >= 2, got {self.k_factor}")
-        support = tuple(self.support) if isinstance(self.support, (tuple, list)) else ()
-        if len(support) != 2 or not all(isinstance(v, Real) and math.isfinite(v) for v in support) \
-                or support[0] >= support[1]:
-            raise InputError(f"support must be a finite interval [lo, hi] with lo < hi, got {self.support!r}")
-        object.__setattr__(self, "support", support)
         if isinstance(self.grid, str):
             if self.grid not in ("dyadic", "knots"):
                 raise InputError(f"grid mode must be 'dyadic', 'knots', or an explicit list, got {self.grid!r}")
+        elif isinstance(self.grid, (tuple, list)) and self.grid:
+            object.__setattr__(self, "grid", tuple(sorted({_number(j, "explicit grid entry", 1, integer=True)
+                                                           for j in self.grid})))
         else:
-            bad = InputError(f"explicit grid must be a list of dims, got {self.grid!r}")
-            try:
-                lst = tuple(self.grid)
-            except TypeError:
-                raise bad from None
-            if any(isinstance(j, bool) or not isinstance(j, Integral) for j in lst):  # k_factor's rule, per entry
-                raise bad
-            if len(lst) == 0 or any(j < 1 for j in lst):
-                raise InputError(f"explicit grid must be a non-empty list of positive dims, got {self.grid}")
-            object.__setattr__(self, "grid", tuple(sorted({int(j) for j in lst})))
+            raise InputError(f"explicit grid must be a non-empty list of dims, got {self.grid!r}")
 
     @property
     def family(self) -> str:
@@ -361,8 +346,8 @@ def _check_underflow(j: int, y: np.ndarray, **stats: tuple[float, np.ndarray]) -
 
 
 def _res_parameters(n: int) -> tuple[int, int, int]:
-    if n < 20:
-        raise InputError(f"need at least 20 observations, got {n}")
+    if n < _MIN_N:
+        raise InputError(f"need at least {_MIN_N} observations, got {n}")
     j_under = max(1, math.floor(math.sqrt(math.log(math.log(n)))))
     j_max_exp = max(0, math.ceil(math.log2(n ** (1.0 / 3.0) / j_under)))
     return j_under, j_max_exp, j_under * 2**j_max_exp
@@ -597,16 +582,15 @@ def _vhat_scaling(s: np.ndarray, u: np.ndarray) -> float:
 
 def gamma_hat(m: ConstraintMatrix, active_set) -> int:
     """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows, at least 1."""
-    if len(active_set) == 0:
-        return 1
-    return max(1, int(_lapack(np.linalg.matrix_rank, m.rows[active_set])))
+    active_set = _indices(active_set, "active_set", m.rows.shape[0])
+    return max(1, int(_lapack(np.linalg.matrix_rank, m.rows[active_set]))) if active_set.size else 1
 
 
 def eta_hat(alpha: float, grid_size: int, gamma: int, center: int | None = None) -> float:
     """Bonferroni-adjusted chi-square critical value with gamma degrees of freedom, centered at center (gamma)."""
-    if grid_size < 1:
-        raise InputError(f"grid_size must be >= 1, got {grid_size}")
-    center = gamma if center is None else center
+    alpha, grid_size = _number(alpha, "alpha", 0, 1), _number(grid_size, "grid_size", 1, integer=True)
+    gamma = _number(gamma, "gamma", 1, integer=True)
+    center = gamma if center is None else _number(center, "center", 1, integer=True)
     return (chisq_quantile(alpha / grid_size, gamma) - center) / math.sqrt(center)
 
 

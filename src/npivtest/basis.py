@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TiedKnotsError, _columns, _real_floats
+from .errors import InputError, TiedKnotsError, _columns, _interval, _number, _real_floats
 
 __all__ = [
     "BasisSpec",
@@ -53,13 +53,10 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InputError(f"unknown basis family {self.family!r}; expected one of {_FAMILIES}")
-        lo, hi = self.support
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise InputError(f"support must be a finite interval [lo, hi) with lo < hi, got {self.support}")
-        if self.family == "bspline" and self.order < 2:
-            raise InputError(f"B-spline order must be >= 2, got {self.order}")
-        if self.dim < min_dim(self):
-            raise InputError(f"{self.family} basis needs dim >= {min_dim(self)}, got dim={self.dim}")
+        object.__setattr__(self, "support", _interval(self.support, "support"))
+        object.__setattr__(self, "order", _number(self.order, "order", 2 if self.family == "bspline" else None,
+                                                  integer=True))
+        object.__setattr__(self, "dim", _number(self.dim, f"{self.family} basis dim", min_dim(self), integer=True))
         if self.knot_rule not in _KNOT_RULES:
             raise InputError(f"unknown knot rule {self.knot_rule!r}")
         if self.knot_rule == "quantile" and self.knot_data is None:
@@ -184,8 +181,7 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
         raise InputError(f"eval_design expects scalar or 1-d x, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("evaluation points contain non-finite values")
-    if deriv < 0:
-        raise InputError(f"derivative order must be >= 0, got {deriv}")
+    deriv = _number(deriv, "derivative order deriv", 0, integer=True)
     if deriv > 0 and spec.family != "bspline":
         raise InputError(f"derivatives are only available for the B-spline basis, got {spec.family!r}")
     x = _clamp(spec, x)
@@ -296,5 +292,5 @@ def _tensor_product(factors) -> np.ndarray:
 def zeta(spec: BasisSpec, dim: int | None = None) -> float:
     """Sup-norm growth constant of the sieve of spec's family at dim (default spec.dim): sqrt(dim) for spline and
     cosine, dim for power series. A tensor of equal factors passes one factor's spec and the tensor's dim."""
-    j = spec.dim if dim is None else dim
+    j = spec.dim if dim is None else _number(dim, "dim", 1, integer=True)
     return float(j) if spec.family == "power" else float(np.sqrt(j))

@@ -23,6 +23,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -227,11 +228,10 @@ def resolve_config(args) -> RunConfig:
     if getattr(args, "kfactor", None) is not None:
         updates["k_factor"] = args.kfactor
     if getattr(args, "support", None) is not None:
-        try:
-            lo, hi = (float(tok) for tok in args.support.split(","))
+        try:  # RunConfig's interval rule judges the pair
+            updates["support"] = tuple(float(tok) for tok in args.support.split(","))
         except ValueError:
             raise InputError(f"--support must be 'lo,hi', got {args.support!r}") from None
-        updates["support"] = (lo, hi)
     if getattr(args, "quantile_knots", False):
         updates["knot_rule"] = "quantile"
     return replace(cfg, **updates)
@@ -300,12 +300,9 @@ def _load_candidate(path: str, config: RunConfig):
         coeffs = doc.get("coefficients")
         if not isinstance(basis, dict) or coeffs is None:
             raise InputError("coeffs candidate needs 'basis' and 'coefficients'")
-        name = basis.get("name", config.basis)
-        if name not in _BASIS_NAMES:
-            raise InputError(f"unknown candidate basis {name!r}")
-        own = replace(config, basis=name, support=basis.get("support", config.support), knot_rule="equispaced")
-        spec = own.psi_spec(int(basis.get("dim", len(coeffs))))
-        return (coeffs, spec)
+        own = replace(config, basis=basis.get("name", config.basis), support=basis.get("support", config.support),
+                      knot_rule="equispaced")
+        return coeffs, own.psi_spec(basis.get("dim", len(coeffs)))
     if kind == "parametric":
         model = doc.get("model")
         theta = doc.get("theta")
@@ -470,10 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # main builds its parser once per process
+
+
 def main(argv=None) -> int:
     _keep_freed_pages()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

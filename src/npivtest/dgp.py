@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _real_floats
+from .errors import InputError, _number, _real_floats
 from .randdist import CovarianceSpec, RngStream, mvn_sample, std_normal_cdf
 
 __all__ = [
@@ -45,24 +45,22 @@ _BOUNDARY_GRID_POINTS = 20001  # x grid on which null_boundary scans the derivat
 
 def h_mono(c0: float, x):
     """Strictly decreasing slide from c0 to -c0; c0 tunes how step-like it is."""
-    if c0 <= 0:
-        raise InputError(f"c0 must be positive, got {c0}")
-    x = _real_floats(x, "x")
+    c0, x = _number(c0, "c0", 0), _real_floats(x, "x")
     return c0 * (1.0 - 2.0 * std_normal_cdf((x - 0.5) / c0))
 
 
 def h_sin(c_a: float, c_b: float, x):
-    x = _real_floats(x, "x")
+    c_a, c_b, x = _number(c_a, "c_a"), _number(c_b, "c_b"), _real_floats(x, "x")
     return -x / 5.0 + c_a * (x**2 + c_b * np.sin(2.0 * np.pi * x))
 
 
 def h_design2(c_a: float, x):
-    x = _real_floats(x, "x")
+    c_a, x = _number(c_a, "c_a"), _real_floats(x, "x")
     return x / 5.0 + x**2 + c_a * np.sin(2.0 * np.pi * x)
 
 
 def h_quad(c_a: float, x):
-    x = _real_floats(x, "x")
+    c_a, x = _number(c_a, "c_a"), _real_floats(x, "x")
     return -x / 5.0 + c_a * x**2
 
 
@@ -78,8 +76,10 @@ class HSpec:
     def __post_init__(self):
         if self.family not in _H_FAMILIES:
             raise InputError(f"unknown h family {self.family!r}; expected one of {_H_FAMILIES}")
-        if self.family == "mono" and not 0.0 < self.c0 <= 1.0:
-            raise InputError(f"mono family needs c0 in (0, 1], got {self.c0}")
+        mono = self.family == "mono"  # whose c0 tunes a step from c0 to -c0; the other families ignore it
+        object.__setattr__(self, "c0", _number(self.c0, "c0", 0 if mono else None, 1 if mono else None, ends="(]"))
+        object.__setattr__(self, "c_a", _number(self.c_a, "c_a"))
+        object.__setattr__(self, "c_b", _number(self.c_b, "c_b"))
 
     def __call__(self, x):
         if self.family == "mono":
@@ -104,10 +104,8 @@ class DesignConfig:
     def __post_init__(self):
         if self.design not in _DESIGNS:
             raise InputError(f"unknown design {self.design!r}; expected one of {_DESIGNS}")
-        if self.n < 1:
-            raise InputError(f"n must be positive, got {self.n}")
-        if not 0.0 < self.xi < 1.0:
-            raise InputError(f"xi must lie in (0, 1), got {self.xi}")
+        object.__setattr__(self, "n", _number(self.n, "n", 1, integer=True))
+        object.__setattr__(self, "xi", _number(self.xi, "xi", 0, 1))
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def null_boundary(h_family: str, c_b: float = 0.0) -> float:
     'design2' with the weakly-increasing null: smallest c_A whose derivative dips below 0;
     'quad' with the linearity null: 0.
     """
-    xs = np.linspace(0.0, 1.0, _BOUNDARY_GRID_POINTS)
+    c_b, xs = _number(c_b, "c_b"), np.linspace(0.0, 1.0, _BOUNDARY_GRID_POINTS)
     if h_family == "sin":
         slope = 2.0 * xs + 2.0 * np.pi * c_b * np.cos(2.0 * np.pi * xs)
         return 0.2 / float(np.max(slope))  # > 0: the slopes 2 + 2 pi c_b at 1 and 1 - 2 pi c_b at 1/2 sum to 3

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one rule that turns an argument into a real float array.
+"""Exception types shared across the package, and the one rule per kind of argument: arrays, scalars, index sets.
 
 The CLI maps InputError to exit code 2 and NumericalError to exit code 3.
 """
+
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -51,3 +54,40 @@ def _columns(value, name: str, ndim: int = 2, matrix: bool = False, finite: bool
     if finite and not np.all(np.isfinite(array)):
         raise InputError(f"{name} contains non-finite entries")
     return array
+
+
+def _number(value, name: str, low=None, high=None, integer: bool = False, ends: str = "()", finite: bool = True):
+    """value as a plain Python number: an int from a Python or numpy integer where integer is set, else an int or float
+    from any real. A bool, text, complex value, array, NaN or infinity (unless finite is False), or a value outside low
+    (and high; inclusive for integers, exclusive for reals unless ends closes one, "(]") is an input error naming it."""
+    ends, kind = "[]" if integer else ends, type(value)
+    plain = kind is int or kind is float and not integer  # taken as it is, without an ABC check
+    if plain or kind is not bool and isinstance(value, Integral if integer else Real):
+        number = value if plain else int(value) if isinstance(value, Integral) else float(value)
+        if ((type(number) is int or not finite or math.isfinite(number))
+                and (low is None or (number >= low if ends[0] == "[" else number > low))
+                and (high is None or (number <= high if ends[1] == "]" else number < high))):
+            return number
+    rule = "an integer" if integer else "a finite number" if finite and high is None else "a number"
+    if low is not None:
+        rule += f" >{'=' * (ends[0] == '[')} {low}" if high is None else f" in {ends[0]}{low}, {high}{ends[1]}"
+    raise InputError(f"{name} must be {rule}, got {value!r}")
+
+
+def _interval(value, name: str) -> tuple:
+    """value, a tuple or list (lo, hi) of finite real numbers with lo < hi, as a pair of plain numbers."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise InputError(f"{name} must be a pair [lo, hi], got {value!r}")
+    lo = _number(value[0], f"{name} lo")
+    return lo, _number(value[1], f"{name} hi", lo)  # the one rule orders the ends too: hi > lo
+
+
+def _indices(value, name: str, size: int) -> np.ndarray:
+    """value as a 1-d array of integer row indices 0 <= i < size, an empty sequence as the empty set; else an error."""
+    try:
+        array = np.asarray(value)
+        if array.ndim == 1 and (array.size == 0 or array.dtype.kind in "iu" and np.all((array >= 0) & (array < size))):
+            return array.astype(np.intp, copy=False)
+    except ValueError:  # a ragged sequence
+        pass
+    raise InputError(f"{name} must be 1-d integer row indices in [0, {size}), got {value!r}")

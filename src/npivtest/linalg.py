@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericalError, SingularGramError, _columns
+from .errors import NumericalError, SingularGramError, _columns, _number
 
 __all__ = [
     "pinv",
@@ -57,10 +57,7 @@ def pinv(a, rcond: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     the rank without factoring a again.
     """
     a = _columns(a, "matrix a", matrix=True, finite=True)
-    if rcond is None:
-        rcond = default_rcond(a.shape)
-    if not 0.0 < rcond < 1.0:
-        raise InputError(f"rcond must be in (0, 1), got {rcond}")
+    rcond = default_rcond(a.shape) if rcond is None else _number(rcond, "rcond", 0, 1)
     u, s, vt = _lapack(np.linalg.svd, a, full_matrices=False)
     cutoff = rcond * s[0]
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import special
 
-from .errors import InputError, _columns, _real_floats
+from .errors import InputError, _columns, _number, _real_floats
 from .linalg import frobenius_norm
 
 __all__ = [
@@ -41,8 +41,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise InputError(f"stream_id must be nonnegative, got {self.stream_id}")
+        object.__setattr__(self, "master_seed", _number(self.master_seed, "master_seed", integer=True))
+        object.__setattr__(self, "stream_id", _number(self.stream_id, "stream_id", 0, integer=True))
 
     def generator(self) -> Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -84,17 +84,13 @@ def chisq_quantile(a: float, k: int) -> float:
     Returns q with P(chi2_k <= q) = 1 - a, via the regularized lower
     incomplete gamma inverse.
     """
-    if not 0.0 < a < 1.0:
-        raise InputError(f"tail level a must lie strictly inside (0, 1), got {a}")
-    if k < 1 or int(k) != k:
-        raise InputError(f"degrees of freedom must be a positive integer, got {k}")
+    a, k = _number(a, "tail level a", 0, 1), _number(k, "degrees of freedom k", 1, integer=True)
     return float(2.0 * special.gammaincinv(0.5 * k, 1.0 - a))
 
 
 def chisq_sf(x: float, k: int) -> float:
-    """Upper tail P(chi2_k > x); x below 0 gives 1."""
-    if k < 1 or int(k) != k:
-        raise InputError(f"degrees of freedom must be a positive integer, got {k}")
+    """Upper tail P(chi2_k > x); x below 0 gives 1, x = inf gives 0 and NaN gives NaN."""
+    x, k = _number(x, "x", finite=False), _number(k, "degrees of freedom k", 1, integer=True)
     if x <= 0.0:
         return 1.0
     return float(special.gammaincc(0.5 * k, 0.5 * x))
@@ -102,8 +98,7 @@ def chisq_sf(x: float, k: int) -> float:
 
 def mvn_sample(cov: CovarianceSpec, rng: RngStream, n: int) -> np.ndarray:
     """n mean-zero draws (n x dim) with the requested covariance, from the start of rng's stream."""
-    if n < 1:
-        raise InputError(f"sample size must be positive, got {n}")
+    n = _number(n, "sample size n", 1, integer=True)
     chol = cov.cholesky()
     z = rng.generator().standard_normal((n, cov.dim))
     return z @ chol.T

@@ -38,16 +38,15 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice, product
-from numbers import Integral, Real
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import published
-from .adaptive import (NullSpec, RunConfig, _Designs, _from_fields, _image_space_scan, _res_parameters,
-                       _structural_scan, decide)
+from .adaptive import (_MIN_N, NullSpec, RunConfig, _Designs, _from_fields, _image_space_scan, _structural_scan,
+                       decide)
 from .dgp import DesignConfig, HSpec, draw, null_boundary
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _number
 from .randdist import RngStream
 
 __all__ = [
@@ -97,22 +96,17 @@ class ExperimentSpec:
     schema_version: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name in ("replications", "k_factor", "master_seed", *_AXES):
-            value = getattr(self, name)
-            kind = Integral if name in ("replications", "k_factor", "master_seed", "n_values") else Real
-            if name in _AXES:
-                if not isinstance(value, (tuple, list)) or len(value) == 0:
-                    raise InputError(f"{name} must be a non-empty list, got {value!r}")
-                object.__setattr__(self, name, tuple(value))
-            if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if name in _AXES else (value,))):
-                what = f"a list of {'integers' if kind is Integral else 'numbers'}" if name in _AXES else "an integer"
-                raise InputError(f"{name} must be {what}, got {value!r}")
-            if name in _AXES:
-                _check_distinct(name, value)
+        for name, low in (("replications", 1), ("k_factor", 2), ("master_seed", None)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, low, integer=True))
+        for name in _AXES:  # n's bound is the scans'; each other value's is its owner's: DesignConfig, HSpec, RunConfig
+            value, entry = getattr(self, name), name.removesuffix("_values").removesuffix("s")  # n, ..., alpha
+            if not isinstance(value, (tuple, list)) or len(value) == 0:
+                raise InputError(f"{name} must be a non-empty list, got {value!r}")
+            values = tuple(_number(v, entry, _MIN_N if entry == "n" else None, integer=entry == "n") for v in value)
+            _check_distinct(name, values)
+            object.__setattr__(self, name, values)
         if isinstance(self.grid_mode, list):
             object.__setattr__(self, "grid_mode", tuple(self.grid_mode))
-        if self.replications < 1:
-            raise InputError(f"replications must be >= 1, got {self.replications}")
         if self.mode not in ("size", "power", "size_adjusted_power"):
             raise InputError(f"unknown mode {self.mode!r}")
         if self.statistic not in ("structural", "image-space"):
@@ -126,10 +120,8 @@ class ExperimentSpec:
             config.check_null_basis(null)
         else:  # the image-space scan runs its own dyadic grid
             null.check_image_space()
-        for alpha in self.alphas:
-            replace(config, alpha=alpha)
+        replace(config, alpha=max(self.alphas))  # run_config() checked the smallest alpha, this the largest
         for n, xi, c0, c_a, c_b in product(*(getattr(self, axis) for axis in _AXES[:-1])):
-            _res_parameters(n)
             DesignConfig(self.design, n, xi, self.h_spec(c0, c_a, c_b), RngStream(self.master_seed, 0))
 
     def null_spec(self) -> NullSpec:
@@ -490,8 +482,7 @@ def _summaries(specs: list[ExperimentSpec], jobs: int) -> list[McSummary]:
     """The summary of each experiment, all of them run as one plan; the process's pool is discarded when
     anything fails, so no failed call leaves workers behind for the next. Calls from several threads take
     turns, so none replaces or discards the pool under another."""
-    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
-        raise InputError(f"jobs must be a positive integer, got {jobs!r}")
+    jobs = _number(jobs, "jobs", 1, integer=True)
     start = time.perf_counter()
     plans = [_plan(spec) for spec in specs]
     with _calls:

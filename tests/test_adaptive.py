@@ -18,6 +18,7 @@ import npivtest
 import npivtest.adaptive as adaptive_module
 import npivtest.basis as basis_module
 import npivtest.npiv as npiv_module
+import npivtest.sim as sim_module
 from npivtest.adaptive import (
     NullSpec,
     RunConfig,
@@ -32,11 +33,12 @@ from npivtest.adaptive import (
     image_space_test,
 )
 from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design
-from npivtest.dgp import DesignConfig, HSpec, generate
+from npivtest.dgp import DesignConfig, HSpec, generate, h_mono
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
 from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
-from npivtest.randdist import RngStream, chisq_quantile
+from npivtest.randdist import CovarianceSpec, RngStream, chisq_quantile, chisq_sf, mvn_sample
+from npivtest.sim import ExperimentSpec
 
 from oracles import (
     _max_support_count,
@@ -484,7 +486,7 @@ def test_config_checks_the_knot_rule_at_construction():
 @pytest.mark.parametrize("grid", [[3.9, 8], ["3"], [True, 4]], ids=["float", "numeric-text", "bool"])
 def test_config_grid_takes_integer_entries_only(grid):
     # an entry int() would turn into another J (3.9 -> 3, True -> 1) names no dimension
-    with pytest.raises(InputError, match="explicit grid must be a list of dims"):
+    with pytest.raises(InputError, match="explicit grid entry must be an integer >= 1"):
         RunConfig(grid=grid)
     assert RunConfig(grid=[np.int64(8), 3, 3]).grid == (3, 8)
 
@@ -1635,6 +1637,20 @@ def _valid_arguments(export: str) -> dict:
         "npiv.fit_restricted_parametric": {"y": y, "x": x, "model": "linear", "q": q, "r": r},
         "randdist.CovarianceSpec": {"matrix": np.eye(2)},
         "randdist.std_normal_cdf": {"x": x},
+        "adaptive.RunConfig": {},
+        "adaptive.eta_hat": {"alpha": 0.05, "grid_size": 3, "gamma": 2, "center": 4},
+        "basis.zeta": {"spec": bspline(4), "dim": 4},
+        "dgp.HSpec": {"family": "mono", "c0": 0.5},
+        "dgp.DesignConfig": {"design": "I", "n": 100, "xi": 0.5, "h_spec": HSpec("mono"), "rng": RngStream(0)},
+        "dgp.null_boundary": {"h_family": "sin", "c_b": 0.5},
+        "randdist.RngStream": {"master_seed": 0, "stream_id": 1},
+        "randdist.chisq_quantile": {"a": 0.05, "k": 3},
+        "randdist.chisq_sf": {"x": 2.0, "k": 3},
+        "randdist.mvn_sample": {"cov": CovarianceSpec(np.eye(2)), "rng": RngStream(0), "n": 5},
+        "sim.ExperimentSpec": {"replications": 1, "n_values": (100,)},
+        "sim.run_experiment": {"spec": ExperimentSpec(replications=1, n_values=(100,)), "jobs": 1},
+        "sim.reproduce": {"table_id": "T2", "replications": 1, "seed": 0, "jobs": 1, "n_values": (500,),
+                          "xi_values": (0.5,), "k_factors": (2,)},
     }[export]
 
 
@@ -1670,16 +1686,171 @@ def test_every_array_argument_of_an_export_follows_the_one_rule(export, argument
         assert message == f"{name} must be real numbers"
 
 
+def _exported() -> set[str]:
+    """Every callable the package exports, as module.name."""
+    submodules = (importlib.import_module(f"npivtest.{m.name}") for m in pkgutil.iter_modules(npivtest.__path__))
+    modules = [npivtest, *submodules]
+    exports = (getattr(module, name) for module in modules for name in getattr(module, "__all__", ()))
+    return {f"{obj.__module__.removeprefix('npivtest.')}.{obj.__name__}" for obj in exports if callable(obj)}
+
+
 def test_every_export_is_probed_or_takes_no_array():
     # a new export must join the probe table, _ARRAY_FREE or _RESULTS, so none can skip the rule
     # a method's class counts as probed (NpivFit, whose fields are results too, and HSpec)
     probed = {".".join(export.split(".")[:2]) for export, *_ in _ARRAYS} | {f"adaptive.{scan}" for scan in _SCANS}
     assert not probed & set(_ARRAY_FREE)
-    submodules = (importlib.import_module(f"npivtest.{m.name}") for m in pkgutil.iter_modules(npivtest.__path__))
-    modules = [npivtest, *submodules]
-    exports = (getattr(module, name) for module in modules for name in getattr(module, "__all__", ()))
-    exported = {f"{obj.__module__.removeprefix('npivtest.')}.{obj.__name__}" for obj in exports if callable(obj)}
-    assert exported == probed | set(_ARRAY_FREE) | set(_RESULTS)
+    assert _exported() == probed | set(_ARRAY_FREE) | set(_RESULTS)
+
+
+_SCALARS = [  # (export, argument, the start of its messages, "int" or "real", an out-of-range value; None: unbounded)
+    ("adaptive.RunConfig", "alpha", "alpha", "real", 1.0),
+    ("adaptive.RunConfig", "k_factor", "k_factor", "int", 1),
+    ("adaptive.RunConfig", "support", "support hi", "real", 0.0),
+    ("adaptive.RunConfig", "grid", "explicit grid entry", "int", 0),
+    ("adaptive.eta_hat", "alpha", "alpha", "real", 0.0),
+    ("adaptive.eta_hat", "grid_size", "grid_size", "int", 0),
+    ("adaptive.eta_hat", "gamma", "gamma", "int", 0),
+    ("adaptive.eta_hat", "center", "center", "int", 0),
+    ("basis.BasisSpec", "dim", "bspline basis dim", "int", 2),
+    ("basis.BasisSpec", "order", "order", "int", 1),
+    ("basis.BasisSpec", "support", "support hi", "real", 0.0),
+    ("basis.eval_design", "deriv", "derivative order deriv", "int", -1),
+    ("basis.zeta", "dim", "dim", "int", 0),
+    ("dgp.HSpec", "c0", "c0", "real", 1.5),
+    ("dgp.HSpec", "c_a", "c_a", "real", None),
+    ("dgp.HSpec", "c_b", "c_b", "real", None),
+    ("dgp.DesignConfig", "n", "n", "int", 0),
+    ("dgp.DesignConfig", "xi", "xi", "real", 1.0),
+    ("dgp.h_mono", "c0", "c0", "real", 0.0),
+    ("dgp.h_sin", "c_a", "c_a", "real", None),
+    ("dgp.h_sin", "c_b", "c_b", "real", None),
+    ("dgp.h_design2", "c_a", "c_a", "real", None),
+    ("dgp.h_quad", "c_a", "c_a", "real", None),
+    ("dgp.null_boundary", "c_b", "c_b", "real", None),
+    ("linalg.pinv", "rcond", "rcond", "real", 1.0),
+    ("randdist.RngStream", "master_seed", "master_seed", "int", None),
+    ("randdist.RngStream", "stream_id", "stream_id", "int", -1),
+    ("randdist.chisq_quantile", "a", "tail level a", "real", 1.0),
+    ("randdist.chisq_quantile", "k", "degrees of freedom k", "int", 0),
+    ("randdist.chisq_sf", "x", "x", "real", None),  # NaN and the infinities are decide's to judge
+    ("randdist.chisq_sf", "k", "degrees of freedom k", "int", 0),
+    ("randdist.mvn_sample", "n", "sample size n", "int", 0),
+    ("sim.ExperimentSpec", "replications", "replications", "int", 0),
+    ("sim.ExperimentSpec", "k_factor", "k_factor", "int", 1),
+    ("sim.ExperimentSpec", "master_seed", "master_seed", "int", None),
+    ("sim.ExperimentSpec", "n_values", "n", "int", 19),  # an axis names its values as their owners do
+    ("sim.ExperimentSpec", "xi_values", "xi", "real", 1.0),
+    ("sim.ExperimentSpec", "c0_values", "c0", "real", 1.5),
+    ("sim.ExperimentSpec", "c_a_values", "c_a", "real", None),
+    ("sim.ExperimentSpec", "c_b_values", "c_b", "real", None),
+    ("sim.ExperimentSpec", "alphas", "alpha", "real", 1.0),
+    ("sim.run_experiment", "jobs", "jobs", "int", 0),
+    ("sim.reproduce", "replications", "replications", "int", 0),
+    ("sim.reproduce", "seed", "master_seed", "int", None),
+    ("sim.reproduce", "jobs", "jobs", "int", 0),
+]
+_NAN_ADMITTED = {("randdist.chisq_sf", "x")}
+# arguments that hold scalars: a support is a pair (0, hi), whose hi must exceed 0; a grid and a spec's axes are lists
+_WRAPPED = {"support": lambda v: (0.0, v), "grid": lambda v: [v], **{axis: lambda v: (v,) for axis in sim_module._AXES}}
+# exports none of whose arguments is a scalar or an index set (a string names a choice)
+_SCALAR_FREE = ("adaptive.NullSpec", "adaptive.adaptive_scan", "adaptive.adaptive_test", "adaptive.compute_D",
+                "adaptive.compute_vhat", "adaptive.cs_contains", "adaptive.image_space_scan",
+                "adaptive.image_space_test", "basis.ConstraintMatrix", "basis.deriv_constraints", "basis.min_dim",
+                "basis.tensor_design", "cli.main", "cli.load_csv_dataset", "cli.resolve_config", "cli.render_report",
+                "dgp.draw", "dgp.generate", "errors.InputError", "errors.NumericalError", "linalg.frobenius_norm",
+                "linalg.orthonormal_range", "npiv.cone_project", "npiv.fit_from_design", "npiv.fit_restricted_cone",
+                "npiv.fit_restricted_parametric", "npiv.parametric_design", "randdist.CovarianceSpec",
+                "randdist.std_normal_cdf")
+# records, and calls whose scalars are what the package computed: a scan's n (decide), a gram's eigenvalues and
+# dimension (check_gram) and an array's shape (default_rcond)
+_SCALAR_RESULTS = ("adaptive.CandidateGrid", "adaptive.CandidateRecord", "adaptive.TestReport", "adaptive.decide",
+                   "dgp.Dataset", "linalg.check_gram", "linalg.default_rcond", "npiv.NpivFit", "npiv.RestrictedFit",
+                   "sim.CellResult", "sim.McSummary")
+
+
+def _malformed_scalars(export: str, argument: str, kind: str, out_of_range):
+    """(probe, value): text, a bool, a complex value, a 1-element array, an integer-valued float where an integer
+    is due, NaN unless the argument admits it, and a value outside the argument's bounds where it has them."""
+    probes = [("text", "abc"), ("bool", True), ("complex", 0.5 + 0.5j), ("1-element array", np.array([1]))]
+    if kind == "int":
+        probes.append(("float", 2.0))
+    if (export, argument) not in _NAN_ADMITTED:
+        probes.append(("nan", math.nan))
+    if out_of_range is not None:
+        probes.append(("out of range", out_of_range))
+    wrap = _WRAPPED.get(argument, lambda v: v)
+    return [(probe, wrap(value)) for probe, value in probes]
+
+
+@pytest.mark.parametrize("export", sorted({export for export, *_ in _SCALARS} - {export for export, *_ in _ARRAYS}))
+def test_each_scalar_export_completes_on_its_valid_arguments(export):
+    _export(export)(**_valid_arguments(export))
+
+
+@pytest.mark.parametrize("export, argument, name, value", [
+    pytest.param(export, argument, name, value, id=f"{export}-{argument}-{probe}")
+    for export, argument, name, kind, out_of_range in _SCALARS
+    for probe, value in _malformed_scalars(export, argument, kind, out_of_range)
+])
+def test_every_scalar_argument_of_an_export_follows_the_one_rule(export, argument, name, value):
+    # one scalar rule: each malformed value is an InputError whose message starts with the argument's name
+    with pytest.raises(InputError) as info:
+        _export(export)(**{**_valid_arguments(export), argument: value})
+    assert str(info.value).startswith(f"{name} must be "), str(info.value)
+
+
+def test_every_export_is_probed_or_takes_no_scalar():
+    # a new export must join _SCALARS, _SCALAR_FREE or _SCALAR_RESULTS; gamma_hat's index set has its own test
+    probed = {export for export, *_ in _SCALARS} | {"adaptive.gamma_hat"}
+    assert not probed & set(_SCALAR_FREE)
+    assert _exported() == probed | set(_SCALAR_FREE) | set(_SCALAR_RESULTS)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chisq_sf("abc", 3), "x must be a number, got 'abc'"),
+    (lambda: chisq_quantile(0.05, "a"), "degrees of freedom k must be an integer >= 1, got 'a'"),
+    (lambda: chisq_quantile(0.05, True), "degrees of freedom k must be an integer >= 1, got True"),
+    (lambda: chisq_quantile(0.05, 3.0), "degrees of freedom k must be an integer >= 1, got 3.0"),
+    (lambda: eta_hat("a", 3, 1), "alpha must be a number in (0, 1), got 'a'"),
+    (lambda: h_mono("a", [0.5]), "c0 must be a finite number > 0, got 'a'"),
+    (lambda: h_mono(math.nan, [0.5]), "c0 must be a finite number > 0, got nan"),
+    (lambda: mvn_sample(CovarianceSpec(np.eye(2)), RngStream(0), "5"),
+     "sample size n must be an integer >= 1, got '5'"),
+    (lambda: BasisSpec("bspline", 4, support=("a", 1)), "support lo must be a finite number, got 'a'"),
+    (lambda: BasisSpec("bspline", 4, support=(0.5, 0.5)), "support hi must be a finite number > 0.5, got 0.5"),
+    (lambda: BasisSpec("bspline", 4.5), "bspline basis dim must be an integer >= 3, got 4.5"),
+    (lambda: eval_design(bspline(4), [0.5], deriv=0.5), "derivative order deriv must be an integer >= 0, got 0.5"),
+    (lambda: gamma_hat(deriv_constraints(bspline(4), "decreasing"), [0.5]),
+     "active_set must be 1-d integer row indices in [0, 3), got [0.5]"),
+], ids=["chisq_sf-text-x", "chisq_quantile-text-k", "chisq_quantile-bool-k", "chisq_quantile-float-k", "eta_hat-text",
+        "h_mono-text", "h_mono-nan", "mvn_sample-text", "support-text", "support-empty", "dim-fraction",
+        "deriv-fraction", "gamma_hat-float"])
+def test_scalar_arguments_that_escaped_or_passed_unchecked(call, message):
+    # each ended in a bare TypeError or IndexError, or completed, before the one scalar rule
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("active_set", [[0.5], [1.0, 2.0], ["a"], [[0, 1]], [[0], [1, 2]], [3], [-1], None],
+                         ids=["float", "integer-valued-floats", "text", "2-d", "ragged", "past-the-rows", "negative",
+                              "none"])
+def test_gamma_hat_takes_row_indices_only(active_set):
+    m = deriv_constraints(bspline(4), "decreasing")  # 3 rows
+    with pytest.raises(InputError) as info:
+        gamma_hat(m, active_set)
+    assert str(info.value) == f"active_set must be 1-d integer row indices in [0, 3), got {active_set!r}"
+
+
+def test_gamma_hat_counts_the_rank_of_the_active_rows():
+    m = deriv_constraints(bspline(4), "decreasing")
+    assert gamma_hat(m, []) == gamma_hat(m, np.empty(0, dtype=np.intp)) == gamma_hat(m, [1]) == 1
+    assert gamma_hat(m, [0, 2]) == gamma_hat(m, np.array([0, 2], dtype=np.uint8)) == 2
+
+
+def test_chisq_sf_leaves_a_non_finite_argument_to_decide():
+    # decide's rule judges a non-finite statistic: an argument that overflowed to inf gives p = 0, and NaN stays NaN
+    assert chisq_sf(math.inf, 3) == 0.0 and chisq_sf(-math.inf, 3) == 1.0 and math.isnan(chisq_sf(math.nan, 3))
 
 
 def test_an_instrument_column_is_its_vector():
@@ -1826,11 +1997,11 @@ def _report_of_an_unscanned_j():
     (lambda: NullSpec(kind="cone"), InputError, "null kind must be 'shape' or 'parametric', got 'cone'"),
     (lambda: NullSpec.from_name("linear").constraints(bspline(4)), InputError,
      "constraints are only defined for shape nulls"),
-    (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list of positive dims, got []"),
+    (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list of dims, got []"),
     (lambda: _report_of_an_unscanned_j().w_reported, KeyError, 999),
     (lambda: compute_D(np.ones((2, 3)), np.ones(4)), InputError,
      "need a 2-d scaled map and residuals, one per column, got (2, 3) and (4,)"),
-    (lambda: eta_hat(0.05, 0, 1), InputError, "grid_size must be >= 1, got 0"),
+    (lambda: eta_hat(0.05, 0, 1), InputError, "grid_size must be an integer >= 1, got 0"),
     (lambda: cs_contains((np.ones(3), bspline(4)), *_sample200()), InputError,
      "candidate coefficients must have shape (4,), got (3,)"),
     (lambda: cs_contains(np.full(200, np.nan), *_sample200()), InputError,

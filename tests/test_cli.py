@@ -614,16 +614,17 @@ def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "coeffs", "basis": {"name": "bspline2", "dim": "x"}, "coefficients": [1.0, 2.0]},
-     "malformed: invalid literal for int() with base 10: 'x'"),
+     "malformed: bspline basis dim must be an integer >= 3, got 'x'"),
     ({"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
-     "malformed: support must be a finite interval [lo, hi] with lo < hi, got 5"),
+     "malformed: support must be a pair [lo, hi], got 5"),
     ({"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
      "malformed: theta must be real numbers"),
     ({"kind": "parametric", "model": "linear", "theta": 5}, "malformed: theta must be 1-d, got shape ()"),
     ({"kind": "values", "values": "abc"}, "candidate fitted values must be real numbers"),
     ({"coefficients": [1.0]}, "must be a JSON object with a 'kind' field"),
     ({"kind": "coeffs", "coefficients": [1.0, 2.0]}, "coeffs candidate needs 'basis' and 'coefficients'"),
-    ({"kind": "coeffs", "basis": {"name": "spline9"}, "coefficients": [1.0]}, "unknown candidate basis 'spline9'"),
+    ({"kind": "coeffs", "basis": {"name": "spline9"}, "coefficients": [1.0]},
+     "unknown basis 'spline9'; expected one of ['bspline2', 'bspline3', 'cosine', 'power']"),
     ({"kind": "parametric", "model": "cubic", "theta": [1.0, 2.0]},
      "parametric candidate needs model in {linear, quadratic} and 'theta'"),
     ({"kind": "parametric", "model": "linear", "theta": [1.0, 2.0, 3.0]}, "theta has 3 entries, design needs 2"),
@@ -714,21 +715,21 @@ def test_cmd_simulate_schema_violation_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, message", [
     ({"n_values": 5}, "n_values must be a non-empty list, got 5"),
-    ({"replications": "10"}, "replications must be an integer, got '10'"),
-    ({"n_values": ["a"], "replications": 2}, "n_values must be a list of integers, got ['a']"),
-    ({"replications": 2, "n_values": [30.5]}, "n_values must be a list of integers, got [30.5]"),
-    ({"replications": True}, "replications must be an integer, got True"),
-    ({"xi_values": [0.5, "0.7"]}, "xi_values must be a list of numbers, got [0.5, '0.7']"),
-    ({"alphas": [False]}, "alphas must be a list of numbers, got [False]"),
-    ({"k_factor": 2.0}, "k_factor must be an integer, got 2.0"),
+    ({"replications": "10"}, "replications must be an integer >= 1, got '10'"),
+    ({"n_values": ["a"], "replications": 2}, "n must be an integer >= 20, got 'a'"),
+    ({"replications": 2, "n_values": [30.5]}, "n must be an integer >= 20, got 30.5"),
+    ({"replications": True}, "replications must be an integer >= 1, got True"),
+    ({"xi_values": [0.5, "0.7"]}, "xi must be a finite number, got '0.7'"),
+    ({"alphas": [False]}, "alpha must be a finite number, got False"),
+    ({"k_factor": 2.0}, "k_factor must be an integer >= 2, got 2.0"),
     ({"master_seed": None}, "master_seed must be an integer, got None"),
     ({"mode": "power"}, "power experiments use the sin/design2/quad families, not mono"),
     ({"basis": "foo"}, "unknown basis 'foo'"),
     ({"design": "IV"}, "unknown design 'IV'"),
-    ({"k_factor": 1}, "k_factor must be >= 2, got 1"),
-    ({"xi_values": [1.5]}, "xi must lie in (0, 1), got 1.5"),
-    ({"n_values": [5]}, "need at least 20 observations, got 5"),
-    ({"alphas": [0.05, 1.5]}, "alpha must be in (0, 1), got 1.5"),
+    ({"k_factor": 1}, "k_factor must be an integer >= 2, got 1"),
+    ({"xi_values": [1.5]}, "xi must be a number in (0, 1), got 1.5"),
+    ({"n_values": [5]}, "n must be an integer >= 20, got 5"),
+    ({"alphas": [0.05, 1.5]}, "alpha must be a number in (0, 1), got 1.5"),
     ({"null": "wiggly"}, "unknown null 'wiggly'"),
     ({"h_family": "zigzag"}, "unknown h family 'zigzag'"),
     ({"grid_mode": "weird"}, "grid mode must be 'dyadic', 'knots', or an explicit list, got 'weird'"),
@@ -807,7 +808,7 @@ def test_cmd_reproduce_repeated_filter_value_exit_2(capsys):
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cmd_reproduce_jobs_below_one_exit_2(capsys, jobs):
     assert run_cli("reproduce", "T1", "--reps", "4", "--n", "500", "--jobs", jobs) == 2
-    assert "jobs must be a positive integer" in capsys.readouterr().err
+    assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cmd_reproduce_unknown_table(capsys):

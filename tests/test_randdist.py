@@ -130,8 +130,8 @@ def test_covariance_validation():
 @pytest.mark.parametrize("call, message", [
     (lambda: CovarianceSpec(np.ones((2, 3))), "covariance must be square, got shape (2, 3)"),
     (lambda: CovarianceSpec(np.array([[1.0, np.nan], [np.nan, 1.0]])), "covariance contains non-finite entries"),
-    (lambda: chisq_sf(1.0, 0), "degrees of freedom must be a positive integer, got 0"),
-    (lambda: mvn_sample(CovarianceSpec(np.eye(2)), RngStream(0), 0), "sample size must be positive, got 0"),
+    (lambda: chisq_sf(1.0, 0), "degrees of freedom k must be an integer >= 1, got 0"),
+    (lambda: mvn_sample(CovarianceSpec(np.eye(2)), RngStream(0), 0), "sample size n must be an integer >= 1, got 0"),
 ], ids=["non-square-covariance", "non-finite-covariance", "chisq-sf-df", "empty-sample"])
 def test_randdist_input_guards(call, message):
     with pytest.raises(InputError) as info:

@@ -678,9 +678,9 @@ def test_calls_from_threads_share_the_pool_in_turn():
 @pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2", None])
 def test_jobs_must_be_a_positive_integer(monkeypatch, jobs):
     counts = _counting_pools(monkeypatch)
-    with pytest.raises(InputError, match="jobs must be a positive integer"):
+    with pytest.raises(InputError, match="jobs must be an integer >= 1"):
         run_experiment(small_size_spec(replications=4), jobs=jobs)
-    with pytest.raises(InputError, match="jobs must be a positive integer"):
+    with pytest.raises(InputError, match="jobs must be an integer >= 1"):
         reproduce("T1", replications=4, jobs=jobs, n_values=(500,))
     assert counts == {"built": 0, "shut": 0}
 
