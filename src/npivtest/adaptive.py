@@ -17,7 +17,7 @@ Candidate sets come in three modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
@@ -95,11 +95,6 @@ class NullSpec:
         if self.kind == "shape":
             return "custom" if self.custom_rows is not None else self.shape
         return f"parametric:{'custom' if self.custom_design is not None else self.model}"
-
-    def check_image_space(self) -> None:
-        """The image-space statistic fits a parametric null on the instrument basis."""
-        if self.kind != "parametric":
-            raise InputError(f"the image-space statistic needs a parametric null, got {self.describe()!r}")
 
     def constraints(self, spec: BasisSpec) -> ConstraintMatrix:
         if self.kind != "shape":
@@ -187,17 +182,6 @@ class RunConfig:
     def basis_min(self) -> int:
         return min_dim(self)
 
-    def check_explicit_grid(self) -> None:
-        """An explicit grid starts at the basis minimum or above it."""
-        if isinstance(self.grid, tuple) and self.grid[0] < self.basis_min():
-            raise InputError(f"explicit grid entry J={self.grid[0]} is below the basis minimum {self.basis_min()}")
-
-    def check_null_basis(self, null: NullSpec) -> None:
-        """A shape null's derivative constraints need a B-spline basis."""
-        if null.kind == "shape" and null.custom_rows is None and self.family != "bspline":
-            raise InputError(f"the {null.shape} null's derivative constraints require a B-spline basis, "
-                             f"got {self.basis!r}")
-
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
@@ -212,6 +196,20 @@ class RunConfig:
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         return _from_fields(RunConfig, d, "config")
+
+
+def _check_test(statistic: str, null: NullSpec, config: RunConfig) -> None:
+    """The one rule of which null and config a statistic takes: the image-space statistic fits a parametric null
+    on its own dyadic grid, whatever config.grid says; a built-in shape null's derivative constraints need a
+    B-spline basis; and an explicit structural grid starts at the basis minimum."""
+    if statistic == "image-space":
+        if null.kind != "parametric":
+            raise InputError(f"the image-space statistic needs a parametric null, got {null.describe()!r}")
+    elif null.kind == "shape" and null.custom_rows is None and config.family != "bspline":
+        raise InputError(f"the {null.shape} null's derivative constraints require a B-spline basis, "
+                         f"got {config.basis!r}")
+    elif isinstance(config.grid, tuple) and config.grid[0] < config.basis_min():
+        raise InputError(f"explicit grid entry J={config.grid[0]} is below the basis minimum {config.basis_min()}")
 
 
 def _from_fields(cls, d: dict, what: str):
@@ -336,12 +334,13 @@ def _numerically_zero(residuals: np.ndarray, y: np.ndarray) -> bool:
     return float(np.max(np.abs(residuals), initial=0.0)) <= 1e-12 * float(np.max(np.abs(y)))
 
 
-def _check_underflow(j: int, y: np.ndarray, **stats: tuple[float, np.ndarray]) -> None:
+def _check_underflow(at: str, y: np.ndarray, **stats: tuple[float, np.ndarray]) -> None:
     """Raise for a statistic (name=(value, its residuals)) that is zero or subnormal although its residuals
-    are not numerically zero: a square underflowed on the way, and a decision from it would be silent."""
+    are not numerically zero: a square underflowed on the way, and a decision from it would be silent. at names
+    the candidate, "J=3" or "K=3"."""
     for name, (value, residuals) in stats.items():
         if abs(value) < _TINY and not _numerically_zero(residuals, y):
-            raise NumericalError(f"candidate J={j}: {name}={value} underflowed from residuals that are not "
+            raise NumericalError(f"candidate {at}: {name}={value} underflowed from residuals that are not "
                                  "numerically zero; rescale y")
 
 
@@ -392,7 +391,7 @@ def _single(scan, label: str, config: RunConfig):
     if isinstance(entries, (SingularGramError, SingularRegressorGramError)):
         j, basis = entries.candidate, config.basis
         k = config.instrument_dim(config.k_factor * j if label == "J" else j, w.shape[1])
-        at = f"its {'minimum ' if j == config.basis_min() else ''}candidate {label}={j if label == 'J' else k}"
+        at = f"its {'minimum ' if entries.minimum else ''}candidate {label}={j if label == 'J' else k}"
         if isinstance(entries, SingularRegressorGramError):
             raise InputError(f"regressor sample too degenerate for the {basis} basis: the weighted gram Psi'Omega Psi "
                              f"of {at} is singular at n={n} with {np.unique(x[mu > 0]).size} distinct x value(s)"
@@ -447,9 +446,9 @@ class _Designs:
         return _tensor_product(self.factors(specs))
 
 
-def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int):
-    """(grid, results): candidate dimensions via the exponential scan, the knot scan, or an explicit list, and
-    the statistics of every outcome on them.
+def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, j_min: int):
+    """(grid, results): candidate dimensions via the rule grid, the exponential scan ('dyadic'), the knot scan
+    ('knots') or an explicit list (a tuple), and the statistics of every outcome on them.
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
@@ -470,7 +469,8 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
     is left running; else a warning stops the scan at max(scan start, j - 1).
     A data failure, a candidate the sample cannot carry (a singular gram,
     K >= n or tied quantile knots), is such an error in either scan. The
-    error that ends the pass gets its index as exc.candidate.
+    error that ends the pass gets its index as exc.candidate, and as
+    exc.minimum whether that index is j_min.
 
     results[i] is outcome i's entries, or the NumericalError that ended it:
     its own, which ends that outcome alone, or the one that ended the pass
@@ -501,11 +501,10 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
             shat[dim] = s
         return stop
 
-    config.check_explicit_grid()
-    mode = "explicit" if isinstance(config.grid, tuple) else config.grid
+    mode = "explicit" if isinstance(grid, tuple) else grid
     if mode == "explicit":
-        rule = indices = config.grid
-        scan_start, j_max_hat = math.inf, config.grid[-1]  # an explicit grid has no stability scan
+        rule = indices = grid
+        scan_start, j_max_hat = math.inf, grid[-1]  # an explicit grid has no stability scan
     else:
         # the rule's candidates are the ones that do not exceed the stability bound J_max_hat
         rule = _dyadic(j_under, j_max_exp, j_min) if mode == "dyadic" else range(j_min, hard_cap + 1)
@@ -533,7 +532,7 @@ def _candidate_pass(n: int, config: RunConfig, step, visit, outcomes, j_min: int
             j = j_min
             record(*step(j))
     except NumericalError as exc:  # a y-free error, or the last running outcome's: the pass ends
-        exc.candidate = j
+        exc.candidate, exc.minimum = j, j == j_min
         return None, [exc if isinstance(res, list) else res for res in results]
     return CandidateGrid(mode=mode, j_underbar=j_under, j_max_exp=j_max_exp, hard_cap=hard_cap, j_max_hat=j_max_hat,
                          j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), results
@@ -626,7 +625,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     h0 = None if h0 is None else h0(x)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor as a 1-d x, got x of shape {x.shape}")
-    config.check_null_basis(null)
+    _check_test("structural", null, config)
     designs = _Designs(w) if designs is None else designs
     fit_warnings: list[str] = []
 
@@ -647,7 +646,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
 
     model = null.model if null.custom_design is None else null.custom_design
     outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
-    grid, results = _candidate_pass(n, config, step, visit, outcomes, config.basis_min())
+    grid, results = _candidate_pass(n, config.grid, step, visit, outcomes, config.basis_min())
     return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], sample
 
 
@@ -672,7 +671,7 @@ def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
         v_stat = 0.0 if _numerically_zero(u, y) else _vhat_scaling(s, u)
     except (InputError, NumericalError) as exc:
         raise type(exc)(f"candidate J={j}: {exc}") from exc
-    _check_underflow(j, y, D=(d_stat, r), v=(v_stat, u))
+    _check_underflow(f"J={j}", y, D=(d_stat, r), v=(v_stat, u))
     return _ScanEntry(j=j, k=fit.r.shape[1], d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
                       n_active=len(rfit.active_set), center=gamma)
 
@@ -896,7 +895,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
 def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None):
     """image_space_scan of every outcome in ys on one y-free pass: (grid, results, warnings, sample), results as
     _candidate_pass gives them, sample as _checked_data does. designs is the sample's _Designs; None builds one."""
-    null.check_image_space()
+    _check_test("image-space", null, config)
     ys, x, w, _, n = sample = _checked_data(ys, x, w, None)
     model = null.model if null.custom_design is None else null.custom_design
     designs = _Designs(w) if designs is None else designs
@@ -912,8 +911,7 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
     outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]
-    grid, results = _candidate_pass(n, replace(config, grid="dyadic"), _image_space_step(config, designs, n, k_min),
-                                    visit, outcomes, k_min)
+    grid, results = _candidate_pass(n, "dyadic", _image_space_step(config, designs, n, k_min), visit, outcomes, k_min)
     return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], sample
 
 
@@ -925,10 +923,10 @@ def _image_space_outcome(factor, y, x, model) -> _ScanEntry:
     rfit = fit_restricted_parametric(y, x, model, q, r_b)
     r = rfit.residuals_r
     d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
-    _check_underflow(k, y, D=(d_stat, r), v=(v_stat, r))
+    _check_underflow(f"K={k}", y, D=(d_stat, r), v=(v_stat, r))
     # chi-square df nets out the parameters the restricted fit consumed
     # inside the instrument projection; centering stays at K
-    return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.df_consumed),
+    return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.beta_r.size),
                       n_active=0, center=k)
 
 

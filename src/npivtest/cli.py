@@ -28,7 +28,8 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .adaptive import _BASIS_NAMES, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test, cs_contains
+from .adaptive import (_BASIS_NAMES, _MIN_N, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test,
+                       cs_contains)
 from .errors import InputError, NumericalError, _columns
 from .npiv import parametric_design
 from .sim import TABLE_IDS, ExperimentSpec, _keep_freed_pages, reproduce, run_experiment
@@ -179,8 +180,8 @@ def load_csv_dataset(path: str) -> CsvDataset:
     if w is None:
         raise InputError(f"{path}: instrument column 'w' (or w1..wdw) is missing")
     n = data["y"].shape[0]
-    if n < 20:
-        raise InputError(f"{path}: need at least 20 rows, got {n}")
+    if n < _MIN_N:
+        raise InputError(f"{path}: need at least {_MIN_N} rows, got {n}")
     mu = data.get("mu")
     if mu is not None and np.any(mu < 0):
         raise InputError(f"{path}: weight column 'mu' must be nonnegative")

@@ -88,7 +88,6 @@ class RestrictedFit:
     fitted_r: np.ndarray
     residuals_r: np.ndarray
     active_set: np.ndarray
-    df_consumed: int = 0  # rank of the parametric design after instrument projection, which is all its columns
 
 
 def fit_from_design(psi, b, mu=None) -> NpivFit:
@@ -254,10 +253,4 @@ def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:
         )
     theta = tz_pinv @ (r.T @ (q.T @ y))
     fitted_r = z @ theta
-    return RestrictedFit(
-        beta_r=theta,
-        fitted_r=fitted_r,
-        residuals_r=y - fitted_r,
-        active_set=np.empty(0, dtype=int),
-        df_consumed=z.shape[1],
-    )
+    return RestrictedFit(beta_r=theta, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=np.empty(0, dtype=int))

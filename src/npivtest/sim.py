@@ -43,8 +43,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import published
-from .adaptive import (_MIN_N, NullSpec, RunConfig, _Designs, _from_fields, _image_space_scan, _structural_scan,
-                       decide)
+from .adaptive import (_MIN_N, NullSpec, RunConfig, _Designs, _check_test, _from_fields, _image_space_scan,
+                       _structural_scan, decide)
 from .dgp import DesignConfig, HSpec, draw, null_boundary
 from .errors import InputError, NumericalError, _number
 from .randdist import RngStream
@@ -115,11 +115,7 @@ class ExperimentSpec:
             raise InputError("power experiments use the sin/design2/quad families, not mono")
         # every value is checked here, by the object that owns its rule, before a worker pool forks
         null, config = self.null_spec(), self.run_config()
-        if self.statistic == "structural":
-            config.check_explicit_grid()
-            config.check_null_basis(null)
-        else:  # the image-space scan runs its own dyadic grid
-            null.check_image_space()
+        _check_test(self.statistic, null, config)
         replace(config, alpha=max(self.alphas))  # run_config() checked the smallest alpha, this the largest
         for n, xi, c0, c_a, c_b in product(*(getattr(self, axis) for axis in _AXES[:-1])):
             DesignConfig(self.design, n, xi, self.h_spec(c0, c_a, c_b), RngStream(self.master_seed, 0))

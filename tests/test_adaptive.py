@@ -1316,6 +1316,49 @@ def test_image_space_detects_quadratic_alternative():
     assert rep.reject
 
 
+def test_image_space_scan_runs_its_dyadic_rule_on_an_explicit_grid():
+    # the image-space statistic scans K by its own dyadic rule: an explicit grid, even one below the basis minimum,
+    # is neither checked nor read
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    explicit = image_space_test(data.y, data.x, data.w, "linear", RunConfig(grid=(1, 2)))
+    dyadic = image_space_test(data.y, data.x, data.w, "linear", RunConfig())
+    assert explicit.grid == dyadic.grid and explicit.grid.mode == "dyadic"
+    assert explicit.per_j == dyadic.per_j
+
+
+@pytest.mark.parametrize("run, at", [
+    (lambda d: image_space_test(1e-200 * d.y, d.x, d.w, "linear"), "K=3"),
+    (lambda d: adaptive_test(1e-200 * d.y, d.x, d.w, NullSpec.from_name("linear")), "J=3"),
+], ids=["image-space", "structural"])
+def test_an_underflow_names_the_candidate_by_its_scan_label(run, at):
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    with pytest.raises(NumericalError) as info:
+        run(data)
+    assert str(info.value).startswith(f"candidate {at}: D=0.0 underflowed from residuals that are not numerically zero")
+
+
+def test_an_input_with_two_faults_raises_the_first_in_the_contract_order():
+    # the sample, then x's rank, then the null/basis rule, then the explicit grid; a spec resolves its null first
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("mono", c0=0.1), RngStream(21, 3)))
+    decreasing, cosine_below = NullSpec.from_name("decreasing"), RunConfig(basis="cosine", grid=(1, 2))
+    x2 = np.column_stack([data.x, data.x])
+    probes = [
+        (lambda: adaptive_test(np.full_like(data.y, np.nan), x2, data.w, decreasing, cosine_below),
+         "data contains non-finite values"),
+        (lambda: adaptive_test(data.y, x2, data.w, decreasing, cosine_below),
+         "the structural statistic needs one regressor as a 1-d x, got x of shape (300, 2)"),
+        (lambda: adaptive_test(data.y, data.x, data.w, decreasing, cosine_below),
+         "the decreasing null's derivative constraints require a B-spline basis, got 'cosine'"),
+        (lambda: ExperimentSpec(null="wiggly", basis="spline9", replications=1), "unknown null 'wiggly'"),
+        (lambda: ExperimentSpec(basis="cosine", grid_mode=[1, 2], replications=1),
+         "the decreasing null's derivative constraints require a B-spline basis, got 'cosine'"),
+    ]
+    for run, message in probes:
+        with pytest.raises(InputError) as info:
+            run()
+        assert str(info.value).startswith(message)
+
+
 def test_image_space_requires_parametric_null():
     data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.0), RngStream(25, 0)))
     with pytest.raises(InputError):
@@ -1402,6 +1445,15 @@ _TIED = ("quantile knots are not strictly increasing inside the support; the dat
     pytest.param(_three_column_instrument_sample, lambda y, x, w: image_space_test(y, x, w, "linear"),
                  "sample too small for the bspline2 basis: its minimum candidate K=27 needs K=27 instrument columns, "
                  "whose gram B'B is singular at n=24", id="k-at-least-n-image-space"),
+    # the image-space scan's lowest K is the null's parameter count, above a cosine or power basis minimum of 1
+    pytest.param(lambda: _discrete_instrument_sample(2), lambda y, x, w: image_space_test(
+                     y, x, np.full_like(w, 0.5), "linear", RunConfig(basis="power")),
+                 "instrument sample too degenerate for the power basis: the gram B'B of its minimum candidate K=2 "
+                 "is singular at n=2000 with 1 distinct w value(s)", id="constant-w-image-space-power"),
+    pytest.param(lambda: _discrete_instrument_sample(2), lambda y, x, w: image_space_test(
+                     y, x, np.full_like(w, 0.5), "quadratic", RunConfig(basis="cosine")),
+                 "instrument sample too degenerate for the cosine basis: the gram B'B of its minimum candidate K=3 "
+                 "is singular at n=2000 with 1 distinct w value(s)", id="constant-w-image-space-cosine"),
 ])
 def test_a_data_failure_ends_by_the_one_rule(sample, run, expected):
     # a candidate the sample cannot carry stops the stability scan past the scan start, in either scan; at an

@@ -12,7 +12,7 @@ import pytest
 
 import npivtest.cli as cli_module
 import npivtest.sim as sim_module
-from npivtest.adaptive import NullSpec, RunConfig, adaptive_test, cs_contains, image_space_test
+from npivtest.adaptive import NullSpec, RunConfig, adaptive_test, cs_contains, image_space_scan, image_space_test
 from npivtest.basis import BasisSpec, deriv_constraints
 from npivtest.cli import dump_json, load_csv_dataset, main
 from npivtest.dgp import DesignConfig, HSpec, generate
@@ -583,6 +583,43 @@ def test_builtin_shape_null_on_a_non_bspline_basis_exit_2(tmp_path, capsys, basi
     assert message in capsys.readouterr().err
     assert run_cli("cs", ENGEL, str(cand), "--null", "decreasing", "--basis", basis) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statistic, null, fields, flags, message", [
+    ("structural", "decreasing", {"basis": "cosine"}, ["--basis", "cosine"],
+     "the decreasing null's derivative constraints require a B-spline basis, got 'cosine'"),
+    ("structural", "linear", {"grid": (1, 2)}, ["--grid", "1,2"],
+     "explicit grid entry J=1 is below the basis minimum 3"),
+    ("image-space", "decreasing", {}, None, "the image-space statistic needs a parametric null, got 'decreasing'"),
+], ids=["shape-null-on-cosine", "grid-below-basis-minimum", "image-space-shape-null"])
+def test_the_scan_contract_gives_one_message_from_every_entry_point(capsys, statistic, null, fields, flags, message):
+    # one check decides which null and config a statistic takes, for every entry point that takes the pair
+    data = load_csv_dataset(ENGEL)
+    spec, config = NullSpec.from_name(null), RunConfig(**fields)
+    if statistic == "structural":
+        runs = [lambda: adaptive_test(data.y, data.x, data.w, spec, config),
+                lambda: cs_contains(np.zeros_like(data.y), data.y, data.x, data.w, config, spec)]
+    else:
+        runs = [lambda: image_space_scan(data.y, data.x, data.w, spec, config)]
+    runs.append(lambda: sim_module.ExperimentSpec(statistic=statistic, null=null, basis=config.basis,
+                                                  grid_mode=config.grid, replications=1))
+    for run in runs:
+        with pytest.raises(InputError) as info:
+            run()
+        assert str(info.value) == message
+    if flags is not None:  # the CLI's test runs the structural statistic
+        assert run_cli("test", ENGEL, "--null", null, *flags) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_cmd_test_and_cs_inside_the_support_write_nothing_to_stderr(tmp_path, checkout_env):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
+    for argv in (["test", ENGEL], ["cs", ENGEL, str(cand), "--null", "linear"]):
+        proc = subprocess.run([sys.executable, "-m", "npivtest.cli", *argv], env=checkout_env, capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
 
 
 @pytest.mark.parametrize("name, order", [("bspline2", 3), ("bspline3", 4)])

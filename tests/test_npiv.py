@@ -473,7 +473,7 @@ def test_parametric_exact_linear(rng):
     rfit = fit_restricted_parametric(y, x, "linear", *orthonormal_range(eval_design(bspline(6), w))[:2])
     np.testing.assert_allclose(rfit.residuals_r, 0.0, atol=1e-9)
     assert rfit.active_set.size == 0
-    assert rfit.df_consumed == 2
+    assert rfit.beta_r.size == 2
 
 
 def test_parametric_iv_ratio_single_instrument(rng):
@@ -517,7 +517,7 @@ def test_parametric_rank_guard(rng):
                 with pytest.raises(InputError, match="rank deficient after instrument projection"):
                     fit_restricted_parametric(y, None, z, q, r)
             else:
-                assert fit_restricted_parametric(y, None, z, q, r).df_consumed == 2
+                assert fit_restricted_parametric(y, None, z, q, r).beta_r.size == 2
 
 
 def test_restricted_positive_homogeneity(rng):

@@ -8,7 +8,8 @@ Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so the trees ma
 this repository. An input's outcome is its report's canonical `to_dict()` JSON (for `cs_contains`, the JSON
 of the triple it returns), or its error's type (InputError for any input error) and message. Every differing
 input is printed with its case and a brief of both outcomes (a report's grid, decision and warnings), then a
-count of the changes by scan and by outcome kind (report or error type, before -> after).
+count of the changes by scan and by outcome kind (report or error type, before -> after). It exits 1 when any
+outcome changed or a tree's run failed, and 0 when no outcome changed, so a script can gate on it.
 `--reproduce` also compares the rows of every `reproduce` table at 4 replications, seed 3.
 `--write-digest PATH` writes TREE's outcomes of the digest slice, the first DIGEST_SIZE seed-0 inputs with
 n <= DIGEST_MAX_N, to PATH as JSON: a report as its parsed `to_dict()` (for `cs_contains`, the triple), an
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
           f"{len(old) - sum(scans.values())} reproduce tables; {sum(changes.values())} changed")
     for (scan, before, after), count in sorted(changes.items()):
         print(f"  {scan}: {before} -> {after}: {count}")
-    return 0
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":
