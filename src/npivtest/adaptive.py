@@ -17,7 +17,7 @@ Candidate sets come in three modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
@@ -242,7 +242,6 @@ class CandidateGrid:
     j_list: tuple[int, ...]
     shat: dict[int, float]
     fallback: bool = False
-    warnings: tuple[str, ...] = ()
 
     @property
     def size(self) -> int:
@@ -446,9 +445,10 @@ class _Designs:
         return _tensor_product(self.factors(specs))
 
 
-def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, j_min: int):
+def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, j_min: int, notices: list[str]):
     """(grid, results): candidate dimensions via the rule grid, the exponential scan ('dyadic'), the knot scan
-    ('knots') or an explicit list (a tuple), and the statistics of every outcome on them.
+    ('knots') or an explicit list (a tuple), and the statistics of every outcome on them. The line of a stopped
+    scan or a fallback is appended to notices, the scan's one notice list.
 
     The grid builder of the structural and the image-space scans. step(j)
     returns (dim, noise, s, designs) of scan index j: the designs' realized
@@ -478,7 +478,6 @@ def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, 
     """
     j_under, j_max_exp, hard_cap = _res_parameters(n)
     shat: dict[int, float] = {}
-    warnings_list: list[str] = []
     j_list: list[int] = []
     results: list[list[_ScanEntry] | NumericalError] = [[] for _ in outcomes]
 
@@ -517,7 +516,7 @@ def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, 
             except NumericalError as exc:
                 if (j in rule and j <= scan_start) or not any(isinstance(res, list) for res in results):
                     raise
-                warnings_list.append(f"stability scan stopped at J={j}: {exc}")
+                notices.append(f"stability scan stopped at J={j}: {exc}")
                 j_max_hat = max(scan_start, j - 1)
                 break
             if stop and j >= scan_start:  # data-driven stability bound: first J where the noise level overtakes s_J
@@ -526,7 +525,7 @@ def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, 
 
         fallback = not j_list
         if fallback:
-            warnings_list.append(
+            notices.append(
                 f"J_max_hat={j_max_hat} leaves no admissible candidate; falling back to the singleton {{{j_min}}}"
             )
             j = j_min
@@ -535,7 +534,7 @@ def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, 
         exc.candidate, exc.minimum = j, j == j_min
         return None, [exc if isinstance(res, list) else res for res in results]
     return CandidateGrid(mode=mode, j_underbar=j_under, j_max_exp=j_max_exp, hard_cap=hard_cap, j_max_hat=j_max_hat,
-                         j_list=tuple(j_list), shat=shat, fallback=fallback, warnings=tuple(warnings_list)), results
+                         j_list=tuple(j_list), shat=shat, fallback=fallback), results
 
 
 def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
@@ -646,8 +645,9 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
 
     model = null.model if null.custom_design is None else null.custom_design
     outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
-    grid, results = _candidate_pass(n, config.grid, step, visit, outcomes, config.basis_min())
-    return grid, results, [*_clamp_warnings(config, x=x, w=w), *(grid.warnings if grid else ()), *fit_warnings], sample
+    notices = _clamp_warnings(config, x=x, w=w)
+    grid, results = _candidate_pass(n, config.grid, step, visit, outcomes, config.basis_min(), notices)
+    return grid, results, notices + fit_warnings, sample
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
@@ -681,8 +681,11 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConf
     """Apply the level-alpha decision rule to scanned statistics, with alpha = config.alpha.
 
     This is the one verdict rule: the structural and image-space tests, the
-    confidence set and the Monte Carlo runs in `sim` all call it.
+    confidence set and the Monte Carlo runs in `sim` all call it. An
+    image-space report's config names the dyadic grid its scan ran.
     """
+    if statistic == "image-space":
+        config = replace(config, grid="dyadic")
     alpha, size = config.alpha, grid.size
     records = []
     for e in entries:
@@ -774,21 +777,22 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
 def cs_contains(candidate, y, x, w, config: RunConfig | None = None, null: NullSpec | None = None, mu=None):
     """Membership of a hypothesized function in the level-config.alpha L2 confidence set.
 
-    Returns (contained, binding_j, report-like dict). The verdict is the
-    test's own (decide) on a scan whose leave-one-out statistic is taken on
-    the candidate's residuals y - h0 in place of the restricted ones; the
-    binding J is the smallest violated candidate. A candidate violating a
-    cone null is an input error.
+    Returns (contained, binding_j, report-like dict with the scan's
+    warnings). The verdict is the test's own (decide) on a scan whose
+    leave-one-out statistic is taken on the candidate's residuals y - h0 in
+    place of the restricted ones; the binding J is the smallest violated
+    candidate. A candidate violating a cone null is an input error.
     """
     config = RunConfig() if config is None else config
     null = NullSpec(kind="parametric", model="linear") if null is None else null
     h0 = partial(_candidate_on_sample, candidate, config=config, null=null)
-    grid, entries, _, n = _single(_structural_scan([y], x, w, null, config, None, mu, h0=h0), "J", config)
+    grid, entries, notices, n = _single(_structural_scan([y], x, w, null, config, None, mu, h0=h0), "J", config)
     report = decide(grid, entries, n, null, config)
     per_j = [{"J": rec.j, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta, "contained": rec.w_stat <= 1.0}
              for rec in report.per_j]
     binding = report.j_reported if report.reject else None
-    return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j}
+    return not report.reject, binding, {"alpha": config.alpha, "J_list": list(grid.j_list), "per_J": per_j,
+                                        "warnings": notices}
 
 
 @lru_cache(maxsize=64)
@@ -911,8 +915,10 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     # K below the null's parameter count leaves the restricted fit unidentified
     k_min = max(config.basis_min(), z.shape[1])
     outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]
-    grid, results = _candidate_pass(n, "dyadic", _image_space_step(config, designs, n, k_min), visit, outcomes, k_min)
-    return grid, results, [*_clamp_warnings(config, w=w), *(grid.warnings if grid else ())], sample
+    notices = _clamp_warnings(config, w=w)
+    grid, results = _candidate_pass(n, "dyadic", _image_space_step(config, designs, n, k_min), visit, outcomes, k_min,
+                                    notices)
+    return grid, results, notices, sample
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic

@@ -12,7 +12,6 @@ J = m + N.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +97,6 @@ def min_dim(spec) -> int:
     return spec.order if spec.family == "bspline" else 1
 
 
-def _clamp(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    lo, hi = spec.support
-    if np.any((x < lo) | (x > hi)):
-        warnings.warn(
-            f"{int(np.sum((x < lo) | (x > hi)))} evaluation points outside [{lo}, {hi}] were clamped",
-            stacklevel=3,
-        )
-        x = np.clip(x, lo, hi)
-    return x
-
-
 def _knot_count(x: np.ndarray, t: np.ndarray, order: int, equispaced: bool) -> np.ndarray:
     """searchsorted(t[order:nb], x, "right"): the number c of interior knots at or below each x, so that x lies
     in the knot span [t[s], t[s+1]), s = c + order - 1 (the last span is right-closed).
@@ -174,7 +162,7 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     """(n x J) design matrix of the basis (or, for B-splines, its deriv-th derivative) at sample points x.
 
     The design is column-major (Fortran-ordered), so each basis function's column is contiguous. Points
-    outside the support are clamped to it with a warning.
+    outside the support are clamped to it silently: a scan's report counts them (adaptive._clamp_warnings).
     """
     x = np.atleast_1d(_real_floats(x, "x"))
     if x.ndim != 1:
@@ -184,12 +172,13 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     deriv = _number(deriv, "derivative order deriv", 0, integer=True)
     if deriv > 0 and spec.family != "bspline":
         raise InputError(f"derivatives are only available for the B-spline basis, got {spec.family!r}")
-    x = _clamp(spec, x)
+    lo, hi = spec.support
+    if np.any((x < lo) | (x > hi)):  # copied only when a point lies outside
+        x = np.clip(x, lo, hi)
     if spec.family == "bspline":
         if deriv >= spec.order:
             return np.zeros((len(x), spec.dim), order="F")
         return _bspline_design(x, spec.knot_vector(), spec.order, deriv, spec.knot_rule == "equispaced")
-    lo, hi = spec.support
     u = (x - lo) / (hi - lo)
     out = np.empty((len(x), spec.dim), order="F")
     for jj in range(spec.dim):

@@ -269,9 +269,12 @@ def render_report(report, fmt: str) -> str:
         f"W at reported J: {d['W_reported']:.4f}",
         f"p value: {d['p_value']:.4g}  (Bonferroni threshold alpha/#candidates = {d['p_threshold']:.4g})",
     ]
-    if d.get("warnings"):
-        lines.append("warnings: " + "; ".join(d["warnings"]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _warnings_line(d["warnings"])) + "\n"
+
+
+def _warnings_line(notices) -> list[str]:
+    """The one `warnings: ...` line of a text report, or none for a run without notices."""
+    return ["warnings: " + "; ".join(notices)] if notices else []
 
 
 def _emit(text: str, out_path: str | None):
@@ -339,12 +342,13 @@ def _cmd_cs(args) -> int:
         "J_list": detail["J_list"],
         "per_J": detail["per_J"],
         "config": config.to_dict(),
+        "warnings": detail["warnings"],
     }
     if args.format == "text":
         lines = [f"contained in the {100 * (1 - config.alpha):g}% confidence set: {'yes' if contained else 'no'}"]
         if binding is not None:
             lines.append(f"first violated candidate dimension: J = {binding}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines + _warnings_line(detail["warnings"])) + "\n", args.out)
     else:
         _emit(dump_json(payload), args.out)
     return 0
@@ -415,17 +419,17 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _add_common_test_flags(p: argparse.ArgumentParser):
+def _add_common_test_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--alpha", type=float, default=None, help="nominal level (default 0.05)")
     p.add_argument("--null", choices=_SHAPE_KINDS + _MODEL_KINDS, default="decreasing", help="null hypothesis")
     p.add_argument("--basis", choices=tuple(_BASIS_NAMES), default=None, help="sieve family (default bspline2)")
     p.add_argument("--grid", default=None, help="candidate rule: dyadic, knots, or e.g. 3,4,5")
-    p.add_argument("--kfactor", type=int, choices=(2, 4), default=None, help="instrument dimension K = c*J")
+    p.add_argument("--kfactor", type=int, default=None, help="instrument dimension K = c*J, c >= 2 (default 4)")
     p.add_argument("--support", default=None, help="basis support as 'lo,hi' (default 0,1)")
     p.add_argument("--quantile-knots", action="store_true", help="place interior knots at data quantiles")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the adaptive test on CSV data")
     p_test.add_argument("data", help="CSV file with columns y, x (or x1..xd), w (or w1..wdw), optional mu")
-    _add_common_test_flags(p_test)
+    _add_common_test_flags(p_test, ("json", "csv", "text"))
     p_test.set_defaults(func=_cmd_test)
 
     p_cs = sub.add_parser("cs", help="confidence-set membership of a candidate function")
     p_cs.add_argument("data", help="CSV data file")
     p_cs.add_argument("candidate", help="candidate JSON (kind: coeffs | parametric | values)")
-    _add_common_test_flags(p_cs)
+    _add_common_test_flags(p_cs, ("json", "text"))
     p_cs.set_defaults(func=_cmd_cs)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment spec")

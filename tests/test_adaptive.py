@@ -789,12 +789,10 @@ def test_clamped_points_are_reported():
     x, w = data.x * 10.0, data.w - 0.02
     n_x, n_w = int(np.sum(x > 1.0)), int(np.sum(w < 0.0))
     assert n_x > 0 and n_w > 0
-    with pytest.warns(UserWarning):
-        rep = adaptive_test(data.y, x, w, NullSpec.from_name("decreasing"))
+    rep = adaptive_test(data.y, x, w, NullSpec.from_name("decreasing"))
     assert rep.warnings[:2] == (f"{n_x} points of x outside [0.0, 1.0] were clamped",
                                 f"{n_w} points of w outside [0.0, 1.0] were clamped")
-    with pytest.warns(UserWarning):
-        rep = image_space_test(data.y, x, w, "linear")
+    rep = image_space_test(data.y, x, w, "linear")
     assert rep.warnings[0] == f"{n_w} points of w outside [0.0, 1.0] were clamped"
     assert not any("clamped" in msg for msg in adaptive_test(data.y, data.x, data.w,
                                                              NullSpec.from_name("decreasing")).warnings)
@@ -1318,12 +1316,14 @@ def test_image_space_detects_quadratic_alternative():
 
 def test_image_space_scan_runs_its_dyadic_rule_on_an_explicit_grid():
     # the image-space statistic scans K by its own dyadic rule: an explicit grid, even one below the basis minimum,
-    # is neither checked nor read
+    # is neither checked nor read, and the report's config names the rule it ran
     data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
-    explicit = image_space_test(data.y, data.x, data.w, "linear", RunConfig(grid=(1, 2)))
     dyadic = image_space_test(data.y, data.x, data.w, "linear", RunConfig())
-    assert explicit.grid == dyadic.grid and explicit.grid.mode == "dyadic"
-    assert explicit.per_j == dyadic.per_j
+    for grid in ((1, 2), "knots"):
+        report = image_space_test(data.y, data.x, data.w, "linear", RunConfig(grid=grid, k_factor=2))
+        assert report.grid == dyadic.grid and report.grid.mode == "dyadic"
+        assert report.per_j == dyadic.per_j
+        assert report.config == {**dyadic.config, "k_factor": 2} and report.config["grid"] == "dyadic"
 
 
 @pytest.mark.parametrize("run, at", [
@@ -1459,14 +1459,12 @@ def test_a_data_failure_ends_by_the_one_rule(sample, run, expected):
     # a candidate the sample cannot carry stops the stability scan past the scan start, in either scan; at an
     # index J_max_hat keeps it ends the test with an input error that names the candidate, K and n
     y, x, w = sample()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # x = w + noise leaves the support
-        if isinstance(expected, str):
-            with pytest.raises(InputError) as info:
-                run(y, x, w)
-            assert str(info.value) == expected
-            return
-        report = run(y, x, w)
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as info:
+            run(y, x, w)
+        assert str(info.value) == expected
+        return
+    report = run(y, x, w)
     j_list, j_max_hat, stop = expected
     assert (report.grid.j_list, report.grid.j_max_hat, report.warnings[-1]) == (j_list, j_max_hat, stop)
 
@@ -1496,9 +1494,7 @@ def test_quantile_knots_come_from_the_data_inside_the_support(clip):
     x = np.clip(w + 0.1 * gen.normal(size=w.size), 0.0, 1.0)
     y = 1.0 + x + gen.normal(size=w.size)
     config = RunConfig(knot_rule="quantile")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the points beyond the support are clamped
-        reports = [image_space_test(y, x, w, "linear", config), adaptive_test(y, x, w, _LINEAR, config)]
+    reports = [image_space_test(y, x, w, "linear", config), adaptive_test(y, x, w, _LINEAR, config)]
     for report in reports:
         assert len(report.per_j) >= 2 and not any("stability scan stopped" in line for line in report.warnings)
 
@@ -1507,8 +1503,7 @@ def test_quantile_knots_come_from_the_data_inside_the_support(clip):
 def test_structural_scan_on_a_discrete_instrument_needs_k_distinct_values(levels):
     # K = 4 J = 12 instrument columns at the minimum candidate J = 3 exceed the distinct values of w
     y, x, w = _discrete_instrument_sample(levels)
-    with pytest.raises(InputError) as info, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # x = w + noise leaves the support
+    with pytest.raises(InputError) as info:
         adaptive_test(y, x, w, NullSpec.from_name("linear"))
     assert str(info.value) == ("instrument sample too degenerate for the bspline2 basis: the gram B'B of its minimum "
                                "candidate J=3 (K=12 instrument columns) is singular at n=2000 with "
@@ -1918,8 +1913,7 @@ def test_an_instrument_column_is_its_vector():
     y, x, w = _discrete_instrument_sample(3)
     messages = []
     for sample_w in (w, w[:, None]):
-        with pytest.raises(InputError) as info, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # x = w + noise leaves the support
+        with pytest.raises(InputError) as info:
             adaptive_test(y, x, sample_w, NullSpec.from_name("linear"))
         messages.append(str(info.value))
     assert messages[0] == messages[1] and messages[0].endswith("with 3 distinct w value(s)")

@@ -228,8 +228,7 @@ def test_cmd_test_text_report(tmp_path, capsys):
 
 def test_cmd_test_text_report_lists_the_warnings(capsys):
     # engel_style.csv has x and w in [0, 1]; a narrower support clamps some of each
-    with pytest.warns(UserWarning, match="evaluation points outside"):
-        code = run_cli("test", ENGEL, "--null", "decreasing", "--support", "0.1,0.9")
+    code = run_cli("test", ENGEL, "--null", "decreasing", "--support", "0.1,0.9")
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == ("warnings: 87 points of x outside [0.1, 0.9] were clamped; "
                                                         "85 points of w outside [0.1, 0.9] were clamped")
@@ -482,7 +481,7 @@ def test_every_run_config_field_is_reachable():
 
     parser = cli_module.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    samples = {"--alpha": ["0.1"], "--grid": ["3,4", "knots"], "--support": ["-1,2"]}
+    samples = {"--alpha": ["0.1"], "--grid": ["3,4", "knots"], "--kfactor": ["2"], "--support": ["-1,2"]}
     reached = set()
     for command, positional in (("test", [ENGEL]), ("cs", [ENGEL, "candidate.json"])):
         default = cli_module.resolve_config(parser.parse_args([command, *positional]))
@@ -612,14 +611,71 @@ def test_the_scan_contract_gives_one_message_from_every_entry_point(capsys, stat
         assert capsys.readouterr().err == f"input error: {message}\n"
 
 
-def test_cmd_test_and_cs_inside_the_support_write_nothing_to_stderr(tmp_path, checkout_env):
+_CLAMPED = ["87 points of x outside [0.1, 0.9] were clamped", "85 points of w outside [0.1, 0.9] were clamped"]
+_STOPPED = "stability scan stopped at J=3: instrument gram B'B is numerically singular (dim 12)"
+
+
+@pytest.fixture
+def linear_candidate(tmp_path):
+    """A parametric candidate file inside the linear null's confidence set on engel_style.csv."""
     cand = tmp_path / "cand.json"
     cand.write_text(json.dumps({"kind": "parametric", "model": "linear", "theta": [0.0, -0.2]}))
-    for argv in (["test", ENGEL], ["cs", ENGEL, str(cand), "--null", "linear"]):
-        proc = subprocess.run([sys.executable, "-m", "npivtest.cli", *argv], env=checkout_env, capture_output=True,
-                              text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout
+    return str(cand)
+
+
+def test_cmd_test_and_cs_inside_the_support_write_nothing_to_stderr(linear_candidate, checkout_env):
+    # every notice of a run is a line of its report; clamping points to a narrower support prints nothing either
+    for support in ([], ["--support", "0.1,0.9"]):
+        for argv in (["test", ENGEL], ["cs", ENGEL, linear_candidate, "--null", "linear"]):
+            proc = subprocess.run([sys.executable, "-m", "npivtest.cli", *argv, *support, "--format", "json"],
+                                  env=checkout_env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout)["warnings"] == (_CLAMPED if support else [])
+
+
+def test_cmd_cs_reports_the_scans_notices(linear_candidate, capsys):
+    # cs inverts the test, so it carries the notices test gives on the same flags: here the stability scan's stop
+    flags = ["--null", "linear", "--basis", "power"]
+    assert run_cli("test", ENGEL, *flags, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [_STOPPED]
+    assert run_cli("cs", ENGEL, linear_candidate, *flags, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload, "containment.schema.json")
+    assert payload["warnings"] == [_STOPPED]
+
+
+@pytest.mark.parametrize("support, last", [
+    ([], "contained in the 95% confidence set: yes"),
+    (["--support", "0.1,0.9"], "warnings: " + "; ".join(_CLAMPED)),
+], ids=["no-notices", "clamped"])
+def test_cmd_cs_text_lists_the_warnings_as_test_does(linear_candidate, capsys, support, last):
+    assert run_cli("cs", ENGEL, linear_candidate, "--null", "linear", *support) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == last
+    assert ("warnings:" in out) == bool(support)
+
+
+def test_cmd_cs_takes_json_or_text_only(linear_candidate, capsys):
+    # cs writes one containment report, which has no per-candidate CSV table; test keeps all three formats
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cs", ENGEL, linear_candidate, "--null", "linear", "--format", "csv")
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert run_cli("test", ENGEL, "--format", "csv") == 0
+
+
+@pytest.mark.parametrize("command", ["test", "cs"])
+def test_kfactor_flag_follows_the_run_config_rule(tmp_path, linear_candidate, capsys, command):
+    # --kfactor takes what a config file's k_factor takes: any integer >= 2
+    argv = [command, ENGEL, *([linear_candidate] if command == "cs" else []), "--null", "linear", "--format", "json"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_factor": 3}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    by_file = json.loads(capsys.readouterr().out)
+    assert run_cli(*argv, "--kfactor", "3") == 0
+    assert json.loads(capsys.readouterr().out) == by_file and by_file["config"]["k_factor"] == 3
+    assert run_cli(*argv, "--kfactor", "1") == 2
+    assert capsys.readouterr().err == "input error: k_factor must be an integer >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("name, order", [("bspline2", 3), ("bspline3", 4)])
