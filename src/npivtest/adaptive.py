@@ -28,7 +28,7 @@ from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, d
 from .errors import (InputError, NumericalError, SingularGramError, SingularRegressorGramError, _columns, _indices,
                      _interval, _number, _real_floats)
 from .linalg import _lapack, frobenius_norm, orthonormal_range
-from .npiv import _weights, fit_from_design, fit_restricted_cone, fit_restricted_parametric, parametric_design
+from .npiv import _Cone, _unit_rows, _weights, fit_from_design, fit_restricted_parametric, parametric_design
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -579,9 +579,9 @@ def _vhat_scaling(s: np.ndarray, u: np.ndarray) -> float:
 
 
 def gamma_hat(m: ConstraintMatrix, active_set) -> int:
-    """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows, at least 1."""
-    active_set = _indices(active_set, "active_set", m.rows.shape[0])
-    return max(1, int(_lapack(np.linalg.matrix_rank, m.rows[active_set]))) if active_set.size else 1
+    """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows at unit norm, at least 1."""
+    active = _unit_rows(m.rows[_indices(active_set, "active_set", m.rows.shape[0])])
+    return max(1, int(_lapack(np.linalg.matrix_rank, active))) if active.size else 1
 
 
 def eta_hat(alpha: float, grid_size: int, gamma: int, center: int | None = None) -> float:
@@ -639,9 +639,10 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
         try:
             rows = null.constraints(psi_spec) if null.kind == "shape" else None
+            cone = None if rows is None else _Cone(rows.rows, fit.gram_weighted, fit.l_inv_t)
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
-        return j, s_hat, psi, fit, rows
+        return j, s_hat, psi, fit, rows, cone
 
     model = null.model if null.custom_design is None else null.custom_design
     outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
@@ -654,26 +655,27 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
 def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
     """The part of a structural candidate that reads y: beta, u = y - Psi beta, the restricted fit (the cone of a
     shape null's rows, else the 2SLS of model on U_B), v_J on u and D_J on the restricted residuals, or on y - h0
-    when h0 is given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows); a parametric null's rows are None."""
-    j, s_hat, psi, fit, rows = factor
+    when h0 is given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows, cone), a shape null's rows and their
+    cone factor, built once per candidate from the fit's own factor of Psi' Omega Psi; a parametric null's are None."""
+    j, s_hat, psi, fit, rows, cone = factor
     beta = fit.coefficients(y)
     u = y - psi @ beta
     try:
-        if rows is not None:
-            rfit = fit_restricted_cone(fit, rows, beta, psi, y)
-            gamma = gamma_hat(rows, rfit.active_set)
+        if cone is not None:
+            beta_r, active = cone.project(beta)
+            restricted, gamma = y - psi @ beta_r, gamma_hat(rows, active)
         else:
             rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r)
-            gamma = j
+            restricted, active, gamma = rfit.residuals_r, rfit.active_set, j
         s = fit.scaled_map  # formed fresh for this outcome, so v_J may scale it once D_J has read it
-        r = rfit.residuals_r if h0 is None else y - h0
+        r = restricted if h0 is None else y - h0
         d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
         v_stat = 0.0 if _numerically_zero(u, y) else _vhat_scaling(s, u)
     except (InputError, NumericalError) as exc:
         raise type(exc)(f"candidate J={j}: {exc}") from exc
     _check_underflow(f"J={j}", y, D=(d_stat, r), v=(v_stat, u))
     return _ScanEntry(j=j, k=fit.r.shape[1], d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
-                      n_active=len(rfit.active_set), center=gamma)
+                      n_active=len(active), center=gamma)
 
 
 def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConfig,

@@ -11,13 +11,15 @@ least-squares coefficients beta = C y of one outcome vector.
 
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
-    exactly, by non-negative least squares on the dual (polar) cone;
+    exactly, by non-negative least squares on the dual (polar) cone of M's
+    unit rows, whitened by the fit's own L^{-T}; a KKT check certifies it;
   * parametric: plain 2SLS of a finite-dimensional design on the instrument
     sieve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,12 +125,6 @@ def fit_from_design(psi, b, mu=None) -> NpivFit:
                    if m_svals[-1] <= rcond * m_svals[0] else [])  # a warning exactly where pinv cut
 
 
-def _active_rows(m_rows: np.ndarray, beta: np.ndarray, scale: float) -> np.ndarray:
-    """Rows with |m_i beta| <= ACTIVE_TOL * scale * |m_i|, where scale is the norm of the point being projected."""
-    tol = ACTIVE_TOL * scale * np.linalg.norm(m_rows, axis=1)
-    return np.flatnonzero(np.abs(m_rows @ beta) <= tol)
-
-
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Lawson-Hanson: the x >= 0 minimising |a x - b|, or None past the iteration cap.
 
@@ -169,16 +165,47 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def cone_project(v, g, m):
-    """Projection of v onto {beta : M beta <= 0} in the metric induced by SPD g.
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)  # a zero row stays zero
 
-    Returns (beta, active_set) where active_set indexes the constraint rows
-    holding with equality at the solution. With g = L L', Moreau's
-    decomposition gives beta = v - g^{-1} M' lam, where lam >= 0 is the
-    non-negative least-squares solution of |L^{-1} M' lam - L' v| (the
-    projection onto the polar cone). Every tolerance is relative to |v|, so
-    cone_project(c v) = c cone_project(v) for c > 0.
-    """
+
+class _Cone:
+    """The y-free half of a projection onto {beta : M beta <= 0} in the metric g = T^{-T} T^{-1}, T = t: M's rows
+    at unit norm M^, the whitened rows A = T'M^', T and T'g. The structural scan passes its fit's own l_inv_t."""
+
+    def __init__(self, rows: np.ndarray, g: np.ndarray, t: np.ndarray):
+        if rows.shape[1] != t.shape[0]:
+            raise InputError(f"constraint matrix has dim {rows.shape[1]}, fit has J={t.shape[0]}")
+        self.unit = _unit_rows(rows)
+        self.a, self.t, self.tg = t.T @ self.unit.T, t, t.T @ g
+
+    def project(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(beta, active_set): beta = v - T A lam, lam >= 0 minimising |A lam - T'g v| (Moreau's decomposition in
+        z = T^{-1} beta). The NNLS takes v / |v|, so every tolerance is relative to |v| and no square under- or
+        overflows; a row is active where |M^_i beta| <= ACTIVE_TOL |v|. Stationarity holds by construction."""
+        scale = math.hypot(*v)
+        slack = self.unit @ v
+        if np.all(slack <= ACTIVE_TOL * scale):
+            return v.copy(), np.flatnonzero(np.abs(slack) <= ACTIVE_TOL * scale)
+        u, (j, p) = v / scale, self.a.shape
+        lam = _nnls(self.a, self.tg @ u)
+        if lam is None:
+            raise NumericalError(f"cone projection did not converge (J={j}, rows={p})")
+        beta = u - self.t @ (self.a @ lam)
+        slack = self.unit @ beta
+        active = np.abs(slack) <= ACTIVE_TOL
+        # primal and dual feasibility, and complementary slackness: a positive multiplier only on an active row
+        if np.any(slack > ACTIVE_TOL) or np.any(lam < 0.0) or np.any((lam > 0.0) & ~active):
+            raise NumericalError(f"cone projection failed its KKT check (J={j}, rows={p})")
+        return scale * beta, np.flatnonzero(active)
+
+
+def cone_project(v, g, m):
+    """Projection of v onto {beta : M beta <= 0} in the metric induced by SPD g: (beta, active_set), active_set
+    indexing the rows that hold with equality. One eigh, g = V diag(lam) V', gives T = V diag(lam)^{-1/2}, and _Cone
+    does the rest, as the structural scan does with its fit's own factor. Scaling v by c > 0 scales beta by c; a
+    positive row scale changes neither beta nor the active set."""
     v, g = _columns(v, "v", 1), _real_floats(g, "metric g")
     rows = (m if isinstance(m, ConstraintMatrix) else ConstraintMatrix(m, "custom")).rows
     j = v.shape[0]
@@ -186,32 +213,23 @@ def cone_project(v, g, m):
         raise InputError(f"metric g must be {j}x{j}, got {g.shape}")
     if rows.shape[1] != j:
         raise InputError(f"constraint rows have {rows.shape[1]} columns, expected {j}")
-    try:
-        chol = np.linalg.cholesky(0.5 * (g + g.T))
-    except np.linalg.LinAlgError as exc:
-        raise InputError("metric matrix must be symmetric positive definite") from exc
-
-    scale = float(np.linalg.norm(v))
-    if np.all(rows @ v <= ACTIVE_TOL * scale * np.linalg.norm(rows, axis=1)):
-        return v.copy(), _active_rows(rows, v, scale)
-    a = _lapack(np.linalg.solve, chol, rows.T)
-    lam = _nnls(a, chol.T @ v)
-    if lam is None:
-        raise NumericalError(f"cone projection did not converge (J={j}, rows={rows.shape[0]})")
-    beta = v - _lapack(np.linalg.solve, chol.T, a @ lam)
-    return beta, _active_rows(rows, beta, scale)
+    g = 0.5 * (g + g.T)
+    lam, vecs = _lapack(np.linalg.eigh, g)
+    if not lam[0] > 0.0:  # a NaN too
+        raise InputError("metric matrix must be symmetric positive definite")
+    return _Cone(rows, g, vecs / np.sqrt(lam)).project(v)
 
 
 def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> RestrictedFit:
     """Project coefficients beta of outcome y onto the constraint cone in fit's weighted-gram norm."""
-    j_dim = fit.gram_weighted.shape[0]
-    if m.dim != j_dim:
-        raise InputError(f"constraint matrix has dim {m.dim}, fit has J={j_dim}")
+    cone = _Cone(m.rows, fit.gram_weighted, fit.l_inv_t)
     beta, y = _columns(beta, "beta", 1), _columns(y, "y", 1)
     psi = _columns(psi, "regressor design Psi", matrix=True)
-    if psi.shape != (y.shape[0], j_dim):
-        raise InputError(f"regressor design Psi must have shape ({y.shape[0]}, {j_dim}), got {psi.shape}")
-    beta_r, active = cone_project(beta, fit.gram_weighted, m)
+    if beta.shape != (m.dim,):
+        raise InputError(f"beta must have shape ({m.dim},), got {beta.shape}")
+    if psi.shape != (y.shape[0], m.dim):
+        raise InputError(f"regressor design Psi must have shape ({y.shape[0]}, {m.dim}), got {psi.shape}")
+    beta_r, active = cone.project(beta)
     fitted_r = psi @ beta_r
     return RestrictedFit(beta_r=beta_r, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=active)
 

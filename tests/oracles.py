@@ -17,9 +17,9 @@ import numpy as np
 
 from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
-from npivtest.errors import InputError, NumericalError, SingularGramError, _columns
+from npivtest.errors import InputError, NumericalError, SingularGramError, _columns, _real_floats
 from npivtest.linalg import GRAM_FLOOR, _lapack, default_rcond, frobenius_norm, pinv
-from npivtest.npiv import _weights
+from npivtest.npiv import ACTIVE_TOL, _nnls, _weights
 from npivtest.randdist import CovarianceSpec, mvn_sample, std_normal_cdf
 
 _MAX_GAMMA_ITER = 500
@@ -244,6 +244,48 @@ def cone_project_enumerate(v: np.ndarray, g: np.ndarray, m: np.ndarray):
             if obj < best_obj - 1e-14:
                 best_obj, best_beta = obj, beta
     return best_beta
+
+
+def _active_rows(m_rows: np.ndarray, beta: np.ndarray, scale: float) -> np.ndarray:
+    """Rows with |m_i beta| <= ACTIVE_TOL * scale * |m_i|, where scale is the norm of the point being projected."""
+    tol = ACTIVE_TOL * scale * np.linalg.norm(m_rows, axis=1)
+    return np.flatnonzero(np.abs(m_rows @ beta) <= tol)
+
+
+def cone_project_cholesky(v, g, m):
+    """Projection of v onto {beta : M beta <= 0} in the metric induced by SPD g.
+
+    The production projection up to the cone factor (one eigh per metric, unit rows and a KKT certificate), kept
+    verbatim: it factors g by Cholesky per call and takes the NNLS on the raw rows.
+
+    Returns (beta, active_set) where active_set indexes the constraint rows
+    holding with equality at the solution. With g = L L', Moreau's
+    decomposition gives beta = v - g^{-1} M' lam, where lam >= 0 is the
+    non-negative least-squares solution of |L^{-1} M' lam - L' v| (the
+    projection onto the polar cone). Every tolerance is relative to |v|, so
+    cone_project(c v) = c cone_project(v) for c > 0.
+    """
+    v, g = _columns(v, "v", 1), _real_floats(g, "metric g")
+    rows = (m if isinstance(m, ConstraintMatrix) else ConstraintMatrix(m, "custom")).rows
+    j = v.shape[0]
+    if g.shape != (j, j):
+        raise InputError(f"metric g must be {j}x{j}, got {g.shape}")
+    if rows.shape[1] != j:
+        raise InputError(f"constraint rows have {rows.shape[1]} columns, expected {j}")
+    try:
+        chol = np.linalg.cholesky(0.5 * (g + g.T))
+    except np.linalg.LinAlgError as exc:
+        raise InputError("metric matrix must be symmetric positive definite") from exc
+
+    scale = float(np.linalg.norm(v))
+    if np.all(rows @ v <= ACTIVE_TOL * scale * np.linalg.norm(rows, axis=1)):
+        return v.copy(), _active_rows(rows, v, scale)
+    a = _lapack(np.linalg.solve, chol, rows.T)
+    lam = _nnls(a, chol.T @ v)
+    if lam is None:
+        raise NumericalError(f"cone projection did not converge (J={j}, rows={rows.shape[0]})")
+    beta = v - _lapack(np.linalg.solve, chol.T, a @ lam)
+    return beta, _active_rows(rows, beta, scale)
 
 
 def dykstra_project(v: np.ndarray, g: np.ndarray, m: np.ndarray, iters: int = 5000):

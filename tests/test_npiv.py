@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import npivtest.npiv as npiv_module
-from npivtest.basis import BasisSpec, deriv_constraints, eval_design
+from npivtest.adaptive import gamma_hat
+from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design
 from npivtest.dgp import DesignConfig, HSpec, generate
 from npivtest.errors import InputError, NumericalError, SingularGramError, SingularRegressorGramError
 from npivtest.linalg import orthonormal_range
@@ -403,6 +404,63 @@ def test_cone_project_shape_guards():
         cone_project(np.ones(2), -np.eye(2), np.ones((1, 2)))
 
 
+def test_cone_project_on_rows_of_every_scale_matches_enumeration():
+    # rows scaled by 10^U(-8, 8): the NNLS on the raw rows left 85 of these 2 000 projections off the projection
+    # and 76 outside the cone; unit rows give the same cone, and the oracle takes them
+    gen = np.random.default_rng(0)
+    wrong = infeasible = 0
+    for _ in range(2000):
+        j, k = int(gen.integers(2, 7)), int(gen.integers(2, 9))
+        rows = gen.standard_normal((k, j)) * 10.0 ** gen.uniform(-8.0, 8.0, size=(k, 1))
+        v = gen.standard_normal(j)
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        beta, _ = cone_project(v, np.eye(j), rows)
+        wrong += np.linalg.norm(beta - cone_project_enumerate(v, np.eye(j), unit)) > 1e-6
+        infeasible += np.max(unit @ beta) > 1e-6
+    assert (wrong, infeasible) == (0, 0)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_a_positive_row_scale_leaves_the_projection_the_active_set_and_gamma(seed):
+    gen = np.random.default_rng(seed)
+    j = int(gen.integers(2, 7))
+    g = random_spd(gen, j)
+    rows = gen.standard_normal((int(gen.integers(1, j + 2)), j))
+    v = gen.standard_normal(j) * 10.0 ** gen.uniform(-3, 3)
+    scaled = rows * 10.0 ** gen.uniform(-8.0, 8.0, size=(rows.shape[0], 1))
+    beta, active = cone_project(v, g, rows)
+    beta_s, active_s = cone_project(v, g, scaled)
+    assert np.linalg.norm(beta_s - beta) <= 1e-10 * np.linalg.norm(v)  # beta may be the origin, up to rounding
+    np.testing.assert_array_equal(active_s, active)
+    assert gamma_hat(ConstraintMatrix(scaled, "custom"), active) == gamma_hat(ConstraintMatrix(rows, "custom"), active)
+
+
+@pytest.mark.parametrize("rows, v, lam", [
+    ([[1.0, 0.0]], [1.0, 2.0], [0.5]),  # beta = (0.5, 2) leaves the cone
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0], [1.0, -0.5]),  # a negative multiplier
+    ([[1.0, 0.0]], [1.0, 2.0], [3.0]),  # beta = (-2, 2): a positive multiplier on a slack row
+], ids=["primal", "dual", "complementary"])
+def test_a_projection_that_fails_its_kkt_check_is_a_numerical_error(monkeypatch, rows, v, lam):
+    # the multipliers are those of v / |v|, so an NNLS answer is taken in those units
+    monkeypatch.setattr(npiv_module, "_nnls", lambda a, b: np.array(lam) / np.linalg.norm(v))
+    with pytest.raises(NumericalError) as info:
+        cone_project(np.array(v), np.eye(2), np.array(rows))
+    assert str(info.value) == f"cone projection failed its KKT check (J=2, rows={len(rows)})"
+
+
+@pytest.mark.parametrize("v", [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+def test_a_zero_row_is_vacuous_and_always_active(v):
+    # the zero row stays zero at unit norm: beta and gamma are those without it, and the row is active
+    rows = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    beta, active = cone_project(np.array(v), np.eye(3), rows)
+    beta_without, active_without = cone_project(np.array(v), np.eye(3), rows[[0, 2]])
+    np.testing.assert_array_equal(beta, beta_without)
+    np.testing.assert_array_equal(active, sorted([1, *(2 * active_without)]))
+    m, m_without = ConstraintMatrix(rows, "custom"), ConstraintMatrix(rows[[0, 2]], "custom")
+    assert gamma_hat(m, active) == gamma_hat(m_without, active_without)
+
+
 def test_cone_project_nonconvergence_names_the_problem(monkeypatch):
     monkeypatch.setattr(npiv_module, "_nnls", lambda a, b: None)
     with pytest.raises(NumericalError, match=r"J=2, rows=1"):
@@ -556,6 +614,13 @@ def test_restricted_cone_needs_one_psi_row_per_outcome_and_one_column_per_coeffi
     assert str(info.value) == f"regressor design Psi must have shape (120, 4), got {psi[rows, columns].shape}"
 
 
+def test_restricted_cone_needs_one_coefficient_per_constraint_column(rng):
+    fit, psi, y, beta, m = _design_fit(rng)
+    with pytest.raises(InputError) as info:
+        fit_restricted_cone(fit, m, beta[:-1], psi, y)
+    assert str(info.value) == "beta must have shape (4,), got (3,)"
+
+
 def _rounding_exit(a, b):
     """_nnls(a, b), and whether it left by its rounding exit: a zero column that still gains, which its KKT exit
     never leaves."""
@@ -565,8 +630,9 @@ def _rounding_exit(a, b):
 
 
 def test_cone_projection_through_the_nnls_rounding_exit():
-    # rows scaled by 10^U(-4, 4) leave a few percent of the projections at a column whose gain passes the
-    # tolerance but whose least-squares step is not positive; the x they stop at is still the projection
+    # rows scaled by 10^U(-4, 4) leave a few percent of the NNLS on the raw rows at a column whose gain passes
+    # the tolerance but whose least-squares step is not positive; cone_project, whose NNLS takes unit rows,
+    # still returns the projection on every such draw
     gen = np.random.default_rng(0)
     exits = 0
     for _ in range(500):
@@ -576,7 +642,7 @@ def test_cone_projection_through_the_nnls_rounding_exit():
         if np.all(rows @ v <= npiv_module.ACTIVE_TOL * np.linalg.norm(v) * np.linalg.norm(rows, axis=1)):
             continue  # v is in the cone: no NNLS
         beta, _ = cone_project(v, np.eye(j), rows)
-        _, rounding = _rounding_exit(rows.T, v)  # with g = I, cone_project's NNLS is that of (rows', v)
+        _, rounding = _rounding_exit(rows.T, v)
         if rounding:
             exits += 1
             # the oracle's feasibility tolerance is not per row, so it takes unit rows (the same cone)

@@ -453,6 +453,27 @@ def test_t1_builds_each_psi_once_per_k_factor_pass_and_its_rows_once(monkeypatch
     assert len(out["summaries"]["k2"].cells) == len(out["summaries"]["k4"].cells) == 3
 
 
+def test_a_t1_pass_builds_one_cone_factor_per_candidate_for_its_three_outcomes(monkeypatch):
+    # T1's 3 c0 tasks of one K factor share a pass: each candidate's visit builds its cone factor once, from the
+    # fit's own factor of Psi'Omega Psi, and each of the pass's 3 outcomes projects through it
+    factors, projections = [], Counter()
+    cone, project = adaptive_module._Cone, npiv_module._Cone.project
+
+    def recording_cone(*args):
+        factors.append(cone(*args))
+        return factors[-1]
+
+    def recording_project(factor, v):
+        projections[id(factor)] += 1
+        return project(factor, v)
+
+    monkeypatch.setattr(adaptive_module, "_Cone", recording_cone)
+    monkeypatch.setattr(npiv_module._Cone, "project", recording_project)
+    reproduce("T1", replications=2, seed=3, n_values=(500,), xi_values=(0.7,))
+    assert len(factors) >= 4  # 2 replications x 2 K-factor passes, each with at least one candidate
+    assert set(projections) == {id(factor) for factor in factors} and set(projections.values()) == {3}
+
+
 def test_an_f1_group_builds_each_fit_once_per_stepped_j(monkeypatch):
     # F1's 6 c_a x 3 c_b cells of one xi share each draw and one pass, as do its 3 boundary-null runs: per
     # draw each stepped J's fit is built once, and every cell of the pass computes its outcome on it
