@@ -23,12 +23,13 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .basis import (_KNOT_RULES, BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design,
-                    min_dim, zeta)
-from .errors import (InputError, NumericalError, SingularGramError, SingularRegressorGramError, _columns, _indices,
-                     _interval, _number, _real_floats)
+from .basis import (_KNOT_RULES, _SHAPE_KINDS, _SHAPES, BasisSpec, ConstraintMatrix, _tensor_product,
+                    deriv_constraints, eval_design, min_dim, zeta)
+from .errors import (InputError, NumericalError, SingularGramError, SingularRegressorGramError, _choice, _columns,
+                     _indices, _instance, _interval, _number, _real_floats, _sequence)
 from .linalg import _lapack, frobenius_norm, orthonormal_range
-from .npiv import _Cone, _unit_rows, _weights, fit_from_design, fit_restricted_parametric, parametric_design
+from .npiv import (_MODEL_KINDS, ACTIVE_TOL, _Cone, _unit_rows, _weights, fit_from_design, fit_restricted_parametric,
+                   parametric_design)
 from .randdist import chisq_quantile, chisq_sf
 
 __all__ = [
@@ -49,8 +50,10 @@ __all__ = [
     "image_space_test",
 ]
 
-_SHAPE_KINDS = ("decreasing", "increasing", "convex", "concave")
-_MODEL_KINDS = ("linear", "quadratic")
+_NULLS = _SHAPE_KINDS + _MODEL_KINDS  # the nulls a name gives (NullSpec.from_name)
+_NULL_KINDS = ("shape", "parametric")
+_GRID_MODES = ("dyadic", "knots")  # the candidate rules besides an explicit list
+_STATISTICS = ("structural", "image-space")
 _TINY = np.finfo(float).tiny  # smallest normal float
 _MIN_N = 20  # observations of the smallest sample a scan takes
 _BASIS_NAMES = {
@@ -59,6 +62,7 @@ _BASIS_NAMES = {
     "cosine": ("cosine", 0),
     "power": ("power", 0),
 }
+_BASES = tuple(_BASIS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -72,24 +76,27 @@ class NullSpec:
     custom_design: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind == "shape":
-            if self.shape not in _SHAPE_KINDS and self.custom_rows is None:
-                raise InputError(f"shape null needs shape in {_SHAPE_KINDS} or custom rows, got {self.shape!r}")
-        elif self.kind == "parametric":
-            if self.model not in _MODEL_KINDS and self.custom_design is None:
-                raise InputError(f"parametric null needs model in {_MODEL_KINDS} or a custom design")
-            if self.custom_design is not None:  # checked once, here, for every scan of this null
-                object.__setattr__(self, "custom_design", _columns(self.custom_design, "custom design"))
-        else:
-            raise InputError(f"null kind must be 'shape' or 'parametric', got {self.kind!r}")
+        """A shape null without custom rows names a built-in shape, and a parametric null without a custom design
+        a named model; a shape or model the null does not use is, where given, a label."""
+        _choice(self.kind, "null kind", _NULL_KINDS)
+        if self.custom_rows is not None:
+            _instance(self.custom_rows, Callable, "custom_rows")
+        if self.custom_design is not None:  # checked once, here, for every scan of this null
+            object.__setattr__(self, "custom_design", _columns(self.custom_design, "custom design"))
+        if self.kind == "shape" and self.custom_rows is None:
+            _choice(self.shape, "shape", _SHAPE_KINDS)
+        elif self.shape is not None:
+            _instance(self.shape, str, "shape")
+        if self.kind == "parametric" and self.custom_design is None:
+            _choice(self.model, "model", _MODEL_KINDS)
+        elif self.model is not None:
+            _instance(self.model, str, "model")
 
     @staticmethod
     def from_name(name: str) -> "NullSpec":
-        if name in _SHAPE_KINDS:
+        if _choice(name, "null", _NULLS) in _SHAPE_KINDS:
             return NullSpec(kind="shape", shape=name)
-        if name in _MODEL_KINDS:
-            return NullSpec(kind="parametric", model=name)
-        raise InputError(f"unknown null {name!r}; expected one of {_SHAPE_KINDS + _MODEL_KINDS}")
+        return NullSpec(kind="parametric", model=name)
 
     def describe(self) -> str:
         if self.kind == "shape":
@@ -100,10 +107,7 @@ class NullSpec:
         if self.kind != "shape":
             raise InputError("constraints are only defined for shape nulls")
         if self.custom_rows is not None:
-            rows = self.custom_rows(spec)
-            if not isinstance(rows, ConstraintMatrix):
-                raise InputError(f"custom_rows must return a ConstraintMatrix, got {type(rows).__name__}")
-            return rows
+            return _instance(self.custom_rows(spec), ConstraintMatrix, "custom_rows(spec)")
         if spec.knot_rule != "equispaced":  # a quantile spec's hash leaves out its knot data
             return deriv_constraints(spec, self.shape)
         return _equispaced_constraints(spec, self.shape)
@@ -137,18 +141,12 @@ class RunConfig:
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", 0, 1))
         object.__setattr__(self, "k_factor", _number(self.k_factor, "k_factor", 2, integer=True))
         object.__setattr__(self, "support", _interval(self.support, "support"))
-        if not isinstance(self.basis, str) or self.basis not in _BASIS_NAMES:
-            raise InputError(f"unknown basis {self.basis!r}; expected one of {sorted(_BASIS_NAMES)}")
-        if self.knot_rule not in _KNOT_RULES:
-            raise InputError(f"unknown knot rule {self.knot_rule!r}")
+        _choice(self.basis, "basis", _BASES), _choice(self.knot_rule, "knot rule", _KNOT_RULES)
         if isinstance(self.grid, str):
-            if self.grid not in ("dyadic", "knots"):
-                raise InputError(f"grid mode must be 'dyadic', 'knots', or an explicit list, got {self.grid!r}")
-        elif isinstance(self.grid, (tuple, list)) and self.grid:
-            object.__setattr__(self, "grid", tuple(sorted({_number(j, "explicit grid entry", 1, integer=True)
-                                                           for j in self.grid})))
+            _choice(self.grid, "grid mode", _GRID_MODES)
         else:
-            raise InputError(f"explicit grid must be a non-empty list of dims, got {self.grid!r}")
+            object.__setattr__(self, "grid", tuple(sorted({_number(j, "explicit grid entry", 1, integer=True)
+                                                           for j in _sequence(self.grid, "explicit grid")})))
 
     @property
     def family(self) -> str:
@@ -219,9 +217,8 @@ def _from_fields(cls, d: dict, what: str):
     version = d.pop("schema_version", 1)
     if version != 1:
         raise InputError(f"unsupported {what} schema version {version}")
-    unknown = set(d) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in d:
+        _choice(key, f"{what} key", tuple(cls.__dataclass_fields__))
     return cls(**d)
 
 
@@ -580,7 +577,8 @@ def _vhat_scaling(s: np.ndarray, u: np.ndarray) -> float:
 
 def gamma_hat(m: ConstraintMatrix, active_set) -> int:
     """Chi-square degrees of freedom of a cone null: the rank of the active constraint rows at unit norm, at least 1."""
-    active = _unit_rows(m.rows[_indices(active_set, "active_set", m.rows.shape[0])])
+    rows = _instance(m, ConstraintMatrix, "m").rows
+    active = _unit_rows(rows[_indices(active_set, "active_set", rows.shape[0])])
     return max(1, int(_lapack(np.linalg.matrix_rank, active))) if active.size else 1
 
 
@@ -620,6 +618,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     """adaptive_scan of every outcome in ys on one y-free pass: (grid, results, warnings, sample), results as
     _candidate_pass gives them and sample as _checked_data does, with D_J taken on y - h0(x) at the checked x
     instead of the restricted residuals when h0 is given. designs is the sample's _Designs; None builds one."""
+    null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")  # before the sample
     ys, x, w, mu, n = sample = _checked_data(ys, x, w, mu)
     h0 = None if h0 is None else h0(x)
     if x.ndim != 1:
@@ -686,7 +685,11 @@ def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConf
     confidence set and the Monte Carlo runs in `sim` all call it. An
     image-space report's config names the dyadic grid its scan ran.
     """
-    if statistic == "image-space":
+    grid = _instance(grid, CandidateGrid, "grid")
+    entries = _sequence(entries, "entries", grid.size)  # one per candidate
+    n, warnings = _number(n, "n", _MIN_N, integer=True), _instance(warnings, (list, tuple), "warnings")
+    null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")
+    if _choice(statistic, "statistic", _STATISTICS) == "image-space":
         config = replace(config, grid="dyadic")
     alpha, size = config.alpha, grid.size
     records = []
@@ -744,26 +747,22 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
     """Fitted values of the hypothesized function at the checked sample x, plus a cone feasibility check."""
     if callable(candidate):
         values = _real_floats(candidate(x), "candidate function values")
-        if null.kind == "shape" and null.shape in _SHAPE_KINDS:
+        if null.kind == "shape" and null.shape in _SHAPES:  # a built-in shape: its derivative's sign, by differences
             f = _real_floats(candidate(np.linspace(*config.support, 1001)), "candidate function values")
             if f.shape != (1001,):
                 raise InputError(f"candidate function must return one value per point, got shape {f.shape} on "
                                  "1001 grid points")
-            scale = 1e-8 * float(np.max(np.abs(f)))
-            diffs = np.diff(f) if null.shape in ("decreasing", "increasing") else np.diff(f, 2)
-            sign = 1.0 if null.shape in ("decreasing", "concave") else -1.0
-            if np.any(sign * diffs > scale):
+            deriv, sign = _SHAPES[null.shape]
+            if np.any(sign * np.diff(f, deriv) > 1e-8 * float(np.max(np.abs(f)))):
                 raise InputError(f"candidate function violates the {null.shape} restriction")
     elif isinstance(candidate, tuple) and len(candidate) == 2:
-        coeffs, spec = candidate
-        coeffs = _real_floats(coeffs, "candidate coefficients")
+        spec = _instance(candidate[1], BasisSpec, "candidate spec")
+        coeffs = _real_floats(candidate[0], "candidate coefficients")
         if coeffs.shape != (spec.dim,):
             raise InputError(f"candidate coefficients must have shape ({spec.dim},), got {coeffs.shape}")
-        if null.kind == "shape":
+        if null.kind == "shape":  # the cone's own rule: the rows at unit norm, ACTIVE_TOL |c|
             m = null.constraints(spec)
-            slack = m.rows @ coeffs
-            tol = 1e-8 * np.linalg.norm(coeffs) * np.linalg.norm(m.rows, axis=1)
-            if np.any(slack > tol):
+            if np.any(_unit_rows(m.rows) @ coeffs > ACTIVE_TOL * math.hypot(*coeffs)):
                 raise InputError(f"candidate coefficients violate the {m.kind} cone restriction")
         values = eval_design(spec, x) @ coeffs
     else:
@@ -901,6 +900,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
 def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Designs | None):
     """image_space_scan of every outcome in ys on one y-free pass: (grid, results, warnings, sample), results as
     _candidate_pass gives them, sample as _checked_data does. designs is the sample's _Designs; None builds one."""
+    null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")
     _check_test("image-space", null, config)
     ys, x, w, _, n = sample = _checked_data(ys, x, w, None)
     model = null.model if null.custom_design is None else null.custom_design

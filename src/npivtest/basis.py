@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TiedKnotsError, _columns, _interval, _number, _real_floats
+from .errors import (InputError, TiedKnotsError, _choice, _columns, _instance, _interval, _number, _real_floats,
+                     _sequence)
 
 __all__ = [
     "BasisSpec",
@@ -29,7 +30,10 @@ __all__ = [
 ]
 
 _FAMILIES = ("bspline", "cosine", "power")
-_CONSTRAINT_KINDS = ("decreasing", "increasing", "convex", "concave", "custom")
+# each built-in shape: the derivative it constrains and the sign s of the rows, s * derivative <= 0 under the null
+_SHAPES = {"decreasing": (1, 1.0), "increasing": (1, -1.0), "convex": (2, -1.0), "concave": (2, 1.0)}
+_SHAPE_KINDS = tuple(_SHAPES)
+_CONSTRAINT_KINDS = (*_SHAPE_KINDS, "custom")
 _KNOT_RULES = ("equispaced", "quantile")
 
 
@@ -50,15 +54,12 @@ class BasisSpec:
     knot_data: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InputError(f"unknown basis family {self.family!r}; expected one of {_FAMILIES}")
+        _choice(self.family, "basis family", _FAMILIES)
         object.__setattr__(self, "support", _interval(self.support, "support"))
         object.__setattr__(self, "order", _number(self.order, "order", 2 if self.family == "bspline" else None,
                                                   integer=True))
         object.__setattr__(self, "dim", _number(self.dim, f"{self.family} basis dim", min_dim(self), integer=True))
-        if self.knot_rule not in _KNOT_RULES:
-            raise InputError(f"unknown knot rule {self.knot_rule!r}")
-        if self.knot_rule == "quantile" and self.knot_data is None:
+        if _choice(self.knot_rule, "knot rule", _KNOT_RULES) == "quantile" and self.knot_data is None:
             raise InputError("quantile knot rule requires knot_data")
         if self.knot_data is not None:
             object.__setattr__(self, "knot_data", _columns(self.knot_data, "knot_data", 1))
@@ -94,7 +95,7 @@ class BasisSpec:
 def min_dim(spec) -> int:
     """Smallest admissible dimension of a basis; spec is anything with family and order
     (a BasisSpec, or a RunConfig before any spec exists)."""
-    return spec.order if spec.family == "bspline" else 1
+    return spec.order if _choice(getattr(spec, "family", None), "spec family", _FAMILIES) == "bspline" else 1
 
 
 def _knot_count(x: np.ndarray, t: np.ndarray, order: int, equispaced: bool) -> np.ndarray:
@@ -164,7 +165,7 @@ def eval_design(spec: BasisSpec, x, deriv: int = 0) -> np.ndarray:
     The design is column-major (Fortran-ordered), so each basis function's column is contiguous. Points
     outside the support are clamped to it silently: a scan's report counts them (adaptive._clamp_warnings).
     """
-    x = np.atleast_1d(_real_floats(x, "x"))
+    spec, x = _instance(spec, BasisSpec, "spec"), np.atleast_1d(_real_floats(x, "x"))
     if x.ndim != 1:
         raise InputError(f"eval_design expects scalar or 1-d x, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -200,8 +201,7 @@ class ConstraintMatrix:
         rows = np.atleast_2d(_columns(self.rows, "constraint rows"))
         if not np.all(np.isfinite(rows)):
             raise InputError("constraint rows contain non-finite entries")
-        if self.kind not in _CONSTRAINT_KINDS:
-            raise InputError(f"unknown constraint kind {self.kind!r}")
+        _choice(self.kind, "constraint kind", _CONSTRAINT_KINDS)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -240,24 +240,18 @@ def deriv_constraints(spec: BasisSpec, kind: str) -> ConstraintMatrix:
     splines under monotonicity and for any order whose constrained derivative
     is piecewise linear or constant.
     """
-    if spec.family != "bspline":
+    if _instance(spec, BasisSpec, "spec").family != "bspline":
         raise InputError(f"derivative constraints require a B-spline basis, got {spec.family!r}")
-    if kind in ("decreasing", "increasing"):  # BasisSpec holds a B-spline to order >= 2
-        rows = eval_design(spec, _derivative_points(spec, 1), deriv=1)
-        return ConstraintMatrix(rows if kind == "decreasing" else -rows, kind)
-    if kind in ("concave", "convex"):
-        if spec.order < 3:
-            raise InputError("curvature constraints need B-spline order >= 3")
-        rows = eval_design(spec, _derivative_points(spec, 2), deriv=2)
-        return ConstraintMatrix(rows if kind == "concave" else -rows, kind)
-    raise InputError(f"unsupported constraint kind {kind!r}; use a custom ConstraintMatrix instead")
+    deriv, sign = _SHAPES[_choice(kind, "constraint kind", _SHAPE_KINDS)]
+    if spec.order <= deriv:  # BasisSpec holds a B-spline to order >= 2, so only a curvature row can need more
+        raise InputError("curvature constraints need B-spline order >= 3")
+    return ConstraintMatrix(sign * eval_design(spec, _derivative_points(spec, deriv), deriv=deriv), kind)
 
 
 def tensor_design(specs, x) -> np.ndarray:
     """Row-wise tensor product design; columns are all cross-products, one factor per coordinate, the last
     coordinate's index running fastest. Column-major, like eval_design."""
-    if len(specs) < 1:
-        raise InputError("tensor_design needs at least one basis spec")
+    _sequence(specs, "specs")
     x = _columns(x, "x")
     if x.ndim == 1:
         x = x[:, None]
@@ -281,5 +275,6 @@ def _tensor_product(factors) -> np.ndarray:
 def zeta(spec: BasisSpec, dim: int | None = None) -> float:
     """Sup-norm growth constant of the sieve of spec's family at dim (default spec.dim): sqrt(dim) for spline and
     cosine, dim for power series. A tensor of equal factors passes one factor's spec and the tensor's dim."""
+    power = _instance(spec, BasisSpec, "spec").family == "power"
     j = spec.dim if dim is None else _number(dim, "dim", 1, integer=True)
-    return float(j) if spec.family == "power" else float(np.sqrt(j))
+    return float(j) if power else float(np.sqrt(j))

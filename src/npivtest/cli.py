@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -28,13 +29,16 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .adaptive import (_BASIS_NAMES, _MIN_N, _MODEL_KINDS, _SHAPE_KINDS, NullSpec, RunConfig, adaptive_test,
-                       cs_contains)
-from .errors import InputError, NumericalError, _columns
+from .adaptive import _BASES, _MIN_N, _MODEL_KINDS, _NULLS, NullSpec, RunConfig, TestReport, adaptive_test, cs_contains
+from .errors import InputError, NumericalError, _choice, _columns, _instance
 from .npiv import parametric_design
 from .sim import TABLE_IDS, ExperimentSpec, _keep_freed_pages, reproduce, run_experiment
 
 __all__ = ["main", "load_csv_dataset", "resolve_config", "render_report"]
+
+_REPORT_FORMATS = ("json", "csv", "text")
+_CS_FORMATS = ("json", "text")  # a containment verdict has no per-J table to write as CSV
+_CANDIDATE_KINDS = ("coeffs", "parametric", "values")
 
 
 def _json_safe(obj):
@@ -144,7 +148,7 @@ def load_csv_dataset(path: str) -> CsvDataset:
     else goes to the row loop.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(_instance(path, (str, os.PathLike), "path"), "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -189,14 +193,11 @@ def load_csv_dataset(path: str) -> CsvDataset:
 
 
 def _parse_grid(text: str):
-    if text in ("dyadic", "knots"):
-        return text
+    """--grid as its comma-separated dims, or else as the mode it names, which RunConfig's rule judges."""
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise InputError(
-            f"--grid must be 'dyadic', 'knots', or a comma-separated list of dims, got {text!r}"
-        ) from None
+        return text
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -239,7 +240,7 @@ def resolve_config(args) -> RunConfig:
 
 
 def render_report(report, fmt: str) -> str:
-    d = report.to_dict()
+    d, fmt = _instance(report, TestReport, "report").to_dict(), _choice(fmt, "report format", _REPORT_FORMATS)
     if fmt == "json":
         return dump_json(d)
     if fmt == "csv":
@@ -296,9 +297,7 @@ def _cmd_test(args) -> int:
 
 def _load_candidate(path: str, config: RunConfig):
     doc = _read_json(path, "candidate")
-    if "kind" not in doc:
-        raise InputError(f"candidate {path} must be a JSON object with a 'kind' field")
-    kind = doc["kind"]
+    kind = _choice(doc.get("kind"), "candidate kind", _CANDIDATE_KINDS)
     if kind == "coeffs":
         basis = doc.get("basis")
         coeffs = doc.get("coefficients")
@@ -308,11 +307,8 @@ def _load_candidate(path: str, config: RunConfig):
                       knot_rule="equispaced")
         return coeffs, own.psi_spec(basis.get("dim", len(coeffs)))
     if kind == "parametric":
-        model = doc.get("model")
-        theta = doc.get("theta")
-        if model not in _MODEL_KINDS or theta is None:
-            raise InputError("parametric candidate needs model in {linear, quadratic} and 'theta'")
-        theta = _columns(theta, "theta", 1)
+        model = _choice(doc.get("model"), "candidate model", _MODEL_KINDS)
+        theta = _columns(doc.get("theta", []), "theta", 1)
 
         def fn(x, model=model, theta=theta):
             z, _ = parametric_design(x, model)
@@ -321,9 +317,7 @@ def _load_candidate(path: str, config: RunConfig):
             return z @ theta
 
         return fn
-    if kind == "values":
-        return doc.get("values", [])
-    raise InputError(f"unknown candidate kind {kind!r}; expected coeffs, parametric, or values")
+    return doc.get("values", [])  # a values candidate
 
 
 def _cmd_cs(args) -> int:
@@ -422,8 +416,8 @@ def _cmd_reproduce(args) -> int:
 def _add_common_test_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--alpha", type=float, default=None, help="nominal level (default 0.05)")
-    p.add_argument("--null", choices=_SHAPE_KINDS + _MODEL_KINDS, default="decreasing", help="null hypothesis")
-    p.add_argument("--basis", choices=tuple(_BASIS_NAMES), default=None, help="sieve family (default bspline2)")
+    p.add_argument("--null", choices=_NULLS, default="decreasing", help="null hypothesis")
+    p.add_argument("--basis", choices=_BASES, default=None, help="sieve family (default bspline2)")
     p.add_argument("--grid", default=None, help="candidate rule: dyadic, knots, or e.g. 3,4,5")
     p.add_argument("--kfactor", type=int, default=None, help="instrument dimension K = c*J, c >= 2 (default 4)")
     p.add_argument("--support", default=None, help="basis support as 'lo,hi' (default 0,1)")
@@ -440,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run the adaptive test on CSV data")
     p_test.add_argument("data", help="CSV file with columns y, x (or x1..xd), w (or w1..wdw), optional mu")
-    _add_common_test_flags(p_test, ("json", "csv", "text"))
+    _add_common_test_flags(p_test, _REPORT_FORMATS)
     p_test.set_defaults(func=_cmd_test)
 
     p_cs = sub.add_parser("cs", help="confidence-set membership of a candidate function")
     p_cs.add_argument("data", help="CSV data file")
     p_cs.add_argument("candidate", help="candidate JSON (kind: coeffs | parametric | values)")
-    _add_common_test_flags(p_cs, ("json", "text"))
+    _add_common_test_flags(p_cs, _CS_FORMATS)
     p_cs.set_defaults(func=_cmd_cs)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment spec")
@@ -467,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--c0", type=float, nargs="+", default=None, help="only these c0 values (T1)")
     p_rep.add_argument("--kfactor", type=int, nargs="+", default=None, help="only these K = c*J factors")
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p_rep.add_argument("--format", choices=_REPORT_FORMATS, default="text")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 

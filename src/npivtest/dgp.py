@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _number, _real_floats
+from .errors import _choice, _instance, _number, _real_floats
 from .randdist import CovarianceSpec, RngStream, mvn_sample, std_normal_cdf
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 
 _DESIGNS = ("I", "II", "multivariate")
 _H_FAMILIES = ("mono", "sin", "design2", "quad")
+_BOUNDARY_FAMILIES = _H_FAMILIES[1:]  # the c_0-free families, whose shape null has a boundary c_A
 _BOUNDARY_GRID_POINTS = 20001  # x grid on which null_boundary scans the derivative
 
 
@@ -74,9 +75,7 @@ class HSpec:
     c_b: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _H_FAMILIES:
-            raise InputError(f"unknown h family {self.family!r}; expected one of {_H_FAMILIES}")
-        mono = self.family == "mono"  # whose c0 tunes a step from c0 to -c0; the other families ignore it
+        mono = _choice(self.family, "h family", _H_FAMILIES) == "mono"  # whose c0 tunes a step from c0 to -c0
         object.__setattr__(self, "c0", _number(self.c0, "c0", 0 if mono else None, 1 if mono else None, ends="(]"))
         object.__setattr__(self, "c_a", _number(self.c_a, "c_a"))
         object.__setattr__(self, "c_b", _number(self.c_b, "c_b"))
@@ -102,10 +101,10 @@ class DesignConfig:
     rng: RngStream
 
     def __post_init__(self):
-        if self.design not in _DESIGNS:
-            raise InputError(f"unknown design {self.design!r}; expected one of {_DESIGNS}")
+        _choice(self.design, "design", _DESIGNS)
         object.__setattr__(self, "n", _number(self.n, "n", 1, integer=True))
         object.__setattr__(self, "xi", _number(self.xi, "xi", 0, 1))
+        _instance(self.h_spec, HSpec, "h_spec"), _instance(self.rng, RngStream, "rng")
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _latent_corr(design: str, xi: float) -> np.ndarray:
 def draw(cfg: DesignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, w, u) of one replication, all that the design reads from cfg's stream, so configs that differ only
     in h_spec give the same draw. w is 1-d for one instrument, n x 2 for the multivariate design."""
-    if cfg.design == "II":
+    if _instance(cfg, DesignConfig, "cfg").design == "II":
         z = cfg.rng.generator().standard_normal((cfg.n, 3))
         w_star, eps, nu = z[:, 0], z[:, 1], z[:, 2]
         x = std_normal_cdf(cfg.xi * w_star + math.sqrt(1.0 - cfg.xi**2) * eps)
@@ -157,6 +156,7 @@ def null_boundary(h_family: str, c_b: float = 0.0) -> float:
     'design2' with the weakly-increasing null: smallest c_A whose derivative dips below 0;
     'quad' with the linearity null: 0.
     """
+    h_family = _choice(h_family, "h family with a null boundary", _BOUNDARY_FAMILIES)
     c_b, xs = _number(c_b, "c_b"), np.linspace(0.0, 1.0, _BOUNDARY_GRID_POINTS)
     if h_family == "sin":
         slope = 2.0 * xs + 2.0 * np.pi * c_b * np.cos(2.0 * np.pi * xs)
@@ -167,6 +167,4 @@ def null_boundary(h_family: str, c_b: float = 0.0) -> float:
         trig = 2.0 * np.pi * np.cos(2.0 * np.pi * xs)
         neg = trig < 0  # on (1/4, 3/4)
         return float(np.min(-base[neg] / trig[neg]))
-    if h_family == "quad":
-        return 0.0
-    raise InputError(f"no null boundary defined for family {h_family!r}")
+    return 0.0  # quad

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one rule per kind of argument: arrays, scalars, index sets.
+"""Exception types shared across the package, and the one rule per kind of argument of every export: arrays
+(_columns, on _real_floats), scalars (_number, and _interval for a support), index sets (_indices), named choices
+(_choice), spec objects (_instance) and lists (_sequence). A wrong argument is an InputError that names it.
 
 The CLI maps InputError to exit code 2 and NumericalError to exit code 3.
 """
@@ -76,10 +78,9 @@ def _number(value, name: str, low=None, high=None, integer: bool = False, ends: 
 
 def _interval(value, name: str) -> tuple:
     """value, a tuple or list (lo, hi) of finite real numbers with lo < hi, as a pair of plain numbers."""
-    if not isinstance(value, (tuple, list)) or len(value) != 2:
-        raise InputError(f"{name} must be a pair [lo, hi], got {value!r}")
-    lo = _number(value[0], f"{name} lo")
-    return lo, _number(value[1], f"{name} hi", lo)  # the one rule orders the ends too: hi > lo
+    lo, hi = _sequence(value, name, 2)
+    lo = _number(lo, f"{name} lo")
+    return lo, _number(hi, f"{name} hi", lo)  # the one rule orders the ends too: hi > lo
 
 
 def _indices(value, name: str, size: int) -> np.ndarray:
@@ -91,3 +92,25 @@ def _indices(value, name: str, size: int) -> np.ndarray:
     except ValueError:  # a ragged sequence
         pass
     raise InputError(f"{name} must be 1-d integer row indices in [0, {size}), got {value!r}")
+
+
+def _choice(value, name: str, choices: tuple):
+    """value, a str in choices; anything else, a list or None included, is an input error naming it."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise InputError(f"unknown {name} {value!r}; expected one of {choices}")
+
+
+def _instance(value, cls, name: str):
+    """value, an instance of cls (a class or a tuple of classes); else an input error naming it."""
+    if isinstance(value, cls):
+        return value
+    kinds = " or ".join(kind.__name__ for kind in (cls if isinstance(cls, tuple) else (cls,)))
+    raise InputError(f"{name} must be a {kinds}, got {type(value).__name__}")
+
+
+def _sequence(value, name: str, size: int | None = None):
+    """value, a list or tuple of size entries, or of at least one where size is None; else an input error."""
+    if isinstance(value, (list, tuple)) and (len(value) == size if size else len(value) > 0):
+        return value
+    raise InputError(f"{name} must be {f'a list of {size} values' if size else 'a non-empty list'}, got {value!r}")

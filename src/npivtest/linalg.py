@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, SingularGramError, _columns, _number
+from .errors import InputError, NumericalError, SingularGramError, _columns, _instance, _number, _sequence
 
 __all__ = [
     "pinv",
@@ -32,11 +32,15 @@ GRAM_FLOOR = 1e-3
 
 def default_rcond(shape: tuple[int, int]) -> float:
     """Relative cutoff for discarding singular values / eigenvalues."""
-    return 1e-12 * max(shape)
+    return 1e-12 * max(_number(size, "shape entry", 1, integer=True) for size in _sequence(shape, "shape"))
 
 
 def check_gram(lam_min: float, lam_max: float, dim: int, error: type[NumericalError], name: str) -> None:
     """The singular-gram rule: raise error, naming the dim x dim gram, when lam_min <= 1e-12 dim lam_max."""
+    lam_min, lam_max = _number(lam_min, "lam_min", finite=False), _number(lam_max, "lam_max", finite=False)
+    dim, name = _number(dim, "dim", 1, integer=True), _instance(name, str, "name")
+    if not issubclass(_instance(error, type, "error"), NumericalError):
+        raise InputError(f"error must be a NumericalError class, got {error.__name__}")
     if lam_min <= default_rcond((dim, dim)) * lam_max:
         raise error(f"{name} is numerically singular (dim {dim})")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError, SingularRegressorGramError, _columns, _real_floats
+from .errors import InputError, NumericalError, SingularRegressorGramError, _choice, _columns, _instance, _real_floats
 from .linalg import _lapack, check_gram, default_rcond, orthonormal_range, pinv
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 
 ACTIVE_TOL = 1e-8
 NNLS_TOL = 1e-12
+_MODEL_KINDS = ("linear", "quadratic")  # the named parametric models, of degree 1 and 2 in x
 
 
 def _weights(mu, n: int) -> np.ndarray:
@@ -222,6 +223,7 @@ def cone_project(v, g, m):
 
 def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> RestrictedFit:
     """Project coefficients beta of outcome y onto the constraint cone in fit's weighted-gram norm."""
+    fit, m = _instance(fit, NpivFit, "fit"), _instance(m, ConstraintMatrix, "m")
     cone = _Cone(m.rows, fit.gram_weighted, fit.l_inv_t)
     beta, y = _columns(beta, "beta", 1), _columns(y, "y", 1)
     psi = _columns(psi, "regressor design Psi", matrix=True)
@@ -239,14 +241,11 @@ def parametric_design(x, model) -> tuple[np.ndarray, str]:
     if isinstance(model, np.ndarray):
         z = _columns(model, "custom design")
         return (z[:, None] if z.ndim == 1 else z), "custom"  # an (n,) design is one column
-    x = _columns(x, "x")
-    if model in ("linear", "quadratic") and x.ndim != 1:
+    x, model = _columns(x, "x"), _choice(model, "parametric model", _MODEL_KINDS)
+    if x.ndim != 1:
         raise InputError(f"named model {model!r} expects a scalar regressor; pass a custom design instead")
-    if model == "linear":
-        return np.column_stack([np.ones_like(x), x]), "linear"
-    if model == "quadratic":
-        return np.column_stack([np.ones_like(x), x, x**2]), "quadratic"
-    raise InputError(f"unknown parametric model {model!r}; expected 'linear', 'quadratic', or a design array")
+    columns = [np.ones_like(x), x] if model == "linear" else [np.ones_like(x), x, x**2]
+    return np.column_stack(columns), model
 
 
 def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:

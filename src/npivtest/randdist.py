@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import special
 
-from .errors import InputError, _columns, _number, _real_floats
+from .errors import InputError, _columns, _instance, _number, _real_floats
 from .linalg import frobenius_norm
 
 __all__ = [
@@ -98,6 +98,7 @@ def chisq_sf(x: float, k: int) -> float:
 
 def mvn_sample(cov: CovarianceSpec, rng: RngStream, n: int) -> np.ndarray:
     """n mean-zero draws (n x dim) with the requested covariance, from the start of rng's stream."""
+    cov, rng = _instance(cov, CovarianceSpec, "cov"), _instance(rng, RngStream, "rng")
     n = _number(n, "sample size n", 1, integer=True)
     chol = cov.cholesky()
     z = rng.generator().standard_normal((n, cov.dim))

@@ -20,7 +20,7 @@ worker keeps the pages it frees and runs one BLAS thread (_init_worker);
 the `npivtest` command's own process runs the same allocator policy
 (cli.main), while a library caller's process, a serial call included, keeps
 its allocator. Every process runs a replication by
-the same code. Outcomes are sorted by replication index, so the rows do not
+the same code. Outcomes join in replication order, so the rows do not
 depend on jobs. A failed replication is counted with its reason.
 """
 
@@ -43,10 +43,10 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import published
-from .adaptive import (_MIN_N, NullSpec, RunConfig, _Designs, _check_test, _from_fields, _image_space_scan,
-                       _structural_scan, decide)
+from .adaptive import (_MIN_N, _STATISTICS, NullSpec, RunConfig, _Designs, _check_test, _from_fields,
+                       _image_space_scan, _structural_scan, decide)
 from .dgp import DesignConfig, HSpec, draw, null_boundary
-from .errors import InputError, NumericalError, _number
+from .errors import InputError, NumericalError, _choice, _instance, _number, _sequence
 from .randdist import RngStream
 
 __all__ = [
@@ -62,6 +62,7 @@ CALIBRATION_STREAM_OFFSET = 2**31
 MAX_FAILURE_SHARE = 0.01
 
 TABLE_IDS = ("T1", "T2", "F1", "F2", "supp-C", "supp-D")
+_MODES = ("size", "power", "size_adjusted_power")
 _AXES = ("n_values", "xi_values", "c0_values", "c_a_values", "c_b_values", "alphas")  # the cell axes of a spec
 
 
@@ -77,7 +78,7 @@ class ExperimentSpec:
     """Grid of simulation cells plus the test configuration to run on each."""
 
     design: str = "I"
-    mode: str = "size"  # 'size' | 'power' | 'size_adjusted_power'
+    mode: str = "size"  # one of _MODES
     statistic: str = "structural"  # 'structural' | 'image-space'
     null: str = "decreasing"
     h_family: str = "mono"
@@ -99,18 +100,13 @@ class ExperimentSpec:
         for name, low in (("replications", 1), ("k_factor", 2), ("master_seed", None)):
             object.__setattr__(self, name, _number(getattr(self, name), name, low, integer=True))
         for name in _AXES:  # n's bound is the scans'; each other value's is its owner's: DesignConfig, HSpec, RunConfig
-            value, entry = getattr(self, name), name.removesuffix("_values").removesuffix("s")  # n, ..., alpha
-            if not isinstance(value, (tuple, list)) or len(value) == 0:
-                raise InputError(f"{name} must be a non-empty list, got {value!r}")
+            value, entry = _sequence(getattr(self, name), name), name.removesuffix("_values").removesuffix("s")
             values = tuple(_number(v, entry, _MIN_N if entry == "n" else None, integer=entry == "n") for v in value)
             _check_distinct(name, values)
             object.__setattr__(self, name, values)
         if isinstance(self.grid_mode, list):
             object.__setattr__(self, "grid_mode", tuple(self.grid_mode))
-        if self.mode not in ("size", "power", "size_adjusted_power"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.statistic not in ("structural", "image-space"):
-            raise InputError(f"unknown statistic {self.statistic!r}")
+        _choice(self.mode, "mode", _MODES), _choice(self.statistic, "statistic", _STATISTICS)
         if self.mode != "size" and self.h_family == "mono":
             raise InputError("power experiments use the sin/design2/quad families, not mono")
         # every value is checked here, by the object that owns its rule, before a worker pool forks
@@ -200,8 +196,8 @@ class McSummary:
         raise KeyError(f"no cell with {params}")
 
 
-# per replication: (index, {alpha: (reject, j_reported, max_J W_J)}), or (index, "ExcClass: message") if it failed
-_Outcomes = list[tuple[int, dict | str]]
+# per replication, in replication order: {alpha: (reject, j_reported, max_J W_J)}, or "ExcClass: message" if it failed
+_Outcomes = list[dict | str]
 
 
 class _Task(NamedTuple):
@@ -270,7 +266,7 @@ def _rep_outcomes(tasks: tuple[_Task, ...], reps) -> list[_Outcomes]:
             scan = _structural_scan if statistic == "structural" else _image_space_scan
             grid, results, _, (*_, n_obs) = scan([runs[t][0](x) + u for t in members], x, w, null, config, designs)
             for t, entries in zip(members, results):
-                out[t].append((r, _verdicts(grid, entries, n_obs, null, runs[t][1])))
+                out[t].append(_verdicts(grid, entries, n_obs, null, runs[t][1]))
     return out
 
 
@@ -377,7 +373,7 @@ def _discard_pool() -> None:
 
 
 def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
-    """Each task's outcomes in plan order, sorted by replication index whatever the chunking.
+    """Each task's outcomes in plan order, in replication order whatever the chunking.
 
     Tasks run in their draw groups (_groups). With jobs > 1 and at least 4
     replications per task, the process's one pool (_workers) runs each
@@ -385,6 +381,8 @@ def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
     submitted before the first result is gathered. The pool stays warm for
     the next call with the same jobs, and is discarded when a call fails
     (`_summaries`) and at exit. Otherwise the groups run in this process.
+    A group's chunks are contiguous runs of replications, gathered in the
+    order they were submitted, so their outcomes join in replication order.
     """
     groups = _groups(tasks)
     members = [tuple(tasks[i] for i in group) for group in groups]
@@ -400,13 +398,13 @@ def _run(tasks: list[_Task], jobs: int) -> list[_Outcomes]:
     outcomes: list[_Outcomes] = [[] for _ in tasks]
     for group, chunks in zip(groups, chunked):  # each chunk holds every task's outcomes on its replications
         for t, i in enumerate(group):
-            outcomes[i] = sorted((item for chunk in chunks for item in chunk[t]), key=lambda item: item[0])
+            outcomes[i] = [res for chunk in chunks for res in chunk[t]]
     return outcomes
 
 
 def _failures_by_reason(outcomes: _Outcomes, cell: dict, replications: int) -> dict[str, int]:
     """Failed replications counted by reason; more than MAX_FAILURE_SHARE of them fail the cell."""
-    reasons = Counter(res for _, res in outcomes if isinstance(res, str))
+    reasons = Counter(res for res in outcomes if isinstance(res, str))
     failures = sum(reasons.values())
     if failures > MAX_FAILURE_SHARE * replications:
         raise NumericalError(
@@ -428,7 +426,7 @@ def _cell_result(spec: ExperimentSpec, cell: dict, outcomes: _Outcomes,
     exceeds the calibrated critical value instead of by the test's decision.
     """
     reasons = _failures_by_reason(outcomes, cell, spec.replications)
-    ok = [res for _, res in outcomes if not isinstance(res, str)]
+    ok = [res for res in outcomes if not isinstance(res, str)]
     rates, avg_j, se = {}, {}, {}
     for alpha in spec.alphas:
         if crit is None:
@@ -461,7 +459,7 @@ def _summary(spec: ExperimentSpec, tasks: list[_Task], outcomes: list[_Outcomes]
         reasons = _failures_by_reason(out, cell, spec.replications)
         if reasons:
             calibration_failures.append({"cell": cell, "calibration": True, "reasons": reasons})
-        ok = [res for _, res in out if not isinstance(res, str)]
+        ok = [res for res in out if not isinstance(res, str)]
         crit = {alpha: float(np.quantile(np.asarray([res[alpha][2] for res in ok]), 1.0 - alpha))
                 for alpha in spec.alphas}
     failed = [*calibration_failures,
@@ -494,13 +492,13 @@ def _summaries(specs: list[ExperimentSpec], jobs: int) -> list[McSummary]:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> McSummary:
     """Every cell of an experiment on `jobs` worker processes: empirical rejection rates in size and power
     mode, and power curves calibrated on boundary-null runs in size-adjusted mode."""
-    return _summaries([spec], jobs)[0]
+    return _summaries([_instance(spec, ExperimentSpec, "spec")], jobs)[0]
 
 
 def _filtered(values, chosen, name):
     if chosen is None:
         return tuple(values)
-    chosen = tuple(chosen)
+    chosen = tuple(_sequence(chosen, name))
     _check_distinct(name, chosen)
     missing = [v for v in chosen if v not in values]
     if missing:
@@ -534,9 +532,9 @@ _PER_K_TABLES = {
 def _table_runs(table_id: str, n_values, xi_values, c0_values, k_factors) -> list[_Run]:
     """The runs of one table, its cell axes narrowed to the requested values."""
     if c0_values is not None and table_id != "T1":
-        raise InputError(f"table {table_id} has no c0 axis to filter")
+        raise InputError(f"table {table_id} has no c0 axis for c0_values to filter")
     if k_factors is not None and table_id in ("F1", "F2", "supp-D"):
-        raise InputError(f"table {table_id} has no k_factor axis to filter")
+        raise InputError(f"table {table_id} has no k_factor axis for k_factors to filter")
     if table_id in ("F1", "F2"):
         spec = dict(
             mode="size_adjusted_power", null="decreasing" if table_id == "F1" else "linear", h_family="sin",
@@ -573,9 +571,7 @@ def reproduce(table_id: str, replications: int = 1000, seed: int = 0, jobs: int 
     carries the cell parameters, this build's estimate, its binomial SE, and
     the published value where tabulated.
     """
-    if table_id not in TABLE_IDS:
-        raise InputError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-
+    table_id = _choice(table_id, "table id", TABLE_IDS)
     rows: list[dict] = []
     summaries: dict[str, McSummary] = {}
     runs = _table_runs(table_id, n_values, xi_values, c0_values, k_factors)

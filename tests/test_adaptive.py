@@ -2065,11 +2065,11 @@ def _report_of_an_unscanned_j():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: NullSpec(kind="shape"), InputError,
-     "shape null needs shape in ('decreasing', 'increasing', 'convex', 'concave') or custom rows, got None"),
-    (lambda: NullSpec(kind="cone"), InputError, "null kind must be 'shape' or 'parametric', got 'cone'"),
+     "unknown shape None; expected one of ('decreasing', 'increasing', 'convex', 'concave')"),
+    (lambda: NullSpec(kind="cone"), InputError, "unknown null kind 'cone'; expected one of ('shape', 'parametric')"),
     (lambda: NullSpec.from_name("linear").constraints(bspline(4)), InputError,
      "constraints are only defined for shape nulls"),
-    (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list of dims, got []"),
+    (lambda: RunConfig(grid=[]), InputError, "explicit grid must be a non-empty list, got []"),
     (lambda: _report_of_an_unscanned_j().w_reported, KeyError, 999),
     (lambda: compute_D(np.ones((2, 3)), np.ones(4)), InputError,
      "need a 2-d scaled map and residuals, one per column, got (2, 3) and (4,)"),
@@ -2084,7 +2084,7 @@ def _report_of_an_unscanned_j():
     (lambda: cs_contains((("abc", 0.0, 0.0, 0.0), bspline(4)), *_sample200()), InputError,
      "candidate coefficients must be real numbers"),
     (lambda: adaptive_test(*_sample200(), NullSpec(kind="shape", custom_rows=lambda spec: np.eye(1, spec.dim))),
-     InputError, "candidate J=3: custom_rows must return a ConstraintMatrix, got ndarray"),
+     InputError, "candidate J=3: custom_rows(spec) must be a ConstraintMatrix, got ndarray"),
     (lambda: adaptive_test(*_sample200(), NullSpec(kind="shape", custom_rows=lambda spec: ConstraintMatrix(
         np.eye(1, 2), "custom"))), InputError, "candidate J=3: constraint matrix has dim 2, fit has J=3"),
     (lambda: adaptive_test(*_x_as_a_column(), NullSpec.from_name("decreasing")), InputError,

@@ -306,14 +306,15 @@ def test_min_dim():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: bspline(4, order=1), "order must be an integer >= 2, got 1"),
-    (lambda: bspline(4, knot_rule="median"), "unknown knot rule 'median'"),
+    (lambda: bspline(4, knot_rule="median"), "unknown knot rule 'median'; expected one of ('equispaced', 'quantile')"),
     (lambda: bspline(4, knot_rule="quantile"), "quantile knot rule requires knot_data"),
     (lambda: eval_design(bspline(4), np.zeros((2, 2))), "eval_design expects scalar or 1-d x, got shape (2, 2)"),
     (lambda: eval_design(bspline(4), [0.5, np.nan]), "evaluation points contain non-finite values"),
     (lambda: eval_design(bspline(4), [0.5], deriv=-1), "derivative order deriv must be an integer >= 0, got -1"),
     (lambda: ConstraintMatrix([[1.0, np.inf]], "custom"), "constraint rows contain non-finite entries"),
-    (lambda: ConstraintMatrix([[1.0]], "flat"), "unknown constraint kind 'flat'"),
-    (lambda: tensor_design([], np.zeros(3)), "tensor_design needs at least one basis spec"),
+    (lambda: ConstraintMatrix([[1.0]], "flat"),
+     "unknown constraint kind 'flat'; expected one of ('decreasing', 'increasing', 'convex', 'concave', 'custom')"),
+    (lambda: tensor_design([], np.zeros(3)), "specs must be a non-empty list, got []"),
 ], ids=["order-1", "unknown-knot-rule", "quantile-without-data", "2-d-points", "non-finite-points", "negative-deriv",
         "non-finite-rows", "unknown-constraint-kind", "no-tensor-factor"])
 def test_basis_input_guards(call, message):

@@ -103,7 +103,8 @@ def test_sin_null_boundary_is_positive_and_finite(c_b):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: cfg(n=0), "n must be an integer >= 1, got 0"),
-    (lambda: null_boundary("mono"), "no null boundary defined for family 'mono'"),
+    (lambda: null_boundary("mono"),
+     "unknown h family with a null boundary 'mono'; expected one of ('sin', 'design2', 'quad')"),
 ], ids=["empty-sample", "mono-boundary"])
 def test_dgp_input_guards(call, message):
     with pytest.raises(InputError) as info:

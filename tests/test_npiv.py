@@ -593,7 +593,7 @@ def test_restricted_positive_homogeneity(rng):
     (lambda: parametric_design(np.zeros((5, 2)), "linear"),
      "named model 'linear' expects a scalar regressor; pass a custom design instead"),
     (lambda: parametric_design(np.zeros(5), "cubic"),
-     "unknown parametric model 'cubic'; expected 'linear', 'quadratic', or a design array"),
+     "unknown parametric model 'cubic'; expected one of ('linear', 'quadratic')"),
     (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), np.ones((4, 1)), np.eye(5, 2), np.eye(2)),
      "parametric design and y must share the number of rows"),
     (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), "linear", np.eye(4, 2), np.eye(2)),

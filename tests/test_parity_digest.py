@@ -9,31 +9,13 @@ moved input.
 
 import importlib.util
 import json
-import math
 import pathlib
 
 HERE = pathlib.Path(__file__).parent
 _SPEC = importlib.util.spec_from_file_location("parity", HERE / "tools" / "parity.py")
 parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parity)
-
-
-def _differences(old, new, at: str) -> list[str]:
-    """Where new differs from old: a float by more than rel 1e-10, anything else at all."""
-    if isinstance(old, float) and isinstance(new, float):
-        same = math.isclose(old, new, rel_tol=1e-10) or (math.isnan(old) and math.isnan(new))
-        return [] if same else [f"{at}: {old!r} -> {new!r}"]
-    if type(old) is not type(new):
-        return [f"{at}: {old!r} -> {new!r}"]
-    if isinstance(old, dict):
-        if old.keys() != new.keys():
-            return [f"{at}: keys {sorted(old)} -> {sorted(new)}"]
-        return [line for key in old for line in _differences(old[key], new[key], f"{at}.{key}")]
-    if isinstance(old, list):
-        if len(old) != len(new):
-            return [f"{at}: length {len(old)} -> {len(new)}"]
-        return [line for i, (a, b) in enumerate(zip(old, new)) for line in _differences(a, b, f"{at}[{i}]")]
-    return [] if old == new else [f"{at}: {old!r} -> {new!r}"]
+_differences = parity._differences  # the golden rule, which parity.py gates on too
 
 
 def test_float_rule_is_relative_and_everything_else_exact():

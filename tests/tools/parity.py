@@ -6,11 +6,13 @@ outcome differs.
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so the trees may be any two checkouts of
 this repository. An input's outcome is its report's canonical `to_dict()` JSON (for `cs_contains`, the JSON
-of the triple it returns), or its error's type (InputError for any input error) and message. Every differing
-input is printed with its case and a brief of both outcomes (a report's grid, decision and warnings), then a
-count of the changes by scan and by outcome kind (report or error type, before -> after). It exits 1 when any
-outcome changed or a tree's run failed, and 0 when no outcome changed, so a script can gate on it.
-`--reproduce` also compares the rows of every `reproduce` table at 4 replications, seed 3.
+of the triple it returns), or its error's type (InputError for any input error) and message. Outcomes are
+compared by the golden rule, `_differences`: every float within rel 1e-10, anything else exactly, so that a
+change that only rounds differently does not count. Every differing input is printed with its case and a brief
+of both outcomes (a report's grid, decision and warnings), then a count of the changes by scan and by outcome
+kind (report or error type, before -> after), and the number of outcomes whose floats moved within the rule.
+It exits 1 when any outcome changed or a tree's run failed, and 0 when no outcome changed, so a script can
+gate on it. `--reproduce` also compares the rows of every `reproduce` table at 4 replications, seed 3.
 `--write-digest PATH` writes TREE's outcomes of the digest slice, the first DIGEST_SIZE seed-0 inputs with
 n <= DIGEST_MAX_N, to PATH as JSON: a report as its parsed `to_dict()` (for `cs_contains`, the triple), an
 error as its 'ErrorType: message' text. tests/test_parity_digest.py compares the package with the committed
@@ -198,6 +200,24 @@ def _read(out) -> dict:
     return {rec["id"]: rec["outcome"] for rec in map(json.loads, out)}
 
 
+def _differences(old, new, at: str) -> list[str]:
+    """Where new differs from old: a float by more than rel 1e-10, anything else at all."""
+    if isinstance(old, float) and isinstance(new, float):
+        same = math.isclose(old, new, rel_tol=1e-10) or (math.isnan(old) and math.isnan(new))
+        return [] if same else [f"{at}: {old!r} -> {new!r}"]
+    if type(old) is not type(new):
+        return [f"{at}: {old!r} -> {new!r}"]
+    if isinstance(old, dict):
+        if old.keys() != new.keys():
+            return [f"{at}: keys {sorted(old)} -> {sorted(new)}"]
+        return [line for key in old for line in _differences(old[key], new[key], f"{at}.{key}")]
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return [f"{at}: length {len(old)} -> {len(new)}"]
+        return [line for i, (a, b) in enumerate(zip(old, new)) for line in _differences(a, b, f"{at}[{i}]")]
+    return [] if old == new else [f"{at}: {old!r} -> {new!r}"]
+
+
 def _kind(outcome: str) -> str:
     return "report" if outcome.startswith(("{", "[")) else outcome.split(":", 1)[0]
 
@@ -255,9 +275,12 @@ def main(argv=None) -> int:
     if any(failed) or old.keys() != new.keys():
         print("a tree's run failed", file=sys.stderr)
         return 1
-    changes = Counter()
+    changes, moved = Counter(), 0
     for key in old:
         if old[key] == new[key]:
+            continue
+        if not _differences(parsed(old[key]), parsed(new[key]), ""):  # floats moved within rel 1e-10
+            moved += 1
             continue
         description = case(args.seed, key)[0] if isinstance(key, int) else {"id": key, "scan": "reproduce"}
         changes[(description["scan"], _kind(old[key]), _kind(new[key]))] += 1
@@ -266,7 +289,8 @@ def main(argv=None) -> int:
         print(f"  old: {old_text}\n  new: {new_text}")
     scans = Counter(SCANS[key % 3] for key in old if isinstance(key, int))
     print(f"\n{sum(scans.values())} inputs ({', '.join(f'{scan} {count}' for scan, count in scans.items())}) and "
-          f"{len(old) - sum(scans.values())} reproduce tables; {sum(changes.values())} changed")
+          f"{len(old) - sum(scans.values())} reproduce tables; {sum(changes.values())} changed, {moved} more "
+          "moved their floats within rel 1e-10")
     for (scan, before, after), count in sorted(changes.items()):
         print(f"  {scan}: {before} -> {after}: {count}")
     return 1 if changes else 0
