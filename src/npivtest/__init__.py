@@ -10,16 +10,15 @@ from .adaptive import (
     TestReport,
     adaptive_test,
     compute_D,
-    compute_vhat,
     cs_contains,
     eta_hat,
     gamma_hat,
     image_space_test,
 )
-from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, tensor_design, zeta
+from .basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, zeta
 from .dgp import Dataset, DesignConfig, HSpec, generate, h_mono, h_sin
 from .errors import InputError, NumericalError
-from .npiv import NpivFit, RestrictedFit, cone_project, fit_from_design, fit_restricted_cone, fit_restricted_parametric
+from .npiv import NpivFit, RestrictedFit, cone_project, fit_from_design, fit_restricted_parametric
 from .randdist import CovarianceSpec, RngStream, chisq_quantile, mvn_sample, std_normal_cdf
 from .sim import ExperimentSpec, McSummary, reproduce, run_experiment
 
@@ -33,7 +32,6 @@ __all__ = [
     "ConstraintMatrix",
     "deriv_constraints",
     "eval_design",
-    "tensor_design",
     "zeta",
     "RngStream",
     "CovarianceSpec",
@@ -43,7 +41,6 @@ __all__ = [
     "NpivFit",
     "RestrictedFit",
     "fit_from_design",
-    "fit_restricted_cone",
     "fit_restricted_parametric",
     "cone_project",
     "NullSpec",
@@ -53,7 +50,6 @@ __all__ = [
     "TestReport",
     "adaptive_test",
     "compute_D",
-    "compute_vhat",
     "gamma_hat",
     "eta_hat",
     "cs_contains",

@@ -39,7 +39,6 @@ __all__ = [
     "CandidateRecord",
     "TestReport",
     "compute_D",
-    "compute_vhat",
     "gamma_hat",
     "eta_hat",
     "adaptive_test",
@@ -534,43 +533,27 @@ def _candidate_pass(n: int, grid: str | tuple[int, ...], step, visit, outcomes, 
                          j_list=tuple(j_list), shat=shat, fallback=fallback), results
 
 
-def _map_and_residuals(scaled_map, r) -> tuple[np.ndarray, np.ndarray]:
-    scaled_map, r = _real_floats(scaled_map, "scaled map"), _real_floats(r, "residuals")
-    if scaled_map.ndim != 2 or r.shape != (scaled_map.shape[1],):
-        raise InputError(f"need a 2-d scaled map and residuals, one per column, got {scaled_map.shape} and {r.shape}")
-    return scaled_map, r
-
-
 def compute_D(scaled_map, r) -> float:
     """Centered leave-one-out quadratic form (|S r|^2 - sum_i r_i^2 |S_i|^2) / (n - 1); may be negative.
 
-    S is the map compute_vhat takes. With S = NpivFit.scaled_map = L'C, which fit_from_design builds from
-    (Psi, B, mu) alone, this is 2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'}, Q = sqrt(n) Psi C; the
-    structural statistic passes the restricted residuals as r.
+    S is the standardized coefficient operator, rows of length n. With S = NpivFit.scaled_map = L'C, which
+    fit_from_design builds from (Psi, B, mu) alone, this is 2/(n(n-1)) sum_{i<i'} r_i r_{i'} [Q' Omega Q]_{i i'},
+    Q = sqrt(n) Psi C; the structural statistic passes the restricted residuals as r.
     """
-    scaled_map, r = _map_and_residuals(scaled_map, r)
+    scaled_map, r = _real_floats(scaled_map, "scaled map"), _real_floats(r, "residuals")
+    if scaled_map.ndim != 2 or r.shape != (scaled_map.shape[1],):
+        raise InputError(f"need a 2-d scaled map and residuals, one per column, got {scaled_map.shape} and {r.shape}")
     t = scaled_map @ r
     squares = sum(row * row for row in scaled_map)  # |S_i|^2, row by row, as np.sum(S**2, axis=0) adds them
     loo = float(np.sum(r * r * squares))
     return (float(t @ t) - loo) / (r.shape[0] - 1)
 
 
-def compute_vhat(scaled_map, u) -> float:
-    """Frobenius norm of the standardized residual sandwich S diag(u^2) S'.
-
-    S is the standardized coefficient operator (rows of length n), which the
-    structural statistic takes as NpivFit.scaled_map, with the unrestricted
-    residuals u = y - Psi NpivFit.coefficients(y). The image-space
-    statistic is this with S = U_B', computed in instrument coordinates by
-    _image_space_statistics.
-    """
-    scaled_map, u = _map_and_residuals(scaled_map, u)
-    return _vhat_scaling(np.array(scaled_map, order="K"), u)
-
-
 def _vhat_scaling(s: np.ndarray, u: np.ndarray) -> float:
-    """compute_vhat(s, u), scaling s by u in place: s must be a map the caller owns alone, never a factor that
-    several outcomes share."""
+    """v, the Frobenius norm of the standardized residual sandwich S diag(u^2) S', scaling the map s = S by u in
+    place: s must be a map the caller owns alone, never a factor that several outcomes share. The structural
+    statistic passes a fresh NpivFit.scaled_map and the unrestricted residuals u = y - Psi NpivFit.coefficients(y);
+    the image-space one, with S = U_B', is computed in instrument coordinates by _image_space_statistics."""
     s *= u
     return frobenius_norm(s @ s.T)
 
@@ -599,7 +582,7 @@ class _ScanEntry:
     s_hat: float
     gamma: int  # chi-square degrees of freedom
     n_active: int
-    center: int  # centering constant of the standardized statistic: gamma, or K for the image-space one
+    statistic: str  # 'structural' | 'image-space', which decide centers at gamma or at K
 
 
 def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
@@ -674,34 +657,41 @@ def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
         raise type(exc)(f"candidate J={j}: {exc}") from exc
     _check_underflow(f"J={j}", y, D=(d_stat, r), v=(v_stat, u))
     return _ScanEntry(j=j, k=fit.r.shape[1], d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=gamma,
-                      n_active=len(active), center=gamma)
+                      n_active=len(active), statistic="structural")
 
 
 def decide(grid: CandidateGrid, entries, n: int, null: NullSpec, config: RunConfig,
-           statistic: str = "structural", warnings: Sequence[str] = ()) -> TestReport:
+           warnings: Sequence[str] = ()) -> TestReport:
     """Apply the level-alpha decision rule to scanned statistics, with alpha = config.alpha.
 
     This is the one verdict rule: the structural and image-space tests, the
-    confidence set and the Monte Carlo runs in `sim` all call it. An
-    image-space report's config names the dyadic grid its scan ran.
+    confidence set and the Monte Carlo runs in `sim` all call it. The
+    statistic is the one the scan's entries name: a structural W_J is
+    centered at gamma, an image-space W_K at K, and an image-space report's
+    config names the dyadic grid its scan ran.
     """
     grid = _instance(grid, CandidateGrid, "grid")
     entries = _sequence(entries, "entries", grid.size)  # one per candidate
     n, warnings = _number(n, "n", _MIN_N, integer=True), _instance(warnings, (list, tuple), "warnings")
     null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")
-    if _choice(statistic, "statistic", _STATISTICS) == "image-space":
+    statistics = {_instance(e, _ScanEntry, "entry").statistic for e in entries}
+    if len(statistics) > 1:
+        raise InputError(f"entries of one decision must name one statistic, got {sorted(statistics)}")
+    (statistic,) = statistics
+    if statistic == "image-space":
         config = replace(config, grid="dyadic")
     alpha, size = config.alpha, grid.size
     records = []
     for e in entries:
-        eta = eta_hat(alpha, size, e.gamma, e.center)
+        center = e.k if statistic == "image-space" else e.gamma
+        eta = eta_hat(alpha, size, e.gamma, center)
         if eta <= 0.0:
-            at = (f"K={e.j} (alpha/{size} too large for chi-square df={e.gamma} centered at K={e.center})"
+            at = (f"K={e.j} (alpha/{size} too large for chi-square df={e.gamma} centered at K={center})"
                   if statistic == "image-space" else f"J={e.j} (alpha/{size} too large for gamma={e.gamma})")
             raise InputError(f"critical value eta <= 0 at {at}; use a smaller alpha")
         if e.v_stat > 0.0:
             w_stat = n * e.d_stat / (eta * e.v_stat)
-            p_value = chisq_sf(math.sqrt(e.center) * (n * e.d_stat / e.v_stat) + e.center, e.gamma)
+            p_value = chisq_sf(math.sqrt(center) * (n * e.d_stat / e.v_stat) + center, e.gamma)
         else:
             w_stat, p_value = (math.inf, 0.0) if e.d_stat > 0.0 else (0.0, 1.0)
         # W = inf is the defined limit of D > 0 over v = 0; any other non-finite number decides nothing
@@ -876,7 +866,7 @@ def _image_space_statistics(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) -> tu
     """(D_K, v_K) of residuals r on the orthonormal instrument basis U_B = q r_b, from one K x K gram.
 
     With C = U_B' diag(r^2) U_B = r_b' (q o r)'(q o r) r_b and t = U_B' r = r_b'(q'r), compute_D and
-    compute_vhat on S = U_B' are D = (|t|^2 - tr C) / (n - 1) and v = ||C||_F; no n x K basis is formed.
+    _vhat_scaling on S = U_B' are D = (|t|^2 - tr C) / (n - 1) and v = ||C||_F; no n x K basis is formed.
     """
     e = q * r[:, None]  # q is shared by every outcome of the pass, so it is never scaled in place
     c = r_b.T @ (e.T @ e) @ r_b
@@ -935,7 +925,7 @@ def _image_space_outcome(factor, y, x, model) -> _ScanEntry:
     # chi-square df nets out the parameters the restricted fit consumed
     # inside the instrument projection; centering stays at K
     return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.beta_r.size),
-                      n_active=0, center=k)
+                      n_active=0, statistic="image-space")
 
 
 def image_space_test(y, x, w, model, config: RunConfig | None = None) -> TestReport:
@@ -944,4 +934,4 @@ def image_space_test(y, x, w, model, config: RunConfig | None = None) -> TestRep
     null = NullSpec(kind="parametric", model=model if isinstance(model, str) else None,
                     custom_design=None if isinstance(model, str) else model)
     grid, entries, warn, n = image_space_scan(y, x, w, null, config)
-    return decide(grid, entries, n, null, config, statistic="image-space", warnings=warn)
+    return decide(grid, entries, n, null, config, warnings=warn)

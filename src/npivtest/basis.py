@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, TiedKnotsError, _choice, _columns, _instance, _interval, _number, _real_floats,
-                     _sequence)
+from .errors import InputError, TiedKnotsError, _choice, _columns, _instance, _interval, _number, _real_floats
 
 __all__ = [
     "BasisSpec",
     "ConstraintMatrix",
     "eval_design",
     "deriv_constraints",
-    "tensor_design",
     "zeta",
     "min_dim",
 ]
@@ -204,10 +202,6 @@ class ConstraintMatrix:
         _choice(self.kind, "constraint kind", _CONSTRAINT_KINDS)
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
 
 def _greville(t: np.ndarray, order: int) -> np.ndarray:
     nb = len(t) - order
@@ -248,21 +242,10 @@ def deriv_constraints(spec: BasisSpec, kind: str) -> ConstraintMatrix:
     return ConstraintMatrix(sign * eval_design(spec, _derivative_points(spec, deriv), deriv=deriv), kind)
 
 
-def tensor_design(specs, x) -> np.ndarray:
-    """Row-wise tensor product design; columns are all cross-products, one factor per coordinate, the last
-    coordinate's index running fastest. Column-major, like eval_design."""
-    _sequence(specs, "specs")
-    x = _columns(x, "x")
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[1] != len(specs):
-        raise InputError(f"sample has {x.shape[1]} coordinates but {len(specs)} basis specs were given")
-    return _tensor_product([eval_design(spec, x[:, k]) for k, spec in enumerate(specs)])
-
-
 def _tensor_product(factors) -> np.ndarray:
     """The column-major row-wise tensor product of the n x J_d factor designs: column (j, k) of the product of
-    two factors is their columns' elementwise product, formed one left column at a time."""
+    two factors is their columns' elementwise product, formed one left column at a time, so the last factor's index
+    runs fastest. Both scans build every tensor instrument here, from _Designs' kept factors."""
     design = factors[0]
     for nxt in factors[1:]:
         out = np.empty((design.shape[0], design.shape[1] * nxt.shape[1]), order="F")

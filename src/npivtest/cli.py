@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import _BASES, _MIN_N, _MODEL_KINDS, _NULLS, NullSpec, RunConfig, TestReport, adaptive_test, cs_contains
-from .errors import InputError, NumericalError, _choice, _columns, _instance
+from .errors import InputError, NumericalError, _choice, _columns, _instance, _sequence
 from .npiv import parametric_design
 from .sim import TABLE_IDS, ExperimentSpec, _keep_freed_pages, reproduce, run_experiment
 
@@ -305,7 +305,7 @@ def _load_candidate(path: str, config: RunConfig):
             raise InputError("coeffs candidate needs 'basis' and 'coefficients'")
         own = replace(config, basis=basis.get("name", config.basis), support=basis.get("support", config.support),
                       knot_rule="equispaced")
-        return coeffs, own.psi_spec(basis.get("dim", len(coeffs)))
+        return coeffs, own.psi_spec(basis.get("dim", len(_sequence(coeffs, "coefficients"))))
     if kind == "parametric":
         model = _choice(doc.get("model"), "candidate model", _MODEL_KINDS)
         theta = _columns(doc.get("theta", []), "theta", 1)
@@ -324,10 +324,7 @@ def _cmd_cs(args) -> int:
     data = load_csv_dataset(args.data)
     config = resolve_config(args)
     null = NullSpec.from_name(args.null)
-    try:
-        candidate = _load_candidate(args.candidate, config)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"candidate {args.candidate} is malformed: {exc}") from None
+    candidate = _load_candidate(args.candidate, config)
     contained, binding, detail = cs_contains(candidate, data.y, data.x, data.w, config=config, null=null, mu=data.mu)
     payload = {
         "contained": contained,

@@ -12,9 +12,13 @@ least-squares coefficients beta = C y of one outcome vector.
 Restricted fits come in two kinds:
   * cone: projection of beta onto {M beta <= 0} in the weighted-gram metric,
     exactly, by non-negative least squares on the dual (polar) cone of M's
-    unit rows, whitened by the fit's own L^{-T}; a KKT check certifies it;
+    unit rows; a KKT check certifies it. _Cone holds the y-free half of one
+    cone: the structural scan builds it once per candidate, whitened by the
+    fit's own L^{-T}, and projects each outcome's beta through it.
+    cone_project is the public projection in any SPD metric g, which it
+    factors by its own eigh;
   * parametric: plain 2SLS of a finite-dimensional design on the instrument
-    sieve.
+    sieve (fit_restricted_parametric).
 """
 
 from __future__ import annotations
@@ -25,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ConstraintMatrix
-from .errors import InputError, NumericalError, SingularRegressorGramError, _choice, _columns, _instance, _real_floats
+from .errors import InputError, NumericalError, SingularRegressorGramError, _choice, _columns, _real_floats
 from .linalg import _lapack, check_gram, default_rcond, orthonormal_range, pinv
 
 __all__ = [
     "NpivFit",
     "RestrictedFit",
     "fit_from_design",
-    "fit_restricted_cone",
     "fit_restricted_parametric",
     "cone_project",
     "parametric_design",
@@ -85,7 +88,7 @@ class NpivFit:
 
 @dataclass
 class RestrictedFit:
-    """Null-restricted fit: cone-projected sieve coefficients or a parametric 2SLS."""
+    """Null-restricted fit of a parametric 2SLS; active_set is empty, as an equality null has no inequality rows."""
 
     beta_r: np.ndarray
     fitted_r: np.ndarray
@@ -219,21 +222,6 @@ def cone_project(v, g, m):
     if not lam[0] > 0.0:  # a NaN too
         raise InputError("metric matrix must be symmetric positive definite")
     return _Cone(rows, g, vecs / np.sqrt(lam)).project(v)
-
-
-def fit_restricted_cone(fit: NpivFit, m: ConstraintMatrix, beta, psi, y) -> RestrictedFit:
-    """Project coefficients beta of outcome y onto the constraint cone in fit's weighted-gram norm."""
-    fit, m = _instance(fit, NpivFit, "fit"), _instance(m, ConstraintMatrix, "m")
-    cone = _Cone(m.rows, fit.gram_weighted, fit.l_inv_t)
-    beta, y = _columns(beta, "beta", 1), _columns(y, "y", 1)
-    psi = _columns(psi, "regressor design Psi", matrix=True)
-    if beta.shape != (m.dim,):
-        raise InputError(f"beta must have shape ({m.dim},), got {beta.shape}")
-    if psi.shape != (y.shape[0], m.dim):
-        raise InputError(f"regressor design Psi must have shape ({y.shape[0]}, {m.dim}), got {psi.shape}")
-    beta_r, active = cone.project(beta)
-    fitted_r = psi @ beta_r
-    return RestrictedFit(beta_r=beta_r, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=active)
 
 
 def parametric_design(x, model) -> tuple[np.ndarray, str]:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design, tensor_design
+from npivtest.basis import BasisSpec, ConstraintMatrix, eval_design
 from npivtest.dgp import Dataset, h_design2, h_mono, h_quad, h_sin
 from npivtest.errors import InputError, NumericalError, SingularGramError, _columns, _real_floats
 from npivtest.linalg import GRAM_FLOOR, _lapack, default_rcond, frobenius_norm, pinv
@@ -173,8 +173,8 @@ def brute_vhat(u: np.ndarray, psi: np.ndarray, b: np.ndarray, mu=None) -> float:
     return math.sqrt(float(np.sum(mat * mat)))
 
 
-# compute_D and compute_vhat as they were while each formed a second J x n array from the map S: S**2 for the
-# leave-one-out term and S * u for v. Kept as their bit-for-bit oracles.
+# compute_D and v as they were while each formed a second J x n array from the map S: S**2 for the leave-one-out
+# term and S * u for v. Kept as the bit-for-bit oracles of compute_D and adaptive._vhat_scaling.
 
 
 def compute_D_squares(s: np.ndarray, r: np.ndarray) -> float:
@@ -444,8 +444,8 @@ def bspline_design_dense(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -
 
 # The B-spline kernel and the tensor product as they were before designs became column-major: the kernel
 # located each point's knot span by searchsorted and scattered into a row-major n x nb array, and
-# tensor_design formed the row-wise products with one einsum per factor. Kept verbatim as the parity oracles
-# of basis._bspline_design and basis.tensor_design.
+# the tensor product formed the row-wise products with one einsum per factor. Kept verbatim as the parity oracles
+# of basis._bspline_design and basis._tensor_product.
 
 
 def bspline_design_rowmajor(x: np.ndarray, t: np.ndarray, order: int, deriv: int) -> np.ndarray:
@@ -717,10 +717,11 @@ def instrument_dims_float_root(config, k_target: int, d_w: int) -> tuple[int, in
 
 
 def instrument_design(config, k_target: int, w: np.ndarray):
-    """(specs, B): config.instrument_specs(k_target, w) and the instrument design B they span at w, a 2-d w's
-    through basis.tensor_design rather than the scans' kept factors."""
+    """(specs, B): config.instrument_specs(k_target, w) and the instrument design B they span at w. A 2-d w's B is
+    the column-major copy of tensor_design_einsum's product of per-coordinate eval_designs, apart from the scans'
+    _Designs and basis._tensor_product."""
     specs = config.instrument_specs(k_target, w.reshape(len(w), -1))  # the specs read w as n x d_w
-    return specs, eval_design(specs[0], w) if w.ndim == 1 else tensor_design(specs, w)
+    return specs, eval_design(specs[0], w) if w.ndim == 1 else np.asfortranarray(tensor_design_einsum(specs, w))
 
 
 def image_space_step_dense(config, designs, n: int, k_min: int):
@@ -792,11 +793,11 @@ def image_space_step_knot_counts(config, designs, n: int, k_min: int):
 def image_space_statistics_basis(q: np.ndarray, r_b: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """The image-space (D_K, v_K) as computed before the K x K gram, a drop-in for
     adaptive._image_space_statistics: the n x K orthonormal basis U_B = q r_b is formed and S = U_B'
-    is passed to compute_D and compute_vhat."""
-    from npivtest.adaptive import compute_D, compute_vhat
+    is passed to compute_D and compute_vhat_product."""
+    from npivtest.adaptive import compute_D
 
     s = (q @ r_b).T
-    return compute_D(s, r), compute_vhat(s, r)
+    return compute_D(s, r), compute_vhat_product(s, r)
 
 
 # The three simulation generators as they were before dgp.draw/generate; generate must match them bit for bit.

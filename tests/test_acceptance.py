@@ -203,7 +203,7 @@ def test_criterion_6_oracle_equivalence_suite():
 
     # compute_D vs O(n^2) brute force: 200 instances, n <= 50, 1e-10 relative; a draw that
     # leaves a B-spline without support has a singular B'B, which the fit refuses
-    from npivtest.adaptive import compute_D, compute_vhat
+    from npivtest.adaptive import _vhat_scaling, compute_D
 
     for _ in range(200):
         n = int(gen.integers(8, 51))
@@ -243,7 +243,7 @@ def test_criterion_6_oracle_equivalence_suite():
             continue  # empty-support draw; singular grams have their own test
         fit = fit_from_design(psi, b)
         u = gen.normal(size=n)
-        assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
+        assert _vhat_scaling(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
         assert fit.s_hat == pytest.approx(brute_shat(psi, b), abs=1e-8)
         done += 1
 

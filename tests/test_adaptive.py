@@ -22,10 +22,10 @@ import npivtest.sim as sim_module
 from npivtest.adaptive import (
     NullSpec,
     RunConfig,
+    _vhat_scaling,
     adaptive_scan,
     adaptive_test,
     compute_D,
-    compute_vhat,
     cs_contains,
     decide,
     eta_hat,
@@ -36,12 +36,13 @@ from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_
 from npivtest.dgp import DesignConfig, HSpec, generate, h_mono
 from npivtest.errors import InputError, NumericalError
 from npivtest.linalg import orthonormal_range
-from npivtest.npiv import fit_from_design, fit_restricted_cone, fit_restricted_parametric
+from npivtest.npiv import fit_from_design, fit_restricted_parametric
 from npivtest.randdist import CovarianceSpec, RngStream, chisq_quantile, chisq_sf, mvn_sample
 from npivtest.sim import ExperimentSpec
 
 from oracles import (
     _max_support_count,
+    brute_coeffs,
     brute_D,
     brute_image_D,
     brute_shat,
@@ -49,6 +50,8 @@ from oracles import (
     chisq_quantile_bisect,
     compute_D_squares,
     compute_vhat_product,
+    cone_project_cholesky,
+    dense_projector,
     image_space_statistics_basis,
     image_space_step_dense,
     image_space_step_knot_counts,
@@ -63,6 +66,12 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 def bspline(dim, order=3, **kw):
     return BasisSpec("bspline", dim, order, **kw)
+
+
+def cone_fit(fit, m, beta):
+    """(beta_r, active_set) of beta on the cone of m's rows, through the _Cone a structural candidate's visit builds
+    from its fit's own factor and the projection its outcome makes."""
+    return npiv_module._Cone(m.rows, fit.gram_weighted, fit.l_inv_t).project(beta)
 
 
 def small_fit(rng, n=40, j=3, k=6):
@@ -231,10 +240,11 @@ def test_compute_D_weighted_matches_brute(rng):
 
 def test_vhat_zero_and_constant_residuals(rng):
     fit, psi, b, y = small_fit(rng)
-    assert compute_vhat(fit.scaled_map, np.zeros(y.size)) == 0.0
+    # the structural outcome's v_J: _vhat_scaling on a fresh fit.scaled_map, formed on each access
+    assert _vhat_scaling(fit.scaled_map, np.zeros(y.size)) == 0.0
     c = 2.7
-    base = compute_vhat(fit.scaled_map, np.ones(y.size))
-    assert compute_vhat(fit.scaled_map, c * np.ones(y.size)) == pytest.approx(c**2 * base, rel=1e-10)
+    base = _vhat_scaling(fit.scaled_map, np.ones(y.size))
+    assert _vhat_scaling(fit.scaled_map, c * np.ones(y.size)) == pytest.approx(c**2 * base, rel=1e-10)
 
 
 def test_vhat_matches_brute_force(rng):
@@ -246,13 +256,13 @@ def test_vhat_matches_brute_force(rng):
         y = rng.normal(size=n)
         fit = fit_from_design(psi, b)
         u = rng.normal(size=n)
-        assert compute_vhat(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
-    assert compute_vhat(fit.scaled_map, y - psi @ fit.coefficients(y)) >= 0.0
+        assert _vhat_scaling(fit.scaled_map, u) == pytest.approx(brute_vhat(u, psi, b), rel=1e-8)
+    assert _vhat_scaling(fit.scaled_map, y - psi @ fit.coefficients(y)) >= 0.0
 
 
 def test_D_and_v_equal_their_squared_map_oracles_bit_for_bit():
-    # compute_D adds S's squared rows one at a time and compute_vhat scales a copy of S in place; on C-ordered
-    # maps, which fit_from_design forms, both equal the formulas that formed S**2 and S * u, to the last bit
+    # compute_D adds S's squared rows one at a time and _vhat_scaling scales S in place; on C-ordered maps,
+    # which fit_from_design forms, both equal the formulas that formed S**2 and S * u, to the last bit
     gen = np.random.default_rng(11)
     for n in (25, 20_000):
         for j in range(1, 17):
@@ -260,8 +270,33 @@ def test_D_and_v_equal_their_squared_map_oracles_bit_for_bit():
                 s, r = scale * gen.normal(size=(j, n)), gen.normal(size=n)
                 kept = s.copy()
                 assert compute_D(s, r) == compute_D_squares(s, r)
-                assert compute_vhat(s, r) == compute_vhat_product(s, r)
-                np.testing.assert_array_equal(s, kept)  # the caller's map is not scaled
+                np.testing.assert_array_equal(s, kept)  # compute_D does not scale the caller's map
+                assert _vhat_scaling(s, r) == compute_vhat_product(kept, r)
+
+
+@pytest.mark.parametrize("null", ["decreasing", "linear"])
+def test_each_reported_D_and_v_equal_the_brute_oracles_of_its_residuals(null):
+    # the D_J and v_J decide reads, as the structural scan computes them, against the dense-projector oracles of
+    # the candidate's residuals, which oracles rebuild: beta by the normal equations, a shape null's restricted fit
+    # by the per-call Cholesky cone projection, a parametric one by a dense-projector 2SLS
+    data = generate(DesignConfig("I", 300, 0.5, HSpec("sin", c_a=1.0), RngStream(7, 3)))
+    config, spec = RunConfig(grid=(3, 4, 5, 6)), NullSpec.from_name(null)
+    report = adaptive_test(data.y, data.x, data.w, spec, config)
+    assert [rec.j for rec in report.per_j] == [3, 4, 5, 6]
+    assert null == "linear" or min(rec.n_active for rec in report.per_j) > 0  # every cone projects
+    for rec in report.per_j:
+        psi_spec = config.psi_spec(rec.j)
+        psi, b = eval_design(psi_spec, data.x), eval_design(config.psi_spec(rec.k), data.w)
+        beta = brute_coeffs(data.y, psi, b)
+        if spec.kind == "shape":
+            beta_r, active = cone_project_cholesky(beta, psi.T @ psi, spec.constraints(psi_spec))
+            restricted = data.y - psi @ beta_r
+            assert rec.n_active == len(active)
+        else:
+            z, p_b = np.column_stack([np.ones_like(data.x), data.x]), dense_projector(b)
+            restricted = data.y - z @ np.linalg.solve(z.T @ p_b @ z, z.T @ p_b @ data.y)
+        assert rec.d_stat == pytest.approx(brute_D(restricted, psi, b), rel=1e-8)
+        assert rec.v_stat == pytest.approx(brute_vhat(data.y - psi @ beta, psi, b), rel=1e-8)
 
 
 @pytest.mark.parametrize("null", ["decreasing", "linear"])
@@ -281,9 +316,9 @@ def test_structural_outcome_scales_its_own_map(null):
         entry = adaptive_module._structural_outcome(factor, data.y, None, data.x, spec.model)
         beta = fit.coefficients(data.y)
         u = data.y - psi @ beta
-        r = (fit_restricted_cone(fit, rows, beta, psi, data.y) if rows is not None
-             else fit_restricted_parametric(data.y, data.x, spec.model, fit.q, fit.r)).residuals_r
-        assert entry.v_stat == compute_vhat(s, u) == compute_vhat_product(s, u)
+        r = (data.y - psi @ cone_fit(fit, rows, beta)[0] if rows is not None
+             else fit_restricted_parametric(data.y, data.x, spec.model, fit.q, fit.r).residuals_r)
+        assert entry.v_stat == _vhat_scaling(s.copy(), u) == compute_vhat_product(s, u)
         assert entry.d_stat == compute_D(s, r) == compute_D_squares(s, r)
         np.testing.assert_array_equal(fit.scaled_map, s)
 
@@ -294,8 +329,8 @@ def test_structural_outcome_scales_its_own_map(null):
 def test_gamma_floor_and_equality(rng):
     fit, psi, _, y = small_fit(rng, n=60, j=4, k=8)
     m = deriv_constraints(bspline(4), "decreasing")
-    rfit = fit_restricted_cone(fit, m, fit.coefficients(y), psi, y)
-    assert gamma_hat(m, rfit.active_set) >= 1
+    _, active = cone_fit(fit, m, fit.coefficients(y))
+    assert gamma_hat(m, active) >= 1
     assert gamma_hat(m, np.empty(0, dtype=int)) == 1
     # a parametric (equality) null has J degrees of freedom
     data = generate(DesignConfig("I", 300, 0.5, HSpec("mono", c0=0.5), RngStream(5, 0)))
@@ -316,8 +351,8 @@ def test_gamma_counts_active_rank():
     b = eval_design(bspline(8), w)
     y = psi @ coef  # noiseless increasing signal
     fit = fit_from_design(psi, b)
-    rfit = fit_restricted_cone(fit, m, fit.coefficients(y), psi, y)
-    assert gamma_hat(m, rfit.active_set) == np.linalg.matrix_rank(m.rows)
+    _, active = cone_fit(fit, m, fit.coefficients(y))
+    assert gamma_hat(m, active) == np.linalg.matrix_rank(m.rows)
 
 
 def test_gamma_is_the_rank_of_the_unit_active_rows():
@@ -720,10 +755,8 @@ def test_cs_contains_restricted_fit_when_not_rejecting():
     psi_spec = cfg.psi_spec(j)
     psi = eval_design(psi_spec, data.x)
     fit = fit_from_design(psi, eval_design(cfg.psi_spec(2 * j), data.w))
-    rfit = fit_restricted_cone(fit, deriv_constraints(psi_spec, "decreasing"), fit.coefficients(data.y), psi, data.y)
-    contained, binding, _ = cs_contains(
-        (rfit.beta_r, psi_spec), data.y, data.x, data.w, config=cfg, null=null
-    )
+    beta_r, _ = cone_fit(fit, deriv_constraints(psi_spec, "decreasing"), fit.coefficients(data.y))
+    contained, binding, _ = cs_contains((beta_r, psi_spec), data.y, data.x, data.w, config=cfg, null=null)
     assert contained and binding is None
 
 
@@ -965,7 +998,7 @@ def test_passes_on_one_sample_share_its_tensor_factors(monkeypatch):
     grid, (entries,), warn, (*_, n) = adaptive_module._structural_scan([data.y], data.x, data.w, null, config, designs)
     shared = [decide(grid, entries, n, null, config, warnings=warn).to_dict()]
     grid, (entries,), warn, (*_, n) = adaptive_module._image_space_scan([data.y], data.x, data.w, null, config, designs)
-    shared.append(decide(grid, entries, n, null, config, statistic="image-space", warnings=warn).to_dict())
+    shared.append(decide(grid, entries, n, null, config, warnings=warn).to_dict())
     assert shared == alone
     assert set(built.values()) == {1}
     assert (3, data.w[0, 0]) in built  # the image-space candidate K = 9 = 3 x 3 is built from these factors
@@ -1305,7 +1338,7 @@ def test_an_image_space_fallback_above_the_hard_cap_reads_the_table(monkeypatch)
 
 
 def test_image_space_statistics_match_the_basis_oracle(monkeypatch):
-    # D and v from the K x K gram C = U_B' diag(r^2) U_B against compute_D / compute_vhat on the formed
+    # D and v from the K x K gram C = U_B' diag(r^2) U_B against compute_D / compute_vhat_product on the formed
     # n x K basis U_B: identical grids, decisions and errors, and statistics within rel 1e-10
     compared = 0
     for design in ("I", "multivariate"):
@@ -1331,6 +1364,27 @@ def test_image_space_statistics_match_the_basis_oracle(monkeypatch):
                             assert got == expected
                         compared += 1
     assert compared >= 80
+
+
+def test_decide_takes_the_statistic_its_entries_name():
+    # decide has no statistic of its own: on image_space_scan's entries it centers W_K at K and reports the
+    # image-space test, as image_space_test does; entries naming two statistics, or items that are no scan's
+    # entries, are input errors
+    y, x, w = _sample200()
+    null, config = NullSpec.from_name("linear"), RunConfig(grid="knots")
+    grid, entries, warn, n = adaptive_module.image_space_scan(y, x, w, null, config)
+    report = decide(grid, entries, n, null, config, warnings=warn)
+    assert report.statistic == "image-space" and report.config["grid"] == "dyadic"
+    assert [rec.eta for rec in report.per_j] == [eta_hat(0.05, grid.size, rec.gamma, rec.k) for rec in report.per_j]
+    assert report.to_dict() == image_space_test(y, x, w, "linear", config).to_dict()
+    s_grid, s_entries, _, _ = adaptive_scan(y, x, w, null, config)
+    assert decide(s_grid, s_entries, n, null, config).statistic == "structural"
+    mixed = [dataclasses.replace(entries[0], statistic="structural"), *entries[1:]]
+    with pytest.raises(InputError) as info:
+        decide(grid, mixed, n, null, config)
+    assert str(info.value) == "entries of one decision must name one statistic, got ['image-space', 'structural']"
+    with pytest.raises(InputError, match=r"^entry must be a _ScanEntry, got float$"):
+        decide(grid, [1.0] * grid.size, n, null, config)
 
 
 def test_image_space_detects_quadratic_alternative():
@@ -1622,12 +1676,9 @@ _ARRAYS = [  # (export, argument, the name its messages give it, its fewest and 
     ("adaptive.image_space_scan", "w", "w", 1, 2),
     ("adaptive.compute_D", "scaled_map", "scaled map", 2, 2),
     ("adaptive.compute_D", "r", "residuals", 1, 1),
-    ("adaptive.compute_vhat", "scaled_map", "scaled map", 2, 2),
-    ("adaptive.compute_vhat", "u", "residuals", 1, 1),
     ("basis.BasisSpec", "knot_data", "knot_data", 1, 1),
     ("basis.ConstraintMatrix", "rows", "constraint rows", 1, 2),
     ("basis.eval_design", "x", "x", 0, 1),
-    ("basis.tensor_design", "x", "x", 1, 2),
     ("dgp.HSpec.__call__", "x", "x", 0, None),
     ("dgp.h_mono", "x", "x", 0, None),
     ("dgp.h_sin", "x", "x", 0, None),
@@ -1643,9 +1694,6 @@ _ARRAYS = [  # (export, argument, the name its messages give it, its fewest and 
     ("npiv.cone_project", "v", "v", 1, 1),
     ("npiv.cone_project", "g", "metric g", 2, 2),
     ("npiv.cone_project", "m", "constraint rows", 1, 2),
-    ("npiv.fit_restricted_cone", "beta", "beta", 1, 1),
-    ("npiv.fit_restricted_cone", "psi", "regressor design Psi", 2, 2),
-    ("npiv.fit_restricted_cone", "y", "y", 1, 1),
     ("npiv.parametric_design", "x", "x", 1, 2),
     ("npiv.parametric_design", "model", "custom design", 1, 2),
     ("npiv.fit_restricted_parametric", "y", "y", 1, 1),
@@ -1688,11 +1736,9 @@ def _valid_arguments(export: str) -> dict:
                                    "mu": np.ones(200)},
         "adaptive.image_space_scan": {**sample, "null": NullSpec.from_name("linear"), "config": RunConfig()},
         "adaptive.compute_D": {"scaled_map": fit.scaled_map, "r": y},
-        "adaptive.compute_vhat": {"scaled_map": fit.scaled_map, "u": y},
         "basis.BasisSpec": {"family": "bspline", "dim": 4, "knot_rule": "quantile", "knot_data": x},
         "basis.ConstraintMatrix": {"rows": np.eye(2, 4), "kind": "custom"},
         "basis.eval_design": {"spec": bspline(4), "x": x},
-        "basis.tensor_design": {"specs": [bspline(4)], "x": x},
         "dgp.HSpec.__call__": {"self": HSpec("mono"), "x": x},
         "dgp.h_mono": {"c0": 0.5, "x": x},
         "dgp.h_sin": {"c_a": 0.5, "c_b": 0.1, "x": x},
@@ -1704,8 +1750,6 @@ def _valid_arguments(export: str) -> dict:
         "npiv.NpivFit.coefficients": {"self": fit, "y": y},
         "npiv.fit_from_design": {"psi": psi, "b": b, "mu": np.ones(200)},
         "npiv.cone_project": {"v": fit.coefficients(y), "g": fit.gram_weighted, "m": np.eye(2, 3)},
-        "npiv.fit_restricted_cone": {"fit": fit, "m": deriv_constraints(bspline(3), "decreasing"),
-                                     "beta": fit.coefficients(y), "psi": psi, "y": y},
         "npiv.parametric_design": {"x": x, "model": "linear"},
         "npiv.fit_restricted_parametric": {"y": y, "x": x, "model": "linear", "q": q, "r": r},
         "randdist.CovarianceSpec": {"matrix": np.eye(2)},
@@ -1827,13 +1871,12 @@ _NAN_ADMITTED = {("randdist.chisq_sf", "x")}
 _WRAPPED = {"support": lambda v: (0.0, v), "grid": lambda v: [v], **{axis: lambda v: (v,) for axis in sim_module._AXES}}
 # exports none of whose arguments is a scalar or an index set (a string names a choice)
 _SCALAR_FREE = ("adaptive.NullSpec", "adaptive.adaptive_scan", "adaptive.adaptive_test", "adaptive.compute_D",
-                "adaptive.compute_vhat", "adaptive.cs_contains", "adaptive.image_space_scan",
-                "adaptive.image_space_test", "basis.ConstraintMatrix", "basis.deriv_constraints", "basis.min_dim",
-                "basis.tensor_design", "cli.main", "cli.load_csv_dataset", "cli.resolve_config", "cli.render_report",
-                "dgp.draw", "dgp.generate", "errors.InputError", "errors.NumericalError", "linalg.frobenius_norm",
-                "linalg.orthonormal_range", "npiv.cone_project", "npiv.fit_from_design", "npiv.fit_restricted_cone",
-                "npiv.fit_restricted_parametric", "npiv.parametric_design", "randdist.CovarianceSpec",
-                "randdist.std_normal_cdf")
+                "adaptive.cs_contains", "adaptive.image_space_scan", "adaptive.image_space_test",
+                "basis.ConstraintMatrix", "basis.deriv_constraints", "basis.min_dim", "cli.main",
+                "cli.load_csv_dataset", "cli.resolve_config", "cli.render_report", "dgp.draw", "dgp.generate",
+                "errors.InputError", "errors.NumericalError", "linalg.frobenius_norm", "linalg.orthonormal_range",
+                "npiv.cone_project", "npiv.fit_from_design", "npiv.fit_restricted_parametric",
+                "npiv.parametric_design", "randdist.CovarianceSpec", "randdist.std_normal_cdf")
 # records, and calls whose scalars are what the package computed: a scan's n (decide), a gram's eigenvalues and
 # dimension (check_gram) and an array's shape (default_rcond)
 _SCALAR_RESULTS = ("adaptive.CandidateGrid", "adaptive.CandidateRecord", "adaptive.TestReport", "adaptive.decide",

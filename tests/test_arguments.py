@@ -79,13 +79,11 @@ CASES = {
     "adaptive.RunConfig": lambda: dict(alpha=0.05, basis="bspline2", grid="dyadic", k_factor=4, support=(0.0, 1.0),
                                        knot_rule="equispaced"),
     "adaptive.compute_D": lambda: dict(scaled_map=np.ones((2, 5)), r=np.ones(5)),
-    "adaptive.compute_vhat": lambda: dict(scaled_map=np.ones((2, 5)), u=np.ones(5)),
     "adaptive.gamma_hat": lambda: dict(m=_fit()[1], active_set=[0]),
     "adaptive.eta_hat": lambda: dict(alpha=0.05, grid_size=3, gamma=2, center=2),
     "adaptive.adaptive_test": lambda: _data(null=NullSpec.from_name("decreasing"), config=RunConfig(), mu=None),
     "adaptive.adaptive_scan": lambda: _data(null=NullSpec.from_name("decreasing"), config=RunConfig(), mu=None),
-    "adaptive.decide": lambda: dict(_scan(), null=NullSpec.from_name("decreasing"), config=RunConfig(),
-                                    statistic="structural"),
+    "adaptive.decide": lambda: dict(_scan(), null=NullSpec.from_name("decreasing"), config=RunConfig()),
     "adaptive.cs_contains": lambda: _data(candidate=np.zeros(200), config=RunConfig(),
                                           null=NullSpec.from_name("linear"), mu=None),
     "adaptive.image_space_scan": lambda: _data(null=NullSpec.from_name("linear"), config=RunConfig()),
@@ -95,7 +93,6 @@ CASES = {
     "basis.ConstraintMatrix": lambda: dict(rows=np.eye(2), kind="custom"),
     "basis.eval_design": lambda: dict(spec=BasisSpec("bspline", 4), x=[0.5], deriv=0),
     "basis.deriv_constraints": lambda: dict(spec=BasisSpec("bspline", 4), kind="convex"),
-    "basis.tensor_design": lambda: dict(specs=[BasisSpec("bspline", 4)], x=[0.5]),
     "basis.zeta": lambda: dict(spec=BasisSpec("bspline", 4), dim=4),
     "basis.min_dim": lambda: dict(spec=BasisSpec("bspline", 4)),
     "cli.main": dict,
@@ -118,7 +115,6 @@ CASES = {
     "linalg.check_gram": lambda: dict(lam_min=1.0, lam_max=1.0, dim=3, error=NumericalError, name="gram G"),
     "npiv.fit_from_design": lambda: dict(psi=_fit()[3], b=eval_design(BasisSpec("bspline", 8, order=2), _sample()[2]),
                                          mu=None),
-    "npiv.fit_restricted_cone": lambda: dict(zip(("fit", "m", "beta", "psi", "y"), _fit())),
     "npiv.fit_restricted_parametric": lambda: dict(y=_sample()[0], x=_sample()[1], model="linear", q=_fit()[0].q,
                                                    r=_fit()[0].r),
     "npiv.cone_project": lambda: dict(v=np.ones(4), g=np.eye(4), m=_fit()[1]),
@@ -141,7 +137,6 @@ CASES = {
 NAMED = {
     "adaptive.NullSpec": ("kind", "shape", "model"),
     "adaptive.RunConfig": ("basis", "grid", "knot_rule"),
-    "adaptive.decide": ("statistic",),
     "adaptive.image_space_test": ("model",),
     "basis.BasisSpec": ("family", "knot_rule"),
     "basis.ConstraintMatrix": ("kind",),

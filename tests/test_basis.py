@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from npivtest.basis import BasisSpec, ConstraintMatrix, deriv_constraints, eval_design, min_dim, tensor_design, zeta
+from npivtest.adaptive import RunConfig, _Designs
+from npivtest.basis import BasisSpec, ConstraintMatrix, _tensor_product, deriv_constraints, eval_design, min_dim, zeta
 from npivtest.errors import InputError
 
 from oracles import _max_support_count, bspline_design_dense, bspline_design_rowmajor, simpson, tensor_design_einsum
@@ -205,22 +206,27 @@ def test_deriv_constraints_family_guards():
         deriv_constraints(BasisSpec("bspline", 4, 2), "convex")  # linear spline has no curvature
 
 
+def _tensor(specs, x):
+    """The row-wise tensor product of each spec's design at its coordinate of the n x d sample x."""
+    return _tensor_product([eval_design(spec, x[:, k]) for k, spec in enumerate(specs)])
+
+
 def test_tensor_matches_univariate(rng):
     spec = bspline(5)
     xs = rng.uniform(size=17)
-    np.testing.assert_allclose(tensor_design([spec], xs), eval_design(spec, xs), atol=1e-14)
+    np.testing.assert_allclose(_tensor([spec], xs[:, None]), eval_design(spec, xs), atol=1e-14)
 
 
 def test_tensor_power_expansion():
     specs = [BasisSpec("power", 2), BasisSpec("power", 2)]
-    row = tensor_design(specs, np.array([[0.5, 0.5]]))
+    row = _tensor(specs, np.array([[0.5, 0.5]]))
     np.testing.assert_allclose(row, [[1.0, 0.5, 0.5, 0.25]], atol=1e-15)
 
 
 def test_tensor_partition_of_unity(rng):
     specs = [bspline(5), bspline(4)]
     x = rng.uniform(size=(31, 2))
-    sums = tensor_design(specs, x).sum(axis=1)
+    sums = _tensor(specs, x).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -246,7 +252,7 @@ def test_tensor_bspline_gram_is_bounded_by_support_counts(order, knot_rule, n_in
                                        np.full(kinds[2], gen.choice([gen.uniform(), *t]))]))
         specs.append(spec)
     w = np.column_stack(columns)
-    b = tensor_design(specs, w)
+    b = _tensor(specs, w)
     bound = min(_max_support_count(spec, np.sort(np.clip(c, *spec.support))) for spec, c in zip(specs, columns)) / n
     lam_max = np.linalg.eigvalsh(b.T @ b / n)[-1]
     assert lam_max <= bound * (1.0 + 1e-12)
@@ -274,21 +280,22 @@ def test_equispaced_spans_match_the_searchsorted_kernel(support):
                 assert np.array_equal(eval_design(spec, x, deriv=deriv), expected)
 
 
-@pytest.mark.parametrize("family, order", [("bspline", 3), ("bspline", 4), ("cosine", 0), ("power", 0)])
-def test_designs_are_column_major(family, order, rng):
-    # each basis function's column is contiguous; a tensor's columns are the einsum products bit for bit
-    specs = [BasisSpec(family, 5, max(order, 2)), BasisSpec(family, 4, max(order, 2))]
-    w = rng.uniform(size=(200, 2))
-    for deriv in range(order + 1 if family == "bspline" else 1):
+@pytest.mark.parametrize("basis", ["bspline2", "bspline3", "cosine", "power"])
+def test_designs_are_column_major(basis, rng):
+    # each basis function's column is contiguous; a tensor's columns are the einsum products bit for bit, of
+    # unequal factors and of the instrument design _Designs builds for a scan, on 2-d and 3-d samples
+    config = RunConfig(basis=basis)
+    specs = [config.psi_spec(5), config.psi_spec(4)]
+    w = rng.uniform(size=(200, 3))
+    for deriv in range(config.order + 1 if config.family == "bspline" else 1):
         assert eval_design(specs[0], w[:, 0], deriv=deriv).flags.f_contiguous
-    design = tensor_design(specs, w)
-    assert design.flags.f_contiguous
-    assert np.array_equal(design, tensor_design_einsum(specs, w))
-
-
-def test_tensor_dimension_mismatch():
-    with pytest.raises(InputError):
-        tensor_design([bspline(4), bspline(4)], np.zeros((5, 3)))
+    designs = [(specs, _tensor(specs, w))]
+    for d_w in (2, 3):
+        sample = w[:, :d_w]
+        designs.append((config.instrument_specs(20, sample), _Designs(sample).instrument(config, 20)))
+    for factors, design in designs:
+        assert design.flags.f_contiguous
+        assert np.array_equal(design, tensor_design_einsum(factors, w[:, :len(factors)]))
 
 
 def test_zeta_values():
@@ -314,9 +321,8 @@ def test_min_dim():
     (lambda: ConstraintMatrix([[1.0, np.inf]], "custom"), "constraint rows contain non-finite entries"),
     (lambda: ConstraintMatrix([[1.0]], "flat"),
      "unknown constraint kind 'flat'; expected one of ('decreasing', 'increasing', 'convex', 'concave', 'custom')"),
-    (lambda: tensor_design([], np.zeros(3)), "specs must be a non-empty list, got []"),
 ], ids=["order-1", "unknown-knot-rule", "quantile-without-data", "2-d-points", "non-finite-points", "negative-deriv",
-        "non-finite-rows", "unknown-constraint-kind", "no-tensor-factor"])
+        "non-finite-rows", "unknown-constraint-kind"])
 def test_basis_input_guards(call, message):
     with pytest.raises(InputError) as info:
         call()

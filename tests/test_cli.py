@@ -693,25 +693,25 @@ def test_cmd_cs_coeffs_candidate_uses_its_own_equispaced_basis(tmp_path, name, o
     assert payload["per_J"] == detail["per_J"]
 
 
-def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("cs", ENGEL, str(bad)) == 2
-    bad.write_text(json.dumps({"kind": "teapot"}))
-    assert run_cli("cs", ENGEL, str(bad)) == 2
-    bad.write_text(json.dumps({"kind": "values", "values": [1.0, 2.0]}))
-    assert run_cli("cs", ENGEL, str(bad)) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("doc, message", [
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read candidate {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("{not json", "candidate {path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 "
+                  "column 2 (char 1)"),
+    ("[1.0, 2.0]", "candidate {path} must hold a JSON object"),
+    ({"kind": "teapot"}, "unknown candidate kind 'teapot'; expected one of ('coeffs', 'parametric', 'values')"),
+    ({"kind": "values", "values": [1.0, 2.0]}, "candidate must be callable, a (coeffs, BasisSpec) pair, or a vector "
+                                               "of fitted values, with one value per observation: need shape (400,), "
+                                               "got (2,)"),
     ({"kind": "coeffs", "basis": {"name": "bspline2", "dim": "x"}, "coefficients": [1.0, 2.0]},
-     "malformed: bspline basis dim must be an integer >= 3, got 'x'"),
+     "bspline basis dim must be an integer >= 3, got 'x'"),
     ({"kind": "coeffs", "basis": {"name": "bspline2", "support": 5}, "coefficients": [1.0, 2.0, 3.0]},
-     "malformed: support must be a list of 2 values, got 5"),
-    ({"kind": "parametric", "model": "linear", "theta": ["a", "b"]},
-     "malformed: theta must be real numbers"),
-    ({"kind": "parametric", "model": "linear", "theta": 5}, "malformed: theta must be 1-d, got shape ()"),
+     "support must be a list of 2 values, got 5"),
+    ({"kind": "coeffs", "basis": {"name": "bspline2"}, "coefficients": 5},
+     "coefficients must be a non-empty list, got 5"),
+    ({"kind": "coeffs", "basis": {"name": "bspline2"}, "coefficients": {"a": 1.0}},
+     "coefficients must be a non-empty list, got {{'a': 1.0}}"),
+    ({"kind": "parametric", "model": "linear", "theta": ["a", "b"]}, "theta must be real numbers"),
+    ({"kind": "parametric", "model": "linear", "theta": 5}, "theta must be 1-d, got shape ()"),
     ({"kind": "values", "values": "abc"}, "candidate fitted values must be real numbers"),
     ({"coefficients": [1.0]}, "unknown candidate kind None; expected one of ('coeffs', 'parametric', 'values')"),
     ({"kind": "coeffs", "coefficients": [1.0, 2.0]}, "coeffs candidate needs 'basis' and 'coefficients'"),
@@ -720,14 +720,16 @@ def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys):
     ({"kind": "parametric", "model": "cubic", "theta": [1.0, 2.0]},
      "unknown candidate model 'cubic'; expected one of ('linear', 'quadratic')"),
     ({"kind": "parametric", "model": "linear", "theta": [1.0, 2.0, 3.0]}, "theta has 3 entries, design needs 2"),
-], ids=["dim", "support", "theta", "0-d-theta", "values", "no-kind", "coeffs-no-basis", "unknown-basis", "model",
-        "theta-length"])
-def test_cmd_cs_malformed_candidate_fields_exit_2(tmp_path, capsys, doc, message):
+], ids=["missing-file", "bad-json", "not-an-object", "unknown-kind", "short-values", "dim", "support",
+        "scalar-coefficients", "dict-coefficients", "theta", "0-d-theta", "values", "no-kind", "coeffs-no-basis",
+        "unknown-basis", "model", "theta-length"])
+def test_cmd_cs_malformed_candidate_exit_2(tmp_path, capsys, text, message):
+    # one message per malformed candidate file, the rule's own, with no wrapper and no Python exception text
     cand = tmp_path / "cand.json"
-    cand.write_text(json.dumps(doc))
+    if text is not None:
+        cand.write_text(text if isinstance(text, str) else json.dumps(text))
     assert run_cli("cs", ENGEL, str(cand)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and err.rstrip("\n").endswith(message)
+    assert capsys.readouterr().err == f"input error: {message.format(path=cand)}\n"
 
 
 # -------------------------------------------------------------- cmd: simulate

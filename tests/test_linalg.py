@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import npivtest.linalg as linalg_module
-from npivtest.basis import BasisSpec, eval_design, tensor_design
+from npivtest.basis import BasisSpec, _tensor_product, eval_design
 from npivtest.errors import InputError, NumericalError, SingularGramError
 from npivtest.linalg import GRAM_FLOOR, frobenius_norm, orthonormal_range, pinv
 
@@ -115,7 +115,7 @@ def sweep_designs(basis: str, n: int):
                 yield eval_design(BasisSpec(family, k, order, knot_rule=rule, knot_data=w), w)
         for per_dim in (order, 5):
             specs = [BasisSpec(family, per_dim, order, knot_rule=rule, knot_data=w2[:, i]) for i in range(2)]
-            yield tensor_design(specs, w2)
+            yield _tensor_product([eval_design(spec, w2[:, i]) for i, spec in enumerate(specs)])
 
 
 @pytest.mark.parametrize("n", [60, 500, 5000])

@@ -17,7 +17,6 @@ from npivtest.linalg import orthonormal_range
 from npivtest.npiv import (
     cone_project,
     fit_from_design,
-    fit_restricted_cone,
     fit_restricted_parametric,
     parametric_design,
 )
@@ -479,38 +478,44 @@ def _design_fit(rng, n=120, j=4, k=8):
     return fit, psi, y, fit.coefficients(y), deriv_constraints(bspline(j), "decreasing")
 
 
+def _cone(fit, m):
+    """The cone a structural candidate's visit builds: m's rows on the fit's own factor of Psi' Omega Psi. Its
+    project(beta) is the restricted fit the candidate's outcome makes."""
+    return npiv_module._Cone(m.rows, fit.gram_weighted, fit.l_inv_t)
+
+
 def test_restricted_cone_feasible_unchanged(rng):
     fit, psi, y, beta, m = _design_fit(rng)
     feasible = np.all(m.rows @ beta <= 0)
-    rfit = fit_restricted_cone(fit, m, beta, psi, y)
-    assert np.all(m.rows @ rfit.beta_r <= 1e-8 * (1.0 + np.linalg.norm(rfit.beta_r)))
+    beta_r, _ = _cone(fit, m).project(beta)
+    assert np.all(m.rows @ beta_r <= 1e-8 * (1.0 + np.linalg.norm(beta_r)))
     if feasible:
-        np.testing.assert_allclose(rfit.beta_r, beta, atol=1e-10)
+        np.testing.assert_allclose(beta_r, beta, atol=1e-10)
 
 
 def test_restricted_weighted_ssr_never_improves(rng):
     fit, psi, y, beta, m = _design_fit(rng)
-    rfit = fit_restricted_cone(fit, m, beta, psi, y)
-    gap = psi @ beta - rfit.fitted_r
+    beta_r, _ = _cone(fit, m).project(beta)
+    gap = psi @ beta - psi @ beta_r
     ssr = float(np.sum(gap**2))  # unit weights
-    d = rfit.beta_r - beta
+    d = beta_r - beta
     np.testing.assert_allclose(ssr, float(d @ fit.gram_weighted @ d), atol=1e-8)
     assert ssr >= -1e-12
 
 
 def test_restricted_kkt_orthogonality(rng):
     fit, psi, y, beta, m = _design_fit(rng, n=200, j=5, k=10)
-    rfit = fit_restricted_cone(fit, m, beta, psi, y)
-    gap = beta - rfit.beta_r
-    cross = float(gap @ fit.gram_weighted @ rfit.beta_r)
+    beta_r, _ = _cone(fit, m).project(beta)
+    gap = beta - beta_r
+    cross = float(gap @ fit.gram_weighted @ beta_r)
     scale = float(beta @ fit.gram_weighted @ beta)
     assert abs(cross) <= 1e-6 * (1.0 + scale)
 
 
 def test_restricted_cone_checks_the_constraint_dimension(rng):
-    fit, psi, y, beta, _ = _design_fit(rng)
+    fit, *_ = _design_fit(rng)
     with pytest.raises(InputError, match="constraint matrix has dim 5, fit has J=4"):
-        fit_restricted_cone(fit, deriv_constraints(bspline(5), "decreasing"), beta, psi, y)
+        _cone(fit, deriv_constraints(bspline(5), "decreasing"))
 
 
 def test_restricted_monotone_derivative_on_grid():
@@ -518,9 +523,9 @@ def test_restricted_monotone_derivative_on_grid():
     spec = bspline(5)
     psi = eval_design(spec, data.x)
     fit = fit_from_design(psi, eval_design(bspline(10), data.w))
-    rfit = fit_restricted_cone(fit, deriv_constraints(spec, "decreasing"), fit.coefficients(data.y), psi, data.y)
+    beta_r, _ = _cone(fit, deriv_constraints(spec, "decreasing")).project(fit.coefficients(data.y))
     grid = np.linspace(0.0, 1.0, 1000)
-    deriv = eval_design(spec, grid, deriv=1) @ rfit.beta_r
+    deriv = eval_design(spec, grid, deriv=1) @ beta_r
     assert np.all(deriv <= 1e-10)
 
 
@@ -581,9 +586,9 @@ def test_parametric_rank_guard(rng):
 def test_restricted_positive_homogeneity(rng):
     # cone projections commute with positive scaling of the target: one factor, outcomes y and 2.5 y
     fit, psi, y, beta, m = _design_fit(rng)
-    r1 = fit_restricted_cone(fit, m, beta, psi, y)
-    r2 = fit_restricted_cone(fit, m, fit.coefficients(2.5 * y), psi, 2.5 * y)
-    np.testing.assert_allclose(r2.beta_r, 2.5 * r1.beta_r, atol=1e-8)
+    cone = _cone(fit, m)
+    (r1, _), (r2, _) = cone.project(beta), cone.project(fit.coefficients(2.5 * y))
+    np.testing.assert_allclose(r2, 2.5 * r1, atol=1e-8)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -603,22 +608,6 @@ def test_npiv_input_guards(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
-
-
-@pytest.mark.parametrize("rows, columns", [(slice(-1), slice(None)), (slice(None), slice(-1))], ids=["rows", "columns"])
-def test_restricted_cone_needs_one_psi_row_per_outcome_and_one_column_per_coefficient(rng, rows, columns):
-    # a Psi that disagrees with y or beta would broadcast its fitted values, or fail inside numpy's matmul
-    fit, psi, y, beta, m = _design_fit(rng)
-    with pytest.raises(InputError) as info:
-        fit_restricted_cone(fit, m, beta, psi[rows, columns], y)
-    assert str(info.value) == f"regressor design Psi must have shape (120, 4), got {psi[rows, columns].shape}"
-
-
-def test_restricted_cone_needs_one_coefficient_per_constraint_column(rng):
-    fit, psi, y, beta, m = _design_fit(rng)
-    with pytest.raises(InputError) as info:
-        fit_restricted_cone(fit, m, beta[:-1], psi, y)
-    assert str(info.value) == "beta must have shape (4,), got (3,)"
 
 
 def _rounding_exit(a, b):

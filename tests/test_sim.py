@@ -513,6 +513,24 @@ def test_a_supp_d_sample_builds_its_tensor_factors_once(monkeypatch):
     assert len(factors) >= 4 and len({r for r, _ in factors}) == 2
 
 
+def test_an_image_space_cell_is_decided_as_the_image_space_test():
+    # at n = 60 the quadratic null leaves the image-space candidate K = 4 one degree of freedom, whose critical
+    # value at alpha 0.05 is not positive: a Monte Carlo cell names K and its centring at K, as image_space_test
+    # does on such a sample, and not the structural J and gamma
+    message = ("critical value eta <= 0 at K=4 (alpha/1 too large for chi-square df=1 centered at K=4); "
+               "use a smaller alpha")
+    config = adaptive_module.RunConfig(basis="bspline3")
+    with pytest.raises(InputError) as info:
+        run_experiment(ExperimentSpec(design="I", statistic="image-space", null="quadratic", h_family="mono",
+                                      n_values=(60,), replications=2, basis="bspline3", k_factor=4,
+                                      grid_mode="dyadic"))
+    assert str(info.value) == message
+    data = generate(DesignConfig("I", 60, 0.5, HSpec("mono"), RngStream(0, 1)))
+    with pytest.raises(InputError) as info:
+        adaptive_module.image_space_test(data.y, data.x, data.w, "quadratic", config)
+    assert str(info.value) == message
+
+
 def test_image_space_cells_sharing_a_pass_match_their_own_runs(monkeypatch):
     # the c_a cells of an image-space power experiment share one pass per replication; their rows are
     # those of each cell run on its own

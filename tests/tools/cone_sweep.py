@@ -6,11 +6,12 @@ the per-call Cholesky projection on raw rows, and print how far they differ.
 Each replication draws design-I samples (n in {200, 500, 2 000}, xi 0.5, h = sin with c_a from 0 to 3) from the
 package's own streams, fits every J from the order's minimum to 8 at K = 4 J on B-splines of order 3 and 4, and
 projects the unrestricted coefficients onto each of the four shape cones twice: as the structural scan does, through
-`fit_restricted_cone` on the fit's own factor of Psi' Omega Psi, and through `cone_project(v, g, m)`, which
-factors g itself. Both must give the oracle's active set exactly and its beta within rel --rtol. The default
+the `_Cone` a candidate's visit builds on the fit's own factor of Psi' Omega Psi, and through `cone_project(v, g, m)`,
+which factors g itself. Both must give the oracle's active set exactly and its beta within rel --rtol. The default
 draws 38 x 132 = 5 016 cones. It prints the counts, the cones the shortcut left alone, and the largest relative
 beta difference of each path, and exits 1 on any active-set mismatch or any beta beyond --rtol, else 0. It
-needs nothing beyond numpy, the standard library and the package; tier-1 does not collect it.
+needs nothing beyond numpy, the standard library and the package; tier-1 does not collect it, and CI runs it as a
+step of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from npivtest.basis import BasisSpec, deriv_constraints, eval_design  # noqa: E402
 from npivtest.dgp import DesignConfig, HSpec, generate  # noqa: E402
-from npivtest.npiv import cone_project, fit_from_design, fit_restricted_cone  # noqa: E402
+from npivtest.npiv import _Cone, cone_project, fit_from_design  # noqa: E402
 from npivtest.randdist import RngStream  # noqa: E402
 from oracles import cone_project_cholesky  # noqa: E402
 
@@ -51,8 +52,7 @@ def sweep(reps: int, seed: int, rtol: float) -> int:
                         m = deriv_constraints(spec, shape)
                         expected, expected_active = cone_project_cholesky(beta, fit.gram_weighted, m)
                         feasible += np.array_equal(expected, beta)
-                        scan = fit_restricted_cone(fit, m, beta, psi, data.y)
-                        paths = {"scan": (scan.beta_r, scan.active_set),
+                        paths = {"scan": _Cone(m.rows, fit.gram_weighted, fit.l_inv_t).project(beta),
                                  "cone_project": cone_project(beta, fit.gram_weighted, m)}
                         for name, (got, active) in paths.items():
                             rel = float(np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-300))
