@@ -274,16 +274,26 @@ def test_D_and_v_equal_their_squared_map_oracles_bit_for_bit():
                 assert _vhat_scaling(s, r) == compute_vhat_product(kept, r)
 
 
-@pytest.mark.parametrize("null", ["decreasing", "linear"])
-def test_each_reported_D_and_v_equal_the_brute_oracles_of_its_residuals(null):
+@pytest.mark.parametrize("null, basis", [
+    *[(shape, basis) for shape in ("decreasing", "increasing", "convex", "concave") for basis in ("bspline2", "bspline3")],
+    *[(model, basis) for model in ("linear", "quadratic") for basis in ("bspline2", "bspline3", "cosine", "power")],
+])
+def test_each_reported_D_and_v_equal_the_brute_oracles_of_its_residuals(null, basis):
     # the D_J and v_J decide reads, as the structural scan computes them, against the dense-projector oracles of
     # the candidate's residuals, which oracles rebuild: beta by the normal equations, a shape null's restricted fit
     # by the per-call Cholesky cone projection, a parametric one by a dense-projector 2SLS
     data = generate(DesignConfig("I", 300, 0.5, HSpec("sin", c_a=1.0), RngStream(7, 3)))
-    config, spec = RunConfig(grid=(3, 4, 5, 6)), NullSpec.from_name(null)
+    # a power instrument sieve of K = 4 J columns is singular at n = 300 for J >= 3, so it scans with K = 2 J; at
+    # J = 4 the oracles' dense pinv of the Vandermonde gram keeps 8 digits of D_J (the scan keeps 11, against
+    # 50-digit arithmetic), so the power scan stops at J = 3
+    grid, k_factor = ((3, 4, 5, 6), 4) if basis != "power" else ((2, 3), 2)
+    grid = tuple(j + (basis == "bspline3") for j in grid)  # a cubic spline needs J >= 4
+    config, spec = RunConfig(basis=basis, grid=grid, k_factor=k_factor), NullSpec.from_name(null)
     report = adaptive_test(data.y, data.x, data.w, spec, config)
-    assert [rec.j for rec in report.per_j] == [3, 4, 5, 6]
-    assert null == "linear" or min(rec.n_active for rec in report.per_j) > 0  # every cone projects
+    assert tuple(rec.j for rec in report.per_j) == grid
+    active_rows = [rec.n_active for rec in report.per_j]
+    assert spec.kind == "parametric" or max(active_rows) > 0  # the cone projects
+    assert null != "decreasing" or min(active_rows) > 0  # every decreasing cone projects
     for rec in report.per_j:
         psi_spec = config.psi_spec(rec.j)
         psi, b = eval_design(psi_spec, data.x), eval_design(config.psi_spec(rec.k), data.w)
@@ -293,13 +303,13 @@ def test_each_reported_D_and_v_equal_the_brute_oracles_of_its_residuals(null):
             restricted = data.y - psi @ beta_r
             assert rec.n_active == len(active)
         else:
-            z, p_b = np.column_stack([np.ones_like(data.x), data.x]), dense_projector(b)
+            z, p_b = np.vander(data.x, 2 if null == "linear" else 3, increasing=True), dense_projector(b)
             restricted = data.y - z @ np.linalg.solve(z.T @ p_b @ z, z.T @ p_b @ data.y)
         assert rec.d_stat == pytest.approx(brute_D(restricted, psi, b), rel=1e-8)
         assert rec.v_stat == pytest.approx(brute_vhat(data.y - psi @ beta, psi, b), rel=1e-8)
 
 
-@pytest.mark.parametrize("null", ["decreasing", "linear"])
+@pytest.mark.parametrize("null", ["decreasing", "increasing", "convex", "concave", "linear", "quadratic"])
 def test_structural_outcome_scales_its_own_map(null):
     # the outcome scales its fresh fit.scaled_map by u in place for v_J, after D_J has read it: both equal the
     # old formulas on a map formed apart, and the fit still forms the same map afterwards
@@ -1366,17 +1376,18 @@ def test_image_space_statistics_match_the_basis_oracle(monkeypatch):
     assert compared >= 80
 
 
-def test_decide_takes_the_statistic_its_entries_name():
+@pytest.mark.parametrize("model", ["linear", "quadratic"])
+def test_decide_takes_the_statistic_its_entries_name(model):
     # decide has no statistic of its own: on image_space_scan's entries it centers W_K at K and reports the
     # image-space test, as image_space_test does; entries naming two statistics, or items that are no scan's
     # entries, are input errors
     y, x, w = _sample200()
-    null, config = NullSpec.from_name("linear"), RunConfig(grid="knots")
+    null, config = NullSpec.from_name(model), RunConfig(grid="knots")
     grid, entries, warn, n = adaptive_module.image_space_scan(y, x, w, null, config)
     report = decide(grid, entries, n, null, config, warnings=warn)
     assert report.statistic == "image-space" and report.config["grid"] == "dyadic"
     assert [rec.eta for rec in report.per_j] == [eta_hat(0.05, grid.size, rec.gamma, rec.k) for rec in report.per_j]
-    assert report.to_dict() == image_space_test(y, x, w, "linear", config).to_dict()
+    assert report.to_dict() == image_space_test(y, x, w, model, config).to_dict()
     s_grid, s_entries, _, _ = adaptive_scan(y, x, w, null, config)
     assert decide(s_grid, s_entries, n, null, config).statistic == "structural"
     mixed = [dataclasses.replace(entries[0], statistic="structural"), *entries[1:]]

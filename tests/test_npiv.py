@@ -469,13 +469,16 @@ def test_cone_project_nonconvergence_names_the_problem(monkeypatch):
 # --------------------------------------------------------------- restricted fits
 
 
-def _design_fit(rng, n=120, j=4, k=8):
-    """(fit, psi, y, beta, m): a decreasing-cone problem on one factored candidate."""
+SHAPES = ("decreasing", "increasing", "convex", "concave")
+
+
+def _design_fit(rng, n=120, j=4, k=8, shape="decreasing"):
+    """(fit, psi, y, beta, m): a cone problem of the given shape on one factored candidate."""
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n) + 0.5 * x
     psi = eval_design(bspline(j), x)
     fit = fit_from_design(psi, eval_design(bspline(k), w))
-    return fit, psi, y, fit.coefficients(y), deriv_constraints(bspline(j), "decreasing")
+    return fit, psi, y, fit.coefficients(y), deriv_constraints(bspline(j), shape)
 
 
 def _cone(fit, m):
@@ -484,8 +487,9 @@ def _cone(fit, m):
     return npiv_module._Cone(m.rows, fit.gram_weighted, fit.l_inv_t)
 
 
-def test_restricted_cone_feasible_unchanged(rng):
-    fit, psi, y, beta, m = _design_fit(rng)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_restricted_cone_feasible_unchanged(rng, shape):
+    fit, psi, y, beta, m = _design_fit(rng, shape=shape)
     feasible = np.all(m.rows @ beta <= 0)
     beta_r, _ = _cone(fit, m).project(beta)
     assert np.all(m.rows @ beta_r <= 1e-8 * (1.0 + np.linalg.norm(beta_r)))
@@ -493,8 +497,9 @@ def test_restricted_cone_feasible_unchanged(rng):
         np.testing.assert_allclose(beta_r, beta, atol=1e-10)
 
 
-def test_restricted_weighted_ssr_never_improves(rng):
-    fit, psi, y, beta, m = _design_fit(rng)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_restricted_weighted_ssr_never_improves(rng, shape):
+    fit, psi, y, beta, m = _design_fit(rng, shape=shape)
     beta_r, _ = _cone(fit, m).project(beta)
     gap = psi @ beta - psi @ beta_r
     ssr = float(np.sum(gap**2))  # unit weights
@@ -503,8 +508,9 @@ def test_restricted_weighted_ssr_never_improves(rng):
     assert ssr >= -1e-12
 
 
-def test_restricted_kkt_orthogonality(rng):
-    fit, psi, y, beta, m = _design_fit(rng, n=200, j=5, k=10)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_restricted_kkt_orthogonality(rng, shape):
+    fit, psi, y, beta, m = _design_fit(rng, n=200, j=5, k=10, shape=shape)
     beta_r, _ = _cone(fit, m).project(beta)
     gap = beta - beta_r
     cross = float(gap @ fit.gram_weighted @ beta_r)
@@ -518,15 +524,17 @@ def test_restricted_cone_checks_the_constraint_dimension(rng):
         _cone(fit, deriv_constraints(bspline(5), "decreasing"))
 
 
-def test_restricted_monotone_derivative_on_grid():
+@pytest.mark.parametrize("shape, deriv, sign", [("decreasing", 1, 1.0), ("increasing", 1, -1.0), ("convex", 2, -1.0),
+                                                 ("concave", 2, 1.0)], ids=SHAPES)
+def test_restricted_shape_derivative_on_grid(shape, deriv, sign):
+    # a quadratic spline's restricted fit keeps its shape over the whole interval, not only at the constraint rows
     data = generate(DesignConfig("I", 400, 0.5, HSpec("sin", c_a=2.0), RngStream(33, 4)))
     spec = bspline(5)
     psi = eval_design(spec, data.x)
     fit = fit_from_design(psi, eval_design(bspline(10), data.w))
-    beta_r, _ = _cone(fit, deriv_constraints(spec, "decreasing")).project(fit.coefficients(data.y))
+    beta_r, _ = _cone(fit, deriv_constraints(spec, shape)).project(fit.coefficients(data.y))
     grid = np.linspace(0.0, 1.0, 1000)
-    deriv = eval_design(spec, grid, deriv=1) @ beta_r
-    assert np.all(deriv <= 1e-10)
+    assert np.all(sign * (eval_design(spec, grid, deriv=deriv) @ beta_r) <= 1e-10)
 
 
 def test_parametric_exact_linear(rng):
@@ -583,9 +591,10 @@ def test_parametric_rank_guard(rng):
                 assert fit_restricted_parametric(y, None, z, q, r).beta_r.size == 2
 
 
-def test_restricted_positive_homogeneity(rng):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_restricted_positive_homogeneity(rng, shape):
     # cone projections commute with positive scaling of the target: one factor, outcomes y and 2.5 y
-    fit, psi, y, beta, m = _design_fit(rng)
+    fit, psi, y, beta, m = _design_fit(rng, shape=shape)
     cone = _cone(fit, m)
     (r1, _), (r2, _) = cone.project(beta), cone.project(fit.coefficients(2.5 * y))
     np.testing.assert_allclose(r2, 2.5 * r1, atol=1e-8)
