@@ -368,14 +368,17 @@ def _clamp_warnings(config: RunConfig, **samples) -> list[str]:
     return lines
 
 
-def _checked_data(ys, x, w, mu):
-    """The sample (ys, x, w, mu, n) of every pass: n finite observations, w as an n x d_w view, mu checked."""
+def _checked_data(ys, x, w, mu, design):
+    """The sample (ys, x, w, mu, n) of every pass: n finite observations, w as an n x d_w view, mu checked, and a
+    parametric null's custom design (None for a named model) of one row per observation."""
     ys, x, w = [_columns(y, "y", 1) for y in ys], _columns(x, "x"), _columns(w, "w")
     n = ys[0].shape[0]
     if any(a.shape[0] != n for a in (*ys, x, w)):
         raise InputError("y, x, w must share the number of observations")
     if not all(np.all(np.isfinite(a)) for a in (*ys, x, w)):
         raise InputError("data contains non-finite values")
+    if design is not None and design.shape[0] != n:
+        raise InputError(f"custom design must have one row per observation: got {design.shape[0]} rows for n={n}")
     return ys, x, np.atleast_2d(w.T).T, _weights(mu, n), n
 
 
@@ -590,8 +593,8 @@ def adaptive_scan(y, x, w, null: NullSpec, config: RunConfig, mu=None):
 
     Each stepped J evaluates Psi_J and B_K, K = k_factor * J, and factors
     them once, without reading y: the factor's s_hat is the stability measure
-    s_J. A candidate's visit adds the shape null's constraint rows to that
-    y-free factor, and _structural_outcome, the only part that reads y,
+    s_J. A candidate's visit adds the null's y-free restricted factor, a cone
+    or a RestrictedFit, and _structural_outcome, the only part that reads y,
     computes its statistics at once. Returns (grid, entries, warnings, n).
     """
     return _single(_structural_scan([y], x, w, null, config, None, mu), "J", config)
@@ -602,7 +605,7 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
     _candidate_pass gives them and sample as _checked_data does, with D_J taken on y - h0(x) at the checked x
     instead of the restricted residuals when h0 is given. designs is the sample's _Designs; None builds one."""
     null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")  # before the sample
-    ys, x, w, mu, n = sample = _checked_data(ys, x, w, mu)
+    ys, x, w, mu, n = sample = _checked_data(ys, x, w, mu, null.custom_design if null.kind == "parametric" else None)
     h0 = None if h0 is None else h0(x)
     if x.ndim != 1:
         raise InputError(f"the structural statistic needs one regressor as a 1-d x, got x of shape {x.shape}")
@@ -621,34 +624,33 @@ def _structural_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Desi
         fit_warnings.extend(f"J={j}: {msg}" for msg in fit.warnings)
         try:
             rows = null.constraints(psi_spec) if null.kind == "shape" else None
-            cone = None if rows is None else _Cone(rows.rows, fit.gram_weighted, fit.l_inv_t)
+            return j, s_hat, psi, fit, rows, (fit_restricted_parametric(x, model, fit.q, fit.r) if rows is None
+                                               else _Cone(rows.rows, fit.gram_weighted, fit.l_inv_t))
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate J={j}: {exc}") from exc
-        return j, s_hat, psi, fit, rows, cone
 
     model = null.model if null.custom_design is None else null.custom_design
-    outcomes = [partial(_structural_outcome, y=y, h0=h0, x=x, model=model) for y in ys]
+    outcomes = [partial(_structural_outcome, y=y, h0=h0) for y in ys]
     notices = _clamp_warnings(config, x=x, w=w)
     grid, results = _candidate_pass(n, config.grid, step, visit, outcomes, config.basis_min(), notices)
     return grid, results, notices + fit_warnings, sample
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
-def _structural_outcome(factor, y, h0, x, model) -> _ScanEntry:
-    """The part of a structural candidate that reads y: beta, u = y - Psi beta, the restricted fit (the cone of a
-    shape null's rows, else the 2SLS of model on U_B), v_J on u and D_J on the restricted residuals, or on y - h0
-    when h0 is given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows, cone), a shape null's rows and their
-    cone factor, built once per candidate from the fit's own factor of Psi' Omega Psi; a parametric null's are None."""
-    j, s_hat, psi, fit, rows, cone = factor
+def _structural_outcome(factor, y, h0) -> _ScanEntry:
+    """The part of a structural candidate that reads y: beta, u = y - Psi beta, the restricted fit (the cone
+    projection of beta, else y - Z theta), v_J on u and D_J on the restricted residuals, or on y - h0 when h0 is
+    given. factor is the visit's (j, s_hat, Psi_J, NpivFit, rows, null_fit), built once per candidate: a shape null's
+    rows and their _Cone, by the fit's own factor of Psi' Omega Psi, else None and the RestrictedFit on (q, r)."""
+    j, s_hat, psi, fit, rows, null_fit = factor
     beta = fit.coefficients(y)
     u = y - psi @ beta
     try:
-        if cone is not None:
-            beta_r, active = cone.project(beta)
+        if rows is not None:
+            beta_r, active = null_fit.project(beta)
             restricted, gamma = y - psi @ beta_r, gamma_hat(rows, active)
         else:
-            rfit = fit_restricted_parametric(y, x, model, fit.q, fit.r)
-            restricted, active, gamma = rfit.residuals_r, rfit.active_set, j
+            restricted, active, gamma = y - null_fit.z @ null_fit.coefficients(y), (), j
         s = fit.scaled_map  # formed fresh for this outcome, so v_J may scale it once D_J has read it
         r = restricted if h0 is None else y - h0
         d_stat = 0.0 if _numerically_zero(r, y) else compute_D(s, r)
@@ -737,7 +739,7 @@ def _candidate_on_sample(candidate, x, config: RunConfig, null: NullSpec):
     """Fitted values of the hypothesized function at the checked sample x, plus a cone feasibility check."""
     if callable(candidate):
         values = _real_floats(candidate(x), "candidate function values")
-        if null.kind == "shape" and null.shape in _SHAPES:  # a built-in shape: its derivative's sign, by differences
+        if null.kind == "shape" and null.custom_rows is None:  # a built-in shape: its derivative's sign, by differences
             f = _real_floats(candidate(np.linspace(*config.support, 1001)), "candidate function values")
             if f.shape != (1001,):
                 raise InputError(f"candidate function must return one value per point, got shape {f.shape} on "
@@ -882,7 +884,7 @@ def image_space_scan(y, x, w, null: NullSpec, config: RunConfig):
     rule (whatever config.grid says) and the stability measure
     s_min((B'B/n)^{-1/2}), and the chi-square calibration uses K degrees of
     freedom. Returns (grid, entries, warnings, n), as adaptive_scan does: a
-    candidate's y-free factor is U_B = q r_b, and _image_space_outcome reads y.
+    candidate's y-free factor is the null's RestrictedFit on U_B = q r_b, and _image_space_outcome reads y.
     """
     return _single(_image_space_scan([y], x, w, null, config, None), "K", config)
 
@@ -892,21 +894,21 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
     _candidate_pass gives them, sample as _checked_data does. designs is the sample's _Designs; None builds one."""
     null, config = _instance(null, NullSpec, "null"), _instance(config, RunConfig, "config")
     _check_test("image-space", null, config)
-    ys, x, w, _, n = sample = _checked_data(ys, x, w, None)
+    ys, x, w, _, n = sample = _checked_data(ys, x, w, None, null.custom_design)
     model = null.model if null.custom_design is None else null.custom_design
     designs = _Designs(w) if designs is None else designs
 
     def visit(realized: int, smin: float | None, b: np.ndarray | None):
         try:  # b is None where a certified step built no design
             q, r_b, s_b = orthonormal_range(designs.instrument(config, realized) if b is None else b)
+            rfit = fit_restricted_parametric(x, model, q, r_b)
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"candidate K={realized}: {exc}") from exc
-        return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, q, r_b
+        return realized, math.sqrt(n) / float(s_b[0]) if smin is None else smin, rfit
 
-    z, _ = parametric_design(x, model)
     # K below the null's parameter count leaves the restricted fit unidentified
-    k_min = max(config.basis_min(), z.shape[1])
-    outcomes = [partial(_image_space_outcome, y=y, x=x, model=model) for y in ys]
+    k_min = max(config.basis_min(), parametric_design(x, model)[0].shape[1])
+    outcomes = [partial(_image_space_outcome, y=y) for y in ys]
     notices = _clamp_warnings(config, w=w)
     grid, results = _candidate_pass(n, "dyadic", _image_space_step(config, designs, n, k_min), visit, outcomes, k_min,
                                     notices)
@@ -914,17 +916,16 @@ def _image_space_scan(ys, x, w, null: NullSpec, config: RunConfig, designs: _Des
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches decide as a non-finite statistic
-def _image_space_outcome(factor, y, x, model) -> _ScanEntry:
-    """The part of an image-space candidate that reads y: the 2SLS of model on U_B = q r_b, and D_K and v_K of
-    its residuals. factor is the visit's (K, s_K, q, r_b)."""
-    k, s_hat, q, r_b = factor
-    rfit = fit_restricted_parametric(y, x, model, q, r_b)
-    r = rfit.residuals_r
-    d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(q, r_b, r)
+def _image_space_outcome(factor, y) -> _ScanEntry:
+    """The part of an image-space candidate that reads y: the residuals y - Z theta of the null's 2SLS on
+    U_B = q r_b, and their D_K and v_K. factor is the visit's (K, s_K, RestrictedFit on (q, r_b))."""
+    k, s_hat, rfit = factor
+    r = y - rfit.z @ rfit.coefficients(y)
+    d_stat, v_stat = (0.0, 0.0) if _numerically_zero(r, y) else _image_space_statistics(rfit.q, rfit.r, r)
     _check_underflow(f"K={k}", y, D=(d_stat, r), v=(v_stat, r))
     # chi-square df nets out the parameters the restricted fit consumed
     # inside the instrument projection; centering stays at K
-    return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.beta_r.size),
+    return _ScanEntry(j=k, k=k, d_stat=d_stat, v_stat=v_stat, s_hat=s_hat, gamma=max(1, k - rfit.z.shape[1]),
                       n_active=0, statistic="image-space")
 
 

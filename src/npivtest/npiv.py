@@ -17,8 +17,8 @@ Restricted fits come in two kinds:
     fit's own L^{-T}, and projects each outcome's beta through it.
     cone_project is the public projection in any SPD metric g, which it
     factors by its own eigh;
-  * parametric: plain 2SLS of a finite-dimensional design on the instrument
-    sieve (fit_restricted_parametric).
+  * parametric: plain 2SLS of a finite-dimensional design Z on the instrument
+    sieve, whose y-free half fit_restricted_parametric builds once per candidate.
 """
 
 from __future__ import annotations
@@ -59,6 +59,16 @@ def _weights(mu, n: int) -> np.ndarray:
     return mu
 
 
+def _checked_y(y, n: int) -> np.ndarray:
+    """y as one finite outcome of n observations: the rule of every factor's coefficients(y)."""
+    y = _real_floats(y, "y")
+    if y.shape != (n,):
+        raise InputError(f"y must have shape ({n},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InputError("y contains non-finite values")
+    return y
+
+
 @dataclass
 class NpivFit:
     """Outcome-free factor of a sieve IV candidate: every field is a function of (Psi, B, mu) alone."""
@@ -73,12 +83,7 @@ class NpivFit:
 
     def coefficients(self, y) -> np.ndarray:
         """beta = L^{-T} M^+ U_B' y, the sieve 2SLS coefficients of outcome y."""
-        y = _real_floats(y, "y")
-        if y.shape != (self.q.shape[0],):
-            raise InputError(f"y must have shape ({self.q.shape[0]},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise InputError("y contains non-finite values")
-        return self.l_inv_t @ (self.m_pinv @ (self.r.T @ (self.q.T @ y)))
+        return self.l_inv_t @ (self.m_pinv @ (self.r.T @ (self.q.T @ _checked_y(y, self.q.shape[0]))))
 
     @property
     def scaled_map(self) -> np.ndarray:
@@ -88,12 +93,16 @@ class NpivFit:
 
 @dataclass
 class RestrictedFit:
-    """Null-restricted fit of a parametric 2SLS; active_set is empty, as an equality null has no inequality rows."""
+    """Outcome-free factor of a parametric null's 2SLS: a function of (Z, q, r) alone. Residuals: y - z @ theta."""
 
-    beta_r: np.ndarray
-    fitted_r: np.ndarray
-    residuals_r: np.ndarray
-    active_set: np.ndarray
+    z: np.ndarray  # the null's design Z (n x p)
+    tz_pinv: np.ndarray  # (r'q'Z)^+ (p x K), of full column rank p
+    q: np.ndarray  # q @ r = U_B, shared with the candidate's NpivFit or the image-space visit
+    r: np.ndarray
+
+    def coefficients(self, y) -> np.ndarray:
+        """theta = (r'q'Z)^+ r'q'y, the parametric 2SLS coefficients of outcome y."""
+        return self.tz_pinv @ (self.r.T @ (self.q.T @ _checked_y(y, self.q.shape[0])))
 
 
 def fit_from_design(psi, b, mu=None) -> NpivFit:
@@ -236,26 +245,20 @@ def parametric_design(x, model) -> tuple[np.ndarray, str]:
     return np.column_stack(columns), model
 
 
-def fit_restricted_parametric(y, x, model, q, r) -> RestrictedFit:
-    """Null-restricted parametric 2SLS on the instrument sieve.
+def fit_restricted_parametric(x, model, q, r) -> RestrictedFit:
+    """Outcome-free factor of a parametric null's 2SLS on the instrument sieve.
 
     q @ r is an orthonormal basis U_B of the instrument design B's column space, as orthonormal_range(B)
     returns it and the caller has already computed: the candidate's factor keeps it as NpivFit.q and .r, and
-    the image-space scan factors each B once. Z and y are projected as r'(q'.); B is not factored here.
+    the image-space scan factors each B once. Z is projected as r'(q'Z); B is not factored here, nor is y read.
     """
-    y, q, r = _columns(y, "y", 1), _columns(q, "instrument basis q", matrix=True), _columns(r, "factor r", matrix=True)
+    q, r = _columns(q, "instrument basis q", matrix=True), _columns(r, "factor r", matrix=True)
     z, model_name = parametric_design(x, model)
-    if z.shape[0] != y.shape[0]:
-        raise InputError("parametric design and y must share the number of rows")
-    if q.shape[0] != y.shape[0]:
-        raise InputError("instrument basis and y must share the number of rows")
+    if z.shape[0] != q.shape[0]:
+        raise InputError("parametric design and instrument basis q must share the number of rows")
     rcond = default_rcond((q.shape[0], r.shape[1]))
     tz_pinv, svals = pinv(r.T @ (q.T @ z), rcond)
     if svals.size < z.shape[1] or svals[-1] <= rcond * svals[0]:  # pinv's cut would drop a direction
-        raise InputError(
-            f"parametric design is rank deficient after instrument projection "
-            f"(model {model_name!r}, {z.shape[1]} columns, K={r.shape[1]})"
-        )
-    theta = tz_pinv @ (r.T @ (q.T @ y))
-    fitted_r = z @ theta
-    return RestrictedFit(beta_r=theta, fitted_r=fitted_r, residuals_r=y - fitted_r, active_set=np.empty(0, dtype=int))
+        raise InputError(f"parametric design is rank deficient after instrument projection (model {model_name!r}, "
+                         f"{z.shape[1]} columns, K={r.shape[1]})")
+    return RestrictedFit(z=z, tz_pinv=tz_pinv, q=q, r=r)

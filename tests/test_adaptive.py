@@ -321,13 +321,13 @@ def test_structural_outcome_scales_its_own_map(null):
         fit = fit_from_design(psi, eval_design(config.psi_spec(config.k_factor * j), data.w))
         s = fit.scaled_map
         rows = spec.constraints(psi_spec) if spec.kind == "shape" else None
-        cone = None if rows is None else npiv_module._Cone(rows.rows, fit.gram_weighted, fit.l_inv_t)
-        factor = (j, fit.s_hat, psi, fit, rows, cone)
-        entry = adaptive_module._structural_outcome(factor, data.y, None, data.x, spec.model)
+        null_fit = (fit_restricted_parametric(data.x, spec.model, fit.q, fit.r) if rows is None
+                    else npiv_module._Cone(rows.rows, fit.gram_weighted, fit.l_inv_t))
+        entry = adaptive_module._structural_outcome((j, fit.s_hat, psi, fit, rows, null_fit), data.y, None)
         beta = fit.coefficients(data.y)
         u = data.y - psi @ beta
         r = (data.y - psi @ cone_fit(fit, rows, beta)[0] if rows is not None
-             else fit_restricted_parametric(data.y, data.x, spec.model, fit.q, fit.r).residuals_r)
+             else data.y - null_fit.z @ null_fit.coefficients(data.y))
         assert entry.v_stat == _vhat_scaling(s.copy(), u) == compute_vhat_product(s, u)
         assert entry.d_stat == compute_D(s, r) == compute_D_squares(s, r)
         np.testing.assert_array_equal(fit.scaled_map, s)
@@ -783,6 +783,16 @@ def test_cs_excludes_shifted_candidate():
     assert not shifted and binding is not None
 
 
+def test_a_labelled_custom_rows_null_checks_no_builtin_shape_in_cs_contains():
+    # a custom_rows null's shape is only a label: increasing rows labelled "decreasing" take the increasing
+    # candidate x, and give the unlabelled null's answer
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("mono", c0=0.3), RngStream(4, 2)))
+    answers = [cs_contains(lambda x: x, data.y, data.x, data.w, RunConfig(), NullSpec(
+        kind="shape", shape=shape, custom_rows=lambda spec: deriv_constraints(spec, "increasing")))[:2]
+        for shape in (None, "decreasing")]
+    assert answers == [(False, 3), (False, 3)]
+
+
 @pytest.mark.parametrize("c_a", [0.0, 10.0], ids=["null", "alternative"])
 def test_cs_contains_is_the_test_on_the_candidate_residuals(c_a):
     # with the restricted fit as candidate, y - h0 are the restricted residuals, so the
@@ -793,8 +803,9 @@ def test_cs_contains_is_the_test_on_the_candidate_residuals(c_a):
     rep = adaptive_test(data.y, data.x, data.w, null, config=cfg)
     _, b = instrument_design(cfg, 8, data.w)
     fit = fit_from_design(eval_design(cfg.psi_spec(4), data.x), b)
-    rfit = fit_restricted_parametric(data.y, data.x, "linear", fit.q, fit.r)
-    contained, binding, detail = cs_contains(rfit.fitted_r, data.y, data.x, data.w, config=cfg, null=null)
+    rfit = fit_restricted_parametric(data.x, "linear", fit.q, fit.r)
+    contained, binding, detail = cs_contains(rfit.z @ rfit.coefficients(data.y), data.y, data.x, data.w, config=cfg,
+                                             null=null)
     (rec,) = rep.per_j
     assert rep.reject == (c_a > 0.0)
     assert detail["per_J"] == [{"J": 4, "D_candidate": rec.d_stat, "v": rec.v_stat, "eta": rec.eta,
@@ -894,7 +905,8 @@ def test_image_space_matches_brute_double_sum(rng):
     for rec in rep.per_j:
         _, b = instrument_design(cfg, rec.k, w)
         assert b.shape[1] == rec.k
-        r = fit_restricted_parametric(y, x, "linear", *orthonormal_range(b)[:2]).residuals_r
+        rfit = fit_restricted_parametric(x, "linear", *orthonormal_range(b)[:2])
+        r = y - rfit.z @ rfit.coefficients(y)
         assert rec.d_stat == pytest.approx(brute_image_D(r, b), rel=1e-10)
         assert rec.v_stat == pytest.approx(image_vhat_gram(r, b), rel=1e-10)
 
@@ -1033,6 +1045,21 @@ def test_a_structural_pass_builds_each_psi_once_for_all_its_outcomes(monkeypatch
     grid, results, warn, (*_, n) = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
     assert [decide(grid, entries, n, null, config, warnings=warn).to_dict() for entries in results] == alone
     assert len(ys) == 2 and sorted(built) == sorted(grid.shat) and set(built.values()) == {1}
+
+
+def test_each_candidate_builds_one_restricted_factor_for_all_its_outcomes(monkeypatch):
+    # the parametric null's y-free factor is built in the visit, once per candidate however many outcomes read it
+    data = generate(DesignConfig("I", 500, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
+    ys = [data.y, data.y + 1.0, data.y + np.sin(6.0 * data.x)]
+    null, config = NullSpec.from_name("linear"), RunConfig(grid=(3, 4, 5))
+    calls = _count_calls(monkeypatch, "fit_restricted_parametric", (adaptive_module,))
+    grid, results, _, _ = adaptive_module._structural_scan(ys, data.x, data.w, null, config, None)
+    assert grid.j_list == (3, 4, 5) and all(len(entries) == 3 for entries in results)
+    assert calls["calls"] == 3
+    calls["calls"] = 0
+    grid, results, _, _ = adaptive_module._image_space_scan(ys, data.x, data.w, null, config, None)
+    assert grid.size > 1 and all(len(entries) == grid.size for entries in results)
+    assert calls["calls"] == grid.size
 
 
 def test_an_outcome_error_ends_its_outcome_and_a_pass_error_every_running_one(monkeypatch):
@@ -1707,7 +1734,7 @@ _ARRAYS = [  # (export, argument, the name its messages give it, its fewest and 
     ("npiv.cone_project", "m", "constraint rows", 1, 2),
     ("npiv.parametric_design", "x", "x", 1, 2),
     ("npiv.parametric_design", "model", "custom design", 1, 2),
-    ("npiv.fit_restricted_parametric", "y", "y", 1, 1),
+    ("npiv.RestrictedFit.coefficients", "y", "y", 1, 1),
     ("npiv.fit_restricted_parametric", "x", "x", 1, 2),
     ("npiv.fit_restricted_parametric", "model", "custom design", 1, 2),
     ("npiv.fit_restricted_parametric", "q", "instrument basis q", 2, 2),
@@ -1762,7 +1789,8 @@ def _valid_arguments(export: str) -> dict:
         "npiv.fit_from_design": {"psi": psi, "b": b, "mu": np.ones(200)},
         "npiv.cone_project": {"v": fit.coefficients(y), "g": fit.gram_weighted, "m": np.eye(2, 3)},
         "npiv.parametric_design": {"x": x, "model": "linear"},
-        "npiv.fit_restricted_parametric": {"y": y, "x": x, "model": "linear", "q": q, "r": r},
+        "npiv.fit_restricted_parametric": {"x": x, "model": "linear", "q": q, "r": r},
+        "npiv.RestrictedFit.coefficients": {"self": fit_restricted_parametric(x, "linear", q, r), "y": y},
         "randdist.CovarianceSpec": {"matrix": np.eye(2)},
         "randdist.std_normal_cdf": {"x": x},
         "adaptive.RunConfig": {},
@@ -1824,7 +1852,7 @@ def _exported() -> set[str]:
 
 def test_every_export_is_probed_or_takes_no_array():
     # a new export must join the probe table, _ARRAY_FREE or _RESULTS, so none can skip the rule
-    # a method's class counts as probed (NpivFit, whose fields are results too, and HSpec)
+    # a method's class counts as probed (NpivFit and RestrictedFit, whose fields are results too, and HSpec)
     probed = {".".join(export.split(".")[:2]) for export, *_ in _ARRAYS} | {f"adaptive.{scan}" for scan in _SCANS}
     assert not probed & set(_ARRAY_FREE)
     assert _exported() == probed | set(_ARRAY_FREE) | set(_RESULTS)
@@ -2008,10 +2036,20 @@ def test_image_space_eta_error_names_k_df_and_centering():
                                "centered at K=4); use a smaller alpha")
 
 
-def test_image_space_custom_design_needs_one_row_per_observation():
+@pytest.mark.parametrize("rows", [150, 199, 201])
+def test_image_space_custom_design_needs_one_row_per_observation(monkeypatch, rows):
+    # each of the three scans checks the custom design's rows once, before any candidate, with one message
     data = generate(DesignConfig("I", 200, 0.5, HSpec("sin", c_a=0.5), RngStream(4, 2)))
-    with pytest.raises(InputError, match="parametric design and y must share the number of rows"):
-        image_space_test(data.y, data.x, data.w, data.x[:150])
+    z = np.column_stack([np.ones(rows), np.linspace(0.0, 1.0, rows)])
+    null, config = NullSpec(kind="parametric", custom_design=z), RunConfig(grid=(3, 4, 5))
+    calls = _count_calls(monkeypatch, "fit_restricted_parametric", (adaptive_module,))
+    for scan in (lambda: adaptive_test(data.y, data.x, data.w, null, config),
+                 lambda: cs_contains(np.zeros(200), data.y, data.x, data.w, config, null),
+                 lambda: image_space_test(data.y, data.x, data.w, z, config)):
+        with pytest.raises(InputError) as info:
+            scan()
+        assert str(info.value) == f"custom design must have one row per observation: got {rows} rows for n=200"
+    assert calls["calls"] == 0
 
 
 def test_one_dimensional_custom_design_is_one_column():

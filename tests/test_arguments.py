@@ -115,8 +115,7 @@ CASES = {
     "linalg.check_gram": lambda: dict(lam_min=1.0, lam_max=1.0, dim=3, error=NumericalError, name="gram G"),
     "npiv.fit_from_design": lambda: dict(psi=_fit()[3], b=eval_design(BasisSpec("bspline", 8, order=2), _sample()[2]),
                                          mu=None),
-    "npiv.fit_restricted_parametric": lambda: dict(y=_sample()[0], x=_sample()[1], model="linear", q=_fit()[0].q,
-                                                   r=_fit()[0].r),
+    "npiv.fit_restricted_parametric": lambda: dict(x=_sample()[1], model="linear", q=_fit()[0].q, r=_fit()[0].r),
     "npiv.cone_project": lambda: dict(v=np.ones(4), g=np.eye(4), m=_fit()[1]),
     "npiv.parametric_design": lambda: dict(x=[0.5, 0.7], model="linear"),
     "randdist.RngStream": lambda: dict(master_seed=0, stream_id=1),

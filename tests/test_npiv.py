@@ -541,10 +541,9 @@ def test_parametric_exact_linear(rng):
     n = 90
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = 0.7 - 1.3 * x
-    rfit = fit_restricted_parametric(y, x, "linear", *orthonormal_range(eval_design(bspline(6), w))[:2])
-    np.testing.assert_allclose(rfit.residuals_r, 0.0, atol=1e-9)
-    assert rfit.active_set.size == 0
-    assert rfit.beta_r.size == 2
+    rfit = fit_restricted_parametric(x, "linear", *orthonormal_range(eval_design(bspline(6), w))[:2])
+    np.testing.assert_allclose(y - rfit.z @ rfit.coefficients(y), 0.0, atol=1e-9)
+    np.testing.assert_allclose(rfit.coefficients(y), [0.7, -1.3], rtol=1e-9)
 
 
 def test_parametric_iv_ratio_single_instrument(rng):
@@ -552,8 +551,8 @@ def test_parametric_iv_ratio_single_instrument(rng):
     w = rng.normal(size=n)
     x = 0.8 * w + rng.normal(size=n)
     y = 2.0 * x + rng.normal(size=n)
-    rfit = fit_restricted_parametric(y, x[:, None], x[:, None], *orthonormal_range(np.column_stack([w]))[:2])
-    slope = rfit.beta_r[0]
+    rfit = fit_restricted_parametric(x[:, None], x[:, None], *orthonormal_range(np.column_stack([w]))[:2])
+    (slope,) = rfit.coefficients(y)
     assert slope == pytest.approx((w @ y) / (w @ x), abs=1e-10)
 
 
@@ -562,19 +561,18 @@ def test_parametric_quadratic_equals_custom_design(rng):
     x, w = rng.uniform(size=n), rng.uniform(size=n)
     y = rng.normal(size=n)
     q, r, _ = orthonormal_range(eval_design(bspline(8), w))
-    fit_a = fit_restricted_parametric(y, x, "quadratic", q, r)
+    fit_a = fit_restricted_parametric(x, "quadratic", q, r)
     custom = np.column_stack([np.ones(n), x, x**2])
-    fit_b = fit_restricted_parametric(y, x, custom, q, r)
-    np.testing.assert_allclose(fit_a.fitted_r, fit_b.fitted_r, atol=1e-10)
+    fit_b = fit_restricted_parametric(x, custom, q, r)
+    np.testing.assert_allclose(fit_a.z @ fit_a.coefficients(y), fit_b.z @ fit_b.coefficients(y), atol=1e-10)
 
 
 def test_parametric_rank_guard(rng):
     n = 60
     x, w = rng.uniform(size=n), rng.uniform(size=n)
-    y = rng.normal(size=n)
     degenerate = np.column_stack([np.ones(n), np.ones(n)])
     with pytest.raises(InputError):
-        fit_restricted_parametric(y, x, degenerate, *orthonormal_range(eval_design(bspline(6), w))[:2])
+        fit_restricted_parametric(x, degenerate, *orthonormal_range(eval_design(bspline(6), w))[:2])
     # one cutoff, pinv's 1e-12 n: Z = (block_1, eps block_2 + block_5) projects onto four instrument
     # blocks with singular values in the ratio eps; below the cutoff it raises, above it df is both columns
     for n in (50, 1000):
@@ -586,9 +584,9 @@ def test_parametric_rank_guard(rng):
             y = z @ np.array([1.0, 2.0]) + rng.normal(size=n)
             if raises:
                 with pytest.raises(InputError, match="rank deficient after instrument projection"):
-                    fit_restricted_parametric(y, None, z, q, r)
+                    fit_restricted_parametric(None, z, q, r)
             else:
-                assert fit_restricted_parametric(y, None, z, q, r).beta_r.size == 2
+                assert fit_restricted_parametric(None, z, q, r).coefficients(y).size == 2
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -608,11 +606,11 @@ def test_restricted_positive_homogeneity(rng, shape):
      "named model 'linear' expects a scalar regressor; pass a custom design instead"),
     (lambda: parametric_design(np.zeros(5), "cubic"),
      "unknown parametric model 'cubic'; expected one of ('linear', 'quadratic')"),
-    (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), np.ones((4, 1)), np.eye(5, 2), np.eye(2)),
-     "parametric design and y must share the number of rows"),
-    (lambda: fit_restricted_parametric(np.ones(5), np.arange(5.0), "linear", np.eye(4, 2), np.eye(2)),
-     "instrument basis and y must share the number of rows"),
-], ids=["non-finite-psi", "constraint-width", "named-model-of-2-d-x", "unknown-model", "design-rows", "basis-rows"])
+    (lambda: fit_restricted_parametric(np.arange(5.0), np.ones((4, 1)), np.eye(5, 2), np.eye(2)),
+     "parametric design and instrument basis q must share the number of rows"),
+    (lambda: fit_restricted_parametric(np.arange(5.0), "linear", np.eye(5, 2), np.eye(2)).coefficients(np.ones(4)),
+     "y must have shape (5,), got (4,)"),
+], ids=["non-finite-psi", "constraint-width", "named-model-of-2-d-x", "unknown-model", "design-rows", "y-rows"])
 def test_npiv_input_guards(call, message):
     with pytest.raises(InputError) as info:
         call()

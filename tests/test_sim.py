@@ -960,11 +960,12 @@ GOLDEN_MC = pathlib.Path(__file__).parent / "data" / "golden_mc_reproduce.json"
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_reproduce_matches_golden_fixture(jobs):
-    # reproduce rows and summaries (without timings) of F1 (n = 500, xi = 0.5), T1 (n = 500), and supp-D and
-    # supp-C (n = 500, 1000) at 6 replications and seed 3; compared as JSON text, so NaN published values
-    # compare equal
+    # reproduce rows and summaries (without timings) of F1 and F2 (n = 500, xi = 0.5), T1 and T2 (n = 500), and
+    # supp-D and supp-C (n = 500, 1000) at 6 replications and seed 3; compared as JSON text, so NaN published
+    # values compare equal. T2 and F2 are the parametric structural tables, whose passes carry many outcomes
     golden = json.loads(GOLDEN_MC.read_text())
     for table, cells in (("F1", dict(n_values=(500,), xi_values=(0.5,))), ("T1", dict(n_values=(500,))),
+                         ("F2", dict(n_values=(500,), xi_values=(0.5,))), ("T2", dict(n_values=(500,))),
                          ("supp-D", dict(n_values=(500, 1000))), ("supp-C", dict(n_values=(500, 1000)))):
         out = reproduce(table, replications=6, seed=3, jobs=jobs, **cells)
         ours = {"rows": out["rows"], "summaries": {k: _without_timings(s) for k, s in out["summaries"].items()}}
